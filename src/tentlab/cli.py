@@ -2,11 +2,19 @@
 run manifests, and optional SVG plots.
 
 Every subcommand writes its artifacts plus a manifest.json into --out.
-The manifest records the exact parameter strings, so feeding it back
-through replay_manifest reproduces the CSV artifacts byte for byte.
-Numeric flags that a backend interprets (--h, --x0, --sigma, ...) are
-kept as strings all the way to Backend.parse, which is what lets
-"--h 3/2 --backend rational" stay exact.
+One table declares each subcommand's flags; the same table names the
+manifest's parameters, which record the exact parameter strings, so
+feeding a manifest back through replay_manifest reproduces the CSV
+artifacts byte for byte. Numeric flags that a backend interprets (--h,
+--x0, --sigma, ...) are kept as strings all the way to Backend.parse,
+which is what lets "--h 3/2 --backend rational" stay exact. Every
+backend, decimal included, works with every subcommand that takes
+--backend, and --plot renders rational columns such as "2/5" too.
+
+A subcommand is a generator of (artifact name, contents) pairs; _run
+builds the backend, MapParams and Coefficients its flags ask for, and
+writes each artifact as soon as it is yielded, so --out appears only
+once the computation has validated its inputs.
 
 Exit codes: 0 success, 2 validation problem (bad flags or bad values),
 1 internal failure.
@@ -59,272 +67,136 @@ MANIFEST_SCHEMA = 1
 MANIFEST_NAME = "manifest.json"
 
 
-def _add_backend_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--backend",
-        choices=("binary64", "rational", "decimal"),
-        default=DEFAULT_BACKEND,
-        help="number system for all map arithmetic",
+# --- flags: (long flag, add_argument keywords); the shared ones once here
+
+
+def flag(name: str, **kwargs) -> tuple[str, dict]:
+    return name, kwargs
+
+
+def steps_flag(default: int) -> tuple[str, dict]:
+    return flag("--steps", type=int, default=default)
+
+
+def x0_flag(default: str) -> tuple[str, dict]:
+    return flag("--x0", default=default, help="start value")
+
+
+H = flag("--h", default=DEFAULT_H, help="map slope, e.g. 1.5 or 3/2")
+K = flag("--k", type=int, default=DEFAULT_K, help="iterate power")
+SIGMA = flag("--sigma", default=DEFAULT_SIGMA, help="averaging parameter, above 1")
+TOL = flag("--tol", type=float, default=DEFAULT_TOL, help="classification distance")
+BACKEND = (
+    flag("--backend", choices=("binary64", "rational", "decimal"),
+         default=DEFAULT_BACKEND, help="number system for all map arithmetic"),
+    flag("--precision", type=int, default=None,
+         help="significant digits (decimal backend only)"),
+)
+PLOT = flag("--plot", choices=("line", "scatter"), default=None,
+            help="also render the first CSV as an SVG in this style")
+OUT = flag("--out", default=".", help="directory receiving artifacts and manifest.json")
+
+
+def escape_flags(jump_tol: float) -> tuple[tuple[str, dict], ...]:
+    """The flat-then-jump detector's three thresholds."""
+    return (
+        flag("--flat-tol", type=float, default=DEFAULT_FLAT_TOL),
+        flag("--jump-tol", type=float, default=jump_tol),
+        flag("--min-flat", type=int, default=DEFAULT_MIN_FLAT),
     )
-    p.add_argument(
-        "--precision",
-        type=int,
-        default=None,
-        help="significant digits (decimal backend only)",
-    )
 
 
-def _add_out_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--out",
-        default=".",
-        help="directory receiving artifacts and manifest.json",
-    )
+# --- artifacts and the runner
 
 
-def _add_plot_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--plot",
-        choices=("line", "scatter"),
-        default=None,
-        help="also render the CSV as an SVG in this style",
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tentlab",
-        description="Tent-map orbits, cycle algebra, six-tap stabilization, "
-        "and escape experiments.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="iterate T^k from a start point")
-    p.add_argument("--h", default=DEFAULT_H, help="map slope, e.g. 1.5 or 3/2")
-    p.add_argument("--k", type=int, default=DEFAULT_K, help="iterate power")
-    p.add_argument("--x0", default="0.5", help="start point in [0,1]")
-    p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
-    _add_backend_flags(p)
-    _add_plot_flag(p)
-    _add_out_flag(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("cycles", help="enumerate the period-n cycles at h")
-    p.add_argument("--h", default=DEFAULT_H)
-    p.add_argument("--period", type=int, default=2)
-    p.add_argument(
-        "--onset",
-        action="store_true",
-        help="also report the onset threshold for the period",
-    )
-    _add_backend_flags(p)
-    _add_out_flag(p)
-    p.set_defaults(func=_cmd_cycles)
-
-    p = sub.add_parser(
-        "stabilize", help="run the six-tap averaged recursion from x0"
-    )
-    p.add_argument("--h", default=DEFAULT_H)
-    p.add_argument("--k", type=int, default=DEFAULT_K)
-    p.add_argument("--sigma", default=DEFAULT_SIGMA)
-    p.add_argument("--x0", default="0.5")
-    p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    _add_backend_flags(p)
-    _add_plot_flag(p)
-    _add_out_flag(p)
-    p.set_defaults(func=_cmd_stabilize)
-
-    p = sub.add_parser(
-        "sweep", help="classify stabilized runs from every net point"
-    )
-    p.add_argument(
-        "--net",
-        default="uniform:1000",
-        help="start-point net, uniform:N or triadic:M",
-    )
-    p.add_argument("--h", default=DEFAULT_H)
-    p.add_argument("--k", type=int, default=DEFAULT_K)
-    p.add_argument("--sigma", default=DEFAULT_SIGMA)
-    p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker count; 0 = one per CPU (default: TENTLAB_THREADS or 1)",
-    )
-    _add_backend_flags(p)
-    _add_plot_flag(p)
-    _add_out_flag(p)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser(
-        "escape", help="find the flat-then-jump event in a stabilized run"
-    )
-    p.add_argument("--h", default=DEFAULT_H)
-    p.add_argument("--k", type=int, default=DEFAULT_K)
-    p.add_argument("--sigma", default=DEFAULT_SIGMA)
-    p.add_argument("--x0", default="0.4")
-    p.add_argument("--steps", type=int, default=300)
-    p.add_argument("--flat-tol", type=float, default=DEFAULT_FLAT_TOL)
-    p.add_argument("--jump-tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--min-flat", type=int, default=DEFAULT_MIN_FLAT)
-    _add_backend_flags(p)
-    _add_plot_flag(p)
-    _add_out_flag(p)
-    p.set_defaults(func=_cmd_escape)
-
-    p = sub.add_parser("series", help="plain chaotic orbit of 1/2 under T")
-    p.add_argument("--h", default=DEFAULT_H)
-    p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
-    _add_backend_flags(p)
-    _add_plot_flag(p)
-    _add_out_flag(p)
-    p.set_defaults(func=_cmd_series)
-
-    p = sub.add_parser(
-        "sqrt2", help="high-precision orbit pinned near 2 - sqrt(2)"
-    )
-    p.add_argument(
-        "--h-digits",
-        default=SQRT2_SLOPE_DIGITS,
-        help="decimal digit string for the slope",
-    )
-    p.add_argument("--precision", type=int, default=70)
-    p.add_argument("--steps", type=int, default=600)
-    p.add_argument("--flat-tol", type=float, default=DEFAULT_FLAT_TOL)
-    p.add_argument("--jump-tol", type=float, default=1e-2)
-    p.add_argument("--min-flat", type=int, default=DEFAULT_MIN_FLAT)
-    _add_plot_flag(p)
-    _add_out_flag(p)
-    p.set_defaults(func=_cmd_sqrt2)
-
-    p = sub.add_parser(
-        "fib", help="additive recurrence with eigen-decomposition"
-    )
-    p.add_argument("--x0", default="1")
-    p.add_argument("--x1", default=NEAR_STABLE_X1)
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--threshold", type=float, default=1.0)
-    p.add_argument(
-        "--phase",
-        action="store_true",
-        help="also emit consecutive-pair coordinates and manifold slopes",
-    )
-    _add_backend_flags(p)
-    _add_plot_flag(p)
-    _add_out_flag(p)
-    p.set_defaults(func=_cmd_fib)
-
-    p = sub.add_parser(
-        "spectrum", help="companion-map spectral radii for cell slopes mu"
-    )
-    p.add_argument("--h", default=DEFAULT_H)
-    p.add_argument("--k", type=int, default=DEFAULT_K)
-    p.add_argument("--sigma", default=DEFAULT_SIGMA)
-    p.add_argument(
-        "--mu",
-        type=float,
-        nargs="+",
-        default=None,
-        help="explicit slopes; default derives them from the equilibria",
-    )
-    _add_backend_flags(p)
-    _add_plot_flag(p)
-    _add_out_flag(p)
-    p.set_defaults(func=_cmd_spectrum)
-
-    return parser
-
-
-def _ensure_out(ns: argparse.Namespace) -> Path:
-    out = Path(ns.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_csv(path: Path, header: tuple[str, ...], rows) -> str:
+def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    return path.name
 
 
-def _write_json(path: Path, doc) -> str:
-    path.write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return path.name
+def _write_json(path: Path, doc) -> None:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _maybe_plot(ns: argparse.Namespace, csv_path: Path) -> list[str]:
-    if getattr(ns, "plot", None) is None:
-        return []
-    table = TableFile.read(csv_path)
-    svg = render_plot(table, ns.plot, csv_path.with_suffix(".svg"))
-    return [svg.name]
+def _parameter(value):
+    """A parsed flag value as the manifest records it: numbers as strings."""
+    if isinstance(value, list):
+        return [_parameter(v) for v in value]
+    return value if value is None or isinstance(value, (bool, str)) else str(value)
 
 
-def _write_manifest(
-    out: Path, command: str, parameters: dict, artifacts: list[str], t0: float
-) -> None:
+def _run(ns: argparse.Namespace) -> int:
+    """Run a parsed subcommand: its artifacts, its plot, then manifest.json."""
+    t0 = time.perf_counter()
+    b = make_backend(ns.backend, ns.precision) if "backend" in ns else None
+    params = MapParams.parse(ns.h, b) if "h" in ns else None
+    coeffs = build_coefficients(b.parse(ns.sigma), b) if "sigma" in ns else None
+    out = Path(ns.out)
+    artifacts = []
+    for name, content in ns.compute(ns, b, params, coeffs):
+        out.mkdir(parents=True, exist_ok=True)
+        if name.endswith(".csv"):
+            _write_csv(out / name, *content)
+        else:
+            _write_json(out / name, content)
+        artifacts.append(name)
+    if getattr(ns, "plot", None) is not None:
+        table = out / next(n for n in artifacts if n.endswith(".csv"))
+        svg = render_plot(TableFile.read(table), ns.plot, table.with_suffix(".svg"))
+        artifacts.append(svg.name)
     doc = {
         "schema": MANIFEST_SCHEMA,
-        "command": command,
-        "parameters": parameters,
+        "command": ns.command,
+        "parameters": {
+            name[2:]: _parameter(getattr(ns, name[2:].replace("-", "_")))
+            for name, _ in ns.flags
+        },
         "artifacts": sorted(artifacts + [MANIFEST_NAME]),
         "tool_version": __version__,
         "wall_time_seconds": round(time.perf_counter() - t0, 6),
     }
     _write_json(out / MANIFEST_NAME, doc)
-
-
-def _backend_params(ns: argparse.Namespace) -> dict:
-    return {
-        "backend": ns.backend,
-        "precision": None if ns.precision is None else str(ns.precision),
-    }
-
-
-def _plot_param(ns: argparse.Namespace) -> dict:
-    return {"plot": ns.plot}
-
-
-def _make_backend(ns: argparse.Namespace):
-    return make_backend(ns.backend, ns.precision)
-
-
-def _cmd_simulate(ns: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    b = _make_backend(ns)
-    params = MapParams.parse(ns.h, b)
-    x0 = b.parse(ns.x0)
-    run = orbit(x0, params, k=ns.k, steps=ns.steps)
-    out = _ensure_out(ns)
-    rows = [(str(i), b.serialize(x)) for i, x in enumerate(run.points)]
-    artifacts = [_write_csv(out / "orbit.csv", ("n", "x"), rows)]
-    artifacts += _maybe_plot(ns, out / "orbit.csv")
-    parameters = {
-        "h": ns.h,
-        "k": str(ns.k),
-        "x0": ns.x0,
-        "steps": str(ns.steps),
-        **_backend_params(ns),
-        **_plot_param(ns),
-    }
-    _write_manifest(out, "simulate", parameters, artifacts, t0)
     return 0
 
 
-def _cmd_cycles(ns: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    b = _make_backend(ns)
-    params = MapParams.parse(ns.h, b)
+# --- subcommands: each yields (artifact name, contents) in the order the
+# artifacts are written; a CSV's contents are (header, rows), a JSON
+# artifact's the document.  Rows are generators where they can be, so a
+# large CSV is serialized as it is written instead of held in memory.
+# --out is added to every subcommand and is the one flag the manifest
+# leaves out.
+
+COMMANDS: dict[str, tuple] = {}
+
+
+def command(name: str, help_text: str, *flags: tuple[str, dict]):
+    def register(compute):
+        COMMANDS[name] = (help_text, compute, flags)
+        return compute
+
+    return register
+
+
+def _indexed(b, values):
+    return ((str(i), b.serialize(x)) for i, x in enumerate(values))
+
+
+@command("simulate", "iterate T^k from a start point",
+         H, K, x0_flag("0.5"), steps_flag(DEFAULT_STEPS), *BACKEND, PLOT)
+def _cmd_simulate(ns, b, params, coeffs):
+    run = orbit(b.parse(ns.x0), params, k=ns.k, steps=ns.steps)
+    yield "orbit.csv", (("n", "x"), _indexed(b, run.points))
+
+
+@command("cycles", "enumerate the period-n cycles at h",
+         H, flag("--period", type=int, default=2),
+         flag("--onset", action="store_true",
+              help="also report the onset threshold for the period"),
+         *BACKEND)
+def _cmd_cycles(ns, b, params, coeffs):
     found = enumerate_cycles(params, ns.period)
-    out = _ensure_out(ns)
     doc = {
         "h": b.serialize(params.h),
         "period": ns.period,
@@ -344,40 +216,22 @@ def _cmd_cycles(ns: argparse.Namespace) -> int:
             "threshold": record.threshold,
             "polynomial": list(record.polynomial),
         }
-    artifacts = [_write_json(out / "cycles.json", doc)]
-    rows = [
+    yield "cycles.json", doc
+    rows = (
         (str(i), str(j), b.serialize(x), c.itinerary, b.serialize(c.multiplier))
         for i, c in enumerate(found)
         for j, x in enumerate(c.points)
-    ]
-    artifacts.append(
-        _write_csv(
-            out / "cycles.csv",
-            ("cycle", "index", "point", "itinerary", "multiplier"),
-            rows,
-        )
     )
-    parameters = {
-        "h": ns.h,
-        "period": str(ns.period),
-        "onset": ns.onset,
-        **_backend_params(ns),
-    }
-    _write_manifest(out, "cycles", parameters, artifacts, t0)
-    return 0
+    yield "cycles.csv", (("cycle", "index", "point", "itinerary", "multiplier"), rows)
 
 
-def _cmd_stabilize(ns: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    b = _make_backend(ns)
-    params = MapParams.parse(ns.h, b)
-    coeffs = build_coefficients(b.parse(ns.sigma))
+@command("stabilize", "run the six-tap averaged recursion from x0",
+         H, K, SIGMA, x0_flag("0.5"), steps_flag(DEFAULT_STEPS), TOL, *BACKEND, PLOT)
+def _cmd_stabilize(ns, b, params, coeffs):
     run = stabilized_orbit(b.parse(ns.x0), params, ns.k, coeffs, ns.steps)
     outcome = classify_outcome(run, params, ns.tol)
-    out = _ensure_out(ns)
-    rows = [(str(i), b.serialize(x)) for i, x in enumerate(run.starred)]
-    artifacts = [_write_csv(out / "stabilize.csv", ("n", "x_star"), rows)]
-    summary = {
+    yield "stabilize.csv", (("n", "x_star"), _indexed(b, run.starred))
+    yield "stabilize.json", {
         "x0": b.serialize(run.x0),
         "sigma": b.serialize(coeffs.sigma),
         "coefficients": [b.serialize(a) for a in coeffs.a],
@@ -385,47 +239,25 @@ def _cmd_stabilize(ns: argparse.Namespace) -> int:
         "classified_target": outcome.variant.value,
         "distance": outcome.distance,
     }
-    artifacts.append(_write_json(out / "stabilize.json", summary))
-    artifacts += _maybe_plot(ns, out / "stabilize.csv")
-    parameters = {
-        "h": ns.h,
-        "k": str(ns.k),
-        "sigma": ns.sigma,
-        "x0": ns.x0,
-        "steps": str(ns.steps),
-        "tol": repr(ns.tol),
-        **_backend_params(ns),
-        **_plot_param(ns),
-    }
-    _write_manifest(out, "stabilize", parameters, artifacts, t0)
-    return 0
 
 
-def _cmd_sweep(ns: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    b = _make_backend(ns)
-    params = MapParams.parse(ns.h, b)
-    coeffs = build_coefficients(b.parse(ns.sigma))
+@command("sweep", "classify stabilized runs from every net point",
+         flag("--net", default="uniform:1000",
+              help="start-point net, uniform:N or triadic:M"),
+         H, K, SIGMA, steps_flag(DEFAULT_STEPS), TOL,
+         flag("--threads", type=int, default=None,
+              help="worker count; 0 = one per CPU (default: TENTLAB_THREADS or 1)"),
+         *BACKEND, PLOT)
+def _cmd_sweep(ns, b, params, coeffs):
     spec = NetSpec.parse(ns.net)
-    result = sweep(
-        spec, params, ns.k, coeffs, ns.steps, ns.tol, threads=ns.threads
-    )
-    out = _ensure_out(ns)
-    rows = [
-        (
-            b.serialize(x0),
-            oc.variant.value,
-            b.serialize(oc.final_value),
-            repr(oc.distance),
-        )
+    result = sweep(spec, params, ns.k, coeffs, ns.steps, ns.tol, threads=ns.threads)
+    rows = (
+        (b.serialize(x0), oc.variant.value, b.serialize(oc.final_value),
+         repr(oc.distance))
         for x0, oc in zip(result.points, result.outcomes)
-    ]
-    artifacts = [
-        _write_csv(
-            out / "sweep.csv", ("x0", "outcome", "final", "distance"), rows
-        )
-    ]
-    summary = {
+    )
+    yield "sweep.csv", (("x0", "outcome", "final", "distance"), rows)
+    yield "sweep.json", {
         "net": str(spec),
         "size": len(result.points),
         "steps": result.steps,
@@ -434,190 +266,106 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
             result.counts.items(), key=lambda item: item[0].value
         )},
     }
-    artifacts.append(_write_json(out / "sweep.json", summary))
-    artifacts += _maybe_plot(ns, out / "sweep.csv")
-    parameters = {
-        "net": ns.net,
-        "h": ns.h,
-        "k": str(ns.k),
-        "sigma": ns.sigma,
-        "steps": str(ns.steps),
-        "tol": repr(ns.tol),
-        "threads": None if ns.threads is None else str(ns.threads),
-        **_backend_params(ns),
-        **_plot_param(ns),
+
+
+def _event_doc(event, serialize):
+    if event is None:
+        return None
+    return {
+        "flat_value": serialize(event.flat_value),
+        "flat_start": event.flat_start,
+        "escape_index": event.escape_index,
+        "terminal_value": serialize(event.terminal_value),
     }
-    _write_manifest(out, "sweep", parameters, artifacts, t0)
-    return 0
 
 
-def _cmd_escape(ns: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    b = _make_backend(ns)
-    params = MapParams.parse(ns.h, b)
-    coeffs = build_coefficients(b.parse(ns.sigma))
+@command("escape", "find the flat-then-jump event in a stabilized run",
+         H, K, SIGMA, x0_flag("0.4"), steps_flag(300), *escape_flags(DEFAULT_TOL),
+         *BACKEND, PLOT)
+def _cmd_escape(ns, b, params, coeffs):
     run = stabilized_orbit(b.parse(ns.x0), params, ns.k, coeffs, ns.steps)
-    series = run.to_floats()
     event = detect_escape(
-        series,
-        flat_tol=ns.flat_tol,
-        jump_tol=ns.jump_tol,
-        min_flat=ns.min_flat,
+        run.to_floats(), flat_tol=ns.flat_tol, jump_tol=ns.jump_tol, min_flat=ns.min_flat
     )
-    out = _ensure_out(ns)
-    rows = [(str(i), b.serialize(x)) for i, x in enumerate(run.starred)]
-    artifacts = [_write_csv(out / "escape.csv", ("n", "x_star"), rows)]
-    doc = {
+    yield "escape.csv", (("n", "x_star"), _indexed(b, run.starred))
+    yield "escape.json", {
         "x0": b.serialize(run.x0),
         "steps": ns.steps,
-        "event": None
-        if event is None
-        else {
-            "flat_value": event.flat_value,
-            "flat_start": event.flat_start,
-            "escape_index": event.escape_index,
-            "terminal_value": event.terminal_value,
-        },
+        "event": _event_doc(event, float),
     }
-    artifacts.append(_write_json(out / "escape.json", doc))
-    artifacts += _maybe_plot(ns, out / "escape.csv")
-    parameters = {
-        "h": ns.h,
-        "k": str(ns.k),
-        "sigma": ns.sigma,
-        "x0": ns.x0,
-        "steps": str(ns.steps),
-        "flat-tol": repr(ns.flat_tol),
-        "jump-tol": repr(ns.jump_tol),
-        "min-flat": str(ns.min_flat),
-        **_backend_params(ns),
-        **_plot_param(ns),
-    }
-    _write_manifest(out, "escape", parameters, artifacts, t0)
-    return 0
 
 
-def _cmd_series(ns: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    b = _make_backend(ns)
-    params = MapParams.parse(ns.h, b)
+@command("series", "plain chaotic orbit of 1/2 under T",
+         H, steps_flag(DEFAULT_STEPS), *BACKEND, PLOT)
+def _cmd_series(ns, b, params, coeffs):
     run = chaotic_series(params, ns.steps)
-    out = _ensure_out(ns)
-    rows = [(str(i), b.serialize(x)) for i, x in enumerate(run.points)]
-    artifacts = [_write_csv(out / "series.csv", ("n", "x"), rows)]
-    artifacts += _maybe_plot(ns, out / "series.csv")
-    parameters = {
-        "h": ns.h,
-        "steps": str(ns.steps),
-        **_backend_params(ns),
-        **_plot_param(ns),
-    }
-    _write_manifest(out, "series", parameters, artifacts, t0)
-    return 0
+    yield "series.csv", (("n", "x"), _indexed(b, run.points))
 
 
-def _cmd_sqrt2(ns: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+@command("sqrt2", "high-precision orbit pinned near 2 - sqrt(2)",
+         flag("--h-digits", default=SQRT2_SLOPE_DIGITS,
+              help="decimal digit string for the slope"),
+         flag("--precision", type=int, default=70),
+         steps_flag(600), *escape_flags(1e-2), PLOT)
+def _cmd_sqrt2(ns, b, params, coeffs):
     run, event = sqrt2_experiment(
-        h_digits=ns.h_digits,
-        precision=ns.precision,
-        steps=ns.steps,
-        flat_tol=ns.flat_tol,
-        jump_tol=ns.jump_tol,
-        min_flat=ns.min_flat,
+        h_digits=ns.h_digits, precision=ns.precision, steps=ns.steps,
+        flat_tol=ns.flat_tol, jump_tol=ns.jump_tol, min_flat=ns.min_flat,
     )
     reference = sqrt2_reference(ns.precision)
     b = run.params.backend
-    out = _ensure_out(ns)
-    rows = [
-        (str(i), repr(abs(float(x - reference))))
-        for i, x in enumerate(run.points)
-    ]
-    artifacts = [_write_csv(out / "sqrt2.csv", ("n", "deviation"), rows)]
-    doc = {
+    rows = ((str(i), repr(abs(float(x - reference)))) for i, x in enumerate(run.points))
+    yield "sqrt2.csv", (("n", "deviation"), rows)
+    yield "sqrt2.json", {
         "precision": ns.precision,
         "steps": ns.steps,
         "reference": str(reference),
         "final_value": b.serialize(run.points[-1]),
-        "event": None
-        if event is None
-        else {
-            "flat_value": b.serialize(event.flat_value),
-            "flat_start": event.flat_start,
-            "escape_index": event.escape_index,
-            "terminal_value": b.serialize(event.terminal_value),
-        },
+        "event": _event_doc(event, b.serialize),
     }
-    artifacts.append(_write_json(out / "sqrt2.json", doc))
-    artifacts += _maybe_plot(ns, out / "sqrt2.csv")
-    parameters = {
-        "h-digits": ns.h_digits,
-        "precision": str(ns.precision),
-        "steps": str(ns.steps),
-        "flat-tol": repr(ns.flat_tol),
-        "jump-tol": repr(ns.jump_tol),
-        "min-flat": str(ns.min_flat),
-        **_plot_param(ns),
-    }
-    _write_manifest(out, "sqrt2", parameters, artifacts, t0)
-    return 0
 
 
-def _cmd_fib(ns: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    b = _make_backend(ns)
+@command("fib", "additive recurrence with eigen-decomposition",
+         x0_flag("1"), flag("--x1", default=NEAR_STABLE_X1), steps_flag(100),
+         flag("--threshold", type=float, default=1.0),
+         flag("--phase", action="store_true",
+              help="also emit consecutive-pair coordinates and manifold slopes"),
+         *BACKEND, PLOT)
+def _cmd_fib(ns, b, params, coeffs):
     x0 = b.parse(ns.x0)
     x1 = b.parse(ns.x1)
     run = recurrence(x0, x1, ns.steps, b)
     data = decompose(b.to_float(x0), b.to_float(x1))
-    predicted = predict_escape_index(
-        b.to_float(x0), b.to_float(x1), ns.threshold
-    )
-    observed = first_crossing(run, ns.threshold)
-    out = _ensure_out(ns)
-    rows = [(str(i), b.serialize(x)) for i, x in enumerate(run.seq)]
-    artifacts = [_write_csv(out / "fib.csv", ("n", "x"), rows)]
     doc = {
         "a_u": data.a_u,
         "a_s": data.a_s,
         "threshold": ns.threshold,
-        "predicted_escape": predicted,
-        "observed_escape": observed,
+        "predicted_escape": predict_escape_index(
+            b.to_float(x0), b.to_float(x1), ns.threshold
+        ),
+        "observed_escape": first_crossing(run, ns.threshold),
     }
+    yield "fib.csv", (("n", "x"), _indexed(b, run.seq))
     if ns.phase:
-        pairs = [
+        pairs = (
             (b.serialize(run.seq[i]), b.serialize(run.seq[i + 1]))
             for i in range(len(run.seq) - 1)
-        ]
-        artifacts.append(
-            _write_csv(out / "phase.csv", ("x", "x_next"), pairs)
         )
+        yield "phase.csv", (("x", "x_next"), pairs)
         doc["unstable_slope"] = PHI
         doc["stable_slope"] = -1.0 / PHI
-    artifacts.append(_write_json(out / "fib.json", doc))
-    artifacts += _maybe_plot(ns, out / "fib.csv")
-    parameters = {
-        "x0": ns.x0,
-        "x1": ns.x1,
-        "steps": str(ns.steps),
-        "threshold": repr(ns.threshold),
-        "phase": ns.phase,
-        **_backend_params(ns),
-        **_plot_param(ns),
-    }
-    _write_manifest(out, "fib", parameters, artifacts, t0)
-    return 0
+    yield "fib.json", doc
 
 
-def _cmd_spectrum(ns: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    b = _make_backend(ns)
-    params = MapParams.parse(ns.h, b)
-    coeffs = build_coefficients(b.parse(ns.sigma))
+@command("spectrum", "companion-map spectral radii for cell slopes mu",
+         H, K, SIGMA,
+         flag("--mu", type=float, nargs="+", default=None,
+              help="explicit slopes; default derives them from the equilibria"),
+         *BACKEND, PLOT)
+def _cmd_spectrum(ns, b, params, coeffs):
     entries = []
     if ns.mu is None:
-        reports = classify_equilibria(params, ns.k, coeffs)
-        for report in reports:
+        for report in classify_equilibria(params, ns.k, coeffs):
             entries.append(
                 {
                     "mu": b.to_float(report.slope),
@@ -632,22 +380,25 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
             entries.append(
                 {"mu": mu, "radius": radius, "point": None, "stable": radius < 1.0}
             )
-    out = _ensure_out(ns)
     rows = [(repr(e["mu"]), repr(e["radius"])) for e in entries]
-    artifacts = [_write_csv(out / "spectrum.csv", ("mu", "radius"), rows)]
-    doc = {"sigma": ns.sigma, "entries": entries}
-    artifacts.append(_write_json(out / "spectrum.json", doc))
-    artifacts += _maybe_plot(ns, out / "spectrum.csv")
-    parameters = {
-        "h": ns.h,
-        "k": str(ns.k),
-        "sigma": ns.sigma,
-        "mu": None if ns.mu is None else [repr(m) for m in ns.mu],
-        **_backend_params(ns),
-        **_plot_param(ns),
-    }
-    _write_manifest(out, "spectrum", parameters, artifacts, t0)
-    return 0
+    yield "spectrum.csv", (("mu", "radius"), rows)
+    yield "spectrum.json", {"sigma": ns.sigma, "entries": entries}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="tentlab",
+        description="Tent-map orbits, cycle algebra, six-tap stabilization, "
+        "and escape experiments.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for cmd, (help_text, compute, flags) in COMMANDS.items():
+        p = sub.add_parser(cmd, help=help_text)
+        for name, kwargs in flags + (OUT,):
+            p.add_argument(name, **kwargs)
+        p.set_defaults(compute=compute, flags=flags)
+    return parser
 
 
 def run_command(argv: list[str]) -> int:
@@ -661,7 +412,7 @@ def run_command(argv: list[str]) -> int:
             return 0
         return 2
     try:
-        return ns.func(ns)
+        return _run(ns)
     except BackendError as exc:
         print(f"tentlab: error: {exc}", file=sys.stderr)
         return 2

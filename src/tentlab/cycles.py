@@ -5,7 +5,11 @@ map is affine, A*x + B, with A and B built one branch at a time (slope h,
 intercept 0 on L; slope -h, intercept h on R).  Its unique fixed point
 B/(1 - A) is a genuine period-n point exactly when its orbit realizes w.
 Enumerating one word per rotation class (Lyndon words) therefore yields
-every cycle of minimal period n exactly once.
+every cycle of minimal period n exactly once.  Because the tie at 1/2
+always goes LEFT, the itinerary is a function of the point: a solution
+that realizes an aperiodic word visits n distinct points, and two words
+of different rotation classes never give the same cycle, so the
+enumeration needs no deduplication pass.
 """
 
 from __future__ import annotations
@@ -130,7 +134,6 @@ def enumerate_cycles(params: MapParams, n: int) -> list[Cycle]:
     tol = _residual_tolerance(b)
     exact = tol == 0.0
     found: list[Cycle] = []
-    seen_keys: list[tuple] = []
 
     for word in _lyndon_words(n):
         A, B = _cell_affine(word, params)
@@ -166,35 +169,10 @@ def enumerate_cycles(params: MapParams, n: int) -> list[Cycle]:
         elif abs(b.to_float(b.sub(x, x_star))) > tol:
             continue
 
-        # reject degenerate solutions that visit a point twice
-        if exact:
-            distinct = len(set(pts)) == n
-        else:
-            distinct = all(
-                abs(b.to_float(b.sub(pts[i], pts[j]))) > tol
-                for i in range(n)
-                for j in range(i + 1, n)
-            )
-        if not distinct:
-            continue
-
         # canonical rotation: smallest point first
         m = min(range(n), key=lambda i: pts[i])
         pts = pts[m:] + pts[:m]
         rot_word = word[m:] + word[:m]
-
-        if exact:
-            key = tuple(sorted(pts))
-            if key in seen_keys:
-                continue
-        else:
-            key = tuple(sorted(b.to_float(p) for p in pts))
-            if any(
-                all(abs(u - v) <= tol for u, v in zip(key, k)) for k in seen_keys
-            ):
-                continue
-        seen_keys.append(key)
-
         found.append(
             Cycle(
                 period=n,

@@ -14,18 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .backends import Backend, DomainError, Scalar, infer_backend
 from .cycles import enumerate_cycles
 from .tentmap import MapParams, tent_power_step
 
 TAPS = 6
-
-_SPECTRUM_TOL = 1e-10
-_SPECTRUM_MAX_ITER = 500
-
-
-class ConvergenceError(RuntimeError):
-    """The simultaneous root iteration failed to settle within its budget."""
 
 
 @dataclass(frozen=True)
@@ -188,10 +183,7 @@ def companion_step(
 
 
 def companion_spectrum(
-    mu: float,
-    coeffs: Coefficients,
-    tol: float = _SPECTRUM_TOL,
-    max_iter: int = _SPECTRUM_MAX_ITER,
+    mu: float, coeffs: Coefficients
 ) -> tuple[tuple[float, ...], float]:
     """Eigenvalue magnitudes of the companion Jacobian for cell slope mu.
 
@@ -200,53 +192,9 @@ def companion_spectrum(
     their maximum.
     """
     mu = float(mu)
-    a = [float(v) for v in coeffs.a]
-    poly = [1.0] + [-mu * v for v in a]  # descending degree 6
-
-    # factor out exact zero roots (mu = 0 gives lambda^6)
-    zeros = 0
-    while len(poly) > 1 and poly[-1] == 0.0:
-        poly.pop()
-        zeros += 1
-    degree = len(poly) - 1
-    mags = [0.0] * zeros
-    if degree > 0:
-        roots = _all_roots(poly, tol, max_iter)
-        mags.extend(abs(r) for r in roots)
-    mags.sort(reverse=True)
+    poly = [1.0] + [-mu * float(v) for v in coeffs.a]  # descending degree 6
+    mags = sorted((float(m) for m in np.abs(np.roots(poly))), reverse=True)
     return tuple(mags), mags[0]
-
-
-def _all_roots(poly: list[float], tol: float, max_iter: int) -> list[complex]:
-    """Simultaneous (Weierstrass) iteration on a monic polynomial."""
-    degree = len(poly) - 1
-    radius = 1.0 + max(abs(c) for c in poly[1:])
-    seed = 0.4 + 0.9j
-    z = [radius * seed**i for i in range(degree)]
-
-    def p(x: complex) -> complex:
-        acc = 0j
-        for c in poly:
-            acc = acc * x + c
-        return acc
-
-    for _ in range(max_iter):
-        moved = 0.0
-        nxt = []
-        for i, zi in enumerate(z):
-            denom = 1.0 + 0j
-            for j, zj in enumerate(z):
-                if i != j:
-                    denom *= zi - zj
-            step = p(zi) / denom
-            nxt.append(zi - step)
-            moved = max(moved, abs(step))
-        z = nxt
-        if moved < tol:
-            return z
-    raise ConvergenceError(
-        f"root iteration did not reach {tol} in {max_iter} sweeps"
-    )
 
 
 def _fixed_points_of_power(params: MapParams, k: int):

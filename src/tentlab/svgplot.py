@@ -2,13 +2,15 @@
 
 Output is a pure function of the table contents and the style flag: fixed
 800x500 viewport, no timestamps, all coordinates printed with a fixed
-format, so rendered files can be compared byte for byte.
+format, so rendered files can be compared byte for byte.  A numeric cell
+is a decimal or an exact p/q fraction, as the rational backend writes.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 from .backends import DomainError
@@ -60,18 +62,22 @@ class TableFile:
 
 
 def _as_float(cell: str) -> float | None:
+    """A decimal or p/q cell as a float, else None; only p/q cells pay for Fraction."""
     try:
-        return float(cell)
-    except ValueError:
+        return float(Fraction(cell)) if "/" in cell else float(cell)
+    except (ValueError, ZeroDivisionError):
         return None
 
 
-def _numeric_columns(table: TableFile) -> list[int]:
+def _numeric_columns(table: TableFile) -> list[tuple[int, list[float]]]:
+    """The first two columns whose every cell is a number, with their values."""
     out = []
     for j in range(len(table.header)):
         values = [_as_float(cell) for cell in table.column(j)]
         if all(v is not None for v in values):
-            out.append(j)
+            out.append((j, values))
+            if len(out) == 2:
+                break
     return out
 
 
@@ -113,9 +119,7 @@ def render_svg(table: TableFile, style: str) -> str:
             f"need two numeric columns to plot, found {len(numeric)} "
             f"in header {table.header}"
         )
-    jx, jy = numeric[0], numeric[1]
-    xs = [float(c) for c in table.column(jx)]
-    ys = [float(c) for c in table.column(jy)]
+    (jx, xs), (jy, ys) = numeric
     x_lo, x_hi = _axis_range(xs)
     y_lo, y_hi = _axis_range(ys)
 

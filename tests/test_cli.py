@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,12 @@ import pytest
 from tentlab.backends import DomainError
 from tentlab.cli import build_parser, replay_manifest, run_command
 from tentlab.svgplot import TableFile, render_plot, render_svg
+
+
+SUBCOMMANDS = (
+    "simulate", "cycles", "stabilize", "sweep", "escape",
+    "series", "sqrt2", "fib", "spectrum",
+)
 
 
 def read_json(path: Path):
@@ -277,6 +284,30 @@ class TestSpectrum:
         assert doc["entries"][1]["radius"] == 0.0
 
 
+class TestBackends:
+    @pytest.mark.parametrize(
+        "argv, artifact",
+        [
+            (["stabilize"], "stabilize.json"),
+            (["sweep", "--net", "uniform:20"], "sweep.json"),
+            (["escape", "--steps", "120"], "escape.json"),
+            (["spectrum"], "spectrum.json"),
+        ],
+        ids=["stabilize", "sweep", "escape", "spectrum"],
+    )
+    def test_decimal_backend_runs(self, tmp_path, argv, artifact):
+        flags = ["--backend", "decimal", "--precision", "30", "--out", str(tmp_path)]
+        assert run_command(argv + flags) == 0
+        assert (tmp_path / artifact).is_file()
+        assert (tmp_path / artifact.replace(".json", ".csv")).is_file()
+
+    def test_rational_plot_renders(self, tmp_path):
+        argv = ["simulate", "--backend", "rational", "--h", "3/2", "--x0", "2/5",
+                "--plot", "line", "--out", str(tmp_path)]
+        assert run_command(argv) == 0
+        assert "<polyline" in (tmp_path / "orbit.svg").read_text(encoding="utf-8")
+
+
 class TestManifest:
     def test_fields(self, tmp_path):
         run_command(["simulate", "--steps", "3", "--out", str(tmp_path)])
@@ -306,6 +337,11 @@ class TestManifest:
             ["sweep", "--net", "uniform:50", "--steps", "20"],
             ["fib", "--steps", "30", "--phase"],
             ["spectrum", "--mu", "-2.25", "2.25"],
+            ["cycles", "--h", "1.8", "--period", "3", "--onset"],
+            ["escape", "--steps", "120"],
+            ["series", "--steps", "40"],
+            ["sqrt2", "--steps", "100"],
+            ["stabilize", "--backend", "decimal", "--precision", "30"],
         ],
     )
     def test_replay_reproduces_bytes(self, tmp_path, argv):
@@ -319,6 +355,17 @@ class TestManifest:
         assert names
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_parameter_keys_are_the_long_flags(self, tmp_path, capsys, command):
+        assert run_command([command, "--help"]) == 0
+        flags = set(re.findall(r"--([a-z][a-z0-9-]*)", capsys.readouterr().out))
+        argv = [command, "--out", str(tmp_path)]
+        if command == "sqrt2":
+            argv += ["--steps", "50"]
+        assert run_command(argv) == 0
+        keys = set(read_json(tmp_path / "manifest.json")["parameters"])
+        assert keys == flags - {"help", "out"}
 
     def test_replay_rejects_unknown_schema(self, tmp_path, capsys):
         bogus = tmp_path / "manifest.json"

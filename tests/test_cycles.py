@@ -2,8 +2,9 @@
 
 Independent oracles: a dense grid sign-change count for the number of
 period-3 solutions, a Mobius-formula count of aperiodic binary necklaces
-for the h = 2 census, and numpy's companion-matrix eigenvalue roots for
-every onset polynomial.
+for the h = 2 census, distinct points within each cycle and distinct
+point sets across cycles (enumeration itself keeps no dedupe pass), and
+numpy's companion-matrix eigenvalue roots for every onset polynomial.
 """
 
 import math
@@ -12,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tentlab.backends import Binary64, DomainError, Rational
+from tentlab.backends import Binary64, DomainError, Rational, make_backend
 from tentlab.cycles import (
     Cycle,
     cycle_multiplier,
@@ -132,9 +133,30 @@ class TestEnumeration:
         assert len(enumerate_cycles(b64_params(h), 3)) == expected_cycles == 2
 
     def test_census_at_h2_matches_necklace_oracle(self):
-        p = rat_params(2)
-        for n in range(1, 9):
-            assert len(enumerate_cycles(p, n)) == aperiodic_necklaces(n)
+        for p, max_n in ((rat_params(2), 12), (b64_params(2.0), 15)):
+            for n in range(1, max_n + 1):
+                assert len(enumerate_cycles(p, n)) == aperiodic_necklaces(n)
+
+    @pytest.mark.parametrize(
+        "kind, h, max_n",
+        [
+            *[("binary64", h, 12) for h in ("1.3", "1.5", "1.7", "1.85", "1.93", "2")],
+            *[("rational", h, 10) for h in ("3/2", "9/5", "2")],
+            *[("decimal", h, 9) for h in ("1.7", "2")],
+        ],
+    )
+    def test_cycles_have_distinct_points_and_point_sets(self, kind, h, max_n):
+        """Points and point sets differ by more than 1e-9, floats included."""
+        params = MapParams.parse(h, make_backend(kind, 30 if kind == "decimal" else None))
+        for n in range(1, max_n + 1):
+            cycles = enumerate_cycles(params, n)
+            if not cycles:
+                continue
+            keys = np.sort([[float(x) for x in c.points] for c in cycles], axis=1)
+            assert np.all(np.diff(keys, axis=1) > 1e-9)
+            gaps = np.abs(keys[:, None, :] - keys[None, :, :]).max(axis=2)
+            np.fill_diagonal(gaps, np.inf)
+            assert gaps.min() > 1e-9
 
     def test_census_first_values(self):
         p = rat_params(2)
