@@ -10,6 +10,12 @@ tolerance.  The triadic net i / (5 * 3^5) adds starts such as 4/15 and
 """
 
 from tentlab import Binary64, MapParams, NetSpec, build_coefficients, sweep
+from tentlab.experiments import KINDS, OutcomeKind
+
+
+def starts(result, kind):
+    """The net points whose run ended as `kind`, as plain floats."""
+    return result.points[result.codes == KINDS.index(kind)].tolist()
 
 
 def main() -> None:
@@ -21,24 +27,14 @@ def main() -> None:
     for kind, count in sorted(result.counts.items(), key=lambda kv: kv[0].value):
         print(f"  {kind.value:>12}: {count}")
 
-    pinned = [
-        x for x, oc in zip(result.points, result.outcomes)
-        if oc.variant.value == "fixed_point"
-    ]
-    print("  starts on the fixed point:", pinned)
+    print("  starts on the fixed point:", starts(result, OutcomeKind.FIXED_POINT))
 
-    unresolved = [
-        x for x, oc in zip(result.points, result.outcomes)
-        if oc.variant.value == "unresolved"
-    ]
+    unresolved = starts(result, OutcomeKind.UNRESOLVED)
     print(f"  still in transit: {len(unresolved)} starts, e.g. {unresolved[2:5]}")
 
     print()
     tri = sweep(NetSpec.triadic(5), params, 2, coeffs, 50, 1e-3)
-    pinned = [
-        x for x, oc in zip(tri.points, tri.outcomes)
-        if oc.variant.value == "fixed_point"
-    ]
+    pinned = starts(tri, OutcomeKind.FIXED_POINT)
     print("triadic net, 1216 starts; starts on the fixed point:", pinned)
 
 

@@ -33,8 +33,10 @@ from . import __version__
 from .backends import BackendError, make_backend
 from .cycles import enumerate_cycles, onset_threshold
 from .experiments import (
+    DEFAULT_CHUNK_SIZE,
     DEFAULT_FLAT_TOL,
     DEFAULT_MIN_FLAT,
+    KINDS,
     SQRT2_SLOPE_DIGITS,
     NetSpec,
     chaotic_series,
@@ -196,6 +198,7 @@ def _cmd_simulate(ns, b, params, coeffs):
               help="also report the onset threshold for the period"),
          *BACKEND)
 def _cmd_cycles(ns, b, params, coeffs):
+    record = onset_threshold(ns.period) if ns.onset else None
     found = enumerate_cycles(params, ns.period)
     doc = {
         "h": b.serialize(params.h),
@@ -210,8 +213,7 @@ def _cmd_cycles(ns, b, params, coeffs):
             for c in found
         ],
     }
-    if ns.onset:
-        record = onset_threshold(ns.period)
+    if record is not None:
         doc["onset"] = {
             "threshold": record.threshold,
             "polynomial": list(record.polynomial),
@@ -251,21 +253,24 @@ def _cmd_stabilize(ns, b, params, coeffs):
 def _cmd_sweep(ns, b, params, coeffs):
     spec = NetSpec.parse(ns.net)
     result = sweep(spec, params, ns.k, coeffs, ns.steps, ns.tol, threads=ns.threads)
-    rows = (
-        (b.serialize(x0), oc.variant.value, b.serialize(oc.final_value),
-         repr(oc.distance))
-        for x0, oc in zip(result.points, result.outcomes)
-    )
-    yield "sweep.csv", (("x0", "outcome", "final", "distance"), rows)
+    yield "sweep.csv", (("x0", "outcome", "final", "distance"), _sweep_rows(b, result))
     yield "sweep.json", {
         "net": str(spec),
         "size": len(result.points),
         "steps": result.steps,
         "tolerance": result.tolerance,
-        "counts": {kind.value: n for kind, n in sorted(
-            result.counts.items(), key=lambda item: item[0].value
-        )},
+        "counts": {kind.value: n for kind, n in result.counts.items()},
     }
+
+
+def _sweep_rows(b, result):
+    """CSV rows from the sweep's arrays, one chunk of Python values at a time."""
+    names = [kind.value for kind in KINDS]
+    columns = (result.points, result.codes, result.finals, result.distances)
+    for lo in range(0, len(result.points), DEFAULT_CHUNK_SIZE):
+        chunk = (c[lo : lo + DEFAULT_CHUNK_SIZE].tolist() for c in columns)
+        for x0, code, final, dist in zip(*chunk):
+            yield b.serialize(x0), names[code], b.serialize(final), repr(dist)
 
 
 def _event_doc(event, serialize):

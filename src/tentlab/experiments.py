@@ -7,15 +7,18 @@ of a run that sat near an exactly-invariant value until accumulated
 roundoff expelled it, and the fixed-precision experiment reproduces that
 signature with a slope that agrees with sqrt(2) to 57 decimal digits.
 
-Binary64 sweeps run on numpy arrays in fixed-size chunks.  Chunk
+A sweep is four arrays, classified at once by classify_finals, the rule
+classify_outcome applies to one run.  Binary64 sweeps run in numpy chunks
+of 65536 points, so per-call overhead does not swamp the threads.  Chunk
 boundaries depend only on chunk_size, never on the worker count, and every
 elementwise operation mirrors the scalar recursion's order, so sweep output
-is bit-identical across thread counts, including a plain serial run.
+is bit-identical across thread counts and chunk sizes.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -36,7 +39,7 @@ DEFAULT_JUMP_TOL = 1e-3
 DEFAULT_MIN_FLAT = 30
 
 THREADS_ENV_VAR = "TENTLAB_THREADS"
-DEFAULT_CHUNK_SIZE = 4096
+DEFAULT_CHUNK_SIZE = 65536
 
 # slope agreeing with sqrt(2) through 57 fractional digits
 SQRT2_SLOPE_DIGITS = (
@@ -49,6 +52,11 @@ class OutcomeKind(enum.Enum):
     CYCLE_HIGH = "cycle_high"
     FIXED_POINT = "fixed_point"
     UNRESOLVED = "unresolved"
+
+
+# an outcome code indexes KINDS; the first three follow the targets' order
+KINDS = tuple(OutcomeKind)
+UNRESOLVED_CODE = KINDS.index(OutcomeKind.UNRESOLVED)
 
 
 @dataclass(frozen=True)
@@ -106,15 +114,25 @@ class Outcome:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A sweep as four arrays indexed like the net.
+
+    points and finals are float64 under binary64 and backend scalars
+    (dtype=object) otherwise; codes index KINDS (int8); distances float64.
+    """
+
     net: NetSpec
     steps: int
     tolerance: float
-    points: tuple[Scalar, ...]
-    outcomes: tuple[Outcome, ...]
-    counts: dict
+    points: np.ndarray
+    finals: np.ndarray
+    codes: np.ndarray
+    distances: np.ndarray
 
-    def count(self, variant: OutcomeKind) -> int:
-        return self.counts.get(variant, 0)
+    @property
+    def counts(self) -> dict[OutcomeKind, int]:
+        """Starts per outcome kind, omitting kinds that never occur."""
+        tally = np.bincount(self.codes, minlength=len(KINDS))
+        return {kind: int(n) for kind, n in zip(KINDS, tally) if n}
 
 
 @dataclass(frozen=True)
@@ -127,32 +145,17 @@ class EscapeEvent:
     terminal_value: Scalar
 
 
-def build_net(spec: NetSpec, backend: Backend) -> list[Scalar]:
-    """All grid points of the net, endpoints included, in index order."""
+def build_net(spec: NetSpec, backend: Backend) -> np.ndarray | list[Scalar]:
+    """All grid points in index order: a float64 array under binary64."""
     denom = spec.denominator
     if spec.size > MAX_NET_SIZE:
         raise DomainError(
             f"net of {spec.size} points exceeds the cap of {MAX_NET_SIZE}"
         )
     if backend.kind == "binary64":
-        d = float(denom)
-        return [i / d for i in range(denom + 1)]
+        return np.arange(denom + 1, dtype=np.float64) / denom
     den = backend.from_int(denom)
     return [backend.div(backend.from_int(i), den) for i in range(denom + 1)]
-
-
-def classify_outcome(
-    run: StabRun, params: MapParams, tolerance: float
-) -> Outcome:
-    """Match the final starred value against the 2-cycle and fixed point.
-
-    The nearest target wins when strictly inside the tolerance; exact
-    distance ties prefer the cycle points over the fixed point.
-    """
-    final = run.starred[-1]
-    return _classify_value(
-        params.backend.to_float(final), final, params, tolerance
-    )
 
 
 def _targets(params: MapParams) -> tuple[float, float, float]:
@@ -162,28 +165,30 @@ def _targets(params: MapParams) -> tuple[float, float, float]:
     return b.to_float(lo), b.to_float(hi), b.to_float(fp)
 
 
-def _classify_value(
-    final_float: float,
-    final: Scalar,
-    params: MapParams,
-    tolerance: float,
-    targets: tuple[float, float, float] | None = None,
+def classify_finals(
+    finals: np.ndarray, targets: tuple[float, float, float], tolerance: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome codes into KINDS and nearest-target distances for float finals.
+
+    The nearest target wins when strictly inside the tolerance; exact
+    distance ties go to the earlier target, so the cycle points beat the
+    fixed point and the low point beats the high one.
+    """
+    gaps = np.abs(np.asarray(finals, dtype=np.float64)[:, None] - np.array(targets))
+    distances = gaps.min(axis=1)
+    codes = np.where(distances < tolerance, gaps.argmin(axis=1), UNRESOLVED_CODE)
+    return codes.astype(np.int8), distances
+
+
+def classify_outcome(
+    run: StabRun, params: MapParams, tolerance: float
 ) -> Outcome:
-    lo, hi, fp = targets if targets is not None else _targets(params)
-    pairs = (
-        (OutcomeKind.CYCLE_LOW, abs(final_float - lo)),
-        (OutcomeKind.CYCLE_HIGH, abs(final_float - hi)),
-        (OutcomeKind.FIXED_POINT, abs(final_float - fp)),
+    """Match the final starred value against the 2-cycle and fixed point."""
+    final = run.starred[-1]
+    codes, distances = classify_finals(
+        [params.backend.to_float(final)], _targets(params), tolerance
     )
-    best_kind, best_dist = pairs[0]
-    for kind, dist in pairs[1:]:
-        if dist < best_dist:
-            best_kind, best_dist = kind, dist
-    if best_dist < tolerance:
-        return Outcome(variant=best_kind, final_value=final, distance=best_dist)
-    return Outcome(
-        variant=OutcomeKind.UNRESOLVED, final_value=final, distance=best_dist
-    )
+    return Outcome(KINDS[codes[0]], final, float(distances[0]))
 
 
 def _resolve_threads(threads: int | None) -> int:
@@ -241,8 +246,8 @@ def sweep(
     """Classify a stabilized run from every net point.
 
     Output is ordered by net index and is bit-identical for any thread
-    count; threads default to the TENTLAB_THREADS environment variable
-    (0 means one per CPU).
+    count and chunk size; threads default to the TENTLAB_THREADS
+    environment variable (0 means one per CPU).
     """
     if steps < TAPS:
         raise DomainError(f"sweep needs at least {TAPS} steps, got {steps}")
@@ -255,47 +260,31 @@ def sweep(
     points = build_net(spec, b)
 
     if b.kind == "binary64":
-        grid = np.array(points, dtype=np.float64)
-        h = float(params.h)
-        a = tuple(float(v) for v in coeffs.a)
-        chunks = [
-            grid[lo : lo + chunk_size] for lo in range(0, len(grid), chunk_size)
-        ]
+        run_chunk = functools.partial(
+            _sweep_chunk_binary64, h=float(params.h), k=k,
+            a=tuple(float(v) for v in coeffs.a), steps=steps,
+        )
+        chunks = np.split(points, range(chunk_size, len(points), chunk_size))
         if nworkers > 1 and len(chunks) > 1:
             with ThreadPoolExecutor(max_workers=nworkers) as pool:
-                finals_parts = list(
-                    pool.map(
-                        lambda c: _sweep_chunk_binary64(c, h, k, a, steps), chunks
-                    )
-                )
+                finals = np.concatenate(list(pool.map(run_chunk, chunks)))
         else:
-            finals_parts = [
-                _sweep_chunk_binary64(c, h, k, a, steps) for c in chunks
-            ]
-        finals = np.concatenate(finals_parts)
-        targets = _targets(params)
-        outcomes = tuple(
-            _classify_value(float(f), float(f), params, tolerance, targets)
-            for f in finals
-        )
+            finals = np.concatenate([run_chunk(c) for c in chunks])
     else:
-        outcomes = tuple(
-            classify_outcome(
-                stabilized_orbit(x0, params, k, coeffs, steps), params, tolerance
-            )
-            for x0 in points
+        points = np.array(points, dtype=object)
+        finals = np.array(
+            [stabilized_orbit(x0, params, k, coeffs, steps).starred[-1] for x0 in points],
+            dtype=object,
         )
-
-    counts: dict = {}
-    for oc in outcomes:
-        counts[oc.variant] = counts.get(oc.variant, 0) + 1
+    codes, distances = classify_finals(finals, _targets(params), tolerance)
     return SweepResult(
         net=spec,
         steps=steps,
         tolerance=tolerance,
-        points=tuple(points),
-        outcomes=outcomes,
-        counts=counts,
+        points=points,
+        finals=finals,
+        codes=codes,
+        distances=distances,
     )
 
 

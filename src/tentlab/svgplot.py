@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from pathlib import Path
 
 from .backends import DomainError
@@ -57,9 +58,6 @@ class TableFile:
             rows = tuple(tuple(row) for row in reader)
         return cls(path=path, header=header, rows=rows)
 
-    def column(self, index: int) -> list[str]:
-        return [row[index] for row in self.rows]
-
 
 def _as_float(cell: str) -> float | None:
     """A decimal or p/q cell as a float, else None; only p/q cells pay for Fraction."""
@@ -70,11 +68,15 @@ def _as_float(cell: str) -> float | None:
 
 
 def _numeric_columns(table: TableFile) -> list[tuple[int, list[float]]]:
-    """The first two columns whose every cell is a number, with their values."""
+    """The first two columns whose every cell is a number, with their values.
+
+    A column's scan stops at its first non-numeric cell.
+    """
     out = []
     for j in range(len(table.header)):
-        values = [_as_float(cell) for cell in table.column(j)]
-        if all(v is not None for v in values):
+        cells = (_as_float(row[j]) for row in table.rows)
+        values = list(takewhile(lambda v: v is not None, cells))
+        if len(values) == len(table.rows):
             out.append((j, values))
             if len(out) == 2:
                 break

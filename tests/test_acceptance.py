@@ -19,6 +19,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tentlab.backends import Binary64, FixedDecimal, Rational
@@ -26,6 +27,7 @@ from tentlab.cli import replay_manifest, run_command
 from tentlab.cycles import enumerate_cycles, fixed_point, onset_threshold, two_cycle
 from tentlab.experiments import (
     DEFAULT_FLAT_TOL,
+    KINDS,
     NetSpec,
     OutcomeKind,
     build_net,
@@ -75,6 +77,12 @@ def _b64_params(h: str = "1.5") -> MapParams:
 
 def _rat_params(h: str = "3/2") -> MapParams:
     return MapParams.parse(h, Rational())
+
+
+def _starts(result, kind: OutcomeKind) -> dict[float, int]:
+    """The sweep's starts that ended as `kind`, each with its net index."""
+    indices = np.flatnonzero(result.codes == KINDS.index(kind)).tolist()
+    return {result.points[i].item(): i for i in indices}
 
 
 @pytest.fixture(scope="module")
@@ -180,11 +188,7 @@ def test_criterion_04_stabilization_basins():
 def test_criterion_05a_uniform_sweep_pinned_pair(uniform_sweep):
     failures = []
     result, elapsed = uniform_sweep
-    fixed = {
-        result.points[i]
-        for i, oc in enumerate(result.outcomes)
-        if oc.variant.value == "fixed_point"
-    }
+    fixed = set(_starts(result, OutcomeKind.FIXED_POINT))
     if fixed != {0.4, 0.6}:
         failures.append(f"fixed-point starts {sorted(fixed)}")
     if elapsed >= 60:
@@ -197,27 +201,24 @@ def test_criterion_05b_uniform_sweep_classifies_all_others(uniform_sweep):
     result, _ = uniform_sweep
     params = _b64_params()
     coeffs = build_coefficients(1.2)
-    stray = {
-        result.points[i]: oc
-        for i, oc in enumerate(result.outcomes)
-        if oc.variant is OutcomeKind.UNRESOLVED
-    }
+    stray = _starts(result, OutcomeKind.UNRESOLVED)
     # T(0) = T(1) = 0: these starts sit on the origin, a boundary fixed
     # point that is none of the three targets
     for x0 in (0.0, 1.0):
-        final = result.outcomes[result.points.index(x0)].final_value
+        final = result.finals[stray[x0]]
         if final != 0.0:
             failures.append(f"start {x0!r} ends on {final!r}, not on the origin")
     # every other unresolved start is still in transit after 50 steps: the
     # scalar run agrees, its nearest target is a cycle point, and 100 steps
     # land it there (spectral radius 0.858 at slope -2.25)
-    for x0, oc in stray.items():
+    for x0, i in stray.items():
         if x0 in (0.0, 1.0):
             continue
         run = stabilized_orbit(x0, params, 2, coeffs, result.steps)
-        if run.starred[-1] != oc.final_value:
+        final = result.finals[i].item()
+        if run.starred[-1] != final:
             failures.append(
-                f"start {x0!r}: sweep ends on {oc.final_value!r}, scalar "
+                f"start {x0!r}: sweep ends on {final!r}, scalar "
                 f"run on {run.starred[-1]!r}"
             )
         # an infinite tolerance names the nearest target, ties as usual
@@ -242,11 +243,7 @@ def test_criterion_05b_uniform_sweep_classifies_all_others(uniform_sweep):
 def test_criterion_05c_triadic_sweep_extra_fixed_points(triadic_sweep):
     failures = []
     result = triadic_sweep
-    fixed = {
-        result.points[i]
-        for i, oc in enumerate(result.outcomes)
-        if oc.variant.value == "fixed_point"
-    }
+    fixed = set(_starts(result, OutcomeKind.FIXED_POINT))
     for want in (4 / 15, 11 / 15):
         if want not in fixed:
             failures.append(f"{want!r} not classified to the fixed point")
@@ -256,8 +253,8 @@ def test_criterion_05c_triadic_sweep_extra_fixed_points(triadic_sweep):
 def test_criterion_05d_triadic_sweep_includes_23_45(triadic_sweep):
     failures = []
     result = triadic_sweep
-    index = result.points.index(float(Fraction(23, 45)))
-    outcome = result.outcomes[index]
+    index = result.points.tolist().index(float(Fraction(23, 45)))
+    variant = KINDS[result.codes[index]]
     rat = _rat_params()
     coeffs = build_coefficients(Fraction(6, 5))
     exact = stabilized_orbit(Fraction(23, 45), rat, 2, coeffs, result.steps)
@@ -269,12 +266,12 @@ def test_criterion_05d_triadic_sweep_includes_23_45(triadic_sweep):
         failures.append(f"exact x*_6 = {exact.starred[TAPS]}, not {kicked}")
     if exact_outcome.variant is not OutcomeKind.CYCLE_LOW:
         failures.append(f"exact run from 23/45 ends {exact_outcome.variant.value}")
-    if outcome.variant is not exact_outcome.variant:
+    if variant is not exact_outcome.variant:
         failures.append(
-            f"start 23/45 ends {outcome.variant.value} in binary64 but "
+            f"start 23/45 ends {variant.value} in binary64 but "
             f"{exact_outcome.variant.value} in exact arithmetic"
         )
-    gap = abs(outcome.final_value - float(exact_outcome.final_value))
+    gap = abs(result.finals[index] - float(exact_outcome.final_value))
     if gap >= 1e-12:
         failures.append(f"binary64 final is {gap:.3e} from the exact final")
     # only exact preimages T^-2(3/5) start on the fixed point and stay there
@@ -283,11 +280,7 @@ def test_criterion_05d_triadic_sweep_includes_23_45(triadic_sweep):
         for x in build_net(result.net, rat.backend)
         if tent_power_step(x, rat, 2) == Fraction(3, 5)
     }
-    fixed = {
-        result.points[i]
-        for i, oc in enumerate(result.outcomes)
-        if oc.variant is OutcomeKind.FIXED_POINT
-    }
+    fixed = set(_starts(result, OutcomeKind.FIXED_POINT))
     if fixed != {float(x) for x in preimages}:
         failures.append(
             f"fixed-point starts {sorted(fixed)} differ from the exact "
@@ -472,8 +465,9 @@ def test_criterion_10c_sweep_thread_determinism():
     baseline = sweep(spec, params, 2, coeffs, 50, 1e-3, threads=1)
     for threads in (2, 5):
         other = sweep(spec, params, 2, coeffs, 50, 1e-3, threads=threads)
-        if other.outcomes != baseline.outcomes:
-            failures.append(f"outcomes differ with {threads} threads")
+        for field in ("finals", "codes", "distances"):
+            if not np.array_equal(getattr(other, field), getattr(baseline, field)):
+                failures.append(f"{field} differ with {threads} threads")
     _RUNTIMES["10c"] = time.perf_counter() - t0
     _report("10c", "sweep results do not depend on thread count", failures)
 

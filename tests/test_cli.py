@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, artifact bytes, manifests, SVG."""
 
+import hashlib
 import json
 import math
 import re
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from tentlab import cli
 from tentlab.backends import DomainError
 from tentlab.cli import build_parser, replay_manifest, run_command
 from tentlab.svgplot import TableFile, render_plot, render_svg
@@ -133,6 +135,18 @@ class TestCycles:
             (1 + math.sqrt(5)) / 2, abs=1e-10
         )
 
+    def test_unsupported_onset_period_rejected_before_enumeration(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def refuse(*args):
+            raise AssertionError("enumerate_cycles ran before the onset check")
+
+        monkeypatch.setattr(cli, "enumerate_cycles", refuse)
+        out = tmp_path / "out"
+        assert run_command(["cycles", "--period", "4", "--onset", "--out", str(out)]) == 2
+        assert "no onset polynomial stored for period 4" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_lists_every_point(self, tmp_path):
         run_command(
             ["cycles", "--h", "1.8", "--period", "3", "--out", str(tmp_path)]
@@ -192,6 +206,37 @@ class TestSweep:
             run_command(["sweep", "--net", "grid:10", "--out", str(tmp_path)])
             == 2
         )
+
+    # sha256 of (sweep.csv, sweep.json), recorded before the sweep held
+    # its results as arrays; the rows and counts must not change
+    @pytest.mark.parametrize(
+        "argv, digests",
+        [
+            (
+                ["--net", "uniform:1000", "--threads", "1"],
+                ("944afcadc8816818a6046b02a94e4a5afce3dc977ec1a09a728a98c083415548",
+                 "e824598285e387eaa43000c74f858e8e62a6f6ca0a3931e87059658cc92fdf80"),
+            ),
+            (
+                ["--net", "uniform:1000", "--threads", "2"],
+                ("944afcadc8816818a6046b02a94e4a5afce3dc977ec1a09a728a98c083415548",
+                 "e824598285e387eaa43000c74f858e8e62a6f6ca0a3931e87059658cc92fdf80"),
+            ),
+            (
+                ["--net", "triadic:2", "--backend", "rational"],
+                ("9b385f15329cbbc416a4b7b0760d0bab6848edf04cf1ae7df2b0df53aa1979c0",
+                 "1f5dcad86accc516749aa364d1ab90e7aa3aaf2ca10effca492d9c37f532ebb1"),
+            ),
+        ],
+        ids=["uniform-threads1", "uniform-threads2", "triadic-rational"],
+    )
+    def test_artifact_bytes_pinned(self, tmp_path, argv, digests):
+        assert run_command(["sweep", *argv, "--out", str(tmp_path)]) == 0
+        got = tuple(
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("sweep.csv", "sweep.json")
+        )
+        assert got == digests
 
 
 class TestEscape:

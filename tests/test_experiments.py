@@ -13,16 +13,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tentlab.backends import Binary64, DomainError, ParseError, Rational
 from tentlab.experiments import (
     SQRT2_SLOPE_DIGITS,
+    KINDS,
     EscapeEvent,
     NetSpec,
-    Outcome,
     OutcomeKind,
     build_net,
     chaotic_series,
+    classify_finals,
     classify_outcome,
     detect_escape,
     sqrt2_experiment,
@@ -42,6 +45,29 @@ UNRESOLVED_UNIFORM_1E5 = [
 ]
 COUNT_LOW_UNIFORM_1E5 = 57022
 COUNT_HIGH_UNIFORM_1E5 = 42957
+
+
+def classify_value_oracle(final_float, targets, tolerance):
+    """The per-point rule the sweep once ran: a strict-< scan over the
+    targets in order, then unresolved unless strictly inside tolerance."""
+    lo, hi, fp = targets
+    pairs = (
+        (OutcomeKind.CYCLE_LOW, abs(final_float - lo)),
+        (OutcomeKind.CYCLE_HIGH, abs(final_float - hi)),
+        (OutcomeKind.FIXED_POINT, abs(final_float - fp)),
+    )
+    best_kind, best_dist = pairs[0]
+    for kind, dist in pairs[1:]:
+        if dist < best_dist:
+            best_kind, best_dist = kind, dist
+    if best_dist < tolerance:
+        return best_kind, best_dist
+    return OutcomeKind.UNRESOLVED, best_dist
+
+
+def assert_same_bits(result, base):
+    for field in ("finals", "codes", "distances"):
+        assert np.array_equal(getattr(result, field), getattr(base, field)), field
 
 
 def b64_setup(h=1.5):
@@ -113,7 +139,16 @@ class TestBuildNet:
 
     def test_binary64_points_are_correctly_rounded(self):
         pts = build_net(NetSpec.uniform(7), Binary64())
-        assert pts == [i / 7 for i in range(8)]
+        assert pts.dtype == np.float64
+        assert pts.tolist() == [i / 7 for i in range(8)]
+
+    @pytest.mark.parametrize(
+        "spec", [NetSpec.uniform(10**5), NetSpec.triadic(5)], ids=str
+    )
+    def test_binary64_array_matches_scalar_division(self, spec):
+        d = float(spec.denominator)
+        pts = build_net(spec, Binary64())
+        assert pts.tolist() == [i / d for i in range(spec.denominator + 1)]
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_uniform_powers_of_ten_never_contain_4_15(self, m):
@@ -171,21 +206,96 @@ class TestClassifyOutcome:
         )
 
 
+def check_against_oracle(finals, targets, tolerance):
+    codes, distances = classify_finals(np.array(finals), targets, tolerance)
+    assert codes.dtype == np.int8
+    assert distances.dtype == np.float64
+    for final, code, dist in zip(finals, codes.tolist(), distances.tolist()):
+        kind, want = classify_value_oracle(final, targets, tolerance)
+        assert KINDS[code] is kind
+        if math.isnan(want):  # a NaN's payload is not part of the contract
+            assert math.isnan(dist)
+        else:
+            assert np.float64(dist).tobytes() == np.float64(want).tobytes()
+
+
+# integers scaled by 2^-10 subtract exactly, so distances tie exactly and
+# land exactly on the tolerance far more often than random floats do
+dyadic = st.integers(-2048, 2048).map(lambda i: i / 1024)
+
+
+class TestClassifyFinals:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=20),
+        st.floats(min_value=1e-12, max_value=2.0),
+    )
+    def test_matches_oracle_on_random_finals(self, finals, tolerance):
+        check_against_oracle(finals, (6 / 13, 9 / 13, 0.6), tolerance)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(dyadic, min_size=1, max_size=20),
+        st.tuples(dyadic, dyadic, dyadic),
+        dyadic.filter(lambda t: t > 0),
+    )
+    def test_matches_oracle_on_exact_ties(self, finals, targets, tolerance):
+        check_against_oracle(finals, targets, tolerance)
+
+    def test_midpoint_tie_and_tolerance_boundary(self):
+        targets = (0.25, 0.75, 0.5)
+        codes, distances = classify_finals(
+            np.array([0.5 - 0.125, 0.625, 0.5, 0.0]), targets, 0.25
+        )
+        assert [KINDS[c] for c in codes] == [
+            OutcomeKind.CYCLE_LOW,  # low and fixed point tie at 0.125
+            OutcomeKind.CYCLE_HIGH,  # high and fixed point tie at 0.125
+            OutcomeKind.FIXED_POINT,
+            OutcomeKind.UNRESOLVED,  # distance 0.25 equals the tolerance
+        ]
+        assert distances.tolist() == [0.125, 0.125, 0.0, 0.25]
+
+
 class TestSweep:
     def test_small_uniform_bookkeeping(self):
         params, coeffs = b64_setup()
         result = sweep(NetSpec.uniform(10), params, 2, coeffs, 50, 1e-3)
-        assert len(result.outcomes) == 11
+        assert result.points.dtype == result.finals.dtype == np.float64
+        assert result.codes.dtype == np.int8
+        assert result.distances.dtype == np.float64
+        assert len(result.points) == len(result.finals) == 11
+        assert len(result.codes) == len(result.distances) == 11
         assert sum(result.counts.values()) == 11
+
+    def test_rational_sweep_holds_exact_scalars(self):
+        params, coeffs = rat_setup()
+        result = sweep(NetSpec.triadic(1), params, 2, coeffs, 20, 1e-3)
+        assert result.points.dtype == result.finals.dtype == object
+        assert result.points.tolist() == [Fraction(i, 15) for i in range(16)]
+        for x0, final in zip(result.points, result.finals):
+            run = stabilized_orbit(x0, params, 2, coeffs, 20)
+            assert type(final) is Fraction
+            assert final == run.starred[-1]
+        assert sum(result.counts.values()) == 16
+
+    def test_sweep_codes_match_classify_outcome(self):
+        # the sweep and classify_outcome share one rule, on every backend
+        for params, coeffs in (b64_setup(), rat_setup()):
+            result = sweep(NetSpec.triadic(1), params, 2, coeffs, 20, 1e-3)
+            for i, x0 in enumerate(result.points.tolist()):
+                run = stabilized_orbit(x0, params, 2, coeffs, 20)
+                oc = classify_outcome(run, params, 1e-3)
+                assert oc.variant is KINDS[result.codes[i]]
+                assert oc.distance == result.distances[i]
 
     def test_vector_path_matches_scalar_recursion(self):
         params, coeffs = b64_setup()
         result = sweep(
             NetSpec.uniform(97), params, 2, coeffs, 40, 1e-3, chunk_size=16
         )
-        for x0, oc in zip(result.points, result.outcomes):
+        for x0, final in zip(result.points.tolist(), result.finals.tolist()):
             run = stabilized_orbit(x0, params, 2, coeffs, 40)
-            assert oc.final_value == run.starred[-1]
+            assert final == run.starred[-1]
 
     def test_thread_count_does_not_change_bits(self):
         params, coeffs = b64_setup()
@@ -195,7 +305,18 @@ class TestSweep:
         for threads in (2, 4):
             other = sweep(NetSpec.uniform(1500), params, 2, coeffs, 30, 1e-3,
                           threads=threads, **kw)
-            assert other.outcomes == base.outcomes
+            assert_same_bits(other, base)
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, 128, 65536])
+    def test_chunk_size_does_not_change_bits(self, chunk_size):
+        params, coeffs = b64_setup()
+        spec = NetSpec.uniform(300)
+        base = sweep(spec, params, 2, coeffs, 30, 1e-3, threads=1,
+                     chunk_size=spec.size)
+        for threads in (1, 2):
+            other = sweep(spec, params, 2, coeffs, 30, 1e-3, threads=threads,
+                          chunk_size=chunk_size)
+            assert_same_bits(other, base)
 
     def test_thread_env_variable(self, monkeypatch):
         params, coeffs = b64_setup()
@@ -217,54 +338,40 @@ class TestSweep:
 
     def test_uniform_1e5_fixed_points_are_exactly_04_06(self, uniform_1e5_sweep):
         result = uniform_1e5_sweep
-        fixed = [
-            float(x)
-            for x, oc in zip(result.points, result.outcomes)
-            if oc.variant is OutcomeKind.FIXED_POINT
-        ]
-        assert fixed == [0.4, 0.6]
+        fixed = result.points[result.codes == KINDS.index(OutcomeKind.FIXED_POINT)]
+        assert fixed.tolist() == [0.4, 0.6]
 
     def test_uniform_1e5_unresolved_set_frozen(self, uniform_1e5_sweep):
         result = uniform_1e5_sweep
-        unresolved = [
-            float(x)
-            for x, oc in zip(result.points, result.outcomes)
-            if oc.variant is OutcomeKind.UNRESOLVED
-        ]
-        assert unresolved == UNRESOLVED_UNIFORM_1E5
+        unresolved = result.points[result.codes == KINDS.index(OutcomeKind.UNRESOLVED)]
+        assert unresolved.tolist() == UNRESOLVED_UNIFORM_1E5
 
     def test_uniform_1e5_cycle_counts_frozen(self, uniform_1e5_sweep):
         result = uniform_1e5_sweep
-        assert result.count(OutcomeKind.CYCLE_LOW) == COUNT_LOW_UNIFORM_1E5
-        assert result.count(OutcomeKind.CYCLE_HIGH) == COUNT_HIGH_UNIFORM_1E5
+        assert result.counts[OutcomeKind.CYCLE_LOW] == COUNT_LOW_UNIFORM_1E5
+        assert result.counts[OutcomeKind.CYCLE_HIGH] == COUNT_HIGH_UNIFORM_1E5
         assert sum(result.counts.values()) == 100001
 
     def test_triadic5_fixed_point_set(self, triadic5_sweep):
         result = triadic5_sweep
-        fixed = [
-            float(x)
-            for x, oc in zip(result.points, result.outcomes)
-            if oc.variant is OutcomeKind.FIXED_POINT
-        ]
-        assert fixed == [324 / 1215, 486 / 1215, 729 / 1215, 891 / 1215]
-        assert result.count(OutcomeKind.FIXED_POINT) == 4 > 2
+        fixed = result.points[result.codes == KINDS.index(OutcomeKind.FIXED_POINT)]
+        assert fixed.tolist() == [324 / 1215, 486 / 1215, 729 / 1215, 891 / 1215]
+        assert result.counts[OutcomeKind.FIXED_POINT] == 4 > 2
 
     def test_triadic5_23_45_is_kicked_off_the_fixed_point(self, triadic5_sweep):
         result = triadic5_sweep
         idx = 621  # 23/45 = 621/1215
         assert float(result.points[idx]) == 621 / 1215
-        oc = result.outcomes[idx]
-        assert oc.variant is OutcomeKind.UNRESOLVED
-        assert 2e-3 < oc.distance < 4e-3  # still closing in on the low point
+        assert KINDS[result.codes[idx]] is OutcomeKind.UNRESOLVED
+        assert 2e-3 < result.distances[idx] < 4e-3  # still closing in on the low point
 
     def test_fixed_point_rational_oracle(self, triadic5_sweep):
         # every point the sweep classified as FixedPoint must reach 3/5
         # exactly under exact rational arithmetic
         rat = Rational()
         rparams = MapParams(Fraction(3, 2), rat)
-        for i, oc in enumerate(triadic5_sweep.outcomes):
-            if oc.variant is not OutcomeKind.FIXED_POINT:
-                continue
+        fixed_code = KINDS.index(OutcomeKind.FIXED_POINT)
+        for i in np.flatnonzero(triadic5_sweep.codes == fixed_code).tolist():
             x = Fraction(i, 1215)
             for _ in range(60):
                 if x == Fraction(3, 5):
