@@ -23,7 +23,6 @@ Exit codes: 0 success, 2 validation problem (bad flags or bad values),
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -112,10 +111,10 @@ def escape_flags(jump_tol: float) -> tuple[tuple[str, dict], ...]:
 
 
 def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
+    """Plain comma-joined lines: no cell tentlab writes needs CSV quoting."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def _write_json(path: Path, doc) -> None:

@@ -13,6 +13,10 @@ of 65536 points, so per-call overhead does not swamp the threads.  Chunk
 boundaries depend only on chunk_size, never on the worker count, and every
 elementwise operation mirrors the scalar recursion's order, so sweep output
 is bit-identical across thread counts and chunk sizes.
+
+detect_escape runs in O(n log^2 n) numpy work and O(n) extra memory, by
+binary lifting over window extrema, and returns exactly what the quadratic
+scan from every anchor would (the tests keep that scan as the oracle).
 """
 
 from __future__ import annotations
@@ -288,6 +292,38 @@ def sweep(
     )
 
 
+def _window_extrema(values: np.ndarray, level: int, upper, lower):
+    """upper and lower reductions of every window of 2**level values.
+
+    Doubling from the values themselves keeps one level alive at a time.
+    """
+    hi = lo = values
+    for j in range(level):
+        width = 1 << j
+        hi = upper(hi[:-width], hi[width:])
+        lo = lower(lo[:-width], lo[width:])
+    return hi, lo
+
+
+def _lift(values, anchors, starts, stays, upper, lower) -> np.ndarray:
+    """For each anchor, the first index at or after its start whose value
+    fails stays(hi, lo, anchor), or len(values) when none does.
+
+    Binary lifting: from the widest window down, a position jumps over the
+    window that begins at it whenever the window's extrema pass.
+    """
+    n = len(values)
+    pos = starts.copy()
+    for level in reversed(range(n.bit_length())):
+        width = 1 << level
+        hi, lo = _window_extrema(values, level, upper, lower)
+        inside = np.flatnonzero(pos + width <= n)
+        at = pos[inside]
+        passed = stays(hi[at], lo[at], anchors[inside])
+        pos[inside[passed]] += width
+    return pos
+
+
 def detect_escape(
     series,
     flat_tol: float = DEFAULT_FLAT_TOL,
@@ -303,41 +339,42 @@ def detect_escape(
     stretches the longest wins, ties going to the earliest.  Returns None
     when the series never settles, or settles and never leaves: a stretch
     that runs to the end of the series (a converged tail, say) never
-    qualifies, because nothing after it jumps.
+    qualifies, because nothing after it jumps.  A NaN ends a flat stretch
+    and never counts as a jump.
+
+    Takes O(n log^2 n) numpy work and O(n) extra memory: each anchor finds
+    the end of its stretch, then its escape, by binary lifting over window
+    maxima and minima.  The result is exact, bit for bit the scalar
+    abs(v - anchor) tests: fl(v - a) is monotone in v and
+    fl(a - v) = -fl(v - a), so a window's extrema pass a bound exactly
+    when all of its values do.  NaN-propagating extrema end a stretch at a
+    NaN; NaN-ignoring ones let no NaN escape.
     """
-    values = [float(x) for x in series]
-    n = len(values)
-    if n < min_flat:
-        return None
-
-    best: tuple[int, int, int] | None = None  # (length, -start, escape)
-    for i in range(n):
-        anchor = values[i]
-        j = i + 1
-        while j < n and abs(values[j] - anchor) <= flat_tol:
-            j += 1
-        run = j - i
-        if run < min_flat:
-            continue
-        if best is not None and run < best[0]:
-            continue
-        escape = next(
-            (m for m in range(j, n) if abs(values[m] - anchor) >= jump_tol),
-            None,
+    values = np.fromiter(map(float, series), dtype=np.float64)
+    index = np.arange(len(values))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in the scalar test
+        flat_end = _lift(
+            values, values, index + 1,
+            lambda hi, lo, a: (hi - a <= flat_tol) & (a - lo <= flat_tol),
+            np.maximum, np.minimum,
         )
-        if escape is None:
-            continue
-        if best is None or run > best[0]:
-            best = (run, -i, escape)
-    if best is None:
+        runs = flat_end - index
+        long_enough = np.flatnonzero(runs >= min_flat)
+        escapes = _lift(
+            values, values[long_enough], flat_end[long_enough],
+            lambda hi, lo, a: ~((hi - a >= jump_tol) | (a - lo >= jump_tol)),
+            np.fmax, np.fmin,
+        )
+    escaped = escapes < len(values)
+    if not escaped.any():
         return None
-
-    run, neg_start, escape = best
-    start = -neg_start
+    qualifying = long_enough[escaped]
+    best = int(np.argmax(runs[qualifying]))  # the first maximum: the earliest start
+    start = int(qualifying[best])
     return EscapeEvent(
         flat_value=series[start],
         flat_start=start,
-        escape_index=escape,
+        escape_index=int(escapes[escaped][best]),
         terminal_value=series[-1],
     )
 

@@ -166,9 +166,10 @@ def stabilized_orbit(
     starred: list[Scalar] = [x]
     for _ in range(TAPS - 1):
         starred.append(tent_power_step(starred[-1], params, k))
-    fvals: dict[int, Scalar] = {}
+    fvals: dict[int, Scalar] = {}  # f by history index, the window's taps only
     for _ in range(TAPS, steps + 1):
         starred.append(_weighted_average(starred, coeffs, params, k, fvals))
+        del fvals[len(starred) - 1 - TAPS]  # the oldest tap leaves the window
     return StabRun(
         params=params, power=k, coeffs=coeffs, x0=starred[0], starred=tuple(starred)
     )

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, artifact bytes, manifests, SVG."""
 
+import csv
 import hashlib
 import json
 import math
@@ -18,6 +19,21 @@ SUBCOMMANDS = (
     "simulate", "cycles", "stabilize", "sweep", "escape",
     "series", "sqrt2", "fib", "spectrum",
 )
+
+
+# one invocation of every subcommand, plus a decimal run
+REPLAY_SET = [
+    ["simulate", "--h", "1.7", "--x0", "0.3", "--steps", "25"],
+    ["stabilize", "--x0", "0.2", "--steps", "40", "--plot", "line"],
+    ["sweep", "--net", "uniform:50", "--steps", "20"],
+    ["fib", "--steps", "30", "--phase"],
+    ["spectrum", "--mu", "-2.25", "2.25"],
+    ["cycles", "--h", "1.8", "--period", "3", "--onset"],
+    ["escape", "--steps", "120"],
+    ["series", "--steps", "40"],
+    ["sqrt2", "--steps", "100"],
+    ["stabilize", "--backend", "decimal", "--precision", "30"],
+]
 
 
 def read_json(path: Path):
@@ -374,21 +390,7 @@ class TestManifest:
         produced = sorted(p.name for p in tmp_path.iterdir())
         assert doc["artifacts"] == produced
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["simulate", "--h", "1.7", "--x0", "0.3", "--steps", "25"],
-            ["stabilize", "--x0", "0.2", "--steps", "40", "--plot", "line"],
-            ["sweep", "--net", "uniform:50", "--steps", "20"],
-            ["fib", "--steps", "30", "--phase"],
-            ["spectrum", "--mu", "-2.25", "2.25"],
-            ["cycles", "--h", "1.8", "--period", "3", "--onset"],
-            ["escape", "--steps", "120"],
-            ["series", "--steps", "40"],
-            ["sqrt2", "--steps", "100"],
-            ["stabilize", "--backend", "decimal", "--precision", "30"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", REPLAY_SET)
     def test_replay_reproduces_bytes(self, tmp_path, argv):
         first = tmp_path / "first"
         second = tmp_path / "second"
@@ -411,6 +413,25 @@ class TestManifest:
         assert run_command(argv) == 0
         keys = set(read_json(tmp_path / "manifest.json")["parameters"])
         assert keys == flags - {"help", "out"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        REPLAY_SET + [
+            ["sweep", "--net", "triadic:2", "--backend", "rational"],
+            ["sweep", "--net", "uniform:20", "--backend", "decimal", "--precision", "30"],
+        ],
+    )
+    def test_csv_artifacts_need_no_quoting(self, tmp_path, argv):
+        # the writer joins cells with commas and quotes nothing, so every
+        # line must read back through csv.reader as its plain split
+        assert run_command(argv + ["--out", str(tmp_path)]) == 0
+        tables = sorted(tmp_path.glob("*.csv"))
+        assert tables
+        for table in tables:
+            lines = table.read_bytes().decode("utf-8").split("\n")
+            assert lines.pop() == ""
+            with open(table, newline="", encoding="utf-8") as fh:
+                assert list(csv.reader(fh)) == [line.split(",") for line in lines]
 
     def test_replay_rejects_unknown_schema(self, tmp_path, capsys):
         bogus = tmp_path / "manifest.json"

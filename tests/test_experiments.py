@@ -65,6 +65,61 @@ def classify_value_oracle(final_float, targets, tolerance):
     return OutcomeKind.UNRESOLVED, best_dist
 
 
+def detect_escape_oracle(series, flat_tol=1e-9, jump_tol=1e-3, min_flat=30):
+    """The quadratic scan detect_escape once ran: from every anchor, walk
+    to the end of its flat stretch, then on to the first jump."""
+    values = [float(x) for x in series]
+    n = len(values)
+    if n < min_flat:
+        return None
+    best = None  # (length, -start, escape)
+    for i in range(n):
+        anchor = values[i]
+        j = i + 1
+        while j < n and abs(values[j] - anchor) <= flat_tol:
+            j += 1
+        run = j - i
+        if run < min_flat:
+            continue
+        if best is not None and run < best[0]:
+            continue
+        escape = next(
+            (m for m in range(j, n) if abs(values[m] - anchor) >= jump_tol),
+            None,
+        )
+        if escape is None:
+            continue
+        if best is None or run > best[0]:
+            best = (run, -i, escape)
+    if best is None:
+        return None
+    run, neg_start, escape = best
+    return EscapeEvent(
+        flat_value=series[-neg_start],
+        flat_start=-neg_start,
+        escape_index=escape,
+        terminal_value=series[-1],
+    )
+
+
+@st.composite
+def escape_cases(draw):
+    """Runs of near-equal values around a base, gaps 0, +-tol and +-tol/2
+    (twice that too, so a jump can clear the tolerance), with NaN, +-inf
+    and +-0.0 mixed in; the tolerances are 0 or the gaps themselves."""
+    tol = draw(st.sampled_from([0.5, 1e-3, 1e-9, 2.0**-40]))
+    base = draw(st.sampled_from([0.0, 0.6, 1.0]))
+    near = st.sampled_from([0.0, tol, -tol, tol / 2, -tol / 2, 2 * tol, -2 * tol])
+    value = st.one_of(
+        near.map(lambda gap: base + gap),
+        st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+    )
+    runs = draw(st.lists(st.tuples(value, st.integers(1, 8)), max_size=12))
+    series = [v for v, count in runs for _ in range(count)]
+    tols = st.sampled_from([0.0, tol / 2, tol, 2 * tol])
+    return series, draw(tols), draw(tols), draw(st.integers(0, 6))
+
+
 def assert_same_bits(result, base):
     for field in ("finals", "codes", "distances"):
         assert np.array_equal(getattr(result, field), getattr(base, field)), field
@@ -412,6 +467,24 @@ class TestDetectEscape:
         ev = detect_escape(series)
         assert ev.flat_start == 0
         assert ev.escape_index == 35
+
+    @given(escape_cases())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_quadratic_oracle(self, case):
+        series, flat_tol, jump_tol, min_flat = case
+        assert detect_escape(series, flat_tol, jump_tol, min_flat) == detect_escape_oracle(
+            series, flat_tol, jump_tol, min_flat
+        )
+
+    @pytest.mark.parametrize("x0", ["2/5", "3/5", "4/15", "11/15"])
+    def test_matches_quadratic_oracle_on_long_runs(self, x0):
+        # the eventually-fixed starts, run on into the converged tail
+        params, coeffs = b64_setup()
+        run = stabilized_orbit(params.backend.parse(x0), params, 2, coeffs, 1500)
+        series = run.to_floats()
+        event = detect_escape(series)
+        assert event is not None
+        assert event == detect_escape_oracle(series)
 
     def test_binary64_04_escapes_at_frozen_index(self, run_04_b64):
         ev = detect_escape(run_04_b64.starred)

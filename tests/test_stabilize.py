@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tentlab import stabilize
 from tentlab.backends import Binary64, DomainError, Rational
 from tentlab.stabilize import (
+    TAPS,
     Coefficients,
     CompanionState,
     build_coefficients,
@@ -126,6 +128,28 @@ class TestStabilizedOrbit:
         for x0 in (0.3, 0.2, 0.4, 0.7231, 0.05):
             run = stabilized_orbit(x0, params, 2, coeffs, 80)
             assert list(run.starred) == reference_run(x0, 1.5, 2, coeffs.a, 80)
+
+    def test_fvalue_cache_holds_only_the_window(self, monkeypatch):
+        params, coeffs = b64_setup()
+        sizes, calls = [], []
+        average, power_step = stabilize._weighted_average, stabilize.tent_power_step
+
+        def watched_average(history, coeffs, params, k, fval_cache=None):
+            value = average(history, coeffs, params, k, fval_cache)
+            sizes.append(len(fval_cache))
+            return value
+
+        def counted_step(x, params, k):
+            calls.append(x)
+            return power_step(x, params, k)
+
+        monkeypatch.setattr(stabilize, "_weighted_average", watched_average)
+        monkeypatch.setattr(stabilize, "tent_power_step", counted_step)
+        run = stabilized_orbit(0.4, params, 2, coeffs, 2000)
+        assert list(run.starred) == reference_run(0.4, 1.5, 2, coeffs.a, 2000)
+        assert max(sizes) <= TAPS + 1
+        # five seed iterates, then f of each value once: no tap is recomputed
+        assert len(calls) == 2000 + TAPS - 1
 
     def test_converges_to_upper_cycle_point_from_03(self):
         params, coeffs = b64_setup()
