@@ -80,21 +80,24 @@ class Backend:
     def from_int(self, n: int) -> Scalar:
         raise NotImplementedError
 
+    # the value type's own operators; FixedDecimal rounds through its context
     def add(self, a: Scalar, b: Scalar) -> Scalar:
-        raise NotImplementedError
+        return self.check(a) + self.check(b)
 
     def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        raise NotImplementedError
+        return self.check(a) - self.check(b)
 
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        raise NotImplementedError
+        return self.check(a) * self.check(b)
 
     def div(self, a: Scalar, b: Scalar) -> Scalar:
-        raise NotImplementedError
+        if b == 0:
+            raise DomainError("division by zero")
+        return self.check(a) / self.check(b)
 
     def neg(self, a: Scalar) -> Scalar:
         """Exact negation; never rounds in any backend."""
-        raise NotImplementedError
+        return -self.check(a)
 
     def affine(self, a: Scalar, x: Scalar, b: Scalar) -> Scalar:
         """a*x + b, rounded once after the multiply and once after the add."""
@@ -168,23 +171,6 @@ class Binary64(Backend):
     def from_int(self, n: int) -> float:
         return float(n)
 
-    def add(self, a: float, b: float) -> float:
-        return self.check(a) + self.check(b)
-
-    def sub(self, a: float, b: float) -> float:
-        return self.check(a) - self.check(b)
-
-    def mul(self, a: float, b: float) -> float:
-        return self.check(a) * self.check(b)
-
-    def div(self, a: float, b: float) -> float:
-        if b == 0:
-            raise DomainError("division by zero")
-        return self.check(a) / self.check(b)
-
-    def neg(self, a: float) -> float:
-        return -self.check(a)
-
     def serialize(self, x: float) -> str:
         self.check(x)
         return repr(x)  # shortest string that round-trips
@@ -209,23 +195,6 @@ class Rational(Backend):
 
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
-
-    def add(self, a: Fraction, b: Fraction) -> Fraction:
-        return self.check(a) + self.check(b)
-
-    def sub(self, a: Fraction, b: Fraction) -> Fraction:
-        return self.check(a) - self.check(b)
-
-    def mul(self, a: Fraction, b: Fraction) -> Fraction:
-        return self.check(a) * self.check(b)
-
-    def div(self, a: Fraction, b: Fraction) -> Fraction:
-        if b == 0:
-            raise DomainError("division by zero")
-        return self.check(a) / self.check(b)
-
-    def neg(self, a: Fraction) -> Fraction:
-        return -self.check(a)
 
     def serialize(self, x: Fraction) -> str:
         self.check(x)

@@ -10,6 +10,12 @@ always goes LEFT, the itinerary is a function of the point: a solution
 that realizes an aperiodic word visits n distinct points, and two words
 of different rotation classes never give the same cycle, so the
 enumeration needs no deduplication pass.
+
+The Fredricksen-Kessler-Maiorana recursion walks the tree of Lyndon-word
+prefixes depth first; each tree edge composes one branch map onto its
+parent's (A, B), so words sharing a prefix share its composition.  Every
+factor of A is +-h, so A is also the cycle's multiplier: the slope product
+along the orbit, the same in any order and from any rotation.
 """
 
 from __future__ import annotations
@@ -17,13 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .backends import Backend, Branch, DomainError, Rational, Scalar
+import numpy as np
+
+from .backends import Backend, Branch, DomainError, Scalar
 from .tentmap import MapParams, tent_step
 
 MAX_ENUM_PERIOD = 20
-
-_BISECT_TOL = 1e-12
-_BISECT_MAX_ITER = 200
 
 _ONSET_POLYNOMIALS = {
     # descending-degree integer coefficients; unique root in (1, 2)
@@ -67,58 +72,36 @@ def two_cycle(params: MapParams) -> tuple[Scalar, Scalar]:
     return b.div(params.h, d), b.div(h2, d)
 
 
-def _lyndon_words(n: int) -> Iterator[str]:
-    """Binary Lyndon words of length n over L < R, lexicographic order.
-
-    These are the aperiodic necklace representatives: one per rotation
-    class of each primitive word.
-    """
-    symbols = "LR"
+def _lyndon_cells(n: int, params: MapParams) -> Iterator[tuple[str, Scalar, Scalar]]:
+    """(word, A, B) per binary Lyndon word of length n over L < R, in
+    lexicographic order (one per rotation class of each primitive word),
+    with A*x + B the n-fold map on the word's cell."""
+    b, h, neg_h = params.backend, params.h, params.neg_h
     a = [0] * (n + 1)
 
-    def gen(t: int, p: int) -> Iterator[str]:
+    def gen(t: int, p: int, A: Scalar, B: Scalar):
         if t > n:
             if p == n:  # aperiodic only
-                yield "".join(symbols[a[i]] for i in range(1, n + 1))
-        else:
-            a[t] = a[t - p]
-            yield from gen(t + 1, p)
-            for j in range(a[t - p] + 1, 2):
-                a[t] = j
-                yield from gen(t + 1, t)
+                yield "".join("LR"[s] for s in a[1:]), A, B
+            return
+        first = a[t - p]
+        for s in range(first, 2):
+            a[t] = s
+            if s:  # R: (-h)*x + h
+                cell = b.mul(neg_h, A), b.add(b.mul(neg_h, B), h)
+            else:  # L: h*x
+                cell = b.mul(h, A), b.mul(h, B)
+            yield from gen(t + 1, p if s == first else t, *cell)
 
-    yield from gen(1, 1)
-
-
-def _cell_affine(word: str, params: MapParams) -> tuple[Scalar, Scalar]:
-    """Compose the branch maps named by word into A*x + B."""
-    b = params.backend
-    A = b.from_int(1)
-    B = b.from_int(0)
-    for sym in word:
-        if sym == "L":
-            A = b.mul(params.h, A)
-            B = b.mul(params.h, B)
-        else:
-            A = b.mul(params.neg_h, A)
-            B = b.add(b.mul(params.neg_h, B), params.h)
-    return A, B
+    yield from gen(1, 1, b.from_int(1), b.from_int(0))
 
 
-def _residual_tolerance(backend: Backend) -> float:
-    if backend.kind == "binary64":
-        return 1e-12
-    if backend.kind == "decimal":
-        return 10.0 ** (5 - backend.precision_digits)
-    return 0.0
-
-
-def _word_multiplier(word: str, params: MapParams) -> Scalar:
-    b = params.backend
-    m = b.from_int(1)
-    for sym in word:
-        m = b.mul(m, params.h if sym == "L" else params.neg_h)
-    return m
+def _closes(x: Scalar, y: Scalar, b: Backend) -> bool:
+    """x == y on rational; |x - y| <= 1e-12 on binary64, 10^(5-p) on decimal."""
+    tol = 1e-12 if b.kind == "binary64" else 0.0
+    if b.kind == "decimal":
+        tol = 10.0 ** (5 - b.precision_digits)
+    return x == y if tol == 0.0 else abs(b.to_float(b.sub(x, y))) <= tol
 
 
 def enumerate_cycles(params: MapParams, n: int) -> list[Cycle]:
@@ -127,60 +110,31 @@ def enumerate_cycles(params: MapParams, n: int) -> list[Cycle]:
     n = 1 reports both fixed points, the origin and h/(h+1).
     """
     if not 1 <= n <= MAX_ENUM_PERIOD:
-        raise DomainError(
-            f"period must lie in [1, {MAX_ENUM_PERIOD}], got {n}"
-        )
+        raise DomainError(f"period must lie in [1, {MAX_ENUM_PERIOD}], got {n}")
     b = params.backend
-    tol = _residual_tolerance(b)
-    exact = tol == 0.0
+    one = b.from_int(1)
     found: list[Cycle] = []
 
-    for word in _lyndon_words(n):
-        A, B = _cell_affine(word, params)
-        denom = b.sub(b.from_int(1), A)
-        if denom == 0:
-            continue
-        x_star = b.div(B, denom)
+    for word, A, B in _lyndon_cells(n, params):
         try:
-            x_star = b.clamp_unit(x_star)
-        except DomainError:
+            x_star = b.clamp_unit(b.div(B, b.sub(one, A)))
+        except DomainError:  # 1 - A = 0, or the fixed point leaves [0, 1]
             continue
 
-        # walk the orbit; every point must realize its branch symbol
+        # walk the orbit (tent_step clamps it); each point must realize its symbol
         pts = []
         x = x_star
-        ok = True
         for sym in word:
-            try:
-                branch = b.cmp_half(x)
-            except DomainError:
-                ok = False
-                break
-            if branch.value != sym:
-                ok = False
+            if b.cmp_half(x).value != sym:
                 break
             pts.append(x)
             x = tent_step(x, params)
-        if not ok:
-            continue
-        if exact:
-            if x != x_star:
-                continue
-        elif abs(b.to_float(b.sub(x, x_star))) > tol:
+        if len(pts) < n or not _closes(x, x_star, b):
             continue
 
-        # canonical rotation: smallest point first
-        m = min(range(n), key=lambda i: pts[i])
-        pts = pts[m:] + pts[:m]
-        rot_word = word[m:] + word[:m]
-        found.append(
-            Cycle(
-                period=n,
-                points=tuple(pts),
-                itinerary=rot_word,
-                multiplier=_word_multiplier(word, params),
-            )
-        )
+        m = min(range(n), key=lambda i: pts[i])  # canonical rotation: smallest first
+        found.append(Cycle(period=n, points=tuple(pts[m:] + pts[:m]),
+                           itinerary=word[m:] + word[:m], multiplier=A))
 
     found.sort(key=lambda c: b.to_float(c.points[0]))
     return found
@@ -189,7 +143,6 @@ def enumerate_cycles(params: MapParams, n: int) -> list[Cycle]:
 def cycle_multiplier(c: Cycle, params: MapParams) -> Scalar:
     """Recompute the slope product along a cycle, verifying consistency."""
     b = params.backend
-    tol = _residual_tolerance(b)
     n = c.period
     m = b.from_int(1)
     for i in range(n):
@@ -200,31 +153,17 @@ def cycle_multiplier(c: Cycle, params: MapParams) -> Scalar:
                 f"point {i} realizes branch {branch.value}, "
                 f"itinerary says {c.itinerary[i]}"
             )
-        stepped = tent_step(x, params)
-        nxt = c.points[(i + 1) % n]
-        mismatch = (
-            stepped != nxt
-            if tol == 0.0
-            else abs(b.to_float(b.sub(stepped, nxt))) > tol
-        )
-        if mismatch:
+        if not _closes(tent_step(x, params), c.points[(i + 1) % n], b):
             raise DomainError(f"points {i} -> {(i + 1) % n} are not one step apart")
         m = b.mul(m, params.h if branch is Branch.LEFT else params.neg_h)
     return m
 
 
-def _poly_eval(coeffs: tuple[int, ...], x: float) -> float:
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
 def onset_threshold(period: int) -> OnsetRecord:
     """Slope at which minimal-period-`period` cycles first appear.
 
-    Found by bisection of the stored polynomial on [1, 2]; supported
-    periods are 3, 5, 6, and 7.
+    The real root in (1, 2) of the stored polynomial, from numpy's
+    companion-matrix eigenvalues; supported periods are 3, 5, 6, and 7.
     """
     if period not in _ONSET_POLYNOMIALS:
         raise DomainError(
@@ -232,18 +171,5 @@ def onset_threshold(period: int) -> OnsetRecord:
             f"supported: {sorted(_ONSET_POLYNOMIALS)}"
         )
     coeffs = _ONSET_POLYNOMIALS[period]
-    lo, hi = 1.0, 2.0
-    flo = _poly_eval(coeffs, lo)
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        fmid = _poly_eval(coeffs, mid)
-        if fmid == 0.0:
-            lo = hi = mid
-            break
-        if (flo < 0) == (fmid < 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-        if hi - lo < _BISECT_TOL:
-            break
-    return OnsetRecord(period=period, polynomial=coeffs, threshold=0.5 * (lo + hi))
+    (root,) = (r.real for r in np.roots(coeffs) if r.imag == 0 and 1 < r.real < 2)
+    return OnsetRecord(period=period, polynomial=coeffs, threshold=float(root))

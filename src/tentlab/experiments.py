@@ -188,6 +188,8 @@ def classify_outcome(
     run: StabRun, params: MapParams, tolerance: float
 ) -> Outcome:
     """Match the final starred value against the 2-cycle and fixed point."""
+    if not tolerance > 0:
+        raise DomainError(f"tolerance must be positive, got {tolerance}")
     final = run.starred[-1]
     codes, distances = classify_finals(
         [params.backend.to_float(final)], _targets(params), tolerance

@@ -103,11 +103,6 @@ def itinerary(x0: Scalar, params: MapParams, n: int) -> tuple[str, Scalar]:
     for _ in range(n):
         branch = b.cmp_half(x)
         symbols.append(branch.value)
-        if branch is Branch.LEFT:
-            slope = b.mul(slope, params.h)
-            x = b.mul(params.h, x)
-        else:
-            slope = b.mul(slope, params.neg_h)
-            x = b.affine(params.neg_h, x, params.h)
-        x = b.clamp_unit(x)
+        slope = b.mul(slope, params.h if branch is Branch.LEFT else params.neg_h)
+        x = tent_step(x, params)
     return "".join(symbols), slope

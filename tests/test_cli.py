@@ -171,6 +171,37 @@ class TestCycles:
         lines = (tmp_path / "cycles.csv").read_text().splitlines()
         assert len(lines) == 1 + 3 * doc["count"]
 
+    # sha256 of (cycles.csv, cycles.json), recorded before the census became
+    # one walk over the Lyndon prefix tree; the census must not change
+    @pytest.mark.parametrize(
+        "argv, digests",
+        [
+            (
+                ["--h", "2", "--period", "12"],
+                ("9384a3c655d48654da6ae09a9c927ea31946112f0baebe4ad1c675c2615b0eb0",
+                 "2236693789319bb04a79d033b65df741a72efe1a37654b4269fee523ba47ea7e"),
+            ),
+            (
+                ["--h", "3/2", "--period", "10", "--backend", "rational"],
+                ("6bb339fabde82dd646c9393fc32f81d1258501a8562a2bf85c4dd35bfc0aab60",
+                 "0f4c8bab21a1b71990f272d1cc406426a00b1e446d1365ada2aaaf49f56434df"),
+            ),
+            (
+                ["--h", "1.7", "--period", "9", "--backend", "decimal", "--precision", "30"],
+                ("c779485632f1272aec0cfc38ea6c59e8ed3a2f1cd8f4f0ffdff28f9926f009d8",
+                 "0701190333c70ebb25b182b7e1ec3cfa769447507b53b3c01bb778912a82b6cf"),
+            ),
+        ],
+        ids=["binary64-h2-n12", "rational-h3_2-n10", "decimal30-h1.7-n9"],
+    )
+    def test_artifact_bytes_pinned(self, tmp_path, argv, digests):
+        assert run_command(["cycles", *argv, "--out", str(tmp_path)]) == 0
+        got = tuple(
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("cycles.csv", "cycles.json")
+        )
+        assert got == digests
+
 
 class TestStabilize:
     def test_high_cycle_classification(self, tmp_path):
@@ -203,6 +234,14 @@ class TestStabilize:
         doc = read_json(tmp_path / "stabilize.json")
         assert doc["final_value"] == "3/5"
         assert doc["classified_target"] == "fixed_point"
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+    def test_nonpositive_tolerance_rejected(self, tmp_path, capsys, tol):
+        # the same check and message as sweep
+        out = tmp_path / "out"
+        assert run_command(["stabilize", "--tol", tol, "--out", str(out)]) == 2
+        assert "tolerance must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweep:

@@ -3,12 +3,14 @@
 Independent oracles: a dense grid sign-change count for the number of
 period-3 solutions, a Mobius-formula count of aperiodic binary necklaces
 for the h = 2 census, distinct points within each cycle and distinct
-point sets across cycles (enumeration itself keeps no dedupe pass), and
-numpy's companion-matrix eigenvalue roots for every onset polynomial.
+point sets across cycles (enumeration itself keeps no dedupe pass), the
+word-at-a-time Lyndon generator and cell composition that the prefix-tree
+walk replaced, and exact rational evaluation of every onset polynomial.
 """
 
 import math
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ import pytest
 from tentlab.backends import Binary64, DomainError, Rational, make_backend
 from tentlab.cycles import (
     Cycle,
+    _lyndon_cells,
     cycle_multiplier,
     enumerate_cycles,
     fixed_point,
@@ -55,6 +58,52 @@ def aperiodic_necklaces(n: int) -> int:
         if n % d == 0:
             total += mobius(n // d) * 2**d
     return total // n
+
+
+def _lyndon_words(n: int) -> Iterator[str]:
+    """Binary Lyndon words of length n over L < R, lexicographic order.
+
+    These are the aperiodic necklace representatives: one per rotation
+    class of each primitive word.
+    """
+    symbols = "LR"
+    a = [0] * (n + 1)
+
+    def gen(t: int, p: int) -> Iterator[str]:
+        if t > n:
+            if p == n:  # aperiodic only
+                yield "".join(symbols[a[i]] for i in range(1, n + 1))
+        else:
+            a[t] = a[t - p]
+            yield from gen(t + 1, p)
+            for j in range(a[t - p] + 1, 2):
+                a[t] = j
+                yield from gen(t + 1, t)
+
+    yield from gen(1, 1)
+
+
+def _cell_affine(word: str, params: MapParams):
+    """Compose the branch maps named by word into A*x + B."""
+    b = params.backend
+    A = b.from_int(1)
+    B = b.from_int(0)
+    for sym in word:
+        if sym == "L":
+            A = b.mul(params.h, A)
+            B = b.mul(params.h, B)
+        else:
+            A = b.mul(params.neg_h, A)
+            B = b.add(b.mul(params.neg_h, B), params.h)
+    return A, B
+
+
+def _word_multiplier(word: str, params: MapParams):
+    b = params.backend
+    m = b.from_int(1)
+    for sym in word:
+        m = b.mul(m, params.h if sym == "L" else params.neg_h)
+    return m
 
 
 class TestClosedForms:
@@ -211,6 +260,28 @@ class TestEnumeration:
                     assert abs(tent_power_step(x, p, n) - x) < 1e-12
 
 
+class TestLyndonCells:
+    @pytest.mark.parametrize(
+        "kind, h",
+        [
+            *[("binary64", h) for h in ("1.5", "1.9", "2")],
+            *[("rational", h) for h in ("3/2", "19/10", "2")],
+            *[("decimal", h) for h in ("1.7", "2")],
+        ],
+    )
+    def test_matches_word_at_a_time_oracle(self, kind, h):
+        """Same words in the same order, (A, B) bit for bit; A is the multiplier."""
+        params = MapParams.parse(h, make_backend(kind, 30 if kind == "decimal" else None))
+        for n in range(1, 13):
+            cells = list(_lyndon_cells(n, params))
+            assert [w for w, _, _ in cells] == list(_lyndon_words(n))
+            for word, A, B in cells:
+                # repr tells apart -0.0 and Decimal exponents, which == does not
+                assert list(map(repr, (A, B))) == list(map(repr, _cell_affine(word, params)))
+            for c in enumerate_cycles(params, n):
+                assert repr(c.multiplier) == repr(_word_multiplier(c.itinerary, params))
+
+
 class TestOnsets:
     def test_period3_is_golden_ratio(self):
         rec = onset_threshold(3)
@@ -234,6 +305,21 @@ class TestOnsets:
             rec = onset_threshold(period)
             value = np.polyval(np.array(rec.polynomial, dtype=float), rec.threshold)
             assert abs(value) < 1e-10
+
+    @pytest.mark.parametrize("period", [3, 5, 6, 7])
+    def test_threshold_within_8_ulp_of_exact_root(self, period):
+        """The polynomial, evaluated exactly, changes sign across t +- 8 ulp."""
+        rec = onset_threshold(period)
+
+        def value(x: float) -> Fraction:
+            acc = Fraction(0)
+            for c in rec.polynomial:
+                acc = acc * Fraction(x) + c
+            return acc
+
+        step = 8 * math.ulp(rec.threshold)
+        lo, hi = value(rec.threshold - step), value(rec.threshold + step)
+        assert lo != 0 and hi != 0 and (lo < 0) != (hi < 0)
 
     def test_matches_eigenvalue_root_oracle(self):
         for period in (3, 5, 6, 7):
