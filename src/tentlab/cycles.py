@@ -21,6 +21,7 @@ along the orbit, the same in any order and from any rotation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Iterator
 
 import numpy as np
@@ -97,11 +98,16 @@ def _lyndon_cells(n: int, params: MapParams) -> Iterator[tuple[str, Scalar, Scal
 
 
 def _closes(x: Scalar, y: Scalar, b: Backend) -> bool:
-    """x == y on rational; |x - y| <= 1e-12 on binary64, 10^(5-p) on decimal."""
-    tol = 1e-12 if b.kind == "binary64" else 0.0
+    """x == y on rational; |x - y| <= 1e-12 on binary64, 10^(5-p) on decimal.
+
+    The decimal test stays in Decimal: as a float, 10^(5-p) underflows to
+    0.0 from p = 329 on.
+    """
+    if b.kind == "rational":
+        return x == y
     if b.kind == "decimal":
-        tol = 10.0 ** (5 - b.precision_digits)
-    return x == y if tol == 0.0 else abs(b.to_float(b.sub(x, y))) <= tol
+        return b.sub(x, y).copy_abs() <= Decimal(1).scaleb(5 - b.precision_digits)
+    return abs(b.sub(x, y)) <= 1e-12
 
 
 def enumerate_cycles(params: MapParams, n: int) -> list[Cycle]:

@@ -8,11 +8,16 @@ roundoff expelled it, and the fixed-precision experiment reproduces that
 signature with a slope that agrees with sqrt(2) to 57 decimal digits.
 
 A sweep is four arrays, classified at once by classify_finals, the rule
-classify_outcome applies to one run.  Binary64 sweeps run in numpy chunks
-of 65536 points, so per-call overhead does not swamp the threads.  Chunk
-boundaries depend only on chunk_size, never on the worker count, and every
-elementwise operation mirrors the scalar recursion's order, so sweep output
-is bit-identical across thread counts and chunk sizes.
+classify_outcome applies to one run.  It takes one of three paths.
+Binary64 runs numpy array kernels in chunks of 65536 points, so per-call
+overhead does not swamp the threads; every elementwise operation mirrors
+the scalar recursion's order.  Rational runs the same chunks on Python
+integer numerators over one shared denominator per time step, and returns
+the same reduced Fractions as the scalar recursion.  Decimal runs
+stabilized_orbit point by point: FixedDecimal rounds every operation, so
+a chunk's values share no denominator.  Chunk boundaries depend only on
+chunk_size, never on the worker count, so sweep output is bit-identical
+across thread counts and chunk sizes.
 
 detect_escape runs in O(n log^2 n) numpy work and O(n) extra memory, by
 binary lifting over window extrema, and returns exactly what the quadratic
@@ -24,14 +29,18 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 
-from .backends import Backend, DomainError, FixedDecimal, ParseError, Scalar
+from .backends import (
+    Backend, Binary64, DomainError, FixedDecimal, ParseError, Rational, Scalar,
+)
 from .cycles import fixed_point, two_cycle
 from .stabilize import TAPS, Coefficients, StabRun, stabilized_orbit
 from .tentmap import MapParams, Orbit, orbit
@@ -216,27 +225,86 @@ def _resolve_threads(threads: int | None) -> int:
 def _tent_power_array(x: np.ndarray, h: float, k: int) -> np.ndarray:
     for _ in range(k):
         x = np.where(x <= 0.5, h * x, -h * x + h)
-        x = np.clip(x, 0.0, 1.0)
     return x
 
 
 def _sweep_chunk_binary64(
     x0s: np.ndarray, h: float, k: int, a: tuple[float, ...], steps: int
 ) -> np.ndarray:
-    """Final starred values for one chunk, mirroring the scalar recursion."""
-    window = [x0s.astype(np.float64, copy=True)]
-    for _ in range(TAPS - 1):
-        window.append(_tent_power_array(window[-1], h, k))
-    fvals = [_tent_power_array(w, h, k) for w in window]
-    current = window[-1]
-    for _ in range(TAPS, steps + 1):
-        acc = a[0] * fvals[-1]
+    """Final starred values for one chunk, mirroring the scalar recursion.
+
+    Only an averaged value can leave [0, 1], so only those are checked,
+    once per step: a tent step maps [0, 1] into [0, h/2] exactly in
+    binary64, since h*0.5 and -h*1 + h are exact and rounding is monotone.
+    A step whose averages leave [0, 1] runs them through clamp_unit, which
+    snaps a value within Binary64's slack and raises beyond it, as the
+    scalar recursion does before f reads the value.  The final average,
+    which f never reads, is returned unsnapped.
+    """
+    iterates = [np.asarray(x0s, dtype=np.float64)]
+    for _ in range(TAPS):
+        iterates.append(_tent_power_array(iterates[-1], h, k))
+    fvals = iterates[1:]  # f at the six seed values
+    for t in range(TAPS, steps + 1):
+        current = a[0] * fvals[-1]
         for i in range(2, TAPS + 1):
-            acc = acc + a[i - 1] * fvals[-i]
-        current = acc
+            current = current + a[i - 1] * fvals[-i]
+        if t == steps:
+            return current
+        if not (current.min() >= 0 and current.max() <= 1):  # NaN included
+            current = np.array(list(map(Binary64().clamp_unit, current.tolist())))
         fvals.pop(0)
         fvals.append(_tent_power_array(current, h, k))
-    return current
+
+
+def _sweep_chunk_rational(
+    x0s: np.ndarray, h: Fraction, k: int, a: tuple[Fraction, ...], steps: int
+) -> np.ndarray:
+    """Final starred values for one chunk, equal to the scalar recursion's.
+
+    The chunk's values at one time step are integer numerators over one
+    shared integer denominator, so no operation builds a Fraction or takes
+    a gcd.  With h = p/q a tent step sends N to p*N when 2N <= M (the tie
+    at 1/2 goes LEFT) and to p*(M - N) otherwise, and M to q*M.  With D
+    the lcm of the weights' denominators and alpha_i = a_i*D, the average
+    scales each tap by alpha_i * (M_top // M_i): every tap's denominator
+    divides the newest one's, M_top, and the average's denominator is
+    D*M_top.  Reducing would not keep the numbers smaller, since the
+    reduced denominators grow as fast.  Each final becomes one Fraction,
+    reduced by one gcd to the value the scalar recursion returns.  Exact
+    arithmetic has no slack, so an averaged value outside [0, 1] that f
+    would read raises, as clamp_unit does.
+    """
+    p, q = h.numerator, h.denominator
+    d = math.lcm(*(w.denominator for w in a))
+    alphas = [w.numerator * (d // w.denominator) for w in a]
+
+    def f(nums: list[int], m: int) -> tuple[list[int], int]:
+        for _ in range(k):
+            nums = [p * n if 2 * n <= m else p * (m - n) for n in nums]
+            m *= q
+        return nums, m
+
+    m = math.lcm(*(x.denominator for x in x0s))
+    nums = [x.numerator * (m // x.denominator) for x in x0s]
+    taps = []  # (numerators, denominator) of f at the window, newest first
+    for _ in range(TAPS):
+        nums, m = f(nums, m)
+        taps.insert(0, (nums, m))
+    for t in range(TAPS, steps + 1):
+        top = taps[0][1]
+        scales = [alpha * (top // den) for alpha, (_, den) in zip(alphas, taps)]
+        nums = [
+            sum(map(operator.mul, scales, column))
+            for column in zip(*(tap for tap, _ in taps))
+        ]
+        m = d * top
+        if t == steps:
+            return np.array([Fraction(n, m) for n in nums], dtype=object)
+        if min(nums) < 0 or max(nums) > m:  # no slack: clamp_unit raises
+            Rational().clamp_unit(Fraction(next(n for n in nums if not 0 <= n <= m), m))
+        taps.pop()
+        taps.insert(0, f(nums, m))
 
 
 def sweep(
@@ -251,6 +319,10 @@ def sweep(
 ) -> SweepResult:
     """Classify a stabilized run from every net point.
 
+    Binary64 and rational nets run through their array kernel in chunks of
+    chunk_size points, on a thread pool when there is more than one chunk
+    and more than one thread.  Decimal nets run stabilized_orbit per point:
+    every decimal operation rounds, so the points share no denominator.
     Output is ordered by net index and is bit-identical for any thread
     count and chunk size; threads default to the TENTLAB_THREADS
     environment variable (0 means one per CPU).
@@ -264,11 +336,19 @@ def sweep(
     b = params.backend
     nworkers = _resolve_threads(threads)
     points = build_net(spec, b)
+    if b.kind != "binary64":
+        points = np.array(points, dtype=object)
 
-    if b.kind == "binary64":
+    kernels = {"binary64": _sweep_chunk_binary64, "rational": _sweep_chunk_rational}
+    kernel = kernels.get(b.kind)
+    if kernel is None:  # decimal
+        finals = np.array(
+            [stabilized_orbit(x0, params, k, coeffs, steps).starred[-1] for x0 in points],
+            dtype=object,
+        )
+    else:
         run_chunk = functools.partial(
-            _sweep_chunk_binary64, h=float(params.h), k=k,
-            a=tuple(float(v) for v in coeffs.a), steps=steps,
+            kernel, h=params.h, k=k, a=tuple(map(b.check, coeffs.a)), steps=steps
         )
         chunks = np.split(points, range(chunk_size, len(points), chunk_size))
         if nworkers > 1 and len(chunks) > 1:
@@ -276,12 +356,6 @@ def sweep(
                 finals = np.concatenate(list(pool.map(run_chunk, chunks)))
         else:
             finals = np.concatenate([run_chunk(c) for c in chunks])
-    else:
-        points = np.array(points, dtype=object)
-        finals = np.array(
-            [stabilized_orbit(x0, params, k, coeffs, steps).starred[-1] for x0 in points],
-            dtype=object,
-        )
     codes, distances = classify_finals(finals, _targets(params), tolerance)
     return SweepResult(
         net=spec,

@@ -282,8 +282,21 @@ class TestSweep:
                 ("9b385f15329cbbc416a4b7b0760d0bab6848edf04cf1ae7df2b0df53aa1979c0",
                  "1f5dcad86accc516749aa364d1ab90e7aa3aaf2ca10effca492d9c37f532ebb1"),
             ),
+            # recorded from the per-point Fraction recursion, before the
+            # rational sweep ran on shared-denominator integers
+            (
+                ["--h", "19/10", "--k", "1", "--net", "uniform:60", "--backend", "rational"],
+                ("1e17fbc6acb1996cf22d8f8018c0cc9e726020f0045d504a67e76287eeef4b32",
+                 "06666bf7de9ec30d1a48acff702a969ffd842d20e4e9cc8e3c5e0c197fba875a"),
+            ),
+            (
+                ["--k", "3", "--net", "triadic:1", "--steps", "30", "--backend", "rational"],
+                ("20718b36ee81ba6fc349075c5ccffbcab4b95c60efab9181a37b2fd9674c26dc",
+                 "6c9e474748592b7d577c82a1ac37b64e2fd588f98338e5663c5af9dab9abfec5"),
+            ),
         ],
-        ids=["uniform-threads1", "uniform-threads2", "triadic-rational"],
+        ids=["uniform-threads1", "uniform-threads2", "triadic-rational",
+             "uniform-rational-h19_10-k1", "triadic-rational-k3"],
     )
     def test_artifact_bytes_pinned(self, tmp_path, argv, digests):
         assert run_command(["sweep", *argv, "--out", str(tmp_path)]) == 0

@@ -252,6 +252,15 @@ class TestEnumeration:
         with pytest.raises(DomainError):
             enumerate_cycles(rat_params(2), 0)
 
+    @pytest.mark.parametrize("precision", [30, 328, 329, 400])
+    def test_decimal_census_at_any_precision_matches_rational(self, precision):
+        # 10.0 ** (5 - p) underflows to 0.0 from p = 329 on, which made
+        # the decimal closing test exact equality and found no cycle
+        params = MapParams.parse("1.9", make_backend("decimal", precision))
+        assert len(enumerate_cycles(params, 8)) == len(
+            enumerate_cycles(rat_params(Fraction(19, 10)), 8)
+        ) == 20
+
     def test_binary64_residuals_small(self):
         p = b64_params(1.93)
         for n in (1, 2, 3, 5, 7):

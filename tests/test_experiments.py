@@ -31,8 +31,9 @@ from tentlab.experiments import (
     sqrt2_experiment,
     sqrt2_reference,
     sweep,
+    _sweep_chunk_rational,
 )
-from tentlab.stabilize import StabRun, build_coefficients, stabilized_orbit
+from tentlab.stabilize import Coefficients, StabRun, build_coefficients, stabilized_orbit
 from tentlab.tentmap import MapParams, tent_power_step
 
 # measured once at the default parameters; see module docstring
@@ -353,25 +354,90 @@ class TestSweep:
             assert final == run.starred[-1]
 
     def test_thread_count_does_not_change_bits(self):
-        params, coeffs = b64_setup()
-        kw = dict(chunk_size=128)
-        base = sweep(NetSpec.uniform(1500), params, 2, coeffs, 30, 1e-3,
-                     threads=1, **kw)
-        for threads in (2, 4):
-            other = sweep(NetSpec.uniform(1500), params, 2, coeffs, 30, 1e-3,
-                          threads=threads, **kw)
-            assert_same_bits(other, base)
+        for params, coeffs in (b64_setup(), rat_setup()):
+            kw = dict(chunk_size=128)
+            base = sweep(NetSpec.uniform(1500), params, 2, coeffs, 30, 1e-3,
+                         threads=1, **kw)
+            for threads in (2, 4):
+                other = sweep(NetSpec.uniform(1500), params, 2, coeffs, 30, 1e-3,
+                              threads=threads, **kw)
+                assert_same_bits(other, base)
 
     @pytest.mark.parametrize("chunk_size", [1, 7, 128, 65536])
     def test_chunk_size_does_not_change_bits(self, chunk_size):
-        params, coeffs = b64_setup()
         spec = NetSpec.uniform(300)
-        base = sweep(spec, params, 2, coeffs, 30, 1e-3, threads=1,
-                     chunk_size=spec.size)
-        for threads in (1, 2):
-            other = sweep(spec, params, 2, coeffs, 30, 1e-3, threads=threads,
-                          chunk_size=chunk_size)
-            assert_same_bits(other, base)
+        for params, coeffs in (b64_setup(), rat_setup()):
+            base = sweep(spec, params, 2, coeffs, 30, 1e-3, threads=1,
+                         chunk_size=spec.size)
+            for threads in (1, 2):
+                other = sweep(spec, params, 2, coeffs, 30, 1e-3, threads=threads,
+                              chunk_size=chunk_size)
+                assert_same_bits(other, base)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        h=st.integers(1, 12).flatmap(
+            lambda q: st.integers(q + 1, 2 * q).map(lambda p: Fraction(p, q))
+        ),
+        sigma=st.fractions(min_value=Fraction(11, 10), max_value=3, max_denominator=12),
+        k=st.integers(1, 3),
+        steps=st.integers(6, 40),
+        x0s=st.lists(st.fractions(0, 1, max_denominator=60), min_size=1, max_size=6),
+    )
+    def test_rational_kernel_matches_scalar_recursion(self, h, sigma, k, steps, x0s):
+        # starts with mixed denominators, not only a net's
+        b = Rational()
+        params, coeffs = MapParams(h, b), build_coefficients(sigma, b)
+        finals = _sweep_chunk_rational(np.array(x0s, dtype=object), h, k, coeffs.a, steps)
+        for x0, final in zip(x0s, finals.tolist()):
+            expected = stabilized_orbit(x0, params, k, coeffs, steps).starred[-1]
+            assert type(final) is Fraction and final == expected
+
+    def test_weights_summing_past_one_raise_on_every_path(self):
+        # six weights of 3/10 sum to 9/5, so an average leaves [0, 1] and
+        # the next tent step refuses it, in the scalar and both array kernels
+        for params, _ in (b64_setup(), rat_setup()):
+            b = params.backend
+            w = b.parse("3/10")
+            coeffs = Coefficients(sigma=b.parse("6/5"), a=(w,) * 6, c=w)
+            with pytest.raises(DomainError, match="outside"):
+                stabilized_orbit(b.parse("2/5"), params, 2, coeffs, 30)
+            with pytest.raises(DomainError, match="outside"):
+                sweep(NetSpec.uniform(20), params, 2, coeffs, 30, 1e-3)
+
+    @pytest.mark.parametrize(
+        "kind, overshoot, steps, raises",
+        [
+            ("binary64", "1", 7, False),  # 1 ulp over 1: snapped, as clamp_unit does
+            ("binary64", "2", 7, True),  # 2 ulp over 1: beyond the slack
+            ("binary64", "2", 6, False),  # the final average is never checked
+            ("rational", "1", 7, True),  # exact arithmetic has no slack
+            ("rational", "1", 6, False),
+        ],
+    )
+    def test_array_kernels_check_and_snap_like_clamp_unit(
+        self, kind, overshoot, steps, raises
+    ):
+        # with h = 2, k = 1 and x0 = 1/2 the taps are f(x0) = 1 and then 0s,
+        # so x6 = w; w is 1 + 2^-52 * overshoot, and x7 = w * f(x6)
+        b = Binary64() if kind == "binary64" else Rational()
+        params = MapParams(b.from_int(2), b)
+        w = b.add(b.from_int(1), b.parse(f"{overshoot}/{2**52}"))
+        zero = b.from_int(0)
+        coeffs = Coefficients(sigma=b.parse("6/5"), a=(w, zero, zero, zero, zero, w), c=w)
+        spec = NetSpec.uniform(2)  # 0, 1/2 and 1
+        if raises:
+            with pytest.raises(DomainError, match="outside"):
+                stabilized_orbit(b.parse("1/2"), params, 1, coeffs, steps)
+            with pytest.raises(DomainError, match="outside"):
+                sweep(spec, params, 1, coeffs, steps, 1e-3)
+            return
+        result = sweep(spec, params, 1, coeffs, steps, 1e-3)
+        for x0, final in zip(result.points.tolist(), result.finals.tolist()):
+            expected = stabilized_orbit(x0, params, 1, coeffs, steps).starred[-1]
+            assert type(final) is type(expected) and final == expected
+        if steps == 6:
+            assert result.finals[1] == w  # returned unsnapped
 
     def test_thread_env_variable(self, monkeypatch):
         params, coeffs = b64_setup()
