@@ -118,7 +118,11 @@ def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
 
 
 def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Streamed to the file: the same bytes as json.dumps, without the
+    whole text and its pieces in memory at once."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _parameter(value):
@@ -199,18 +203,19 @@ def _cmd_simulate(ns, b, params, coeffs):
 def _cmd_cycles(ns, b, params, coeffs):
     record = onset_threshold(ns.period) if ns.onset else None
     found = enumerate_cycles(params, ns.period)
+    entries = [  # each value serialized once, for cycles.json and cycles.csv alike
+        {
+            "points": [b.serialize(x) for x in c.points],
+            "itinerary": c.itinerary,
+            "multiplier": b.serialize(c.multiplier),
+        }
+        for c in found
+    ]
     doc = {
         "h": b.serialize(params.h),
         "period": ns.period,
         "count": len(found),
-        "cycles": [
-            {
-                "points": [b.serialize(x) for x in c.points],
-                "itinerary": c.itinerary,
-                "multiplier": b.serialize(c.multiplier),
-            }
-            for c in found
-        ],
+        "cycles": entries,
     }
     if record is not None:
         doc["onset"] = {
@@ -219,9 +224,9 @@ def _cmd_cycles(ns, b, params, coeffs):
         }
     yield "cycles.json", doc
     rows = (
-        (str(i), str(j), b.serialize(x), c.itinerary, b.serialize(c.multiplier))
-        for i, c in enumerate(found)
-        for j, x in enumerate(c.points)
+        (str(i), str(j), x, e["itinerary"], e["multiplier"])
+        for i, e in enumerate(entries)
+        for j, x in enumerate(e["points"])
     )
     yield "cycles.csv", (("cycle", "index", "point", "itinerary", "multiplier"), rows)
 
@@ -247,7 +252,8 @@ def _cmd_stabilize(ns, b, params, coeffs):
               help="start-point net, uniform:N or triadic:M"),
          H, K, SIGMA, steps_flag(DEFAULT_STEPS), TOL,
          flag("--threads", type=int, default=None,
-              help="worker count; 0 = one per CPU (default: TENTLAB_THREADS or 1)"),
+              help="worker count for binary64 chunks; 0 = one per CPU "
+                   "(default: TENTLAB_THREADS or 1)"),
          *BACKEND, PLOT)
 def _cmd_sweep(ns, b, params, coeffs):
     spec = NetSpec.parse(ns.net)

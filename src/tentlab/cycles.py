@@ -11,17 +11,30 @@ that realizes an aperiodic word visits n distinct points, and two words
 of different rotation classes never give the same cycle, so the
 enumeration needs no deduplication pass.
 
-The Fredricksen-Kessler-Maiorana recursion walks the tree of Lyndon-word
-prefixes depth first; each tree edge composes one branch map onto its
-parent's (A, B), so words sharing a prefix share its composition.  Every
-factor of A is +-h, so A is also the cycle's multiplier: the slope product
-along the orbit, the same in any order and from any rotation.
+Binary64 and rational read the Lyndon words from one integer array, most
+significant bit first with L = 0, so ascending order is the
+Fredricksen-Kessler-Maiorana (lexicographic) order of the scalar walk and
+the stable sort breaks ties as before.  Binary64 composes (A, B) and walks
+every orbit as (words x n) numpy arrays, one IEEE operation for each
+scalar one and in the same order, so every value is bit-identical to the
+per-word loop.  Rational works on Python integers, with h = p/q: the
+intercept after t symbols is beta/q^t, where beta goes to p*beta on L and
+to p*(q^(t-1) - beta) on R, and x* = beta/(q^n - s*p^n) with s = (-1)^#R;
+the orbit walks N/M, with N going to p*N when 2N <= M and to p*(M - N)
+otherwise, and M to q*M, and closes when N_n = N_0*q^n.  Decimal keeps the
+depth-first FKM walk of _lyndon_cells, where each tree edge composes one
+branch map onto its parent's (A, B), so words sharing a prefix share its
+composition: FixedDecimal rounds every operation, so its values have
+neither an integer form nor a numpy dtype.  Every factor of A is +-h, so
+A is also the cycle's multiplier: the slope product along the orbit, the
+same in any order and from any rotation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
+from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
@@ -30,6 +43,13 @@ from .backends import Backend, Branch, DomainError, Scalar
 from .tentmap import MapParams, tent_step
 
 MAX_ENUM_PERIOD = 20
+
+_B64_CLOSING_TOL = 1e-12
+_LR = str.maketrans("01", "LR")
+
+# a word that closes: (itinerary, index of its smallest point, its orbit
+# from x*, the multiplier)
+Closing = tuple[str, int, list, Scalar]
 
 _ONSET_POLYNOMIALS = {
     # descending-degree integer coefficients; unique root in (1, 2)
@@ -107,7 +127,138 @@ def _closes(x: Scalar, y: Scalar, b: Backend) -> bool:
         return x == y
     if b.kind == "decimal":
         return b.sub(x, y).copy_abs() <= Decimal(1).scaleb(5 - b.precision_digits)
-    return abs(b.sub(x, y)) <= 1e-12
+    return abs(b.sub(x, y)) <= _B64_CLOSING_TOL
+
+
+def _lyndon_word_array(n: int) -> np.ndarray:
+    """The binary Lyndon words of length n as int64, ascending.
+
+    A word reads most significant bit first with L = 0, so ascending order
+    is the lexicographic (FKM) order.  For n >= 2 a Lyndon word starts
+    with L and ends with R, so the candidates are the odd integers below
+    2^(n-1); a candidate is a Lyndon word when it lies strictly below each
+    of its n - 1 proper rotations.
+    """
+    if n == 1:
+        return np.arange(2, dtype=np.int64)
+    words = np.arange(1, 1 << (n - 1), 2, dtype=np.int64)
+    mask = (1 << n) - 1
+    for r in range(1, n):
+        words = words[words < (((words << r) | (words >> (n - r))) & mask)]
+    return words
+
+
+def _symbols(words: np.ndarray, n: int) -> np.ndarray:
+    """(words x n) booleans, True where the word reads R."""
+    return ((words[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(bool)
+
+
+def _word_texts(words: np.ndarray, n: int) -> list[str]:
+    return [format(w, f"0{n}b").translate(_LR) for w in words.tolist()]
+
+
+def _closing_binary64(n: int, params: MapParams) -> Iterator[Closing]:
+    """The binary64 census as numpy arrays over every Lyndon word at once.
+
+    Each elementwise operation is the IEEE operation the scalar path takes
+    at the same place (_lyndon_cells, clamp_unit, tent_step, _closes), so
+    every value is bit-identical to it.  No walk point needs clamping: a
+    tent step maps [0, 1] into [0, h/2] exactly in binary64.
+    """
+    h = params.h
+    words = _lyndon_word_array(n)
+    symbols = _symbols(words, n)
+    A = np.ones(len(words))
+    B = np.zeros(len(words))
+    for s in symbols.T:
+        A = np.where(s, -h * A, h * A)
+        B = np.where(s, -h * B + h, h * B)
+    x_star = B / (1.0 - A)
+    # clamp_unit would snap a value one ulp outside [0, 1] to 0 or 1, but
+    # neither orbit (all L; R then all L) realizes a word of length n >= 2,
+    # which starts with L and ends with R, so those words go with the rest;
+    # at n = 1, x* is -0.0 or h/(h+1)
+    keep = np.flatnonzero((x_star >= 0) & (x_star <= 1))
+    words, symbols, A, x_star = words[keep], symbols[keep], A[keep], x_star[keep]
+
+    orbits = np.empty((len(words), n))
+    realized = np.ones(len(words), dtype=bool)
+    x = x_star
+    for t in range(n):
+        left = x <= 0.5
+        realized &= left != symbols[:, t]
+        orbits[:, t] = x
+        x = np.where(left, h * x, -h * x + h)
+    closed = np.flatnonzero(realized & (np.abs(x - x_star) <= _B64_CLOSING_TOL))
+    orbits = orbits[closed]
+    return zip(_word_texts(words[closed], n), orbits.argmin(axis=1).tolist(),
+               orbits.tolist(), A[closed].tolist())
+
+
+def _closing_rational(n: int, params: MapParams) -> Iterator[Closing]:
+    """The exact census on Python integers, by the recurrences of the
+    module docstring; equal to the scalar path's.
+
+    h > 1 makes p^n > q^n, which fixes the sign of x*'s denominator.  The
+    tie 2N = M at 1/2 goes LEFT.  Only the stored points become Fractions.
+    """
+    p, q = params.h.numerator, params.h.denominator
+    words = _lyndon_word_array(n)
+    betas = [0] * len(words)
+    q_t = 1  # q^(t-1)
+    for column in _symbols(words, n).T.tolist():
+        betas = [p * (q_t - beta) if s else p * beta for beta, s in zip(betas, column)]
+        q_t *= q
+    pn, qn = p**n, q**n
+    scales = [q ** (n - t) for t in range(n)]  # point t over the common M_0*q^n
+    for text, beta in zip(_word_texts(words, n), betas):
+        odd = text.count("R") & 1
+        n0, m0 = (beta, pn + qn) if odd else (-beta, pn - qn)
+        if not 0 <= n0 <= m0:  # clamp_unit has no slack on rational
+            continue
+        orbit = []
+        x, m = n0, m0
+        for symbol in text:
+            right = 2 * x > m
+            if right != (symbol == "R"):
+                break
+            orbit.append((x, m))
+            x = p * (m - x) if right else p * x
+            m *= q
+        else:
+            if x == n0 * qn:
+                shift = min(range(n), key=lambda t: orbit[t][0] * scales[t])
+                yield (text, shift, [Fraction(num, den) for num, den in orbit],
+                       Fraction(-pn if odd else pn, qn))
+
+
+def _closing_decimal(n: int, params: MapParams) -> Iterator[Closing]:
+    """The scalar walk over _lyndon_cells: FixedDecimal rounds every
+    operation, so the words' values share no integer form."""
+    b = params.backend
+    one = b.from_int(1)
+    for word, A, B in _lyndon_cells(n, params):
+        try:
+            x_star = b.clamp_unit(b.div(B, b.sub(one, A)))
+        except DomainError:  # 1 - A = 0, or the fixed point leaves [0, 1]
+            continue
+        # walk the orbit (tent_step clamps it); each point must realize its symbol
+        pts = []
+        x = x_star
+        for sym in word:
+            if b.cmp_half(x).value != sym:
+                break
+            pts.append(x)
+            x = tent_step(x, params)
+        if len(pts) == n and _closes(x, x_star, b):
+            yield word, min(range(n), key=pts.__getitem__), pts, A
+
+
+_CLOSING = {
+    "binary64": _closing_binary64,
+    "rational": _closing_rational,
+    "decimal": _closing_decimal,
+}
 
 
 def enumerate_cycles(params: MapParams, n: int) -> list[Cycle]:
@@ -117,32 +268,12 @@ def enumerate_cycles(params: MapParams, n: int) -> list[Cycle]:
     """
     if not 1 <= n <= MAX_ENUM_PERIOD:
         raise DomainError(f"period must lie in [1, {MAX_ENUM_PERIOD}], got {n}")
-    b = params.backend
-    one = b.from_int(1)
-    found: list[Cycle] = []
-
-    for word, A, B in _lyndon_cells(n, params):
-        try:
-            x_star = b.clamp_unit(b.div(B, b.sub(one, A)))
-        except DomainError:  # 1 - A = 0, or the fixed point leaves [0, 1]
-            continue
-
-        # walk the orbit (tent_step clamps it); each point must realize its symbol
-        pts = []
-        x = x_star
-        for sym in word:
-            if b.cmp_half(x).value != sym:
-                break
-            pts.append(x)
-            x = tent_step(x, params)
-        if len(pts) < n or not _closes(x, x_star, b):
-            continue
-
-        m = min(range(n), key=lambda i: pts[i])  # canonical rotation: smallest first
-        found.append(Cycle(period=n, points=tuple(pts[m:] + pts[:m]),
-                           itinerary=word[m:] + word[:m], multiplier=A))
-
-    found.sort(key=lambda c: b.to_float(c.points[0]))
+    found = [
+        Cycle(period=n, points=tuple(pts[m:] + pts[:m]),
+              itinerary=word[m:] + word[:m], multiplier=A)
+        for word, m, pts, A in _CLOSING[params.backend.kind](n, params)
+    ]
+    found.sort(key=lambda c: float(c.points[0]))  # stable: ties keep FKM order
     return found
 
 

@@ -11,9 +11,9 @@ A sweep is four arrays, classified at once by classify_finals, the rule
 classify_outcome applies to one run.  It takes one of three paths.
 Binary64 runs numpy array kernels in chunks of 65536 points, so per-call
 overhead does not swamp the threads; every elementwise operation mirrors
-the scalar recursion's order.  Rational runs the same chunks on Python
-integer numerators over one shared denominator per time step, and returns
-the same reduced Fractions as the scalar recursion.  Decimal runs
+the scalar recursion's order.  Rational runs the same chunks, serially, on
+Python integer numerators over one shared denominator per time step, and
+returns the same reduced Fractions as the scalar recursion.  Decimal runs
 stabilized_orbit point by point: FixedDecimal rounds every operation, so
 a chunk's values share no denominator.  Chunk boundaries depend only on
 chunk_size, never on the worker count, so sweep output is bit-identical
@@ -320,12 +320,15 @@ def sweep(
     """Classify a stabilized run from every net point.
 
     Binary64 and rational nets run through their array kernel in chunks of
-    chunk_size points, on a thread pool when there is more than one chunk
-    and more than one thread.  Decimal nets run stabilized_orbit per point:
-    every decimal operation rounds, so the points share no denominator.
-    Output is ordered by net index and is bit-identical for any thread
-    count and chunk size; threads default to the TENTLAB_THREADS
-    environment variable (0 means one per CPU).
+    chunk_size points.  Binary64 chunks run on a thread pool when there is
+    more than one chunk and more than one thread; rational chunks run one
+    after another, because their pure-Python integer work holds the
+    interpreter lock, so a second thread would only hold a second chunk in
+    memory.  Decimal nets run stabilized_orbit per point: every decimal
+    operation rounds, so the points share no denominator.  Output is
+    ordered by net index and is bit-identical for any thread count and
+    chunk size; threads default to the TENTLAB_THREADS environment
+    variable (0 means one per CPU).
     """
     if steps < TAPS:
         raise DomainError(f"sweep needs at least {TAPS} steps, got {steps}")
@@ -351,7 +354,7 @@ def sweep(
             kernel, h=params.h, k=k, a=tuple(map(b.check, coeffs.a)), steps=steps
         )
         chunks = np.split(points, range(chunk_size, len(points), chunk_size))
-        if nworkers > 1 and len(chunks) > 1:
+        if b.kind == "binary64" and nworkers > 1 and len(chunks) > 1:
             with ThreadPoolExecutor(max_workers=nworkers) as pool:
                 finals = np.concatenate(list(pool.map(run_chunk, chunks)))
         else:

@@ -5,7 +5,9 @@ period-3 solutions, a Mobius-formula count of aperiodic binary necklaces
 for the h = 2 census, distinct points within each cycle and distinct
 point sets across cycles (enumeration itself keeps no dedupe pass), the
 word-at-a-time Lyndon generator and cell composition that the prefix-tree
-walk replaced, and exact rational evaluation of every onset polynomial.
+walk replaced, the scalar census loop that the binary64 and rational
+array kernels replaced, and exact rational evaluation of every onset
+polynomial.
 """
 
 import math
@@ -18,7 +20,9 @@ import pytest
 from tentlab.backends import Binary64, DomainError, Rational, make_backend
 from tentlab.cycles import (
     Cycle,
+    _closes,
     _lyndon_cells,
+    _lyndon_word_array,
     cycle_multiplier,
     enumerate_cycles,
     fixed_point,
@@ -104,6 +108,46 @@ def _word_multiplier(word: str, params: MapParams):
     for sym in word:
         m = b.mul(m, params.h if sym == "L" else params.neg_h)
     return m
+
+
+def _scalar_census(params: MapParams, n: int) -> list[Cycle]:
+    """The census one word at a time through the backend's scalar ops."""
+    b = params.backend
+    one = b.from_int(1)
+    found: list[Cycle] = []
+
+    for word, A, B in _lyndon_cells(n, params):
+        try:
+            x_star = b.clamp_unit(b.div(B, b.sub(one, A)))
+        except DomainError:  # 1 - A = 0, or the fixed point leaves [0, 1]
+            continue
+
+        # walk the orbit (tent_step clamps it); each point must realize its symbol
+        pts = []
+        x = x_star
+        for sym in word:
+            if b.cmp_half(x).value != sym:
+                break
+            pts.append(x)
+            x = tent_step(x, params)
+        if len(pts) < n or not _closes(x, x_star, b):
+            continue
+
+        m = min(range(n), key=lambda i: pts[i])  # canonical rotation: smallest first
+        found.append(Cycle(period=n, points=tuple(pts[m:] + pts[:m]),
+                           itinerary=word[m:] + word[:m], multiplier=A))
+
+    found.sort(key=lambda c: b.to_float(c.points[0]))
+    return found
+
+
+def _serialized(cycles: list[Cycle], params: MapParams) -> list[tuple]:
+    """What cycles.csv and cycles.json hold; tells -0.0 from 0.0."""
+    b = params.backend
+    return [
+        ([b.serialize(x) for x in c.points], c.itinerary, b.serialize(c.multiplier))
+        for c in cycles
+    ]
 
 
 class TestClosedForms:
@@ -267,6 +311,50 @@ class TestEnumeration:
             for c in enumerate_cycles(p, n):
                 for x in c.points:
                     assert abs(tent_power_step(x, p, n) - x) < 1e-12
+
+
+class TestKernels:
+    @pytest.mark.parametrize(
+        "kind, h, max_n",
+        [
+            *[("binary64", h, 14) for h in ("1.5", "1.7", "1.9", "2")],
+            *[("rational", h, 12) for h in ("3/2", "17/10", "19/10", "2")],
+            *[("decimal", h, 9) for h in ("1.7", "2")],
+        ],
+    )
+    def test_matches_scalar_census(self, kind, h, max_n):
+        """Equal Cycles and equal artifact text, word order and ties included."""
+        params = MapParams.parse(h, make_backend(kind, 30 if kind == "decimal" else None))
+        for n in range(1, max_n + 1):
+            found, oracle = enumerate_cycles(params, n), _scalar_census(params, n)
+            assert found == oracle
+            assert _serialized(found, params) == _serialized(oracle, params)
+
+    def test_binary64_drops_the_same_104_at_h2_n16(self):
+        # the fixed 1e-12 closing test drops these on both paths
+        params = b64_params(2.0)
+        found, oracle = enumerate_cycles(params, 16), _scalar_census(params, 16)
+        assert found == oracle
+        assert _serialized(found, params) == _serialized(oracle, params)
+        assert aperiodic_necklaces(16) - len(found) == 104
+
+    def test_word_array_is_the_lyndon_words(self):
+        for n in range(1, 21):
+            words = _lyndon_word_array(n)
+            assert len(words) == aperiodic_necklaces(n)
+            if n <= 16:
+                texts = [format(w, f"0{n}b").translate(str.maketrans("01", "LR"))
+                         for w in words.tolist()]
+                assert texts == list(_lyndon_words(n))
+
+    @pytest.mark.parametrize(
+        "h, n, count",
+        [("2", 18, 14532), ("19/10", 16, 1793), ("19/10", 18, 5767), ("3/2", 18, 78)],
+    )
+    def test_exact_census_counts(self, h, n, count):
+        # 14532 is the necklace count; the others are the rational census's
+        # own counts, which the rounded backends' censuses fall short of
+        assert len(enumerate_cycles(rat_params(h), n)) == count
 
 
 class TestLyndonCells:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tentlab import experiments
 from tentlab.backends import Binary64, DomainError, ParseError, Rational
 from tentlab.experiments import (
     SQRT2_SLOPE_DIGITS,
@@ -362,6 +363,20 @@ class TestSweep:
                 other = sweep(NetSpec.uniform(1500), params, 2, coeffs, 30, 1e-3,
                               threads=threads, **kw)
                 assert_same_bits(other, base)
+
+    def test_rational_chunks_run_serially(self, monkeypatch):
+        # pure-Python integer work holds the interpreter lock, so a pool
+        # would only hold a second chunk in memory
+        params, coeffs = rat_setup()
+        spec = NetSpec.uniform(300)
+        base = sweep(spec, params, 2, coeffs, 30, 1e-3, threads=1, chunk_size=64)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rational sweep started a thread pool")
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", refuse)
+        other = sweep(spec, params, 2, coeffs, 30, 1e-3, threads=2, chunk_size=64)
+        assert_same_bits(other, base)
 
     @pytest.mark.parametrize("chunk_size", [1, 7, 128, 65536])
     def test_chunk_size_does_not_change_bits(self, chunk_size):
