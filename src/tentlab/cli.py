@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+from itertools import chain, islice
 from pathlib import Path
 
 from . import __version__
@@ -39,6 +41,7 @@ from .experiments import (
     SQRT2_SLOPE_DIGITS,
     NetSpec,
     chaotic_series,
+    chunk_map,
     classify_outcome,
     detect_escape,
     sqrt2_experiment,
@@ -64,6 +67,10 @@ DEFAULT_STEPS = 50
 DEFAULT_TOL = 1e-3
 DEFAULT_BACKEND = "binary64"
 
+# sweep.csv rows per string; one string per chunk of 65536 rows (3.8 MB)
+# raised the peak RSS of a later --plot by 3 MB
+CSV_BLOCK_ROWS = 8192
+
 MANIFEST_SCHEMA = 1
 MANIFEST_NAME = "manifest.json"
 
@@ -73,6 +80,25 @@ MANIFEST_NAME = "manifest.json"
 
 def flag(name: str, **kwargs) -> tuple[str, dict]:
     return name, kwargs
+
+
+def bounded(kind: type, name: str, bound: str, ok):
+    """An argparse type: kind(text), refused with exit 2 unless ok(value)."""
+
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{name} must be {bound}, got {text}")
+        return value
+
+    return convert
+
+
+def positive_finite(name: str):
+    return bounded(float, name, "positive and finite", lambda v: 0 < v < math.inf)
 
 
 def steps_flag(default: int) -> tuple[str, dict]:
@@ -86,7 +112,8 @@ def x0_flag(default: str) -> tuple[str, dict]:
 H = flag("--h", default=DEFAULT_H, help="map slope, e.g. 1.5 or 3/2")
 K = flag("--k", type=int, default=DEFAULT_K, help="iterate power")
 SIGMA = flag("--sigma", default=DEFAULT_SIGMA, help="averaging parameter, above 1")
-TOL = flag("--tol", type=float, default=DEFAULT_TOL, help="classification distance")
+TOL = flag("--tol", type=positive_finite("tolerance"), default=DEFAULT_TOL,
+           help="classification distance")
 BACKEND = (
     flag("--backend", choices=("binary64", "rational", "decimal"),
          default=DEFAULT_BACKEND, help="number system for all map arithmetic"),
@@ -101,20 +128,28 @@ OUT = flag("--out", default=".", help="directory receiving artifacts and manifes
 def escape_flags(jump_tol: float) -> tuple[tuple[str, dict], ...]:
     """The flat-then-jump detector's three thresholds."""
     return (
-        flag("--flat-tol", type=float, default=DEFAULT_FLAT_TOL),
-        flag("--jump-tol", type=float, default=jump_tol),
-        flag("--min-flat", type=int, default=DEFAULT_MIN_FLAT),
+        flag("--flat-tol", default=DEFAULT_FLAT_TOL,
+             type=bounded(float, "flat tolerance", "finite and nonnegative",
+                          lambda v: 0 <= v < math.inf)),
+        flag("--jump-tol", type=positive_finite("jump tolerance"), default=jump_tol),
+        flag("--min-flat", default=DEFAULT_MIN_FLAT,
+             type=bounded(int, "min-flat", "nonnegative", lambda v: v >= 0)),
     )
 
 
 # --- artifacts and the runner
 
 
-def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
+def _csv_lines(rows):
     """Plain comma-joined lines: no cell tentlab writes needs CSV quoting."""
+    return (",".join(row) + "\n" for row in rows)
+
+
+def _write_csv(path: Path, header: tuple[str, ...], text) -> None:
+    """The header line, then the body's text pieces as they come."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+        fh.writelines(_csv_lines([header]))
+        fh.writelines(text)
 
 
 def _write_json(path: Path, doc) -> None:
@@ -167,8 +202,9 @@ def _run(ns: argparse.Namespace) -> int:
 
 
 # --- subcommands: each yields (artifact name, contents) in the order the
-# artifacts are written; a CSV's contents are (header, rows), a JSON
-# artifact's the document.  Rows are generators where they can be, so a
+# artifacts are written; a CSV's contents are (header, text), the text an
+# iterable of whole lines or blocks of them (_csv_lines), a JSON
+# artifact's the document.  The text is a generator where it can be, so a
 # large CSV is serialized as it is written instead of held in memory.
 # --out is added to every subcommand and is the one flag the manifest
 # leaves out.
@@ -185,7 +221,7 @@ def command(name: str, help_text: str, *flags: tuple[str, dict]):
 
 
 def _indexed(b, values):
-    return ((str(i), b.serialize(x)) for i, x in enumerate(values))
+    return _csv_lines((str(i), b.serialize(x)) for i, x in enumerate(values))
 
 
 @command("simulate", "iterate T^k from a start point",
@@ -228,7 +264,9 @@ def _cmd_cycles(ns, b, params, coeffs):
         for i, e in enumerate(entries)
         for j, x in enumerate(e["points"])
     )
-    yield "cycles.csv", (("cycle", "index", "point", "itinerary", "multiplier"), rows)
+    yield "cycles.csv", (
+        ("cycle", "index", "point", "itinerary", "multiplier"), _csv_lines(rows)
+    )
 
 
 @command("stabilize", "run the six-tap averaged recursion from x0",
@@ -252,13 +290,16 @@ def _cmd_stabilize(ns, b, params, coeffs):
               help="start-point net, uniform:N or triadic:M"),
          H, K, SIGMA, steps_flag(DEFAULT_STEPS), TOL,
          flag("--threads", type=int, default=None,
-              help="worker count for binary64 chunks; 0 = one per CPU "
-                   "(default: TENTLAB_THREADS or 1)"),
+              help="worker processes that compute and classify the sweep's "
+                   "chunks and format sweep.csv, at most one per chunk and "
+                   "per CPU; 0 = one per CPU (default: TENTLAB_THREADS or 1)"),
          *BACKEND, PLOT)
 def _cmd_sweep(ns, b, params, coeffs):
     spec = NetSpec.parse(ns.net)
     result = sweep(spec, params, ns.k, coeffs, ns.steps, ns.tol, threads=ns.threads)
-    yield "sweep.csv", (("x0", "outcome", "final", "distance"), _sweep_rows(b, result))
+    yield "sweep.csv", (
+        ("x0", "outcome", "final", "distance"), _sweep_text(b, result, ns.threads)
+    )
     yield "sweep.json", {
         "net": str(spec),
         "size": len(result.points),
@@ -268,14 +309,24 @@ def _cmd_sweep(ns, b, params, coeffs):
     }
 
 
-def _sweep_rows(b, result):
-    """CSV rows from the sweep's arrays, one chunk of Python values at a time."""
+def _sweep_text(b, result, threads):
+    """sweep.csv's rows in net order, formatted on chunk_map's workers one
+    chunk of the net each, as strings of CSV_BLOCK_ROWS rows."""
     names = [kind.value for kind in KINDS]
     columns = (result.points, result.codes, result.finals, result.distances)
-    for lo in range(0, len(result.points), DEFAULT_CHUNK_SIZE):
-        chunk = (c[lo : lo + DEFAULT_CHUNK_SIZE].tolist() for c in columns)
-        for x0, code, final, dist in zip(*chunk):
-            yield b.serialize(x0), names[code], b.serialize(final), repr(dist)
+
+    def chunk_text(index: int) -> list[str]:
+        lo = index * DEFAULT_CHUNK_SIZE
+        x0s, codes, finals, dists = (
+            c[lo : lo + DEFAULT_CHUNK_SIZE].tolist() for c in columns
+        )
+        rows = zip(map(b.serialize, x0s), map(names.__getitem__, codes),
+                   map(b.serialize, finals), map(repr, dists))
+        return ["".join(_csv_lines(islice(rows, CSV_BLOCK_ROWS)))
+                for _ in range(0, len(x0s), CSV_BLOCK_ROWS)]
+
+    count = -(-len(result.points) // DEFAULT_CHUNK_SIZE)
+    return chain.from_iterable(chunk_map(chunk_text, count, threads))
 
 
 def _event_doc(event, serialize):
@@ -325,7 +376,7 @@ def _cmd_sqrt2(ns, b, params, coeffs):
     reference = sqrt2_reference(ns.precision)
     b = run.params.backend
     rows = ((str(i), repr(abs(float(x - reference)))) for i, x in enumerate(run.points))
-    yield "sqrt2.csv", (("n", "deviation"), rows)
+    yield "sqrt2.csv", (("n", "deviation"), _csv_lines(rows))
     yield "sqrt2.json", {
         "precision": ns.precision,
         "steps": ns.steps,
@@ -361,7 +412,7 @@ def _cmd_fib(ns, b, params, coeffs):
             (b.serialize(run.seq[i]), b.serialize(run.seq[i + 1]))
             for i in range(len(run.seq) - 1)
         )
-        yield "phase.csv", (("x", "x_next"), pairs)
+        yield "phase.csv", (("x", "x_next"), _csv_lines(pairs))
         doc["unstable_slope"] = PHI
         doc["stable_slope"] = -1.0 / PHI
     yield "fib.json", doc
@@ -391,7 +442,7 @@ def _cmd_spectrum(ns, b, params, coeffs):
                 {"mu": mu, "radius": radius, "point": None, "stable": radius < 1.0}
             )
     rows = [(repr(e["mu"]), repr(e["radius"])) for e in entries]
-    yield "spectrum.csv", (("mu", "radius"), rows)
+    yield "spectrum.csv", (("mu", "radius"), _csv_lines(rows))
     yield "spectrum.json", {"sigma": ns.sigma, "entries": entries}
 
 

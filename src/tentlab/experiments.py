@@ -7,17 +7,19 @@ of a run that sat near an exactly-invariant value until accumulated
 roundoff expelled it, and the fixed-precision experiment reproduces that
 signature with a slope that agrees with sqrt(2) to 57 decimal digits.
 
-A sweep is four arrays, classified at once by classify_finals, the rule
-classify_outcome applies to one run.  It takes one of three paths.
-Binary64 runs numpy array kernels in chunks of 65536 points, so per-call
-overhead does not swamp the threads; every elementwise operation mirrors
-the scalar recursion's order.  Rational runs the same chunks, serially, on
-Python integer numerators over one shared denominator per time step, and
-returns the same reduced Fractions as the scalar recursion.  Decimal runs
-stabilized_orbit point by point: FixedDecimal rounds every operation, so
-a chunk's values share no denominator.  Chunk boundaries depend only on
-chunk_size, never on the worker count, so sweep output is bit-identical
-across thread counts and chunk sizes.
+A sweep is four arrays, classified by classify_finals, the rule
+classify_outcome applies to one run.  The net is cut into chunks of 65536
+points, so per-call overhead does not swamp the kernels, and every chunk
+runs one kernel picked by the backend.  Binary64 runs numpy array
+kernels; every elementwise operation mirrors the scalar recursion's order.
+Rational runs Python integer numerators over one shared denominator per
+time step, and returns the same reduced Fractions as the scalar
+recursion.  Decimal runs stabilized_orbit point by point: FixedDecimal
+rounds every operation, so a chunk's values share no denominator.
+chunk_map runs the chunks on forked worker processes, which compute and
+classify each chunk's finals; the CLI formats sweep.csv on the same pool.
+Chunk boundaries depend only on chunk_size, never on the worker count, so
+sweep output is bit-identical across worker counts and chunk sizes.
 
 detect_escape runs in O(n log^2 n) numpy work and O(n) extra memory, by
 binary lifting over window extrema, and returns exactly what the quadratic
@@ -31,7 +33,8 @@ import functools
 import math
 import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
+import signal
+import threading
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -222,6 +225,78 @@ def _resolve_threads(threads: int | None) -> int:
     return threads
 
 
+def _serve(work, conn, parent_ends) -> None:
+    """A worker's loop: answer each index with (True, work(index)), or with
+    (False, the exception it raised), until the parent closes the pipe."""
+    for end in parent_ends:  # copies from the fork; the parent's must close alone
+        end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops the workers
+    try:
+        while True:
+            index = conn.recv()
+            try:
+                reply = (True, work(index))
+            except Exception as exc:  # raised in the parent when index comes up
+                reply = (False, exc)
+            conn.send(reply)
+    except (EOFError, OSError):  # the parent closed its end
+        pass
+
+
+def chunk_map(work, count: int, threads: int | None = None):
+    """work(0), ..., work(count - 1), yielded in that order.
+
+    The indices run on min(threads, count, CPUs) worker processes forked
+    from this one, so work reads its inputs from the memory it inherits
+    and only the index and the result cross a pipe.  Worker w gets the
+    indices w, w + workers, ..., at most two at a time: results wait in
+    the workers, not here, and the next index goes out before a result is
+    yielded, so the workers compute while the caller consumes.  An
+    exception raised by work is raised here when its index comes up, as
+    the serial map raises it.  One worker or one index runs the plain
+    serial map, and so does a process with other threads alive, since a
+    fork copies only the calling thread and whatever locks the others
+    held.  threads defaults to TENTLAB_THREADS (0 means one per CPU).
+    """
+    workers = min(_resolve_threads(threads), count, os.cpu_count() or 1)
+    if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
+        yield from map(work, range(count))
+        return
+    import multiprocessing  # here, so that a start-up that never forks skips it
+
+    ctx = multiprocessing.get_context("fork")
+    ends, procs = [], []
+    try:
+        for _ in range(workers):
+            end, theirs = ctx.Pipe()
+            ends.append(end)
+            proc = ctx.Process(target=_serve, args=(work, theirs, ends), daemon=True)
+            proc.start()
+            procs.append(proc)
+            theirs.close()
+        window = 2 * workers
+        for index in range(min(count, window)):
+            ends[index % workers].send(index)
+        for index in range(count):
+            w = index % workers
+            try:
+                ok, value = ends[w].recv()
+            except (EOFError, ConnectionResetError):  # the worker is gone
+                procs[w].join()
+                raise RuntimeError(f"worker process exited with code {procs[w].exitcode}")
+            if not ok:
+                raise value
+            if index + window < count:
+                ends[w].send(index + window)
+            yield value
+    finally:
+        for end in ends:
+            end.close()
+        for proc in procs:
+            proc.terminate()
+            proc.join()
+
+
 def _tent_power_array(x: np.ndarray, h: float, k: int) -> np.ndarray:
     for _ in range(k):
         x = np.where(x <= 0.5, h * x, -h * x + h)
@@ -307,6 +382,17 @@ def _sweep_chunk_rational(
         taps.insert(0, f(nums, m))
 
 
+def _sweep_chunk_decimal(
+    x0s: np.ndarray, params: MapParams, k: int, coeffs: Coefficients, steps: int
+) -> np.ndarray:
+    """Final starred values for one chunk, one stabilized_orbit per point:
+    every FixedDecimal operation rounds, so the points share no denominator."""
+    return np.array(
+        [stabilized_orbit(x0, params, k, coeffs, steps).starred[-1] for x0 in x0s],
+        dtype=object,
+    )
+
+
 def sweep(
     spec: NetSpec,
     params: MapParams,
@@ -319,17 +405,16 @@ def sweep(
 ) -> SweepResult:
     """Classify a stabilized run from every net point.
 
-    Binary64 and rational nets run through their array kernel in chunks of
-    chunk_size points.  Binary64 chunks run on a thread pool when there is
-    more than one chunk and more than one thread; rational chunks run one
-    after another, because their pure-Python integer work holds the
-    interpreter lock, so a second thread would only hold a second chunk in
-    memory.  Decimal nets run stabilized_orbit per point: every decimal
-    operation rounds, so the points share no denominator.  Output is
-    ordered by net index and is bit-identical for any thread count and
-    chunk size; threads default to the TENTLAB_THREADS environment
-    variable (0 means one per CPU).
+    The net runs in chunks of chunk_size points through the backend's
+    chunk kernel, on chunk_map's worker processes, which also classify the
+    chunk's finals: classification is elementwise, so no process holds
+    the gaps of the whole net.  Output is ordered by net index and is
+    bit-identical for any worker count and chunk size; threads is the
+    worker count and defaults to the TENTLAB_THREADS environment variable
+    (0 means one per CPU).
     """
+    if k < 1:
+        raise DomainError(f"power must be a positive integer, got {k}")
     if steps < TAPS:
         raise DomainError(f"sweep needs at least {TAPS} steps, got {steps}")
     if not tolerance > 0:
@@ -342,24 +427,25 @@ def sweep(
     if b.kind != "binary64":
         points = np.array(points, dtype=object)
 
-    kernels = {"binary64": _sweep_chunk_binary64, "rational": _sweep_chunk_rational}
-    kernel = kernels.get(b.kind)
-    if kernel is None:  # decimal
-        finals = np.array(
-            [stabilized_orbit(x0, params, k, coeffs, steps).starred[-1] for x0 in points],
-            dtype=object,
+    if b.kind == "decimal":
+        kernel = functools.partial(
+            _sweep_chunk_decimal, params=params, k=k, coeffs=coeffs, steps=steps
         )
     else:
-        run_chunk = functools.partial(
-            kernel, h=params.h, k=k, a=tuple(map(b.check, coeffs.a)), steps=steps
+        kernel = functools.partial(
+            _sweep_chunk_binary64 if b.kind == "binary64" else _sweep_chunk_rational,
+            h=params.h, k=k, a=tuple(map(b.check, coeffs.a)), steps=steps,
         )
-        chunks = np.split(points, range(chunk_size, len(points), chunk_size))
-        if b.kind == "binary64" and nworkers > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=nworkers) as pool:
-                finals = np.concatenate(list(pool.map(run_chunk, chunks)))
-        else:
-            finals = np.concatenate([run_chunk(c) for c in chunks])
-    codes, distances = classify_finals(finals, _targets(params), tolerance)
+    targets = _targets(params)
+    chunks = np.split(points, range(chunk_size, len(points), chunk_size))
+
+    def run_chunk(index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        finals = kernel(chunks[index])
+        return (finals, *classify_finals(finals, targets, tolerance))
+
+    finals, codes, distances = map(
+        np.concatenate, zip(*chunk_map(run_chunk, len(chunks), nworkers))
+    )
     return SweepResult(
         net=spec,
         steps=steps,

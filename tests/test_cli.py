@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, artifact bytes, manifests, SVG."""
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tentlab import cli
+from tentlab import cli, experiments
 from tentlab.backends import DomainError
 from tentlab.cli import build_parser, replay_manifest, run_command
 from tentlab.svgplot import TableFile, render_plot, render_svg
@@ -34,6 +35,56 @@ REPLAY_SET = [
     ["sqrt2", "--steps", "100"],
     ["stabilize", "--backend", "decimal", "--precision", "30"],
 ]
+
+
+# sha256 of (sweep.csv, sweep.json) for --net uniform:1000, recorded before
+# the sweep held its results as arrays; the rows and counts must not change
+UNIFORM_1000_DIGESTS = (
+    "944afcadc8816818a6046b02a94e4a5afce3dc977ec1a09a728a98c083415548",
+    "e824598285e387eaa43000c74f858e8e62a6f6ca0a3931e87059658cc92fdf80",
+)
+PINNED_SWEEPS = [
+    pytest.param(["--net", "uniform:1000", "--threads", "1"], UNIFORM_1000_DIGESTS,
+                 id="uniform-threads1"),
+    pytest.param(["--net", "uniform:1000", "--threads", "2"], UNIFORM_1000_DIGESTS,
+                 id="uniform-threads2"),
+    pytest.param(
+        ["--net", "triadic:2", "--backend", "rational"],
+        ("9b385f15329cbbc416a4b7b0760d0bab6848edf04cf1ae7df2b0df53aa1979c0",
+         "1f5dcad86accc516749aa364d1ab90e7aa3aaf2ca10effca492d9c37f532ebb1"),
+        id="triadic-rational",
+    ),
+    # recorded from the per-point Fraction recursion, before the rational
+    # sweep ran on shared-denominator integers
+    pytest.param(
+        ["--h", "19/10", "--k", "1", "--net", "uniform:60", "--backend", "rational"],
+        ("1e17fbc6acb1996cf22d8f8018c0cc9e726020f0045d504a67e76287eeef4b32",
+         "06666bf7de9ec30d1a48acff702a969ffd842d20e4e9cc8e3c5e0c197fba875a"),
+        id="uniform-rational-h19_10-k1",
+    ),
+    pytest.param(
+        ["--k", "3", "--net", "triadic:1", "--steps", "30", "--backend", "rational"],
+        ("20718b36ee81ba6fc349075c5ccffbcab4b95c60efab9181a37b2fd9674c26dc",
+         "6c9e474748592b7d577c82a1ac37b64e2fd588f98338e5663c5af9dab9abfec5"),
+        id="triadic-rational-k3",
+    ),
+    # recorded from the serial per-point decimal sweep, before decimal ran
+    # as a chunk kernel on the worker pool
+    pytest.param(
+        ["--net", "uniform:200", "--steps", "20", "--backend", "decimal",
+         "--precision", "30"],
+        ("92fcc24e1679926ed804d0cfc747f9eb408ac954da3655bc8f7aa0925e57e83e",
+         "90f412086ea4a1ec3dd22df76f15b6ca2c08614b56443d6a65b644d9b66d9d7d"),
+        id="uniform-decimal",
+    ),
+]
+
+
+def sweep_digests(out: Path) -> tuple[str, str]:
+    return tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("sweep.csv", "sweep.json")
+    )
 
 
 def read_json(path: Path):
@@ -77,6 +128,32 @@ class TestExitCodes:
             ["simulate", "--backend", "decimal", "--out", str(tmp_path)]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["escape", "--flat-tol", "nan"], "flat tolerance must be finite and nonnegative"),
+            (["escape", "--flat-tol", "-0.5"], "flat tolerance must be finite and nonnegative"),
+            (["sqrt2", "--flat-tol", "inf"], "flat tolerance must be finite and nonnegative"),
+            (["escape", "--jump-tol", "nan"], "jump tolerance must be positive and finite"),
+            (["escape", "--jump-tol", "-1"], "jump tolerance must be positive and finite"),
+            (["sqrt2", "--jump-tol", "0"], "jump tolerance must be positive and finite"),
+            (["escape", "--min-flat", "-5"], "min-flat must be nonnegative"),
+            (["escape", "--min-flat", "1.5"], "invalid int value: '1.5'"),
+            (["sweep", "--tol", "inf"], "tolerance must be positive and finite"),
+            (["stabilize", "--tol", "inf"], "tolerance must be positive and finite"),
+        ],
+    )
+    def test_flag_out_of_bounds_rejected_before_out(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert run_command([*argv, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flag_bounds_admit_their_edges(self, tmp_path):
+        argv = ["escape", "--flat-tol", "0", "--min-flat", "0", "--jump-tol", "1e300"]
+        assert run_command([*argv, "--out", str(tmp_path)]) == 0
+        assert read_json(tmp_path / "escape.json")["event"] is None
 
     def test_start_outside_unit_interval(self, tmp_path):
         code = run_command(
@@ -262,49 +339,67 @@ class TestSweep:
             == 2
         )
 
-    # sha256 of (sweep.csv, sweep.json), recorded before the sweep held
-    # its results as arrays; the rows and counts must not change
-    @pytest.mark.parametrize(
-        "argv, digests",
-        [
-            (
-                ["--net", "uniform:1000", "--threads", "1"],
-                ("944afcadc8816818a6046b02a94e4a5afce3dc977ec1a09a728a98c083415548",
-                 "e824598285e387eaa43000c74f858e8e62a6f6ca0a3931e87059658cc92fdf80"),
-            ),
-            (
-                ["--net", "uniform:1000", "--threads", "2"],
-                ("944afcadc8816818a6046b02a94e4a5afce3dc977ec1a09a728a98c083415548",
-                 "e824598285e387eaa43000c74f858e8e62a6f6ca0a3931e87059658cc92fdf80"),
-            ),
-            (
-                ["--net", "triadic:2", "--backend", "rational"],
-                ("9b385f15329cbbc416a4b7b0760d0bab6848edf04cf1ae7df2b0df53aa1979c0",
-                 "1f5dcad86accc516749aa364d1ab90e7aa3aaf2ca10effca492d9c37f532ebb1"),
-            ),
-            # recorded from the per-point Fraction recursion, before the
-            # rational sweep ran on shared-denominator integers
-            (
-                ["--h", "19/10", "--k", "1", "--net", "uniform:60", "--backend", "rational"],
-                ("1e17fbc6acb1996cf22d8f8018c0cc9e726020f0045d504a67e76287eeef4b32",
-                 "06666bf7de9ec30d1a48acff702a969ffd842d20e4e9cc8e3c5e0c197fba875a"),
-            ),
-            (
-                ["--k", "3", "--net", "triadic:1", "--steps", "30", "--backend", "rational"],
-                ("20718b36ee81ba6fc349075c5ccffbcab4b95c60efab9181a37b2fd9674c26dc",
-                 "6c9e474748592b7d577c82a1ac37b64e2fd588f98338e5663c5af9dab9abfec5"),
-            ),
-        ],
-        ids=["uniform-threads1", "uniform-threads2", "triadic-rational",
-             "uniform-rational-h19_10-k1", "triadic-rational-k3"],
-    )
+    @pytest.mark.parametrize("argv, digests", PINNED_SWEEPS)
     def test_artifact_bytes_pinned(self, tmp_path, argv, digests):
         assert run_command(["sweep", *argv, "--out", str(tmp_path)]) == 0
-        got = tuple(
-            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in ("sweep.csv", "sweep.json")
-        )
-        assert got == digests
+        assert sweep_digests(tmp_path) == digests
+
+    @pytest.mark.parametrize("argv, digests", PINNED_SWEEPS)
+    def test_artifact_bytes_do_not_depend_on_workers(
+        self, tmp_path, monkeypatch, forks, argv, digests
+    ):
+        # small chunks, so that every net has several
+        monkeypatch.setattr(cli, "sweep", functools.partial(experiments.sweep, chunk_size=7))
+        monkeypatch.setattr(cli, "DEFAULT_CHUNK_SIZE", 11)
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 4)
+        for threads in ("1", "2", "0"):
+            out = tmp_path / threads
+            assert run_command(["sweep", *argv, "--threads", threads, "--out", str(out)]) == 0
+            assert sweep_digests(out) == digests
+        # two workers for the sweep and two for sweep.csv, at 2 and at 0 (one per CPU)
+        assert len(forks) == 8
+        assert not any(proc.is_alive() for proc in forks)
+
+    def test_worker_error_exits_as_the_serial_run_does(
+        self, tmp_path, monkeypatch, capsys, forks
+    ):
+        kernel = experiments._sweep_chunk_binary64
+
+        def refuse_upper_half(x0s, **kwargs):
+            if x0s[0] >= 0.5:
+                raise DomainError(f"chunk from {float(x0s[0])!r} refused")
+            return kernel(x0s, **kwargs)
+
+        monkeypatch.setattr(experiments, "_sweep_chunk_binary64", refuse_upper_half)
+        monkeypatch.setattr(cli, "sweep", functools.partial(experiments.sweep, chunk_size=64))
+        seen = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            code = run_command(["sweep", "--net", "uniform:1000", "--threads", threads,
+                                "--out", str(out)])
+            seen.append((code, capsys.readouterr().err, out.exists()))
+        # chunk 8, from 512/1000, is the first to fail in net order
+        assert seen == [(2, "tentlab: error: chunk from 0.512 refused\n", False)] * 2
+        assert len(forks) == 2
+
+    def test_thread_count_is_capped_without_starting_a_pool(self, tmp_path, forks):
+        # one chunk caps the workers at one; never ask for many processes
+        argv = ["sweep", "--net", "uniform:1000", "--threads", "100000", "--out", str(tmp_path)]
+        assert run_command(argv) == 0
+        assert sweep_digests(tmp_path) == UNIFORM_1000_DIGESTS
+        assert forks == []
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    @pytest.mark.parametrize(
+        "backend",
+        [[], ["--backend", "rational"], ["--backend", "decimal", "--precision", "30"]],
+        ids=["binary64", "rational", "decimal"],
+    )
+    def test_nonpositive_power_rejected(self, tmp_path, capsys, backend, k):
+        out = tmp_path / "out"
+        assert run_command(["sweep", "--k", k, *backend, "--out", str(out)]) == 2
+        assert "power must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEscape:

@@ -8,6 +8,8 @@ integer arithmetic, never against math.sqrt.
 """
 
 import math
+import os
+import threading
 from decimal import Decimal
 from fractions import Fraction
 
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tentlab import experiments
-from tentlab.backends import Binary64, DomainError, ParseError, Rational
+from tentlab.backends import Binary64, DomainError, FixedDecimal, ParseError, Rational
 from tentlab.experiments import (
     SQRT2_SLOPE_DIGITS,
     KINDS,
@@ -26,6 +28,7 @@ from tentlab.experiments import (
     OutcomeKind,
     build_net,
     chaotic_series,
+    chunk_map,
     classify_finals,
     classify_outcome,
     detect_escape,
@@ -134,6 +137,11 @@ def b64_setup(h=1.5):
 def rat_setup():
     b = Rational()
     return MapParams(b.parse("3/2"), b), build_coefficients(b.parse("6/5"), b)
+
+
+def dec_setup():
+    b = FixedDecimal(30)
+    return MapParams(b.parse("1.5"), b), build_coefficients(b.parse("1.2"), b)
 
 
 @pytest.fixture(scope="module")
@@ -313,6 +321,64 @@ class TestClassifyFinals:
         assert distances.tolist() == [0.125, 0.125, 0.0, 0.25]
 
 
+class TestChunkMap:
+    def test_yields_in_index_order_from_the_workers(self, forks):
+        assert list(chunk_map(lambda i: i * i, 11, threads=2)) == [i * i for i in range(11)]
+        pids = set(chunk_map(lambda i: os.getpid(), 6, threads=2))
+        assert len(pids) == 2 and os.getpid() not in pids
+        assert len(forks) == 4
+        assert not any(proc.is_alive() for proc in forks)
+
+    def test_first_failing_index_raises_as_in_the_serial_map(self, forks):
+        def work(i):
+            if i >= 3:
+                raise DomainError(f"chunk {i} failed")
+            return i
+
+        for threads in (1, 2):
+            with pytest.raises(DomainError, match="^chunk 3 failed$"):
+                list(chunk_map(work, 8, threads))
+        assert len(forks) == 2
+        assert not any(proc.is_alive() for proc in forks)
+
+    def test_a_worker_that_dies_fails_the_map(self, forks):
+        def work(i):
+            if i == 1:
+                os._exit(3)
+            return i
+
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            list(chunk_map(work, 4, threads=2))
+        assert not any(proc.is_alive() for proc in forks)
+
+    def test_workers_stop_when_the_caller_stops_early(self, forks):
+        results = chunk_map(lambda i: i, 10, threads=2)
+        assert next(results) == 0
+        results.close()
+        assert len(forks) == 2
+        assert not any(proc.is_alive() for proc in forks)
+
+    def test_one_worker_or_one_index_runs_serially(self, forks):
+        pid = os.getpid()
+        assert list(chunk_map(lambda i: os.getpid(), 1, threads=100000)) == [pid]
+        assert list(chunk_map(lambda i: os.getpid(), 3, threads=1)) == [pid] * 3
+        assert forks == []
+
+    def test_other_threads_alive_run_serially(self, forks):
+        # a fork copies only the calling thread, not what the others hold
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            pids = list(chunk_map(lambda i: os.getpid(), 4, threads=2))
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert pids == [os.getpid()] * 4
+        assert forks == []
+
+
 class TestSweep:
     def test_small_uniform_bookkeeping(self):
         params, coeffs = b64_setup()
@@ -364,19 +430,29 @@ class TestSweep:
                               threads=threads, **kw)
                 assert_same_bits(other, base)
 
-    def test_rational_chunks_run_serially(self, monkeypatch):
-        # pure-Python integer work holds the interpreter lock, so a pool
-        # would only hold a second chunk in memory
-        params, coeffs = rat_setup()
-        spec = NetSpec.uniform(300)
-        base = sweep(spec, params, 2, coeffs, 30, 1e-3, threads=1, chunk_size=64)
+    def test_every_backend_runs_its_chunks_on_worker_processes(self, forks):
+        setups = (b64_setup(), rat_setup(), dec_setup())
+        for params, coeffs in setups:
+            spec = NetSpec.uniform(150)
+            base = sweep(spec, params, 2, coeffs, 30, 1e-3, threads=1, chunk_size=32)
+            assert forks == []
+            other = sweep(spec, params, 2, coeffs, 30, 1e-3, threads=2, chunk_size=32)
+            assert_same_bits(other, base)
+            assert len(forks) == 2
+            assert not any(proc.is_alive() for proc in forks)
+            forks.clear()
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("a rational sweep started a thread pool")
+    def test_decimal_sweep_matches_scalar_recursion(self):
+        params, coeffs = dec_setup()
+        result = sweep(NetSpec.uniform(20), params, 2, coeffs, 25, 1e-3, chunk_size=6)
+        for x0, final in zip(result.points.tolist(), result.finals.tolist()):
+            assert final == stabilized_orbit(x0, params, 2, coeffs, 25).starred[-1]
 
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", refuse)
-        other = sweep(spec, params, 2, coeffs, 30, 1e-3, threads=2, chunk_size=64)
-        assert_same_bits(other, base)
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_nonpositive_power_rejected_on_every_backend(self, k):
+        for params, coeffs in (b64_setup(), rat_setup(), dec_setup()):
+            with pytest.raises(DomainError, match="power must be a positive integer"):
+                sweep(NetSpec.uniform(10), params, k, coeffs, 30, 1e-3)
 
     @pytest.mark.parametrize("chunk_size", [1, 7, 128, 65536])
     def test_chunk_size_does_not_change_bits(self, chunk_size):
