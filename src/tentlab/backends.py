@@ -19,6 +19,7 @@ fractional digits.
 
 from __future__ import annotations
 
+import contextlib
 import decimal
 import enum
 import re
@@ -98,6 +99,11 @@ class Backend:
     def neg(self, a: Scalar) -> Scalar:
         """Exact negation; never rounds in any backend."""
         return -self.check(a)
+
+    def context(self):
+        """A context manager under which the value type's own operators, on
+        scalars and on object arrays alike, round as this backend's do."""
+        return contextlib.nullcontext()
 
     def affine(self, a: Scalar, x: Scalar, b: Scalar) -> Scalar:
         """a*x + b, rounded once after the multiply and once after the add."""
@@ -255,6 +261,9 @@ class FixedDecimal(Backend):
     def neg(self, a: Decimal) -> Decimal:
         return self.check(a).copy_negate()
 
+    def context(self):
+        return decimal.localcontext(self._ctx)
+
     def serialize(self, x: Decimal) -> str:
         self.check(x)
         # room for every integer digit plus the full fractional tail
@@ -284,7 +293,9 @@ class FixedDecimal(Backend):
 
 
 def make_backend(kind: str, precision_digits: int | None = None) -> Backend:
-    """Build a backend from its name; precision applies to decimal only."""
+    """Build a backend from its name; only decimal takes a precision."""
+    if kind in ("binary64", "rational") and precision_digits is not None:
+        raise DomainError(f"{kind} backend takes no precision, got {precision_digits}")
     if kind == "binary64":
         return Binary64()
     if kind == "rational":

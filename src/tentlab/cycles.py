@@ -11,23 +11,21 @@ that realizes an aperiodic word visits n distinct points, and two words
 of different rotation classes never give the same cycle, so the
 enumeration needs no deduplication pass.
 
-Binary64 and rational read the Lyndon words from one integer array, most
+The census reads the Lyndon words from one integer array, most
 significant bit first with L = 0, so ascending order is the
-Fredricksen-Kessler-Maiorana (lexicographic) order of the scalar walk and
-the stable sort breaks ties as before.  Binary64 composes (A, B) and walks
-every orbit as (words x n) numpy arrays, one IEEE operation for each
-scalar one and in the same order, so every value is bit-identical to the
-per-word loop.  Rational works on Python integers, with h = p/q: the
-intercept after t symbols is beta/q^t, where beta goes to p*beta on L and
-to p*(q^(t-1) - beta) on R, and x* = beta/(q^n - s*p^n) with s = (-1)^#R;
-the orbit walks N/M, with N going to p*N when 2N <= M and to p*(M - N)
-otherwise, and M to q*M, and closes when N_n = N_0*q^n.  Decimal keeps the
-depth-first FKM walk of _lyndon_cells, where each tree edge composes one
-branch map onto its parent's (A, B), so words sharing a prefix share its
-composition: FixedDecimal rounds every operation, so its values have
-neither an integer form nor a numpy dtype.  Every factor of A is +-h, so
-A is also the cycle's multiplier: the slope product along the orbit, the
-same in any order and from any rotation.
+Fredricksen-Kessler-Maiorana (lexicographic) order and the stable sort
+breaks ties by it.  It has two kernels.  The rounded one serves binary64
+and decimal: it composes (A, B) and walks every orbit as (words x n)
+arrays, float64 or Decimal objects, under the backend's context, so each
+elementwise operation rounds as the backend's scalar operation does, in
+the order the per-word composition and tent_step take them.  The exact
+one works on Python integers, with h = p/q: the intercept after t symbols
+is beta/q^t, where beta goes to p*beta on L and to p*(q^(t-1) - beta) on
+R, and x* = beta/(q^n - s*p^n) with s = (-1)^#R; the orbit walks N/M,
+with N going to p*N when 2N <= M and to p*(M - N) otherwise, and M to
+q*M, and closes when N_n = N_0*q^n.  Every factor of A is +-h, so A is
+also the cycle's multiplier: the slope product along the orbit, the same
+in any order and from any rotation.
 """
 
 from __future__ import annotations
@@ -93,41 +91,19 @@ def two_cycle(params: MapParams) -> tuple[Scalar, Scalar]:
     return b.div(params.h, d), b.div(h2, d)
 
 
-def _lyndon_cells(n: int, params: MapParams) -> Iterator[tuple[str, Scalar, Scalar]]:
-    """(word, A, B) per binary Lyndon word of length n over L < R, in
-    lexicographic order (one per rotation class of each primitive word),
-    with A*x + B the n-fold map on the word's cell."""
-    b, h, neg_h = params.backend, params.h, params.neg_h
-    a = [0] * (n + 1)
+def _closes(x, y, b: Backend):
+    """|x - y| within the closing tolerance, elementwise on arrays: x == y
+    on rational, 1e-12 on binary64, 10^(5-p) on decimal.
 
-    def gen(t: int, p: int, A: Scalar, B: Scalar):
-        if t > n:
-            if p == n:  # aperiodic only
-                yield "".join("LR"[s] for s in a[1:]), A, B
-            return
-        first = a[t - p]
-        for s in range(first, 2):
-            a[t] = s
-            if s:  # R: (-h)*x + h
-                cell = b.mul(neg_h, A), b.add(b.mul(neg_h, B), h)
-            else:  # L: h*x
-                cell = b.mul(h, A), b.mul(h, B)
-            yield from gen(t + 1, p if s == first else t, *cell)
-
-    yield from gen(1, 1, b.from_int(1), b.from_int(0))
-
-
-def _closes(x: Scalar, y: Scalar, b: Backend) -> bool:
-    """x == y on rational; |x - y| <= 1e-12 on binary64, 10^(5-p) on decimal.
-
-    The decimal test stays in Decimal: as a float, 10^(5-p) underflows to
-    0.0 from p = 329 on.
+    The decimal tolerance stays in Decimal: as a float, 10^(5-p) underflows
+    to 0.0 from p = 329 on.
     """
-    if b.kind == "rational":
-        return x == y
     if b.kind == "decimal":
-        return b.sub(x, y).copy_abs() <= Decimal(1).scaleb(5 - b.precision_digits)
-    return abs(b.sub(x, y)) <= _B64_CLOSING_TOL
+        tol = Decimal(1).scaleb(5 - b.precision_digits)
+    else:
+        tol = _B64_CLOSING_TOL if b.kind == "binary64" else 0
+    with b.context():
+        return abs(x - y) <= tol
 
 
 def _lyndon_word_array(n: int) -> np.ndarray:
@@ -157,39 +133,44 @@ def _word_texts(words: np.ndarray, n: int) -> list[str]:
     return [format(w, f"0{n}b").translate(_LR) for w in words.tolist()]
 
 
-def _closing_binary64(n: int, params: MapParams) -> Iterator[Closing]:
-    """The binary64 census as numpy arrays over every Lyndon word at once.
+def _closing_rounded(n: int, params: MapParams) -> Iterator[Closing]:
+    """The binary64 and decimal census as arrays over every Lyndon word at
+    once, float64 or Decimal objects, under the backend's context.
 
-    Each elementwise operation is the IEEE operation the scalar path takes
-    at the same place (_lyndon_cells, clamp_unit, tent_step, _closes), so
-    every value is bit-identical to it.  No walk point needs clamping: a
-    tent step maps [0, 1] into [0, h/2] exactly in binary64.
+    Each elementwise operation rounds as the scalar operation at the same
+    place (the per-word composition of (A, B), clamp_unit, tent_step,
+    _closes), so every value is bit-identical to the per-word walk.  No
+    walk point needs clamping: a tent step maps [0, 1] into itself under
+    either rounding (see _sweep_chunk_rounded).
     """
-    h = params.h
+    b, h = params.backend, params.h
+    one, half = b.from_int(1), b.parse("0.5")
     words = _lyndon_word_array(n)
     symbols = _symbols(words, n)
-    A = np.ones(len(words))
-    B = np.zeros(len(words))
-    for s in symbols.T:
-        A = np.where(s, -h * A, h * A)
-        B = np.where(s, -h * B + h, h * B)
-    x_star = B / (1.0 - A)
-    # clamp_unit would snap a value one ulp outside [0, 1] to 0 or 1, but
-    # neither orbit (all L; R then all L) realizes a word of length n >= 2,
-    # which starts with L and ends with R, so those words go with the rest;
-    # at n = 1, x* is -0.0 or h/(h+1)
-    keep = np.flatnonzero((x_star >= 0) & (x_star <= 1))
-    words, symbols, A, x_star = words[keep], symbols[keep], A[keep], x_star[keep]
+    with b.context():
+        A = np.full(len(words), one)
+        B = np.full(len(words), b.from_int(0))
+        for s in symbols.T:
+            A = np.where(s, -h * A, h * A)
+            B = np.where(s, -h * B + h, h * B)
+        x_star = B / (one - A)
+        # clamp_unit rejects x* outside [0, 1] on decimal, which has no
+        # slack; on binary64 it would snap a value one ulp outside to 0 or
+        # 1, but neither orbit (all L; R then all L) realizes a word of
+        # length n >= 2, which starts with L and ends with R, so those
+        # words go with the rest; at n = 1, x* is -0 or h/(h+1)
+        keep = np.flatnonzero((x_star >= 0) & (x_star <= 1))
+        words, symbols, A, x_star = words[keep], symbols[keep], A[keep], x_star[keep]
 
-    orbits = np.empty((len(words), n))
-    realized = np.ones(len(words), dtype=bool)
-    x = x_star
-    for t in range(n):
-        left = x <= 0.5
-        realized &= left != symbols[:, t]
-        orbits[:, t] = x
-        x = np.where(left, h * x, -h * x + h)
-    closed = np.flatnonzero(realized & (np.abs(x - x_star) <= _B64_CLOSING_TOL))
+        orbits = np.empty((len(words), n), dtype=x_star.dtype)
+        realized = np.ones(len(words), dtype=bool)
+        x = x_star
+        for t in range(n):
+            left = x <= half
+            realized &= left != symbols[:, t]
+            orbits[:, t] = x
+            x = np.where(left, h * x, -h * x + h)
+    closed = np.flatnonzero(realized & _closes(x, x_star, b))
     orbits = orbits[closed]
     return zip(_word_texts(words[closed], n), orbits.argmin(axis=1).tolist(),
                orbits.tolist(), A[closed].tolist())
@@ -197,7 +178,7 @@ def _closing_binary64(n: int, params: MapParams) -> Iterator[Closing]:
 
 def _closing_rational(n: int, params: MapParams) -> Iterator[Closing]:
     """The exact census on Python integers, by the recurrences of the
-    module docstring; equal to the scalar path's.
+    module docstring; equal to the per-word walk's.
 
     h > 1 makes p^n > q^n, which fixes the sign of x*'s denominator.  The
     tie 2N = M at 1/2 goes LEFT.  Only the stored points become Fractions.
@@ -232,35 +213,6 @@ def _closing_rational(n: int, params: MapParams) -> Iterator[Closing]:
                        Fraction(-pn if odd else pn, qn))
 
 
-def _closing_decimal(n: int, params: MapParams) -> Iterator[Closing]:
-    """The scalar walk over _lyndon_cells: FixedDecimal rounds every
-    operation, so the words' values share no integer form."""
-    b = params.backend
-    one = b.from_int(1)
-    for word, A, B in _lyndon_cells(n, params):
-        try:
-            x_star = b.clamp_unit(b.div(B, b.sub(one, A)))
-        except DomainError:  # 1 - A = 0, or the fixed point leaves [0, 1]
-            continue
-        # walk the orbit (tent_step clamps it); each point must realize its symbol
-        pts = []
-        x = x_star
-        for sym in word:
-            if b.cmp_half(x).value != sym:
-                break
-            pts.append(x)
-            x = tent_step(x, params)
-        if len(pts) == n and _closes(x, x_star, b):
-            yield word, min(range(n), key=pts.__getitem__), pts, A
-
-
-_CLOSING = {
-    "binary64": _closing_binary64,
-    "rational": _closing_rational,
-    "decimal": _closing_decimal,
-}
-
-
 def enumerate_cycles(params: MapParams, n: int) -> list[Cycle]:
     """Every cycle of minimal period n, canonically rotated and sorted.
 
@@ -268,10 +220,11 @@ def enumerate_cycles(params: MapParams, n: int) -> list[Cycle]:
     """
     if not 1 <= n <= MAX_ENUM_PERIOD:
         raise DomainError(f"period must lie in [1, {MAX_ENUM_PERIOD}], got {n}")
+    closing = _closing_rational if params.backend.kind == "rational" else _closing_rounded
     found = [
         Cycle(period=n, points=tuple(pts[m:] + pts[:m]),
               itinerary=word[m:] + word[:m], multiplier=A)
-        for word, m, pts, A in _CLOSING[params.backend.kind](n, params)
+        for word, m, pts, A in closing(n, params)
     ]
     found.sort(key=lambda c: float(c.points[0]))  # stable: ties keep FKM order
     return found

@@ -10,16 +10,16 @@ signature with a slope that agrees with sqrt(2) to 57 decimal digits.
 A sweep is four arrays, classified by classify_finals, the rule
 classify_outcome applies to one run.  The net is cut into chunks of 65536
 points, so per-call overhead does not swamp the kernels, and every chunk
-runs one kernel picked by the backend.  Binary64 runs numpy array
-kernels; every elementwise operation mirrors the scalar recursion's order.
-Rational runs Python integer numerators over one shared denominator per
-time step, and returns the same reduced Fractions as the scalar
-recursion.  Decimal runs stabilized_orbit point by point: FixedDecimal
-rounds every operation, so a chunk's values share no denominator.
-chunk_map runs the chunks on forked worker processes, which compute and
-classify each chunk's finals; the CLI formats sweep.csv on the same pool.
-Chunk boundaries depend only on chunk_size, never on the worker count, so
-sweep output is bit-identical across worker counts and chunk sizes.
+runs one of two kernels.  The rounded kernel serves binary64 and decimal:
+numpy arrays of float64 or of Decimal objects, under the backend's
+context, so every elementwise operation rounds as the scalar recursion's
+does and in its order.  The exact kernel runs Python integer numerators
+over one shared denominator per time step, and returns the same reduced
+Fractions as the scalar recursion.  chunk_map runs the chunks on forked
+worker processes, which compute and classify each chunk's finals; the CLI
+formats sweep.csv on the same pool.  Chunk boundaries depend only on
+chunk_size, never on the worker count, so sweep output is bit-identical
+across worker counts and chunk sizes.
 
 detect_escape runs in O(n log^2 n) numpy work and O(n) extra memory, by
 binary lifting over window extrema, and returns exactly what the quadratic
@@ -41,11 +41,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .backends import (
-    Backend, Binary64, DomainError, FixedDecimal, ParseError, Rational, Scalar,
-)
+from .backends import Backend, DomainError, FixedDecimal, ParseError, Scalar
 from .cycles import fixed_point, two_cycle
-from .stabilize import TAPS, Coefficients, StabRun, stabilized_orbit
+from .stabilize import TAPS, Coefficients, StabRun
 from .tentmap import MapParams, Orbit, orbit
 
 MAX_NET_SIZE = 10**7
@@ -54,7 +52,6 @@ DEFAULT_FLAT_TOL = 1e-9
 DEFAULT_JUMP_TOL = 1e-3
 DEFAULT_MIN_FLAT = 30
 
-THREADS_ENV_VAR = "TENTLAB_THREADS"
 DEFAULT_CHUNK_SIZE = 65536
 
 # slope agreeing with sqrt(2) through 57 fractional digits
@@ -209,15 +206,7 @@ def classify_outcome(
     return Outcome(KINDS[codes[0]], final, float(distances[0]))
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise DomainError(
-                f"{THREADS_ENV_VAR} must be an integer, got {raw!r}"
-            )
+def _resolve_threads(threads: int) -> int:
     if threads == 0:
         threads = os.cpu_count() or 1
     if threads < 0:
@@ -243,7 +232,7 @@ def _serve(work, conn, parent_ends) -> None:
         pass
 
 
-def chunk_map(work, count: int, threads: int | None = None):
+def chunk_map(work, count: int, threads: int = 1):
     """work(0), ..., work(count - 1), yielded in that order.
 
     The indices run on min(threads, count, CPUs) worker processes forked
@@ -256,7 +245,7 @@ def chunk_map(work, count: int, threads: int | None = None):
     the serial map raises it.  One worker or one index runs the plain
     serial map, and so does a process with other threads alive, since a
     fork copies only the calling thread and whatever locks the others
-    held.  threads defaults to TENTLAB_THREADS (0 means one per CPU).
+    held.  threads = 0 means one per CPU.
     """
     workers = min(_resolve_threads(threads), count, os.cpu_count() or 1)
     if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
@@ -297,43 +286,54 @@ def chunk_map(work, count: int, threads: int | None = None):
             proc.join()
 
 
-def _tent_power_array(x: np.ndarray, h: float, k: int) -> np.ndarray:
+def _tent_power_array(x: np.ndarray, h: Scalar, half: Scalar, k: int) -> np.ndarray:
     for _ in range(k):
-        x = np.where(x <= 0.5, h * x, -h * x + h)
+        x = np.where(x <= half, h * x, -h * x + h)
     return x
 
 
-def _sweep_chunk_binary64(
-    x0s: np.ndarray, h: float, k: int, a: tuple[float, ...], steps: int
+def _sweep_chunk_rounded(
+    x0s: np.ndarray, params: MapParams, k: int, a: tuple[Scalar, ...], steps: int
 ) -> np.ndarray:
     """Final starred values for one chunk, mirroring the scalar recursion.
 
-    Only an averaged value can leave [0, 1], so only those are checked,
-    once per step: a tent step maps [0, 1] into [0, h/2] exactly in
-    binary64, since h*0.5 and -h*1 + h are exact and rounding is monotone.
-    A step whose averages leave [0, 1] runs them through clamp_unit, which
-    snaps a value within Binary64's slack and raises beyond it, as the
-    scalar recursion does before f reads the value.  The final average,
+    x0s is float64 under binary64 and holds Decimals (dtype=object) under
+    decimal, whose context makes each array operation round as the scalar
+    one.  Only an averaged value can leave [0, 1], so only those are
+    checked, once per step.  A tent step cannot leave it under any
+    monotone rounding that represents 0, 1, h and 1 - h, as both backends
+    do for h in (1, 2] (1 - h by Sterbenz's lemma in binary64; in decimal
+    it has no more fractional digits than h).  On the left branch h*x lies
+    in [0, h/2], within [0, 1], so it rounds into [0, 1].  On the right,
+    -h*x lies in [-h, -h/2], within [-h, 1 - h], so it rounds into
+    [-h, 1 - h], and adding h gives an exact sum in [0, 1] that rounds
+    into [0, 1].  A step whose averages leave [0, 1] runs them through
+    clamp_unit, which snaps a value within the backend's slack and raises
+    beyond it, as the scalar recursion does before f reads the value;
+    decimal has no slack, so there it always raises.  The final average,
     which f never reads, is returned unsnapped.
     """
-    iterates = [np.asarray(x0s, dtype=np.float64)]
-    for _ in range(TAPS):
-        iterates.append(_tent_power_array(iterates[-1], h, k))
-    fvals = iterates[1:]  # f at the six seed values
-    for t in range(TAPS, steps + 1):
-        current = a[0] * fvals[-1]
-        for i in range(2, TAPS + 1):
-            current = current + a[i - 1] * fvals[-i]
-        if t == steps:
-            return current
-        if not (current.min() >= 0 and current.max() <= 1):  # NaN included
-            current = np.array(list(map(Binary64().clamp_unit, current.tolist())))
-        fvals.pop(0)
-        fvals.append(_tent_power_array(current, h, k))
+    b, h = params.backend, params.h
+    half = b.parse("0.5")
+    with b.context():
+        iterates = [x0s]
+        for _ in range(TAPS):
+            iterates.append(_tent_power_array(iterates[-1], h, half, k))
+        fvals = iterates[1:]  # f at the six seed values
+        for t in range(TAPS, steps + 1):
+            current = a[0] * fvals[-1]
+            for i in range(2, TAPS + 1):
+                current = current + a[i - 1] * fvals[-i]
+            if t == steps:
+                return current
+            if not (current.min() >= 0 and current.max() <= 1):  # NaN included
+                current = np.array(list(map(b.clamp_unit, current.tolist())))
+            fvals.pop(0)
+            fvals.append(_tent_power_array(current, h, half, k))
 
 
 def _sweep_chunk_rational(
-    x0s: np.ndarray, h: Fraction, k: int, a: tuple[Fraction, ...], steps: int
+    x0s: np.ndarray, params: MapParams, k: int, a: tuple[Fraction, ...], steps: int
 ) -> np.ndarray:
     """Final starred values for one chunk, equal to the scalar recursion's.
 
@@ -350,7 +350,8 @@ def _sweep_chunk_rational(
     arithmetic has no slack, so an averaged value outside [0, 1] that f
     would read raises, as clamp_unit does.
     """
-    p, q = h.numerator, h.denominator
+    b = params.backend
+    p, q = params.h.numerator, params.h.denominator
     d = math.lcm(*(w.denominator for w in a))
     alphas = [w.numerator * (d // w.denominator) for w in a]
 
@@ -377,20 +378,9 @@ def _sweep_chunk_rational(
         if t == steps:
             return np.array([Fraction(n, m) for n in nums], dtype=object)
         if min(nums) < 0 or max(nums) > m:  # no slack: clamp_unit raises
-            Rational().clamp_unit(Fraction(next(n for n in nums if not 0 <= n <= m), m))
+            b.clamp_unit(Fraction(next(n for n in nums if not 0 <= n <= m), m))
         taps.pop()
         taps.insert(0, f(nums, m))
-
-
-def _sweep_chunk_decimal(
-    x0s: np.ndarray, params: MapParams, k: int, coeffs: Coefficients, steps: int
-) -> np.ndarray:
-    """Final starred values for one chunk, one stabilized_orbit per point:
-    every FixedDecimal operation rounds, so the points share no denominator."""
-    return np.array(
-        [stabilized_orbit(x0, params, k, coeffs, steps).starred[-1] for x0 in x0s],
-        dtype=object,
-    )
 
 
 def sweep(
@@ -400,7 +390,7 @@ def sweep(
     coeffs: Coefficients,
     steps: int,
     tolerance: float,
-    threads: int | None = None,
+    threads: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> SweepResult:
     """Classify a stabilized run from every net point.
@@ -410,8 +400,7 @@ def sweep(
     chunk's finals: classification is elementwise, so no process holds
     the gaps of the whole net.  Output is ordered by net index and is
     bit-identical for any worker count and chunk size; threads is the
-    worker count and defaults to the TENTLAB_THREADS environment variable
-    (0 means one per CPU).
+    worker count (0 means one per CPU).
     """
     if k < 1:
         raise DomainError(f"power must be a positive integer, got {k}")
@@ -427,15 +416,10 @@ def sweep(
     if b.kind != "binary64":
         points = np.array(points, dtype=object)
 
-    if b.kind == "decimal":
-        kernel = functools.partial(
-            _sweep_chunk_decimal, params=params, k=k, coeffs=coeffs, steps=steps
-        )
-    else:
-        kernel = functools.partial(
-            _sweep_chunk_binary64 if b.kind == "binary64" else _sweep_chunk_rational,
-            h=params.h, k=k, a=tuple(map(b.check, coeffs.a)), steps=steps,
-        )
+    kernel = functools.partial(
+        _sweep_chunk_rational if b.kind == "rational" else _sweep_chunk_rounded,
+        params=params, k=k, a=tuple(map(b.check, coeffs.a)), steps=steps,
+    )
     targets = _targets(params)
     chunks = np.split(points, range(chunk_size, len(points), chunk_size))
 

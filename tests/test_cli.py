@@ -130,6 +130,19 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--precision", "30", "--steps", "3"],
+            ["sweep", "--backend", "rational", "--precision", "5"],
+        ],
+    )
+    def test_precision_without_decimal_rejected_before_out(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run_command([*argv, "--out", str(out)]) == 2
+        assert "backend takes no precision" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["escape", "--flat-tol", "nan"], "flat tolerance must be finite and nonnegative"),
@@ -363,14 +376,14 @@ class TestSweep:
     def test_worker_error_exits_as_the_serial_run_does(
         self, tmp_path, monkeypatch, capsys, forks
     ):
-        kernel = experiments._sweep_chunk_binary64
+        kernel = experiments._sweep_chunk_rounded
 
         def refuse_upper_half(x0s, **kwargs):
             if x0s[0] >= 0.5:
                 raise DomainError(f"chunk from {float(x0s[0])!r} refused")
             return kernel(x0s, **kwargs)
 
-        monkeypatch.setattr(experiments, "_sweep_chunk_binary64", refuse_upper_half)
+        monkeypatch.setattr(experiments, "_sweep_chunk_rounded", refuse_upper_half)
         monkeypatch.setattr(cli, "sweep", functools.partial(experiments.sweep, chunk_size=64))
         seen = []
         for threads in ("1", "2"):

@@ -3,11 +3,10 @@
 Independent oracles: a dense grid sign-change count for the number of
 period-3 solutions, a Mobius-formula count of aperiodic binary necklaces
 for the h = 2 census, distinct points within each cycle and distinct
-point sets across cycles (enumeration itself keeps no dedupe pass), the
-word-at-a-time Lyndon generator and cell composition that the prefix-tree
-walk replaced, the scalar census loop that the binary64 and rational
-array kernels replaced, and exact rational evaluation of every onset
-polynomial.
+point sets across cycles (enumeration itself keeps no dedupe pass), a
+word-at-a-time Lyndon generator and cell composition, the scalar census
+loop over them that the array kernels replaced, and exact rational
+evaluation of every onset polynomial.
 """
 
 import math
@@ -21,8 +20,8 @@ from tentlab.backends import Binary64, DomainError, Rational, make_backend
 from tentlab.cycles import (
     Cycle,
     _closes,
-    _lyndon_cells,
     _lyndon_word_array,
+    _word_texts,
     cycle_multiplier,
     enumerate_cycles,
     fixed_point,
@@ -116,7 +115,8 @@ def _scalar_census(params: MapParams, n: int) -> list[Cycle]:
     one = b.from_int(1)
     found: list[Cycle] = []
 
-    for word, A, B in _lyndon_cells(n, params):
+    for word in _lyndon_words(n):
+        A, B = _cell_affine(word, params)
         try:
             x_star = b.clamp_unit(b.div(B, b.sub(one, A)))
         except DomainError:  # 1 - A = 0, or the fixed point leaves [0, 1]
@@ -319,12 +319,13 @@ class TestKernels:
         [
             *[("binary64", h, 14) for h in ("1.5", "1.7", "1.9", "2")],
             *[("rational", h, 12) for h in ("3/2", "17/10", "19/10", "2")],
-            *[("decimal", h, 9) for h in ("1.7", "2")],
+            *[(f"decimal:{p}", h, 12) for p in (10, 30, 340) for h in ("1.7", "2")],
         ],
     )
     def test_matches_scalar_census(self, kind, h, max_n):
         """Equal Cycles and equal artifact text, word order and ties included."""
-        params = MapParams.parse(h, make_backend(kind, 30 if kind == "decimal" else None))
+        kind, _, digits = kind.partition(":")
+        params = MapParams.parse(h, make_backend(kind, int(digits) if digits else None))
         for n in range(1, max_n + 1):
             found, oracle = enumerate_cycles(params, n), _scalar_census(params, n)
             assert found == oracle
@@ -367,15 +368,13 @@ class TestLyndonCells:
         ],
     )
     def test_matches_word_at_a_time_oracle(self, kind, h):
-        """Same words in the same order, (A, B) bit for bit; A is the multiplier."""
+        """The word array reads as the word-at-a-time generator, in its
+        order; each cycle's multiplier is its itinerary's slope product."""
         params = MapParams.parse(h, make_backend(kind, 30 if kind == "decimal" else None))
         for n in range(1, 13):
-            cells = list(_lyndon_cells(n, params))
-            assert [w for w, _, _ in cells] == list(_lyndon_words(n))
-            for word, A, B in cells:
-                # repr tells apart -0.0 and Decimal exponents, which == does not
-                assert list(map(repr, (A, B))) == list(map(repr, _cell_affine(word, params)))
+            assert _word_texts(_lyndon_word_array(n), n) == list(_lyndon_words(n))
             for c in enumerate_cycles(params, n):
+                # repr tells apart -0.0 and Decimal exponents, which == does not
                 assert repr(c.multiplier) == repr(_word_multiplier(c.itinerary, params))
 
 

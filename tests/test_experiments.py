@@ -19,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tentlab import experiments
-from tentlab.backends import Binary64, DomainError, FixedDecimal, ParseError, Rational
+from tentlab.backends import (
+    Binary64, DomainError, FixedDecimal, ParseError, Rational, make_backend,
+)
 from tentlab.experiments import (
     SQRT2_SLOPE_DIGITS,
     KINDS,
@@ -421,7 +423,7 @@ class TestSweep:
             assert final == run.starred[-1]
 
     def test_thread_count_does_not_change_bits(self):
-        for params, coeffs in (b64_setup(), rat_setup()):
+        for params, coeffs in (b64_setup(), rat_setup(), dec_setup()):
             kw = dict(chunk_size=128)
             base = sweep(NetSpec.uniform(1500), params, 2, coeffs, 30, 1e-3,
                          threads=1, **kw)
@@ -457,7 +459,7 @@ class TestSweep:
     @pytest.mark.parametrize("chunk_size", [1, 7, 128, 65536])
     def test_chunk_size_does_not_change_bits(self, chunk_size):
         spec = NetSpec.uniform(300)
-        for params, coeffs in (b64_setup(), rat_setup()):
+        for params, coeffs in (b64_setup(), rat_setup(), dec_setup()):
             base = sweep(spec, params, 2, coeffs, 30, 1e-3, threads=1,
                          chunk_size=spec.size)
             for threads in (1, 2):
@@ -479,7 +481,7 @@ class TestSweep:
         # starts with mixed denominators, not only a net's
         b = Rational()
         params, coeffs = MapParams(h, b), build_coefficients(sigma, b)
-        finals = _sweep_chunk_rational(np.array(x0s, dtype=object), h, k, coeffs.a, steps)
+        finals = _sweep_chunk_rational(np.array(x0s, dtype=object), params, k, coeffs.a, steps)
         for x0, final in zip(x0s, finals.tolist()):
             expected = stabilized_orbit(x0, params, k, coeffs, steps).starred[-1]
             assert type(final) is Fraction and final == expected
@@ -487,7 +489,7 @@ class TestSweep:
     def test_weights_summing_past_one_raise_on_every_path(self):
         # six weights of 3/10 sum to 9/5, so an average leaves [0, 1] and
         # the next tent step refuses it, in the scalar and both array kernels
-        for params, _ in (b64_setup(), rat_setup()):
+        for params, _ in (b64_setup(), rat_setup(), dec_setup()):
             b = params.backend
             w = b.parse("3/10")
             coeffs = Coefficients(sigma=b.parse("6/5"), a=(w,) * 6, c=w)
@@ -504,6 +506,8 @@ class TestSweep:
             ("binary64", "2", 6, False),  # the final average is never checked
             ("rational", "1", 7, True),  # exact arithmetic has no slack
             ("rational", "1", 6, False),
+            ("decimal", "1", 7, True),  # no slack either
+            ("decimal", "1", 6, False),
         ],
     )
     def test_array_kernels_check_and_snap_like_clamp_unit(
@@ -511,7 +515,7 @@ class TestSweep:
     ):
         # with h = 2, k = 1 and x0 = 1/2 the taps are f(x0) = 1 and then 0s,
         # so x6 = w; w is 1 + 2^-52 * overshoot, and x7 = w * f(x6)
-        b = Binary64() if kind == "binary64" else Rational()
+        b = make_backend(kind, 30 if kind == "decimal" else None)
         params = MapParams(b.from_int(2), b)
         w = b.add(b.from_int(1), b.parse(f"{overshoot}/{2**52}"))
         zero = b.from_int(0)
@@ -529,15 +533,6 @@ class TestSweep:
             assert type(final) is type(expected) and final == expected
         if steps == 6:
             assert result.finals[1] == w  # returned unsnapped
-
-    def test_thread_env_variable(self, monkeypatch):
-        params, coeffs = b64_setup()
-        monkeypatch.setenv("TENTLAB_THREADS", "3")
-        result = sweep(NetSpec.uniform(300), params, 2, coeffs, 30, 1e-3)
-        assert sum(result.counts.values()) == 301
-        monkeypatch.setenv("TENTLAB_THREADS", "soon")
-        with pytest.raises(DomainError):
-            sweep(NetSpec.uniform(300), params, 2, coeffs, 30, 1e-3)
 
     def test_validation(self):
         params, coeffs = b64_setup()
