@@ -14,7 +14,11 @@ backend, decimal included, works with every subcommand that takes
 A subcommand is a generator of (artifact name, contents) pairs; _run
 builds the backend, MapParams and Coefficients its flags ask for, and
 writes each artifact as soon as it is yielded, so --out appears only
-once the computation has validated its inputs.
+once the computation has validated its inputs; a run that fails later
+deletes the artifacts it opened, and --out if it created it.  --plot
+renders the first CSV as read back from its file, except under sweep,
+whose worker processes format sweep.csv and return the plotted cells as
+floats, so that the parent holds neither the net nor its rows.
 
 Exit codes: 0 success, 2 validation problem (bad flags or bad values),
 1 internal failure.
@@ -27,26 +31,25 @@ import json
 import math
 import sys
 import time
-from itertools import chain, islice
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .backends import BackendError, make_backend
 from .cycles import enumerate_cycles, onset_threshold
 from .experiments import (
-    DEFAULT_CHUNK_SIZE,
     DEFAULT_FLAT_TOL,
     DEFAULT_MIN_FLAT,
     KINDS,
     SQRT2_SLOPE_DIGITS,
     NetSpec,
     chaotic_series,
-    chunk_map,
     classify_outcome,
     detect_escape,
     sqrt2_experiment,
     sqrt2_reference,
-    sweep,
+    sweep_chunks,
 )
 from .fibonacci import (
     NEAR_STABLE_X1,
@@ -57,7 +60,7 @@ from .fibonacci import (
     recurrence,
 )
 from .stabilize import build_coefficients, classify_equilibria, companion_spectrum, stabilized_orbit
-from .svgplot import TableFile, render_plot
+from .svgplot import TableFile, as_float, render_columns, render_plot
 from .tentmap import MapParams, orbit
 
 DEFAULT_H = "1.5"
@@ -67,8 +70,8 @@ DEFAULT_STEPS = 50
 DEFAULT_TOL = 1e-3
 DEFAULT_BACKEND = "binary64"
 
-# sweep.csv rows per string; one string per chunk of 65536 rows (3.8 MB)
-# raised the peak RSS of a later --plot by 3 MB
+# sweep.csv rows per string, so a worker's temporaries are one block's: a
+# 65536-row chunk formatted at once raised a serial sweep's peak RSS by 14 MB
 CSV_BLOCK_ROWS = 8192
 
 MANIFEST_SCHEMA = 1
@@ -174,30 +177,41 @@ def _run(ns: argparse.Namespace) -> int:
     params = MapParams.parse(ns.h, b) if "h" in ns else None
     coeffs = build_coefficients(b.parse(ns.sigma), b) if "sigma" in ns else None
     out = Path(ns.out)
-    artifacts = []
-    for name, content in ns.compute(ns, b, params, coeffs):
-        out.mkdir(parents=True, exist_ok=True)
-        if name.endswith(".csv"):
-            _write_csv(out / name, *content)
-        else:
-            _write_json(out / name, content)
-        artifacts.append(name)
-    if getattr(ns, "plot", None) is not None:
-        table = out / next(n for n in artifacts if n.endswith(".csv"))
-        svg = render_plot(TableFile.read(table), ns.plot, table.with_suffix(".svg"))
-        artifacts.append(svg.name)
-    doc = {
-        "schema": MANIFEST_SCHEMA,
-        "command": ns.command,
-        "parameters": {
-            name[2:]: _parameter(getattr(ns, name[2:].replace("-", "_")))
-            for name, _ in ns.flags
-        },
-        "artifacts": sorted(artifacts + [MANIFEST_NAME]),
-        "tool_version": __version__,
-        "wall_time_seconds": round(time.perf_counter() - t0, 6),
-    }
-    _write_json(out / MANIFEST_NAME, doc)
+    created = not out.exists()
+    opened = []
+    try:
+        for name, content in ns.compute(ns, b, params, coeffs):
+            out.mkdir(parents=True, exist_ok=True)
+            opened.append(out / name)
+            if name.endswith(".csv"):
+                _write_csv(out / name, *content)
+            elif name.endswith(".svg"):
+                render_columns(*content, ns.plot, out / name)
+            else:
+                _write_json(out / name, content)
+        if getattr(ns, "plot", None) is not None and opened[-1].suffix != ".svg":
+            table = next(p for p in opened if p.suffix == ".csv")
+            opened.append(table.with_suffix(".svg"))
+            render_plot(TableFile.read(table), ns.plot, opened[-1])
+        opened.append(out / MANIFEST_NAME)
+        doc = {
+            "schema": MANIFEST_SCHEMA,
+            "command": ns.command,
+            "parameters": {
+                name[2:]: _parameter(getattr(ns, name[2:].replace("-", "_")))
+                for name, _ in ns.flags
+            },
+            "artifacts": sorted(p.name for p in opened),
+            "tool_version": __version__,
+            "wall_time_seconds": round(time.perf_counter() - t0, 6),
+        }
+        _write_json(opened[-1], doc)
+    except BaseException:  # leave no partial artifact set behind
+        for path in opened:
+            path.unlink(missing_ok=True)
+        if created and out.is_dir():
+            out.rmdir()
+        raise
     return 0
 
 
@@ -296,37 +310,51 @@ def _cmd_stabilize(ns, b, params, coeffs):
          *BACKEND, PLOT)
 def _cmd_sweep(ns, b, params, coeffs):
     spec = NetSpec.parse(ns.net)
-    result = sweep(spec, params, ns.k, coeffs, ns.steps, ns.tol, threads=ns.threads)
-    yield "sweep.csv", (
-        ("x0", "outcome", "final", "distance"), _sweep_text(b, result, ns.threads)
-    )
+    plot = ns.plot is not None
+    chunks = sweep_chunks(_sweep_rows(b, plot), spec, params, ns.k, coeffs, ns.steps,
+                          ns.tol, threads=ns.threads)
+    tallies, columns = [], []
+
+    def text():
+        for rows, tally, plotted in chunks:
+            tallies.append(tally)
+            columns.extend(plotted)
+            yield from rows
+            del rows  # as chunk_map drops its own reference
+
+    yield "sweep.csv", (("x0", "outcome", "final", "distance"), text())
     yield "sweep.json", {
         "net": str(spec),
-        "size": len(result.points),
-        "steps": result.steps,
-        "tolerance": result.tolerance,
-        "counts": {kind.value: n for kind, n in result.counts.items()},
+        "size": spec.size,
+        "steps": ns.steps,
+        "tolerance": ns.tol,
+        "counts": {kind.value: int(n) for kind, n in zip(KINDS, sum(tallies)) if n},
     }
+    if plot:
+        yield "sweep.svg", (("x0", "final"), *map(np.concatenate, zip(*columns)))
 
 
-def _sweep_text(b, result, threads):
-    """sweep.csv's rows in net order, formatted on chunk_map's workers one
-    chunk of the net each, as strings of CSV_BLOCK_ROWS rows."""
+def _sweep_rows(b, plot: bool):
+    """sweep_chunks' function, run in the workers: a chunk's sweep.csv rows in
+    strings of CSV_BLOCK_ROWS rows, its outcome counts, and under --plot each
+    block's x0 and final floats, parsed from the cells written."""
     names = [kind.value for kind in KINDS]
-    columns = (result.points, result.codes, result.finals, result.distances)
 
-    def chunk_text(index: int) -> list[str]:
-        lo = index * DEFAULT_CHUNK_SIZE
-        x0s, codes, finals, dists = (
-            c[lo : lo + DEFAULT_CHUNK_SIZE].tolist() for c in columns
-        )
-        rows = zip(map(b.serialize, x0s), map(names.__getitem__, codes),
-                   map(b.serialize, finals), map(repr, dists))
-        return ["".join(_csv_lines(islice(rows, CSV_BLOCK_ROWS)))
-                for _ in range(0, len(x0s), CSV_BLOCK_ROWS)]
+    def rows(points, finals, codes, distances):
+        texts, plotted = [], []
+        for lo in range(0, len(codes), CSV_BLOCK_ROWS):
+            block = slice(lo, lo + CSV_BLOCK_ROWS)
+            x0s = list(map(b.serialize, points[block].tolist()))
+            ends = list(map(b.serialize, finals[block].tolist()))
+            texts.append("\n".join(map(",".join, zip(
+                x0s, map(names.__getitem__, codes[block].tolist()), ends,
+                map(repr, distances[block].tolist()),
+            ))) + "\n")
+            if plot:
+                plotted.append([np.fromiter(map(as_float, c), float) for c in (x0s, ends)])
+        return texts, np.bincount(codes, minlength=len(KINDS)), plotted
 
-    count = -(-len(result.points) // DEFAULT_CHUNK_SIZE)
-    return chain.from_iterable(chunk_map(chunk_text, count, threads))
+    return rows
 
 
 def _event_doc(event, serialize):
@@ -408,11 +436,8 @@ def _cmd_fib(ns, b, params, coeffs):
     }
     yield "fib.csv", (("n", "x"), _indexed(b, run.seq))
     if ns.phase:
-        pairs = (
-            (b.serialize(run.seq[i]), b.serialize(run.seq[i + 1]))
-            for i in range(len(run.seq) - 1)
-        )
-        yield "phase.csv", (("x", "x_next"), _csv_lines(pairs))
+        cells = [b.serialize(x) for x in run.seq]
+        yield "phase.csv", (("x", "x_next"), _csv_lines(zip(cells, cells[1:])))
         doc["unstable_slope"] = PHI
         doc["stable_slope"] = -1.0 / PHI
     yield "fib.json", doc
@@ -424,23 +449,16 @@ def _cmd_fib(ns, b, params, coeffs):
               help="explicit slopes; default derives them from the equilibria"),
          *BACKEND, PLOT)
 def _cmd_spectrum(ns, b, params, coeffs):
-    entries = []
     if ns.mu is None:
-        for report in classify_equilibria(params, ns.k, coeffs):
-            entries.append(
-                {
-                    "mu": b.to_float(report.slope),
-                    "radius": report.spectral_radius,
-                    "point": b.serialize(report.point),
-                    "stable": report.stable,
-                }
-            )
+        entries = [
+            {"mu": b.to_float(r.slope), "radius": r.spectral_radius,
+             "point": b.serialize(r.point), "stable": r.stable}
+            for r in classify_equilibria(params, ns.k, coeffs)
+        ]
     else:
-        for mu in ns.mu:
-            _, radius = companion_spectrum(mu, coeffs)
-            entries.append(
-                {"mu": mu, "radius": radius, "point": None, "stable": radius < 1.0}
-            )
+        radii = [companion_spectrum(mu, coeffs)[1] for mu in ns.mu]
+        entries = [{"mu": mu, "radius": radius, "point": None, "stable": radius < 1.0}
+                   for mu, radius in zip(ns.mu, radii)]
     rows = [(repr(e["mu"]), repr(e["radius"])) for e in entries]
     yield "spectrum.csv", (("mu", "radius"), _csv_lines(rows))
     yield "spectrum.json", {"sigma": ns.sigma, "entries": entries}
@@ -468,10 +486,7 @@ def run_command(argv: list[str]) -> int:
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code in (0, None):
-            return 0
-        return 2
+        return 0 if exc.code in (0, None) else 2
     try:
         return _run(ns)
     except BackendError as exc:
@@ -499,13 +514,9 @@ def replay_manifest(manifest_path: str | Path, out_dir: str | Path) -> int:
     for key, value in doc["parameters"].items():
         if value is None or value is False:
             continue
-        if value is True:
-            argv.append(f"--{key}")
-        elif isinstance(value, list):
-            argv.append(f"--{key}")
-            argv.extend(str(v) for v in value)
-        else:
-            argv.extend([f"--{key}", str(value)])
+        argv.append(f"--{key}")
+        if value is not True:
+            argv.extend(map(str, value) if isinstance(value, list) else [str(value)])
     argv.extend(["--out", str(out_dir)])
     return run_command(argv)
 

@@ -7,19 +7,21 @@ of a run that sat near an exactly-invariant value until accumulated
 roundoff expelled it, and the fixed-precision experiment reproduces that
 signature with a slope that agrees with sqrt(2) to 57 decimal digits.
 
-A sweep is four arrays, classified by classify_finals, the rule
-classify_outcome applies to one run.  The net is cut into chunks of 65536
-points, so per-call overhead does not swamp the kernels, and every chunk
-runs one of two kernels.  The rounded kernel serves binary64 and decimal:
+A sweep is classified by classify_finals, the rule classify_outcome
+applies to one run.  The net is cut into chunks of 65536 points, so
+per-call overhead does not swamp the kernels, and every chunk runs one of
+two kernels.  The rounded kernel serves binary64 and decimal:
 numpy arrays of float64 or of Decimal objects, under the backend's
 context, so every elementwise operation rounds as the scalar recursion's
 does and in its order.  The exact kernel runs Python integer numerators
 over one shared denominator per time step, and returns the same reduced
-Fractions as the scalar recursion.  chunk_map runs the chunks on forked
-worker processes, which compute and classify each chunk's finals; the CLI
-formats sweep.csv on the same pool.  Chunk boundaries depend only on
-chunk_size, never on the worker count, so sweep output is bit-identical
-across worker counts and chunk sizes.
+Fractions as the scalar recursion.  sweep_chunks runs each chunk in one
+pass on a chunk_map worker process, which builds the points i/denominator,
+computes and classifies the finals, and hands them to the caller's
+function there: sweep returns the arrays, the CLI formats sweep.csv.
+Chunk boundaries depend only on the chunk size, never on the worker
+count, so sweep output is bit-identical across worker counts and chunk
+sizes.
 
 detect_escape runs in O(n log^2 n) numpy work and O(n) extra memory, by
 binary lifting over window extrema, and returns exactly what the quadratic
@@ -84,6 +86,10 @@ class NetSpec:
             raise DomainError(f"unknown net kind {self.kind!r}")
         if self.parameter < 1:
             raise DomainError(f"net parameter must be positive, got {self.parameter}")
+        # the size cap; 3^m > 2^m, so a triadic m past the cap's bit length is over
+        huge = self.kind == "triadic" and self.parameter > MAX_NET_SIZE.bit_length()
+        if huge or self.size > MAX_NET_SIZE:
+            raise DomainError(f"net {self} has more than {MAX_NET_SIZE} points")
 
     @classmethod
     def uniform(cls, n: int) -> "NetSpec":
@@ -158,17 +164,16 @@ class EscapeEvent:
     terminal_value: Scalar
 
 
-def build_net(spec: NetSpec, backend: Backend) -> np.ndarray | list[Scalar]:
-    """All grid points in index order: a float64 array under binary64."""
+def build_net(spec: NetSpec, backend: Backend, start: int = 0,
+              stop: int | None = None) -> np.ndarray | list[Scalar]:
+    """Grid points start through stop - 1 (all of them by default) in index
+    order: a float64 array under binary64, else a list of backend scalars."""
+    stop = spec.size if stop is None else stop
     denom = spec.denominator
-    if spec.size > MAX_NET_SIZE:
-        raise DomainError(
-            f"net of {spec.size} points exceeds the cap of {MAX_NET_SIZE}"
-        )
     if backend.kind == "binary64":
-        return np.arange(denom + 1, dtype=np.float64) / denom
+        return np.arange(start, stop, dtype=np.float64) / denom
     den = backend.from_int(denom)
-    return [backend.div(backend.from_int(i), den) for i in range(denom + 1)]
+    return [backend.div(backend.from_int(i), den) for i in range(start, stop)]
 
 
 def _targets(params: MapParams) -> tuple[float, float, float]:
@@ -278,6 +283,7 @@ def chunk_map(work, count: int, threads: int = 1):
             if index + window < count:
                 ends[w].send(index + window)
             yield value
+            del value  # so that the next result arrives without this one alive
     finally:
         for end in ends:
             end.close()
@@ -383,24 +389,17 @@ def _sweep_chunk_rational(
         taps.insert(0, f(nums, m))
 
 
-def sweep(
-    spec: NetSpec,
-    params: MapParams,
-    k: int,
-    coeffs: Coefficients,
-    steps: int,
-    tolerance: float,
-    threads: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> SweepResult:
-    """Classify a stabilized run from every net point.
+def sweep_chunks(
+    each, spec: NetSpec, params: MapParams, k: int, coeffs: Coefficients,
+    steps: int, tolerance: float, threads: int = 1, chunk_size: int | None = None,
+):
+    """each(points, finals, codes, distances) for every chunk of chunk_size
+    points (None: DEFAULT_CHUNK_SIZE), yielded in net order.
 
-    The net runs in chunks of chunk_size points through the backend's
-    chunk kernel, on chunk_map's worker processes, which also classify the
-    chunk's finals: classification is elementwise, so no process holds
-    the gaps of the whole net.  Output is ordered by net index and is
-    bit-identical for any worker count and chunk size; threads is the
-    worker count (0 means one per CPU).
+    A chunk runs in one pass on a chunk_map worker, which builds its points,
+    runs the chunk kernel, classifies the finals and calls each on the four
+    arrays, so only each's result crosses back.  The arguments are checked
+    here, before any chunk runs; threads is the worker count (0: one per CPU).
     """
     if k < 1:
         raise DomainError(f"power must be a positive integer, got {k}")
@@ -408,37 +407,37 @@ def sweep(
         raise DomainError(f"sweep needs at least {TAPS} steps, got {steps}")
     if not tolerance > 0:
         raise DomainError(f"tolerance must be positive, got {tolerance}")
+    chunk_size = DEFAULT_CHUNK_SIZE if chunk_size is None else chunk_size
     if chunk_size < 1:
         raise DomainError(f"chunk size must be positive, got {chunk_size}")
     b = params.backend
     nworkers = _resolve_threads(threads)
-    points = build_net(spec, b)
-    if b.kind != "binary64":
-        points = np.array(points, dtype=object)
-
     kernel = functools.partial(
         _sweep_chunk_rational if b.kind == "rational" else _sweep_chunk_rounded,
         params=params, k=k, a=tuple(map(b.check, coeffs.a)), steps=steps,
     )
     targets = _targets(params)
-    chunks = np.split(points, range(chunk_size, len(points), chunk_size))
 
-    def run_chunk(index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        finals = kernel(chunks[index])
-        return (finals, *classify_finals(finals, targets, tolerance))
+    def run_chunk(index: int):
+        start = index * chunk_size
+        points = build_net(spec, b, start, min(start + chunk_size, spec.size))
+        if b.kind != "binary64":
+            points = np.array(points, dtype=object)
+        finals = kernel(points)
+        return each(points, finals, *classify_finals(finals, targets, tolerance))
 
-    finals, codes, distances = map(
-        np.concatenate, zip(*chunk_map(run_chunk, len(chunks), nworkers))
-    )
-    return SweepResult(
-        net=spec,
-        steps=steps,
-        tolerance=tolerance,
-        points=points,
-        finals=finals,
-        codes=codes,
-        distances=distances,
-    )
+    return chunk_map(run_chunk, -(-spec.size // chunk_size), nworkers)
+
+
+def sweep(
+    spec: NetSpec, params: MapParams, k: int, coeffs: Coefficients,
+    steps: int, tolerance: float, threads: int = 1, chunk_size: int | None = None,
+) -> SweepResult:
+    """Classify a stabilized run from every net point: sweep_chunks' arrays,
+    concatenated, bit-identical for any worker count and chunk size."""
+    chunks = sweep_chunks(lambda *arrays: arrays, spec, params, k, coeffs, steps,
+                          tolerance, threads, chunk_size)
+    return SweepResult(spec, steps, tolerance, *map(np.concatenate, zip(*chunks)))
 
 
 def _window_extrema(values: np.ndarray, level: int, upper, lower):

@@ -1,9 +1,12 @@
-"""Dependency-free SVG rendering of two-column tables.
+"""SVG rendering of two float columns, with no plotting library.
 
-Output is a pure function of the table contents and the style flag: fixed
-800x500 viewport, no timestamps, all coordinates printed with a fixed
-format, so rendered files can be compared byte for byte.  A numeric cell
-is a decimal or an exact p/q fraction, as the rational backend writes.
+render_columns writes the SVG to its file piece by piece, never the whole
+document at once.  render_plot feeds it a table's first two numeric
+columns, whose cells are decimals or exact p/q fractions, as the rational
+backend writes.  Output is a pure function of the labels, the floats and
+the style flag: fixed 800x500 viewport, no timestamps, all coordinates
+printed with a fixed format, so rendered files can be compared byte for
+byte.
 """
 
 from __future__ import annotations
@@ -11,8 +14,10 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import takewhile
+from itertools import chain, takewhile
 from pathlib import Path
+
+import numpy as np
 
 from .backends import DomainError
 
@@ -50,16 +55,13 @@ class TableFile:
     def read(cls, path: str | Path) -> "TableFile":
         path = Path(path)
         with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = tuple(next(reader))
-            except StopIteration:
-                raise DomainError(f"{path} has no header row") from None
-            rows = tuple(tuple(row) for row in reader)
-        return cls(path=path, header=header, rows=rows)
+            rows = tuple(map(tuple, csv.reader(fh)))
+        if not rows:
+            raise DomainError(f"{path} has no header row")
+        return cls(path=path, header=rows[0], rows=rows[1:])
 
 
-def _as_float(cell: str) -> float | None:
+def as_float(cell: str) -> float | None:
     """A decimal or p/q cell as a float, else None; only p/q cells pay for Fraction."""
     try:
         return float(Fraction(cell)) if "/" in cell else float(cell)
@@ -67,20 +69,21 @@ def _as_float(cell: str) -> float | None:
         return None
 
 
-def _numeric_columns(table: TableFile) -> list[tuple[int, list[float]]]:
-    """The first two columns whose every cell is a number, with their values.
-
-    A column's scan stops at its first non-numeric cell.
-    """
-    out = []
-    for j in range(len(table.header)):
-        cells = (_as_float(row[j]) for row in table.rows)
+def table_columns(table: TableFile) -> tuple[tuple[str, str], list[float], list[float]]:
+    """The labels and values of a table's first two columns whose every
+    cell is a number; a column's scan stops at its first non-numeric cell."""
+    found = []
+    for j, label in enumerate(table.header):
+        cells = (as_float(row[j]) for row in table.rows)
         values = list(takewhile(lambda v: v is not None, cells))
         if len(values) == len(table.rows):
-            out.append((j, values))
-            if len(out) == 2:
-                break
-    return out
+            found.append((label, values))
+            if len(found) == 2:
+                (x_label, xs), (y_label, ys) = found
+                return (x_label, y_label), xs, ys
+    raise DomainError(
+        f"need two numeric columns to plot, found {len(found)} in header {table.header}"
+    )
 
 
 def _axis_range(values: list[float]) -> tuple[float, float]:
@@ -92,7 +95,8 @@ def _axis_range(values: list[float]) -> tuple[float, float]:
     return lo, hi
 
 
-def _scale(v: float, lo: float, hi: float, out_lo: float, out_hi: float) -> float:
+def _scale(v, lo: float, hi: float, out_lo: float, out_hi: float):
+    """Map v, a float or a float64 array, from [lo, hi] onto [out_lo, out_hi]."""
     return out_lo + (v - lo) * (out_hi - out_lo) / (hi - lo)
 
 
@@ -105,25 +109,12 @@ def _tick_values(lo: float, hi: float) -> list[float]:
     return [lo + i * step for i in range(_TICKS)]
 
 
-def _escape_text(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )
-
-
-def render_svg(table: TableFile, style: str) -> str:
-    """Build the SVG document for a table's first two numeric columns."""
+def _svg_pieces(labels: tuple[str, str], xs, ys, style: str):
+    """The SVG document of ys against xs, in pieces of text."""
     if style not in _STYLES:
         raise DomainError(f"style must be one of {_STYLES}, got {style!r}")
-    numeric = _numeric_columns(table)
-    if len(numeric) < 2:
-        raise DomainError(
-            f"need two numeric columns to plot, found {len(numeric)} "
-            f"in header {table.header}"
-        )
-    (jx, xs), (jy, ys) = numeric
-    x_lo, x_hi = _axis_range(xs)
-    y_lo, y_hi = _axis_range(ys)
+    xs, ys = (np.asarray(v, dtype=np.float64) for v in (xs, ys))
+    (x_lo, x_hi), (y_lo, y_hi) = (_axis_range(v.tolist()) for v in (xs, ys))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{VIEW_WIDTH}" '
@@ -136,69 +127,68 @@ def render_svg(table: TableFile, style: str) -> str:
     ]
 
     for tv in _tick_values(x_lo, x_hi):
-        px = _scale(tv, x_lo, x_hi, _LEFT, _RIGHT)
-        parts.append(
-            f'<line x1="{_fmt(px)}" y1="{_fmt(_BOTTOM)}" x2="{_fmt(px)}" '
-            f'y2="{_fmt(_BOTTOM + 5)}" stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(px)}" y="{_fmt(_BOTTOM + 18)}" '
-            'font-family="monospace" font-size="11" text-anchor="middle">'
-            f"{tv:.6g}</text>"
-        )
+        px = _fmt(_scale(tv, x_lo, x_hi, _LEFT, _RIGHT))
+        parts += [
+            f'<line x1="{px}" y1="{_fmt(_BOTTOM)}" x2="{px}" y2="{_fmt(_BOTTOM + 5)}" '
+            'stroke="black" stroke-width="1"/>',
+            f'<text x="{px}" y="{_fmt(_BOTTOM + 18)}" font-family="monospace" '
+            f'font-size="11" text-anchor="middle">{tv:.6g}</text>',
+        ]
     for tv in _tick_values(y_lo, y_hi):
         py = _scale(tv, y_lo, y_hi, _BOTTOM, _TOP)
-        parts.append(
+        parts += [
             f'<line x1="{_fmt(_LEFT - 5)}" y1="{_fmt(py)}" x2="{_fmt(_LEFT)}" '
-            f'y2="{_fmt(py)}" stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(_LEFT - 8)}" y="{_fmt(py + 4)}" '
-            'font-family="monospace" font-size="11" text-anchor="end">'
-            f"{tv:.6g}</text>"
-        )
+            f'y2="{_fmt(py)}" stroke="black" stroke-width="1"/>',
+            f'<text x="{_fmt(_LEFT - 8)}" y="{_fmt(py + 4)}" font-family="monospace" '
+            f'font-size="11" text-anchor="end">{tv:.6g}</text>',
+        ]
 
-    x_label = _escape_text(table.header[jx])
-    y_label = _escape_text(table.header[jy])
+    x_label, y_label = (
+        t.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;") for t in labels
+    )
     mid_x = (_LEFT + _RIGHT) / 2
     mid_y = (_TOP + _BOTTOM) / 2
-    parts.append(
+    parts += [
         f'<text x="{_fmt(mid_x)}" y="{_fmt(_BOTTOM + 40)}" '
         'font-family="monospace" font-size="13" text-anchor="middle">'
-        f"{x_label}</text>"
-    )
-    parts.append(
+        f"{x_label}</text>",
         f'<text x="18" y="{_fmt(mid_y)}" font-family="monospace" '
         f'font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 18 {_fmt(mid_y)})">{y_label}</text>'
-    )
-
-    points = [
-        (
-            _scale(x, x_lo, x_hi, _LEFT, _RIGHT),
-            _scale(y, y_lo, y_hi, _BOTTOM, _TOP),
-        )
-        for x, y in zip(xs, ys)
+        f'transform="rotate(-90 18 {_fmt(mid_y)})">{y_label}</text>',
     ]
-    if style == "line" and len(points) >= 2:
-        coords = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in points)
-        parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="steelblue" '
-            'stroke-width="1.5"/>'
-        )
+    head = "\n".join(parts) + "\n"
+    # elementwise, the same IEEE operations as _scale on one float
+    with np.errstate(all="ignore"):
+        pxs = _scale(xs, x_lo, x_hi, _LEFT, _RIGHT).tolist()
+        pys = _scale(ys, y_lo, y_hi, _BOTTOM, _TOP).tolist()
+    if style == "line" and len(pxs) >= 2:
+        head += f'<polyline points="{_fmt(pxs[0])},{_fmt(pys[0])}'
+        marks = map(" {:.2f},{:.2f}".format, pxs[1:], pys[1:])
+        tail = '" fill="none" stroke="steelblue" stroke-width="1.5"/>\n</svg>\n'
     else:
-        for px, py in points:
-            parts.append(
-                f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="2" '
-                'fill="steelblue"/>'
-            )
+        marks = map('<circle cx="{:.2f}" cy="{:.2f}" r="2" fill="steelblue"/>\n'.format,
+                    pxs, pys)
+        tail = "</svg>\n"
+    return chain([head], marks, [tail])
 
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+
+def render_columns(
+    labels: tuple[str, str], xs, ys, style: str, out_path: str | Path
+) -> Path:
+    """Plot ys against xs, float sequences of equal length, labelling the
+    axes with labels, and write the SVG to out_path piece by piece."""
+    pieces = _svg_pieces(labels, xs, ys, style)
+    out_path = Path(out_path)
+    with open(out_path, "w", encoding="utf-8") as fh:
+        fh.writelines(pieces)
+    return out_path
+
+
+def render_svg(table: TableFile, style: str) -> str:
+    """The SVG document for a table's first two numeric columns."""
+    return "".join(_svg_pieces(*table_columns(table), style))
 
 
 def render_plot(table: TableFile, style: str, out_path: str | Path) -> Path:
-    """Render the table and write the SVG document to out_path."""
-    out_path = Path(out_path)
-    out_path.write_text(render_svg(table, style), encoding="utf-8")
-    return out_path
+    """Render a table's first two numeric columns to out_path."""
+    return render_columns(*table_columns(table), style, out_path)
