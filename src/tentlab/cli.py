@@ -17,8 +17,9 @@ writes each artifact as soon as it is yielded, so --out appears only
 once the computation has validated its inputs; a run that fails later
 deletes the artifacts it opened, and --out if it created it.  --plot
 renders the first CSV as read back from its file, except under sweep,
-whose worker processes format sweep.csv and return the plotted cells as
-floats, so that the parent holds neither the net nor its rows.
+whose worker processes format sweep.csv a chunk at a time and return
+the plotted cells as floats, so that the parent holds neither the net
+nor its rows: one chunk's text, and under --plot two float columns.
 
 Exit codes: 0 success, 2 validation problem (bad flags or bad values),
 1 internal failure.
@@ -36,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backends import BackendError, make_backend
+from .backends import BackendError, MismatchError, make_backend
 from .cycles import enumerate_cycles, onset_threshold
 from .experiments import (
     DEFAULT_FLAT_TOL,
@@ -69,10 +70,6 @@ DEFAULT_SIGMA = "1.2"
 DEFAULT_STEPS = 50
 DEFAULT_TOL = 1e-3
 DEFAULT_BACKEND = "binary64"
-
-# sweep.csv rows per string, so a worker's temporaries are one block's: a
-# 65536-row chunk formatted at once raised a serial sweep's peak RSS by 14 MB
-CSV_BLOCK_ROWS = 8192
 
 MANIFEST_SCHEMA = 1
 MANIFEST_NAME = "manifest.json"
@@ -318,8 +315,8 @@ def _cmd_sweep(ns, b, params, coeffs):
     def text():
         for rows, tally, plotted in chunks:
             tallies.append(tally)
-            columns.extend(plotted)
-            yield from rows
+            columns.append(plotted)
+            yield rows
             del rows  # as chunk_map drops its own reference
 
     yield "sweep.csv", (("x0", "outcome", "final", "distance"), text())
@@ -335,24 +332,27 @@ def _cmd_sweep(ns, b, params, coeffs):
 
 
 def _sweep_rows(b, plot: bool):
-    """sweep_chunks' function, run in the workers: a chunk's sweep.csv rows in
-    strings of CSV_BLOCK_ROWS rows, its outcome counts, and under --plot each
-    block's x0 and final floats, parsed from the cells written."""
+    """sweep_chunks' function, run in the workers: a chunk's sweep.csv rows as
+    one string, its outcome counts, and under --plot its x0 and final floats:
+    binary64's own columns, which its repr cells round-trip, else the cells
+    parsed back, since decimal serialize quantizes."""
     names = [kind.value for kind in KINDS]
+    binary64 = b.kind == "binary64"
 
     def rows(points, finals, codes, distances):
-        texts, plotted = [], []
-        for lo in range(0, len(codes), CSV_BLOCK_ROWS):
-            block = slice(lo, lo + CSV_BLOCK_ROWS)
-            x0s = list(map(b.serialize, points[block].tolist()))
-            ends = list(map(b.serialize, finals[block].tolist()))
-            texts.append("\n".join(map(",".join, zip(
-                x0s, map(names.__getitem__, codes[block].tolist()), ends,
-                map(repr, distances[block].tolist()),
-            ))) + "\n")
-            if plot:
-                plotted.append([np.fromiter(map(as_float, c), float) for c in (x0s, ends)])
-        return texts, np.bincount(codes, minlength=len(KINDS)), plotted
+        if binary64 and not points.dtype == finals.dtype == np.float64:
+            raise MismatchError(f"expected binary64 values (float64), got "
+                                f"{points.dtype} and {finals.dtype} arrays")
+        cell = repr if binary64 else b.serialize
+        x0s, ends = (list(map(cell, c.tolist())) for c in (points, finals))
+        text = "\n".join(map(",".join, zip(
+            x0s, map(names.__getitem__, codes.tolist()), ends, map(repr, distances.tolist()),
+        ))) + "\n"
+        plotted = None
+        if plot:
+            plotted = (points, finals) if binary64 else [
+                np.fromiter(map(as_float, c), float) for c in (x0s, ends)]
+        return text, np.bincount(codes, minlength=len(KINDS)), plotted
 
     return rows
 

@@ -1,12 +1,13 @@
 """SVG rendering of two float columns, with no plotting library.
 
 render_columns writes the SVG to its file piece by piece, never the whole
-document at once.  render_plot feeds it a table's first two numeric
-columns, whose cells are decimals or exact p/q fractions, as the rational
-backend writes.  Output is a pure function of the labels, the floats and
-the style flag: fixed 800x500 viewport, no timestamps, all coordinates
-printed with a fixed format, so rendered files can be compared byte for
-byte.
+document at once, and scales and formats its marks a slice at a time, so
+no whole column is ever scaled or a Python list.  render_plot feeds it a
+table's first two numeric columns, whose cells are decimals or exact p/q
+fractions, as the rational backend writes.  Output is a pure function of
+the labels, the floats and the style flag: fixed 800x500 viewport, no
+timestamps, all coordinates printed with a fixed format, so rendered
+files can be compared byte for byte.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ _TOP = 20.0
 _BOTTOM = 450.0
 
 _TICKS = 5
+_SLICE = 4096  # values scaled and formatted at a time
 
 
 @dataclass(frozen=True)
@@ -86,22 +88,23 @@ def table_columns(table: TableFile) -> tuple[tuple[str, str], list[float], list[
     )
 
 
-def _axis_range(values: list[float]) -> tuple[float, float]:
-    if not values:
+def _slices(values: np.ndarray):
+    return (values[i:i + _SLICE] for i in range(0, len(values), _SLICE))
+
+
+def _axis_range(values: np.ndarray) -> tuple[float, float]:
+    """min and max of the values' list, a slice at a time: the same comparisons
+    in the same order, so NaN, +-inf and +-0.0 give the same axes."""
+    if not len(values):
         return 0.0, 1.0
-    lo, hi = min(values), max(values)
-    if lo == hi:
-        return lo - 0.5, hi + 0.5
-    return lo, hi
+    lo, hi = (pick(chain.from_iterable(s.tolist() for s in _slices(values)))
+              for pick in (min, max))
+    return (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
 
 
 def _scale(v, lo: float, hi: float, out_lo: float, out_hi: float):
     """Map v, a float or a float64 array, from [lo, hi] onto [out_lo, out_hi]."""
     return out_lo + (v - lo) * (out_hi - out_lo) / (hi - lo)
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
 
 
 def _tick_values(lo: float, hi: float) -> list[float]:
@@ -114,62 +117,56 @@ def _svg_pieces(labels: tuple[str, str], xs, ys, style: str):
     if style not in _STYLES:
         raise DomainError(f"style must be one of {_STYLES}, got {style!r}")
     xs, ys = (np.asarray(v, dtype=np.float64) for v in (xs, ys))
-    (x_lo, x_hi), (y_lo, y_hi) = (_axis_range(v.tolist()) for v in (xs, ys))
-
+    (x_lo, x_hi), (y_lo, y_hi) = map(_axis_range, (xs, ys))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{VIEW_WIDTH}" '
         f'height="{VIEW_HEIGHT}" viewBox="0 0 {VIEW_WIDTH} {VIEW_HEIGHT}">',
-        f'<rect x="0" y="0" width="{VIEW_WIDTH}" height="{VIEW_HEIGHT}" '
-        'fill="white"/>',
-        f'<rect x="{_fmt(_LEFT)}" y="{_fmt(_TOP)}" '
-        f'width="{_fmt(_RIGHT - _LEFT)}" height="{_fmt(_BOTTOM - _TOP)}" '
-        'fill="none" stroke="black" stroke-width="1"/>',
+        f'<rect x="0" y="0" width="{VIEW_WIDTH}" height="{VIEW_HEIGHT}" fill="white"/>',
+        f'<rect x="{_LEFT:.2f}" y="{_TOP:.2f}" width="{_RIGHT - _LEFT:.2f}" '
+        f'height="{_BOTTOM - _TOP:.2f}" fill="none" stroke="black" stroke-width="1"/>',
     ]
-
     for tv in _tick_values(x_lo, x_hi):
-        px = _fmt(_scale(tv, x_lo, x_hi, _LEFT, _RIGHT))
+        px = _scale(tv, x_lo, x_hi, _LEFT, _RIGHT)
         parts += [
-            f'<line x1="{px}" y1="{_fmt(_BOTTOM)}" x2="{px}" y2="{_fmt(_BOTTOM + 5)}" '
+            f'<line x1="{px:.2f}" y1="{_BOTTOM:.2f}" x2="{px:.2f}" y2="{_BOTTOM + 5:.2f}" '
             'stroke="black" stroke-width="1"/>',
-            f'<text x="{px}" y="{_fmt(_BOTTOM + 18)}" font-family="monospace" '
+            f'<text x="{px:.2f}" y="{_BOTTOM + 18:.2f}" font-family="monospace" '
             f'font-size="11" text-anchor="middle">{tv:.6g}</text>',
         ]
     for tv in _tick_values(y_lo, y_hi):
         py = _scale(tv, y_lo, y_hi, _BOTTOM, _TOP)
         parts += [
-            f'<line x1="{_fmt(_LEFT - 5)}" y1="{_fmt(py)}" x2="{_fmt(_LEFT)}" '
-            f'y2="{_fmt(py)}" stroke="black" stroke-width="1"/>',
-            f'<text x="{_fmt(_LEFT - 8)}" y="{_fmt(py + 4)}" font-family="monospace" '
+            f'<line x1="{_LEFT - 5:.2f}" y1="{py:.2f}" x2="{_LEFT:.2f}" y2="{py:.2f}" '
+            'stroke="black" stroke-width="1"/>',
+            f'<text x="{_LEFT - 8:.2f}" y="{py + 4:.2f}" font-family="monospace" '
             f'font-size="11" text-anchor="end">{tv:.6g}</text>',
         ]
-
-    x_label, y_label = (
-        t.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;") for t in labels
-    )
-    mid_x = (_LEFT + _RIGHT) / 2
+    x_label, y_label = (t.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+                        for t in labels)
     mid_y = (_TOP + _BOTTOM) / 2
     parts += [
-        f'<text x="{_fmt(mid_x)}" y="{_fmt(_BOTTOM + 40)}" '
-        'font-family="monospace" font-size="13" text-anchor="middle">'
-        f"{x_label}</text>",
-        f'<text x="18" y="{_fmt(mid_y)}" font-family="monospace" '
-        f'font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 18 {_fmt(mid_y)})">{y_label}</text>',
+        f'<text x="{(_LEFT + _RIGHT) / 2:.2f}" y="{_BOTTOM + 40:.2f}" font-family="monospace" '
+        f'font-size="13" text-anchor="middle">{x_label}</text>',
+        f'<text x="18" y="{mid_y:.2f}" font-family="monospace" font-size="13" '
+        f'text-anchor="middle" transform="rotate(-90 18 {mid_y:.2f})">{y_label}</text>',
     ]
     head = "\n".join(parts) + "\n"
-    # elementwise, the same IEEE operations as _scale on one float
-    with np.errstate(all="ignore"):
-        pxs = _scale(xs, x_lo, x_hi, _LEFT, _RIGHT).tolist()
-        pys = _scale(ys, y_lo, y_hi, _BOTTOM, _TOP).tolist()
-    if style == "line" and len(pxs) >= 2:
-        head += f'<polyline points="{_fmt(pxs[0])},{_fmt(pys[0])}'
-        marks = map(" {:.2f},{:.2f}".format, pxs[1:], pys[1:])
+
+    def marks(mark: str):  # a slice at a time, with _scale's IEEE operations
+        for x, y in zip(_slices(xs), _slices(ys)):
+            with np.errstate(all="ignore"):
+                pxs = _scale(x, x_lo, x_hi, _LEFT, _RIGHT).tolist()
+                pys = _scale(y, y_lo, y_hi, _BOTTOM, _TOP).tolist()
+            yield "".join(map(mark.format, pxs, pys))
+
+    if style == "line" and len(xs) >= 2:
+        pieces = marks(" {:.2f},{:.2f}")
+        head += '<polyline points="' + next(pieces)[1:]  # no space before the first
         tail = '" fill="none" stroke="steelblue" stroke-width="1.5"/>\n</svg>\n'
     else:
-        marks = map('<circle cx="{:.2f}" cy="{:.2f}" r="2" fill="steelblue"/>\n'.format,
-                    pxs, pys)
+        pieces = marks('<circle cx="{:.2f}" cy="{:.2f}" r="2" fill="steelblue"/>\n')
         tail = "</svg>\n"
-    return chain([head], marks, [tail])
+    return chain([head], pieces, [tail])
 
 
 def render_columns(

@@ -8,9 +8,10 @@ import re
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tentlab import MapParams, NetSpec, build_coefficients, cli, experiments
+from tentlab import MapParams, NetSpec, build_coefficients, cli, experiments, svgplot
 from tentlab.backends import DomainError, make_backend
 from tentlab.cli import build_parser, replay_manifest, run_command
 from tentlab.svgplot import TableFile, as_float, render_plot, render_svg
@@ -374,7 +375,6 @@ class TestSweep:
     ):
         # small chunks, so that every net has several
         monkeypatch.setattr(experiments, "DEFAULT_CHUNK_SIZE", 7)
-        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 4)
         for threads in ("1", "2", "0"):
             out = tmp_path / threads
             assert run_command(["sweep", *argv, "--threads", threads, "--out", str(out)]) == 0
@@ -452,6 +452,48 @@ class TestSweep:
         assert len(svgs) == 1
         assert len(forks) == 4  # two per chunk size that leaves two chunks or more
 
+    @pytest.mark.parametrize(
+        "backend",
+        [[], ["--h", "3/2", "--backend", "rational"],
+         ["--backend", "decimal", "--precision", "30"]],
+        ids=["binary64", "rational", "decimal"],
+    )
+    def test_artifacts_do_not_depend_on_chunks_around_the_default(
+        self, tmp_path, monkeypatch, forks, backend
+    ):
+        # 8194 points: two chunks at each size, the second of 3, 2 and 1 points
+        assert experiments.DEFAULT_CHUNK_SIZE == 8192
+        seen = set()
+        for chunk_size in (8191, 8192, 8193):
+            monkeypatch.setattr(experiments, "DEFAULT_CHUNK_SIZE", chunk_size)
+            for threads in ("1", "2"):
+                out = tmp_path / f"{chunk_size}-{threads}"
+                argv = ["sweep", "--net", "uniform:8193", *backend, "--steps", "8",
+                        "--threads", threads, "--plot", "line", "--out", str(out)]
+                assert run_command(argv) == 0
+                seen.add(tuple((out / name).read_bytes() for name in ("sweep.csv", "sweep.svg")))
+        assert len(seen) == 1
+        svg = (out / "sweep.svg").read_text(encoding="utf-8")
+        assert svg == render_svg(TableFile.read(out / "sweep.csv"), "line")
+        assert len(forks) == 6  # two per chunk size
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_binary64_rows_refuse_an_object_array(
+        self, tmp_path, monkeypatch, capsys, forks, threads
+    ):
+        # the dtype is checked once a chunk, in place of a check per value
+        kernel = experiments._sweep_chunk_rounded
+        monkeypatch.setattr(experiments, "_sweep_chunk_rounded",
+                            lambda x0s, **kwargs: kernel(x0s, **kwargs).astype(object))
+        monkeypatch.setattr(experiments, "DEFAULT_CHUNK_SIZE", 64)
+        out = tmp_path / "out"
+        argv = ["sweep", "--net", "uniform:200", "--threads", threads, "--out", str(out)]
+        assert run_command(argv) == 2
+        assert capsys.readouterr().err == (
+            "tentlab: error: expected binary64 values (float64), got float64 and object arrays\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("backend", ["binary64", "rational", "decimal"])
     def test_plotted_floats_are_the_cells_written(self, monkeypatch, backend):
         # decimal writes its values quantized, so only parsing the cells
@@ -463,13 +505,10 @@ class TestSweep:
             cli._sweep_rows(b, True), NetSpec.uniform(70), params, 2, coeffs, 20, 1e-3,
             chunk_size=16,
         )
-        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 5)  # several blocks a chunk
-        for texts, _, plotted in chunks:
-            assert len(texts) == len(plotted)
-            for text, (xs, ys) in zip(texts, plotted):
-                cells = [row.split(",") for row in text.splitlines()]
-                assert xs.tolist() == [as_float(row[0]) for row in cells]
-                assert ys.tolist() == [as_float(row[2]) for row in cells]
+        for text, _, (xs, ys) in chunks:
+            cells = [row.split(",") for row in text.splitlines()]
+            assert xs.tolist() == [as_float(row[0]) for row in cells]
+            assert ys.tolist() == [as_float(row[2]) for row in cells]
 
     def test_parent_memory_does_not_grow_with_the_net(self, tmp_path, monkeypatch):
         # parent memory is O(workers x chunk): at --threads 1 one chunk at a
@@ -489,6 +528,27 @@ class TestSweep:
         # the net's columns and rows grows by about 230 bytes a point, and
         # by 2.8 MB from 4096 points to 16384.
         assert peaks[2] < peaks[1] + 64 * 1024
+
+    def test_plotted_sweep_memory_grows_only_by_the_plotted_columns(
+        self, tmp_path, monkeypatch
+    ):
+        # under --plot the parent keeps two float64 columns, 16 bytes a point,
+        # and renders them a slice at a time, never as whole-column lists
+        monkeypatch.setattr(experiments, "DEFAULT_CHUNK_SIZE", 512)
+        peaks = []
+        for size in (1024, 4096, 16384):  # the first run warms up caches
+            argv = ["sweep", "--net", f"uniform:{size}", "--threads", "1",
+                    "--plot", "scatter", "--out", str(tmp_path / str(size))]
+            tracemalloc.start()
+            try:
+                assert run_command(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # measured on CPython 3.11: 1.17 MB and 1.58 MB, 33 bytes a point, the
+        # columns once in chunks and once concatenated.  Rendering whole-column
+        # lists of the scaled values adds about 64 bytes a point more.
+        assert peaks[2] < peaks[1] + 40 * (16384 - 4096)
 
     def test_thread_count_is_capped_without_starting_a_pool(self, tmp_path, forks):
         # one chunk caps the workers at one; never ask for many processes
@@ -766,6 +826,51 @@ class TestRenderPlot:
         assert render_svg(table, "line") == (
             tmp_path / "orbit.svg"
         ).read_text(encoding="utf-8")
+
+
+# columns on which Python's min and max depend on the order of comparisons:
+# NaN first, NaN opening a later slice of 2 and of 3 (index 6), NaN in
+# mid-slice, infinities, and ties of -0.0 with 0.0
+AXIS_COLUMNS = [
+    [math.nan, 0.5, 1.0, -2.0, 3.0, 0.25, 0.75, 1.5],
+    [0.5, 1.0, -2.0, 3.0, 0.25, 0.75, math.nan, 1.5],
+    [0.5, 1.0, -2.0, 3.0, math.nan, 0.75, 0.25, 1.5],
+    [0.5, math.nan, 1.0, math.nan, -2.0, 3.0, 0.25],
+    [0.5, math.inf, -math.inf, 1.0, 2.0, -1.0, 0.0],
+    [math.inf, math.inf, math.inf],
+    [-0.0, 0.0, 0.0, -0.0, 1.0, -0.0, 0.0],
+    [0.0, -0.0, 0.0, -0.0],
+    [1.0, -0.0, 0.5, 0.0, -0.0, 0.25, 0.0],
+    [2.0],
+    [],
+]
+
+
+class TestStreamedRender:
+    LENGTHS = (1, 2, 3, svgplot._SLICE)
+
+    @pytest.mark.parametrize("xs", AXIS_COLUMNS)
+    @pytest.mark.parametrize("style", ["line", "scatter"])
+    def test_render_does_not_depend_on_the_slice_length(self, monkeypatch, xs, style):
+        ys = xs[3:] + xs[:3]  # the specials at other rows on the other axis
+        table = TableFile(None, ("x", "y"), tuple((repr(x), repr(y)) for x, y in zip(xs, ys)))
+        texts = set()
+        for length in self.LENGTHS:
+            monkeypatch.setattr(svgplot, "_SLICE", length)
+            texts.add(render_svg(table, style))
+        assert len(texts) == 1
+
+    @pytest.mark.parametrize("values", AXIS_COLUMNS)
+    def test_axis_range_is_min_and_max_of_the_list(self, monkeypatch, values):
+        if values:
+            lo, hi = min(values), max(values)
+            want = (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
+        else:
+            want = (0.0, 1.0)
+        for length in self.LENGTHS:
+            monkeypatch.setattr(svgplot, "_SLICE", length)
+            # repr tells NaN, -0.0 and 0.0 apart where == would not
+            assert repr(svgplot._axis_range(np.array(values))) == repr(want)
 
 
 class TestParserDefaults:
