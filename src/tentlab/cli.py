@@ -19,7 +19,14 @@ deletes the artifacts it opened, and --out if it created it.  --plot
 renders the first CSV as read back from its file, except under sweep,
 whose worker processes format sweep.csv a chunk at a time and return
 the plotted cells as floats, so that the parent holds neither the net
-nor its rows: one chunk's text, and under --plot two float columns.
+nor its rows: one chunk's text, and under --plot two float columns,
+filled in place as the chunks arrive.  A binary64 sweep.csv is laid out
+a chunk at a time as one byte matrix: Binary64.cells finds repr's
+shortest round-trip digits for a whole column with exact integer
+arithmetic, and leaves to repr itself only the values it does not
+cover (0, negatives, NaN, infinities, subnormals, values of 1 or more
+or below about 10**-99) and the rare exact tie, so the bytes are those
+of repr.
 
 Exit codes: 0 success, 2 validation problem (bad flags or bad values),
 1 internal failure.
@@ -37,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backends import BackendError, MismatchError, make_backend
+from .backends import CELL_BYTES, BackendError, MismatchError, make_backend
 from .cycles import enumerate_cycles, onset_threshold
 from .experiments import (
     DEFAULT_FLAT_TOL,
@@ -310,14 +317,20 @@ def _cmd_sweep(ns, b, params, coeffs):
     plot = ns.plot is not None
     chunks = sweep_chunks(_sweep_rows(b, plot), spec, params, ns.k, coeffs, ns.steps,
                           ns.tol, threads=ns.threads)
-    tallies, columns = [], []
+    tallies = []
+    columns = (np.empty(spec.size), np.empty(spec.size)) if plot else ()
 
     def text():
+        start = 0
         for rows, tally, plotted in chunks:
             tallies.append(tally)
-            columns.append(plotted)
+            if plot:
+                stop = start + len(plotted[0])
+                for column, values in zip(columns, plotted):
+                    column[start:stop] = values
+                start = stop
             yield rows
-            del rows  # as chunk_map drops its own reference
+            del rows, plotted  # as chunk_map drops its own reference
 
     yield "sweep.csv", (("x0", "outcome", "final", "distance"), text())
     yield "sweep.json", {
@@ -328,26 +341,51 @@ def _cmd_sweep(ns, b, params, coeffs):
         "counts": {kind.value: int(n) for kind, n in zip(KINDS, sum(tallies)) if n},
     }
     if plot:
-        yield "sweep.svg", (("x0", "final"), *map(np.concatenate, zip(*columns)))
+        yield "sweep.svg", (("x0", "final"), *columns)
+
+
+# a binary64 sweep.csv row in fixed byte columns, each field a whole number
+# of 8-byte words: x0 0-31, ",outcome," 32-47, final 48-79, "," 80-87,
+# distance 88-119, "\n" 120-127
+_ROW_BYTES = 128
+_CELL_COLUMNS = (0, 48, 88)
 
 
 def _sweep_rows(b, plot: bool):
     """sweep_chunks' function, run in the workers: a chunk's sweep.csv rows as
     one string, its outcome counts, and under --plot its x0 and final floats:
     binary64's own columns, which its repr cells round-trip, else the cells
-    parsed back, since decimal serialize quantizes."""
+    parsed back, since decimal serialize quantizes.
+
+    Under binary64 the rows are one uint8 matrix of _ROW_BYTES columns,
+    NUL where a field is shorter than its columns.  Binary64.cells writes
+    the three numbers, each equal to its repr: found in integer
+    arithmetic a column at a time, or by repr itself for the few values
+    it leaves out.  The chunk's text is the matrix's bytes with the NULs
+    deleted.  The other backends join their serialize cells, with repr
+    for the float64 distances."""
     names = [kind.value for kind in KINDS]
     binary64 = b.kind == "binary64"
+    labels = np.array([f",{name},".encode() for name in names], dtype="S16")
+    separators = np.array([b",", b"\n"], dtype="S8").view(np.uint64)
 
     def rows(points, finals, codes, distances):
-        if binary64 and not points.dtype == finals.dtype == np.float64:
-            raise MismatchError(f"expected binary64 values (float64), got "
-                                f"{points.dtype} and {finals.dtype} arrays")
-        cell = repr if binary64 else b.serialize
-        x0s, ends = (list(map(cell, c.tolist())) for c in (points, finals))
-        text = "\n".join(map(",".join, zip(
-            x0s, map(names.__getitem__, codes.tolist()), ends, map(repr, distances.tolist()),
-        ))) + "\n"
+        if binary64:
+            if not points.dtype == finals.dtype == np.float64:
+                raise MismatchError(f"expected binary64 values (float64), got "
+                                    f"{points.dtype} and {finals.dtype} arrays")
+            table = np.empty((len(codes), _ROW_BYTES), dtype=np.uint8)
+            for start, values in zip(_CELL_COLUMNS, (points, finals, distances)):
+                b.cells(values, table[:, start:start + CELL_BYTES])
+            words = table.view(np.uint64)
+            words[:, 4:6] = labels.view(np.uint64).reshape(len(names), 2)[codes]
+            words[:, [10, 15]] = separators
+            text = table.tobytes().translate(None, b"\0").decode("ascii")
+        else:
+            x0s, ends = (list(map(b.serialize, c.tolist())) for c in (points, finals))
+            text = "\n".join(map(",".join, zip(
+                x0s, map(names.__getitem__, codes.tolist()), ends, map(repr, distances.tolist()),
+            ))) + "\n"
         plotted = None
         if plot:
             plotted = (points, finals) if binary64 else [

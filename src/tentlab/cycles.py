@@ -38,7 +38,7 @@ from typing import Iterator
 import numpy as np
 
 from .backends import Backend, Branch, DomainError, Scalar
-from .tentmap import MapParams, tent_step
+from .tentmap import MapParams, tent_step, tent_step_array
 
 MAX_ENUM_PERIOD = 20
 
@@ -150,9 +150,11 @@ def _closing_rounded(n: int, params: MapParams) -> Iterator[Closing]:
     with b.context():
         A = np.full(len(words), one)
         B = np.full(len(words), b.from_int(0))
-        for s in symbols.T:
-            A = np.where(s, -h * A, h * A)
-            B = np.where(s, -h * B + h, h * B)
+        for s in symbols.T:  # (-h)*A is -(h*A) and -h*B + h is h - h*B
+            A = h * A
+            np.negative(A, out=A, where=s)
+            B = h * B
+            np.subtract(h, B, out=B, where=s)
         x_star = B / (one - A)
         # clamp_unit rejects x* outside [0, 1] on decimal, which has no
         # slack; on binary64 it would snap a value one ulp outside to 0 or
@@ -169,7 +171,7 @@ def _closing_rounded(n: int, params: MapParams) -> Iterator[Closing]:
             left = x <= half
             realized &= left != symbols[:, t]
             orbits[:, t] = x
-            x = np.where(left, h * x, -h * x + h)
+            x = tent_step_array(x, h, half)
     closed = np.flatnonzero(realized & _closes(x, x_star, b))
     orbits = orbits[closed]
     return zip(_word_texts(words[closed], n), orbits.argmin(axis=1).tolist(),

@@ -47,7 +47,7 @@ import numpy as np
 from .backends import Backend, DomainError, FixedDecimal, ParseError, Scalar
 from .cycles import fixed_point, two_cycle
 from .stabilize import TAPS, Coefficients, StabRun
-from .tentmap import MapParams, Orbit, orbit
+from .tentmap import MapParams, Orbit, orbit, tent_step_array
 
 MAX_NET_SIZE = 10**7
 
@@ -297,7 +297,7 @@ def chunk_map(work, count: int, threads: int = 1):
 
 def _tent_power_array(x: np.ndarray, h: Scalar, half: Scalar, k: int) -> np.ndarray:
     for _ in range(k):
-        x = np.where(x <= half, h * x, -h * x + h)
+        x = tent_step_array(x, h, half)
     return x
 
 

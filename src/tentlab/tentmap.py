@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .backends import Backend, Branch, DomainError, Scalar
 
 
@@ -63,6 +65,17 @@ def tent_step(x: Scalar, params: MapParams) -> Scalar:
     else:
         y = b.affine(params.neg_h, x, params.h)
     return b.clamp_unit(y)
+
+
+def tent_step_array(x: np.ndarray, h: Scalar, half: Scalar) -> np.ndarray:
+    """tent_step's arithmetic on a float64 or object array, under the
+    caller's context and without its clamps: t = h*x, then h - t where x
+    is not <= half (NaN included).  One multiply and at most one
+    subtraction per element, and bit-identical to the scalar step:
+    negation is exact, so (-h)*x rounds to -t, and -t + h is h - t."""
+    t = h * x
+    np.subtract(h, t, out=t, where=~(x <= half))
+    return t
 
 
 def tent_power_step(x: Scalar, params: MapParams, k: int = 1) -> Scalar:

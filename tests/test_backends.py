@@ -7,14 +7,19 @@ cannot hide behind the same library that produced the expected value.
 """
 
 import math
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tentlab import backends
 from tentlab.backends import (
+    CELL_BYTES,
     Binary64,
     Branch,
     DomainError,
@@ -238,6 +243,113 @@ class TestSerialization:
         d = FixedDecimal(20)
         x = d.parse("0.61803398874989484820")
         assert d.parse(d.serialize(x)) == x
+
+
+def cell_texts(values) -> tuple[list[str], int]:
+    """Binary64.cells of a float64 array as strings, and its repr count."""
+    values = np.asarray(values, dtype=np.float64)
+    out = np.full((len(values), CELL_BYTES), 0xFF, dtype=np.uint8)  # no stale NULs
+    count = Binary64().cells(values, out)
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in out], count
+
+
+def reprs(values) -> list[str]:
+    return [repr(v) for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+def uncovered(values) -> int:
+    """How many values Binary64.cells leaves to repr by their range: all
+    but those in (0, 1) whose repr has an exponent of -99 or more."""
+    return sum(not (0 < v < 1 and len(r.partition("e-")[2]) < 3)
+               for v, r in zip(np.asarray(values).tolist(), reprs(values)))
+
+
+class TestBinary64Cells:
+    """Binary64.cells against repr, the scalar serialize it vectorizes."""
+
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_any_float_writes_its_repr(self, values):
+        # NaN, infinities, both zeros, subnormals and huge values included
+        assert cell_texts(values)[0] == reprs(values)
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bit_pattern_writes_its_repr(self, patterns):
+        values = np.array(patterns, dtype=np.uint64).view(np.float64)
+        assert cell_texts(values)[0] == reprs(values)
+
+    @given(st.lists(st.floats(min_value=1e-99, max_value=1.0, exclude_max=True),
+                    min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_covered_floats_take_the_integer_path(self, values):
+        # only an exact tie between two shortest strings goes to repr here;
+        # a tie x = (2q + 1) * 5 * 10**(k - 1) with x * 10**s < 2**64 has at
+        # most 20 significant digits, where a float has up to 767
+        texts, count = cell_texts(values)
+        assert texts == reprs(values)
+        assert count <= sum(len(Decimal(v).as_tuple().digits) <= 20 for v in values)
+
+    def test_powers_of_two_and_ten_and_their_neighbours(self):
+        # a power of two is where the rounding interval is lopsided, and
+        # the powers of ten are the shortest strings of all
+        powers = np.array([2.0**e for e in range(-1074, 1024)]
+                          + [float(f"1e{e}") for e in range(-323, 309)])
+        values = np.concatenate([powers, np.nextafter(powers, 0.0),
+                                 np.nextafter(powers, np.inf)])
+        texts, count = cell_texts(values)
+        assert texts == reprs(values)
+        # one exact tie: 2**-25 is 2.98023223876953125e-08, halfway between
+        # two 17-digit strings
+        assert count == uncovered(values) + 1
+
+    @pytest.mark.parametrize("n", [8193, 131071, 10**5])
+    def test_uniform_nets(self, n):
+        values = np.arange(n + 1) / n
+        texts, count = cell_texts(values)
+        assert texts == reprs(values)
+        assert count == 2  # 0.0 and 1.0
+
+    def test_random_values_below_one(self):
+        rng = np.random.default_rng(13)
+        values = np.concatenate([rng.random(50_000),
+                                 rng.random(50_000) * 10.0 ** rng.integers(-100, 0, 50_000)])
+        texts, count = cell_texts(values)
+        assert texts == reprs(values)
+        assert count == uncovered(values)
+
+    def test_refuses_an_object_array(self):
+        with pytest.raises(MismatchError):
+            Binary64().cells(np.array([0.5], dtype=object), np.empty((1, CELL_BYTES), np.uint8))
+
+    def test_tables_hold_exact_integers(self):
+        # F's limbs rebuild 5**s * 2**t, exactly from E_exact up, and every
+        # value of exponent E scales below 2**64
+        t = backends._tables()
+        assert t.multipliers.dtype == np.uint64 and t.multipliers.max() < 2**32
+        assert t.scales.dtype == np.int64
+        for i, s in enumerate(t.scales.tolist()):
+            e = t.e_min + i
+            f = sum(int(limb) << (32 * j) for j, limb in enumerate(t.multipliers[:, i]))
+            assert f < 2**127
+            exact = Fraction(5**s) * Fraction(2) ** (e + s - 959)
+            assert f == math.floor(exact) and (f == exact) == (e >= t.e_exact)
+            assert 10**s <= 2 ** (1086 - e) < 10 ** (s + 1)
+        assert 2.0 ** (t.e_min - 1022) > 1e-99 >= 2.0 ** (t.e_min - 1023)
+
+    def test_integers_stay_integers(self):
+        # a uint64 array that meets an int64 one is promoted to float64,
+        # which drops the low bits of the 20-digit answers without a word
+        y, decpt, fallback = backends._shortest(np.array([0.1, 2.0**-60, 1 / 3, 0.0]))
+        assert (y.dtype, decpt.dtype, fallback.dtype) == (np.uint64, np.int64, bool)
+        assert y[:3].tolist() == [10**19, 8673617379884035000, 3333333333333333000]
+        assert decpt[:3].tolist() == [0, -18, 0]
+        assert fallback.tolist() == [False, False, False, True]
+
+    def test_tables_are_built_on_first_use(self):
+        code = ("import tentlab.cli, tentlab.backends as b;"
+                "assert b._tables.cache_info().currsize == 0")
+        subprocess.run([sys.executable, "-c", code], check=True)
 
 
 class TestFactory:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from tentlab import MapParams, NetSpec, build_coefficients, cli, experiments, svgplot
-from tentlab.backends import DomainError, make_backend
+from tentlab.backends import Binary64, DomainError, make_backend
 from tentlab.cli import build_parser, replay_manifest, run_command
 from tentlab.svgplot import TableFile, as_float, render_plot, render_svg
 
@@ -545,10 +545,30 @@ class TestSweep:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # measured on CPython 3.11: 1.17 MB and 1.58 MB, 33 bytes a point, the
-        # columns once in chunks and once concatenated.  Rendering whole-column
-        # lists of the scaled values adds about 64 bytes a point more.
-        assert peaks[2] < peaks[1] + 40 * (16384 - 4096)
+        # measured on CPython 3.11: 1.11 MB and 1.31 MB, 16 bytes a point, the
+        # two columns filled in place.  Holding them once in chunks and once
+        # concatenated took 33 bytes a point, and rendering whole-column lists
+        # of the scaled values adds about 64 bytes a point more.
+        assert peaks[2] < peaks[1] + 24 * (16384 - 4096)
+
+    def test_binary64_cells_skip_repr(self, tmp_path, monkeypatch):
+        # Binary64.cells writes the sweep's numbers, and its integer path,
+        # not the repr fallback, writes at least 99% of them, so that a
+        # slide into the fallback fails here and not only in the benchmark
+        written, fallbacks = [], []
+        cells = Binary64.cells
+
+        def counted(self, values, out):
+            written.append(len(values))
+            fallbacks.append(cells(self, values, out))
+            return fallbacks[-1]
+
+        monkeypatch.setattr(Binary64, "cells", counted)
+        argv = ["sweep", "--net", "uniform:100000", "--out", str(tmp_path)]
+        assert run_command(argv) == 0
+        assert sum(written) == 3 * 100_001
+        # measured: 4, the x0 cells 0.0 and 1.0 and the finals from them
+        assert sum(fallbacks) <= 0.01 * sum(written)
 
     def test_thread_count_is_capped_without_starting_a_pool(self, tmp_path, forks):
         # one chunk caps the workers at one; never ask for many processes
