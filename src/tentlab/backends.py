@@ -88,9 +88,6 @@ class Backend:
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         return self.check(a) + self.check(b)
 
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.check(a) - self.check(b)
-
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
         return self.check(a) * self.check(b)
 
@@ -446,6 +443,11 @@ class Rational(Backend):
         return f"{x.numerator}/{x.denominator}"
 
 
+# rounds half-even to the quantum and never to a precision, so that every
+# integer digit survives whatever the value's size
+_QUANTIZE_CTX = decimal.Context(prec=decimal.MAX_PREC, rounding=decimal.ROUND_HALF_EVEN)
+
+
 class FixedDecimal(Backend):
     """Decimal arithmetic at a fixed number of significant digits.
 
@@ -486,9 +488,6 @@ class FixedDecimal(Backend):
     def add(self, a: Decimal, b: Decimal) -> Decimal:
         return self._ctx.add(self.check(a), self.check(b))
 
-    def sub(self, a: Decimal, b: Decimal) -> Decimal:
-        return self._ctx.subtract(self.check(a), self.check(b))
-
     def mul(self, a: Decimal, b: Decimal) -> Decimal:
         return self._ctx.multiply(self.check(a), self.check(b))
 
@@ -504,19 +503,8 @@ class FixedDecimal(Backend):
         return decimal.localcontext(self._ctx)
 
     def serialize(self, x: Decimal) -> str:
-        self.check(x)
-        # room for every integer digit plus the full fractional tail
-        width = max(x.adjusted() + 1, 1) + self.precision_digits
-        fmt_ctx = decimal.Context(prec=width, rounding=decimal.ROUND_HALF_EVEN)
-        q = x.quantize(self._quantum, context=fmt_ctx)
-        # assemble fixed-point text by hand; str() may switch to E notation
-        sign, digits, exp = q.as_tuple()
-        body = "".join(map(str, digits))
-        frac = -exp
-        if len(body) <= frac:
-            body = "0" * (frac - len(body) + 1) + body
-        text = f"{body[:-frac]}.{body[-frac:]}"
-        return f"-{text}" if sign and q != 0 else text
+        q = self.check(x).quantize(self._quantum, context=_QUANTIZE_CTX)
+        return format(q if q else q.copy_abs(), "f")  # fixed point; a zero has no sign
 
     def __repr__(self) -> str:
         return f"FixedDecimal({self.precision_digits})"

@@ -11,18 +11,19 @@ A sweep is classified by classify_finals, the rule classify_outcome
 applies to one run.  The net is cut into chunks of 8192 points, the
 fastest size measured for the binary64 kernel on a 2-vCPU host with a
 4 MiB L2 (larger chunks spill out of the cache, smaller ones pay numpy's
-per-call overhead).  The rounded kernel serves binary64 and decimal:
-numpy arrays of float64 or of Decimal objects, under the backend's
-context, so every elementwise operation rounds as the scalar recursion's
-does and in its order.  The exact kernel runs Python integer numerators
-over one shared denominator per time step, and returns the same reduced
-Fractions as the scalar recursion.  sweep_chunks runs each chunk in one
-pass on a chunk_map worker process, which builds the points i/denominator,
-computes and classifies the finals, and hands them to the caller's
-function there: sweep returns the arrays, the CLI formats sweep.csv.
-Chunk boundaries depend only on the chunk size, never on the worker
-count, so sweep output is bit-identical across worker counts and chunk
-sizes.
+per-call overhead).  The rounded kernel serves binary64 and decimal: it
+runs stabilize._starred, the recursion stabilized_orbit runs on one
+value, on numpy arrays of float64 or of Decimal objects under the
+backend's context, so every elementwise operation rounds as the scalar
+one does and in its order.  The exact kernel runs Python integer
+numerators over one shared denominator per time step, and returns the
+same reduced Fractions as the scalar recursion.  sweep_chunks runs each
+chunk in one pass on a chunk_map worker process, which builds the points
+i/denominator, computes and classifies the finals, and hands them to the
+caller's function there: sweep returns the arrays, the CLI formats
+sweep.csv.  Chunk boundaries depend only on the chunk size, never on the
+worker count, so sweep output is bit-identical across worker counts and
+chunk sizes.
 
 detect_escape runs in O(n log^2 n) numpy work and O(n) extra memory, by
 binary lifting over window extrema, and returns exactly what the quadratic
@@ -46,7 +47,7 @@ import numpy as np
 
 from .backends import Backend, DomainError, FixedDecimal, ParseError, Scalar
 from .cycles import fixed_point, two_cycle
-from .stabilize import TAPS, Coefficients, StabRun
+from .stabilize import TAPS, Coefficients, StabRun, _starred
 from .tentmap import MapParams, Orbit, orbit, tent_step_array
 
 MAX_NET_SIZE = 10**7
@@ -304,41 +305,37 @@ def _tent_power_array(x: np.ndarray, h: Scalar, half: Scalar, k: int) -> np.ndar
 def _sweep_chunk_rounded(
     x0s: np.ndarray, params: MapParams, k: int, a: tuple[Scalar, ...], steps: int
 ) -> np.ndarray:
-    """Final starred values for one chunk, mirroring the scalar recursion.
+    """Final starred values for one chunk: the last value _starred yields
+    on the whole array.
 
     x0s is float64 under binary64 and holds Decimals (dtype=object) under
     decimal, whose context makes each array operation round as the scalar
-    one.  Only an averaged value can leave [0, 1], so only those are
-    checked, once per step.  A tent step cannot leave it under any
-    monotone rounding that represents 0, 1, h and 1 - h, as both backends
-    do for h in (1, 2] (1 - h by Sterbenz's lemma in binary64; in decimal
-    it has no more fractional digits than h).  On the left branch h*x lies
-    in [0, h/2], within [0, 1], so it rounds into [0, 1].  On the right,
-    -h*x lies in [-h, -h/2], within [-h, 1 - h], so it rounds into
-    [-h, 1 - h], and adding h gives an exact sum in [0, 1] that rounds
-    into [0, 1].  A step whose averages leave [0, 1] runs them through
-    clamp_unit, which snaps a value within the backend's slack and raises
-    beyond it, as the scalar recursion does before f reads the value;
+    one.  f checks its input once per step, by one min and one max, and
+    snaps it only when it leaves [0, 1], which only an average can do.  A
+    tent step cannot leave it under any monotone rounding that represents
+    0, 1, h and 1 - h, as both backends do for h in (1, 2] (1 - h by
+    Sterbenz's lemma in binary64; in decimal it has no more fractional
+    digits than h).  On the left branch h*x lies in [0, h/2], within
+    [0, 1], so it rounds into [0, 1].  On the right, -h*x lies in
+    [-h, -h/2], within [-h, 1 - h], so it rounds into [-h, 1 - h], and
+    adding h gives an exact sum in [0, 1] that rounds into [0, 1].  An
+    input that leaves [0, 1] runs through clamp_unit, which snaps a value
+    within the backend's slack and raises beyond it, as tent_step does;
     decimal has no slack, so there it always raises.  The final average,
     which f never reads, is returned unsnapped.
     """
     b, h = params.backend, params.h
     half = b.parse("0.5")
+
+    def f(x: np.ndarray) -> np.ndarray:
+        if not (x.min() >= 0 and x.max() <= 1):  # NaN included
+            x = np.array(list(map(b.clamp_unit, x.tolist())))
+        return _tent_power_array(x, h, half, k)
+
     with b.context():
-        iterates = [x0s]
-        for _ in range(TAPS):
-            iterates.append(_tent_power_array(iterates[-1], h, half, k))
-        fvals = iterates[1:]  # f at the six seed values
-        for t in range(TAPS, steps + 1):
-            current = a[0] * fvals[-1]
-            for i in range(2, TAPS + 1):
-                current = current + a[i - 1] * fvals[-i]
-            if t == steps:
-                return current
-            if not (current.min() >= 0 and current.max() <= 1):  # NaN included
-                current = np.array(list(map(b.clamp_unit, current.tolist())))
-            fvals.pop(0)
-            fvals.append(_tent_power_array(current, h, half, k))
+        for final in _starred(x0s, f, a, steps):
+            pass
+    return final
 
 
 def _sweep_chunk_rational(

@@ -1,13 +1,15 @@
 """Six-tap predictive-averaging stabilization of tent-map cycles.
 
 A weight vector a_1..a_6 built from a single parameter sigma > 1 turns the
-unstable fixed points of f = T_h^k into attracting ones: after six plain
-iterates, each new value is the convex combination
-x*_n = a_1 f(x*_{n-1}) + ... + a_6 f(x*_{n-6}).  The same recursion viewed
-as a map on 6-dimensional state space (shift left, append the average) has
-companion-form Jacobians whose spectra decide stability cell by cell, so
-the whole analysis reduces to the root magnitudes of one degree-6
-polynomial per slope value.
+unstable fixed points of f = T_h^k into attracting ones: from x*_0 = x0
+and its five plain iterates x*_1..x*_5, each new value is the convex
+combination x*_n = a_1 f(x*_{n-1}) + ... + a_6 f(x*_{n-6}).  _starred
+writes that recursion once, for stabilized_orbit on one value of any
+backend and for the rounded sweep kernel on a float64 or Decimal array.
+The same recursion viewed as a map on 6-dimensional state space (shift
+left, append the average) has companion-form Jacobians whose spectra
+decide stability cell by cell, so the whole analysis reduces to the root
+magnitudes of one degree-6 polynomial per slope value.
 """
 
 from __future__ import annotations
@@ -37,22 +39,8 @@ class Coefficients:
 
 
 @dataclass(frozen=True)
-class CompanionState:
-    """A point of the 6-dimensional companion dynamics; components in [0,1]."""
-
-    u: tuple[Scalar, ...]
-
-    def __post_init__(self):
-        if len(self.u) != TAPS:
-            raise DomainError(f"state needs {TAPS} components, got {len(self.u)}")
-        for v in self.u:
-            if not 0 <= v <= 1:
-                raise DomainError(f"component {v!r} lies outside [0, 1]")
-
-
-@dataclass(frozen=True)
 class StabRun:
-    """A stabilized trajectory: six seed iterates, then averaged values."""
+    """A stabilized trajectory: x0 and five plain iterates, then averages."""
 
     params: MapParams
     power: int
@@ -126,29 +114,29 @@ def build_coefficients(sigma: Scalar, backend: Backend | None = None) -> Coeffic
     return Coefficients(sigma=s, a=a, c=c)
 
 
-def _weighted_average(
-    history: list[Scalar], coeffs: Coefficients, params: MapParams, k: int,
-    fval_cache: dict[int, Scalar] | None = None,
-) -> Scalar:
-    """a_1 f(history[-1]) + a_2 f(history[-2]) + ... + a_6 f(history[-6]).
+def _starred(x, f, a: tuple[Scalar, ...], steps: int):
+    """Yield x*_0 ... x*_steps from x*_0 = x: five plain iterates of f, then
+    x*_n = a_1 f(x*_{n-1}) + ... + a_6 f(x*_{n-6}), summed left to right.
 
-    Strictly left-to-right summation so every backend rounds identically
-    however the history was produced.
+    x is one backend value or an array of them, and only the value type's
+    own * and + combine them, so a value and an array round alike.  The
+    caller holds the backend's context around the whole loop: a with
+    block in here would leak into the consumer while the generator is
+    suspended.  f runs once per step, since the seed iterates are the
+    first five f-values, and only the window's f-values are kept.
     """
-    b = params.backend
-
-    def f_of(offset: int) -> Scalar:
-        idx = len(history) - offset
-        if fval_cache is not None:
-            if idx not in fval_cache:
-                fval_cache[idx] = tent_power_step(history[idx], params, k)
-            return fval_cache[idx]
-        return tent_power_step(history[idx], params, k)
-
-    acc = b.mul(coeffs.a[0], f_of(1))
-    for i in range(2, TAPS + 1):
-        acc = b.add(acc, b.mul(coeffs.a[i - 1], f_of(i)))
-    return acc
+    fvals = []  # f at the window's values, oldest first
+    yield x
+    for n in range(1, steps + 1):
+        fvals.append(f(x))
+        if n < TAPS:
+            x = fvals[-1]
+        else:
+            x = a[0] * fvals[-1]
+            for i in range(2, TAPS + 1):
+                x = x + a[i - 1] * fvals[-i]
+            del fvals[0]
+        yield x
 
 
 def stabilized_orbit(
@@ -158,29 +146,18 @@ def stabilized_orbit(
     coeffs: Coefficients,
     steps: int,
 ) -> StabRun:
-    """Seed with six plain iterates of f, then recurse the weighted average."""
+    """x*_0 ... x*_steps from x0 clamped into [0, 1]: x0 and five plain
+    iterates of f = T_h^k seed the run, then each value is the weighted
+    average of f over the six before it."""
     if steps < TAPS:
         raise DomainError(f"need at least {TAPS} steps to start averaging, got {steps}")
     b = params.backend
-    x = b.clamp_unit(x0)
-    starred: list[Scalar] = [x]
-    for _ in range(TAPS - 1):
-        starred.append(tent_power_step(starred[-1], params, k))
-    fvals: dict[int, Scalar] = {}  # f by history index, the window's taps only
-    for _ in range(TAPS, steps + 1):
-        starred.append(_weighted_average(starred, coeffs, params, k, fvals))
-        del fvals[len(starred) - 1 - TAPS]  # the oldest tap leaves the window
-    return StabRun(
-        params=params, power=k, coeffs=coeffs, x0=starred[0], starred=tuple(starred)
-    )
-
-
-def companion_step(
-    state: CompanionState, params: MapParams, k: int, coeffs: Coefficients
-) -> CompanionState:
-    """Shift left and append the weighted average of f over the window."""
-    tail = _weighted_average(list(state.u), coeffs, params, k)
-    return CompanionState(u=state.u[1:] + (tail,))
+    a = tuple(map(b.check, coeffs.a))
+    with b.context():
+        starred = tuple(_starred(
+            b.clamp_unit(x0), lambda x: tent_power_step(x, params, k), a, steps
+        ))
+    return StabRun(params=params, power=k, coeffs=coeffs, x0=starred[0], starred=starred)
 
 
 def companion_spectrum(

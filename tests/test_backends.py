@@ -6,6 +6,7 @@ number of significant digits, so a context-handling bug in the backend
 cannot hide behind the same library that produced the expected value.
 """
 
+import decimal
 import math
 import subprocess
 import sys
@@ -53,6 +54,22 @@ def round_sig_half_even(fr: Fraction, sig: int) -> Fraction:
     ):
         whole += 1
     return whole * quantum
+
+
+def fixed_point_digits(x: Decimal, p: int) -> str:
+    """x rounded half-even to p fractional digits, its fixed-point text
+    assembled by hand from the quantized tuple; a zero has no sign."""
+    # room for every integer digit plus the full fractional tail
+    width = max(x.adjusted() + 1, 1) + p
+    fmt_ctx = decimal.Context(prec=width, rounding=decimal.ROUND_HALF_EVEN)
+    q = x.quantize(Decimal(1).scaleb(-p), context=fmt_ctx)
+    sign, digits, exp = q.as_tuple()
+    body = "".join(map(str, digits))
+    frac = -exp
+    if len(body) <= frac:
+        body = "0" * (frac - len(body) + 1) + body
+    text = f"{body[:-frac]}.{body[-frac:]}"
+    return f"-{text}" if sign and q != 0 else text
 
 
 class TestParsing:
@@ -243,6 +260,19 @@ class TestSerialization:
         d = FixedDecimal(20)
         x = d.parse("0.61803398874989484820")
         assert d.parse(d.serialize(x)) == x
+
+    @pytest.mark.parametrize("p", [10, 12, 30, 70, 400])
+    def test_decimal_edge_cases_match_digit_assembly(self, p):
+        d = FixedDecimal(p)
+        values = [Decimal(t) for t in ("0", "-0", "-0E-50", "0E+5", "1E-500", "-1E-500",
+                                       "1E40", "-123456789E40", "1")]
+        for nines in (p - 1, p):  # half a quantum, and just past it
+            values += [Decimal(f"0.{'9' * nines}5"), Decimal(f"-0.{'0' * nines}5")]
+        for digit in range(10):  # midpoints that round to even, down and up
+            values += [Decimal(f"{digit}.{'0' * (p - 1)}{digit}5"),
+                       Decimal(f"-0.{'4' * p}5"), Decimal(f"1{digit}E40")]
+        for x in values:
+            assert d.serialize(x) == fixed_point_digits(x, p), x
 
 
 def cell_texts(values) -> tuple[list[str], int]:

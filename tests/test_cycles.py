@@ -118,7 +118,7 @@ def _scalar_census(params: MapParams, n: int) -> list[Cycle]:
     for word in _lyndon_words(n):
         A, B = _cell_affine(word, params)
         try:
-            x_star = b.clamp_unit(b.div(B, b.sub(one, A)))
+            x_star = b.clamp_unit(b.div(B, b.add(one, b.neg(A))))
         except DomainError:  # 1 - A = 0, or the fixed point leaves [0, 1]
             continue
 

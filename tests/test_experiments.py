@@ -42,6 +42,8 @@ from tentlab.experiments import (
 from tentlab.stabilize import Coefficients, StabRun, build_coefficients, stabilized_orbit
 from tentlab.tentmap import MapParams, tent_power_step
 
+from test_stabilize import reference_run
+
 # measured once at the default parameters; see module docstring
 ESCAPE_INDEX_04 = 90
 FLAT_VALUE_04 = 0.5999999999999999
@@ -141,8 +143,8 @@ def rat_setup():
     return MapParams(b.parse("3/2"), b), build_coefficients(b.parse("6/5"), b)
 
 
-def dec_setup():
-    b = FixedDecimal(30)
+def dec_setup(precision=30):
+    b = FixedDecimal(precision)
     return MapParams(b.parse("1.5"), b), build_coefficients(b.parse("1.2"), b)
 
 
@@ -401,6 +403,7 @@ class TestSweep:
             run = stabilized_orbit(x0, params, 2, coeffs, 20)
             assert type(final) is Fraction
             assert final == run.starred[-1]
+            assert final == reference_run(x0, params, 2, coeffs.a, 20)[-1]
         assert sum(result.counts.values()) == 16
 
     def test_sweep_codes_match_classify_outcome(self):
@@ -419,8 +422,7 @@ class TestSweep:
             NetSpec.uniform(97), params, 2, coeffs, 40, 1e-3, chunk_size=16
         )
         for x0, final in zip(result.points.tolist(), result.finals.tolist()):
-            run = stabilized_orbit(x0, params, 2, coeffs, 40)
-            assert final == run.starred[-1]
+            assert final == reference_run(x0, params, 2, coeffs.a, 40)[-1]
 
     def test_thread_count_does_not_change_bits(self):
         for params, coeffs in (b64_setup(), rat_setup(), dec_setup()):
@@ -445,10 +447,11 @@ class TestSweep:
             forks.clear()
 
     def test_decimal_sweep_matches_scalar_recursion(self):
-        params, coeffs = dec_setup()
-        result = sweep(NetSpec.uniform(20), params, 2, coeffs, 25, 1e-3, chunk_size=6)
-        for x0, final in zip(result.points.tolist(), result.finals.tolist()):
-            assert final == stabilized_orbit(x0, params, 2, coeffs, 25).starred[-1]
+        for precision in (12, 30):
+            params, coeffs = dec_setup(precision)
+            result = sweep(NetSpec.uniform(20), params, 2, coeffs, 25, 1e-3, chunk_size=6)
+            for x0, final in zip(result.points.tolist(), result.finals.tolist()):
+                assert final == reference_run(x0, params, 2, coeffs.a, 25)[-1]
 
     @pytest.mark.parametrize("k", [0, -2])
     def test_nonpositive_power_rejected_on_every_backend(self, k):

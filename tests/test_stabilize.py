@@ -1,9 +1,10 @@
-"""Coefficient construction, stabilized runs, companion map, and spectra.
+"""Coefficient construction, stabilized runs, and spectra.
 
-Oracles: an inline scalar reference recursion (pure floats, explicit
-operation order) pins the starred sequence bit for bit; each spectral
-magnitude is checked by Newton-polishing a root on its circle to a tiny
-polynomial residual, and their product by Vieta's formula.
+Oracles: an inline scalar reference recursion (the backend's per-op
+methods, explicit operation order) pins the starred sequence bit for bit
+on every backend; each spectral magnitude is checked by Newton-polishing
+a root on its circle to a tiny polynomial residual, and their product by
+Vieta's formula.
 """
 
 import math
@@ -15,15 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tentlab import stabilize
-from tentlab.backends import Binary64, DomainError, Rational
+from tentlab.backends import Binary64, DomainError, FixedDecimal, Rational
 from tentlab.stabilize import (
     TAPS,
     Coefficients,
-    CompanionState,
     build_coefficients,
     classify_equilibria,
     companion_spectrum,
-    companion_step,
     stabilized_orbit,
 )
 from tentlab.tentmap import MapParams
@@ -51,28 +50,31 @@ def rat_setup(h="3/2", sigma="6/5"):
     return params, build_coefficients(b.parse(sigma), b)
 
 
-def reference_run(x0: float, h: float, k: int, a: tuple, steps: int) -> list:
-    """Scalar float recursion written out longhand; no library calls."""
+def dec_setup(precision, h="1.5", sigma="1.2"):
+    b = FixedDecimal(precision)
+    return MapParams(b.parse(h), b), build_coefficients(b.parse(sigma), b)
+
+
+def reference_run(x0, params: MapParams, k: int, a: tuple, steps: int) -> list:
+    """The starred sequence written out longhand with the backend's per-op
+    methods, which round decimal through the backend's own context: x0 and
+    five plain iterates of f, then each average summed left to right, with
+    f taken afresh at every tap."""
+    b, h = params.backend, params.h
+    half, neg_h = b.parse("1/2"), b.neg(h)
 
     def f(x):
         for _ in range(k):
-            x = h * x if x <= 0.5 else -h * x + h
+            x = b.mul(h, x) if x <= half else b.add(b.mul(neg_h, x), h)
         return x
 
     xs = [x0]
-    for _ in range(5):
+    for _ in range(TAPS - 1):
         xs.append(f(xs[-1]))
-    fv = {}
-
-    def fval(j):
-        if j not in fv:
-            fv[j] = f(xs[j])
-        return fv[j]
-
-    for n in range(6, steps + 1):
-        acc = a[0] * fval(n - 1)
-        for i in range(2, 7):
-            acc = acc + a[i - 1] * fval(n - i)
+    for n in range(TAPS, steps + 1):
+        acc = b.mul(a[0], f(xs[n - 1]))
+        for i in range(2, TAPS + 1):
+            acc = b.add(acc, b.mul(a[i - 1], f(xs[n - i])))
         xs.append(acc)
     return xs
 
@@ -124,32 +126,28 @@ class TestCoefficients:
 
 class TestStabilizedOrbit:
     def test_bit_identical_to_reference_recursion(self):
-        params, coeffs = b64_setup()
-        for x0 in (0.3, 0.2, 0.4, 0.7231, 0.05):
-            run = stabilized_orbit(x0, params, 2, coeffs, 80)
-            assert list(run.starred) == reference_run(x0, 1.5, 2, coeffs.a, 80)
+        for params, coeffs in (b64_setup(), rat_setup(), dec_setup(12), dec_setup(30)):
+            b = params.backend
+            for x0 in map(b.parse, ("0.3", "0.2", "0.4", "0.7231", "0.05")):
+                run = stabilized_orbit(x0, params, 2, coeffs, 80)
+                assert list(run.starred) == reference_run(x0, params, 2, coeffs.a, 80)
 
     def test_fvalue_cache_holds_only_the_window(self, monkeypatch):
         params, coeffs = b64_setup()
-        sizes, calls = [], []
-        average, power_step = stabilize._weighted_average, stabilize.tent_power_step
-
-        def watched_average(history, coeffs, params, k, fval_cache=None):
-            value = average(history, coeffs, params, k, fval_cache)
-            sizes.append(len(fval_cache))
-            return value
+        calls = []
+        power_step = stabilize.tent_power_step
 
         def counted_step(x, params, k):
             calls.append(x)
             return power_step(x, params, k)
 
-        monkeypatch.setattr(stabilize, "_weighted_average", watched_average)
         monkeypatch.setattr(stabilize, "tent_power_step", counted_step)
         run = stabilized_orbit(0.4, params, 2, coeffs, 2000)
-        assert list(run.starred) == reference_run(0.4, 1.5, 2, coeffs.a, 2000)
-        assert max(sizes) <= TAPS + 1
-        # five seed iterates, then f of each value once: no tap is recomputed
-        assert len(calls) == 2000 + TAPS - 1
+        assert list(run.starred) == reference_run(0.4, params, 2, coeffs.a, 2000)
+        # f of each value but the last, once and in order: the seed iterates
+        # are the first f-values, and no tap is recomputed
+        assert calls == list(run.starred[:-1])
+        assert len(calls) == 2000
 
     def test_converges_to_upper_cycle_point_from_03(self):
         params, coeffs = b64_setup()
@@ -191,49 +189,6 @@ class TestStabilizedOrbit:
         params, coeffs = b64_setup()
         run = stabilized_orbit(x0, params, 2, coeffs, 40)
         assert all(0.0 <= x <= 1.0 for x in run.starred)
-
-
-class TestCompanionMap:
-    def test_diagonal_fixed_point_exact(self):
-        params, coeffs = rat_setup()
-        s = Fraction(3, 5)
-        state = CompanionState((s,) * 6)
-        assert companion_step(state, params, 2, coeffs) == state
-
-    def test_cycle_point_diagonal_fixed(self):
-        params, coeffs = rat_setup()
-        p = CompanionState((Fraction(6, 13),) * 6)
-        assert companion_step(p, params, 2, coeffs) == p
-
-    def test_reproduces_starred_sequence_bitwise(self):
-        params, coeffs = b64_setup()
-        run = stabilized_orbit(0.3, params, 2, coeffs, 15)
-        state = CompanionState(tuple(run.starred[:6]))
-        for t in range(10):
-            state = companion_step(state, params, 2, coeffs)
-            assert state.u[-1] == run.starred[6 + t]
-
-    def test_state_validation(self):
-        with pytest.raises(DomainError):
-            CompanionState((0.5, 0.5))
-        with pytest.raises(DomainError):
-            CompanionState((0.5, 0.5, 0.5, 0.5, 0.5, 1.5))
-
-    def test_grid_fixed_points_are_diagonal(self):
-        # over a coarse grid of states, F(u) = u only on the diagonal at a
-        # fixed point of f; checking the last component suffices for the
-        # shift to be stationary
-        params, coeffs = b64_setup()
-        values = (0.0, 0.25, 6 / 13, 0.6, 9 / 13, 1.0)
-        fixed_of_f = {0.0, 0.6, 6 / 13, 9 / 13}
-        import itertools
-
-        for combo in itertools.product(values, repeat=6):
-            state = CompanionState(combo)
-            nxt = companion_step(state, params, 2, coeffs)
-            if nxt == state:
-                assert len(set(combo)) == 1
-                assert abs(combo[0] - min(fixed_of_f, key=lambda s: abs(s - combo[0]))) < 1e-9
 
 
 class TestSpectrum:
