@@ -131,6 +131,10 @@ class Backend:
     def serialize(self, x: Scalar) -> str:
         raise NotImplementedError
 
+    def texts(self, values) -> list[str]:
+        """serialize(v) for every value of a column, a sequence or an array."""
+        return list(map(self.serialize, values))
+
     def to_float(self, x: Scalar) -> float:
         self.check(x)
         return float(x)
@@ -183,6 +187,17 @@ class Binary64(Backend):
         against this."""
         self.check(x)
         return repr(x)
+
+    def texts(self, values) -> list[str]:
+        """serialize(v) for every v of a float64 array, or a sequence numpy
+        reads as one: cells and a newline a row, NULs deleted, then split."""
+        out = []
+        for block in np.array_split(np.asarray(values), range(TEXT_BLOCK, len(values), TEXT_BLOCK)):
+            table = np.empty((len(block), CELL_BYTES + 1), dtype=np.uint8)
+            table[:, CELL_BYTES] = ord("\n")
+            self.cells(block, table[:, :CELL_BYTES])
+            out += table.tobytes().translate(None, b"\0").decode("ascii").splitlines()
+        return out
 
     def cells(self, values: np.ndarray, out: np.ndarray) -> int:
         """Write serialize(v) for every v of a float64 array into the rows
@@ -243,6 +258,7 @@ class Binary64(Backend):
 # --- the digits of repr for a float64 array, in exact integer arithmetic
 
 CELL_BYTES = 32  # a cell of Binary64.cells; the longest repr of a float has 24
+TEXT_BLOCK = 2048  # values per block of Binary64.texts; cells' temporaries take ~220 bytes a value
 _M32 = 0xFFFF_FFFF
 _E_TOP = 1022  # the biased exponent of [1/2, 1)
 _TEN_THOUSAND = np.uint64(10_000)  # a uint64 scalar: bool * 10000 stays uint64
@@ -441,6 +457,9 @@ class Rational(Backend):
     def serialize(self, x: Fraction) -> str:
         self.check(x)
         return f"{x.numerator}/{x.denominator}"
+
+    def texts(self, values) -> list[str]:
+        return [f"{x.numerator}/{x.denominator}" for x in map(self.check, values)]
 
 
 # rounds half-even to the quantum and never to a precision, so that every

@@ -17,16 +17,12 @@ writes each artifact as soon as it is yielded, so --out appears only
 once the computation has validated its inputs; a run that fails later
 deletes the artifacts it opened, and --out if it created it.  --plot
 renders the first CSV as read back from its file, except under sweep,
-whose worker processes format sweep.csv a chunk at a time and return
-the plotted cells as floats, so that the parent holds neither the net
-nor its rows: one chunk's text, and under --plot two float columns,
-filled in place as the chunks arrive.  A binary64 sweep.csv is laid out
-a chunk at a time as one byte matrix: Binary64.cells finds repr's
-shortest round-trip digits for a whole column with exact integer
-arithmetic, and leaves to repr itself only the values it does not
-cover (0, negatives, NaN, infinities, subnormals, values of 1 or more
-or below about 10**-99) and the rare exact tie, so the bytes are those
-of repr.
+whose workers format sweep.csv a chunk at a time and return the plotted
+cells as floats, so that the parent holds neither the net nor its rows.
+Cells are formatted a column at a time by Backend.texts, in binary64 by
+Binary64.cells: repr's digits for a float64 array in integer arithmetic,
+which also fill a binary64 sweep.csv chunk's byte matrix.  _write_json
+gives json.dump's bytes without json's pure-Python encoder.
 
 Exit codes: 0 success, 2 validation problem (bad flags or bad values),
 1 internal failure.
@@ -37,14 +33,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 import time
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .backends import CELL_BYTES, BackendError, MismatchError, make_backend
+from .backends import CELL_BYTES, TEXT_BLOCK, Binary64, BackendError, MismatchError, make_backend
 from .cycles import enumerate_cycles, onset_threshold
 from .experiments import (
     DEFAULT_FLAT_TOL,
@@ -159,12 +157,45 @@ def _write_csv(path: Path, header: tuple[str, ...], text) -> None:
         fh.writelines(text)
 
 
-def _write_json(path: Path, doc) -> None:
-    """Streamed to the file: the same bytes as json.dumps, without the
-    whole text and its pieces in memory at once."""
+_ENCODE = json.encoder.encode_basestring_ascii  # json's own C escaper
+
+
+def _json_text(value, indent: str) -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it, its
+    closing bracket after indent: dicts with str keys, lists, tuples and scalars."""
+    if isinstance(value, str):
+        return _ENCODE(value)
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)  # None, a bool or a number: json's C encoder
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{_ENCODE(key)}: {_json_text(value[key], inner)}" for key in sorted(value)]
+    else:
+        try:  # a list of strings, without a call of this function for each
+            items = list(map(_ENCODE, value))
+        except TypeError:
+            items = [_json_text(item, inner) for item in value]
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1] if items else brackets
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    """json.dump(doc, fh, indent=2, sort_keys=True) and a newline, without
+    json's pure-Python encoder: an entry at a time, and an entry that is an
+    iterator, such as a census's cycles, as a list an item at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        head = "{"
+        for key in sorted(doc):
+            fh.write(f"{head}\n  {_ENCODE(key)}: ")
+            value, head, sep = doc[key], ",", "["
+            if not isinstance(value, Iterator):
+                fh.write(_json_text(value, "\n  "))
+                continue
+            for item in value:
+                fh.write(sep + "\n    " + _json_text(item, "\n    "))
+                sep = ","
+            fh.write("[]" if sep == "[" else "\n  ]")
+        fh.write("\n}\n" if doc else "{}\n")
 
 
 def _parameter(value):
@@ -221,11 +252,10 @@ def _run(ns: argparse.Namespace) -> int:
 
 # --- subcommands: each yields (artifact name, contents) in the order the
 # artifacts are written; a CSV's contents are (header, text), the text an
-# iterable of whole lines or blocks of them (_csv_lines), a JSON
-# artifact's the document.  The text is a generator where it can be, so a
-# large CSV is serialized as it is written instead of held in memory.
-# --out is added to every subcommand and is the one flag the manifest
-# leaves out.
+# iterable of lines or blocks of them, a generator where it can be, so a
+# large CSV is serialized as it is written; a JSON artifact's the document,
+# whose iterators _write_json writes as lists, an item at a time.  --out
+# is added to every subcommand and is the one flag the manifest leaves out.
 
 COMMANDS: dict[str, tuple] = {}
 
@@ -238,15 +268,15 @@ def command(name: str, help_text: str, *flags: tuple[str, dict]):
     return register
 
 
-def _indexed(b, values):
-    return _csv_lines((str(i), b.serialize(x)) for i, x in enumerate(values))
+def _indexed(cells: list[str]):  # the rows "n,cell" of a column
+    return (f"{i},{x}\n" for i, x in enumerate(cells))
 
 
 @command("simulate", "iterate T^k from a start point",
          H, K, x0_flag("0.5"), steps_flag(DEFAULT_STEPS), *BACKEND, PLOT)
 def _cmd_simulate(ns, b, params, coeffs):
     run = orbit(b.parse(ns.x0), params, k=ns.k, steps=ns.steps)
-    yield "orbit.csv", (("n", "x"), _indexed(b, run.points))
+    yield "orbit.csv", (("n", "x"), _indexed(b.texts(run.points)))
 
 
 @command("cycles", "enumerate the period-n cycles at h",
@@ -257,34 +287,25 @@ def _cmd_simulate(ns, b, params, coeffs):
 def _cmd_cycles(ns, b, params, coeffs):
     record = onset_threshold(ns.period) if ns.onset else None
     found = enumerate_cycles(params, ns.period)
-    entries = [  # each value serialized once, for cycles.json and cycles.csv alike
-        {
-            "points": [b.serialize(x) for x in c.points],
-            "itinerary": c.itinerary,
-            "multiplier": b.serialize(c.multiplier),
-        }
-        for c in found
-    ]
-    doc = {
-        "h": b.serialize(params.h),
-        "period": ns.period,
-        "count": len(found),
-        "cycles": entries,
-    }
+    n = ns.period
+    itineraries, multipliers = [c.itinerary for c in found], b.texts([c.multiplier for c in found])
+    step = max(1, TEXT_BLOCK // n)  # cycles per block of point texts
+    cells = []  # each point serialized once, for cycles.json and cycles.csv alike
+    for start in range(0, len(found), step):
+        block = found[start:start + step]
+        found[start:start + step] = [None] * len(block)  # free its points once formatted
+        cells += b.texts([x for c in block for x in c.points])
+    doc = {"h": b.serialize(params.h), "period": n, "count": len(found),
+           "cycles": ({"points": cells[i * n:i * n + n], "itinerary": w, "multiplier": m}
+                      for i, (w, m) in enumerate(zip(itineraries, multipliers)))}
     if record is not None:
-        doc["onset"] = {
-            "threshold": record.threshold,
-            "polynomial": list(record.polynomial),
-        }
+        doc["onset"] = {"threshold": record.threshold, "polynomial": list(record.polynomial)}
     yield "cycles.json", doc
-    rows = (
-        (str(i), str(j), x, e["itinerary"], e["multiplier"])
-        for i, e in enumerate(entries)
-        for j, x in enumerate(e["points"])
-    )
-    yield "cycles.csv", (
-        ("cycle", "index", "point", "itinerary", "multiplier"), _csv_lines(rows)
-    )
+    indices = [f"{j}," for j in range(n)]
+    rows = (  # a cycle's rows in one join: "i," "j,x" ",w,m\ni," "j,x" ... ",w,m\n"
+        f"{i}," + f",{w},{m}\n{i},".join(map(operator.add, indices, cells[i * n:i * n + n]))
+        + f",{w},{m}\n" for i, (w, m) in enumerate(zip(itineraries, multipliers)))
+    yield "cycles.csv", (("cycle", "index", "point", "itinerary", "multiplier"), rows)
 
 
 @command("stabilize", "run the six-tap averaged recursion from x0",
@@ -292,11 +313,11 @@ def _cmd_cycles(ns, b, params, coeffs):
 def _cmd_stabilize(ns, b, params, coeffs):
     run = stabilized_orbit(b.parse(ns.x0), params, ns.k, coeffs, ns.steps)
     outcome = classify_outcome(run, params, ns.tol)
-    yield "stabilize.csv", (("n", "x_star"), _indexed(b, run.starred))
+    yield "stabilize.csv", (("n", "x_star"), _indexed(b.texts(run.starred)))
     yield "stabilize.json", {
         "x0": b.serialize(run.x0),
         "sigma": b.serialize(coeffs.sigma),
-        "coefficients": [b.serialize(a) for a in coeffs.a],
+        "coefficients": b.texts(coeffs.a),
         "final_value": b.serialize(run.starred[-1]),
         "classified_target": outcome.variant.value,
         "distance": outcome.distance,
@@ -414,7 +435,7 @@ def _cmd_escape(ns, b, params, coeffs):
     event = detect_escape(
         run.to_floats(), flat_tol=ns.flat_tol, jump_tol=ns.jump_tol, min_flat=ns.min_flat
     )
-    yield "escape.csv", (("n", "x_star"), _indexed(b, run.starred))
+    yield "escape.csv", (("n", "x_star"), _indexed(b.texts(run.starred)))
     yield "escape.json", {
         "x0": b.serialize(run.x0),
         "steps": ns.steps,
@@ -426,7 +447,7 @@ def _cmd_escape(ns, b, params, coeffs):
          H, steps_flag(DEFAULT_STEPS), *BACKEND, PLOT)
 def _cmd_series(ns, b, params, coeffs):
     run = chaotic_series(params, ns.steps)
-    yield "series.csv", (("n", "x"), _indexed(b, run.points))
+    yield "series.csv", (("n", "x"), _indexed(b.texts(run.points)))
 
 
 @command("sqrt2", "high-precision orbit pinned near 2 - sqrt(2)",
@@ -441,8 +462,8 @@ def _cmd_sqrt2(ns, b, params, coeffs):
     )
     reference = sqrt2_reference(ns.precision)
     b = run.params.backend
-    rows = ((str(i), repr(abs(float(x - reference)))) for i, x in enumerate(run.points))
-    yield "sqrt2.csv", (("n", "deviation"), _csv_lines(rows))
+    deviations = [abs(float(x - reference)) for x in run.points]
+    yield "sqrt2.csv", (("n", "deviation"), _indexed(Binary64().texts(deviations)))
     yield "sqrt2.json", {
         "precision": ns.precision,
         "steps": ns.steps,
@@ -472,9 +493,9 @@ def _cmd_fib(ns, b, params, coeffs):
         ),
         "observed_escape": first_crossing(run, ns.threshold),
     }
-    yield "fib.csv", (("n", "x"), _indexed(b, run.seq))
+    cells = b.texts(run.seq)
+    yield "fib.csv", (("n", "x"), _indexed(cells))
     if ns.phase:
-        cells = [b.serialize(x) for x in run.seq]
         yield "phase.csv", (("x", "x_next"), _csv_lines(zip(cells, cells[1:])))
         doc["unstable_slope"] = PHI
         doc["stable_slope"] = -1.0 / PHI
@@ -497,8 +518,8 @@ def _cmd_spectrum(ns, b, params, coeffs):
         radii = [companion_spectrum(mu, coeffs)[1] for mu in ns.mu]
         entries = [{"mu": mu, "radius": radius, "point": None, "stable": radius < 1.0}
                    for mu, radius in zip(ns.mu, radii)]
-    rows = [(repr(e["mu"]), repr(e["radius"])) for e in entries]
-    yield "spectrum.csv", (("mu", "radius"), _csv_lines(rows))
+    columns = (Binary64().texts([e[key] for e in entries]) for key in ("mu", "radius"))
+    yield "spectrum.csv", (("mu", "radius"), _csv_lines(zip(*columns)))
     yield "spectrum.json", {"sigma": ns.sigma, "entries": entries}
 
 

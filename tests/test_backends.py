@@ -26,6 +26,7 @@ from tentlab.backends import (
     DomainError,
     FixedDecimal,
     MismatchError,
+    TEXT_BLOCK,
     ParseError,
     Rational,
     infer_backend,
@@ -380,6 +381,61 @@ class TestBinary64Cells:
         code = ("import tentlab.cli, tentlab.backends as b;"
                 "assert b._tables.cache_info().currsize == 0")
         subprocess.run([sys.executable, "-c", code], check=True)
+
+
+# the values Binary64.cells leaves to repr, and some it covers
+EDGE_FLOATS = [0.0, -0.0, -0.5, -1e-300, 1.0, 2.0, 65536.0, -65536.0, 1e300, 5e-324,
+               2.2250738585072014e-308, 1e-100, 1e-99, 1e-05, 0.0001, 0.1, 2 / 3,
+               math.nan, math.inf, -math.inf]
+
+
+class TestTexts:
+    """Backend.texts, a column at a time, against serialize, a value at a time."""
+
+    def test_binary64_edge_values(self):
+        b = Binary64()
+        assert b.texts(EDGE_FLOATS) == list(map(b.serialize, EDGE_FLOATS))
+        assert b.texts(np.array(EDGE_FLOATS)) == list(map(b.serialize, EDGE_FLOATS))
+
+    @pytest.mark.parametrize("n", [0, 1, TEXT_BLOCK - 1, TEXT_BLOCK, TEXT_BLOCK + 1,
+                                   3 * TEXT_BLOCK + 7])
+    def test_binary64_columns_across_blocks(self, n):
+        rng = np.random.default_rng(n)
+        values = rng.random(n) * 10.0 ** rng.integers(-120, 5, n)
+        values[::97] = np.resize(EDGE_FLOATS, len(values[::97]))
+        b = Binary64()
+        assert b.texts(values) == list(map(b.serialize, values.tolist()))
+
+    @given(st.lists(st.floats(), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_binary64_any_floats(self, values):
+        assert Binary64().texts(values) == list(map(Binary64().serialize, values))
+
+    def test_rational(self):
+        b = Rational()
+        values = [Fraction(0), Fraction(-3, 7), Fraction(65536), Fraction(-65536),
+                  Fraction(1, 3**40), Fraction(2**70 + 1, 3)]
+        values += [Fraction(i, TEXT_BLOCK + 3) for i in range(TEXT_BLOCK + 3)]
+        assert b.texts(values) == list(map(b.serialize, values))
+        assert b.texts(np.array(values, dtype=object)) == list(map(b.serialize, values))
+
+    @pytest.mark.parametrize("digits", [10, 30, 400])
+    def test_decimal(self, digits):
+        b = FixedDecimal(digits)
+        values = [b.from_int(0), Decimal("-0"), b.parse("-0.5"), b.from_int(65536),
+                  b.parse("1/3"), b.parse("2/3"), Decimal("1e-500"), Decimal("-1e-500")]
+        values += [b.parse(f"{i}/{TEXT_BLOCK + 3}") for i in range(0, TEXT_BLOCK + 3, 97)]
+        assert b.texts(values) == list(map(b.serialize, values))
+
+    @pytest.mark.parametrize("b, values", [
+        (Binary64(), [0.5, Fraction(1, 2)]),
+        (Binary64(), [1, 2]),
+        (Rational(), [Fraction(1, 2), 0.5]),
+        (FixedDecimal(30), [Decimal("0.5"), 0.5]),
+    ])
+    def test_refuses_another_backends_values(self, b, values):
+        with pytest.raises(MismatchError):
+            b.texts(values)
 
 
 class TestFactory:

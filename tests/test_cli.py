@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from tentlab import MapParams, NetSpec, build_coefficients, cli, experiments, svgplot
 from tentlab.backends import Binary64, DomainError, make_backend
@@ -282,8 +284,52 @@ class TestCycles:
                 ("c779485632f1272aec0cfc38ea6c59e8ed3a2f1cd8f4f0ffdff28f9926f009d8",
                  "0701190333c70ebb25b182b7e1ec3cfa769447507b53b3c01bb778912a82b6cf"),
             ),
+            # recorded before the census formatted its cells a column at a
+            # time and wrote cycles.json without json's pure-Python encoder
+            (
+                ["--h", "2", "--period", "1"],
+                ("f8b2146a8ccf24c189a43865e91ba8f2ffaacf80df72a3a17a26501ff09551a7",
+                 "cdad1030b934a8584037bb6750725ce57e1fbb563f3c56233de8a6d5f33aa8ef"),
+            ),
+            (
+                ["--h", "2", "--period", "2"],
+                ("c75406fe02519f479d0d2511d95e1815a1eeeee25424b011ecd25fd16ae02364",
+                 "9d5e464443b0a537e71a7b23dfb60d9d197993c354f200ad3d3c199da5be6cd3"),
+            ),
+            (
+                ["--h", "2", "--period", "16"],
+                ("111c35f902f206a832a57affd60b2bdab81e80aa60c90a79239462b2a4379dc6",
+                 "75080739cef662ef59e5b2958242066ea985369a90b0b6c3da1851e5b7367837"),
+            ),
+            (
+                ["--h", "1.9", "--period", "7", "--onset"],
+                ("e3d26f664bbda5033046ce26b5a818c452822c92bcff5036533fd04cffd6b911",
+                 "ff735c8f7267d4714452514857580c47d45176ed8fee3ae250e91a4d77baaf8e"),
+            ),
+            (
+                ["--h", "3/2", "--period", "1", "--backend", "rational"],
+                ("02946044e9ea0f7469b1bfa720c394045d28581482dd90a62e21e26bfea54427",
+                 "4ff1b921584517ef86cd461743fd9918ed82e6bea6371f16c67624daa61acaeb"),
+            ),
+            (
+                ["--h", "2", "--period", "14", "--backend", "rational"],
+                ("e683e9b55bad744fc8a74f81a81c23376327412a8981135d9942e62f4e7f69dc",
+                 "76a48928732a20ca92512240e5188e55fc6c2e4d8347ccddfe8262e0206b4b04"),
+            ),
+            (
+                ["--h", "2", "--period", "12", "--backend", "decimal", "--precision", "30"],
+                ("ef1e6c1e37a5555c70faa74f8c9826a35a5d26d786b20c96940c4b0a45dcbd1e",
+                 "77fb5538d80a652e634cebd96b6444c79e2eba053cf09c75ce993a1270fcefa7"),
+            ),
+            (
+                ["--h", "1.9", "--period", "12", "--backend", "decimal", "--precision", "400"],
+                ("0db42f6d166ef77c6224d302c76f1afc8ed0a986cb7423fb0ada53def79f866a",
+                 "2f38389d54ca21c02f09ece822671e339667cfb64a49b3db7b585c04d9eb1d44"),
+            ),
         ],
-        ids=["binary64-h2-n12", "rational-h3_2-n10", "decimal30-h1.7-n9"],
+        ids=["binary64-h2-n12", "rational-h3_2-n10", "decimal30-h1.7-n9",
+             "binary64-h2-n1", "binary64-h2-n2", "binary64-h2-n16", "binary64-h1.9-n7-onset",
+             "rational-h3_2-n1", "rational-h2-n14", "decimal30-h2-n12", "decimal400-h1.9-n12"],
     )
     def test_artifact_bytes_pinned(self, tmp_path, argv, digests):
         assert run_command(["cycles", *argv, "--out", str(tmp_path)]) == 0
@@ -702,6 +748,55 @@ class TestBackends:
                 "--plot", "line", "--out", str(tmp_path)]
         assert run_command(argv) == 0
         assert "<polyline" in (tmp_path / "orbit.svg").read_text(encoding="utf-8")
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=30,
+)
+
+
+class TestWriteJson:
+    """cli._write_json gives json.dump's bytes without its pure-Python encoder."""
+
+    @given(st.dictionaries(st.text(), JSON_VALUES, max_size=6))
+    @example({"s": "\u00e9\x00\x1f\u2028\U0001d11e\"\\/", "f": [math.nan, math.inf, -math.inf, -0.0,
+                                                     1e-300, 0.1, 5e-324, 1e300],
+              "i": [0, -1, 2**70, True, False], "n": None, "e": [[], {}, ()],
+              "nested": {"b": {"": [{"x": ["y"]}]}, "a": ["1", 2, "3"]}})
+    @example({})
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bytes_equal_json_dumps(self, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        cli._write_json(path, doc)
+        expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+        path.unlink()  # a new file each time: truncating one can wait on writeback
+
+    def test_iterators_are_written_as_lists(self, tmp_path):
+        items = [{"points": ["0.5", "1/3"], "itinerary": "LR", "multiplier": "-4.0"}, {"a": [1, 2.5]}]
+        cli._write_json(tmp_path / "doc.json", {"cycles": iter(items), "none": iter(()), "n": 2})
+        expected = json.dumps({"cycles": items, "none": [], "n": 2}, indent=2, sort_keys=True)
+        assert (tmp_path / "doc.json").read_text(encoding="utf-8") == expected + "\n"
+
+    def test_refuses_other_types(self, tmp_path):
+        # json would write the int key as "1"; tentlab's keys are all strings
+        for doc in ({"x": {1, 2}}, {"x": object()}, {"x": {1: "a"}}):
+            with pytest.raises(TypeError):
+                cli._write_json(tmp_path / "doc.json", doc)
+
+    @pytest.mark.parametrize("argv", REPLAY_SET, ids=lambda argv: "-".join(argv[:3]))
+    def test_no_artifact_uses_the_pure_python_encoder(self, tmp_path, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("json's pure-Python encoder ran")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        assert run_command([*argv, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "manifest.json").exists()
 
 
 class TestManifest:
