@@ -2,8 +2,9 @@
 
 Every quantity handled by this package is a plain Python number (float,
 Fraction, or Decimal) owned by a backend object that knows how to parse,
-combine, compare, clamp, and serialize values of its kind.  The three
-backends share one interface so orbit code can be written once:
+compare, clamp, and serialize values of its kind.  Values combine through
+their own operators under the backend's context(), so orbit code is
+written once for all three:
 
 * ``Binary64``     IEEE double precision, round to nearest.
 * ``Rational``     exact ``fractions.Fraction`` arithmetic, never rounds.
@@ -36,6 +37,7 @@ _FRACTION_RE = re.compile(r"^[+-]?\d+/\d+$")
 _DECIMAL_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)$")
 
 MIN_DECIMAL_DIGITS = 10
+_NO_CONTEXT = contextlib.nullcontext()  # reusable and reentrant
 
 
 class BackendError(ValueError):
@@ -84,30 +86,12 @@ class Backend:
     def from_int(self, n: int) -> Scalar:
         raise NotImplementedError
 
-    # the value type's own operators; FixedDecimal rounds through its context
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.check(a) + self.check(b)
-
-    def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.check(a) * self.check(b)
-
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        if b == 0:
-            raise DomainError("division by zero")
-        return self.check(a) / self.check(b)
-
-    def neg(self, a: Scalar) -> Scalar:
-        """Exact negation; never rounds in any backend."""
-        return -self.check(a)
-
     def context(self):
         """A context manager under which the value type's own operators, on
-        scalars and on object arrays alike, round as this backend's do."""
-        return contextlib.nullcontext()
-
-    def affine(self, a: Scalar, x: Scalar, b: Scalar) -> Scalar:
-        """a*x + b, rounded once after the multiply and once after the add."""
-        return self.add(self.mul(a, x), b)
+        scalars and on object arrays alike, round as this backend does: a
+        null context for float and Fraction.  Operators do not check their
+        operands' types; values are checked where they enter."""
+        return _NO_CONTEXT
 
     def cmp_half(self, x: Scalar) -> Branch:
         """Branch membership of x in [0, 1]; the tie at 1/2 is LEFT."""
@@ -470,9 +454,10 @@ _QUANTIZE_CTX = decimal.Context(prec=decimal.MAX_PREC, rounding=decimal.ROUND_HA
 class FixedDecimal(Backend):
     """Decimal arithmetic at a fixed number of significant digits.
 
-    Every multiply and every add is rounded half-even to ``precision_digits``
-    significant digits through a private :class:`decimal.Context`, so results
-    never depend on the ambient thread context.
+    Under context(), every operator rounds half-even to
+    ``precision_digits`` significant digits through a private
+    :class:`decimal.Context`, so results never depend on the ambient
+    thread context.
     """
 
     kind = "decimal"
@@ -503,20 +488,6 @@ class FixedDecimal(Backend):
 
     def from_int(self, n: int) -> Decimal:
         return self._ctx.create_decimal(n)
-
-    def add(self, a: Decimal, b: Decimal) -> Decimal:
-        return self._ctx.add(self.check(a), self.check(b))
-
-    def mul(self, a: Decimal, b: Decimal) -> Decimal:
-        return self._ctx.multiply(self.check(a), self.check(b))
-
-    def div(self, a: Decimal, b: Decimal) -> Decimal:
-        if b == 0:
-            raise DomainError("division by zero")
-        return self._ctx.divide(self.check(a), self.check(b))
-
-    def neg(self, a: Decimal) -> Decimal:
-        return self.check(a).copy_negate()
 
     def context(self):
         return decimal.localcontext(self._ctx)

@@ -15,10 +15,12 @@ A subcommand is a generator of (artifact name, contents) pairs; _run
 builds the backend, MapParams and Coefficients its flags ask for, and
 writes each artifact as soon as it is yielded, so --out appears only
 once the computation has validated its inputs; a run that fails later
-deletes the artifacts it opened, and --out if it created it.  --plot
-renders the first CSV as read back from its file, except under sweep,
-whose workers format sweep.csv a chunk at a time and return the plotted
-cells as floats, so that the parent holds neither the net nor its rows.
+deletes the artifacts it opened, and --out if it created it.  Under
+--plot a subcommand also yields its first CSV's two columns (x0 and final
+under sweep) as floats, parsed once from the cells just formatted, and
+_run renders them; sweep's workers format sweep.csv a chunk at a time and
+return the plotted cells as floats, so that the parent holds neither the
+net nor its rows.
 Cells are formatted a column at a time by Backend.texts, in binary64 by
 Binary64.cells: repr's digits for a float64 array in integer arithmetic,
 which also fill a binary64 sweep.csv chunk's byte matrix.  _write_json
@@ -66,7 +68,7 @@ from .fibonacci import (
     recurrence,
 )
 from .stabilize import build_coefficients, classify_equilibria, companion_spectrum, stabilized_orbit
-from .svgplot import TableFile, as_float, render_columns, render_plot
+from .svgplot import as_float, render_columns
 from .tentmap import MapParams, orbit
 
 DEFAULT_H = "1.5"
@@ -224,10 +226,6 @@ def _run(ns: argparse.Namespace) -> int:
                 render_columns(*content, ns.plot, out / name)
             else:
                 _write_json(out / name, content)
-        if getattr(ns, "plot", None) is not None and opened[-1].suffix != ".svg":
-            table = next(p for p in opened if p.suffix == ".csv")
-            opened.append(table.with_suffix(".svg"))
-            render_plot(TableFile.read(table), ns.plot, opened[-1])
         opened.append(out / MANIFEST_NAME)
         doc = {
             "schema": MANIFEST_SCHEMA,
@@ -254,8 +252,9 @@ def _run(ns: argparse.Namespace) -> int:
 # artifacts are written; a CSV's contents are (header, text), the text an
 # iterable of lines or blocks of them, a generator where it can be, so a
 # large CSV is serialized as it is written; a JSON artifact's the document,
-# whose iterators _write_json writes as lists, an item at a time.  --out
-# is added to every subcommand and is the one flag the manifest leaves out.
+# whose iterators _write_json writes as lists, an item at a time; an SVG's
+# the two axis labels and the two float columns to plot.  --out is added
+# to every subcommand and is the one flag the manifest leaves out.
 
 COMMANDS: dict[str, tuple] = {}
 
@@ -268,15 +267,23 @@ def command(name: str, help_text: str, *flags: tuple[str, dict]):
     return register
 
 
-def _indexed(cells: list[str]):  # the rows "n,cell" of a column
-    return (f"{i},{x}\n" for i, x in enumerate(cells))
+def _floats(cells: list[str]) -> np.ndarray:
+    return np.fromiter(map(as_float, cells), float, len(cells))
+
+
+def _indexed(ns, stem: str, label: str, cells: list[str]):
+    """stem.csv, the rows "n,cell" of a column, then under --plot stem.svg:
+    the cells against their indices."""
+    yield f"{stem}.csv", (("n", label), (f"{i},{x}\n" for i, x in enumerate(cells)))
+    if ns.plot is not None:
+        yield f"{stem}.svg", (("n", label), np.arange(len(cells), dtype=float), _floats(cells))
 
 
 @command("simulate", "iterate T^k from a start point",
          H, K, x0_flag("0.5"), steps_flag(DEFAULT_STEPS), *BACKEND, PLOT)
 def _cmd_simulate(ns, b, params, coeffs):
     run = orbit(b.parse(ns.x0), params, k=ns.k, steps=ns.steps)
-    yield "orbit.csv", (("n", "x"), _indexed(b.texts(run.points)))
+    yield from _indexed(ns, "orbit", "x", b.texts(run.points))
 
 
 @command("cycles", "enumerate the period-n cycles at h",
@@ -313,7 +320,7 @@ def _cmd_cycles(ns, b, params, coeffs):
 def _cmd_stabilize(ns, b, params, coeffs):
     run = stabilized_orbit(b.parse(ns.x0), params, ns.k, coeffs, ns.steps)
     outcome = classify_outcome(run, params, ns.tol)
-    yield "stabilize.csv", (("n", "x_star"), _indexed(b.texts(run.starred)))
+    yield from _indexed(ns, "stabilize", "x_star", b.texts(run.starred))
     yield "stabilize.json", {
         "x0": b.serialize(run.x0),
         "sigma": b.serialize(coeffs.sigma),
@@ -409,8 +416,7 @@ def _sweep_rows(b, plot: bool):
             ))) + "\n"
         plotted = None
         if plot:
-            plotted = (points, finals) if binary64 else [
-                np.fromiter(map(as_float, c), float) for c in (x0s, ends)]
+            plotted = (points, finals) if binary64 else [_floats(c) for c in (x0s, ends)]
         return text, np.bincount(codes, minlength=len(KINDS)), plotted
 
     return rows
@@ -435,7 +441,7 @@ def _cmd_escape(ns, b, params, coeffs):
     event = detect_escape(
         run.to_floats(), flat_tol=ns.flat_tol, jump_tol=ns.jump_tol, min_flat=ns.min_flat
     )
-    yield "escape.csv", (("n", "x_star"), _indexed(b.texts(run.starred)))
+    yield from _indexed(ns, "escape", "x_star", b.texts(run.starred))
     yield "escape.json", {
         "x0": b.serialize(run.x0),
         "steps": ns.steps,
@@ -447,7 +453,7 @@ def _cmd_escape(ns, b, params, coeffs):
          H, steps_flag(DEFAULT_STEPS), *BACKEND, PLOT)
 def _cmd_series(ns, b, params, coeffs):
     run = chaotic_series(params, ns.steps)
-    yield "series.csv", (("n", "x"), _indexed(b.texts(run.points)))
+    yield from _indexed(ns, "series", "x", b.texts(run.points))
 
 
 @command("sqrt2", "high-precision orbit pinned near 2 - sqrt(2)",
@@ -463,7 +469,7 @@ def _cmd_sqrt2(ns, b, params, coeffs):
     reference = sqrt2_reference(ns.precision)
     b = run.params.backend
     deviations = [abs(float(x - reference)) for x in run.points]
-    yield "sqrt2.csv", (("n", "deviation"), _indexed(Binary64().texts(deviations)))
+    yield from _indexed(ns, "sqrt2", "deviation", Binary64().texts(deviations))
     yield "sqrt2.json", {
         "precision": ns.precision,
         "steps": ns.steps,
@@ -494,7 +500,7 @@ def _cmd_fib(ns, b, params, coeffs):
         "observed_escape": first_crossing(run, ns.threshold),
     }
     cells = b.texts(run.seq)
-    yield "fib.csv", (("n", "x"), _indexed(cells))
+    yield from _indexed(ns, "fib", "x", cells)
     if ns.phase:
         yield "phase.csv", (("x", "x_next"), _csv_lines(zip(cells, cells[1:])))
         doc["unstable_slope"] = PHI
@@ -518,8 +524,10 @@ def _cmd_spectrum(ns, b, params, coeffs):
         radii = [companion_spectrum(mu, coeffs)[1] for mu in ns.mu]
         entries = [{"mu": mu, "radius": radius, "point": None, "stable": radius < 1.0}
                    for mu, radius in zip(ns.mu, radii)]
-    columns = (Binary64().texts([e[key] for e in entries]) for key in ("mu", "radius"))
+    columns = [Binary64().texts([e[key] for e in entries]) for key in ("mu", "radius")]
     yield "spectrum.csv", (("mu", "radius"), _csv_lines(zip(*columns)))
+    if ns.plot is not None:
+        yield "spectrum.svg", (("mu", "radius"), *map(_floats, columns))
     yield "spectrum.json", {"sigma": ns.sigma, "entries": entries}
 
 

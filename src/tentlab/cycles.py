@@ -79,16 +79,18 @@ class OnsetRecord:
 
 def fixed_point(params: MapParams) -> Scalar:
     """The interior fixed point h/(h+1); the origin is also fixed."""
-    b = params.backend
-    return b.div(params.h, b.add(params.h, b.from_int(1)))
+    h = params.h
+    with params.backend.context():
+        return h / (h + 1)
 
 
 def two_cycle(params: MapParams) -> tuple[Scalar, Scalar]:
     """The 2-cycle (h/(1+h^2), h^2/(1+h^2)); tent_step swaps the pair."""
-    b = params.backend
-    h2 = b.mul(params.h, params.h)
-    d = b.add(b.from_int(1), h2)
-    return b.div(params.h, d), b.div(h2, d)
+    h = params.h
+    with params.backend.context():
+        h2 = h * h
+        d = 1 + h2
+        return h / d, h2 / d
 
 
 def _closes(x, y, b: Backend):
@@ -247,7 +249,8 @@ def cycle_multiplier(c: Cycle, params: MapParams) -> Scalar:
             )
         if not _closes(tent_step(x, params), c.points[(i + 1) % n], b):
             raise DomainError(f"points {i} -> {(i + 1) % n} are not one step apart")
-        m = b.mul(m, params.h if branch is Branch.LEFT else params.neg_h)
+        with b.context():  # -(m*h) is m*(-h) rounded, as in itinerary
+            m = m * params.h if branch is Branch.LEFT else -(m * params.h)
     return m
 
 

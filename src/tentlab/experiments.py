@@ -32,6 +32,7 @@ scan from every anchor would (the tests keep that scan as the oracle).
 
 from __future__ import annotations
 
+import decimal
 import enum
 import functools
 import math
@@ -174,10 +175,11 @@ def build_net(spec: NetSpec, backend: Backend, start: int = 0,
     denom = spec.denominator
     if backend.kind == "binary64":
         return np.arange(start, stop, dtype=np.float64) / denom
-    if backend.kind == "rational":  # one reduction, where div takes two
+    if backend.kind == "rational":  # one reduction, where a division takes two
         return [Fraction(i, denom) for i in range(start, stop)]
     den = backend.from_int(denom)
-    return [backend.div(backend.from_int(i), den) for i in range(start, stop)]
+    with backend.context():
+        return [backend.from_int(i) / den for i in range(start, stop)]
 
 
 def _targets(params: MapParams) -> tuple[float, float, float]:
@@ -537,12 +539,15 @@ def sqrt2_reference(precision: int) -> Decimal:
     """2 - sqrt(2) to `precision` fractional digits via integer square root.
 
     isqrt(2 * 10^(2p)) truncates sqrt(2) * 10^p to an integer, so the
-    construction never touches any floating or library constant.
+    construction never touches any floating or library constant.  The
+    integer becomes a Decimal directly, never through its decimal text,
+    which Python refuses past 4300 digits.
     """
     if precision < 1:
         raise DomainError(f"precision must be positive, got {precision}")
     root = math.isqrt(2 * 10 ** (2 * precision))
-    return Decimal(f"{2 * 10**precision - root}E-{precision}")
+    exact = decimal.Context(prec=decimal.MAX_PREC)
+    return Decimal(2 * 10**precision - root).scaleb(-precision, context=exact)
 
 
 def sqrt2_experiment(

@@ -67,8 +67,9 @@ def recurrence(
     b.check(x0)
     b.check(x1)
     seq = [x0, x1]
-    for _ in range(n - 1):
-        seq.append(b.add(seq[-1], seq[-2]))
+    with b.context():
+        for _ in range(n - 1):
+            seq.append(seq[-1] + seq[-2])
     return RecurrenceRun(x0=x0, x1=x1, seq=tuple(seq))
 
 

@@ -14,6 +14,7 @@ magnitudes of one degree-6 polynomial per slope value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,40 +78,26 @@ def build_coefficients(sigma: Scalar, backend: Backend | None = None) -> Coeffic
         r5 = 2 (3 s^7 - 5 s^5 + 2 s^3)
         r6 =    (s^7 - s^5)
     then a_i = r_i / (r1 + ... + r6).  All are positive for sigma > 1.
+    Each operation rounds once, left to right; a sigma whose powers
+    overflow binary64 gives non-finite weights and is rejected.
     """
     b = backend if backend is not None else infer_backend(sigma)
     s = b.check(sigma)
     if not s > b.from_int(1):
         raise DomainError(f"sigma must exceed 1, got {s!r}")
-
-    s2 = b.mul(s, s)
-    s3 = b.mul(s2, s)
-    s5 = b.mul(s3, s2)
-    s7 = b.mul(s5, s2)
-
-    def lin(*terms: tuple[int, Scalar]) -> Scalar:
-        acc = b.from_int(0)
-        for coef, power in terms:
-            acc = b.add(acc, b.mul(b.from_int(coef), power))
-        return acc
-
-    base16 = lin((1, s7), (-1, s5))  # s^7 - s^5
-    base25 = lin((3, s7), (-5, s5), (2, s3))  # 3s^7 - 5s^5 + 2s^3
-    base34 = lin((5, s7), (-10, s5), (6, s3), (-1, s))  # 5s^7 - 10s^5 + 6s^3 - s
-
-    raw = (
-        b.mul(b.from_int(6), base16),
-        b.mul(b.from_int(5), base25),
-        b.mul(b.from_int(4), base34),
-        b.mul(b.from_int(3), base34),
-        b.mul(b.from_int(2), base25),
-        base16,
-    )
-    total = raw[0]
-    for r in raw[1:]:
-        total = b.add(total, r)
-    c = b.div(b.from_int(1), total)
-    a = tuple(b.mul(c, r) for r in raw)
+    with b.context():
+        s2 = s * s
+        s3 = s2 * s
+        s5 = s3 * s2
+        s7 = s5 * s2
+        base16 = s7 - s5
+        base25 = 3 * s7 - 5 * s5 + 2 * s3
+        base34 = 5 * s7 - 10 * s5 + 6 * s3 - s
+        raw = (6 * base16, 5 * base25, 4 * base34, 3 * base34, 2 * base25, base16)
+        c = 1 / sum(raw[1:], raw[0])
+        a = tuple(c * r for r in raw)
+    if not all(map(math.isfinite, a)):
+        raise DomainError(f"sigma {s!r} gives non-finite weights")
     return Coefficients(sigma=s, a=a, c=c)
 
 
@@ -178,17 +165,16 @@ def companion_spectrum(
 def _fixed_points_of_power(params: MapParams, k: int):
     """(point, slope) for every fixed point of T_h^k, origin included."""
     out = []
+    b = params.backend
     for d in range(1, k + 1):
         if k % d:
             continue
         for cyc in enumerate_cycles(params, d):
-            b = params.backend
-            mu = b.from_int(1)
-            for _ in range(k // d):
-                mu = b.mul(mu, cyc.multiplier)
+            with b.context():
+                mu = math.prod([cyc.multiplier] * (k // d))
             for pt in cyc.points:
                 out.append((pt, mu))
-    out.sort(key=lambda pm: params.backend.to_float(pm[0]))
+    out.sort(key=lambda pm: b.to_float(pm[0]))
     return out
 
 

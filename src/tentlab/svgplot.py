@@ -2,9 +2,9 @@
 
 render_columns writes the SVG to its file piece by piece, never the whole
 document at once, and scales and formats its marks a slice at a time, so
-no whole column is ever scaled or a Python list.  render_plot feeds it a
-table's first two numeric columns, whose cells are decimals or exact p/q
-fractions, as the rational backend writes.  Output is a pure function of
+no whole column is ever scaled or a Python list.  as_float reads a cell
+as tentlab writes it, a decimal or an exact p/q fraction, as a float; the
+CLI plots the columns it parses so.  Output is a pure function of
 the labels, the floats and the style flag: fixed 800x500 viewport, no
 timestamps, all coordinates printed with a fixed format, so rendered
 files can be compared byte for byte.
@@ -12,10 +12,9 @@ files can be compared byte for byte.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+import math
 from fractions import Fraction
-from itertools import chain, takewhile
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -37,55 +36,16 @@ _TICKS = 5
 _SLICE = 4096  # values scaled and formatted at a time
 
 
-@dataclass(frozen=True)
-class TableFile:
-    """A parsed CSV artifact: header row plus string-valued cells."""
-
-    path: Path | None
-    header: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self) -> None:
-        width = len(self.header)
-        for row in self.rows:
-            if len(row) != width:
-                raise DomainError(
-                    f"row width {len(row)} does not match header width {width}"
-                )
-
-    @classmethod
-    def read(cls, path: str | Path) -> "TableFile":
-        path = Path(path)
-        with open(path, encoding="utf-8", newline="") as fh:
-            rows = tuple(map(tuple, csv.reader(fh)))
-        if not rows:
-            raise DomainError(f"{path} has no header row")
-        return cls(path=path, header=rows[0], rows=rows[1:])
-
-
-def as_float(cell: str) -> float | None:
-    """A decimal or p/q cell as a float, else None; only p/q cells pay for Fraction."""
+def as_float(cell: str) -> float:
+    """A decimal or p/q cell as a float; only p/q cells pay for Fraction.
+    A fraction past the float range reads as +-inf, as float() reads such
+    a decimal."""
+    if "/" not in cell:
+        return float(cell)
     try:
-        return float(Fraction(cell)) if "/" in cell else float(cell)
-    except (ValueError, ZeroDivisionError):
-        return None
-
-
-def table_columns(table: TableFile) -> tuple[tuple[str, str], list[float], list[float]]:
-    """The labels and values of a table's first two columns whose every
-    cell is a number; a column's scan stops at its first non-numeric cell."""
-    found = []
-    for j, label in enumerate(table.header):
-        cells = (as_float(row[j]) for row in table.rows)
-        values = list(takewhile(lambda v: v is not None, cells))
-        if len(values) == len(table.rows):
-            found.append((label, values))
-            if len(found) == 2:
-                (x_label, xs), (y_label, ys) = found
-                return (x_label, y_label), xs, ys
-    raise DomainError(
-        f"need two numeric columns to plot, found {len(found)} in header {table.header}"
-    )
+        return float(Fraction(cell))
+    except OverflowError:
+        return -math.inf if cell.startswith("-") else math.inf
 
 
 def _slices(values: np.ndarray):
@@ -179,13 +139,3 @@ def render_columns(
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.writelines(pieces)
     return out_path
-
-
-def render_svg(table: TableFile, style: str) -> str:
-    """The SVG document for a table's first two numeric columns."""
-    return "".join(_svg_pieces(*table_columns(table), style))
-
-
-def render_plot(table: TableFile, style: str, out_path: str | Path) -> Path:
-    """Render a table's first two numeric columns to out_path."""
-    return render_columns(*table_columns(table), style, out_path)

@@ -3,7 +3,8 @@
 T_h(x) = h*x on the closed left branch x in [0, 1/2] and h*(1 - x) on the
 open right branch x in (1/2, 1], with h in (1, 2].  The tie at x = 1/2
 always counts as the left branch.  The right branch is evaluated as
-(-h)*x + h: one multiply then one add, so precision-limited backends round
+h - h*x: one multiply then one subtraction, each the value type's own
+operator under the backend's context, so precision-limited backends round
 exactly twice per step and runs are reproducible operation for operation.
 """
 
@@ -34,10 +35,6 @@ class MapParams:
     def parse(cls, text: str, backend: Backend) -> "MapParams":
         return cls(backend.parse(text), backend)
 
-    @property
-    def neg_h(self) -> Scalar:
-        return self.backend.neg(self.h)
-
 
 @dataclass(frozen=True)
 class Orbit:
@@ -58,12 +55,11 @@ class Orbit:
 
 def tent_step(x: Scalar, params: MapParams) -> Scalar:
     """One application of T_h; input clamped within rounding slack of [0,1]."""
-    b = params.backend
+    b, h = params.backend, params.h
     x = b.clamp_unit(x)
-    if b.cmp_half(x) is Branch.LEFT:
-        y = b.mul(params.h, x)
-    else:
-        y = b.affine(params.neg_h, x, params.h)
+    left = b.cmp_half(x) is Branch.LEFT
+    with b.context():
+        y = h * x if left else h - h * x
     return b.clamp_unit(y)
 
 
@@ -71,8 +67,9 @@ def tent_step_array(x: np.ndarray, h: Scalar, half: Scalar) -> np.ndarray:
     """tent_step's arithmetic on a float64 or object array, under the
     caller's context and without its clamps: t = h*x, then h - t where x
     is not <= half (NaN included).  One multiply and at most one
-    subtraction per element, and bit-identical to the scalar step:
-    negation is exact, so (-h)*x rounds to -t, and -t + h is h - t."""
+    subtraction per element, as tent_step takes them.  h - t is the
+    textbook (-h)*x + h bit for bit: rounding is symmetric, so (-h)*x
+    rounds to -t, and -t + h is h - t."""
     t = h * x
     np.subtract(h, t, out=t, where=~(x <= half))
     return t
@@ -116,6 +113,7 @@ def itinerary(x0: Scalar, params: MapParams, n: int) -> tuple[str, Scalar]:
     for _ in range(n):
         branch = b.cmp_half(x)
         symbols.append(branch.value)
-        slope = b.mul(slope, params.h if branch is Branch.LEFT else params.neg_h)
+        with b.context():  # -(slope*h) is slope*(-h) rounded; its minus rounds nothing
+            slope = slope * params.h if branch is Branch.LEFT else -(slope * params.h)
         x = tent_step(x, params)
     return "".join(symbols), slope

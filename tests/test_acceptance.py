@@ -412,11 +412,13 @@ def test_criterion_09_recurrence_and_prediction():
 def test_criterion_10a_recursion_equivalence():
     def companion_step(u, params, coeffs):
         """Shift the six-value state left and append the weighted average of
-        f over it, through the backend's per-op methods."""
-        b = params.backend
-        tail = b.mul(coeffs.a[0], tent_power_step(u[-1], params, 2))
-        for i in range(2, TAPS + 1):
-            tail = b.add(tail, b.mul(coeffs.a[i - 1], tent_power_step(u[-i], params, 2)))
+        f over it, through the value type's operators under the backend's
+        context."""
+        fs = [tent_power_step(u[-i], params, 2) for i in range(1, TAPS + 1)]
+        with params.backend.context():
+            tail = coeffs.a[0] * fs[0]
+            for i in range(2, TAPS + 1):
+                tail = tail + coeffs.a[i - 1] * fs[i - 1]
         return u[1:] + (tail,)
 
     failures = []

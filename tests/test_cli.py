@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from tentlab import MapParams, NetSpec, build_coefficients, cli, experiments, svgplot
 from tentlab.backends import Binary64, DomainError, make_backend
 from tentlab.cli import build_parser, replay_manifest, run_command
-from tentlab.svgplot import TableFile, as_float, render_plot, render_svg
+from tentlab.svgplot import as_float, render_columns
 
 
 SUBCOMMANDS = (
@@ -92,6 +92,22 @@ def sweep_digests(out: Path) -> tuple[str, str]:
 
 def read_json(path: Path):
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+def plot_of_csv(path: Path, style: str) -> str:
+    """The SVG render_columns writes for a CSV's first two numeric columns,
+    read back with csv and as_float: the plot --plot must have written."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    columns = []
+    for j, label in enumerate(header):
+        try:
+            columns.append((label, [as_float(row[j]) for row in rows]))
+        except ValueError:  # a column of outcome names
+            pass
+    (x_label, xs), (y_label, ys) = columns[:2]
+    oracle = render_columns((x_label, y_label), xs, ys, style, path.with_suffix(".oracle.svg"))
+    return oracle.read_text(encoding="utf-8")
 
 
 class TestExitCodes:
@@ -176,6 +192,19 @@ class TestExitCodes:
             ["simulate", "--x0", "1.25", "--out", str(tmp_path)]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["stabilize", "escape", "sweep", "spectrum"])
+    def test_overflowing_sigma_rejected_before_out(self, tmp_path, capsys, command):
+        # sigma^7 overflows binary64, so the weights would be NaN
+        out = tmp_path / "out"
+        assert run_command([command, "--sigma", "1" + "0" * 60, "--out", str(out)]) == 2
+        assert "gives non-finite weights" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sqrt2_past_the_int_text_limit(self, tmp_path):
+        argv = ["sqrt2", "--precision", "5000", "--steps", "5", "--out", str(tmp_path)]
+        assert run_command(argv) == 0
+        assert len(read_json(tmp_path / "sqrt2.json")["reference"]) == 5002  # "0." and the digits
 
 
 class TestSimulate:
@@ -493,7 +522,7 @@ class TestSweep:
                         "--plot", style, "--out", str(out)]
                 assert run_command(argv) == 0
                 svg = (out / "sweep.svg").read_text(encoding="utf-8")
-                assert svg == render_svg(TableFile.read(out / "sweep.csv"), style)
+                assert svg == plot_of_csv(out / "sweep.csv", style)
                 svgs.add(svg)
         assert len(svgs) == 1
         assert len(forks) == 4  # two per chunk size that leaves two chunks or more
@@ -520,7 +549,7 @@ class TestSweep:
                 seen.add(tuple((out / name).read_bytes() for name in ("sweep.csv", "sweep.svg")))
         assert len(seen) == 1
         svg = (out / "sweep.svg").read_text(encoding="utf-8")
-        assert svg == render_svg(TableFile.read(out / "sweep.csv"), "line")
+        assert svg == plot_of_csv(out / "sweep.csv", "line")
         assert len(forks) == 6  # two per chunk size
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -708,6 +737,16 @@ class TestFib:
         assert doc["observed_escape"] == 11
         assert doc["predicted_escape"] == 11
 
+    def test_rational_plot_past_the_float_range(self, tmp_path):
+        # x_1600 is about phi^1600, some 10^334: its cell plots as inf
+        argv = ["fib", "--backend", "rational", "--steps", "1600", "--plot", "line",
+                "--out", str(tmp_path)]
+        assert run_command(argv) == 0
+        last = (tmp_path / "fib.csv").read_text().splitlines()[-1].split(",")[1]
+        assert as_float(last) == math.inf
+        assert as_float("-" + last) == -math.inf
+        assert (tmp_path / "fib.svg").read_text() == plot_of_csv(tmp_path / "fib.csv", "line")
+
 
 class TestSpectrum:
     def test_default_derives_equilibria(self, tmp_path):
@@ -869,76 +908,76 @@ class TestManifest:
         assert replay_manifest(bogus, tmp_path / "out") == 2
 
 
+PLOTTED = [
+    (command, backend)
+    for command in ("simulate", "stabilize", "escape", "series", "fib", "spectrum", "sweep")
+    for backend in ("binary64", "rational", "decimal")
+] + [("sqrt2", None)]
+
+
 class TestRenderPlot:
-    def make_table(self, rows, header=("n", "x")):
-        return TableFile(path=None, header=header, rows=rows)
+    def render(self, tmp_path, xs, ys, style, labels=("n", "x")):
+        path = render_columns(labels, np.array(xs, dtype=float), np.array(ys, dtype=float),
+                              style, tmp_path / "plot.svg")
+        return path.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("style", ["line", "scatter"])
+    @pytest.mark.parametrize("command, backend", PLOTTED)
+    def test_svg_is_the_plot_of_its_csv(self, tmp_path, command, backend, style):
+        flags = {None: [], "decimal": ["--backend", "decimal", "--precision", "30"]}.get(
+            backend, ["--backend", backend])
+        assert run_command([command, *flags, "--plot", style, "--out", str(tmp_path)]) == 0
+        stem = {"simulate": "orbit"}.get(command, command)
+        svg = (tmp_path / f"{stem}.svg").read_text(encoding="utf-8")
+        assert svg == plot_of_csv(tmp_path / f"{stem}.csv", style)
 
     def test_deterministic_bytes(self, tmp_path):
-        table = self.make_table((("0", "0.5"), ("1", "0.75"), ("2", "0.375")))
-        a = render_plot(table, "line", tmp_path / "a.svg").read_bytes()
-        b = render_plot(table, "line", tmp_path / "b.svg").read_bytes()
+        xs, ys = [0, 1, 2], [0.5, 0.75, 0.375]
+        a = render_columns(("n", "x"), xs, ys, "line", tmp_path / "a.svg").read_bytes()
+        b = render_columns(("n", "x"), xs, ys, "line", tmp_path / "b.svg").read_bytes()
         assert a == b
         assert b"timestamp" not in a.lower()
 
-    def test_viewport_is_fixed(self):
-        text = render_svg(self.make_table((("0", "0.5"),)), "scatter")
+    def test_viewport_is_fixed(self, tmp_path):
+        text = self.render(tmp_path, [0], [0.5], "scatter")
         assert 'width="800"' in text
         assert 'height="500"' in text
         assert 'viewBox="0 0 800 500"' in text
 
-    def test_header_labels_axes(self):
-        text = render_svg(
-            self.make_table((("1", "2"),), header=("time", "value")), "line"
-        )
+    def test_header_labels_axes(self, tmp_path):
+        text = self.render(tmp_path, [1], [2], "line", labels=("time", "value"))
         assert ">time<" in text
         assert ">value<" in text
 
-    def test_empty_table_renders_axes_only(self):
-        text = render_svg(self.make_table(()), "line")
+    def test_empty_table_renders_axes_only(self, tmp_path):
+        text = self.render(tmp_path, [], [], "line")
         assert "<polyline" not in text
         assert "<circle" not in text
         assert "<rect" in text
 
-    def test_scatter_emits_circles(self):
-        text = render_svg(
-            self.make_table((("0", "1"), ("1", "2"))), "scatter"
-        )
+    def test_scatter_emits_circles(self, tmp_path):
+        text = self.render(tmp_path, [0, 1], [1, 2], "scatter")
         assert text.count("<circle") == 2
 
-    def test_non_numeric_column_rejected(self):
-        table = TableFile(
-            path=None,
-            header=("x0", "outcome"),
-            rows=(("0.5", "cycle_low"),),
-        )
-        with pytest.raises(DomainError):
-            render_svg(table, "line")
-
-    def test_picks_first_two_numeric_columns(self):
-        table = TableFile(
-            path=None,
-            header=("x0", "outcome", "final", "distance"),
-            rows=(("0.25", "cycle_low", "0.46", "0.001"),),
-        )
-        text = render_svg(table, "scatter")
+    def test_picks_first_two_numeric_columns(self, tmp_path):
+        # sweep.csv's columns are x0, outcome, final and distance
+        argv = ["sweep", "--net", "uniform:4", "--plot", "scatter", "--out", str(tmp_path)]
+        assert run_command(argv) == 0
+        text = (tmp_path / "sweep.svg").read_text(encoding="utf-8")
         assert ">x0<" in text
         assert ">final<" in text
 
-    def test_unknown_style_rejected(self):
+    def test_unknown_style_rejected(self, tmp_path):
         with pytest.raises(DomainError):
-            render_svg(self.make_table((("1", "2"),)), "bars")
-
-    def test_ragged_row_rejected(self):
-        with pytest.raises(DomainError):
-            TableFile(path=None, header=("a", "b"), rows=(("1",),))
+            render_columns(("n", "x"), [1], [2], "bars", tmp_path / "plot.svg")
+        assert not (tmp_path / "plot.svg").exists()
 
     def test_round_trip_through_csv(self, tmp_path):
         run_command(
             ["simulate", "--steps", "5", "--plot", "line", "--out", str(tmp_path)]
         )
-        table = TableFile.read(tmp_path / "orbit.csv")
-        assert table.header == ("n", "x")
-        assert render_svg(table, "line") == (
+        assert (tmp_path / "orbit.csv").read_text().startswith("n,x\n")
+        assert plot_of_csv(tmp_path / "orbit.csv", "line") == (
             tmp_path / "orbit.svg"
         ).read_text(encoding="utf-8")
 
@@ -966,13 +1005,16 @@ class TestStreamedRender:
 
     @pytest.mark.parametrize("xs", AXIS_COLUMNS)
     @pytest.mark.parametrize("style", ["line", "scatter"])
-    def test_render_does_not_depend_on_the_slice_length(self, monkeypatch, xs, style):
+    def test_render_does_not_depend_on_the_slice_length(
+        self, tmp_path, monkeypatch, xs, style
+    ):
         ys = xs[3:] + xs[:3]  # the specials at other rows on the other axis
-        table = TableFile(None, ("x", "y"), tuple((repr(x), repr(y)) for x, y in zip(xs, ys)))
         texts = set()
         for length in self.LENGTHS:
             monkeypatch.setattr(svgplot, "_SLICE", length)
-            texts.add(render_svg(table, style))
+            path = render_columns(("x", "y"), np.array(xs, dtype=float),
+                                  np.array(ys, dtype=float), style, tmp_path / "plot.svg")
+            texts.add(path.read_text(encoding="utf-8"))
         assert len(texts) == 1
 
     @pytest.mark.parametrize("values", AXIS_COLUMNS)

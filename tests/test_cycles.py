@@ -87,25 +87,28 @@ def _lyndon_words(n: int) -> Iterator[str]:
 
 
 def _cell_affine(word: str, params: MapParams):
-    """Compose the branch maps named by word into A*x + B."""
-    b = params.backend
+    """Compose the branch maps named by word into A*x + B, the right branch
+    as the textbook (-h)*x + h."""
+    b, h = params.backend, params.h
     A = b.from_int(1)
     B = b.from_int(0)
-    for sym in word:
-        if sym == "L":
-            A = b.mul(params.h, A)
-            B = b.mul(params.h, B)
-        else:
-            A = b.mul(params.neg_h, A)
-            B = b.add(b.mul(params.neg_h, B), params.h)
+    with b.context():
+        for sym in word:
+            if sym == "L":
+                A = h * A
+                B = h * B
+            else:
+                A = -h * A
+                B = -h * B + h
     return A, B
 
 
 def _word_multiplier(word: str, params: MapParams):
-    b = params.backend
+    b, h = params.backend, params.h
     m = b.from_int(1)
-    for sym in word:
-        m = b.mul(m, params.h if sym == "L" else params.neg_h)
+    with b.context():
+        for sym in word:
+            m = m * (h if sym == "L" else -h)
     return m
 
 
@@ -117,9 +120,11 @@ def _scalar_census(params: MapParams, n: int) -> list[Cycle]:
 
     for word in _lyndon_words(n):
         A, B = _cell_affine(word, params)
+        with b.context():  # |A| = h^n > 1, so 1 - A is never 0
+            x_star = B / (one + -A)
         try:
-            x_star = b.clamp_unit(b.div(B, b.add(one, b.neg(A))))
-        except DomainError:  # 1 - A = 0, or the fixed point leaves [0, 1]
+            x_star = b.clamp_unit(x_star)
+        except DomainError:  # the fixed point leaves [0, 1]
             continue
 
         # walk the orbit (tent_step clamps it); each point must realize its symbol

@@ -520,7 +520,8 @@ class TestSweep:
         # so x6 = w; w is 1 + 2^-52 * overshoot, and x7 = w * f(x6)
         b = make_backend(kind, 30 if kind == "decimal" else None)
         params = MapParams(b.from_int(2), b)
-        w = b.add(b.from_int(1), b.parse(f"{overshoot}/{2**52}"))
+        with b.context():
+            w = 1 + b.parse(f"{overshoot}/{2**52}")
         zero = b.from_int(0)
         coeffs = Coefficients(sigma=b.parse("6/5"), a=(w, zero, zero, zero, zero, w), c=w)
         spec = NetSpec.uniform(2)  # 0, 1/2 and 1
@@ -720,6 +721,14 @@ class TestSqrt2Reference:
     def test_precision_validation(self):
         with pytest.raises(DomainError):
             sqrt2_reference(0)
+
+    def test_past_the_int_text_limit(self):
+        # 5000 digits: Python refuses the integer's decimal text past 4300
+        ref = sqrt2_reference(5000)
+        assert ref.as_tuple().exponent == -5000
+        r = 2 - Fraction(*ref.as_integer_ratio())
+        assert r * r <= 2
+        assert (r + Fraction(1, 10**5000)) ** 2 > 2
 
 
 class TestSqrt2Experiment:

@@ -1,7 +1,7 @@
 """Coefficient construction, stabilized runs, and spectra.
 
-Oracles: an inline scalar reference recursion (the backend's per-op
-methods, explicit operation order) pins the starred sequence bit for bit
+Oracles: an inline scalar reference recursion (the value type's operators
+under the backend's context, explicit operation order) pins the starred sequence bit for bit
 on every backend; each spectral magnitude is checked by Newton-polishing
 a root on its circle to a tiny polynomial residual, and their product by
 Vieta's formula.
@@ -56,26 +56,28 @@ def dec_setup(precision, h="1.5", sigma="1.2"):
 
 
 def reference_run(x0, params: MapParams, k: int, a: tuple, steps: int) -> list:
-    """The starred sequence written out longhand with the backend's per-op
-    methods, which round decimal through the backend's own context: x0 and
-    five plain iterates of f, then each average summed left to right, with
-    f taken afresh at every tap."""
+    """The starred sequence written out longhand with the value type's
+    operators under the backend's context, which rounds decimal to the
+    backend's precision, and the right branch as the textbook (-h)*x + h:
+    x0 and five plain iterates of f, then each average summed left to
+    right, with f taken afresh at every tap."""
     b, h = params.backend, params.h
-    half, neg_h = b.parse("1/2"), b.neg(h)
+    half = b.parse("1/2")
 
     def f(x):
         for _ in range(k):
-            x = b.mul(h, x) if x <= half else b.add(b.mul(neg_h, x), h)
+            x = h * x if x <= half else -h * x + h
         return x
 
-    xs = [x0]
-    for _ in range(TAPS - 1):
-        xs.append(f(xs[-1]))
-    for n in range(TAPS, steps + 1):
-        acc = b.mul(a[0], f(xs[n - 1]))
-        for i in range(2, TAPS + 1):
-            acc = b.add(acc, b.mul(a[i - 1], f(xs[n - i])))
-        xs.append(acc)
+    with b.context():
+        xs = [x0]
+        for _ in range(TAPS - 1):
+            xs.append(f(xs[-1]))
+        for n in range(TAPS, steps + 1):
+            acc = a[0] * f(xs[n - 1])
+            for i in range(2, TAPS + 1):
+                acc = acc + a[i - 1] * f(xs[n - i])
+            xs.append(acc)
     return xs
 
 
