@@ -3,120 +3,25 @@
 Exact, double, and fixed-precision orbits; periodic-cycle enumeration and
 onset thresholds; six-tap predictive-averaging stabilization; basin sweeps;
 delayed-escape detection; and hyperbolic two-term recurrence experiments.
+
+The names below are the ones the README, the demos and bench/micro.py use;
+everything else is imported from its module (tentlab.backends, ...).
 """
 
 __version__ = "0.1.0"
 
-from .backends import (
-    Backend,
-    BackendError,
-    Binary64,
-    Branch,
-    DomainError,
-    FixedDecimal,
-    MismatchError,
-    ParseError,
-    Rational,
-    Scalar,
-    infer_backend,
-    make_backend,
-)
-from .cycles import (
-    Cycle,
-    OnsetRecord,
-    cycle_multiplier,
-    enumerate_cycles,
-    fixed_point,
-    onset_threshold,
-    two_cycle,
-)
-from .experiments import (
-    EscapeEvent,
-    NetSpec,
-    Outcome,
-    OutcomeKind,
-    SweepResult,
-    build_net,
-    chaotic_series,
-    classify_outcome,
-    detect_escape,
-    sqrt2_experiment,
-    sqrt2_reference,
-    sweep,
-)
-from .fibonacci import (
-    EigenData,
-    RecurrenceRun,
-    decompose,
-    eigen_basis,
-    first_crossing,
-    modal_value,
-    predict_escape_index,
-    recurrence,
-)
-from .stabilize import (
-    Coefficients,
-    EquilibriumReport,
-    StabRun,
-    build_coefficients,
-    classify_equilibria,
-    companion_spectrum,
-    stabilized_orbit,
-)
-from .tentmap import MapParams, Orbit, itinerary, orbit, tent_power_step, tent_step
+from .backends import Binary64, FixedDecimal, Rational
+from .cycles import enumerate_cycles, onset_threshold
+from .experiments import NetSpec, detect_escape, sqrt2_experiment, sqrt2_reference, sweep
+from .fibonacci import decompose, first_crossing, predict_escape_index, recurrence
+from .stabilize import build_coefficients, classify_equilibria, companion_spectrum, stabilized_orbit
+from .tentmap import MapParams, itinerary, orbit, tent_step
 
 __all__ = [
     "__version__",
-    "Backend",
-    "BackendError",
-    "Binary64",
-    "Branch",
-    "Coefficients",
-    "Cycle",
-    "DomainError",
-    "EigenData",
-    "EquilibriumReport",
-    "EscapeEvent",
-    "FixedDecimal",
-    "MapParams",
-    "MismatchError",
-    "NetSpec",
-    "OnsetRecord",
-    "Orbit",
-    "Outcome",
-    "OutcomeKind",
-    "ParseError",
-    "Rational",
-    "RecurrenceRun",
-    "Scalar",
-    "StabRun",
-    "SweepResult",
-    "build_coefficients",
-    "build_net",
-    "chaotic_series",
-    "classify_equilibria",
-    "classify_outcome",
-    "companion_spectrum",
-    "cycle_multiplier",
-    "decompose",
-    "detect_escape",
-    "eigen_basis",
-    "enumerate_cycles",
-    "first_crossing",
-    "fixed_point",
-    "infer_backend",
-    "itinerary",
-    "make_backend",
-    "modal_value",
-    "onset_threshold",
-    "orbit",
-    "predict_escape_index",
-    "recurrence",
-    "sqrt2_experiment",
-    "sqrt2_reference",
-    "stabilized_orbit",
-    "sweep",
-    "tent_power_step",
-    "tent_step",
-    "two_cycle",
+    "Binary64", "FixedDecimal", "MapParams", "NetSpec", "Rational",
+    "build_coefficients", "classify_equilibria", "companion_spectrum", "decompose",
+    "detect_escape", "enumerate_cycles", "first_crossing", "itinerary",
+    "onset_threshold", "orbit", "predict_escape_index", "recurrence",
+    "sqrt2_experiment", "sqrt2_reference", "stabilized_orbit", "sweep", "tent_step",
 ]

@@ -13,7 +13,8 @@ written once for all three:
   run is reproducible digit for digit at any chosen precision.
 
 Scalars parse from decimal strings (``"0.4"``) or fraction strings
-(``"3/2"``).  Rationals serialize as ``"p/q"`` with positive denominator;
+(``"3/2"``).  Rationals serialize as ``"p/q"`` with positive denominator,
+in full past the interpreter's limit on int-to-text conversion;
 decimals serialize in fixed point with exactly ``precision_digits``
 fractional digits.
 """
@@ -440,10 +441,33 @@ class Rational(Backend):
 
     def serialize(self, x: Fraction) -> str:
         self.check(x)
-        return f"{x.numerator}/{x.denominator}"
+        try:
+            return f"{x.numerator}/{x.denominator}"
+        except ValueError:  # a term past the int-to-text limit
+            return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
 
-    def texts(self, values) -> list[str]:
-        return [f"{x.numerator}/{x.denominator}" for x in map(self.check, values)]
+
+def _int_text(n: int) -> str:
+    """str(n), also past the interpreter's limit on int-to-text conversion,
+    which this never changes: an int too long for str is split at
+    10**(2**j), about half its digits, and each piece written the same way,
+    the low one padded with zeros to 2**j digits."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _int_text(-n)
+    # a power of two at most half the digits: 3/20 of the bits is under
+    # half of their log10(2) share
+    half = 1 << ((n.bit_length() * 3 // 20).bit_length() - 1)
+    high, low = divmod(n, _ten_to(half))
+    return _int_text(high) + _int_text(low).zfill(half)
+
+
+@functools.cache
+def _ten_to(digits: int) -> int:
+    return 10**digits
 
 
 # rounds half-even to the quantum and never to a precision, so that every

@@ -319,15 +319,15 @@ def _cmd_cycles(ns, b, params, coeffs):
          H, K, SIGMA, x0_flag("0.5"), steps_flag(DEFAULT_STEPS), TOL, *BACKEND, PLOT)
 def _cmd_stabilize(ns, b, params, coeffs):
     run = stabilized_orbit(b.parse(ns.x0), params, ns.k, coeffs, ns.steps)
-    outcome = classify_outcome(run, params, ns.tol)
+    kind, distance = classify_outcome(run, params, ns.tol)
     yield from _indexed(ns, "stabilize", "x_star", b.texts(run.starred))
     yield "stabilize.json", {
         "x0": b.serialize(run.x0),
         "sigma": b.serialize(coeffs.sigma),
         "coefficients": b.texts(coeffs.a),
         "final_value": b.serialize(run.starred[-1]),
-        "classified_target": outcome.variant.value,
-        "distance": outcome.distance,
+        "classified_target": kind.value,
+        "distance": distance,
     }
 
 

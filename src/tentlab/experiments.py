@@ -11,13 +11,15 @@ A sweep is classified by classify_finals, the rule classify_outcome
 applies to one run.  The net is cut into chunks of 8192 points, the
 fastest size measured for the binary64 kernel on a 2-vCPU host with a
 4 MiB L2 (larger chunks spill out of the cache, smaller ones pay numpy's
-per-call overhead).  The rounded kernel serves binary64 and decimal: it
-runs stabilize._starred, the recursion stabilized_orbit runs on one
-value, on numpy arrays of float64 or of Decimal objects under the
+per-call overhead).  Both chunk kernels run stabilize._starred, the
+recursion stabilized_orbit runs on one value, so the six-tap average is
+written once for every arithmetic.  The rounded kernel serves binary64
+and decimal on numpy arrays of float64 or of Decimal objects under the
 backend's context, so every elementwise operation rounds as the scalar
-one does and in its order.  The exact kernel runs Python integer
-numerators over one shared denominator per time step, and returns the
-same reduced Fractions as the scalar recursion.  sweep_chunks runs each
+one does and in its order.  The exact kernel runs it on a
+_SharedDenominator, the chunk's values as Python int numerators over one
+int denominator, and returns the same reduced Fractions as the scalar
+recursion without a gcd per value and step.  sweep_chunks runs each
 chunk in one pass on a chunk_map worker process, which builds the points
 i/denominator, computes and classifies the finals, and hands them to the
 caller's function there: sweep returns the arrays, the CLI formats
@@ -36,7 +38,6 @@ import decimal
 import enum
 import functools
 import math
-import operator
 import os
 import signal
 import threading
@@ -126,15 +127,6 @@ class NetSpec:
 
 
 @dataclass(frozen=True)
-class Outcome:
-    """Where one stabilized run landed, against the three cycle targets."""
-
-    variant: OutcomeKind
-    final_value: Scalar
-    distance: float
-
-
-@dataclass(frozen=True)
 class SweepResult:
     """A sweep as four arrays indexed like the net.
 
@@ -206,15 +198,15 @@ def classify_finals(
 
 def classify_outcome(
     run: StabRun, params: MapParams, tolerance: float
-) -> Outcome:
-    """Match the final starred value against the 2-cycle and fixed point."""
+) -> tuple[OutcomeKind, float]:
+    """The kind of target the final starred value matches, against the
+    2-cycle and the fixed point, and its distance to the nearest one."""
     if not tolerance > 0:
         raise DomainError(f"tolerance must be positive, got {tolerance}")
-    final = run.starred[-1]
     codes, distances = classify_finals(
-        [params.backend.to_float(final)], _targets(params), tolerance
+        [params.backend.to_float(run.starred[-1])], _targets(params), tolerance
     )
-    return Outcome(KINDS[codes[0]], final, float(distances[0]))
+    return KINDS[codes[0]], float(distances[0])
 
 
 def _resolve_threads(threads: int) -> int:
@@ -340,55 +332,72 @@ def _sweep_chunk_rounded(
     return final
 
 
+class _SharedDenominator:
+    """Exact values as int numerators over one shared int denominator, with
+    the two operations _starred combines values by.
+
+    weight * x for a Fraction weight takes no gcd and multiplies no
+    numerator: it keeps x's numerators, multiplies the denominator by the
+    weight's, and defers the weight's numerator, as scale, into the next
+    +.  Multiplying the numerators at * would be a second pass over them
+    for each tap, which measured 19-29% slower on 8191-start chunks.  x + y
+    puts both over the lcm of their denominators, one gcd for the whole
+    array, and has scale 1.  _starred hands f, and yields, only its start,
+    f's values and sums, so those all have scale 1 and nums/den is the value.
+    """
+
+    __slots__ = ("nums", "den", "scale")
+
+    def __init__(self, nums: list[int], den: int, scale: int = 1):
+        self.nums, self.den, self.scale = nums, den, scale
+
+    def __rmul__(self, weight: Fraction) -> "_SharedDenominator":
+        return _SharedDenominator(self.nums, self.den * weight.denominator,
+                                  self.scale * weight.numerator)
+
+    def __add__(self, other: "_SharedDenominator") -> "_SharedDenominator":
+        den = math.lcm(self.den, other.den)
+        s, t = self.scale * (den // self.den), other.scale * (den // other.den)
+        if s == 1:  # the running sum, over the newest tap's denominator
+            return _SharedDenominator([a + t * b for a, b in zip(self.nums, other.nums)], den)
+        return _SharedDenominator(
+            [s * a + t * b for a, b in zip(self.nums, other.nums)], den)
+
+
 def _sweep_chunk_rational(
     x0s: np.ndarray, params: MapParams, k: int, a: tuple[Fraction, ...], steps: int
 ) -> np.ndarray:
-    """Final starred values for one chunk, equal to the scalar recursion's.
+    """Final starred values for one chunk: the last value _starred yields
+    on the whole chunk as one _SharedDenominator, equal to the scalar
+    recursion's.
 
-    The chunk's values at one time step are integer numerators over one
-    shared integer denominator, so no operation builds a Fraction or takes
-    a gcd.  With h = p/q a tent step sends N to p*N when 2N <= M (the tie
-    at 1/2 goes LEFT) and to p*(M - N) otherwise, and M to q*M.  With D
-    the lcm of the weights' denominators and alpha_i = a_i*D, the average
-    scales each tap by alpha_i * (M_top // M_i): every tap's denominator
-    divides the newest one's, M_top, and the average's denominator is
-    D*M_top.  Reducing would not keep the numbers smaller, since the
-    reduced denominators grow as fast.  Each final becomes one Fraction,
-    reduced by one gcd to the value the scalar recursion returns.  Exact
-    arithmetic has no slack, so an averaged value outside [0, 1] that f
-    would read raises, as clamp_unit does.
+    With h = p/q a tent step sends each numerator N to p*N when 2N <= M
+    (the tie at 1/2 goes LEFT) and to p*(M - N) otherwise, and the
+    denominator M to q*M, so no step builds a Fraction or takes a gcd.
+    Reducing would not keep the numbers smaller, since the reduced
+    denominators grow as fast.  Each final becomes one Fraction, reduced
+    by one gcd to the value the scalar recursion returns.  Exact
+    arithmetic has no slack, so f raises, as clamp_unit does, on an
+    average outside [0, 1]; the final average, which f never reads, is
+    not checked.
     """
     b = params.backend
     p, q = params.h.numerator, params.h.denominator
-    d = math.lcm(*(w.denominator for w in a))
-    alphas = [w.numerator * (d // w.denominator) for w in a]
 
-    def f(nums: list[int], m: int) -> tuple[list[int], int]:
+    def f(x: _SharedDenominator) -> _SharedDenominator:
+        nums, m = x.nums, x.den
+        if min(nums) < 0 or max(nums) > m:  # no slack: clamp_unit raises
+            b.clamp_unit(Fraction(next(n for n in nums if not 0 <= n <= m), m))
         for _ in range(k):
             nums = [p * n if 2 * n <= m else p * (m - n) for n in nums]
             m *= q
-        return nums, m
+        return _SharedDenominator(nums, m)
 
     m = math.lcm(*(x.denominator for x in x0s))
-    nums = [x.numerator * (m // x.denominator) for x in x0s]
-    taps = []  # (numerators, denominator) of f at the window, newest first
-    for _ in range(TAPS):
-        nums, m = f(nums, m)
-        taps.insert(0, (nums, m))
-    for t in range(TAPS, steps + 1):
-        top = taps[0][1]
-        scales = [alpha * (top // den) for alpha, (_, den) in zip(alphas, taps)]
-        nums = [
-            sum(map(operator.mul, scales, column))
-            for column in zip(*(tap for tap, _ in taps))
-        ]
-        m = d * top
-        if t == steps:
-            return np.array([Fraction(n, m) for n in nums], dtype=object)
-        if min(nums) < 0 or max(nums) > m:  # no slack: clamp_unit raises
-            b.clamp_unit(Fraction(next(n for n in nums if not 0 <= n <= m), m))
-        taps.pop()
-        taps.insert(0, f(nums, m))
+    start = _SharedDenominator([x.numerator * (m // x.denominator) for x in x0s], m)
+    for final in _starred(start, f, a, steps):
+        pass
+    return np.array([Fraction(n, final.den) for n in final.nums], dtype=object)
 
 
 def sweep_chunks(

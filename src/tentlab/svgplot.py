@@ -2,18 +2,20 @@
 
 render_columns writes the SVG to its file piece by piece, never the whole
 document at once, and scales and formats its marks a slice at a time, so
-no whole column is ever scaled or a Python list.  as_float reads a cell
-as tentlab writes it, a decimal or an exact p/q fraction, as a float; the
-CLI plots the columns it parses so.  Output is a pure function of
-the labels, the floats and the style flag: fixed 800x500 viewport, no
-timestamps, all coordinates printed with a fixed format, so rendered
-files can be compared byte for byte.
+no column is ever a Python list.  as_float reads a cell as tentlab writes
+it, a decimal or an exact p/q fraction, as a float; the CLI plots the
+columns it parses so.  A point with a NaN or infinite coordinate is left
+out, of the marks and of the axes' ranges, and an axis whose values reach
+2**51 counts in a power of two, so that no coordinate overflows.  Output
+is a pure function of the labels, the floats and the style flag: fixed
+800x500 viewport, no timestamps, all coordinates printed with a fixed
+format, so rendered files can be compared byte for byte.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from decimal import Decimal
 from itertools import chain
 from pathlib import Path
 
@@ -37,15 +39,22 @@ _SLICE = 4096  # values scaled and formatted at a time
 
 
 def as_float(cell: str) -> float:
-    """A decimal or p/q cell as a float; only p/q cells pay for Fraction.
-    A fraction past the float range reads as +-inf, as float() reads such
+    """A decimal or p/q cell as a float, p/q rounded once from the exact
+    quotient.  Terms past the interpreter's limit on text-to-int conversion
+    are read through Decimal, which has none (and is some 7x slower), and
+    a fraction past the float range reads as +-inf, as float() reads such
     a decimal."""
     if "/" not in cell:
         return float(cell)
+    terms = cell.split("/")
     try:
-        return float(Fraction(cell))
+        p, q = map(int, terms)
+    except ValueError:
+        p, q = (int(Decimal(term)) for term in terms)
+    try:
+        return p / q  # int division: correctly rounded, like float(Fraction(p, q))
     except OverflowError:
-        return -math.inf if cell.startswith("-") else math.inf
+        return -math.inf if p < 0 else math.inf
 
 
 def _slices(values: np.ndarray):
@@ -60,6 +69,16 @@ def _axis_range(values: np.ndarray) -> tuple[float, float]:
     lo, hi = (pick(chain.from_iterable(s.tolist() for s in _slices(values)))
               for pick in (min, max))
     return (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
+
+
+def _unit(values: np.ndarray) -> float:
+    """The power of two that an axis counts finite values in: 1 below 2**51
+    in magnitude, else the least that brings them all below it.  Dividing
+    by a power of two rounds nothing above the subnormal range, so _scale
+    gives the same bits in either unit; in this one its products stay
+    finite, and lo == hi still pads by 0.5 to a range that is not empty."""
+    top = float(np.max(np.abs(values), initial=0.0))
+    return math.ldexp(1.0, max(0, math.frexp(top)[1] - 51))
 
 
 def _scale(v, lo: float, hi: float, out_lo: float, out_hi: float):
@@ -77,6 +96,11 @@ def _svg_pieces(labels: tuple[str, str], xs, ys, style: str):
     if style not in _STYLES:
         raise DomainError(f"style must be one of {_STYLES}, got {style!r}")
     xs, ys = (np.asarray(v, dtype=np.float64) for v in (xs, ys))
+    drawn = np.isfinite(xs) & np.isfinite(ys)
+    if not drawn.all():  # a point off the finite plane has no place on the axes
+        xs, ys = xs[drawn], ys[drawn]
+    x_unit, y_unit = map(_unit, (xs, ys))
+    xs, ys = (v if unit == 1 else v / unit for v, unit in ((xs, x_unit), (ys, y_unit)))
     (x_lo, x_hi), (y_lo, y_hi) = map(_axis_range, (xs, ys))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{VIEW_WIDTH}" '
@@ -91,7 +115,7 @@ def _svg_pieces(labels: tuple[str, str], xs, ys, style: str):
             f'<line x1="{px:.2f}" y1="{_BOTTOM:.2f}" x2="{px:.2f}" y2="{_BOTTOM + 5:.2f}" '
             'stroke="black" stroke-width="1"/>',
             f'<text x="{px:.2f}" y="{_BOTTOM + 18:.2f}" font-family="monospace" '
-            f'font-size="11" text-anchor="middle">{tv:.6g}</text>',
+            f'font-size="11" text-anchor="middle">{tv * x_unit:.6g}</text>',
         ]
     for tv in _tick_values(y_lo, y_hi):
         py = _scale(tv, y_lo, y_hi, _BOTTOM, _TOP)
@@ -99,7 +123,7 @@ def _svg_pieces(labels: tuple[str, str], xs, ys, style: str):
             f'<line x1="{_LEFT - 5:.2f}" y1="{py:.2f}" x2="{_LEFT:.2f}" y2="{py:.2f}" '
             'stroke="black" stroke-width="1"/>',
             f'<text x="{_LEFT - 8:.2f}" y="{py + 4:.2f}" font-family="monospace" '
-            f'font-size="11" text-anchor="end">{tv:.6g}</text>',
+            f'font-size="11" text-anchor="end">{tv * y_unit:.6g}</text>',
         ]
     x_label, y_label = (t.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
                         for t in labels)

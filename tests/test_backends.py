@@ -8,6 +8,7 @@ cannot hide behind the same library that produced the expected value.
 
 import decimal
 import math
+import random
 import subprocess
 import sys
 from decimal import Decimal
@@ -402,6 +403,16 @@ EDGE_FLOATS = [0.0, -0.0, -0.5, -1e-300, 1.0, 2.0, 65536.0, -65536.0, 1e300, 5e-
                math.nan, math.inf, -math.inf]
 
 
+def unlimited_str(n: int) -> str:
+    """str(n) with the interpreter's int-to-text limit lifted for this call only."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 class TestTexts:
     """Backend.texts, a column at a time, against serialize, a value at a time."""
 
@@ -431,6 +442,20 @@ class TestTexts:
         values += [Fraction(i, TEXT_BLOCK + 3) for i in range(TEXT_BLOCK + 3)]
         assert b.texts(values) == list(map(b.serialize, values))
         assert b.texts(np.array(values, dtype=object)) == list(map(b.serialize, values))
+
+    @pytest.mark.parametrize("digits", [4301, 5000, 50000])
+    def test_rational_past_the_int_text_limit(self, digits):
+        rng = random.Random(digits)  # ints of about that many digits, built without text
+        big = [rng.getrandbits(digits * 3322 // 1000) for _ in range(3)]
+        big += [10**digits, 10**digits - 1, 10**(digits - 1) + 7]  # zero and nine runs
+        values = [Fraction(n, 3) for n in big] + [Fraction(-7, n) for n in big]
+        values += [Fraction(n, m) for n, m in zip(big, reversed(big)) if n != m]
+        limit = sys.get_int_max_str_digits()
+        want = [f"{unlimited_str(x.numerator)}/{unlimited_str(x.denominator)}" for x in values]
+        b = Rational()
+        assert b.texts(values) == want
+        assert [b.serialize(x) for x in values] == want
+        assert sys.get_int_max_str_digits() == limit
 
     @pytest.mark.parametrize("digits", [10, 30, 400])
     def test_decimal(self, digits):

@@ -5,7 +5,9 @@ import hashlib
 import json
 import math
 import re
+import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +72,15 @@ PINNED_SWEEPS = [
         ("20718b36ee81ba6fc349075c5ccffbcab4b95c60efab9181a37b2fd9674c26dc",
          "6c9e474748592b7d577c82a1ac37b64e2fd588f98338e5663c5af9dab9abfec5"),
         id="triadic-rational-k3",
+    ),
+    # recorded before the rational sweep ran through _starred; weights with
+    # more than one denominator (sigma = 7/5)
+    pytest.param(
+        ["--h", "19/10", "--sigma", "7/5", "--k", "3", "--net", "uniform:60",
+         "--backend", "rational"],
+        ("a3256a93e47660a4a9353df4bccd64c6d6510d54529462939fa3033065b0ef3e",
+         "b6c2b6bd01d8e482af29aaf6fb590786c57ae4afc043ea595755a7c0981a3d78"),
+        id="uniform-rational-h19_10-sigma7_5-k3",
     ),
     # recorded from the serial per-point decimal sweep, before decimal ran
     # as a chunk kernel on the worker pool
@@ -410,6 +421,24 @@ class TestStabilize:
         assert not out.exists()
 
 
+    def test_rational_run_past_the_int_text_limit(self, tmp_path):
+        # the 1000-step run's late terms have some 4750 digits, past the
+        # 4300 that str() of an int allows, which this must not raise
+        limit = sys.get_int_max_str_digits()
+        for steps, plot in ((900, []), (1000, ["--plot", "line"])):
+            argv = ["stabilize", "--backend", "rational", "--steps", str(steps), *plot,
+                    "--out", str(tmp_path / str(steps))]
+            assert run_command(argv) == 0
+        short, long = ((tmp_path / n / "stabilize.csv").read_text().splitlines()
+                       for n in ("900", "1000"))
+        assert len(short) == 902 and long[:902] == short  # the header and rows 0-900
+        assert len(long[-1]) > 2 * 4300
+        svg = (tmp_path / "1000" / "stabilize.svg").read_text()
+        assert svg == plot_of_csv(tmp_path / "1000" / "stabilize.csv", "line")
+        assert "nan" not in svg and "inf" not in svg
+        assert sys.get_int_max_str_digits() == limit
+
+
 class TestSweep:
     def test_counts_and_csv_header(self, tmp_path):
         run_command(
@@ -748,6 +777,19 @@ class TestFib:
         assert (tmp_path / "fib.svg").read_text() == plot_of_csv(tmp_path / "fib.csv", "line")
 
 
+    @pytest.mark.parametrize("backend", ["binary64", "rational"])
+    def test_plot_past_the_float_range_draws_its_finite_points(self, tmp_path, backend):
+        argv = ["fib", "--backend", backend, "--steps", "1600", "--plot", "line",
+                "--out", str(tmp_path)]
+        assert run_command(argv) == 0
+        svg = (tmp_path / "fib.svg").read_text()
+        assert "nan" not in svg and "inf" not in svg
+        finite = sum(math.isfinite(as_float(line.split(",")[1]))
+                     for line in (tmp_path / "fib.csv").read_text().splitlines()[1:])
+        assert 1000 < finite < 1601
+        assert svg.count(",") == finite  # one x,y pair a drawn point
+
+
 class TestSpectrum:
     def test_default_derives_equilibria(self, tmp_path):
         run_command(["spectrum", "--out", str(tmp_path)])
@@ -971,6 +1013,46 @@ class TestRenderPlot:
         with pytest.raises(DomainError):
             render_columns(("n", "x"), [1], [2], "bars", tmp_path / "plot.svg")
         assert not (tmp_path / "plot.svg").exists()
+
+    @pytest.mark.parametrize("style", ["line", "scatter"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_points_off_the_finite_plane_are_left_out(self, tmp_path, style, bad):
+        # the SVG is that of the finite points alone, on either axis, the first point too
+        xs = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        ys = [bad, 0.5, 0.25, 0.75, bad, 1.0]
+        kept_xs, kept_ys = zip(*((x, y) for x, y in zip(xs, ys) if math.isfinite(y)))
+        want = self.render(tmp_path, kept_xs, kept_ys, style)
+        assert "nan" not in want and "inf" not in want
+        assert self.render(tmp_path, xs, ys, style) == want
+        assert self.render(tmp_path, ys, xs, style) == self.render(
+            tmp_path, kept_ys, kept_xs, style)
+
+    def test_no_finite_point_renders_axes_only(self, tmp_path):
+        text = self.render(tmp_path, [0.0, 1.0], [math.nan, math.inf], "line")
+        assert text == self.render(tmp_path, [], [], "line")
+
+    @pytest.mark.parametrize("ys", [[1e300, 1.5e308, -1.7e308], [1e20], [1e20, 1e20]])
+    def test_values_near_the_float_range_stay_finite(self, tmp_path, ys):
+        text = self.render(tmp_path, range(len(ys)), ys, "line")
+        assert "nan" not in text and "inf" not in text
+
+    def test_a_power_of_two_unit_keeps_the_marks(self, tmp_path):
+        # past 2**51 an axis counts in a power of two, which rounds nothing
+        ys = [0.1, 0.7, 1.9, 0.3, 1e-3]
+        marks = []
+        for scale in (1.0, 2.0**60, 2.0**1020):  # the last overflowed _scale
+            text = self.render(tmp_path, range(len(ys)), [y * scale for y in ys], "line")
+            marks.append(re.search(r'<polyline points="([^"]*)"', text).group(1))
+        assert marks[0] == marks[1] == marks[2]
+
+    def test_as_float_reads_cells_past_the_int_text_limit(self):
+        b = make_backend("rational")
+        for x in (Fraction(3**10000 + 1, 3**10000 - 7), Fraction(-(2**20000), 3**12000),
+                  Fraction(1, 3**10000), Fraction(7**6000, 3)):
+            cell = b.serialize(x)
+            assert len(cell) > 4300
+            want = float(x) if abs(x) < 2**1024 else math.inf if x > 0 else -math.inf
+            assert as_float(cell) == want
 
     def test_round_trip_through_csv(self, tmp_path):
         run_command(

@@ -37,6 +37,7 @@ from tentlab.experiments import (
     sqrt2_experiment,
     sqrt2_reference,
     sweep,
+    _SharedDenominator,
     _sweep_chunk_rational,
 )
 from tentlab.stabilize import Coefficients, StabRun, build_coefficients, stabilized_orbit
@@ -233,24 +234,24 @@ class TestClassifyOutcome:
     def test_01_reaches_upper_cycle_point(self):
         params, coeffs = b64_setup()
         run = stabilized_orbit(0.1, params, 2, coeffs, 50)
-        oc = classify_outcome(run, params, 1e-3)
-        assert oc.variant is OutcomeKind.CYCLE_HIGH
+        kind, _ = classify_outcome(run, params, 1e-3)
+        assert kind is OutcomeKind.CYCLE_HIGH
         assert abs(run.starred[-1] - 9 / 13) < 1e-3
 
     def test_04_still_reads_as_fixed_point_at_step_50(self):
         params, coeffs = b64_setup()
         run = stabilized_orbit(0.4, params, 2, coeffs, 50)
-        oc = classify_outcome(run, params, 1e-3)
-        assert oc.variant is OutcomeKind.FIXED_POINT
+        kind, _ = classify_outcome(run, params, 1e-3)
+        assert kind is OutcomeKind.FIXED_POINT
 
     def test_far_value_unresolved(self):
         params, coeffs = b64_setup()
         fake = StabRun(
             params=params, power=2, coeffs=coeffs, x0=0.25, starred=(0.25,) * 7
         )
-        oc = classify_outcome(fake, params, 1e-3)
-        assert oc.variant is OutcomeKind.UNRESOLVED
-        assert oc.distance == pytest.approx(abs(0.25 - 6 / 13), abs=1e-12)
+        kind, distance = classify_outcome(fake, params, 1e-3)
+        assert kind is OutcomeKind.UNRESOLVED
+        assert distance == pytest.approx(abs(0.25 - 6 / 13), abs=1e-12)
 
     def test_exact_tie_prefers_cycle(self):
         params, coeffs = b64_setup()
@@ -259,8 +260,8 @@ class TestClassifyOutcome:
             params=params, power=2, coeffs=coeffs, x0=midpoint,
             starred=(midpoint,) * 7,
         )
-        oc = classify_outcome(fake, params, 1.0)
-        assert oc.variant is OutcomeKind.CYCLE_LOW
+        kind, _ = classify_outcome(fake, params, 1.0)
+        assert kind is OutcomeKind.CYCLE_LOW
 
     def test_distance_strictly_inside_tolerance(self):
         params, coeffs = b64_setup()
@@ -268,11 +269,8 @@ class TestClassifyOutcome:
             params=params, power=2, coeffs=coeffs, x0=0.7, starred=(0.7,) * 7
         )
         d = abs(0.7 - 9 / 13)
-        assert classify_outcome(fake, params, d).variant is OutcomeKind.UNRESOLVED
-        assert (
-            classify_outcome(fake, params, d * 1.001).variant
-            is OutcomeKind.CYCLE_HIGH
-        )
+        assert classify_outcome(fake, params, d)[0] is OutcomeKind.UNRESOLVED
+        assert classify_outcome(fake, params, d * 1.001)[0] is OutcomeKind.CYCLE_HIGH
 
 
 def check_against_oracle(finals, targets, tolerance):
@@ -412,9 +410,9 @@ class TestSweep:
             result = sweep(NetSpec.triadic(1), params, 2, coeffs, 20, 1e-3)
             for i, x0 in enumerate(result.points.tolist()):
                 run = stabilized_orbit(x0, params, 2, coeffs, 20)
-                oc = classify_outcome(run, params, 1e-3)
-                assert oc.variant is KINDS[result.codes[i]]
-                assert oc.distance == result.distances[i]
+                kind, distance = classify_outcome(run, params, 1e-3)
+                assert kind is KINDS[result.codes[i]]
+                assert distance == result.distances[i]
 
     def test_vector_path_matches_scalar_recursion(self):
         params, coeffs = b64_setup()
@@ -488,6 +486,20 @@ class TestSweep:
         for x0, final in zip(x0s, finals.tolist()):
             expected = stabilized_orbit(x0, params, k, coeffs, steps).starred[-1]
             assert type(final) is Fraction and final == expected
+
+    def test_shared_denominator_arithmetic_is_exact(self):
+        # products of products and sums of two products, whose scales are
+        # not 1, which _starred never forms, against Fractions
+        def values(x):
+            return [Fraction(n, x.den) * x.scale for n in x.nums]
+
+        x = _SharedDenominator([1, 4, 9], 12)
+        y = _SharedDenominator([5, 0, 7], 35)
+        u, v, w = Fraction(3, 7), Fraction(5, 4), Fraction(-2, 9)
+        xs, ys = values(x), values(y)
+        assert values(u * (v * x)) == [u * v * a for a in xs]
+        assert values(u * x + v * y) == [u * a + v * b for a, b in zip(xs, ys)]
+        assert values(x + w * (u * y)) == [a + w * u * b for a, b in zip(xs, ys)]
 
     def test_weights_summing_past_one_raise_on_every_path(self):
         # six weights of 3/10 sum to 9/5, so an average leaves [0, 1] and
