@@ -223,15 +223,12 @@ class Binary64(Backend):
             later_zero &= groups[j] == 0
         # the first group, below 1845, also loses its leading zeros and,
         # in exponent form, its leading digit to the prefix "d." or "d"
-        lead = 2 - (y >= 10**18).view(np.int8) - (y >= 10**19)  # y > 10**17
-        unit = t.powers.take(3 - lead)
-        digit = first // unit
-        single = later_zero & (first == digit * unit)
         variant = 2 + 2 * exp.view(np.uint8) + later_zero
         words[:, 2] = t.digits.take(first + variant * _TEN_THOUSAND)
         words[:, 7] = t.exponents.take(np.where(exp, 1 - decpt, 0))
+        head = t.heads.take(first)  # a nonzero later group turns "d" into "d."
         words.view(np.uint64)[:, 0] = t.prefixes.take(
-            np.where(exp, 2 * digit.view(np.int64) + 2 + single, -decpt))
+            np.where(exp, head - (head & ~later_zero), -decpt))
         out[...] = words.view(np.uint8)
         count = int(np.count_nonzero(fallback))
         if count:
@@ -259,7 +256,7 @@ class _Tables(NamedTuple):
     digits: np.ndarray  # uint32 words of 4 ASCII digits: 6 variants of 10**4
     prefixes: np.ndarray  # uint64 words: "0.", ..., "0.000", then "d.", "d"
     exponents: np.ndarray  # uint32 words: NUL, then "e-01" ... "e-99"
-    powers: np.ndarray  # 10**0 ... 10**3, uint64
+    heads: np.ndarray  # uint8 rows of prefixes for the first digit d of g < 10**4
 
 
 @functools.cache
@@ -279,7 +276,10 @@ def _tables() -> _Tables:
     The digit words for g < 10**4 come in six variants: "%04d"; then with
     its zeros after the last nonzero digit NULed; with its leading zeros
     NULed, and both; with its leading zeros and its first nonzero digit
-    NULed, and that with the trailing zeros too.
+    NULed, and that with the trailing zeros too.  heads[g] is the row of
+    prefixes for g's first digit d: "d" when g is d times a power of ten,
+    else "d.".  The digits are int16, which keeps the build's temporaries
+    small.
     """
     e_min = next(e for e in range(1, _E_TOP) if 1 << (1022 - e) < 10**99)
     scales, limbs, e_exact = [], [], None
@@ -295,23 +295,27 @@ def _tables() -> _Tables:
         scales.append(s)
         limbs.append([f >> (32 * j) & _M32 for j in range(4)])
 
-    digits = np.arange(10_000)[:, None] // 10 ** np.arange(3, -1, -1) % 10
+    digits = np.arange(10_000, dtype=np.int16)[:, None] // np.array(
+        [1000, 100, 10, 1], dtype=np.int16) % 10
     nonzero = digits != 0
     seen = np.logical_or.accumulate(nonzero, axis=1)
     trailing = ~np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]
     first = seen & ~np.hstack([np.zeros((10_000, 1), bool), seen[:, :-1]])
+    heads = 2 + 2 * (digits * first).sum(axis=1, dtype=np.uint8) + ~(nonzero & ~first).any(axis=1)
     chars = (digits + ord("0")).astype(np.uint8)
     kept = [True, ~trailing, seen, seen & ~trailing, seen & ~first, seen & ~first & ~trailing]
-    words = np.stack([chars * keep for keep in kept]).view(np.uint32)
+    words = np.empty((len(kept), 10_000, 4), dtype=np.uint8)
+    for variant, keep in zip(words, kept):
+        np.multiply(chars, keep, out=variant)
 
     prefixes = [b"0.", b"0.0", b"0.00", b"0.000"] + [b"%d%s" % (d, dot)
                                                       for d in range(1, 10) for dot in (b".", b"")]
     return _Tables(
         e_min, e_exact, np.array(scales, dtype=np.int64),
-        np.array(limbs, dtype=np.uint64).T.copy(), words.ravel(),
+        np.array(limbs, dtype=np.uint64).T.copy(), words.view(np.uint32).ravel(),
         np.array(prefixes, dtype="S8").view(np.uint64),
         np.array([b""] + [b"e-%02d" % n for n in range(1, 100)], dtype="S4").view(np.uint32),
-        np.array([10**k for k in range(4)], dtype=np.uint64),
+        heads,
     )
 
 
@@ -400,10 +404,11 @@ def _shortest(values: np.ndarray):
     fallback = (~covered | (up2 >= _NEAR_ONE) | (down2 < _NEAR) | (down2 >= _NEAR_ONE)
                 | (~exact & (x_frac >= _NEAR_ONE)))
 
-    unit = t.powers.take(2 + (high - low >= 999))  # 10**k0
-    rounder = high // (unit * 10) * (unit * 10)
+    wide = high - low >= 999  # k0 = 3, else 2; scalar divisors divide faster
+    unit = np.where(wide, np.uint64(1000), np.uint64(100))
+    rounder = np.where(wide, high // 10**4 * 10**4, high // 10**3 * 10**3)
     has_rounder = rounder >= low
-    q = x // unit
+    q = np.where(wide, x // 1000, x // 100)
     r = x - q * unit
     half = unit >> 1
     y = (q + (r >= half)) * unit
@@ -475,6 +480,23 @@ def _ten_to(digits: int) -> int:
 _QUANTIZE_CTX = decimal.Context(prec=decimal.MAX_PREC, rounding=decimal.ROUND_HALF_EVEN)
 
 
+class _Current:
+    """Makes a decimal.Context the thread's current one until exit restores
+    the one before; unlike decimal.localcontext, it copies nothing."""
+
+    __slots__ = ("ctx", "saved")
+
+    def __init__(self, ctx: decimal.Context):
+        self.ctx = ctx
+
+    def __enter__(self):
+        self.saved = decimal.getcontext()
+        decimal.setcontext(self.ctx)
+
+    def __exit__(self, *exc_info):
+        decimal.setcontext(self.saved)
+
+
 class FixedDecimal(Backend):
     """Decimal arithmetic at a fixed number of significant digits.
 
@@ -514,7 +536,13 @@ class FixedDecimal(Backend):
         return self._ctx.create_decimal(n)
 
     def context(self):
-        return decimal.localcontext(self._ctx)
+        """The private context made current, itself and not a copy, or a
+        null context where it already is, as inside stabilized_orbit: the
+        operators leave its precision and rounding as they are, and set
+        only its flags, which nothing reads."""
+        if decimal.getcontext() is self._ctx:
+            return _NO_CONTEXT
+        return _Current(self._ctx)
 
     def serialize(self, x: Decimal) -> str:
         q = self.check(x).quantize(self._quantum, context=_QUANTIZE_CTX)

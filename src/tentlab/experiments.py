@@ -188,12 +188,18 @@ def classify_finals(
 
     The nearest target wins when strictly inside the tolerance; exact
     distance ties go to the earlier target, so the cycle points beat the
-    fixed point and the low point beats the high one.
+    fixed point and the low point beats the high one.  A column per
+    target, combined by np.minimum and strict compares: a NaN distance, as
+    from a NaN final, stays NaN and is unresolved.
     """
-    gaps = np.abs(np.asarray(finals, dtype=np.float64)[:, None] - np.array(targets))
-    distances = gaps.min(axis=1)
-    codes = np.where(distances < tolerance, gaps.argmin(axis=1), UNRESOLVED_CODE)
-    return codes.astype(np.int8), distances
+    finals = np.asarray(finals, dtype=np.float64)
+    low, high, fixed = (np.abs(finals - t) for t in targets)
+    codes = (high < low).view(np.int8)
+    nearer = np.minimum(low, high, out=low)
+    codes[fixed < nearer] = 2
+    distances = np.minimum(nearer, fixed, out=fixed)
+    codes[~(distances < tolerance)] = UNRESOLVED_CODE
+    return codes, distances
 
 
 def classify_outcome(

@@ -106,7 +106,10 @@ def _starred(x, f, a: tuple[Scalar, ...], steps: int):
     x*_n = a_1 f(x*_{n-1}) + ... + a_6 f(x*_{n-6}), summed left to right.
 
     x is one backend value or an array of them, and only the value type's
-    own * and + combine them, so a value and an array round alike.  The
+    own * and + combine them, so a value and an array round alike: +=
+    adds into the fresh product in place on an array, with the same
+    ufunc, and falls back to + on a scalar or a type without +=, so no
+    value already yielded changes.  The
     caller holds the backend's context around the whole loop: a with
     block in here would leak into the consumer while the generator is
     suspended.  f runs once per step, since the seed iterates are the
@@ -121,7 +124,7 @@ def _starred(x, f, a: tuple[Scalar, ...], steps: int):
         else:
             x = a[0] * fvals[-1]
             for i in range(2, TAPS + 1):
-                x = x + a[i - 1] * fvals[-i]
+                x += a[i - 1] * fvals[-i]
             del fvals[0]
         yield x
 

@@ -2,7 +2,13 @@
 
 render_columns writes the SVG to its file piece by piece, never the whole
 document at once, and scales and formats its marks a slice at a time, so
-no column is ever a Python list.  as_float reads a cell as tentlab writes
+no column is ever a Python list.  A mark's coordinates are formatted in
+exact integer arithmetic, byte-equal to format(v, ".2f"): 100 * v is the
+significand times 100 shifted right, rounded half-even on the remainder,
+and a slice of marks is one NUL-padded uint32 matrix, NULs deleted, as
+cli._sweep_rows lays out sweep.csv.  That holds for v in [1, 1024), which
+scaled marks do not leave; a slice with a value outside goes through
+format.  as_float reads a cell as tentlab writes
 it, a decimal or an exact p/q fraction, as a float; the CLI plots the
 columns it parses so.  A point with a NaN or infinite coordinate is left
 out, of the marks and of the axes' ranges, and an axis whose values reach
@@ -14,6 +20,7 @@ format, so rendered files can be compared byte for byte.
 
 from __future__ import annotations
 
+import functools
 import math
 from decimal import Decimal
 from itertools import chain
@@ -62,12 +69,16 @@ def _slices(values: np.ndarray):
 
 
 def _axis_range(values: np.ndarray) -> tuple[float, float]:
-    """min and max of the values' list, a slice at a time: the same comparisons
-    in the same order, so NaN, +-inf and +-0.0 give the same axes."""
+    """min and max of the values' list.  Those keep their first value until
+    a later one compares below or above it, so they give the first of the
+    least and of the greatest values, -0.0 or 0.0 as it comes, and so do
+    argmin and argmax; a leading NaN is both, since nothing compares with
+    it, and a later NaN is never either."""
     if not len(values):
         return 0.0, 1.0
-    lo, hi = (pick(chain.from_iterable(s.tolist() for s in _slices(values)))
-              for pick in (min, max))
+    if not np.isnan(values[0]):
+        values = values[values == values]
+    lo, hi = (float(values[pick(values)]) for pick in (np.argmin, np.argmax))
     return (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
 
 
@@ -84,6 +95,39 @@ def _unit(values: np.ndarray) -> float:
 def _scale(v, lo: float, hi: float, out_lo: float, out_hi: float):
     """Map v, a float or a float64 array, from [lo, hi] onto [out_lo, out_hi]."""
     return out_lo + (v - lo) * (out_hi - out_lo) / (hi - lo)
+
+
+def _hundredths(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """100 * v rounded half-even to an integer, exactly, for every v of a
+    float64 array, and the mask of those in [1, 1024), where it is right.
+    There v = c * 2**-s, c the 53-bit significand and 43 <= s <= 52, so
+    100 * c < 2**60 and 100 * v is 100 * c >> s plus the remainder over
+    2**s: format(v, ".2f") rounds the same exact value the same way."""
+    bits = v.view(np.uint64)
+    exponent = bits >> 52  # a negative's is 2048 or more
+    inside = (exponent >= 1023) & (exponent <= 1032)
+    shift = 1075 - np.clip(exponent, 1023, 1032)
+    scaled = ((bits & (1 << 52) - 1) | 1 << 52) * 100
+    cents = scaled >> shift
+    rest = scaled - (cents << shift)
+    half = np.uint64(1) << (shift - 1)
+    cents += (rest > half) | ((rest == half) & (cents & 1 == 1))
+    return cents, inside
+
+
+@functools.cache
+def _cell_words() -> tuple[np.ndarray, np.ndarray]:
+    """uint32 words of the text of 0 ... 1024 and of ".00" ... ".99", NUL padded."""
+    return (np.array([b"%d" % n for n in range(1025)], dtype="S4").view(np.uint32),
+            np.array([b".%02d" % n for n in range(100)], dtype="S4").view(np.uint32))
+
+
+def _cells(cents: np.ndarray) -> np.ndarray:
+    """format(v, ".2f") as two uint32 words a row, for _hundredths' cents of
+    values in [1, 1024): the whole part, then the point and two digits."""
+    whole, part = np.divmod(cents, 100)
+    units, hundredths = _cell_words()
+    return np.stack([units.take(whole), hundredths.take(part)], axis=1)
 
 
 def _tick_values(lo: float, hi: float) -> list[float]:
@@ -137,11 +181,24 @@ def _svg_pieces(labels: tuple[str, str], xs, ys, style: str):
     head = "\n".join(parts) + "\n"
 
     def marks(mark: str):  # a slice at a time, with _scale's IEEE operations
+        # a mark is a row of uint32 words: its text, NUL padded, around two cells
+        pre, mid, post = (np.frombuffer(part.encode() + b"\0" * (-len(part) % 4), np.uint32)
+                          for part in mark.split("{:.2f}"))
+        row = np.concatenate([pre, [0, 0], mid, [0, 0], post]).astype(np.uint32)
+        at = (len(pre), len(pre) + 2 + len(mid))
         for x, y in zip(_slices(xs), _slices(ys)):
             with np.errstate(all="ignore"):
-                pxs = _scale(x, x_lo, x_hi, _LEFT, _RIGHT).tolist()
-                pys = _scale(y, y_lo, y_hi, _BOTTOM, _TOP).tolist()
-            yield "".join(map(mark.format, pxs, pys))
+                pxs = _scale(x, x_lo, x_hi, _LEFT, _RIGHT)
+                pys = _scale(y, y_lo, y_hi, _BOTTOM, _TOP)
+            (x_cents, x_inside), (y_cents, y_inside) = map(_hundredths, (pxs, pys))
+            if not (x_inside.all() and y_inside.all()):
+                yield "".join(map(mark.format, pxs.tolist(), pys.tolist()))
+                continue
+            table = np.empty((len(pxs), len(row)), dtype=np.uint32)
+            table[:] = row
+            for col, cents in zip(at, (x_cents, y_cents)):
+                table[:, col:col + 2] = _cells(cents)
+            yield table.tobytes().translate(None, b"\0").decode("ascii")
 
     if style == "line" and len(xs) >= 2:
         pieces = marks(" {:.2f},{:.2f}")

@@ -1112,6 +1112,62 @@ class TestStreamedRender:
             assert repr(svgplot._axis_range(np.array(values))) == repr(want)
 
 
+def mark_cells(values):
+    """svgplot's .2f text of each value it covers, and the mask of those."""
+    cents, inside = svgplot._hundredths(np.array(values, dtype=np.float64))
+    words = svgplot._cells(cents[inside])
+    return [row.tobytes().replace(b"\0", b"").decode() for row in words], inside.tolist()
+
+
+# the ends of [1, 1024), where the integer cells hold, and values past them
+MARK_EDGES = [1.0, np.nextafter(1.0, 2.0), np.nextafter(1024.0, 0.0), 1023.995, 1023.994999]
+MARK_OUTSIDE = [np.nextafter(1.0, 0.0), 1024.0, 0.0, -0.0, 0.5, 5e-324, -1.5, -790.0,
+                1e300, math.nan, math.inf, -math.inf]
+
+
+class TestMarkCells:
+    """The SVG marks' integer .2f cells against format(v, ".2f")."""
+
+    @given(st.lists(st.floats(min_value=1.0, max_value=1024.0, exclude_max=True), min_size=1))
+    @settings(max_examples=300, deadline=None)
+    def test_any_value_inside_writes_its_format(self, values):
+        texts, inside = mark_cells(values)
+        assert all(inside)
+        assert texts == [format(v, ".2f") for v in values]
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bit_pattern_is_inside_or_left_to_format(self, patterns):
+        values = np.array(patterns, dtype=np.uint64).view(np.float64)
+        texts, inside = mark_cells(values)
+        assert inside == [1.0 <= v < 1024.0 for v in values.tolist()]
+        assert texts == [format(v, ".2f") for v in values[inside].tolist()]
+
+    def test_exact_ties_and_their_neighbours(self):
+        # k/8 is exact, so every odd k puts the third decimal at a tie that
+        # rounds half-even; its neighbours round away from the tie
+        eighths = np.arange(9, 8192) / 8
+        values = np.concatenate([eighths, np.nextafter(eighths, 0.0),
+                                 np.nextafter(eighths, np.inf), MARK_EDGES])
+        texts, inside = mark_cells(values)
+        assert all(inside)
+        assert texts == [format(v, ".2f") for v in values.tolist()]
+        assert mark_cells([1.125, 1.375, np.nextafter(1.125, 2.0)])[0] == ["1.12", "1.38", "1.13"]
+
+    def test_values_past_the_domain_are_left_to_format(self):
+        assert mark_cells(MARK_OUTSIDE) == ([], [False] * len(MARK_OUTSIDE))
+
+    def test_a_slice_with_a_value_outside_is_formatted(self, monkeypatch):
+        # no column that _scale maps reaches outside, so the scale is widened
+        monkeypatch.setattr(svgplot, "_RIGHT", 1100.0)
+        xs = np.array([0.0, 0.5, 1.0, 0.25])
+        pieces = list(svgplot._svg_pieces(("x", "y"), xs, xs, "scatter"))
+        assert pieces[1] == "".join(
+            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" fill="steelblue"/>\n'
+            for x, y in zip(70 + xs * 1030, 450 - xs * 430))
+        assert '<circle cx="1100.00" cy="20.00"' in pieces[1]
+
+
 class TestParserDefaults:
     def test_documented_defaults(self):
         parser = build_parser()

@@ -28,6 +28,7 @@ from tentlab.experiments import (
     EscapeEvent,
     NetSpec,
     OutcomeKind,
+    UNRESOLVED_CODE,
     build_net,
     chaotic_series,
     chunk_map,
@@ -308,6 +309,23 @@ class TestClassifyFinals:
     )
     def test_matches_oracle_on_exact_ties(self, finals, targets, tolerance):
         check_against_oracle(finals, targets, tolerance)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.one_of(dyadic, st.sampled_from([math.nan, math.inf, -math.inf]), st.floats()),
+                 min_size=1, max_size=200),
+        st.tuples(dyadic, dyadic, dyadic),
+        dyadic.filter(lambda t: t > 0),
+    )
+    def test_matches_the_gap_matrix(self, finals, targets, tolerance):
+        # the (n, 3) formulation the columns replace: a row of gaps per
+        # final, its min, and argmin's first minimum inside the tolerance
+        gaps = np.abs(np.array(finals)[:, None] - np.array(targets))
+        want = gaps.min(axis=1)
+        want_codes = np.where(want < tolerance, gaps.argmin(axis=1), UNRESOLVED_CODE)
+        codes, distances = classify_finals(np.array(finals), targets, tolerance)
+        assert codes.tolist() == want_codes.tolist()
+        assert np.array_equal(distances, want, equal_nan=True)
 
     def test_midpoint_tie_and_tolerance_boundary(self):
         targets = (0.25, 0.75, 0.5)

@@ -25,7 +25,7 @@ from tentlab.stabilize import (
     companion_spectrum,
     stabilized_orbit,
 )
-from tentlab.tentmap import MapParams
+from tentlab.tentmap import MapParams, tent_step_array
 
 SIGMA = 1.2
 
@@ -150,6 +150,26 @@ class TestStabilizedOrbit:
         # are the first f-values, and no tap is recomputed
         assert calls == list(run.starred[:-1])
         assert len(calls) == 2000
+
+    def test_array_run_keeps_what_it_yielded(self):
+        # the sum adds into each step's fresh product in place, so a value
+        # already yielded, or kept as a tap, must never be that array
+        for params, coeffs in (b64_setup(), dec_setup(30)):
+            b, h = params.backend, params.h
+            starts = [b.parse(t) for t in ("0.05", "0.2", "0.3", "0.4", "0.7231")]
+            x0s = np.array(starts, dtype=np.float64 if b == Binary64() else object)
+            half = b.parse("1/2")
+
+            def f(x):
+                return tent_step_array(tent_step_array(x, h, half), h, half)
+
+            with b.context():
+                run = [(x, x.tolist()) for x in stabilize._starred(x0s, f, coeffs.a, 40)]
+            assert [x.tolist() for x, _ in run] == [kept for _, kept in run]
+            assert len({id(x) for x, _ in run[1:]}) == 40
+            for j, x0 in enumerate(starts):
+                want = reference_run(x0, params, 2, coeffs.a, 40)
+                assert [kept[j] for _, kept in run] == want
 
     def test_converges_to_upper_cycle_point_from_03(self):
         params, coeffs = b64_setup()
