@@ -446,10 +446,15 @@ class Rational(Backend):
 
     def serialize(self, x: Fraction) -> str:
         self.check(x)
-        try:
-            return f"{x.numerator}/{x.denominator}"
-        except ValueError:  # a term past the int-to-text limit
-            return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
+        return _ratio_text(x.numerator, x.denominator)
+
+
+def _ratio_text(p: int, q: int) -> str:
+    """"p/q", also past the interpreter's limit on int-to-text conversion."""
+    try:
+        return f"{p}/{q}"
+    except ValueError:  # a term past the limit
+        return f"{_int_text(p)}/{_int_text(q)}"
 
 
 def _int_text(n: int) -> str:
@@ -545,8 +550,14 @@ class FixedDecimal(Backend):
         return _Current(self._ctx)
 
     def serialize(self, x: Decimal) -> str:
+        """x to p places in fixed point, a zero without its sign.  str of
+        the quantized value is that text, and faster than format, except
+        below 10**-6 and at zero, where it shows the exponent -p."""
         q = self.check(x).quantize(self._quantum, context=_QUANTIZE_CTX)
-        return format(q if q else q.copy_abs(), "f")  # fixed point; a zero has no sign
+        if not q:
+            q = q.copy_abs()
+        text = str(q)
+        return text if "E" not in text else format(q, "f")
 
     def __repr__(self) -> str:
         return f"FixedDecimal({self.precision_digits})"

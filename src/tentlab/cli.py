@@ -23,7 +23,10 @@ return the plotted cells as floats, so that the parent holds neither the
 net nor its rows.
 Cells are formatted a column at a time by Backend.texts, in binary64 by
 Binary64.cells: repr's digits for a float64 array in integer arithmetic,
-which also fill a binary64 sweep.csv chunk's byte matrix.  _write_json
+which also fill a binary64 sweep.csv chunk's byte matrix.  The cycle
+census is formatted a block of cycles at a time for each of its two
+artifacts, their points walked again from each cycle's start, so that
+neither artifact holds more than a block of points or cells.  _write_json
 gives json.dump's bytes without json's pure-Python encoder.
 
 Exit codes: 0 success, 2 validation problem (bad flags or bad values),
@@ -33,6 +36,7 @@ Exit codes: 0 success, 2 validation problem (bad flags or bad values),
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import operator
@@ -44,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backends import CELL_BYTES, TEXT_BLOCK, Binary64, BackendError, MismatchError, make_backend
+from .backends import CELL_BYTES, Binary64, BackendError, MismatchError, make_backend
 from .cycles import enumerate_cycles, onset_threshold
 from .experiments import (
     DEFAULT_FLAT_TOL,
@@ -295,23 +299,23 @@ def _cmd_cycles(ns, b, params, coeffs):
     record = onset_threshold(ns.period) if ns.onset else None
     found = enumerate_cycles(params, ns.period)
     n = ns.period
-    itineraries, multipliers = [c.itinerary for c in found], b.texts([c.multiplier for c in found])
-    step = max(1, TEXT_BLOCK // n)  # cycles per block of point texts
-    cells = []  # each point serialized once, for cycles.json and cycles.csv alike
-    for start in range(0, len(found), step):
-        block = found[start:start + step]
-        found[start:start + step] = [None] * len(block)  # free its points once formatted
-        cells += b.texts([x for c in block for x in c.points])
+
+    def cycles():  # (index, point cells, itinerary, multiplier), formatted a block at a time
+        for start in range(0, len(found), found.block):
+            cells, itineraries, multipliers = found.texts(start, start + found.block)
+            yield from zip(itertools.count(start), (cells[i:i + n] for i in range(0, len(cells), n)),
+                           itineraries, multipliers)
+
     doc = {"h": b.serialize(params.h), "period": n, "count": len(found),
-           "cycles": ({"points": cells[i * n:i * n + n], "itinerary": w, "multiplier": m}
-                      for i, (w, m) in enumerate(zip(itineraries, multipliers)))}
+           "cycles": ({"points": cells, "itinerary": w, "multiplier": m}
+                      for _, cells, w, m in cycles())}
     if record is not None:
         doc["onset"] = {"threshold": record.threshold, "polynomial": list(record.polynomial)}
     yield "cycles.json", doc
     indices = [f"{j}," for j in range(n)]
     rows = (  # a cycle's rows in one join: "i," "j,x" ",w,m\ni," "j,x" ... ",w,m\n"
-        f"{i}," + f",{w},{m}\n{i},".join(map(operator.add, indices, cells[i * n:i * n + n]))
-        + f",{w},{m}\n" for i, (w, m) in enumerate(zip(itineraries, multipliers)))
+        f"{i}," + f",{w},{m}\n{i},".join(map(operator.add, indices, cells)) + f",{w},{m}\n"
+        for i, cells, w, m in cycles())
     yield "cycles.csv", (("cycle", "index", "point", "itinerary", "multiplier"), rows)
 
 

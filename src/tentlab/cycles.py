@@ -15,39 +15,45 @@ The census reads the Lyndon words from one integer array, most
 significant bit first with L = 0, so ascending order is the
 Fredricksen-Kessler-Maiorana (lexicographic) order and the stable sort
 breaks ties by it.  It has two kernels.  The rounded one serves binary64
-and decimal: it composes (A, B) and walks every orbit as (words x n)
-arrays, float64 or Decimal objects, under the backend's context, so each
-elementwise operation rounds as the backend's scalar operation does, in
-the order the per-word composition and tent_step take them.  The exact
-one works on Python integers, with h = p/q: the intercept after t symbols
-is beta/q^t, where beta goes to p*beta on L and to p*(q^(t-1) - beta) on
-R, and x* = beta/(q^n - s*p^n) with s = (-1)^#R; the orbit walks N/M,
-with N going to p*N when 2N <= M and to p*(M - N) otherwise, and M to
-q*M, and closes when N_n = N_0*q^n.  Every factor of A is +-h, so A is
-also the cycle's multiplier: the slope product along the orbit, the same
-in any order and from any rotation.
+and decimal: it composes (A, B) and walks every orbit from x* as arrays
+over the words, float64 or Decimal objects, under the backend's context,
+so each elementwise operation rounds as the backend's scalar operation
+does, in the order the per-word composition and tent_step take them.  The
+exact one works on Python integers, with h = p/q: the intercept after t
+symbols is beta/q^t, where beta goes to p*beta on L and to
+p*(q^(t-1) - beta) on R, and x* = beta/(q^n - s*p^n) with s = (-1)^#R;
+the orbit walks N/M, with N going to p*N when 2N <= M and to p*(M - N)
+otherwise, and M to q*M, and closes when N_n = N_0*q^n.  Every factor of
+A is +-h, so A is also the cycle's multiplier: the slope product along
+the orbit, the same in any order and from any rotation.
+
+Neither kernel keeps a point.  A Census holds a few values a cycle: its
+itinerary from its smallest point, the start x* (N_0 and M_0 on
+rational), the step of its smallest point on the walk from x*, and its
+multiplier.  A cycle's points are walked again from its start, by the
+same operations, and rotated: a Cycle per index, and their text a block
+of cycles at a time, reduced by one gcd a point on rational, with no
+Fraction.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 from typing import Iterator
 
 import numpy as np
 
-from .backends import Backend, Branch, DomainError, Scalar
+from .backends import TEXT_BLOCK, Backend, Branch, DomainError, Scalar, _ratio_text
 from .tentmap import MapParams, tent_step, tent_step_array
 
 MAX_ENUM_PERIOD = 20
 
 _B64_CLOSING_TOL = 1e-12
 _LR = str.maketrans("01", "LR")
-
-# a word that closes: (itinerary, index of its smallest point, its orbit
-# from x*, the multiplier)
-Closing = tuple[str, int, list, Scalar]
 
 _ONSET_POLYNOMIALS = {
     # descending-degree integer coefficients; unique root in (1, 2)
@@ -75,6 +81,122 @@ class OnsetRecord:
     period: int
     polynomial: tuple[int, ...]
     threshold: float
+
+
+# a census's columns, a value a cycle: (itinerary from the smallest point,
+# the smallest point's step from the start, the start, its denominator or
+# None, the multiplier, the sort key)
+Columns = tuple[np.ndarray, np.ndarray, np.ndarray, "np.ndarray | None", np.ndarray, np.ndarray]
+
+
+@dataclass(frozen=True, eq=False)
+class Census:
+    """Every cycle of minimal period n, sorted, as columns of a value a cycle.
+
+    len, indexing, slicing and iteration give Cycles, their points walked
+    again from the start; a slice is a list.  A census equals another, or
+    a list, holding the same Cycles in the same order, as a list would,
+    but it is read-only and unhashable.  texts gives the artifact text of
+    a block of cycles.
+    """
+
+    params: MapParams
+    period: int
+    words: np.ndarray  # int64, each itinerary from its smallest point
+    shifts: np.ndarray  # int64, the smallest point's step on the walk
+    starts: np.ndarray  # x*, float64 or Decimal; on rational its numerator N_0
+    denominators: np.ndarray | None  # on rational, x*'s denominator M_0
+    multipliers: np.ndarray  # float64, or Decimal or Fraction objects
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __getitem__(self, i: int | slice) -> Cycle | list[Cycle]:
+        if isinstance(i, slice):
+            picked = range(len(self))[i]
+            if picked.step == 1:
+                return self._cycles(picked.start, picked.stop)
+            return [self[j] for j in picked]
+        i = range(len(self))[operator.index(i)]  # from the end when negative
+        (cycle,) = self._cycles(i, i + 1)
+        return cycle
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Census, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __iter__(self) -> Iterator[Cycle]:
+        for start in range(0, len(self), self.block):
+            yield from self._cycles(start, start + self.block)
+
+    @property
+    def block(self) -> int:
+        """Cycles a block, whose points and multipliers fill a block of
+        Backend.texts."""
+        return max(1, TEXT_BLOCK // (self.period + 1))
+
+    def texts(self, start: int, stop: int) -> tuple[list[str], list[str], list[str]]:
+        """The artifact text of cycles start..stop: serialize of their
+        points, n a cycle, their itineraries and serialize of their
+        multipliers.  On rational a point is N/M reduced by one gcd, with
+        no Fraction."""
+        b, multipliers = self.params.backend, self.multipliers[start:stop]
+        itineraries = _word_texts(self.words[start:stop], self.period)
+        if self.denominators is not None:
+            return _reduced_texts(*self._points(start, stop)), itineraries, b.texts(multipliers)
+        cells = b.texts(np.concatenate([self._points(start, stop).ravel(), multipliers]))
+        split = len(cells) - len(multipliers)
+        return cells[:split], itineraries, cells[split:]
+
+    def _points(self, start: int, stop: int):
+        """The points of cycles start..stop, each from its smallest, walked
+        from the start by the kernel's operations: a (cycles x n) array on
+        the rounded backends, and on rational the numerators and
+        denominators, n a cycle."""
+        n, b, h = self.period, self.params.backend, self.params.h
+        shifts = self.shifts[start:stop]
+        if self.denominators is None:
+            x, half = self.starts[start:stop], b.parse("0.5")
+            orbits = np.empty((len(x), n), dtype=x.dtype)
+            with b.context():
+                for t in range(n):
+                    orbits[:, t] = x
+                    x = tent_step_array(x, h, half)
+            return np.take_along_axis(orbits, (shifts[:, None] + np.arange(n)) % n, axis=1)
+        p, q = h.numerator, h.denominator
+        rows = {}  # M_t = M_0*q^t, and M_0 takes one value for each parity of #R
+        nums, dens = [], []
+        for x, m0, s in zip(self.starts[start:stop], self.denominators[start:stop],
+                            shifts.tolist()):
+            ms = rows.get(m0) or rows.setdefault(m0, [m0 * q**t for t in range(n)])
+            xs = []
+            for m in ms:
+                xs.append(x)
+                x = p * (m - x) if 2 * x > m else p * x
+            nums += xs[s:] + xs[:s]
+            dens += ms[s:] + ms[:s]
+        return nums, dens
+
+    def _cycles(self, start: int, stop: int) -> list[Cycle]:
+        n = self.period
+        if self.denominators is None:
+            points = self._points(start, stop).tolist()
+        else:
+            flat = list(map(Fraction, *self._points(start, stop)))
+            points = [flat[i:i + n] for i in range(0, len(flat), n)]
+        return [Cycle(period=n, points=tuple(pts), itinerary=w, multiplier=A)
+                for pts, w, A in zip(points, _word_texts(self.words[start:stop], n),
+                                     self.multipliers[start:stop].tolist())]
+
+
+def _reduced_texts(nums: list[int], dens: list[int]) -> list[str]:
+    """Rational.serialize of each Fraction(N, M), by one gcd and no Fraction."""
+    gcds = list(map(gcd, nums, dens))
+    try:
+        return [f"{x // g}/{m // g}" for x, m, g in zip(nums, dens, gcds)]
+    except ValueError:  # a term past the int-to-text limit
+        return [_ratio_text(x // g, m // g) for x, m, g in zip(nums, dens, gcds)]
 
 
 def fixed_point(params: MapParams) -> Scalar:
@@ -126,16 +248,21 @@ def _lyndon_word_array(n: int) -> np.ndarray:
     return words
 
 
-def _symbols(words: np.ndarray, n: int) -> np.ndarray:
-    """(words x n) booleans, True where the word reads R."""
-    return ((words[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(bool)
+def _symbol(words: np.ndarray, n: int, t: int) -> np.ndarray:
+    """Symbol t of each word, True where it reads R."""
+    return ((words >> (n - 1 - t)) & 1).astype(bool)
+
+
+def _rotated(words: np.ndarray, shifts: np.ndarray, n: int) -> np.ndarray:
+    """Each word read from its symbol shifts[i] on."""
+    return ((words << shifts) | (words >> (n - shifts))) & ((1 << n) - 1)
 
 
 def _word_texts(words: np.ndarray, n: int) -> list[str]:
     return [format(w, f"0{n}b").translate(_LR) for w in words.tolist()]
 
 
-def _closing_rounded(n: int, params: MapParams) -> Iterator[Closing]:
+def _closing_rounded(n: int, params: MapParams) -> Columns:
     """The binary64 and decimal census as arrays over every Lyndon word at
     once, float64 or Decimal objects, under the backend's context.
 
@@ -143,16 +270,18 @@ def _closing_rounded(n: int, params: MapParams) -> Iterator[Closing]:
     place (the per-word composition of (A, B), clamp_unit, tent_step,
     _closes), so every value is bit-identical to the per-word walk.  No
     walk point needs clamping: a tent step maps [0, 1] into itself under
-    either rounding (see _sweep_chunk_rounded).
+    either rounding (see _sweep_chunk_rounded).  The walk keeps each
+    word's least point so far and its step, replaced only by a strictly
+    smaller one, so the first minimum wins, as argmin's does.
     """
     b, h = params.backend, params.h
     one, half = b.from_int(1), b.parse("0.5")
     words = _lyndon_word_array(n)
-    symbols = _symbols(words, n)
     with b.context():
         A = np.full(len(words), one)
         B = np.full(len(words), b.from_int(0))
-        for s in symbols.T:  # (-h)*A is -(h*A) and -h*B + h is h - h*B
+        for t in range(n):  # (-h)*A is -(h*A) and -h*B + h is h - h*B
+            s = _symbol(words, n, t)
             A = h * A
             np.negative(A, out=A, where=s)
             B = h * B
@@ -164,60 +293,70 @@ def _closing_rounded(n: int, params: MapParams) -> Iterator[Closing]:
         # length n >= 2, which starts with L and ends with R, so those
         # words go with the rest; at n = 1, x* is -0 or h/(h+1)
         keep = np.flatnonzero((x_star >= 0) & (x_star <= 1))
-        words, symbols, A, x_star = words[keep], symbols[keep], A[keep], x_star[keep]
+        words, A, x_star = words[keep], A[keep], x_star[keep]
 
-        orbits = np.empty((len(words), n), dtype=x_star.dtype)
         realized = np.ones(len(words), dtype=bool)
+        low, shifts = x_star, np.zeros(len(words), dtype=np.int64)
         x = x_star
         for t in range(n):
-            left = x <= half
-            realized &= left != symbols[:, t]
-            orbits[:, t] = x
+            realized &= (x <= half) != _symbol(words, n, t)
+            lower = x < low
+            low = np.where(lower, x, low)
+            shifts[lower] = t
             x = tent_step_array(x, h, half)
     closed = np.flatnonzero(realized & _closes(x, x_star, b))
-    orbits = orbits[closed]
-    return zip(_word_texts(words[closed], n), orbits.argmin(axis=1).tolist(),
-               orbits.tolist(), A[closed].tolist())
+    shifts = shifts[closed]
+    return (_rotated(words[closed], shifts, n), shifts, x_star[closed], None, A[closed],
+            low[closed].astype(float))
 
 
-def _closing_rational(n: int, params: MapParams) -> Iterator[Closing]:
+def _closing_rational(n: int, params: MapParams) -> Columns:
     """The exact census on Python integers, by the recurrences of the
     module docstring; equal to the per-word walk's.
 
     h > 1 makes p^n > q^n, which fixes the sign of x*'s denominator.  The
-    tie 2N = M at 1/2 goes LEFT.  Only the stored points become Fractions.
+    tie 2N = M at 1/2 goes LEFT.  Point t is N_t/(M_0*q^t), N_t*q^(n-t)
+    over M_0*q^n, so the walk compares those numerators for the least
+    point; its float, the sort key, is their quotient, which Python's int
+    division rounds correctly, as float() of the Fraction does.
     """
     p, q = params.h.numerator, params.h.denominator
     words = _lyndon_word_array(n)
     betas = [0] * len(words)
     q_t = 1  # q^(t-1)
-    for column in _symbols(words, n).T.tolist():
-        betas = [p * (q_t - beta) if s else p * beta for beta, s in zip(betas, column)]
+    for t in range(n):
+        betas = [p * (q_t - beta) if s else p * beta
+                 for beta, s in zip(betas, _symbol(words, n, t).tolist())]
         q_t *= q
     pn, qn = p**n, q**n
     scales = [q ** (n - t) for t in range(n)]  # point t over the common M_0*q^n
-    for text, beta in zip(_word_texts(words, n), betas):
-        odd = text.count("R") & 1
+    multipliers = Fraction(pn, qn), Fraction(-pn, qn)
+    columns = []
+    for word, beta in zip(words.tolist(), betas):
+        bits = format(word, f"0{n}b")
+        odd = bits.count("1") & 1
         n0, m0 = (beta, pn + qn) if odd else (-beta, pn - qn)
         if not 0 <= n0 <= m0:  # clamp_unit has no slack on rational
             continue
-        orbit = []
-        x, m = n0, m0
-        for symbol in text:
+        x, m, low, shift = n0, m0, n0 * qn, 0
+        for t, (symbol, scale) in enumerate(zip(bits, scales)):
             right = 2 * x > m
-            if right != (symbol == "R"):
+            if right != (symbol == "1"):
                 break
-            orbit.append((x, m))
+            if x * scale < low:
+                low, shift = x * scale, t
             x = p * (m - x) if right else p * x
             m *= q
         else:
             if x == n0 * qn:
-                shift = min(range(n), key=lambda t: orbit[t][0] * scales[t])
-                yield (text, shift, [Fraction(num, den) for num, den in orbit],
-                       Fraction(-pn if odd else pn, qn))
+                columns.append((word, shift, n0, m0, multipliers[odd], low / (m0 * qn)))
+    words, shifts, n0s, m0s, mults, keys = list(zip(*columns)) or [()] * 6
+    shifts = np.array(shifts, dtype=np.int64)
+    return (_rotated(np.array(words, dtype=np.int64), shifts, n), shifts,
+            *(np.array(c, dtype=object) for c in (n0s, m0s, mults)), np.array(keys))
 
 
-def enumerate_cycles(params: MapParams, n: int) -> list[Cycle]:
+def enumerate_cycles(params: MapParams, n: int) -> Census:
     """Every cycle of minimal period n, canonically rotated and sorted.
 
     n = 1 reports both fixed points, the origin and h/(h+1).
@@ -225,13 +364,9 @@ def enumerate_cycles(params: MapParams, n: int) -> list[Cycle]:
     if not 1 <= n <= MAX_ENUM_PERIOD:
         raise DomainError(f"period must lie in [1, {MAX_ENUM_PERIOD}], got {n}")
     closing = _closing_rational if params.backend.kind == "rational" else _closing_rounded
-    found = [
-        Cycle(period=n, points=tuple(pts[m:] + pts[:m]),
-              itinerary=word[m:] + word[:m], multiplier=A)
-        for word, m, pts, A in closing(n, params)
-    ]
-    found.sort(key=lambda c: float(c.points[0]))  # stable: ties keep FKM order
-    return found
+    *columns, keys = closing(n, params)
+    order = np.argsort(keys, kind="stable")  # ties keep FKM order
+    return Census(params, n, *(c if c is None else c[order] for c in columns))
 
 
 def cycle_multiplier(c: Cycle, params: MapParams) -> Scalar:

@@ -280,7 +280,8 @@ class TestSerialization:
     def test_decimal_edge_cases_match_digit_assembly(self, p):
         d = FixedDecimal(p)
         values = [Decimal(t) for t in ("0", "-0", "-0E-50", "0E+5", "1E-500", "-1E-500",
-                                       "1E40", "-123456789E40", "1")]
+                                       "1E40", "-123456789E40", "1", "1E-6", "-1E-6",
+                                       "1.000001E-6", "-9.99E-7", "3E-9")]
         for nines in (p - 1, p):  # half a quantum, and just past it
             values += [Decimal(f"0.{'9' * nines}5"), Decimal(f"-0.{'0' * nines}5")]
         for digit in range(10):  # midpoints that round to even, down and up
@@ -461,9 +462,11 @@ class TestTexts:
     def test_decimal(self, digits):
         b = FixedDecimal(digits)
         values = [b.from_int(0), Decimal("-0"), b.parse("-0.5"), b.from_int(65536),
-                  b.parse("1/3"), b.parse("2/3"), Decimal("1e-500"), Decimal("-1e-500")]
+                  b.parse("1/3"), b.parse("2/3"), Decimal("1e-500"), Decimal("-1e-500"),
+                  Decimal("1e-6"), Decimal("-1e-6"), Decimal("1.000001e-6"),
+                  Decimal("-9.99e-7"), Decimal("3e-9"), b.parse("1/3000000")]
         values += [b.parse(f"{i}/{TEXT_BLOCK + 3}") for i in range(0, TEXT_BLOCK + 3, 97)]
-        assert b.texts(values) == list(map(b.serialize, values))
+        assert b.texts(values) == [fixed_point_digits(x, digits) for x in values]
 
     @pytest.mark.parametrize("b, values", [
         (Binary64(), [0.5, Fraction(1, 2)]),

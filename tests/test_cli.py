@@ -366,10 +366,36 @@ class TestCycles:
                 ("0db42f6d166ef77c6224d302c76f1afc8ed0a986cb7423fb0ada53def79f866a",
                  "2f38389d54ca21c02f09ece822671e339667cfb64a49b3db7b585c04d9eb1d44"),
             ),
+            # recorded before the census kept its cycles as per-cycle columns;
+            # h = 1 + 10**-2200 gives 2-cycle points of some 4400 digits, past
+            # the int-to-text limit, and binary64 n=20 finds 7964 of the 52377
+            # cycles, the fixed closing tolerance's defect included
+            (
+                ["--h", f"{10**2200 + 1}/{10**2200}", "--period", "2", "--backend", "rational"],
+                ("799714b8774a2b7ca11f20cd0d947ec4ded86fe56ce6582847ed41bf3a05d1cd",
+                 "42ad3c8f818dc160464b44cb7b482b12749bb705960213fddc7c7143a073270e"),
+            ),
+            (
+                ["--h", "19/10", "--period", "14", "--backend", "rational"],
+                ("cf905a02dc03b724739b5f1d27bc84a63374b0122437d75c68c826c34232e5cb",
+                 "94956984cdd32141acc6e788eae2eb3f7c117df0fb372e1e2d150563f19b6ea3"),
+            ),
+            (
+                ["--h", "2", "--period", "20"],
+                ("096513f83399b8e9626e3992b38ff4cc05ed0a7091e820abace94e9fead74c88",
+                 "2fe73627e53f6058867ef9832f0105cd32bfea7185ee081f0727e8addcf7d5a0"),
+            ),
+            (
+                ["--h", "2", "--period", "14", "--backend", "decimal", "--precision", "30"],
+                ("8d6fed69f2d8518f3329bd1fc006abc42ea2c668830040fad89bb983def7d573",
+                 "2be04988375a7b494ea41b4662abd808ee3f72c8837a08134fbf367ab2b59c2f"),
+            ),
         ],
         ids=["binary64-h2-n12", "rational-h3_2-n10", "decimal30-h1.7-n9",
              "binary64-h2-n1", "binary64-h2-n2", "binary64-h2-n16", "binary64-h1.9-n7-onset",
-             "rational-h3_2-n1", "rational-h2-n14", "decimal30-h2-n12", "decimal400-h1.9-n12"],
+             "rational-h3_2-n1", "rational-h2-n14", "decimal30-h2-n12", "decimal400-h1.9-n12",
+             "rational-h1+1e-2200-n2", "rational-h19_10-n14", "binary64-h2-n20",
+             "decimal30-h2-n14"],
     )
     def test_artifact_bytes_pinned(self, tmp_path, argv, digests):
         assert run_command(["cycles", *argv, "--out", str(tmp_path)]) == 0
@@ -632,6 +658,27 @@ class TestSweep:
         # the net's columns and rows grows by about 230 bytes a point, and
         # by 2.8 MB from 4096 points to 16384.
         assert peaks[2] < peaks[1] + 64 * 1024
+
+    @pytest.mark.parametrize("backend", ["binary64", "rational"])
+    def test_census_memory_per_point_found(self, tmp_path, backend):
+        # the census keeps a handful of values a cycle and formats its points
+        # a block at a time, so its peak grows by far less than a Python
+        # object a point found
+        peaks, points = [], []
+        for n in (10, 14, 16):  # the first run warms up caches
+            out = tmp_path / str(n)
+            argv = ["cycles", "--h", "2", "--period", str(n), "--backend", backend,
+                    "--out", str(out)]
+            tracemalloc.start()
+            try:
+                assert run_command(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            points.append(n * read_json(out / "cycles.json")["count"])
+        # measured on CPython 3.11: 2.4 bytes a point on binary64 and 15 on
+        # rational; a Cycle of Python numbers for every cycle took 89 and 145
+        assert peaks[2] - peaks[1] <= 32 * (points[2] - points[1])
 
     def test_plotted_sweep_memory_grows_only_by_the_plotted_columns(
         self, tmp_path, monkeypatch

@@ -344,6 +344,40 @@ class TestKernels:
         assert _serialized(found, params) == _serialized(oracle, params)
         assert aperiodic_necklaces(16) - len(found) == 104
 
+    @pytest.mark.parametrize(
+        "kind, h, n",
+        [("binary64", "2", 12), ("binary64", "1.9", 1), ("rational", "2", 12),
+         ("rational", "19/10", 9), ("decimal:30", "2", 12), ("decimal:30", "1.7", 3)],
+    )
+    def test_census_reads_as_the_oracle(self, kind, h, n):
+        """len, indexing, slicing and iteration give the oracle's Cycles,
+        the census equals the oracle's list as a list would, and texts
+        gives its artifact text, a block at a time; 335 cycles at h = 2,
+        n = 12 fill more than two blocks."""
+        kind, _, digits = kind.partition(":")
+        b = make_backend(kind, int(digits) if digits else None)
+        params = MapParams.parse(h, b)
+        found, oracle = enumerate_cycles(params, n), _scalar_census(params, n)
+        assert len(found) == len(oracle) > 0
+        assert [found[i] for i in range(len(found))] == oracle
+        assert [found[i] for i in range(-len(found), 0)] == oracle
+        assert list(found) == oracle
+        for cut in (slice(None), slice(1, -1), slice(-3, None), slice(None, None, 2),
+                    slice(None, None, -1), slice(5, 2), slice(found.block - 1, found.block + 2)):
+            assert found[cut] == oracle[cut]
+        assert found == oracle and oracle == found and not found != oracle
+        assert found == enumerate_cycles(params, n)
+        assert found != oracle[:-1] and found != tuple(oracle)
+        for i in (len(found), -len(found) - 1):
+            with pytest.raises(IndexError):
+                found[i]
+        texts = [found.texts(start, start + found.block)
+                 for start in range(0, len(found), found.block)]
+        assert [(points[i * n:i * n + n], w, m)
+                for points, itineraries, multipliers in texts
+                for i, (w, m) in enumerate(zip(itineraries, multipliers))
+                ] == _serialized(oracle, params)
+
     def test_word_array_is_the_lyndon_words(self):
         for n in range(1, 21):
             words = _lyndon_word_array(n)
