@@ -121,8 +121,12 @@ class Backend:
         return list(map(self.serialize, values))
 
     def to_float(self, x: Scalar) -> float:
+        """float(x), refused where x, a Fraction, lies past the float range."""
         self.check(x)
-        return float(x)
+        try:
+            return float(x)
+        except OverflowError:
+            raise DomainError("value lies past the binary64 range") from None
 
     # populated by subclasses
     _half: Scalar = 0.5
@@ -156,12 +160,18 @@ class Binary64(Backend):
 
     def parse(self, text: str) -> float:
         text = text.strip()
-        if _FRACTION_RE.match(text):
-            p, q = _split_fraction(text)
-            return float(Fraction(p, q))  # correctly rounded quotient
-        if _DECIMAL_RE.match(text):
-            return float(text)
-        raise ParseError(f"not a decimal or p/q fraction: {text!r}")
+        try:
+            if _FRACTION_RE.match(text):
+                value = float(Fraction(*_split_fraction(text)))  # correctly rounded quotient
+            elif _DECIMAL_RE.match(text):
+                value = float(text)
+            else:
+                raise ParseError(f"not a decimal or p/q fraction: {text!r}")
+        except OverflowError:  # a quotient past the float range
+            value = np.inf
+        if abs(value) == np.inf:
+            raise ParseError(f"{text!r} rounds past the binary64 range")
+        return value
 
     def from_int(self, n: int) -> float:
         return float(n)

@@ -11,23 +11,24 @@ which is what lets "--h 3/2 --backend rational" stay exact. Every
 backend, decimal included, works with every subcommand that takes
 --backend, and --plot renders rational columns such as "2/5" too.
 
-A subcommand is a generator of (artifact name, contents) pairs; _run
+A subcommand is a generator of (artifact name, text pieces) pairs; _run
 builds the backend, MapParams and Coefficients its flags ask for, and
-writes each artifact as soon as it is yielded, so --out appears only
-once the computation has validated its inputs; a run that fails later
-deletes the artifacts it opened, and --out if it created it.  Under
---plot a subcommand also yields its first CSV's two columns (x0 and final
-under sweep) as floats, parsed once from the cells just formatted, and
-_run renders them; sweep's workers format sweep.csv a chunk at a time and
-return the plotted cells as floats, so that the parent holds neither the
-net nor its rows.
+writes each artifact's pieces as soon as it is yielded, every artifact
+and the manifest by the same one write, so --out appears only once the
+computation has validated its inputs; a run that fails later deletes the
+artifacts it opened, and --out if it created it.  A JSON document is
+json.dumps' text.  Under --plot a subcommand also yields the SVG pieces
+of its first CSV's two columns (x0 and final under sweep), parsed once
+from the cells just formatted; sweep's workers format sweep.csv a chunk
+at a time and return the plotted cells as floats, so that the parent
+holds neither the net nor its rows.
 Cells are formatted a column at a time by Backend.texts, in binary64 by
 Binary64.cells: repr's digits for a float64 array in integer arithmetic,
 which also fill a binary64 sweep.csv chunk's byte matrix.  The cycle
 census is formatted a block of cycles at a time for each of its two
 artifacts, their points walked again from each cycle's start, so that
-neither artifact holds more than a block of points or cells.  _write_json
-gives json.dump's bytes without json's pure-Python encoder.
+neither artifact holds more than a block of points or cells; cycles.json
+is json.dumps' text of its document, a cycle at a time.
 
 Exit codes: 0 success, 2 validation problem (bad flags or bad values),
 1 internal failure.
@@ -42,7 +43,6 @@ import math
 import operator
 import sys
 import time
-from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +72,7 @@ from .fibonacci import (
     recurrence,
 )
 from .stabilize import build_coefficients, classify_equilibria, companion_spectrum, stabilized_orbit
-from .svgplot import as_float, render_columns
+from .svgplot import as_float, svg_pieces
 from .tentmap import MapParams, orbit
 
 DEFAULT_H = "1.5"
@@ -151,57 +151,15 @@ def escape_flags(jump_tol: float) -> tuple[tuple[str, dict], ...]:
 # --- artifacts and the runner
 
 
-def _csv_lines(rows):
-    """Plain comma-joined lines: no cell tentlab writes needs CSV quoting."""
-    return (",".join(row) + "\n" for row in rows)
+def _csv(header: tuple[str, ...], body):
+    """A CSV's text: the header line, then the body's pieces as they come.
+    Rows join their cells with plain commas: no cell tentlab writes needs quoting."""
+    return itertools.chain([",".join(header) + "\n"], body)
 
 
-def _write_csv(path: Path, header: tuple[str, ...], text) -> None:
-    """The header line, then the body's text pieces as they come."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(_csv_lines([header]))
-        fh.writelines(text)
-
-
-_ENCODE = json.encoder.encode_basestring_ascii  # json's own C escaper
-
-
-def _json_text(value, indent: str) -> str:
-    """value as json.dumps(value, indent=2, sort_keys=True) writes it, its
-    closing bracket after indent: dicts with str keys, lists, tuples and scalars."""
-    if isinstance(value, str):
-        return _ENCODE(value)
-    if not isinstance(value, (dict, list, tuple)):
-        return json.dumps(value)  # None, a bool or a number: json's C encoder
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items = [f"{_ENCODE(key)}: {_json_text(value[key], inner)}" for key in sorted(value)]
-    else:
-        try:  # a list of strings, without a call of this function for each
-            items = list(map(_ENCODE, value))
-        except TypeError:
-            items = [_json_text(item, inner) for item in value]
-    brackets = "{}" if isinstance(value, dict) else "[]"
-    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1] if items else brackets
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    """json.dump(doc, fh, indent=2, sort_keys=True) and a newline, without
-    json's pure-Python encoder: an entry at a time, and an entry that is an
-    iterator, such as a census's cycles, as a list an item at a time."""
-    with open(path, "w", encoding="utf-8") as fh:
-        head = "{"
-        for key in sorted(doc):
-            fh.write(f"{head}\n  {_ENCODE(key)}: ")
-            value, head, sep = doc[key], ",", "["
-            if not isinstance(value, Iterator):
-                fh.write(_json_text(value, "\n  "))
-                continue
-            for item in value:
-                fh.write(sep + "\n    " + _json_text(item, "\n    "))
-                sep = ","
-            fh.write("[]" if sep == "[" else "\n  ]")
-        fh.write("\n}\n" if doc else "{}\n")
+def _json(doc: dict) -> str:
+    """A JSON document's text: json.dumps' bytes with sorted keys, and a newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _parameter(value):
@@ -212,7 +170,7 @@ def _parameter(value):
 
 
 def _run(ns: argparse.Namespace) -> int:
-    """Run a parsed subcommand: its artifacts, its plot, then manifest.json."""
+    """Run a parsed subcommand: write its artifacts, then manifest.json."""
     t0 = time.perf_counter()
     b = make_backend(ns.backend, ns.precision) if "backend" in ns else None
     params = MapParams.parse(ns.h, b) if "h" in ns else None
@@ -220,18 +178,9 @@ def _run(ns: argparse.Namespace) -> int:
     out = Path(ns.out)
     created = not out.exists()
     opened = []
-    try:
-        for name, content in ns.compute(ns, b, params, coeffs):
-            out.mkdir(parents=True, exist_ok=True)
-            opened.append(out / name)
-            if name.endswith(".csv"):
-                _write_csv(out / name, *content)
-            elif name.endswith(".svg"):
-                render_columns(*content, ns.plot, out / name)
-            else:
-                _write_json(out / name, content)
-        opened.append(out / MANIFEST_NAME)
-        doc = {
+
+    def manifest():  # formatted as it is written, so it lists itself and times the run
+        yield _json({
             "schema": MANIFEST_SCHEMA,
             "command": ns.command,
             "parameters": {
@@ -241,8 +190,15 @@ def _run(ns: argparse.Namespace) -> int:
             "artifacts": sorted(p.name for p in opened),
             "tool_version": __version__,
             "wall_time_seconds": round(time.perf_counter() - t0, 6),
-        }
-        _write_json(opened[-1], doc)
+        })
+
+    try:
+        artifacts = ns.compute(ns, b, params, coeffs)
+        for name, pieces in itertools.chain(artifacts, [(MANIFEST_NAME, manifest())]):
+            out.mkdir(parents=True, exist_ok=True)
+            opened.append(out / name)
+            with open(out / name, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(pieces)
     except BaseException:  # leave no partial artifact set behind
         for path in opened:
             path.unlink(missing_ok=True)
@@ -252,13 +208,11 @@ def _run(ns: argparse.Namespace) -> int:
     return 0
 
 
-# --- subcommands: each yields (artifact name, contents) in the order the
-# artifacts are written; a CSV's contents are (header, text), the text an
-# iterable of lines or blocks of them, a generator where it can be, so a
-# large CSV is serialized as it is written; a JSON artifact's the document,
-# whose iterators _write_json writes as lists, an item at a time; an SVG's
-# the two axis labels and the two float columns to plot.  --out is added
-# to every subcommand and is the one flag the manifest leaves out.
+# --- subcommands: each yields (artifact name, text pieces) in the order the
+# artifacts are written, the pieces a generator where they can be, so that
+# a large artifact is formatted as it is written: a CSV's from _csv, a JSON
+# document's from _json, an SVG's from svg_pieces.  --out is added to every
+# subcommand and is the one flag the manifest leaves out.
 
 COMMANDS: dict[str, tuple] = {}
 
@@ -278,9 +232,10 @@ def _floats(cells: list[str]) -> np.ndarray:
 def _indexed(ns, stem: str, label: str, cells: list[str]):
     """stem.csv, the rows "n,cell" of a column, then under --plot stem.svg:
     the cells against their indices."""
-    yield f"{stem}.csv", (("n", label), (f"{i},{x}\n" for i, x in enumerate(cells)))
+    yield f"{stem}.csv", _csv(("n", label), (f"{i},{x}\n" for i, x in enumerate(cells)))
     if ns.plot is not None:
-        yield f"{stem}.svg", (("n", label), np.arange(len(cells), dtype=float), _floats(cells))
+        yield f"{stem}.svg", svg_pieces(("n", label), np.arange(len(cells), dtype=float),
+                                        _floats(cells), ns.plot)
 
 
 @command("simulate", "iterate T^k from a start point",
@@ -288,6 +243,13 @@ def _indexed(ns, stem: str, label: str, cells: list[str]):
 def _cmd_simulate(ns, b, params, coeffs):
     run = orbit(b.parse(ns.x0), params, k=ns.k, steps=ns.steps)
     yield from _indexed(ns, "orbit", "x", b.texts(run.points))
+
+
+# a cycle as json.dumps(indent=2, sort_keys=True) writes it in cycles.json's
+# list.  The cells go in unescaped: they are ASCII numerals, p/q fractions
+# among them, and itineraries are L and R, in which json.dumps escapes nothing.
+_CYCLE_JSON = ('    {\n      "itinerary": "%s",\n      "multiplier": "%s",\n'
+               '      "points": [\n        "%s"\n      ]\n    }')
 
 
 @command("cycles", "enumerate the period-n cycles at h",
@@ -306,17 +268,23 @@ def _cmd_cycles(ns, b, params, coeffs):
             yield from zip(itertools.count(start), (cells[i:i + n] for i in range(0, len(cells), n)),
                            itineraries, multipliers)
 
-    doc = {"h": b.serialize(params.h), "period": n, "count": len(found),
-           "cycles": ({"points": cells, "itinerary": w, "multiplier": m}
-                      for _, cells, w, m in cycles())}
+    doc = {"h": b.serialize(params.h), "period": n, "count": len(found), "cycles": []}
     if record is not None:
         doc["onset"] = {"threshold": record.threshold, "polynomial": list(record.polynomial)}
-    yield "cycles.json", doc
+    head, tail = _json(doc).split('"cycles": []')
+
+    def census():  # the document with its cycles written into the list, a cycle at a time
+        yield head + '"cycles": ['
+        for i, cells, w, m in cycles():
+            yield (",\n" if i else "\n") + _CYCLE_JSON % (w, m, '",\n        "'.join(cells))
+        yield ("\n  ]" if len(found) else "]") + tail
+
+    yield "cycles.json", census()
     indices = [f"{j}," for j in range(n)]
     rows = (  # a cycle's rows in one join: "i," "j,x" ",w,m\ni," "j,x" ... ",w,m\n"
         f"{i}," + f",{w},{m}\n{i},".join(map(operator.add, indices, cells)) + f",{w},{m}\n"
         for i, cells, w, m in cycles())
-    yield "cycles.csv", (("cycle", "index", "point", "itinerary", "multiplier"), rows)
+    yield "cycles.csv", _csv(("cycle", "index", "point", "itinerary", "multiplier"), rows)
 
 
 @command("stabilize", "run the six-tap averaged recursion from x0",
@@ -325,14 +293,14 @@ def _cmd_stabilize(ns, b, params, coeffs):
     run = stabilized_orbit(b.parse(ns.x0), params, ns.k, coeffs, ns.steps)
     kind, distance = classify_outcome(run, params, ns.tol)
     yield from _indexed(ns, "stabilize", "x_star", b.texts(run.starred))
-    yield "stabilize.json", {
+    yield "stabilize.json", [_json({
         "x0": b.serialize(run.x0),
         "sigma": b.serialize(coeffs.sigma),
         "coefficients": b.texts(coeffs.a),
         "final_value": b.serialize(run.starred[-1]),
         "classified_target": kind.value,
         "distance": distance,
-    }
+    })]
 
 
 @command("sweep", "classify stabilized runs from every net point",
@@ -364,16 +332,16 @@ def _cmd_sweep(ns, b, params, coeffs):
             yield rows
             del rows, plotted  # as chunk_map drops its own reference
 
-    yield "sweep.csv", (("x0", "outcome", "final", "distance"), text())
-    yield "sweep.json", {
+    yield "sweep.csv", _csv(("x0", "outcome", "final", "distance"), text())
+    yield "sweep.json", [_json({
         "net": str(spec),
         "size": spec.size,
         "steps": ns.steps,
         "tolerance": ns.tol,
         "counts": {kind.value: int(n) for kind, n in zip(KINDS, sum(tallies)) if n},
-    }
+    })]
     if plot:
-        yield "sweep.svg", (("x0", "final"), *columns)
+        yield "sweep.svg", svg_pieces(("x0", "final"), *columns, ns.plot)
 
 
 # a binary64 sweep.csv row in fixed byte columns, each field a whole number
@@ -427,9 +395,7 @@ def _sweep_rows(b, plot: bool):
 
 
 def _event_doc(event, serialize):
-    if event is None:
-        return None
-    return {
+    return None if event is None else {
         "flat_value": serialize(event.flat_value),
         "flat_start": event.flat_start,
         "escape_index": event.escape_index,
@@ -446,11 +412,11 @@ def _cmd_escape(ns, b, params, coeffs):
         run.to_floats(), flat_tol=ns.flat_tol, jump_tol=ns.jump_tol, min_flat=ns.min_flat
     )
     yield from _indexed(ns, "escape", "x_star", b.texts(run.starred))
-    yield "escape.json", {
+    yield "escape.json", [_json({
         "x0": b.serialize(run.x0),
         "steps": ns.steps,
         "event": _event_doc(event, float),
-    }
+    })]
 
 
 @command("series", "plain chaotic orbit of 1/2 under T",
@@ -474,48 +440,46 @@ def _cmd_sqrt2(ns, b, params, coeffs):
     b = run.params.backend
     deviations = [abs(float(x - reference)) for x in run.points]
     yield from _indexed(ns, "sqrt2", "deviation", Binary64().texts(deviations))
-    yield "sqrt2.json", {
+    yield "sqrt2.json", [_json({
         "precision": ns.precision,
         "steps": ns.steps,
         "reference": str(reference),
         "final_value": b.serialize(run.points[-1]),
         "event": _event_doc(event, b.serialize),
-    }
+    })]
 
 
 @command("fib", "additive recurrence with eigen-decomposition",
          x0_flag("1"), flag("--x1", default=NEAR_STABLE_X1), steps_flag(100),
-         flag("--threshold", type=float, default=1.0),
+         flag("--threshold", type=positive_finite("threshold"), default=1.0),
          flag("--phase", action="store_true",
               help="also emit consecutive-pair coordinates and manifold slopes"),
          *BACKEND, PLOT)
 def _cmd_fib(ns, b, params, coeffs):
-    x0 = b.parse(ns.x0)
-    x1 = b.parse(ns.x1)
+    x0, x1 = b.parse(ns.x0), b.parse(ns.x1)
     run = recurrence(x0, x1, ns.steps, b)
-    data = decompose(b.to_float(x0), b.to_float(x1))
+    f0, f1 = b.to_float(x0), b.to_float(x1)
+    data = decompose(f0, f1)
     doc = {
         "a_u": data.a_u,
         "a_s": data.a_s,
         "threshold": ns.threshold,
-        "predicted_escape": predict_escape_index(
-            b.to_float(x0), b.to_float(x1), ns.threshold
-        ),
+        "predicted_escape": predict_escape_index(f0, f1, ns.threshold),
         "observed_escape": first_crossing(run, ns.threshold),
     }
     cells = b.texts(run.seq)
     yield from _indexed(ns, "fib", "x", cells)
     if ns.phase:
-        yield "phase.csv", (("x", "x_next"), _csv_lines(zip(cells, cells[1:])))
+        yield "phase.csv", _csv(("x", "x_next"), (f"{x},{y}\n" for x, y in zip(cells, cells[1:])))
         doc["unstable_slope"] = PHI
         doc["stable_slope"] = -1.0 / PHI
-    yield "fib.json", doc
+    yield "fib.json", [_json(doc)]
 
 
 @command("spectrum", "companion-map spectral radii for cell slopes mu",
          H, K, SIGMA,
-         flag("--mu", type=float, nargs="+", default=None,
-              help="explicit slopes; default derives them from the equilibria"),
+         flag("--mu", type=bounded(float, "mu", "finite", math.isfinite), nargs="+",
+              default=None, help="explicit slopes; default derives them from the equilibria"),
          *BACKEND, PLOT)
 def _cmd_spectrum(ns, b, params, coeffs):
     if ns.mu is None:
@@ -529,10 +493,10 @@ def _cmd_spectrum(ns, b, params, coeffs):
         entries = [{"mu": mu, "radius": radius, "point": None, "stable": radius < 1.0}
                    for mu, radius in zip(ns.mu, radii)]
     columns = [Binary64().texts([e[key] for e in entries]) for key in ("mu", "radius")]
-    yield "spectrum.csv", (("mu", "radius"), _csv_lines(zip(*columns)))
+    yield "spectrum.csv", _csv(("mu", "radius"), (f"{m},{r}\n" for m, r in zip(*columns)))
     if ns.plot is not None:
-        yield "spectrum.svg", (("mu", "radius"), *map(_floats, columns))
-    yield "spectrum.json", {"sigma": ns.sigma, "entries": entries}
+        yield "spectrum.svg", svg_pieces(("mu", "radius"), *map(_floats, columns), ns.plot)
+    yield "spectrum.json", [_json({"sigma": ns.sigma, "entries": entries})]
 
 
 def build_parser() -> argparse.ArgumentParser:

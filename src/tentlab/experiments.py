@@ -581,7 +581,10 @@ def sqrt2_experiment(
     a factor h per step until the orbit visibly leaves: the same
     flat-then-jump signature as binary64, at a much smaller scale.
     """
-    digit_count = len(Decimal(h_digits).as_tuple().digits)
+    try:
+        digit_count = len(Decimal(h_digits).as_tuple().digits)
+    except decimal.InvalidOperation:  # Decimal's ConversionSyntax
+        raise ParseError(f"not a decimal digit string: {h_digits!r}") from None
     if precision < digit_count:
         raise DomainError(
             f"precision {precision} cannot hold the {digit_count}-digit slope"

@@ -118,12 +118,15 @@ def predict_escape_index(
     The stable mode is ignored: by the time the unstable mode reaches any
     macroscopic threshold it dominates utterly.
     """
-    if not threshold > 0:
-        raise DomainError(f"threshold must be positive, got {threshold}")
+    if not 0 < threshold < math.inf:
+        raise DomainError(f"threshold must be positive and finite, got {threshold}")
     a_u = decompose(x0, x1).a_u
     if a_u == 0.0:
         return None
-    n = math.ceil(math.log(threshold / abs(a_u)) / math.log(PHI))
+    if not math.isfinite(a_u):
+        raise DomainError(f"the start's unstable coordinate is {a_u}, not finite")
+    # a difference of logs: their quotient's log would overflow
+    n = math.ceil((math.log(threshold) - math.log(abs(a_u))) / math.log(PHI))
     return max(n, 0)
 
 

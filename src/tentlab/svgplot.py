@@ -1,8 +1,8 @@
 """SVG rendering of two float columns, with no plotting library.
 
-render_columns writes the SVG to its file piece by piece, never the whole
-document at once, and scales and formats its marks a slice at a time, so
-no column is ever a Python list.  A mark's coordinates are formatted in
+svg_pieces gives the SVG as pieces of text, never the whole document at
+once, and scales and formats its marks a slice at a time, so no column
+is ever a Python list.  A mark's coordinates are formatted in
 exact integer arithmetic, byte-equal to format(v, ".2f"): 100 * v is the
 significand times 100 shifted right, rounded half-even on the remainder,
 and a slice of marks is one NUL-padded uint32 matrix, NULs deleted, as
@@ -24,7 +24,6 @@ import functools
 import math
 from decimal import Decimal
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
@@ -62,10 +61,6 @@ def as_float(cell: str) -> float:
         return p / q  # int division: correctly rounded, like float(Fraction(p, q))
     except OverflowError:
         return -math.inf if p < 0 else math.inf
-
-
-def _slices(values: np.ndarray):
-    return (values[i:i + _SLICE] for i in range(0, len(values), _SLICE))
 
 
 def _axis_range(values: np.ndarray) -> tuple[float, float]:
@@ -135,8 +130,8 @@ def _tick_values(lo: float, hi: float) -> list[float]:
     return [lo + i * step for i in range(_TICKS)]
 
 
-def _svg_pieces(labels: tuple[str, str], xs, ys, style: str):
-    """The SVG document of ys against xs, in pieces of text."""
+def svg_pieces(labels: tuple[str, str], xs, ys, style: str):
+    """The SVG of ys against xs, float sequences of equal length, in pieces of text."""
     if style not in _STYLES:
         raise DomainError(f"style must be one of {_STYLES}, got {style!r}")
     xs, ys = (np.asarray(v, dtype=np.float64) for v in (xs, ys))
@@ -186,7 +181,8 @@ def _svg_pieces(labels: tuple[str, str], xs, ys, style: str):
                           for part in mark.split("{:.2f}"))
         row = np.concatenate([pre, [0, 0], mid, [0, 0], post]).astype(np.uint32)
         at = (len(pre), len(pre) + 2 + len(mid))
-        for x, y in zip(_slices(xs), _slices(ys)):
+        for i in range(0, len(xs), _SLICE):
+            x, y = xs[i:i + _SLICE], ys[i:i + _SLICE]
             with np.errstate(all="ignore"):
                 pxs = _scale(x, x_lo, x_hi, _LEFT, _RIGHT)
                 pys = _scale(y, y_lo, y_hi, _BOTTOM, _TOP)
@@ -208,15 +204,3 @@ def _svg_pieces(labels: tuple[str, str], xs, ys, style: str):
         pieces = marks('<circle cx="{:.2f}" cy="{:.2f}" r="2" fill="steelblue"/>\n')
         tail = "</svg>\n"
     return chain([head], pieces, [tail])
-
-
-def render_columns(
-    labels: tuple[str, str], xs, ys, style: str, out_path: str | Path
-) -> Path:
-    """Plot ys against xs, float sequences of equal length, labelling the
-    axes with labels, and write the SVG to out_path piece by piece."""
-    pieces = _svg_pieces(labels, xs, ys, style)
-    out_path = Path(out_path)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.writelines(pieces)
-    return out_path

@@ -12,13 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tentlab import MapParams, NetSpec, build_coefficients, cli, experiments, svgplot
 from tentlab.backends import Binary64, DomainError, make_backend
 from tentlab.cli import build_parser, replay_manifest, run_command
-from tentlab.svgplot import as_float, render_columns
+from tentlab.svgplot import as_float, svg_pieces
 
 
 SUBCOMMANDS = (
@@ -106,7 +106,7 @@ def read_json(path: Path):
 
 
 def plot_of_csv(path: Path, style: str) -> str:
-    """The SVG render_columns writes for a CSV's first two numeric columns,
+    """The SVG svg_pieces gives for a CSV's first two numeric columns,
     read back with csv and as_float: the plot --plot must have written."""
     with open(path, encoding="utf-8", newline="") as fh:
         header, *rows = csv.reader(fh)
@@ -117,8 +117,7 @@ def plot_of_csv(path: Path, style: str) -> str:
         except ValueError:  # a column of outcome names
             pass
     (x_label, xs), (y_label, ys) = columns[:2]
-    oracle = render_columns((x_label, y_label), xs, ys, style, path.with_suffix(".oracle.svg"))
-    return oracle.read_text(encoding="utf-8")
+    return "".join(svg_pieces((x_label, y_label), xs, ys, style))
 
 
 class TestExitCodes:
@@ -185,6 +184,9 @@ class TestExitCodes:
             (["escape", "--min-flat", "1.5"], "invalid int value: '1.5'"),
             (["sweep", "--tol", "inf"], "tolerance must be positive and finite"),
             (["stabilize", "--tol", "inf"], "tolerance must be positive and finite"),
+            (["spectrum", "--mu", "nan"], "mu must be finite"),
+            (["spectrum", "--mu", "1.5", "inf"], "mu must be finite"),
+            (["fib", "--threshold", "inf"], "threshold must be positive and finite"),
         ],
     )
     def test_flag_out_of_bounds_rejected_before_out(self, tmp_path, capsys, argv, message):
@@ -192,6 +194,34 @@ class TestExitCodes:
         assert run_command([*argv, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fib", "--x0", "1" + "0" * 400], "rounds past the binary64 range"),
+            (["fib", "--x1", "1" + "0" * 400 + "/3"], "rounds past the binary64 range"),
+            (["fib", "--backend", "rational", "--x0", "1" + "0" * 400],
+             "lies past the binary64 range"),
+            (["fib", "--backend", "decimal", "--precision", "30", "--x0", "1" + "0" * 400],
+             "unstable coordinate is inf, not finite"),
+            (["fib", "--x0", "17" + "0" * 307, "--x1", "17" + "0" * 307],  # 1.7e308 each
+             "unstable coordinate is inf, not finite"),
+            (["sqrt2", "--h-digits", "abc"], "not a decimal digit string"),
+        ],
+        ids=["fib-x0-digits", "fib-x1-fraction", "fib-rational-x0", "fib-decimal-x0",
+             "fib-overflowing-modes", "sqrt2-h-digits"],
+    )
+    def test_value_out_of_range_rejected_before_out(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert run_command([*argv, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fib_threshold_near_the_float_range(self, tmp_path):
+        # log(threshold / |a_u|) would overflow; the difference of logs does not
+        assert run_command(["fib", "--threshold", "1e300", "--out", str(tmp_path)]) == 0
+        doc = read_json(tmp_path / "fib.json")
+        assert doc["predicted_escape"] > 1400 and doc["observed_escape"] is None
 
     def test_flag_bounds_admit_their_edges(self, tmp_path):
         argv = ["escape", "--flat-tol", "0", "--min-flat", "0", "--jump-tol", "1e300"]
@@ -878,53 +908,47 @@ class TestBackends:
         assert "<polyline" in (tmp_path / "orbit.svg").read_text(encoding="utf-8")
 
 
-JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
-JSON_VALUES = st.recursive(
-    JSON_SCALARS,
-    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
-                   | st.dictionaries(st.text(), inner, max_size=4)),
-    max_leaves=30,
-)
+# the census's edge cases: empty, one point a cycle, an onset record, and
+# the exact and decimal cells
+CENSUSES = [
+    ["--h", "1.5", "--period", "3"],
+    ["--period", "1"],
+    ["--h", "1.9", "--period", "7", "--onset"],
+    ["--backend", "rational", "--h", "3/2", "--period", "12"],
+    ["--backend", "decimal", "--precision", "30", "--h", "2", "--period", "8"],
+]
 
 
 class TestWriteJson:
-    """cli._write_json gives json.dump's bytes without its pure-Python encoder."""
+    """JSON artifacts are json.dumps' bytes, cycles.json written a cycle at a time too."""
 
-    @given(st.dictionaries(st.text(), JSON_VALUES, max_size=6))
-    @example({"s": "\u00e9\x00\x1f\u2028\U0001d11e\"\\/", "f": [math.nan, math.inf, -math.inf, -0.0,
-                                                     1e-300, 0.1, 5e-324, 1e300],
-              "i": [0, -1, 2**70, True, False], "n": None, "e": [[], {}, ()],
-              "nested": {"b": {"": [{"x": ["y"]}]}, "a": ["1", 2, "3"]}})
-    @example({})
-    @settings(max_examples=300, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_bytes_equal_json_dumps(self, tmp_path, doc):
-        path = tmp_path / "doc.json"
-        cli._write_json(path, doc)
-        expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        assert path.read_bytes() == expected.encode("utf-8")
-        path.unlink()  # a new file each time: truncating one can wait on writeback
+    def test_bytes_equal_json_dumps(self, tmp_path):
+        for i, argv in enumerate(CENSUSES):
+            out = tmp_path / str(i)
+            assert run_command(["cycles", *argv, "--out", str(out)]) == 0
+            text = (out / "cycles.json").read_bytes()
+            doc = json.loads(text)
+            assert text == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode(), argv
+            assert doc["count"] == len(doc["cycles"]), argv
+            assert (doc["count"] == 0) == (i == 0), argv  # only the first census is empty
 
-    def test_iterators_are_written_as_lists(self, tmp_path):
-        items = [{"points": ["0.5", "1/3"], "itinerary": "LR", "multiplier": "-4.0"}, {"a": [1, 2.5]}]
-        cli._write_json(tmp_path / "doc.json", {"cycles": iter(items), "none": iter(()), "n": 2})
-        expected = json.dumps({"cycles": items, "none": [], "n": 2}, indent=2, sort_keys=True)
-        assert (tmp_path / "doc.json").read_text(encoding="utf-8") == expected + "\n"
+    def test_json_encoder_runs_do_not_grow_with_the_census(self, tmp_path, monkeypatch):
+        runs = []
+        iterencode = json.JSONEncoder.iterencode
 
-    def test_refuses_other_types(self, tmp_path):
-        # json would write the int key as "1"; tentlab's keys are all strings
-        for doc in ({"x": {1, 2}}, {"x": object()}, {"x": {1: "a"}}):
-            with pytest.raises(TypeError):
-                cli._write_json(tmp_path / "doc.json", doc)
+        def count(self, o, *args, **kwargs):
+            runs.append(o)
+            return iterencode(self, o, *args, **kwargs)
 
-    @pytest.mark.parametrize("argv", REPLAY_SET, ids=lambda argv: "-".join(argv[:3]))
-    def test_no_artifact_uses_the_pure_python_encoder(self, tmp_path, monkeypatch, argv):
-        def refuse(*args, **kwargs):
-            raise AssertionError("json's pure-Python encoder ran")
-
-        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
-        assert run_command([*argv, "--out", str(tmp_path)]) == 0
-        assert (tmp_path / "manifest.json").exists()
+        monkeypatch.setattr(json.JSONEncoder, "iterencode", count)
+        counts = []
+        for period in ("2", "12"):
+            runs.clear()
+            out = tmp_path / period
+            assert run_command(["cycles", "--h", "2", "--period", period, "--out", str(out)]) == 0
+            counts.append(len(runs))
+        assert read_json(tmp_path / "12" / "cycles.json")["count"] == 335
+        assert counts[0] == counts[1] == 2  # cycles.json's head and tail, and the manifest
 
 
 class TestManifest:
@@ -1005,10 +1029,9 @@ PLOTTED = [
 
 
 class TestRenderPlot:
-    def render(self, tmp_path, xs, ys, style, labels=("n", "x")):
-        path = render_columns(labels, np.array(xs, dtype=float), np.array(ys, dtype=float),
-                              style, tmp_path / "plot.svg")
-        return path.read_text(encoding="utf-8")
+    def render(self, xs, ys, style, labels=("n", "x")):
+        return "".join(svg_pieces(labels, np.array(xs, dtype=float),
+                                  np.array(ys, dtype=float), style))
 
     @pytest.mark.parametrize("style", ["line", "scatter"])
     @pytest.mark.parametrize("command, backend", PLOTTED)
@@ -1020,32 +1043,32 @@ class TestRenderPlot:
         svg = (tmp_path / f"{stem}.svg").read_text(encoding="utf-8")
         assert svg == plot_of_csv(tmp_path / f"{stem}.csv", style)
 
-    def test_deterministic_bytes(self, tmp_path):
+    def test_deterministic_bytes(self):
         xs, ys = [0, 1, 2], [0.5, 0.75, 0.375]
-        a = render_columns(("n", "x"), xs, ys, "line", tmp_path / "a.svg").read_bytes()
-        b = render_columns(("n", "x"), xs, ys, "line", tmp_path / "b.svg").read_bytes()
+        a = "".join(svg_pieces(("n", "x"), xs, ys, "line"))
+        b = "".join(svg_pieces(("n", "x"), xs, ys, "line"))
         assert a == b
-        assert b"timestamp" not in a.lower()
+        assert "timestamp" not in a.lower()
 
-    def test_viewport_is_fixed(self, tmp_path):
-        text = self.render(tmp_path, [0], [0.5], "scatter")
+    def test_viewport_is_fixed(self):
+        text = self.render([0], [0.5], "scatter")
         assert 'width="800"' in text
         assert 'height="500"' in text
         assert 'viewBox="0 0 800 500"' in text
 
-    def test_header_labels_axes(self, tmp_path):
-        text = self.render(tmp_path, [1], [2], "line", labels=("time", "value"))
+    def test_header_labels_axes(self):
+        text = self.render([1], [2], "line", labels=("time", "value"))
         assert ">time<" in text
         assert ">value<" in text
 
-    def test_empty_table_renders_axes_only(self, tmp_path):
-        text = self.render(tmp_path, [], [], "line")
+    def test_empty_table_renders_axes_only(self):
+        text = self.render([], [], "line")
         assert "<polyline" not in text
         assert "<circle" not in text
         assert "<rect" in text
 
-    def test_scatter_emits_circles(self, tmp_path):
-        text = self.render(tmp_path, [0, 1], [1, 2], "scatter")
+    def test_scatter_emits_circles(self):
+        text = self.render([0, 1], [1, 2], "scatter")
         assert text.count("<circle") == 2
 
     def test_picks_first_two_numeric_columns(self, tmp_path):
@@ -1056,39 +1079,37 @@ class TestRenderPlot:
         assert ">x0<" in text
         assert ">final<" in text
 
-    def test_unknown_style_rejected(self, tmp_path):
+    def test_unknown_style_rejected(self):
         with pytest.raises(DomainError):
-            render_columns(("n", "x"), [1], [2], "bars", tmp_path / "plot.svg")
-        assert not (tmp_path / "plot.svg").exists()
+            svg_pieces(("n", "x"), [1], [2], "bars")
 
     @pytest.mark.parametrize("style", ["line", "scatter"])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-    def test_points_off_the_finite_plane_are_left_out(self, tmp_path, style, bad):
+    def test_points_off_the_finite_plane_are_left_out(self, style, bad):
         # the SVG is that of the finite points alone, on either axis, the first point too
         xs = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
         ys = [bad, 0.5, 0.25, 0.75, bad, 1.0]
         kept_xs, kept_ys = zip(*((x, y) for x, y in zip(xs, ys) if math.isfinite(y)))
-        want = self.render(tmp_path, kept_xs, kept_ys, style)
+        want = self.render(kept_xs, kept_ys, style)
         assert "nan" not in want and "inf" not in want
-        assert self.render(tmp_path, xs, ys, style) == want
-        assert self.render(tmp_path, ys, xs, style) == self.render(
-            tmp_path, kept_ys, kept_xs, style)
+        assert self.render(xs, ys, style) == want
+        assert self.render(ys, xs, style) == self.render(kept_ys, kept_xs, style)
 
-    def test_no_finite_point_renders_axes_only(self, tmp_path):
-        text = self.render(tmp_path, [0.0, 1.0], [math.nan, math.inf], "line")
-        assert text == self.render(tmp_path, [], [], "line")
+    def test_no_finite_point_renders_axes_only(self):
+        text = self.render([0.0, 1.0], [math.nan, math.inf], "line")
+        assert text == self.render([], [], "line")
 
     @pytest.mark.parametrize("ys", [[1e300, 1.5e308, -1.7e308], [1e20], [1e20, 1e20]])
-    def test_values_near_the_float_range_stay_finite(self, tmp_path, ys):
-        text = self.render(tmp_path, range(len(ys)), ys, "line")
+    def test_values_near_the_float_range_stay_finite(self, ys):
+        text = self.render(range(len(ys)), ys, "line")
         assert "nan" not in text and "inf" not in text
 
-    def test_a_power_of_two_unit_keeps_the_marks(self, tmp_path):
+    def test_a_power_of_two_unit_keeps_the_marks(self):
         # past 2**51 an axis counts in a power of two, which rounds nothing
         ys = [0.1, 0.7, 1.9, 0.3, 1e-3]
         marks = []
         for scale in (1.0, 2.0**60, 2.0**1020):  # the last overflowed _scale
-            text = self.render(tmp_path, range(len(ys)), [y * scale for y in ys], "line")
+            text = self.render(range(len(ys)), [y * scale for y in ys], "line")
             marks.append(re.search(r'<polyline points="([^"]*)"', text).group(1))
         assert marks[0] == marks[1] == marks[2]
 
@@ -1135,15 +1156,14 @@ class TestStreamedRender:
     @pytest.mark.parametrize("xs", AXIS_COLUMNS)
     @pytest.mark.parametrize("style", ["line", "scatter"])
     def test_render_does_not_depend_on_the_slice_length(
-        self, tmp_path, monkeypatch, xs, style
+        self, monkeypatch, xs, style
     ):
         ys = xs[3:] + xs[:3]  # the specials at other rows on the other axis
         texts = set()
         for length in self.LENGTHS:
             monkeypatch.setattr(svgplot, "_SLICE", length)
-            path = render_columns(("x", "y"), np.array(xs, dtype=float),
-                                  np.array(ys, dtype=float), style, tmp_path / "plot.svg")
-            texts.add(path.read_text(encoding="utf-8"))
+            texts.add("".join(svg_pieces(("x", "y"), np.array(xs, dtype=float),
+                                         np.array(ys, dtype=float), style)))
         assert len(texts) == 1
 
     @pytest.mark.parametrize("values", AXIS_COLUMNS)
@@ -1208,7 +1228,7 @@ class TestMarkCells:
         # no column that _scale maps reaches outside, so the scale is widened
         monkeypatch.setattr(svgplot, "_RIGHT", 1100.0)
         xs = np.array([0.0, 0.5, 1.0, 0.25])
-        pieces = list(svgplot._svg_pieces(("x", "y"), xs, xs, "scatter"))
+        pieces = list(svgplot.svg_pieces(("x", "y"), xs, xs, "scatter"))
         assert pieces[1] == "".join(
             f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" fill="steelblue"/>\n'
             for x, y in zip(70 + xs * 1030, 450 - xs * 430))
