@@ -950,6 +950,24 @@ class TestWriteJson:
         assert read_json(tmp_path / "12" / "cycles.json")["count"] == 335
         assert counts[0] == counts[1] == 2  # cycles.json's head and tail, and the manifest
 
+    @pytest.mark.parametrize("argv", REPLAY_SET, ids=lambda argv: "-".join(argv[:3]))
+    def test_no_artifact_uses_the_pure_python_encoder(self, tmp_path, monkeypatch, argv):
+        """json.dumps(indent=2) builds json's pure-Python encoder once a call.
+        It may be built once per JSON document written, the whole document
+        at once, and never for a CSV, an SVG, a row, a cycle or a point."""
+        built = []
+        make_iterencode = json.encoder._make_iterencode
+
+        def count(*args, **kwargs):
+            built.append(args)
+            return make_iterencode(*args, **kwargs)
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", count)
+        assert run_command([*argv, "--out", str(tmp_path)]) == 0
+        documents = sorted(p.name for p in tmp_path.iterdir() if p.suffix == ".json")
+        assert "manifest.json" in documents
+        assert len(built) == len(documents), documents
+
 
 class TestManifest:
     def test_fields(self, tmp_path):
