@@ -26,6 +26,7 @@ import decimal
 import enum
 import functools
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple, Union
@@ -142,9 +143,18 @@ class Backend:
         return hash(type(self))
 
 
+def _digits(convert, text: str):
+    """convert(text), int or Fraction, on digits that the regexes admit; their
+    one ValueError, past the interpreter's int-text limit, becomes ParseError."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ParseError(f"{text[:20]}... passes the {sys.get_int_max_str_digits()}-digit "
+                         f"limit on integer text") from None
+
+
 def _split_fraction(text: str) -> tuple[int, int]:
-    num, den = text.split("/")
-    p, q = int(num), int(den)
+    p, q = (_digits(int, term) for term in text.split("/"))
     if q == 0:
         raise ParseError(f"zero denominator in {text!r}")
     return p, q
@@ -448,7 +458,7 @@ class Rational(Backend):
             p, q = _split_fraction(text)
             return Fraction(p, q)
         if _DECIMAL_RE.match(text):
-            return Fraction(text)
+            return _digits(Fraction, text)
         raise ParseError(f"not a decimal or p/q fraction: {text!r}")
 
     def from_int(self, n: int) -> Fraction:

@@ -14,7 +14,9 @@ backend, decimal included, works with every subcommand that takes
 A subcommand is a generator of (artifact name, text pieces) pairs; _run
 builds the backend, MapParams and Coefficients its flags ask for, and
 writes each artifact's pieces as soon as it is yielded, every artifact
-and the manifest by the same one write, so --out appears only once the
+and the manifest by the same one write.  A name may be yielded again:
+its pieces then go on the end of the file opened for it, and every file
+stays open until the subcommand is done.  --out appears only once the
 computation has validated its inputs; a run that fails later deletes the
 artifacts it opened, and --out if it created it.  A JSON document is
 json.dumps' text.  Under --plot a subcommand also yields the SVG pieces
@@ -25,10 +27,10 @@ holds neither the net nor its rows.
 Cells are formatted a column at a time by Backend.texts, in binary64 by
 Binary64.cells: repr's digits for a float64 array in integer arithmetic,
 which also fill a binary64 sweep.csv chunk's byte matrix.  The cycle
-census is formatted a block of cycles at a time for each of its two
-artifacts, their points walked again from each cycle's start, so that
-neither artifact holds more than a block of points or cells; cycles.json
-is json.dumps' text of its document, a cycle at a time.
+census is formatted a block of cycles at a time, their points walked
+again from each cycle's start, and each block's cells feed both of its
+artifacts, so that neither holds more than a block of points or cells;
+cycles.json is json.dumps' text of its document, a cycle at a time.
 
 Exit codes: 0 success, 2 validation problem (bad flags or bad values),
 1 internal failure.
@@ -37,6 +39,7 @@ Exit codes: 0 success, 2 validation problem (bad flags or bad values),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -177,7 +180,7 @@ def _run(ns: argparse.Namespace) -> int:
     coeffs = build_coefficients(b.parse(ns.sigma), b) if "sigma" in ns else None
     out = Path(ns.out)
     created = not out.exists()
-    opened = []
+    opened = {}  # artifact name -> its file, open until the run ends
 
     def manifest():  # formatted as it is written, so it lists itself and times the run
         yield _json({
@@ -187,21 +190,23 @@ def _run(ns: argparse.Namespace) -> int:
                 name[2:]: _parameter(getattr(ns, name[2:].replace("-", "_")))
                 for name, _ in ns.flags
             },
-            "artifacts": sorted(p.name for p in opened),
+            "artifacts": sorted(opened),
             "tool_version": __version__,
             "wall_time_seconds": round(time.perf_counter() - t0, 6),
         })
 
     try:
-        artifacts = ns.compute(ns, b, params, coeffs)
-        for name, pieces in itertools.chain(artifacts, [(MANIFEST_NAME, manifest())]):
-            out.mkdir(parents=True, exist_ok=True)
-            opened.append(out / name)
-            with open(out / name, "w", encoding="utf-8", newline="") as fh:
-                fh.writelines(pieces)
+        with contextlib.ExitStack() as files:
+            artifacts = ns.compute(ns, b, params, coeffs)
+            for name, pieces in itertools.chain(artifacts, [(MANIFEST_NAME, manifest())]):
+                if name not in opened:  # else append to the file its first yield opened
+                    out.mkdir(parents=True, exist_ok=True)
+                    opened[name] = files.enter_context(
+                        open(out / name, "w", encoding="utf-8", newline=""))
+                opened[name].writelines(pieces)
     except BaseException:  # leave no partial artifact set behind
-        for path in opened:
-            path.unlink(missing_ok=True)
+        for name in opened:
+            (out / name).unlink(missing_ok=True)
         if created and out.is_dir():
             out.rmdir()
         raise
@@ -209,10 +214,11 @@ def _run(ns: argparse.Namespace) -> int:
 
 
 # --- subcommands: each yields (artifact name, text pieces) in the order the
-# artifacts are written, the pieces a generator where they can be, so that
-# a large artifact is formatted as it is written: a CSV's from _csv, a JSON
-# document's from _json, an SVG's from svg_pieces.  --out is added to every
-# subcommand and is the one flag the manifest leaves out.
+# artifacts are written, a name again to append to it, the pieces a
+# generator where they can be, so that a large artifact is formatted as it
+# is written: a CSV's from _csv, a JSON document's from _json, an SVG's
+# from svg_pieces.  --out is added to every subcommand and is the one flag
+# the manifest leaves out.
 
 COMMANDS: dict[str, tuple] = {}
 
@@ -261,30 +267,24 @@ def _cmd_cycles(ns, b, params, coeffs):
     record = onset_threshold(ns.period) if ns.onset else None
     found = enumerate_cycles(params, ns.period)
     n = ns.period
-
-    def cycles():  # (index, point cells, itinerary, multiplier), formatted a block at a time
-        for start in range(0, len(found), found.block):
-            cells, itineraries, multipliers = found.texts(start, start + found.block)
-            yield from zip(itertools.count(start), (cells[i:i + n] for i in range(0, len(cells), n)),
-                           itineraries, multipliers)
-
     doc = {"h": b.serialize(params.h), "period": n, "count": len(found), "cycles": []}
     if record is not None:
         doc["onset"] = {"threshold": record.threshold, "polynomial": list(record.polynomial)}
     head, tail = _json(doc).split('"cycles": []')
-
-    def census():  # the document with its cycles written into the list, a cycle at a time
-        yield head + '"cycles": ['
-        for i, cells, w, m in cycles():
-            yield (",\n" if i else "\n") + _CYCLE_JSON % (w, m, '",\n        "'.join(cells))
-        yield ("\n  ]" if len(found) else "]") + tail
-
-    yield "cycles.json", census()
+    yield "cycles.json", [head + '"cycles": [']
+    yield "cycles.csv", _csv(("cycle", "index", "point", "itinerary", "multiplier"), ())
     indices = [f"{j}," for j in range(n)]
-    rows = (  # a cycle's rows in one join: "i," "j,x" ",w,m\ni," "j,x" ... ",w,m\n"
-        f"{i}," + f",{w},{m}\n{i},".join(map(operator.add, indices, cells)) + f",{w},{m}\n"
-        for i, cells, w, m in cycles())
-    yield "cycles.csv", _csv(("cycle", "index", "point", "itinerary", "multiplier"), rows)
+    for start in range(0, len(found), found.block):  # each block formatted once, for both
+        cells, itineraries, multipliers = found.texts(start, start + found.block)
+        block = list(zip(itertools.count(start), (cells[i:i + n] for i in range(0, len(cells), n)),
+                         itineraries, multipliers))
+        yield "cycles.json", ["".join(
+            (",\n" if i else "\n") + _CYCLE_JSON % (w, m, '",\n        "'.join(points))
+            for i, points, w, m in block)]
+        yield "cycles.csv", ["".join(  # a cycle's rows: "i," "j,x" ",w,m\ni," "j,x" ... ",w,m\n"
+            f"{i}," + f",{w},{m}\n{i},".join(map(operator.add, indices, points)) + f",{w},{m}\n"
+            for i, points, w, m in block)]
+    yield "cycles.json", [("\n  ]" if len(found) else "]") + tail]
 
 
 @command("stabilize", "run the six-tap averaged recursion from x0",

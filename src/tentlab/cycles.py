@@ -53,7 +53,6 @@ from .tentmap import MapParams, tent_step, tent_step_array
 MAX_ENUM_PERIOD = 20
 
 _B64_CLOSING_TOL = 1e-12
-_LR = str.maketrans("01", "LR")
 
 _ONSET_POLYNOMIALS = {
     # descending-degree integer coefficients; unique root in (1, 2)
@@ -259,7 +258,10 @@ def _rotated(words: np.ndarray, shifts: np.ndarray, n: int) -> np.ndarray:
 
 
 def _word_texts(words: np.ndarray, n: int) -> list[str]:
-    return [format(w, f"0{n}b").translate(_LR) for w in words.tolist()]
+    """Each word's itinerary, L for 0 and R for 1, read off one byte matrix."""
+    bits = (words[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    letters = (bits * (ord("R") - ord("L")) + ord("L")).astype(np.uint8)
+    return letters.view(f"S{n}").ravel().astype(str).tolist()
 
 
 def _closing_rounded(n: int, params: MapParams) -> Columns:

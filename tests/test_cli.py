@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tentlab import MapParams, NetSpec, build_coefficients, cli, experiments, svgplot
-from tentlab.backends import Binary64, DomainError, make_backend
+from tentlab.backends import TEXT_BLOCK, Binary64, DomainError, make_backend
 from tentlab.cli import build_parser, replay_manifest, run_command
+from tentlab.cycles import Census
 from tentlab.svgplot import as_float, svg_pieces
 
 
@@ -242,6 +243,24 @@ class TestExitCodes:
         assert "gives non-finite weights" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--x0", "1/" + "1" * 5000, "--steps", "2"],
+            ["fib", "--x0", "1/" + "1" * 5000],
+            ["fib", "--backend", "rational", "--x0", "0." + "1" * 5000],
+            ["simulate", "--backend", "decimal", "--precision", "30", "--x0", "1/" + "1" * 5000],
+        ],
+        ids=["simulate-fraction", "fib-fraction", "fib-rational-decimal", "simulate-decimal"],
+    )
+    def test_numeral_past_the_int_text_limit_rejected_before_out(self, tmp_path, capsys, argv):
+        limit = sys.get_int_max_str_digits()
+        out = tmp_path / "out"
+        assert run_command([*argv, "--out", str(out)]) == 2
+        assert f"passes the {limit}-digit limit on integer text" in capsys.readouterr().err
+        assert not out.exists()
+        assert sys.get_int_max_str_digits() == limit
+
     def test_sqrt2_past_the_int_text_limit(self, tmp_path):
         argv = ["sqrt2", "--precision", "5000", "--steps", "5", "--out", str(tmp_path)]
         assert run_command(argv) == 0
@@ -434,6 +453,25 @@ class TestCycles:
             for name in ("cycles.csv", "cycles.json")
         )
         assert got == digests
+
+    @pytest.mark.parametrize("backend", [
+        ["--backend", "binary64"], ["--backend", "decimal", "--precision", "30"],
+        ["--backend", "rational"],
+    ], ids=["binary64", "decimal30", "rational"])
+    def test_census_formats_each_point_once(self, tmp_path, monkeypatch, backend):
+        calls = []
+        texts = Census.texts
+
+        def count(census, start, stop):
+            calls.append(start)
+            return texts(census, start, stop)
+
+        monkeypatch.setattr(Census, "texts", count)
+        assert run_command(["cycles", "--h", "2", "--period", "12", *backend,
+                            "--out", str(tmp_path)]) == 0
+        found = read_json(tmp_path / "cycles.json")["count"]
+        assert found == 335
+        assert calls == list(range(0, found, TEXT_BLOCK // 13))  # three blocks, each once
 
 
 class TestStabilize:
@@ -967,6 +1005,37 @@ class TestWriteJson:
         documents = sorted(p.name for p in tmp_path.iterdir() if p.suffix == ".json")
         assert "manifest.json" in documents
         assert len(built) == len(documents), documents
+
+
+class TestRunner:
+    def test_a_name_yielded_again_appends_to_its_file(self, tmp_path, monkeypatch):
+        def stub(ns, b, params, coeffs):
+            yield "a.csv", ["x\n", "1\n"]
+            yield "b.csv", ["y\n2\n"]
+            yield "a.csv", iter(["3\n"])
+
+        monkeypatch.setitem(cli.COMMANDS, "stub", ("yields a.csv twice", stub, ()))
+        assert run_command(["stub", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "a.csv").read_text() == "x\n1\n3\n"
+        assert (tmp_path / "b.csv").read_text() == "y\n2\n"
+        artifacts = read_json(tmp_path / "manifest.json")["artifacts"]
+        assert artifacts == ["a.csv", "b.csv", "manifest.json"]
+
+    def test_census_failing_in_a_later_block_leaves_nothing(self, tmp_path, monkeypatch):
+        texts = Census.texts
+        calls = []
+
+        def fail_second(census, start, stop):
+            calls.append(start)
+            if len(calls) == 2:
+                raise RuntimeError("second block")
+            return texts(census, start, stop)
+
+        monkeypatch.setattr(Census, "texts", fail_second)
+        out = tmp_path / "out"
+        assert run_command(["cycles", "--h", "2", "--period", "12", "--out", str(out)]) == 1
+        assert len(calls) == 2
+        assert not out.exists()
 
 
 class TestManifest:
