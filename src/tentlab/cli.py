@@ -16,7 +16,11 @@ builds the backend, MapParams and Coefficients its flags ask for, and
 writes each artifact's pieces as soon as it is yielded, every artifact
 and the manifest by the same one write.  A name may be yielded again:
 its pieces then go on the end of the file opened for it, and every file
-stays open until the subcommand is done.  --out appears only once the
+stays open until the subcommand is done.  Each artifact is a new file:
+an old one of the same name is unlinked, not truncated in place, which
+ext4 (auto_da_alloc) writes back to disk when it is closed, making a
+re-run into the same --out an order of magnitude slower; a hard link to
+the old file keeps its bytes.  --out appears only once the
 computation has validated its inputs; a run that fails later deletes the
 artifacts it opened, and --out if it created it.  A JSON document is
 json.dumps' text.  Under --plot a subcommand also yields the SVG pieces
@@ -201,6 +205,7 @@ def _run(ns: argparse.Namespace) -> int:
             for name, pieces in itertools.chain(artifacts, [(MANIFEST_NAME, manifest())]):
                 if name not in opened:  # else append to the file its first yield opened
                     out.mkdir(parents=True, exist_ok=True)
+                    (out / name).unlink(missing_ok=True)  # see the module docstring
                     opened[name] = files.enter_context(
                         open(out / name, "w", encoding="utf-8", newline=""))
                 opened[name].writelines(pieces)
@@ -294,7 +299,7 @@ def _cmd_stabilize(ns, b, params, coeffs):
     kind, distance = classify_outcome(run, params, ns.tol)
     yield from _indexed(ns, "stabilize", "x_star", b.texts(run.starred))
     yield "stabilize.json", [_json({
-        "x0": b.serialize(run.x0),
+        "x0": b.serialize(run.starred[0]),
         "sigma": b.serialize(coeffs.sigma),
         "coefficients": b.texts(coeffs.a),
         "final_value": b.serialize(run.starred[-1]),
@@ -413,7 +418,7 @@ def _cmd_escape(ns, b, params, coeffs):
     )
     yield from _indexed(ns, "escape", "x_star", b.texts(run.starred))
     yield "escape.json", [_json({
-        "x0": b.serialize(run.x0),
+        "x0": b.serialize(run.starred[0]),
         "steps": ns.steps,
         "event": _event_doc(event, float),
     })]

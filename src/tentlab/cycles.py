@@ -31,14 +31,13 @@ Neither kernel keeps a point.  A Census holds a few values a cycle: its
 itinerary from its smallest point, the start x* (N_0 and M_0 on
 rational), the step of its smallest point on the walk from x*, and its
 multiplier.  A cycle's points are walked again from its start, by the
-same operations, and rotated: a Cycle per index, and their text a block
-of cycles at a time, reduced by one gcd a point on rational, with no
-Fraction.
+same operations, and rotated, a block of cycles at a time: Cycles for
+iteration, and their text, reduced by one gcd a point on rational, with
+no Fraction.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -47,8 +46,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .backends import TEXT_BLOCK, Backend, Branch, DomainError, Scalar, _ratio_text
-from .tentmap import MapParams, tent_step, tent_step_array
+from .backends import TEXT_BLOCK, Backend, DomainError, Scalar, _ratio_text
+from .tentmap import MapParams, tent_step_array
 
 MAX_ENUM_PERIOD = 20
 
@@ -92,11 +91,10 @@ Columns = tuple[np.ndarray, np.ndarray, np.ndarray, "np.ndarray | None", np.ndar
 class Census:
     """Every cycle of minimal period n, sorted, as columns of a value a cycle.
 
-    len, indexing, slicing and iteration give Cycles, their points walked
-    again from the start; a slice is a list.  A census equals another, or
-    a list, holding the same Cycles in the same order, as a list would,
-    but it is read-only and unhashable.  texts gives the artifact text of
-    a block of cycles.
+    len gives the cycle count, and iteration the Cycles in order, their
+    points walked again from the start a block of cycles at a time; take
+    list(census) for a list.  texts gives the artifact text of a block of
+    cycles.
     """
 
     params: MapParams
@@ -110,24 +108,18 @@ class Census:
     def __len__(self) -> int:
         return len(self.words)
 
-    def __getitem__(self, i: int | slice) -> Cycle | list[Cycle]:
-        if isinstance(i, slice):
-            picked = range(len(self))[i]
-            if picked.step == 1:
-                return self._cycles(picked.start, picked.stop)
-            return [self[j] for j in picked]
-        i = range(len(self))[operator.index(i)]  # from the end when negative
-        (cycle,) = self._cycles(i, i + 1)
-        return cycle
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (Census, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
     def __iter__(self) -> Iterator[Cycle]:
+        n = self.period
         for start in range(0, len(self), self.block):
-            yield from self._cycles(start, start + self.block)
+            stop = start + self.block
+            if self.denominators is None:
+                points = self._points(start, stop).tolist()
+            else:
+                flat = list(map(Fraction, *self._points(start, stop)))
+                points = [flat[i:i + n] for i in range(0, len(flat), n)]
+            for pts, w, A in zip(points, _word_texts(self.words[start:stop], n),
+                                 self.multipliers[start:stop].tolist()):
+                yield Cycle(period=n, points=tuple(pts), itinerary=w, multiplier=A)
 
     @property
     def block(self) -> int:
@@ -176,17 +168,6 @@ class Census:
             nums += xs[s:] + xs[:s]
             dens += ms[s:] + ms[:s]
         return nums, dens
-
-    def _cycles(self, start: int, stop: int) -> list[Cycle]:
-        n = self.period
-        if self.denominators is None:
-            points = self._points(start, stop).tolist()
-        else:
-            flat = list(map(Fraction, *self._points(start, stop)))
-            points = [flat[i:i + n] for i in range(0, len(flat), n)]
-        return [Cycle(period=n, points=tuple(pts), itinerary=w, multiplier=A)
-                for pts, w, A in zip(points, _word_texts(self.words[start:stop], n),
-                                     self.multipliers[start:stop].tolist())]
 
 
 def _reduced_texts(nums: list[int], dens: list[int]) -> list[str]:
@@ -369,26 +350,6 @@ def enumerate_cycles(params: MapParams, n: int) -> Census:
     *columns, keys = closing(n, params)
     order = np.argsort(keys, kind="stable")  # ties keep FKM order
     return Census(params, n, *(c if c is None else c[order] for c in columns))
-
-
-def cycle_multiplier(c: Cycle, params: MapParams) -> Scalar:
-    """Recompute the slope product along a cycle, verifying consistency."""
-    b = params.backend
-    n = c.period
-    m = b.from_int(1)
-    for i in range(n):
-        x = c.points[i]
-        branch = b.cmp_half(x)
-        if branch.value != c.itinerary[i]:
-            raise DomainError(
-                f"point {i} realizes branch {branch.value}, "
-                f"itinerary says {c.itinerary[i]}"
-            )
-        if not _closes(tent_step(x, params), c.points[(i + 1) % n], b):
-            raise DomainError(f"points {i} -> {(i + 1) % n} are not one step apart")
-        with b.context():  # -(m*h) is m*(-h) rounded, as in itinerary
-            m = m * params.h if branch is Branch.LEFT else -(m * params.h)
-    return m
 
 
 def onset_threshold(period: int) -> OnsetRecord:

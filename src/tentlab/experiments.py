@@ -296,12 +296,6 @@ def chunk_map(work, count: int, threads: int = 1):
             proc.join()
 
 
-def _tent_power_array(x: np.ndarray, h: Scalar, half: Scalar, k: int) -> np.ndarray:
-    for _ in range(k):
-        x = tent_step_array(x, h, half)
-    return x
-
-
 def _sweep_chunk_rounded(
     x0s: np.ndarray, params: MapParams, k: int, a: tuple[Scalar, ...], steps: int
 ) -> np.ndarray:
@@ -312,17 +306,18 @@ def _sweep_chunk_rounded(
     decimal, whose context makes each array operation round as the scalar
     one.  f checks its input once per step, by one min and one max, and
     snaps it only when it leaves [0, 1], which only an average can do.  A
-    tent step cannot leave it under any monotone rounding that represents
-    0, 1, h and 1 - h, as both backends do for h in (1, 2] (1 - h by
-    Sterbenz's lemma in binary64; in decimal it has no more fractional
-    digits than h).  On the left branch h*x lies in [0, h/2], within
-    [0, 1], so it rounds into [0, 1].  On the right, -h*x lies in
-    [-h, -h/2], within [-h, 1 - h], so it rounds into [-h, 1 - h], and
-    adding h gives an exact sum in [0, 1] that rounds into [0, 1].  An
-    input that leaves [0, 1] runs through clamp_unit, which snaps a value
-    within the backend's slack and raises beyond it, as tent_step does;
-    decimal has no slack, so there it always raises.  The final average,
-    which f never reads, is returned unsnapped.
+    tent step maps [0, 1] into [0, h/2] under any monotone rounding that
+    represents 0, h/2 and h, as both backends do for every h that
+    MapParams accepts (in decimal h/2 has p digits, as h has).  On the
+    left branch h*x lies in [0, h/2], so it rounds into [0, h/2].  On the
+    right it lies in [h/2, h], so it rounds into [h/2, h], and h minus it
+    is exact, by Sterbenz's lemma in binary64 and in decimal because both
+    are multiples of 10^-p and the difference is at most 1, so it lies in
+    [0, h/2].  tent_step relies on this too and has no clamp of its
+    output.  An input that leaves [0, 1] runs through clamp_unit, which
+    snaps a value within the backend's slack and raises beyond it, as
+    tent_step does; decimal has no slack, so there it always raises.  The
+    final average, which f never reads, is returned unsnapped.
     """
     b, h = params.backend, params.h
     half = b.parse("0.5")
@@ -330,7 +325,9 @@ def _sweep_chunk_rounded(
     def f(x: np.ndarray) -> np.ndarray:
         if not (x.min() >= 0 and x.max() <= 1):  # NaN included
             x = np.array(list(map(b.clamp_unit, x.tolist())))
-        return _tent_power_array(x, h, half, k)
+        for _ in range(k):
+            x = tent_step_array(x, h, half)
+        return x
 
     with b.context():
         for final in _starred(x0s, f, a, steps):

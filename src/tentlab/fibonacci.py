@@ -27,7 +27,6 @@ _SQRT5_FRACTION = Fraction(_SQRT5_SCALED, 10**_ROOT_DIGITS)
 
 SQRT5 = float(_SQRT5_FRACTION)
 PHI = float((1 + _SQRT5_FRACTION) / 2)
-LAMBDA_S = float((1 - _SQRT5_FRACTION) / 2)
 
 # the perturbed start used throughout: 12 decimal digits of -1/phi
 NEAR_STABLE_X1 = "-0.618033988749"
@@ -37,22 +36,14 @@ NEAR_STABLE_X1 = "-0.618033988749"
 class RecurrenceRun:
     """x_0 .. x_N with x_n = x_{n-1} + x_{n-2}, exact per backend."""
 
-    x0: Scalar
-    x1: Scalar
     seq: tuple[Scalar, ...]
-
-    def __len__(self) -> int:
-        return len(self.seq)
 
 
 @dataclass(frozen=True)
 class EigenData:
-    """Coordinates of a start point in the eigenbasis of A = [[0,1],[1,1]]."""
+    """Coordinates of a start point in the eigenbasis of A = [[0,1],[1,1]]:
+    a_u along v_u = (1, phi), a_s along v_s = (1, -1/phi)."""
 
-    lambda_u: float
-    lambda_s: float
-    v_u: tuple[float, float]
-    v_s: tuple[float, float]
     a_u: float
     a_s: float
 
@@ -70,19 +61,7 @@ def recurrence(
     with b.context():
         for _ in range(n - 1):
             seq.append(seq[-1] + seq[-2])
-    return RecurrenceRun(x0=x0, x1=x1, seq=tuple(seq))
-
-
-def eigen_basis() -> EigenData:
-    """The eigen-structure of A itself, with zero coordinates."""
-    return EigenData(
-        lambda_u=PHI,
-        lambda_s=LAMBDA_S,
-        v_u=(1.0, PHI),
-        v_s=(1.0, LAMBDA_S),
-        a_u=0.0,
-        a_s=0.0,
-    )
+    return RecurrenceRun(seq=tuple(seq))
 
 
 def decompose(x0: Scalar, x1: Scalar) -> EigenData:
@@ -93,21 +72,7 @@ def decompose(x0: Scalar, x1: Scalar) -> EigenData:
     """
     f0, f1 = float(x0), float(x1)
     a_u = (f1 + f0 / PHI) / SQRT5
-    a_s = f0 - a_u
-    base = eigen_basis()
-    return EigenData(
-        lambda_u=base.lambda_u,
-        lambda_s=base.lambda_s,
-        v_u=base.v_u,
-        v_s=base.v_s,
-        a_u=a_u,
-        a_s=a_s,
-    )
-
-
-def modal_value(data: EigenData, n: int) -> float:
-    """a_u * phi^n + a_s * (-1/phi)^n, the closed-form n-th term."""
-    return data.a_u * data.lambda_u**n + data.a_s * data.lambda_s**n
+    return EigenData(a_u=a_u, a_s=f0 - a_u)
 
 
 def predict_escape_index(

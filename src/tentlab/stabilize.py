@@ -32,7 +32,6 @@ class Coefficients:
 
     sigma: Scalar
     a: tuple[Scalar, ...]
-    c: Scalar
 
     def __post_init__(self):
         if len(self.a) != TAPS:
@@ -44,13 +43,7 @@ class StabRun:
     """A stabilized trajectory: x0 and five plain iterates, then averages."""
 
     params: MapParams
-    power: int
-    coeffs: Coefficients
-    x0: Scalar
     starred: tuple[Scalar, ...]
-
-    def __len__(self) -> int:
-        return len(self.starred)
 
     def to_floats(self) -> list[float]:
         b = self.params.backend
@@ -98,7 +91,7 @@ def build_coefficients(sigma: Scalar, backend: Backend | None = None) -> Coeffic
         a = tuple(c * r for r in raw)
     if not all(map(math.isfinite, a)):
         raise DomainError(f"sigma {s!r} gives non-finite weights")
-    return Coefficients(sigma=s, a=a, c=c)
+    return Coefficients(sigma=s, a=a)
 
 
 def _starred(x, f, a: tuple[Scalar, ...], steps: int):
@@ -147,7 +140,7 @@ def stabilized_orbit(
         starred = tuple(_starred(
             b.clamp_unit(x0), lambda x: tent_power_step(x, params, k), a, steps
         ))
-    return StabRun(params=params, power=k, coeffs=coeffs, x0=starred[0], starred=starred)
+    return StabRun(params=params, starred=starred)
 
 
 def companion_spectrum(
@@ -182,22 +175,16 @@ def _fixed_points_of_power(params: MapParams, k: int):
 
 
 def classify_equilibria(
-    params: MapParams,
-    k: int,
-    coeffs: Coefficients,
-    include_boundary: bool = False,
+    params: MapParams, k: int, coeffs: Coefficients
 ) -> list[EquilibriumReport]:
-    """Stability report for each fixed point of f = T_h^k.
-
-    The origin is a boundary fixed point and is reported only when
-    include_boundary is set.
-    """
+    """Stability report for each interior fixed point of f = T_h^k; the
+    origin, a boundary fixed point, is not reported."""
     if k < 1:
         raise DomainError(f"power must be a positive integer, got {k}")
     b = params.backend
     reports = []
     for point, slope in _fixed_points_of_power(params, k):
-        if not include_boundary and point == 0:
+        if point == 0:
             continue
         _, radius = companion_spectrum(b.to_float(slope), coeffs)
         reports.append(

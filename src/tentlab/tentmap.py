@@ -30,6 +30,9 @@ class MapParams:
         two = self.backend.from_int(2)
         if not (one < self.h <= two):
             raise DomainError(f"slope must lie in (1, 2], got {self.h!r}")
+        with self.backend.context():
+            if +self.h != self.h:  # a decimal with more digits than the precision
+                raise DomainError(f"slope {self.h!r} rounds under {self.backend!r}")
 
     @classmethod
     def parse(cls, text: str, backend: Backend) -> "MapParams":
@@ -41,12 +44,7 @@ class Orbit:
     """A finite trajectory of T_h^k: points[t+1] = T_h^k(points[t])."""
 
     params: MapParams
-    power: int
-    x0: Scalar
     points: tuple[Scalar, ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
 
     def to_floats(self) -> list[float]:
         b = self.params.backend
@@ -54,19 +52,20 @@ class Orbit:
 
 
 def tent_step(x: Scalar, params: MapParams) -> Scalar:
-    """One application of T_h; input clamped within rounding slack of [0,1]."""
+    """One application of T_h, by tent_step_array's operations, to x clamped
+    within rounding slack of [0, 1].  The step lies in [0, h/2] with no
+    clamp of its own, on every backend (see _sweep_chunk_rounded)."""
     b, h = params.backend, params.h
     x = b.clamp_unit(x)
-    left = b.cmp_half(x) is Branch.LEFT
     with b.context():
-        y = h * x if left else h - h * x
-    return b.clamp_unit(y)
+        t = h * x
+        return t if x <= b._half else h - t
 
 
 def tent_step_array(x: np.ndarray, h: Scalar, half: Scalar) -> np.ndarray:
     """tent_step's arithmetic on a float64 or object array, under the
-    caller's context and without its clamps: t = h*x, then h - t where x
-    is not <= half (NaN included).  One multiply and at most one
+    caller's context and without its input clamp: t = h*x, then h - t
+    where x is not <= half (NaN included).  One multiply and at most one
     subtraction per element, as tent_step takes them.  h - t is the
     textbook (-h)*x + h bit for bit: rounding is symmetric, so (-h)*x
     rounds to -t, and -t + h is h - t."""
@@ -94,7 +93,7 @@ def orbit(x0: Scalar, params: MapParams, k: int = 1, steps: int = 0) -> Orbit:
     for _ in range(steps):
         x = tent_power_step(x, params, k)
         pts.append(x)
-    return Orbit(params=params, power=k, x0=pts[0], points=tuple(pts))
+    return Orbit(params=params, points=tuple(pts))
 
 
 def itinerary(x0: Scalar, params: MapParams, n: int) -> tuple[str, Scalar]:

@@ -50,6 +50,7 @@ from tentlab.stabilize import (
     stabilized_orbit,
 )
 from tentlab.tentmap import MapParams, tent_power_step
+from test_fibonacci import eigen_basis
 
 REFERENCE_WEIGHTS = (
     0.1854829091429525,
@@ -400,9 +401,9 @@ def test_criterion_09_recurrence_and_prediction():
     for _ in range(100):
         x0 = rng.uniform(-10, 10)
         y1 = rng.uniform(-10, 10)
-        d = decompose(x0, y1)
-        r0 = d.a_u * d.v_u[0] + d.a_s * d.v_s[0] - x0
-        r1 = d.a_u * d.v_u[1] + d.a_s * d.v_s[1] - y1
+        d, basis = decompose(x0, y1), eigen_basis()
+        r0 = d.a_u * basis.v_u[0] + d.a_s * basis.v_s[0] - x0
+        r1 = d.a_u * basis.v_u[1] + d.a_s * basis.v_s[1] - y1
         if abs(r0) >= 1e-12 or abs(r1) >= 1e-12:
             failures.append(f"reconstruction residual ({r0!r}, {r1!r})")
             break

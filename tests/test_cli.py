@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
 import sys
 import tracemalloc
@@ -472,6 +473,23 @@ class TestCycles:
         found = read_json(tmp_path / "cycles.json")["count"]
         assert found == 335
         assert calls == list(range(0, found, TEXT_BLOCK // 13))  # three blocks, each once
+
+    def test_rerun_replaces_each_artifact(self, tmp_path):
+        """A re-run writes each artifact as a new file: a hard link to the
+        old one keeps its bytes, and a shorter census into the same --out
+        equals a fresh run."""
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        names = ("cycles.csv", "cycles.json")
+        assert run_command(["cycles", "--h", "2", "--period", "10", "--out", str(out)]) == 0
+        old = {name: (out / name).read_bytes() for name in names}
+        for name in names:
+            os.link(out / name, tmp_path / f"old_{name}")
+        for directory in (out, fresh):
+            assert run_command(["cycles", "--h", "2", "--period", "4",
+                                "--out", str(directory)]) == 0
+        for name in names:
+            assert (tmp_path / f"old_{name}").read_bytes() == old[name]
+            assert (out / name).read_bytes() == (fresh / name).read_bytes() != old[name]
 
 
 class TestStabilize:

@@ -16,13 +16,12 @@ from typing import Iterator
 import numpy as np
 import pytest
 
-from tentlab.backends import Binary64, DomainError, Rational, make_backend
+from tentlab.backends import Binary64, Branch, DomainError, Rational, make_backend
 from tentlab.cycles import (
     Cycle,
     _closes,
     _lyndon_word_array,
     _word_texts,
-    cycle_multiplier,
     enumerate_cycles,
     fixed_point,
     onset_threshold,
@@ -146,7 +145,27 @@ def _scalar_census(params: MapParams, n: int) -> list[Cycle]:
     return found
 
 
-def _serialized(cycles: list[Cycle], params: MapParams) -> list[tuple]:
+def cycle_multiplier(c: Cycle, params: MapParams):
+    """Recompute the slope product along a cycle, verifying consistency."""
+    b = params.backend
+    n = c.period
+    m = b.from_int(1)
+    for i in range(n):
+        x = c.points[i]
+        branch = b.cmp_half(x)
+        if branch.value != c.itinerary[i]:
+            raise DomainError(
+                f"point {i} realizes branch {branch.value}, "
+                f"itinerary says {c.itinerary[i]}"
+            )
+        if not _closes(tent_step(x, params), c.points[(i + 1) % n], b):
+            raise DomainError(f"points {i} -> {(i + 1) % n} are not one step apart")
+        with b.context():  # -(m*h) is m*(-h) rounded, as in itinerary
+            m = m * params.h if branch is Branch.LEFT else -(m * params.h)
+    return m
+
+
+def _serialized(cycles, params: MapParams) -> list[tuple]:
     """What cycles.csv and cycles.json hold; tells -0.0 from 0.0."""
     b = params.backend
     return [
@@ -191,13 +210,13 @@ class TestEnumeration:
     def test_two_cycle_found_exactly_once(self):
         cycles = enumerate_cycles(rat_params("3/2"), 2)
         assert len(cycles) == 1
-        c = cycles[0]
+        (c,) = cycles
         assert c.points == (Fraction(6, 13), Fraction(9, 13))
         assert c.itinerary == "LR"
         assert c.multiplier == Fraction(-9, 4)
 
     def test_no_period_three_below_golden_ratio(self):
-        assert enumerate_cycles(rat_params("3/2"), 3) == []
+        assert list(enumerate_cycles(rat_params("3/2"), 3)) == []
 
     def test_period_one_reports_both_fixed_points(self):
         cycles = enumerate_cycles(rat_params("3/2"), 1)
@@ -293,7 +312,8 @@ class TestEnumeration:
             assert {c.points[0] for c in ones} == {Fraction(0), fixed_point(p)}
             twos = enumerate_cycles(p, 2)
             assert len(twos) == 1
-            assert twos[0].points == two_cycle(p)
+            (two,) = twos
+            assert two.points == two_cycle(p)
 
     def test_period_bounds(self):
         with pytest.raises(DomainError):
@@ -333,14 +353,14 @@ class TestKernels:
         params = MapParams.parse(h, make_backend(kind, int(digits) if digits else None))
         for n in range(1, max_n + 1):
             found, oracle = enumerate_cycles(params, n), _scalar_census(params, n)
-            assert found == oracle
+            assert list(found) == oracle
             assert _serialized(found, params) == _serialized(oracle, params)
 
     def test_binary64_drops_the_same_104_at_h2_n16(self):
         # the fixed 1e-12 closing test drops these on both paths
         params = b64_params(2.0)
         found, oracle = enumerate_cycles(params, 16), _scalar_census(params, 16)
-        assert found == oracle
+        assert list(found) == oracle
         assert _serialized(found, params) == _serialized(oracle, params)
         assert aperiodic_necklaces(16) - len(found) == 104
 
@@ -350,27 +370,15 @@ class TestKernels:
          ("rational", "19/10", 9), ("decimal:30", "2", 12), ("decimal:30", "1.7", 3)],
     )
     def test_census_reads_as_the_oracle(self, kind, h, n):
-        """len, indexing, slicing and iteration give the oracle's Cycles,
-        the census equals the oracle's list as a list would, and texts
-        gives its artifact text, a block at a time; 335 cycles at h = 2,
-        n = 12 fill more than two blocks."""
+        """len and iteration give the oracle's Cycles, and texts gives its
+        artifact text, a block at a time; 335 cycles at h = 2, n = 12 fill
+        more than two blocks."""
         kind, _, digits = kind.partition(":")
         b = make_backend(kind, int(digits) if digits else None)
         params = MapParams.parse(h, b)
         found, oracle = enumerate_cycles(params, n), _scalar_census(params, n)
         assert len(found) == len(oracle) > 0
-        assert [found[i] for i in range(len(found))] == oracle
-        assert [found[i] for i in range(-len(found), 0)] == oracle
         assert list(found) == oracle
-        for cut in (slice(None), slice(1, -1), slice(-3, None), slice(None, None, 2),
-                    slice(None, None, -1), slice(5, 2), slice(found.block - 1, found.block + 2)):
-            assert found[cut] == oracle[cut]
-        assert found == oracle and oracle == found and not found != oracle
-        assert found == enumerate_cycles(params, n)
-        assert found != oracle[:-1] and found != tuple(oracle)
-        for i in (len(found), -len(found) - 1):
-            with pytest.raises(IndexError):
-                found[i]
         texts = [found.texts(start, start + found.block)
                  for start in range(0, len(found), found.block)]
         assert [(points[i * n:i * n + n], w, m)
@@ -466,7 +474,7 @@ class TestOnsets:
     @pytest.mark.parametrize("period", [3, 5, 6, 7])
     def test_enumeration_flips_across_threshold(self, period):
         t = onset_threshold(period).threshold
-        assert enumerate_cycles(b64_params(t - 1e-3), period) == []
+        assert list(enumerate_cycles(b64_params(t - 1e-3), period)) == []
         assert len(enumerate_cycles(b64_params(t + 1e-3), period)) >= 1
 
     def test_unsupported_period(self):
@@ -477,7 +485,7 @@ class TestOnsets:
 class TestMultiplier:
     def test_two_cycle_multiplier(self):
         p = rat_params("3/2")
-        c = enumerate_cycles(p, 2)[0]
+        (c,) = enumerate_cycles(p, 2)
         assert cycle_multiplier(c, p) == Fraction(-9, 4) == c.multiplier
 
     def test_fixed_point_multipliers(self):

@@ -246,29 +246,22 @@ class TestClassifyOutcome:
         assert kind is OutcomeKind.FIXED_POINT
 
     def test_far_value_unresolved(self):
-        params, coeffs = b64_setup()
-        fake = StabRun(
-            params=params, power=2, coeffs=coeffs, x0=0.25, starred=(0.25,) * 7
-        )
+        params, _ = b64_setup()
+        fake = StabRun(params=params, starred=(0.25,) * 7)
         kind, distance = classify_outcome(fake, params, 1e-3)
         assert kind is OutcomeKind.UNRESOLVED
         assert distance == pytest.approx(abs(0.25 - 6 / 13), abs=1e-12)
 
     def test_exact_tie_prefers_cycle(self):
-        params, coeffs = b64_setup()
+        params, _ = b64_setup()
         midpoint = (6 / 13 + 0.6) / 2
-        fake = StabRun(
-            params=params, power=2, coeffs=coeffs, x0=midpoint,
-            starred=(midpoint,) * 7,
-        )
+        fake = StabRun(params=params, starred=(midpoint,) * 7)
         kind, _ = classify_outcome(fake, params, 1.0)
         assert kind is OutcomeKind.CYCLE_LOW
 
     def test_distance_strictly_inside_tolerance(self):
-        params, coeffs = b64_setup()
-        fake = StabRun(
-            params=params, power=2, coeffs=coeffs, x0=0.7, starred=(0.7,) * 7
-        )
+        params, _ = b64_setup()
+        fake = StabRun(params=params, starred=(0.7,) * 7)
         d = abs(0.7 - 9 / 13)
         assert classify_outcome(fake, params, d)[0] is OutcomeKind.UNRESOLVED
         assert classify_outcome(fake, params, d * 1.001)[0] is OutcomeKind.CYCLE_HIGH
@@ -525,7 +518,7 @@ class TestSweep:
         for params, _ in (b64_setup(), rat_setup(), dec_setup()):
             b = params.backend
             w = b.parse("3/10")
-            coeffs = Coefficients(sigma=b.parse("6/5"), a=(w,) * 6, c=w)
+            coeffs = Coefficients(sigma=b.parse("6/5"), a=(w,) * 6)
             with pytest.raises(DomainError, match="outside"):
                 stabilized_orbit(b.parse("2/5"), params, 2, coeffs, 30)
             with pytest.raises(DomainError, match="outside"):
@@ -553,7 +546,7 @@ class TestSweep:
         with b.context():
             w = 1 + b.parse(f"{overshoot}/{2**52}")
         zero = b.from_int(0)
-        coeffs = Coefficients(sigma=b.parse("6/5"), a=(w, zero, zero, zero, zero, w), c=w)
+        coeffs = Coefficients(sigma=b.parse("6/5"), a=(w, zero, zero, zero, zero, w))
         spec = NetSpec.uniform(2)  # 0, 1/2 and 1
         if raises:
             with pytest.raises(DomainError, match="outside"):

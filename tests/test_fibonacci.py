@@ -8,23 +8,44 @@ recurrence, and math.sqrt cross-checks the integer-square-root constants.
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 from tentlab.backends import Binary64, DomainError, Rational
 from tentlab.fibonacci import (
+    _SQRT5_FRACTION,
     NEAR_STABLE_X1,
-    LAMBDA_S,
     PHI,
     SQRT5,
+    EigenData,
     decompose,
-    eigen_basis,
     first_crossing,
-    modal_value,
     predict_escape_index,
     recurrence,
 )
+
+LAMBDA_S = float((1 - _SQRT5_FRACTION) / 2)
+
+
+@dataclass(frozen=True)
+class EigenBasis:
+    """The eigenvalues and eigenvectors of A = [[0,1],[1,1]]."""
+
+    lambda_u: float
+    lambda_s: float
+    v_u: tuple[float, float]
+    v_s: tuple[float, float]
+
+
+def eigen_basis() -> EigenBasis:
+    return EigenBasis(lambda_u=PHI, lambda_s=LAMBDA_S, v_u=(1.0, PHI), v_s=(1.0, LAMBDA_S))
+
+
+def modal_value(data: EigenData, n: int) -> float:
+    """a_u * phi^n + a_s * (-1/phi)^n, the closed-form n-th term."""
+    return data.a_u * PHI**n + data.a_s * LAMBDA_S**n
 
 
 def matrix_orbit(x0, x1, n):
@@ -114,9 +135,9 @@ class TestDecompose:
         for _ in range(100):
             x0 = rng.uniform(-10, 10)
             x1 = rng.uniform(-10, 10)
-            d = decompose(x0, x1)
-            r0 = d.a_u * d.v_u[0] + d.a_s * d.v_s[0] - x0
-            r1 = d.a_u * d.v_u[1] + d.a_s * d.v_s[1] - x1
+            d, basis = decompose(x0, x1), eigen_basis()
+            r0 = d.a_u * basis.v_u[0] + d.a_s * basis.v_s[0] - x0
+            r1 = d.a_u * basis.v_u[1] + d.a_s * basis.v_s[1] - x1
             assert abs(r0) < 1e-12
             assert abs(r1) < 1e-12
 
@@ -130,8 +151,8 @@ class TestDecompose:
 
     def test_mode_monotonicity(self):
         d = decompose(1.0, 1.0)
-        growth = [abs(d.a_u * d.lambda_u**n) for n in range(21)]
-        decay = [abs(d.a_s * d.lambda_s**n) for n in range(21)]
+        growth = [abs(d.a_u * PHI**n) for n in range(21)]
+        decay = [abs(d.a_s * LAMBDA_S**n) for n in range(21)]
         assert all(a < b for a, b in zip(growth, growth[1:]))
         assert all(a > b for a, b in zip(decay, decay[1:]))
 

@@ -123,7 +123,7 @@ class TestCoefficients:
 
     def test_wrong_weight_count_rejected(self):
         with pytest.raises(DomainError):
-            Coefficients(sigma=1.2, a=(0.5, 0.5), c=1.0)
+            Coefficients(sigma=1.2, a=(0.5, 0.5))
 
 
 class TestStabilizedOrbit:
@@ -197,8 +197,8 @@ class TestStabilizedOrbit:
 
     def test_run_length(self):
         params, coeffs = b64_setup()
-        assert len(stabilized_orbit(0.3, params, 2, coeffs, 6)) == 7
-        assert len(stabilized_orbit(0.3, params, 2, coeffs, 50)) == 51
+        assert len(stabilized_orbit(0.3, params, 2, coeffs, 6).starred) == 7
+        assert len(stabilized_orbit(0.3, params, 2, coeffs, 50).starred) == 51
 
     def test_too_few_steps_rejected(self):
         params, coeffs = b64_setup()
@@ -265,16 +265,17 @@ class TestClassification:
         assert [r.slope for r in reports] == [-2.25, 2.25, -2.25]
         assert [r.stable for r in reports] == [True, False, True]
 
-    def test_boundary_origin_reported_on_request(self):
+    def test_boundary_origin_is_unstable_and_never_reported(self):
         params, coeffs = b64_setup()
-        reports = classify_equilibria(params, 2, coeffs, include_boundary=True)
-        assert reports[0].point == 0.0
-        assert reports[0].slope == 2.25
-        assert reports[0].stable is False
+        (point, slope), *_ = stabilize._fixed_points_of_power(params, 2)
+        assert point == 0.0
+        assert slope == 2.25
+        assert companion_spectrum(slope, coeffs)[1] >= 1.0  # not stable
+        assert 0.0 not in [r.point for r in classify_equilibria(params, 2, coeffs)]
 
     def test_radius_consistent_with_stability_flag(self):
         params, coeffs = b64_setup()
-        for r in classify_equilibria(params, 2, coeffs, include_boundary=True):
+        for r in classify_equilibria(params, 2, coeffs):
             assert r.stable == (r.spectral_radius < 1.0)
 
     def test_single_step_map_report(self):

@@ -7,14 +7,24 @@ Fraction plumbing is never trusted to verify itself.
 
 import decimal
 import math
+import struct
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tentlab.backends import Binary64, DomainError, FixedDecimal, Rational
-from tentlab.tentmap import MapParams, itinerary, orbit, tent_power_step, tent_step
+from tentlab.tentmap import (
+    MapParams,
+    itinerary,
+    orbit,
+    tent_power_step,
+    tent_step,
+    tent_step_array,
+)
 
 
 def oracle_orbit(p: int, q: int, hp: int, hq: int, steps: int):
@@ -52,6 +62,13 @@ class TestMapParams:
     def test_rejects_slope_outside_range(self, h):
         with pytest.raises(DomainError):
             MapParams(h, Binary64())
+
+    def test_rejects_slope_the_backend_would_round(self):
+        # 12 digits at precision 10 round to 2: at x = 1 the scalar step
+        # would refuse h - h*x, and the array step would return -1E-11
+        with pytest.raises(DomainError, match="rounds"):
+            MapParams(Decimal("1.99999999999"), FixedDecimal(10))
+        MapParams(Decimal("1.999999999000"), FixedDecimal(10))  # its zeros round to itself
 
     def test_rejects_backend_mismatch(self):
         from tentlab.backends import MismatchError
@@ -138,8 +155,8 @@ class TestOrbit:
         assert set(o.points) == {0.0}
 
     def test_point_count(self):
-        assert len(orbit(0.3, b64_params(), steps=7)) == 8
-        assert len(orbit(0.3, b64_params(), steps=0)) == 1
+        assert len(orbit(0.3, b64_params(), steps=7).points) == 8
+        assert len(orbit(0.3, b64_params(), steps=0).points) == 1
 
     def test_negative_steps_rejected(self):
         with pytest.raises(DomainError):
@@ -203,13 +220,52 @@ class TestItinerary:
             itinerary(0.4, b64_params(), 0)
 
 
+@st.composite
+def slope_and_point(draw):
+    """A backend, a slope h in (1, 2] that it represents, 2 and the least
+    one above 1 among them, and a point x in [0, 1]."""
+    kind = draw(st.sampled_from(["binary64", "rational", "decimal"]))
+    if kind == "binary64":
+        h = draw(st.sampled_from([2.0, math.nextafter(1.0, 2.0)])
+                 | st.floats(min_value=1.0, max_value=2.0, exclude_min=True))
+        return Binary64(), h, draw(st.floats(min_value=0.0, max_value=1.0))
+    if kind == "rational":
+        h = draw(st.sampled_from([Fraction(2), Fraction(10**9 + 1, 10**9)])
+                 | st.fractions(min_value=1, max_value=2, max_denominator=10**9)
+                 .filter(lambda h: h > 1))
+        return Rational(), h, draw(st.fractions(min_value=0, max_value=1,
+                                                max_denominator=10**9))
+    digits = draw(st.integers(min_value=10, max_value=30))
+    b, one = FixedDecimal(digits), 10 ** (digits - 1)
+    m = draw(st.sampled_from([2 * one, one + 1]) | st.integers(one + 1, 2 * one))
+    n = draw(st.integers(0, 10 ** (digits + 2)))
+    with b.context():  # x rounded to the precision, from 2 digits more
+        x = +Decimal(f"{n}E{-digits - 2}")
+    return b, Decimal(f"{m}E{1 - digits}"), x
+
+
+def _bits(y):
+    """What tells two values of one backend apart: a float's bytes, a
+    Fraction itself, a Decimal's sign, digits and exponent."""
+    if isinstance(y, float):
+        return struct.pack("<d", y)
+    return y.as_tuple() if isinstance(y, Decimal) else y
+
+
 class TestInvariants:
-    @given(st.floats(min_value=0.0, max_value=1.0))
+    @given(slope_and_point())
     @settings(max_examples=300, deadline=None)
-    def test_range_contraction(self, x):
-        p = b64_params(1.9)
+    def test_range_contraction(self, drawn):
+        """tent_step lands in [0, h/2] with no clamp of its output, and
+        equals tent_step_array's element bit for bit."""
+        b, h, x = drawn
+        p = MapParams(h, b)
         y = tent_step(x, p)
-        assert 0.0 <= y <= 1.9 / 2
+        assert type(y) is type(x)
+        assert 0 <= Fraction(y) <= Fraction(h) / 2
+        with b.context():
+            (z,) = tent_step_array(np.array([x]), h, b.parse("0.5")).tolist()
+        assert _bits(y) == _bits(z)
 
     @given(st.fractions(min_value=0, max_value=1))
     @settings(max_examples=200, deadline=None)
