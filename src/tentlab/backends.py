@@ -206,9 +206,9 @@ class Binary64(Backend):
 
     def cells(self, values: np.ndarray, out: np.ndarray) -> int:
         """Write serialize(v) for every v of a float64 array into the rows
-        of out, a uint8 array of shape (len(values), CELL_BYTES): ASCII
-        with NUL bytes wherever a column is unused, so that deleting the
-        NULs from a matrix of such cells leaves their text.
+        of out, uint8 of shape (len(values), CELL_BYTES), rows contiguous:
+        ASCII with NUL bytes wherever a column is unused, so that deleting
+        the NULs from a matrix of such cells leaves their text.
 
         A positive value below 1 whose repr has a decimal exponent of -99
         or more gets its digits from _shortest, in integer arithmetic.
@@ -224,11 +224,13 @@ class Binary64(Backend):
         """
         if values.dtype != np.float64:
             raise MismatchError(f"expected binary64 values (float64), got {values.dtype} array")
+        if len(out) and out.strides[-1] != 1:
+            raise MismatchError(f"expected contiguous rows, got strides {out.strides}")
         y, decpt, fallback = _shortest(values)
         t = _tables()
         decpt[fallback] = 0  # keeps the table rows below in range
         exp = decpt < -3  # repr's own switch: 0.0001 is fixed, 1e-05 is not
-        words = np.empty((len(y), CELL_BYTES // 4), dtype=np.uint32)
+        words = out.view(np.uint32)  # written in place, a cell's eight words a row
         # y's 20 digits in groups of four, each with its zeros after the
         # last significant digit NULed when all later groups are zero
         high = y // 10**8  # a // b and a - a // b * b: faster than %
@@ -249,7 +251,6 @@ class Binary64(Backend):
         head = t.heads.take(first)  # a nonzero later group turns "d" into "d."
         words.view(np.uint64)[:, 0] = t.prefixes.take(
             np.where(exp, head - (head & ~later_zero), -decpt))
-        out[...] = words.view(np.uint8)
         count = int(np.count_nonzero(fallback))
         if count:
             out[fallback] = np.array(list(map(repr, values[fallback].tolist())),

@@ -11,30 +11,31 @@ which is what lets "--h 3/2 --backend rational" stay exact. Every
 backend, decimal included, works with every subcommand that takes
 --backend, and --plot renders rational columns such as "2/5" too.
 
-A subcommand is a generator of (artifact name, text pieces) pairs; _run
-builds the backend, MapParams and Coefficients its flags ask for, and
-writes each artifact's pieces as soon as it is yielded, every artifact
-and the manifest by the same one write.  A name may be yielded again:
-its pieces then go on the end of the file opened for it, and every file
-stays open until the subcommand is done.  Each artifact is a new file:
-an old one of the same name is unlinked, not truncated in place, which
-ext4 (auto_da_alloc) writes back to disk when it is closed, making a
-re-run into the same --out an order of magnitude slower; a hard link to
-the old file keeps its bytes.  --out appears only once the
-computation has validated its inputs; a run that fails later deletes the
-artifacts it opened, and --out if it created it.  A JSON document is
-json.dumps' text.  Under --plot a subcommand also yields the SVG pieces
-of its first CSV's two columns (x0 and final under sweep), parsed once
-from the cells just formatted; sweep's workers format sweep.csv a chunk
-at a time and return the plotted cells as floats, so that the parent
-holds neither the net nor its rows.
+A subcommand is a generator of (artifact name, pieces) pairs, str or
+bytes-like pieces; _run builds the backend, MapParams and Coefficients
+its flags ask for, and writes each artifact's pieces as soon as it is
+yielded, every artifact and the manifest by the same one binary write.
+A name may be yielded again: its pieces then go on the end of the file
+opened for it, and every file stays open until the subcommand is done.
+Each artifact is a new file: an old one of the same name is unlinked,
+not truncated in place, which ext4 (auto_da_alloc) writes back to disk
+when it is closed, making a re-run into the same --out an order of
+magnitude slower; a hard link to the old file keeps its bytes, and what
+the old manifest lists but the run did not write goes.  --out appears
+only once the computation has validated its inputs; a run that fails
+later deletes the artifacts it opened, and --out if it created it.  A
+JSON document is json.dumps' text.  Under --plot a subcommand also
+yields the SVG pieces of its first CSV's two columns (x0 and final under
+sweep), parsed once from the cells just formatted; sweep's workers
+return sweep.csv's rows a chunk at a time, as bytes in binary64, and
+the plotted cells as floats, so the parent holds neither net nor rows.
 Cells are formatted a column at a time by Backend.texts, in binary64 by
 Binary64.cells: repr's digits for a float64 array in integer arithmetic,
-which also fill a binary64 sweep.csv chunk's byte matrix.  The cycle
-census is formatted a block of cycles at a time, their points walked
-again from each cycle's start, and each block's cells feed both of its
-artifacts, so that neither holds more than a block of points or cells;
-cycles.json is json.dumps' text of its document, a cycle at a time.
+which also fill a binary64 sweep.csv chunk's byte matrix in place.  The
+cycle census is formatted a block of cycles at a time, their points
+walked again from each cycle's start, and each block's cells feed both
+of its artifacts, so that neither holds more than a block of points or
+cells; cycles.json is json.dumps' text of its document, a cycle at a time.
 
 Exit codes: 0 success, 2 validation problem (bad flags or bad values),
 1 internal failure.
@@ -55,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backends import CELL_BYTES, Binary64, BackendError, MismatchError, make_backend
+from .backends import Binary64, BackendError, make_backend
 from .cycles import enumerate_cycles, onset_threshold
 from .experiments import (
     DEFAULT_FLAT_TOL,
@@ -79,7 +80,8 @@ from .fibonacci import (
     recurrence,
 )
 from .stabilize import build_coefficients, classify_equilibria, companion_spectrum, stabilized_orbit
-from .svgplot import as_float, svg_pieces
+from .svgplot import as_floats, svg_pieces
+from .sweeprows import sweep_rows
 from .tentmap import MapParams, orbit
 
 DEFAULT_H = "1.5"
@@ -176,6 +178,10 @@ def _parameter(value):
     return value if value is None or isinstance(value, (bool, str)) else str(value)
 
 
+def _encoded(piece):
+    return piece.encode() if isinstance(piece, str) else piece  # bytes-like pieces as they are
+
+
 def _run(ns: argparse.Namespace) -> int:
     """Run a parsed subcommand: write its artifacts, then manifest.json."""
     t0 = time.perf_counter()
@@ -184,6 +190,10 @@ def _run(ns: argparse.Namespace) -> int:
     coeffs = build_coefficients(b.parse(ns.sigma), b) if "sigma" in ns else None
     out = Path(ns.out)
     created = not out.exists()
+    listed = set()  # what a tentlab manifest already in out lists, before this run's replaces it
+    with contextlib.suppress(OSError, ValueError, LookupError, TypeError):
+        doc = json.loads((out / MANIFEST_NAME).read_bytes())
+        listed = set(doc["artifacts"]) if doc["schema"] == MANIFEST_SCHEMA else set()
     opened = {}  # artifact name -> its file, open until the run ends
 
     def manifest():  # formatted as it is written, so it lists itself and times the run
@@ -206,15 +216,18 @@ def _run(ns: argparse.Namespace) -> int:
                 if name not in opened:  # else append to the file its first yield opened
                     out.mkdir(parents=True, exist_ok=True)
                     (out / name).unlink(missing_ok=True)  # see the module docstring
-                    opened[name] = files.enter_context(
-                        open(out / name, "w", encoding="utf-8", newline=""))
-                opened[name].writelines(pieces)
+                    opened[name] = files.enter_context(open(out / name, "wb"))
+                opened[name].writelines(map(_encoded, pieces))
     except BaseException:  # leave no partial artifact set behind
         for name in opened:
             (out / name).unlink(missing_ok=True)
         if created and out.is_dir():
             out.rmdir()
         raise
+    for name in listed.difference(opened):  # stale; only plain file names, not ".."
+        if isinstance(name, str) and name == Path(name).name not in ("", ".."):
+            with contextlib.suppress(OSError, ValueError):  # ValueError: a NUL in it
+                (out / name).unlink(missing_ok=True)
     return 0
 
 
@@ -236,17 +249,13 @@ def command(name: str, help_text: str, *flags: tuple[str, dict]):
     return register
 
 
-def _floats(cells: list[str]) -> np.ndarray:
-    return np.fromiter(map(as_float, cells), float, len(cells))
-
-
 def _indexed(ns, stem: str, label: str, cells: list[str]):
     """stem.csv, the rows "n,cell" of a column, then under --plot stem.svg:
     the cells against their indices."""
     yield f"{stem}.csv", _csv(("n", label), (f"{i},{x}\n" for i, x in enumerate(cells)))
     if ns.plot is not None:
         yield f"{stem}.svg", svg_pieces(("n", label), np.arange(len(cells), dtype=float),
-                                        _floats(cells), ns.plot)
+                                        as_floats(cells), ns.plot)
 
 
 @command("simulate", "iterate T^k from a start point",
@@ -320,7 +329,7 @@ def _cmd_stabilize(ns, b, params, coeffs):
 def _cmd_sweep(ns, b, params, coeffs):
     spec = NetSpec.parse(ns.net)
     plot = ns.plot is not None
-    chunks = sweep_chunks(_sweep_rows(b, plot), spec, params, ns.k, coeffs, ns.steps,
+    chunks = sweep_chunks(sweep_rows(b, plot), spec, params, ns.k, coeffs, ns.steps,
                           ns.tol, threads=ns.threads)
     tallies = []
     columns = (np.empty(spec.size), np.empty(spec.size)) if plot else ()
@@ -347,56 +356,6 @@ def _cmd_sweep(ns, b, params, coeffs):
     })]
     if plot:
         yield "sweep.svg", svg_pieces(("x0", "final"), *columns, ns.plot)
-
-
-# a binary64 sweep.csv row in fixed byte columns, each field a whole number
-# of 8-byte words: x0 0-31, ",outcome," 32-47, final 48-79, "," 80-87,
-# distance 88-119, "\n" 120-127
-_ROW_BYTES = 128
-_CELL_COLUMNS = (0, 48, 88)
-
-
-def _sweep_rows(b, plot: bool):
-    """sweep_chunks' function, run in the workers: a chunk's sweep.csv rows as
-    one string, its outcome counts, and under --plot its x0 and final floats:
-    binary64's own columns, which its repr cells round-trip, else the cells
-    parsed back, since decimal serialize quantizes.
-
-    Under binary64 the rows are one uint8 matrix of _ROW_BYTES columns,
-    NUL where a field is shorter than its columns.  Binary64.cells writes
-    the three numbers, each equal to its repr: found in integer
-    arithmetic a column at a time, or by repr itself for the few values
-    it leaves out.  The chunk's text is the matrix's bytes with the NULs
-    deleted.  The other backends join their serialize cells, with repr
-    for the float64 distances."""
-    names = [kind.value for kind in KINDS]
-    binary64 = b.kind == "binary64"
-    labels = np.array([f",{name},".encode() for name in names], dtype="S16")
-    separators = np.array([b",", b"\n"], dtype="S8").view(np.uint64)
-
-    def rows(points, finals, codes, distances):
-        if binary64:
-            if not points.dtype == finals.dtype == np.float64:
-                raise MismatchError(f"expected binary64 values (float64), got "
-                                    f"{points.dtype} and {finals.dtype} arrays")
-            table = np.empty((len(codes), _ROW_BYTES), dtype=np.uint8)
-            for start, values in zip(_CELL_COLUMNS, (points, finals, distances)):
-                b.cells(values, table[:, start:start + CELL_BYTES])
-            words = table.view(np.uint64)
-            words[:, 4:6] = labels.view(np.uint64).reshape(len(names), 2)[codes]
-            words[:, [10, 15]] = separators
-            text = table.tobytes().translate(None, b"\0").decode("ascii")
-        else:
-            x0s, ends = (list(map(b.serialize, c.tolist())) for c in (points, finals))
-            text = "\n".join(map(",".join, zip(
-                x0s, map(names.__getitem__, codes.tolist()), ends, map(repr, distances.tolist()),
-            ))) + "\n"
-        plotted = None
-        if plot:
-            plotted = (points, finals) if binary64 else [_floats(c) for c in (x0s, ends)]
-        return text, np.bincount(codes, minlength=len(KINDS)), plotted
-
-    return rows
 
 
 def _event_doc(event, serialize):
@@ -500,7 +459,7 @@ def _cmd_spectrum(ns, b, params, coeffs):
     columns = [Binary64().texts([e[key] for e in entries]) for key in ("mu", "radius")]
     yield "spectrum.csv", _csv(("mu", "radius"), (f"{m},{r}\n" for m, r in zip(*columns)))
     if ns.plot is not None:
-        yield "spectrum.svg", svg_pieces(("mu", "radius"), *map(_floats, columns), ns.plot)
+        yield "spectrum.svg", svg_pieces(("mu", "radius"), *map(as_floats, columns), ns.plot)
     yield "spectrum.json", [_json({"sigma": ns.sigma, "entries": entries})]
 
 

@@ -22,10 +22,10 @@ int denominator, and returns the same reduced Fractions as the scalar
 recursion without a gcd per value and step.  sweep_chunks runs each
 chunk in one pass on a chunk_map worker process, which builds the points
 i/denominator, computes and classifies the finals, and hands them to the
-caller's function there: sweep returns the arrays, the CLI formats
-sweep.csv.  Chunk boundaries depend only on the chunk size, never on the
-worker count, so sweep output is bit-identical across worker counts and
-chunk sizes.
+caller's function there, whose result crosses a plain pipe back: sweep
+returns the arrays, the CLI formats sweep.csv.  Chunk boundaries depend
+only on the chunk size, never on the worker count, so sweep output is
+bit-identical across worker counts and chunk sizes.
 
 detect_escape runs in O(n log^2 n) numpy work and O(n) extra memory, by
 binary lifting over window extrema, and returns exactly what the quadratic
@@ -39,6 +39,7 @@ import enum
 import functools
 import math
 import os
+import pickle
 import signal
 import threading
 from dataclasses import dataclass
@@ -223,22 +224,32 @@ def _resolve_threads(threads: int) -> int:
     return threads
 
 
-def _serve(work, conn, parent_ends) -> None:
-    """A worker's loop: answer each index with (True, work(index)), or with
-    (False, the exception it raised), until the parent closes the pipe."""
-    for end in parent_ends:  # copies from the fork; the parent's must close alone
-        end.close()
+def _serve(work, tasks: int, results):
+    """A worker: answer each 8-byte index with (True, work(index)) or (False,
+    the exception it raised), as length-prefixed frames, until the pipe closes."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops the workers
-    try:
-        while True:
-            index = conn.recv()
-            try:
-                reply = (True, work(index))
-            except Exception as exc:  # raised in the parent when index comes up
-                reply = (False, exc)
-            conn.send(reply)
-    except (EOFError, OSError):  # the parent closed its end
-        pass
+    while len(index := os.read(tasks, 8)) == 8:
+        try:
+            reply = (True, work(int.from_bytes(index, "little")))
+        except Exception as exc:  # raised in the parent when index comes up
+            reply = (False, exc)
+        buffers = []  # of 64 KiB or more: append returns None, which puts them out of band
+        data = pickle.dumps(reply, 5, buffer_callback=lambda buffer: buffer.raw().nbytes
+                            < 1 << 16 or buffers.append(buffer.raw()))
+        for frame in (data, *buffers):
+            results.writelines([len(frame).to_bytes(8, "little"), frame])
+        results.flush()
+    os._exit(0)
+
+
+def _frames(results):
+    """A worker's frames, each read into a new bytearray for its arrays to keep."""
+    while True:
+        head = results.read(8)
+        frame = bytearray(int.from_bytes(head, "little"))
+        if len(head) < 8 or results.readinto(frame) < len(frame):
+            raise EOFError("the worker's pipe ended")
+        yield frame
 
 
 def chunk_map(work, count: int, threads: int = 1):
@@ -246,54 +257,64 @@ def chunk_map(work, count: int, threads: int = 1):
 
     The indices run on min(threads, count, CPUs) worker processes forked
     from this one, so work reads its inputs from the memory it inherits
-    and only the index and the result cross a pipe.  Worker w gets the
-    indices w, w + workers, ..., at most two at a time: results wait in
-    the workers, not here, and the next index goes out before a result is
-    yielded, so the workers compute while the caller consumes.  An
-    exception raised by work is raised here when its index comes up, as
-    the serial map raises it.  One worker or one index runs the plain
-    serial map, and so does a process with other threads alive, since a
-    fork copies only the calling thread and whatever locks the others
-    held.  threads = 0 means one per CPU.
+    and only the index and the result cross a pipe: its pickle, then each
+    buffer of 64 KiB or more, such as a chunk's rows, read into a buffer
+    of its own (a smaller one stays in the pickle, so that no tally keeps
+    a large buffer alive).  Worker w gets the indices w, w + workers, ...,
+    at most two at a time: results wait in the workers, not here, and the
+    next index goes out before a result is yielded, so the workers
+    compute while the caller consumes.  An exception raised by work is
+    raised here when its index comes up, as the serial map raises it.
+    One worker or one index runs the plain serial map, and so does a
+    process with other threads alive, since a fork copies only the
+    calling thread and whatever locks the others held.  threads = 0
+    means one per CPU.
     """
     workers = min(_resolve_threads(threads), count, os.cpu_count() or 1)
     if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
         yield from map(work, range(count))
         return
-    import multiprocessing  # here, so that a start-up that never forks skips it
-
-    ctx = multiprocessing.get_context("fork")
-    ends, procs = [], []
+    pids, tasks, results = [], [], []  # each worker's pid, index pipe and answers
     try:
         for _ in range(workers):
-            end, theirs = ctx.Pipe()
-            ends.append(end)
-            proc = ctx.Process(target=_serve, args=(work, theirs, ends), daemon=True)
-            proc.start()
-            procs.append(proc)
-            theirs.close()
+            task_end, task_fd = os.pipe()
+            results_fd, results_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker keeps only its own two ends
+                try:
+                    for fd in (task_fd, results_fd, *(f.fileno() for f in tasks + results)):
+                        os.close(fd)
+                    _serve(work, task_end, open(results_end, "wb"))
+                finally:  # on an error; _serve exits with 0 once the parent is done
+                    os._exit(1)
+            pids.append(pid)
+            os.close(task_end)
+            os.close(results_end)
+            tasks.append(open(task_fd, "wb", buffering=0))
+            results.append(open(results_fd, "rb"))
         window = 2 * workers
         for index in range(min(count, window)):
-            ends[index % workers].send(index)
+            tasks[index % workers].write(index.to_bytes(8, "little"))
         for index in range(count):
             w = index % workers
             try:
-                ok, value = ends[w].recv()
-            except (EOFError, ConnectionResetError):  # the worker is gone
-                procs[w].join()
-                raise RuntimeError(f"worker process exited with code {procs[w].exitcode}")
+                frames = _frames(results[w])
+                ok, value = pickle.loads(next(frames), buffers=frames)  # a frame per buffer
+                if index + window < count:
+                    tasks[w].write((index + window).to_bytes(8, "little"))
+            except (EOFError, BrokenPipeError):  # the worker is gone: reap it here
+                code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(w), 0)[1])
+                raise RuntimeError(f"worker process exited with code {code}")
             if not ok:
                 raise value
-            if index + window < count:
-                ends[w].send(index + window)
             yield value
             del value  # so that the next result arrives without this one alive
     finally:
-        for end in ends:
-            end.close()
-        for proc in procs:
-            proc.terminate()
-            proc.join()
+        for f in tasks + results:
+            f.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
 
 
 def _sweep_chunk_rounded(

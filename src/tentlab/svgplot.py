@@ -6,10 +6,10 @@ is ever a Python list.  A mark's coordinates are formatted in
 exact integer arithmetic, byte-equal to format(v, ".2f"): 100 * v is the
 significand times 100 shifted right, rounded half-even on the remainder,
 and a slice of marks is one NUL-padded uint32 matrix, NULs deleted, as
-cli._sweep_rows lays out sweep.csv.  That holds for v in [1, 1024), which
-scaled marks do not leave; a slice with a value outside goes through
-format.  as_float reads a cell as tentlab writes
-it, a decimal or an exact p/q fraction, as a float; the CLI plots the
+sweeprows.sweep_rows lays out sweep.csv.  That holds for v in [1,
+1024), which scaled marks do not leave; a slice with a value outside
+goes through format.  as_float reads a cell as tentlab writes it, a
+decimal or an exact p/q fraction, as a float; the CLI plots the
 columns it parses so.  A point with a NaN or infinite coordinate is left
 out, of the marks and of the axes' ranges, and an axis whose values reach
 2**51 counts in a power of two, so that no coordinate overflows.  Output
@@ -61,6 +61,11 @@ def as_float(cell: str) -> float:
         return p / q  # int division: correctly rounded, like float(Fraction(p, q))
     except OverflowError:
         return -math.inf if p < 0 else math.inf
+
+
+def as_floats(cells: list[str]) -> np.ndarray:
+    """as_float of every cell, as a float64 array."""
+    return np.fromiter(map(as_float, cells), float, len(cells))
 
 
 def _axis_range(values: np.ndarray) -> tuple[float, float]:

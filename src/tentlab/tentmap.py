@@ -65,12 +65,12 @@ def tent_step(x: Scalar, params: MapParams) -> Scalar:
 def tent_step_array(x: np.ndarray, h: Scalar, half: Scalar) -> np.ndarray:
     """tent_step's arithmetic on a float64 or object array, under the
     caller's context and without its input clamp: t = h*x, then h - t
-    where x is not <= half (NaN included).  One multiply and at most one
-    subtraction per element, as tent_step takes them.  h - t is the
-    textbook (-h)*x + h bit for bit: rounding is symmetric, so (-h)*x
-    rounds to -t, and -t + h is h - t."""
+    where x > half.  One multiply and at most one subtraction per
+    element, as tent_step takes them.  A NaN x keeps t, the NaN that h - t
+    would give too.  h - t is the textbook (-h)*x + h bit for bit:
+    rounding is symmetric, so (-h)*x rounds to -t, and -t + h is h - t."""
     t = h * x
-    np.subtract(h, t, out=t, where=~(x <= half))
+    np.subtract(h, t, out=t, where=x > half)
     return t
 
 

@@ -368,6 +368,30 @@ class TestBinary64Cells:
         with pytest.raises(MismatchError):
             Binary64().cells(np.array([0.5], dtype=object), np.empty((1, CELL_BYTES), np.uint8))
 
+    def test_writes_in_place_into_column_slices(self):
+        # the sweep's row table: cells at columns 0, 48 and 88 of 128 bytes a
+        # row, and no byte around them touched
+        rng = np.random.default_rng(29)
+        columns = [rng.random(300), np.array(EDGE_FLOATS * 15), rng.random(300) * 1e-40]
+        table = rng.integers(1, 256, (300, 128), dtype=np.uint8)
+        before = table.copy()
+        starts = (0, 48, 88)
+        for start, values in zip(starts, columns):
+            Binary64().cells(values, table[:, start:start + CELL_BYTES])
+        written = np.zeros(128, dtype=bool)
+        for start, values in zip(starts, columns):
+            written[start:start + CELL_BYTES] = True
+            cells = [row.tobytes().replace(b"\0", b"").decode("ascii")
+                     for row in table[:, start:start + CELL_BYTES]]
+            assert cells == list(map(Binary64().serialize, values.tolist()))
+        assert np.array_equal(table[:, ~written], before[:, ~written])
+
+    def test_refuses_rows_that_are_not_contiguous(self):
+        table = np.zeros((4, 2 * CELL_BYTES), dtype=np.uint8)
+        with pytest.raises(MismatchError, match="contiguous"):
+            Binary64().cells(np.full(4, 0.25), table[:, ::2])
+        assert not table.any()
+
     def test_tables_hold_exact_integers(self):
         # F's limbs rebuild 5**s * 2**t, exactly from E_exact up, and every
         # value of exponent E scales below 2**64

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tentlab import MapParams, NetSpec, build_coefficients, cli, experiments, svgplot
+from tentlab import MapParams, NetSpec, build_coefficients, cli, experiments, svgplot, sweeprows
 from tentlab.backends import TEXT_BLOCK, Binary64, DomainError, make_backend
 from tentlab.cli import build_parser, replay_manifest, run_command
 from tentlab.cycles import Census
@@ -597,7 +597,7 @@ class TestSweep:
             assert sweep_digests(out) == digests
         # two workers for the one pass per chunk, at 2 and at 0 (one per CPU)
         assert len(forks) == 4
-        assert not any(proc.is_alive() for proc in forks)
+        assert not forks.alive()
 
     def test_worker_error_exits_as_the_serial_run_does(
         self, tmp_path, monkeypatch, capsys, forks
@@ -710,6 +710,21 @@ class TestSweep:
         )
         assert not out.exists()
 
+    def test_binary64_rows_survive_the_next_chunk(self):
+        # one row table is reused from chunk to chunk; a chunk's rows are a
+        # copy of it, left as they were when a later chunk refills the table
+        rows = sweeprows.sweep_rows(Binary64(), False)
+        chunks = [np.linspace(0.1, 0.9, n) for n in (50, 80, 30)]
+        texts = []
+        for points in chunks:
+            codes = np.arange(len(points), dtype=np.int8) % 4
+            texts.append(rows(points, points / 3, codes, points / 7)[0])
+        for text, points in zip(texts, chunks):
+            assert text.dtype == np.uint8
+            want = "".join(f"{x!r},{experiments.KINDS[i % 4].value},{x / 3!r},{x / 7!r}\n"
+                           for i, x in enumerate(points.tolist()))
+            assert bytes(text).decode("ascii") == want
+
     @pytest.mark.parametrize("backend", ["binary64", "rational", "decimal"])
     def test_plotted_floats_are_the_cells_written(self, monkeypatch, backend):
         # decimal writes its values quantized, so only parsing the cells
@@ -718,10 +733,12 @@ class TestSweep:
         params = MapParams.parse("3/2", b)
         coeffs = build_coefficients(b.parse("6/5"), b)
         chunks = experiments.sweep_chunks(
-            cli._sweep_rows(b, True), NetSpec.uniform(70), params, 2, coeffs, 20, 1e-3,
+            sweeprows.sweep_rows(b, True), NetSpec.uniform(70), params, 2, coeffs, 20, 1e-3,
             chunk_size=16,
         )
-        for text, _, (xs, ys) in chunks:
+        for rows, _, (xs, ys) in chunks:
+            # binary64 rows are the bytes of a uint8 array, the others a string
+            text = rows if isinstance(rows, str) else bytes(rows).decode("ascii")
             cells = [row.split(",") for row in text.splitlines()]
             assert xs.tolist() == [as_float(row[0]) for row in cells]
             assert ys.tolist() == [as_float(row[2]) for row in cells]
@@ -1076,6 +1093,39 @@ class TestManifest:
         doc = read_json(tmp_path / "manifest.json")
         produced = sorted(p.name for p in tmp_path.iterdir())
         assert doc["artifacts"] == produced
+
+    def test_rerun_removes_the_artifacts_it_no_longer_writes(self, tmp_path):
+        # an earlier run's SVG, which its manifest lists, goes; an unlisted file stays
+        (tmp_path / "notes.txt").write_text("unrelated")
+        argv = ["simulate", "--steps", "10", "--out", str(tmp_path)]
+        assert run_command([*argv, "--plot", "line"]) == 0
+        assert (tmp_path / "orbit.svg").exists()
+        assert run_command(argv) == 0
+        produced = sorted(p.name for p in tmp_path.iterdir())
+        assert produced == ["manifest.json", "notes.txt", "orbit.csv"]
+        assert read_json(tmp_path / "manifest.json")["artifacts"] == [
+            "manifest.json", "orbit.csv"]
+
+    def test_rerun_removes_only_plain_file_names_the_old_manifest_lists(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "sub").mkdir(parents=True)
+        kept = [tmp_path / "victim.csv", out / "sub" / "inner.csv", out / "unlisted.csv",
+                out / "sub2"]
+        for path in kept[:3]:
+            path.write_text("kept")
+        kept[3].mkdir()
+        (out / "stale.csv").write_text("stale")
+        listed = ["../victim.csv", "sub/inner.csv", str(tmp_path / "victim.csv"), "..", ".",
+                  "", "sub", "sub2", "stale.csv", "nul\0.csv", 7, None]
+        (out / "manifest.json").write_text(json.dumps({"schema": 1, "artifacts": listed}))
+        assert run_command(["simulate", "--steps", "3", "--out", str(out)]) == 0
+        assert all(path.exists() for path in kept)
+        assert not (out / "stale.csv").exists()
+        # a manifest of another schema is not tentlab's: nothing it lists goes
+        (out / "stale.csv").write_text("stale")
+        (out / "manifest.json").write_text(json.dumps({"schema": 2, "artifacts": ["stale.csv"]}))
+        assert run_command(["simulate", "--steps", "3", "--out", str(out)]) == 0
+        assert (out / "stale.csv").exists()
 
     @pytest.mark.parametrize("argv", REPLAY_SET)
     def test_replay_reproduces_bytes(self, tmp_path, argv):

@@ -340,7 +340,7 @@ class TestChunkMap:
         pids = set(chunk_map(lambda i: os.getpid(), 6, threads=2))
         assert len(pids) == 2 and os.getpid() not in pids
         assert len(forks) == 4
-        assert not any(proc.is_alive() for proc in forks)
+        assert not forks.alive()
 
     def test_first_failing_index_raises_as_in_the_serial_map(self, forks):
         def work(i):
@@ -352,7 +352,7 @@ class TestChunkMap:
             with pytest.raises(DomainError, match="^chunk 3 failed$"):
                 list(chunk_map(work, 8, threads))
         assert len(forks) == 2
-        assert not any(proc.is_alive() for proc in forks)
+        assert not forks.alive()
 
     def test_a_worker_that_dies_fails_the_map(self, forks):
         def work(i):
@@ -362,14 +362,34 @@ class TestChunkMap:
 
         with pytest.raises(RuntimeError, match="exited with code 3"):
             list(chunk_map(work, 4, threads=2))
-        assert not any(proc.is_alive() for proc in forks)
+        assert not forks.alive()
 
     def test_workers_stop_when_the_caller_stops_early(self, forks):
         results = chunk_map(lambda i: i, 10, threads=2)
         assert next(results) == 0
         results.close()
         assert len(forks) == 2
-        assert not any(proc.is_alive() for proc in forks)
+        assert not forks.alive()
+
+    def test_small_arrays_keep_no_large_receive_buffer_alive(self, forks):
+        # a 64 KiB array crosses out of band into a buffer of its own; a
+        # tally-sized one stays in the pickle and owns only its own bytes
+        def owner(buffer):  # what holds an array's memory, through views and memoryviews
+            while True:
+                is_view = isinstance(buffer, memoryview)
+                base = buffer.obj if is_view else getattr(buffer, "base", None)
+                if base is None:
+                    return buffer
+                buffer = base
+
+        results = list(chunk_map(lambda i: (np.full(1 << 16, i, np.uint8), np.arange(4) + i),
+                                 6, threads=2))
+        assert len(forks) == 2
+        for i, (big, tally) in enumerate(results):
+            assert big.tolist() == [i] * (1 << 16) and tally.tolist() == [i, i + 1, i + 2, i + 3]
+            assert memoryview(owner(big)).nbytes == big.nbytes
+            assert memoryview(owner(tally)).nbytes == tally.nbytes
+        assert len({id(owner(big)) for big, _ in results}) == 6
 
     def test_one_worker_or_one_index_runs_serially(self, forks):
         pid = os.getpid()
@@ -452,8 +472,23 @@ class TestSweep:
             other = sweep(spec, params, 2, coeffs, 30, 1e-3, threads=2, chunk_size=32)
             assert_same_bits(other, base)
             assert len(forks) == 2
-            assert not any(proc.is_alive() for proc in forks)
+            assert not forks.alive()
             forks.clear()
+
+    def test_kept_chunks_stay_intact_until_the_last_arrives(self, forks):
+        # every chunk's four arrays cross out of band at 8192 points; each
+        # must own its buffer, not share one that a later chunk overwrites
+        params, coeffs = b64_setup()
+        spec = NetSpec.uniform(4 * 8192)
+        runs = [list(experiments.sweep_chunks(lambda *arrays: arrays, spec, params, 2, coeffs,
+                                              20, 1e-3, threads=threads, chunk_size=8192))
+                for threads in (1, 2)]
+        assert len(forks) == 2
+        serial, forked = runs
+        assert len(forked) == len(serial) == 5
+        for got, want in zip(forked, serial):
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_decimal_sweep_matches_scalar_recursion(self):
         for precision in (12, 30):

@@ -267,6 +267,27 @@ class TestInvariants:
             (z,) = tent_step_array(np.array([x]), h, b.parse("0.5")).tolist()
         assert _bits(y) == _bits(z)
 
+    @pytest.mark.parametrize("h", [1.5, 2.0, 1.9, 1.0000000000000002])
+    def test_array_step_keeps_the_bits_of_the_negated_mask(self, h):
+        # where=x > half against the older where=~(x <= half): a NaN, of
+        # either sign and any payload, keeps h*x, the NaN h - h*x gives too
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123,
+                         0xFFF0000000000001], dtype=np.uint64).view(np.float64)
+        half = 0.5
+        x = np.concatenate([nans, [math.inf, -math.inf, 0.0, -0.0, np.nextafter(half, 0),
+                                   half, np.nextafter(half, 1), 1.0]])
+        with np.errstate(invalid="ignore"):  # the last NaN is a signalling one
+            old = h * x
+            np.subtract(h, old, out=old, where=~(x <= half))
+            new = tent_step_array(x, h, half)
+        assert new.view(np.uint64).tolist() == old.view(np.uint64).tolist()
+
+    def test_array_step_raises_on_a_decimal_nan(self):
+        b = FixedDecimal(30)
+        x = np.array([Decimal("0.25"), Decimal("NaN")], dtype=object)
+        with b.context(), pytest.raises(decimal.InvalidOperation):
+            tent_step_array(x, b.parse("1.5"), b.parse("0.5"))
+
     @given(st.fractions(min_value=0, max_value=1))
     @settings(max_examples=200, deadline=None)
     def test_mirror_symmetry(self, x):
