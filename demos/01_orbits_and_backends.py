@@ -17,15 +17,15 @@ def main() -> None:
     for backend in (Rational(), Binary64(), FixedDecimal(40)):
         params = MapParams.parse("1.5", backend)
         run = orbit(backend.parse("0.4"), params, k=2, steps=3)
-        cells = ", ".join(backend.serialize(x) for x in run.points)
+        cells = ", ".join(backend.serialize(x) for x in run)
         print(f"{backend.kind:>9}: 0.4 -> {cells}")
 
     rat = MapParams.parse("3/2", Rational())
     print()
-    print("exact squared-map orbit of 2/5 reaches", orbit(Fraction(2, 5), rat, 2, 1).points[-1])
+    print("exact squared-map orbit of 2/5 reaches", orbit(Fraction(2, 5), rat, 2, 1)[-1])
 
     b64 = MapParams.parse("1.5", Binary64())
-    y = orbit(0.4, b64, 2, 1).points[-1]
+    y = orbit(0.4, b64, 2, 1)[-1]
     print(f"double orbit reaches {y!r} (one ulp below 0.6)")
 
     symbols, slope = itinerary(Fraction(6, 13), rat, 2)

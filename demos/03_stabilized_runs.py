@@ -28,7 +28,7 @@ def main() -> None:
     print()
     for x0 in (0.1, 0.2, 0.3, 0.4):
         run = stabilized_orbit(x0, params, 2, coeffs, 50)
-        print(f"start {x0}: x*_50 = {run.starred[-1]:.4f}")
+        print(f"start {x0}: x*_50 = {run[-1]:.4f}")
 
     print()
     for report in classify_equilibria(params, 2, coeffs):

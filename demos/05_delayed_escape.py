@@ -23,8 +23,7 @@ from tentlab import (
 
 def main() -> None:
     b64 = MapParams.parse("1.5", Binary64())
-    run = stabilized_orbit(0.4, b64, 2, build_coefficients(1.2), 300)
-    series = run.to_floats()
+    series = stabilized_orbit(0.4, b64, 2, build_coefficients(1.2), 300)
     event = detect_escape(series)
     print("binary64 run from 0.4:")
     print(f"  x*_1 = {series[1]!r}")
@@ -39,11 +38,11 @@ def main() -> None:
     exact = stabilized_orbit(
         Fraction(2, 5), rat, 2, build_coefficients(Fraction(6, 5)), 300
     )
-    constant = all(x == Fraction(3, 5) for x in exact.starred[1:])
+    constant = all(x == Fraction(3, 5) for x in exact[1:])
     print()
     print("exact run from 2/5:")
     print(f"  constant at 3/5 from step 1 onward: {constant}")
-    print(f"  escape event: {detect_escape(exact.to_floats())}")
+    print(f"  escape event: {detect_escape(exact)}")
 
 
 if __name__ == "__main__":

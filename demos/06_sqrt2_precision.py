@@ -16,7 +16,7 @@ from tentlab import sqrt2_experiment, sqrt2_reference
 def main() -> None:
     run, event = sqrt2_experiment(precision=70, steps=600)
     ref = sqrt2_reference(70)
-    devs = [abs(float(x - ref)) for x in run.points]
+    devs = [abs(float(x - ref)) for x in run]
 
     print("reference 2 - sqrt(2) =", str(ref)[:40], "...")
     print(f"deviation at step 3:   {devs[3]:.3e}")
@@ -27,7 +27,7 @@ def main() -> None:
     print()
     print(
         f"flat from step {event.flat_start}, escape at step "
-        f"{event.escape_index} of {len(run.points) - 1}"
+        f"{event.escape_index} of {len(run) - 1}"
     )
 
 

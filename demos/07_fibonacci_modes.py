@@ -28,7 +28,7 @@ def main() -> None:
     print(f"  contracting coordinate a_s = {data.a_s!r}")
 
     run = recurrence(Fraction(1), Fraction(x1), 100, Rational())
-    mags = [abs(x) for x in run.seq]
+    mags = [abs(x) for x in run]
     argmin = min(range(len(mags)), key=lambda i: mags[i])
     print(f"  smallest |x_n| at n = {argmin}: {float(mags[argmin]):.3e}")
     print(f"  |x_40| = {float(mags[40]):.3e}  (growth visible again)")
@@ -39,7 +39,7 @@ def main() -> None:
 
     print()
     fib = recurrence(1.0, 1.0, 12)
-    print("start (1, 1):", [int(x) for x in fib.seq])
+    print("start (1, 1):", [int(x) for x in fib])
     print(
         "  first value above 100 at n =",
         first_crossing(fib, 100.0),

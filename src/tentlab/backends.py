@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import contextlib
 import decimal
-import enum
 import functools
 import re
 import sys
@@ -58,16 +57,6 @@ class MismatchError(BackendError):
     """A value of one backend was handed to an operation of another."""
 
 
-class Branch(enum.Enum):
-    """Which affine piece of the tent map applies at a point.
-
-    The tie x = 1/2 belongs to LEFT in every backend.
-    """
-
-    LEFT = "L"
-    RIGHT = "R"
-
-
 class Backend:
     """Shared arithmetic interface; subclasses fix the value type."""
 
@@ -94,13 +83,6 @@ class Backend:
         null context for float and Fraction.  Operators do not check their
         operands' types; values are checked where they enter."""
         return _NO_CONTEXT
-
-    def cmp_half(self, x: Scalar) -> Branch:
-        """Branch membership of x in [0, 1]; the tie at 1/2 is LEFT."""
-        self.check(x)
-        if x < 0 or x > 1:
-            raise DomainError(f"point {x!r} lies outside [0, 1]")
-        return Branch.LEFT if x <= self._half else Branch.RIGHT
 
     def clamp_unit(self, x: Scalar) -> Scalar:
         """Snap x into [0, 1], tolerating only backend-level rounding slack."""

@@ -56,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backends import Binary64, BackendError, make_backend
+from .backends import Binary64, BackendError, FixedDecimal, make_backend
 from .cycles import enumerate_cycles, onset_threshold
 from .experiments import (
     DEFAULT_FLAT_TOL,
@@ -64,7 +64,6 @@ from .experiments import (
     KINDS,
     SQRT2_SLOPE_DIGITS,
     NetSpec,
-    chaotic_series,
     classify_outcome,
     detect_escape,
     sqrt2_experiment,
@@ -262,7 +261,7 @@ def _indexed(ns, stem: str, label: str, cells: list[str]):
          H, K, x0_flag("0.5"), steps_flag(DEFAULT_STEPS), *BACKEND, PLOT)
 def _cmd_simulate(ns, b, params, coeffs):
     run = orbit(b.parse(ns.x0), params, k=ns.k, steps=ns.steps)
-    yield from _indexed(ns, "orbit", "x", b.texts(run.points))
+    yield from _indexed(ns, "orbit", "x", b.texts(run))
 
 
 # a cycle as json.dumps(indent=2, sort_keys=True) writes it in cycles.json's
@@ -305,13 +304,13 @@ def _cmd_cycles(ns, b, params, coeffs):
          H, K, SIGMA, x0_flag("0.5"), steps_flag(DEFAULT_STEPS), TOL, *BACKEND, PLOT)
 def _cmd_stabilize(ns, b, params, coeffs):
     run = stabilized_orbit(b.parse(ns.x0), params, ns.k, coeffs, ns.steps)
-    kind, distance = classify_outcome(run, params, ns.tol)
-    yield from _indexed(ns, "stabilize", "x_star", b.texts(run.starred))
+    kind, distance = classify_outcome(run[-1], params, ns.tol)
+    yield from _indexed(ns, "stabilize", "x_star", b.texts(run))
     yield "stabilize.json", [_json({
-        "x0": b.serialize(run.starred[0]),
+        "x0": b.serialize(run[0]),
         "sigma": b.serialize(coeffs.sigma),
         "coefficients": b.texts(coeffs.a),
-        "final_value": b.serialize(run.starred[-1]),
+        "final_value": b.serialize(run[-1]),
         "classified_target": kind.value,
         "distance": distance,
     })]
@@ -372,12 +371,10 @@ def _event_doc(event, serialize):
          *BACKEND, PLOT)
 def _cmd_escape(ns, b, params, coeffs):
     run = stabilized_orbit(b.parse(ns.x0), params, ns.k, coeffs, ns.steps)
-    event = detect_escape(
-        run.to_floats(), flat_tol=ns.flat_tol, jump_tol=ns.jump_tol, min_flat=ns.min_flat
-    )
-    yield from _indexed(ns, "escape", "x_star", b.texts(run.starred))
+    event = detect_escape(run, flat_tol=ns.flat_tol, jump_tol=ns.jump_tol, min_flat=ns.min_flat)
+    yield from _indexed(ns, "escape", "x_star", b.texts(run))
     yield "escape.json", [_json({
-        "x0": b.serialize(run.starred[0]),
+        "x0": b.serialize(run[0]),
         "steps": ns.steps,
         "event": _event_doc(event, float),
     })]
@@ -386,8 +383,8 @@ def _cmd_escape(ns, b, params, coeffs):
 @command("series", "plain chaotic orbit of 1/2 under T",
          H, steps_flag(DEFAULT_STEPS), *BACKEND, PLOT)
 def _cmd_series(ns, b, params, coeffs):
-    run = chaotic_series(params, ns.steps)
-    yield from _indexed(ns, "series", "x", b.texts(run.points))
+    run = orbit(b.parse("0.5"), params, steps=ns.steps)
+    yield from _indexed(ns, "series", "x", b.texts(run))
 
 
 @command("sqrt2", "high-precision orbit pinned near 2 - sqrt(2)",
@@ -401,14 +398,14 @@ def _cmd_sqrt2(ns, b, params, coeffs):
         flat_tol=ns.flat_tol, jump_tol=ns.jump_tol, min_flat=ns.min_flat,
     )
     reference = sqrt2_reference(ns.precision)
-    b = run.params.backend
-    deviations = [abs(float(x - reference)) for x in run.points]
+    b = FixedDecimal(ns.precision)
+    deviations = [abs(float(x - reference)) for x in run]
     yield from _indexed(ns, "sqrt2", "deviation", Binary64().texts(deviations))
     yield "sqrt2.json", [_json({
         "precision": ns.precision,
         "steps": ns.steps,
         "reference": str(reference),
-        "final_value": b.serialize(run.points[-1]),
+        "final_value": b.serialize(run[-1]),
         "event": _event_doc(event, b.serialize),
     })]
 
@@ -431,7 +428,7 @@ def _cmd_fib(ns, b, params, coeffs):
         "predicted_escape": predict_escape_index(f0, f1, ns.threshold),
         "observed_escape": first_crossing(run, ns.threshold),
     }
-    cells = b.texts(run.seq)
+    cells = b.texts(run)
     yield from _indexed(ns, "fib", "x", cells)
     if ns.phase:
         yield "phase.csv", _csv(("x", "x_next"), (f"{x},{y}\n" for x, y in zip(cells, cells[1:])))

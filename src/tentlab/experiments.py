@@ -50,8 +50,8 @@ import numpy as np
 
 from .backends import Backend, DomainError, FixedDecimal, ParseError, Scalar
 from .cycles import fixed_point, two_cycle
-from .stabilize import TAPS, Coefficients, StabRun, _starred
-from .tentmap import MapParams, Orbit, orbit, tent_step_array
+from .stabilize import TAPS, Coefficients, _starred
+from .tentmap import MapParams, orbit, tent_step_array
 
 MAX_NET_SIZE = 10**7
 
@@ -152,7 +152,8 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class EscapeEvent:
-    """A flat stretch and the index where the series finally left it."""
+    """A flat stretch and the index where the series finally left it.  The
+    values are items of the series: the backend's scalars, given a run."""
 
     flat_value: Scalar
     flat_start: int
@@ -204,14 +205,14 @@ def classify_finals(
 
 
 def classify_outcome(
-    run: StabRun, params: MapParams, tolerance: float
+    final: Scalar, params: MapParams, tolerance: float
 ) -> tuple[OutcomeKind, float]:
-    """The kind of target the final starred value matches, against the
-    2-cycle and the fixed point, and its distance to the nearest one."""
+    """The kind of target a run's final value matches, against the 2-cycle
+    and the fixed point, and its distance to the nearest one."""
     if not tolerance > 0:
         raise DomainError(f"tolerance must be positive, got {tolerance}")
     codes, distances = classify_finals(
-        [params.backend.to_float(run.starred[-1])], _targets(params), tolerance
+        [params.backend.to_float(final)], _targets(params), tolerance
     )
     return KINDS[codes[0]], float(distances[0])
 
@@ -562,12 +563,6 @@ def detect_escape(
     )
 
 
-def chaotic_series(params: MapParams, steps: int) -> Orbit:
-    """The plain orbit of 1/2, the aperiodic sequence the figures plot."""
-    half = params.backend.parse("0.5")
-    return orbit(half, params, k=1, steps=steps)
-
-
 def sqrt2_reference(precision: int) -> Decimal:
     """2 - sqrt(2) to `precision` fractional digits via integer square root.
 
@@ -590,7 +585,7 @@ def sqrt2_experiment(
     flat_tol: float = DEFAULT_FLAT_TOL,
     jump_tol: float = 1e-2,
     min_flat: int = DEFAULT_MIN_FLAT,
-) -> tuple[Orbit, EscapeEvent | None]:
+) -> tuple[tuple[Decimal, ...], EscapeEvent | None]:
     """Orbit of 1/2 under a slope one whisker under sqrt(2), plus its escape.
 
     With h = sqrt(2) exactly, 1/2 maps in three steps onto the fixed point
@@ -609,8 +604,8 @@ def sqrt2_experiment(
         )
     backend = FixedDecimal(precision)
     params = MapParams(backend.parse(h_digits), backend)
-    run = orbit(backend.parse("0.5"), params, k=1, steps=steps)
+    points = orbit(backend.parse("0.5"), params, k=1, steps=steps)
     event = detect_escape(
-        run.points, flat_tol=flat_tol, jump_tol=jump_tol, min_flat=min_flat
+        points, flat_tol=flat_tol, jump_tol=jump_tol, min_flat=min_flat
     )
-    return run, event
+    return points, event

@@ -33,13 +33,6 @@ NEAR_STABLE_X1 = "-0.618033988749"
 
 
 @dataclass(frozen=True)
-class RecurrenceRun:
-    """x_0 .. x_N with x_n = x_{n-1} + x_{n-2}, exact per backend."""
-
-    seq: tuple[Scalar, ...]
-
-
-@dataclass(frozen=True)
 class EigenData:
     """Coordinates of a start point in the eigenbasis of A = [[0,1],[1,1]]:
     a_u along v_u = (1, phi), a_s along v_s = (1, -1/phi)."""
@@ -50,8 +43,9 @@ class EigenData:
 
 def recurrence(
     x0: Scalar, x1: Scalar, n: int, backend: Backend | None = None
-) -> RecurrenceRun:
-    """The sequence x_0 .. x_n; equivalently n-1 applications of A."""
+) -> tuple[Scalar, ...]:
+    """The sequence x_0 .. x_n, each sum the backend's own; equivalently
+    n-1 applications of A."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     b = backend if backend is not None else infer_backend(x0)
@@ -61,7 +55,7 @@ def recurrence(
     with b.context():
         for _ in range(n - 1):
             seq.append(seq[-1] + seq[-2])
-    return RecurrenceRun(seq=tuple(seq))
+    return tuple(seq)
 
 
 def decompose(x0: Scalar, x1: Scalar) -> EigenData:
@@ -95,9 +89,9 @@ def predict_escape_index(
     return max(n, 0)
 
 
-def first_crossing(run: RecurrenceRun, threshold: float = 1.0) -> int | None:
-    """First index whose value exceeds the threshold in magnitude."""
-    for i, x in enumerate(run.seq):
+def first_crossing(seq, threshold: float = 1.0) -> int | None:
+    """First index of seq whose value exceeds the threshold in magnitude."""
+    for i, x in enumerate(seq):
         if abs(x) > threshold:
             return i
     return None

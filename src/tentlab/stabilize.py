@@ -39,18 +39,6 @@ class Coefficients:
 
 
 @dataclass(frozen=True)
-class StabRun:
-    """A stabilized trajectory: x0 and five plain iterates, then averages."""
-
-    params: MapParams
-    starred: tuple[Scalar, ...]
-
-    def to_floats(self) -> list[float]:
-        b = self.params.backend
-        return [b.to_float(x) for x in self.starred]
-
-
-@dataclass(frozen=True)
 class EquilibriumReport:
     """Stability verdict for one fixed point of f = T_h^k."""
 
@@ -128,19 +116,18 @@ def stabilized_orbit(
     k: int,
     coeffs: Coefficients,
     steps: int,
-) -> StabRun:
-    """x*_0 ... x*_steps from x0 clamped into [0, 1]: x0 and five plain
-    iterates of f = T_h^k seed the run, then each value is the weighted
-    average of f over the six before it."""
+) -> tuple[Scalar, ...]:
+    """x*_0 ... x*_steps from x0 clamped into [0, 1], as a tuple of backend
+    values: x0 and five plain iterates of f = T_h^k seed the run, then each
+    value is the weighted average of f over the six before it."""
     if steps < TAPS:
         raise DomainError(f"need at least {TAPS} steps to start averaging, got {steps}")
     b = params.backend
     a = tuple(map(b.check, coeffs.a))
     with b.context():
-        starred = tuple(_starred(
+        return tuple(_starred(
             b.clamp_unit(x0), lambda x: tent_power_step(x, params, k), a, steps
         ))
-    return StabRun(params=params, starred=starred)
 
 
 def companion_spectrum(

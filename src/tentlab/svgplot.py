@@ -7,8 +7,9 @@ exact integer arithmetic, byte-equal to format(v, ".2f"): 100 * v is the
 significand times 100 shifted right, rounded half-even on the remainder,
 and a slice of marks is one NUL-padded uint32 matrix, NULs deleted, as
 sweeprows.sweep_rows lays out sweep.csv.  That holds for v in [1,
-1024), which scaled marks do not leave; a slice with a value outside
-goes through format.  as_float reads a cell as tentlab writes it, a
+1024), which scaled marks do not leave: they lie within rounding of
+[20, 790], since the points are finite and an axis's range is under
+2**52 wide.  as_float reads a cell as tentlab writes it, a
 decimal or an exact p/q fraction, as a float; the CLI plots the
 columns it parses so.  A point with a NaN or infinite coordinate is left
 out, of the marks and of the axes' ranges, and an axis whose values reach
@@ -69,15 +70,12 @@ def as_floats(cells: list[str]) -> np.ndarray:
 
 
 def _axis_range(values: np.ndarray) -> tuple[float, float]:
-    """min and max of the values' list.  Those keep their first value until
-    a later one compares below or above it, so they give the first of the
-    least and of the greatest values, -0.0 or 0.0 as it comes, and so do
-    argmin and argmax; a leading NaN is both, since nothing compares with
-    it, and a later NaN is never either."""
+    """min and max of the values' list, none of them NaN.  Those keep their
+    first value until a later one compares below or above it, so they give
+    the first of the least and of the greatest values, -0.0 or 0.0 as it
+    comes, and so do argmin and argmax."""
     if not len(values):
         return 0.0, 1.0
-    if not np.isnan(values[0]):
-        values = values[values == values]
     lo, hi = (float(values[pick(values)]) for pick in (np.argmin, np.argmax))
     return (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
 
@@ -97,22 +95,20 @@ def _scale(v, lo: float, hi: float, out_lo: float, out_hi: float):
     return out_lo + (v - lo) * (out_hi - out_lo) / (hi - lo)
 
 
-def _hundredths(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _hundredths(v: np.ndarray) -> np.ndarray:
     """100 * v rounded half-even to an integer, exactly, for every v of a
-    float64 array, and the mask of those in [1, 1024), where it is right.
-    There v = c * 2**-s, c the 53-bit significand and 43 <= s <= 52, so
-    100 * c < 2**60 and 100 * v is 100 * c >> s plus the remainder over
-    2**s: format(v, ".2f") rounds the same exact value the same way."""
+    float64 array of values in [1, 1024).  There v = c * 2**-s, c the
+    53-bit significand and 43 <= s <= 52, so 100 * c < 2**60 and 100 * v
+    is 100 * c >> s plus the remainder over 2**s: format(v, ".2f") rounds
+    the same exact value the same way."""
     bits = v.view(np.uint64)
-    exponent = bits >> 52  # a negative's is 2048 or more
-    inside = (exponent >= 1023) & (exponent <= 1032)
-    shift = 1075 - np.clip(exponent, 1023, 1032)
+    shift = 1075 - (bits >> 52)
     scaled = ((bits & (1 << 52) - 1) | 1 << 52) * 100
     cents = scaled >> shift
     rest = scaled - (cents << shift)
     half = np.uint64(1) << (shift - 1)
     cents += (rest > half) | ((rest == half) & (cents & 1 == 1))
-    return cents, inside
+    return cents
 
 
 @functools.cache
@@ -187,18 +183,12 @@ def svg_pieces(labels: tuple[str, str], xs, ys, style: str):
         row = np.concatenate([pre, [0, 0], mid, [0, 0], post]).astype(np.uint32)
         at = (len(pre), len(pre) + 2 + len(mid))
         for i in range(0, len(xs), _SLICE):
-            x, y = xs[i:i + _SLICE], ys[i:i + _SLICE]
-            with np.errstate(all="ignore"):
-                pxs = _scale(x, x_lo, x_hi, _LEFT, _RIGHT)
-                pys = _scale(y, y_lo, y_hi, _BOTTOM, _TOP)
-            (x_cents, x_inside), (y_cents, y_inside) = map(_hundredths, (pxs, pys))
-            if not (x_inside.all() and y_inside.all()):
-                yield "".join(map(mark.format, pxs.tolist(), pys.tolist()))
-                continue
+            pxs = _scale(xs[i:i + _SLICE], x_lo, x_hi, _LEFT, _RIGHT)
+            pys = _scale(ys[i:i + _SLICE], y_lo, y_hi, _BOTTOM, _TOP)
             table = np.empty((len(pxs), len(row)), dtype=np.uint32)
             table[:] = row
-            for col, cents in zip(at, (x_cents, y_cents)):
-                table[:, col:col + 2] = _cells(cents)
+            for col, v in zip(at, (pxs, pys)):
+                table[:, col:col + 2] = _cells(_hundredths(v))
             yield table.tobytes().translate(None, b"\0").decode("ascii")
 
     if style == "line" and len(xs) >= 2:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .backends import CELL_BYTES, MismatchError
+from .backends import CELL_BYTES
 from .experiments import KINDS
 from .svgplot import as_floats
 
@@ -22,10 +22,10 @@ def sweep_rows(b, plot: bool):
 
     Under binary64 the rows are a uint8 matrix of _ROW_BYTES columns, NUL
     where a field is shorter, in a table each worker reuses; Binary64.cells
-    writes the three numbers in place, each equal to its repr.  The rows
-    returned are a new uint8 array of its bytes, NULs deleted; the other
-    backends join their serialize cells into a string, with repr for the
-    float64 distances."""
+    writes the three numbers in place, each equal to its repr, and refuses
+    a column that is not float64.  The rows returned are a new uint8 array
+    of its bytes, NULs deleted; the other backends join their serialize
+    cells into a string, with repr for the float64 distances."""
     names = [kind.value for kind in KINDS]
     binary64 = b.kind == "binary64"
     labels = np.array([f",{name},".encode() for name in names], dtype="S16")
@@ -35,9 +35,6 @@ def sweep_rows(b, plot: bool):
     def rows(points, finals, codes, distances):
         nonlocal table
         if binary64:
-            if not points.dtype == finals.dtype == np.float64:
-                raise MismatchError(f"expected binary64 values (float64), got "
-                                    f"{points.dtype} and {finals.dtype} arrays")
             if len(table) < len(codes):
                 table = np.empty((len(codes), _ROW_BYTES), dtype=np.uint8)
             matrix = table[:len(codes)]

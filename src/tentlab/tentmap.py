@@ -6,6 +6,7 @@ always counts as the left branch.  The right branch is evaluated as
 h - h*x: one multiply then one subtraction, each the value type's own
 operator under the backend's context, so precision-limited backends round
 exactly twice per step and runs are reproducible operation for operation.
+An orbit is the tuple of its values, each of the backend's own type.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backends import Backend, Branch, DomainError, Scalar
+from .backends import Backend, DomainError, Scalar
 
 
 @dataclass(frozen=True)
@@ -37,18 +38,6 @@ class MapParams:
     @classmethod
     def parse(cls, text: str, backend: Backend) -> "MapParams":
         return cls(backend.parse(text), backend)
-
-
-@dataclass(frozen=True)
-class Orbit:
-    """A finite trajectory of T_h^k: points[t+1] = T_h^k(points[t])."""
-
-    params: MapParams
-    points: tuple[Scalar, ...]
-
-    def to_floats(self) -> list[float]:
-        b = self.params.backend
-        return [b.to_float(p) for p in self.points]
 
 
 def tent_step(x: Scalar, params: MapParams) -> Scalar:
@@ -83,8 +72,9 @@ def tent_power_step(x: Scalar, params: MapParams, k: int = 1) -> Scalar:
     return x
 
 
-def orbit(x0: Scalar, params: MapParams, k: int = 1, steps: int = 0) -> Orbit:
-    """Trajectory of T_h^k from x0: steps+1 points, points[0] = x0."""
+def orbit(x0: Scalar, params: MapParams, k: int = 1, steps: int = 0) -> tuple[Scalar, ...]:
+    """Trajectory of T_h^k from x0 clamped into [0, 1]: steps+1 points,
+    points[t+1] = T_h^k(points[t])."""
     if steps < 0:
         raise DomainError(f"steps must be nonnegative, got {steps}")
     b = params.backend
@@ -93,7 +83,7 @@ def orbit(x0: Scalar, params: MapParams, k: int = 1, steps: int = 0) -> Orbit:
     for _ in range(steps):
         x = tent_power_step(x, params, k)
         pts.append(x)
-    return Orbit(params=params, points=tuple(pts))
+    return tuple(pts)
 
 
 def itinerary(x0: Scalar, params: MapParams, n: int) -> tuple[str, Scalar]:
@@ -110,9 +100,9 @@ def itinerary(x0: Scalar, params: MapParams, n: int) -> tuple[str, Scalar]:
     symbols = []
     slope = b.from_int(1)
     for _ in range(n):
-        branch = b.cmp_half(x)
-        symbols.append(branch.value)
+        left = x <= b._half  # x lies in [0, 1]: clamped, then tent_step's values
+        symbols.append("L" if left else "R")
         with b.context():  # -(slope*h) is slope*(-h) rounded; its minus rounds nothing
-            slope = slope * params.h if branch is Branch.LEFT else -(slope * params.h)
+            slope = slope * params.h if left else -(slope * params.h)
         x = tent_step(x, params)
     return "".join(symbols), slope

@@ -28,6 +28,7 @@ from tentlab.cycles import enumerate_cycles, fixed_point, onset_threshold, two_c
 from tentlab.experiments import (
     DEFAULT_FLAT_TOL,
     KINDS,
+    SQRT2_SLOPE_DIGITS,
     NetSpec,
     OutcomeKind,
     build_net,
@@ -107,7 +108,7 @@ def sqrt2_run():
     run, event = sqrt2_experiment(precision=70, steps=600)
     elapsed = time.perf_counter() - t0
     ref = sqrt2_reference(70)
-    devs = [abs(float(x - ref)) for x in run.points]
+    devs = [abs(float(x - ref)) for x in run]
     return run, event, devs, elapsed
 
 
@@ -173,10 +174,10 @@ def test_criterion_04_stabilization_basins():
     lo, hi = 6 / 13, 9 / 13
     targets = {0.1: hi, 0.2: lo, 0.3: hi}
     for x0, target in targets.items():
-        final = stabilized_orbit(x0, params, 2, coeffs, 50).starred[-1]
+        final = stabilized_orbit(x0, params, 2, coeffs, 50)[-1]
         if abs(final - target) >= 1e-3:
             failures.append(f"from {x0}: {final!r} not within 1e-3 of {target}")
-    final_04 = stabilized_orbit(0.4, params, 2, coeffs, 50).starred[-1]
+    final_04 = stabilized_orbit(0.4, params, 2, coeffs, 50)[-1]
     if f"{final_04:.4f}" != "0.6000":
         failures.append(f"from 0.4: {final_04!r} does not print as 0.6000")
     if abs(final_04 - 0.6) >= 1e-8:
@@ -215,17 +216,17 @@ def test_criterion_05b_uniform_sweep_classifies_all_others(uniform_sweep):
             continue
         run = stabilized_orbit(x0, params, 2, coeffs, result.steps)
         final = result.finals[i].item()
-        if run.starred[-1] != final:
+        if run[-1] != final:
             failures.append(
                 f"start {x0!r}: sweep ends on {final!r}, scalar "
-                f"run on {run.starred[-1]!r}"
+                f"run on {run[-1]!r}"
             )
         # an infinite tolerance names the nearest target, ties as usual
-        nearest, _ = classify_outcome(run, params, math.inf)
+        nearest, _ = classify_outcome(run[-1], params, math.inf)
         if nearest is OutcomeKind.FIXED_POINT:
             failures.append(f"start {x0!r} is nearest the fixed point")
         longer = stabilized_orbit(x0, params, 2, coeffs, 100)
-        landed, _ = classify_outcome(longer, params, result.tolerance)
+        landed, _ = classify_outcome(longer[-1], params, result.tolerance)
         if landed is not nearest:
             failures.append(
                 f"start {x0!r}: nearest {nearest.value} at step "
@@ -257,12 +258,12 @@ def test_criterion_05d_triadic_sweep_includes_23_45(triadic_sweep):
     rat = _rat_params()
     coeffs = build_coefficients(Fraction(6, 5))
     exact = stabilized_orbit(Fraction(23, 45), rat, 2, coeffs, result.steps)
-    exact_kind, _ = classify_outcome(exact, rat, result.tolerance)
+    exact_kind, _ = classify_outcome(exact[-1], rat, result.tolerance)
     # the seed window is (23/45, 2/5, 3/5, 3/5, 3/5, 3/5) and f(23/45) = 2/5,
     # so the first average misses the fixed point by a_6/5
     kicked = Fraction(3, 5) - coeffs.a[TAPS - 1] / 5
-    if exact.starred[TAPS] != kicked:
-        failures.append(f"exact x*_6 = {exact.starred[TAPS]}, not {kicked}")
+    if exact[TAPS] != kicked:
+        failures.append(f"exact x*_6 = {exact[TAPS]}, not {kicked}")
     if exact_kind is not OutcomeKind.CYCLE_LOW:
         failures.append(f"exact run from 23/45 ends {exact_kind.value}")
     if variant is not exact_kind:
@@ -270,7 +271,7 @@ def test_criterion_05d_triadic_sweep_includes_23_45(triadic_sweep):
             f"start 23/45 ends {variant.value} in binary64 but "
             f"{exact_kind.value} in exact arithmetic"
         )
-    gap = abs(result.finals[index] - float(exact.starred[-1]))
+    gap = abs(result.finals[index] - float(exact[-1]))
     if gap >= 1e-12:
         failures.append(f"binary64 final is {gap:.3e} from the exact final")
     # only exact preimages T^-2(3/5) start on the fixed point and stay there
@@ -312,7 +313,7 @@ def test_criterion_07_escape_dichotomy():
     params = _b64_params()
     coeffs = build_coefficients(1.2)
     run = stabilized_orbit(0.4, params, 2, coeffs, 300)
-    event = detect_escape(run.to_floats())
+    event = detect_escape(run)
     if event is None:
         failures.append("binary64 run from 0.4 produced no escape event")
     else:
@@ -327,9 +328,9 @@ def test_criterion_07_escape_dichotomy():
     exact = stabilized_orbit(
         Fraction(2, 5), _rat_params(), 2, build_coefficients(Fraction(6, 5)), 300
     )
-    if detect_escape(exact.to_floats()) is not None:
+    if detect_escape(exact) is not None:
         failures.append("exact-arithmetic run escaped")
-    if any(x != Fraction(3, 5) for x in exact.starred[1:]):
+    if any(x != Fraction(3, 5) for x in exact[1:]):
         failures.append("exact-arithmetic run left 3/5")
     _report("7", "escape dichotomy from 0.4", failures)
 
@@ -346,7 +347,7 @@ def test_criterion_08a_sqrt2_orbit_lands_on_target(sqrt2_run):
 
 def test_criterion_08b_sqrt2_orbit_flat_through_300(sqrt2_run):
     failures = []
-    run, _, devs, _ = sqrt2_run
+    _, _, devs, _ = sqrt2_run
     # the orbit reaches the target at step 3; the staying clause starts there
     worst = max(devs[3 : 300 + 1])
     if worst >= DEFAULT_FLAT_TOL:
@@ -359,7 +360,7 @@ def test_criterion_08b_sqrt2_orbit_flat_through_300(sqrt2_run):
         )
     # linearized growth: the fixed point's multiplier is -h, so once the
     # seed gap dominates the rounding noise each step scales it by h
-    h = float(run.params.h)
+    h = float(SQRT2_SLOPE_DIGITS)
     for n in range(20, 300):
         ratio = devs[n + 1] / devs[n] / h
         if abs(ratio - 1) >= 0.01:
@@ -387,8 +388,8 @@ def test_criterion_08c_sqrt2_escape_window(sqrt2_run):
 
 def test_criterion_09_recurrence_and_prediction():
     failures = []
-    if recurrence(1.0, 1.0, 10).seq[10] != 89.0:
-        failures.append(f"x_10 = {recurrence(1.0, 1.0, 10).seq[10]!r}")
+    if recurrence(1.0, 1.0, 10)[10] != 89.0:
+        failures.append(f"x_10 = {recurrence(1.0, 1.0, 10)[10]!r}")
     x1 = -0.618033988749
     run = recurrence(1.0, x1, 100)
     observed = first_crossing(run, 1.0)
@@ -436,10 +437,10 @@ def test_criterion_10a_recursion_equivalence():
         params = MapParams.parse("1.5", backend)
         coeffs = build_coefficients(backend.parse("1.2"), backend)
         run = stabilized_orbit(x0, params, 2, coeffs, 30)
-        state = run.starred[:TAPS]
+        state = run[:TAPS]
         for n in range(TAPS, 31):
             state = companion_step(state, params, coeffs)
-            if state[-1] != run.starred[n]:
+            if state[-1] != run[n]:
                 failures.append(
                     f"{backend.kind} from {x0!r} diverges at step {n}"
                 )
@@ -458,7 +459,7 @@ def test_criterion_10b_convexity_containment():
     starts = [i / 500 for i in range(501)]
     for x0 in starts:
         run = stabilized_orbit(x0, params, 2, coeffs, 50)
-        bad = [x for x in run.starred if not 0.0 <= x <= 1.0]
+        bad = [x for x in run if not 0.0 <= x <= 1.0]
         if bad:
             failures.append(f"from {x0!r}: value {bad[0]!r} left [0, 1]")
             break

@@ -19,11 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tentlab import MapParams, backends, build_coefficients, recurrence, stabilized_orbit, tent_step
+from tentlab import (
+    MapParams, backends, build_coefficients, itinerary, recurrence, stabilized_orbit, tent_step,
+)
 from tentlab.backends import (
     CELL_BYTES,
     Binary64,
-    Branch,
     DomainError,
     FixedDecimal,
     MismatchError,
@@ -207,21 +208,33 @@ class TestArithmetic:
 
 
 class TestComparison:
+    """The branch rule, which itinerary and tent_step apply: the tie at 1/2
+    is the left branch, and a point outside [0, 1] is refused."""
+
     def test_tie_at_half_goes_left(self):
-        assert Binary64().cmp_half(0.5) is Branch.LEFT
-        assert Rational().cmp_half(Fraction(1, 2)) is Branch.LEFT
-        assert FixedDecimal(12).cmp_half(Decimal("0.5")) is Branch.LEFT
+        for b in (Binary64(), Rational(), FixedDecimal(12)):
+            params = MapParams(b.parse("3/2"), b)
+            assert itinerary(b.parse("0.5"), params, 1) == ("L", params.h)
 
     def test_just_past_half_goes_right(self):
         b = Binary64()
-        assert b.cmp_half(math.nextafter(0.5, 1.0)) is Branch.RIGHT
-        assert Rational().cmp_half(Fraction(1, 2) + Fraction(1, 10**30)) is Branch.RIGHT
+        params = MapParams(1.5, b)
+        assert itinerary(math.nextafter(0.5, 1.0), params, 1) == ("R", -1.5)
+        assert tent_step(math.nextafter(0.5, 1.0), params) == 1.5 - 1.5 * math.nextafter(0.5, 1.0)
+        rat = MapParams(Fraction(3, 2), Rational())
+        x = Fraction(1, 2) + Fraction(1, 10**30)
+        assert itinerary(x, rat, 1) == ("R", Fraction(-3, 2))
+        assert tent_step(x, rat) == Fraction(3, 2) * (1 - x)
 
     def test_outside_unit_interval_rejected(self):
         with pytest.raises(DomainError):
-            Binary64().cmp_half(1.0000001)
+            itinerary(1.0000001, MapParams(1.5, Binary64()), 1)
         with pytest.raises(DomainError):
-            Rational().cmp_half(Fraction(-1, 10))
+            tent_step(1.0000001, MapParams(1.5, Binary64()))
+        with pytest.raises(DomainError):
+            itinerary(Fraction(-1, 10), MapParams(Fraction(3, 2), Rational()), 1)
+        with pytest.raises(DomainError):
+            tent_step(Fraction(-1, 10), MapParams(Fraction(3, 2), Rational()))
 
 
 class TestClamp:

@@ -706,7 +706,7 @@ class TestSweep:
         argv = ["sweep", "--net", "uniform:200", "--threads", threads, "--out", str(out)]
         assert run_command(argv) == 2
         assert capsys.readouterr().err == (
-            "tentlab: error: expected binary64 values (float64), got float64 and object arrays\n"
+            "tentlab: error: expected binary64 values (float64), got object array\n"
         )
         assert not out.exists()
 
@@ -868,6 +868,18 @@ class TestEscape:
             ]
         )
         assert read_json(tmp_path / "escape.json")["event"] is None
+
+    def test_decimal_artifact_bytes_pinned(self, tmp_path):
+        # recorded when the event's values reached escape.json as floats;
+        # they now come as the run's Decimals and float() writes them alike
+        argv = ["escape", "--backend", "decimal", "--precision", "30", "--steps", "300"]
+        assert run_command([*argv, "--out", str(tmp_path)]) == 0
+        assert [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in ("escape.csv", "escape.json")] == [
+            "1f4f48815851c4eb22979b23ab2fbb70b8894f786611009db9e295a01046cd93",
+            "55b50c930e8307d1a43a3076284eb84fe2132eabc22c7d008b0ca57cbde95470",
+        ]
+        assert read_json(tmp_path / "escape.json")["event"]["escape_index"] == 203
 
 
 class TestSeries:
@@ -1323,6 +1335,7 @@ class TestStreamedRender:
 
     @pytest.mark.parametrize("values", AXIS_COLUMNS)
     def test_axis_range_is_min_and_max_of_the_list(self, monkeypatch, values):
+        values = [v for v in values if not math.isnan(v)]  # svg_pieces passes no NaN
         if values:
             lo, hi = min(values), max(values)
             want = (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
@@ -1330,21 +1343,24 @@ class TestStreamedRender:
             want = (0.0, 1.0)
         for length in self.LENGTHS:
             monkeypatch.setattr(svgplot, "_SLICE", length)
-            # repr tells NaN, -0.0 and 0.0 apart where == would not
+            # repr tells -0.0 and 0.0 apart where == would not
             assert repr(svgplot._axis_range(np.array(values))) == repr(want)
 
 
 def mark_cells(values):
-    """svgplot's .2f text of each value it covers, and the mask of those."""
-    cents, inside = svgplot._hundredths(np.array(values, dtype=np.float64))
-    words = svgplot._cells(cents[inside])
-    return [row.tobytes().replace(b"\0", b"").decode() for row in words], inside.tolist()
+    """svgplot's .2f text of each value, all of them in [1, 1024)."""
+    words = svgplot._cells(svgplot._hundredths(np.array(values, dtype=np.float64)))
+    return [row.tobytes().replace(b"\0", b"").decode() for row in words]
 
 
-# the ends of [1, 1024), where the integer cells hold, and values past them
+# the ends of [1, 1024), where the integer cells hold
 MARK_EDGES = [1.0, np.nextafter(1.0, 2.0), np.nextafter(1024.0, 0.0), 1023.995, 1023.994999]
-MARK_OUTSIDE = [np.nextafter(1.0, 0.0), 1024.0, 0.0, -0.0, 0.5, 5e-324, -1.5, -790.0,
-                1e300, math.nan, math.inf, -math.inf]
+# the bit patterns of [1, 1024)
+MARK_BITS = (int(np.float64(1.0).view(np.uint64)), int(np.float64(1024.0).view(np.uint64)) - 1)
+# finite values, with the edges of what _unit and _axis_range meet drawn often
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308,
+     2.0**51, math.nextafter(2.0**51, 0.0), -(2.0**51), 2.0**52, 1.0, 0.5])
 
 
 class TestMarkCells:
@@ -1353,17 +1369,13 @@ class TestMarkCells:
     @given(st.lists(st.floats(min_value=1.0, max_value=1024.0, exclude_max=True), min_size=1))
     @settings(max_examples=300, deadline=None)
     def test_any_value_inside_writes_its_format(self, values):
-        texts, inside = mark_cells(values)
-        assert all(inside)
-        assert texts == [format(v, ".2f") for v in values]
+        assert mark_cells(values) == [format(v, ".2f") for v in values]
 
-    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1))
+    @given(st.lists(st.integers(*MARK_BITS), min_size=1))
     @settings(max_examples=300, deadline=None)
-    def test_any_bit_pattern_is_inside_or_left_to_format(self, patterns):
+    def test_any_bit_pattern_inside_writes_its_format(self, patterns):
         values = np.array(patterns, dtype=np.uint64).view(np.float64)
-        texts, inside = mark_cells(values)
-        assert inside == [1.0 <= v < 1024.0 for v in values.tolist()]
-        assert texts == [format(v, ".2f") for v in values[inside].tolist()]
+        assert mark_cells(values) == [format(v, ".2f") for v in values.tolist()]
 
     def test_exact_ties_and_their_neighbours(self):
         # k/8 is exact, so every odd k puts the third decimal at a tie that
@@ -1371,23 +1383,26 @@ class TestMarkCells:
         eighths = np.arange(9, 8192) / 8
         values = np.concatenate([eighths, np.nextafter(eighths, 0.0),
                                  np.nextafter(eighths, np.inf), MARK_EDGES])
-        texts, inside = mark_cells(values)
-        assert all(inside)
-        assert texts == [format(v, ".2f") for v in values.tolist()]
-        assert mark_cells([1.125, 1.375, np.nextafter(1.125, 2.0)])[0] == ["1.12", "1.38", "1.13"]
+        assert mark_cells(values) == [format(v, ".2f") for v in values.tolist()]
+        assert mark_cells([1.125, 1.375, np.nextafter(1.125, 2.0)]) == ["1.12", "1.38", "1.13"]
 
-    def test_values_past_the_domain_are_left_to_format(self):
-        assert mark_cells(MARK_OUTSIDE) == ([], [False] * len(MARK_OUTSIDE))
-
-    def test_a_slice_with_a_value_outside_is_formatted(self, monkeypatch):
-        # no column that _scale maps reaches outside, so the scale is widened
-        monkeypatch.setattr(svgplot, "_RIGHT", 1100.0)
-        xs = np.array([0.0, 0.5, 1.0, 0.25])
-        pieces = list(svgplot.svg_pieces(("x", "y"), xs, xs, "scatter"))
-        assert pieces[1] == "".join(
-            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" fill="steelblue"/>\n'
-            for x, y in zip(70 + xs * 1030, 450 - xs * 430))
-        assert '<circle cx="1100.00" cy="20.00"' in pieces[1]
+    @given(st.lists(st.tuples(FINITE, FINITE), max_size=40), st.sampled_from(["line", "scatter"]))
+    @settings(max_examples=300, deadline=None)
+    def test_every_mark_of_finite_columns_is_its_format(self, points, style):
+        # finite columns scale into [1, 1024), where the integer cells hold
+        xs, ys = (np.array([p[i] for p in points], dtype=np.float64) for i in (0, 1))
+        want = []
+        ends = ((svgplot._LEFT, svgplot._RIGHT), (svgplot._BOTTOM, svgplot._TOP))
+        for v, (out_lo, out_hi) in zip((xs, ys), ends):
+            v = v / svgplot._unit(v)
+            scaled = svgplot._scale(v, *svgplot._axis_range(v), out_lo, out_hi)
+            assert ((1.0 <= scaled) & (scaled < 1024.0)).all()
+            want.append([format(p, ".2f") for p in scaled.tolist()])
+        text = "".join(svg_pieces(("x", "y"), xs, ys, style))
+        polyline = re.search(r'<polyline points="([^"]*)"', text)
+        marks = ([tuple(m.split(",")) for m in polyline.group(1).split(" ")] if polyline
+                 else re.findall(r'<circle cx="([^"]*)" cy="([^"]*)"', text))
+        assert marks == list(zip(*want))
 
 
 class TestParserDefaults:

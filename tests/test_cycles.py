@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 import pytest
 
-from tentlab.backends import Binary64, Branch, DomainError, Rational, make_backend
+from tentlab.backends import Binary64, DomainError, Rational, make_backend
 from tentlab.cycles import (
     Cycle,
     _closes,
@@ -130,7 +130,7 @@ def _scalar_census(params: MapParams, n: int) -> list[Cycle]:
         pts = []
         x = x_star
         for sym in word:
-            if b.cmp_half(x).value != sym:
+            if ("L" if x <= b._half else "R") != sym:  # the tie at 1/2 is L
                 break
             pts.append(x)
             x = tent_step(x, params)
@@ -152,16 +152,18 @@ def cycle_multiplier(c: Cycle, params: MapParams):
     m = b.from_int(1)
     for i in range(n):
         x = c.points[i]
-        branch = b.cmp_half(x)
-        if branch.value != c.itinerary[i]:
+        if not 0 <= x <= 1:
+            raise DomainError(f"point {i}, {x!r}, lies outside [0, 1]")
+        branch = "L" if x <= b._half else "R"  # the tie at 1/2 is L
+        if branch != c.itinerary[i]:
             raise DomainError(
-                f"point {i} realizes branch {branch.value}, "
+                f"point {i} realizes branch {branch}, "
                 f"itinerary says {c.itinerary[i]}"
             )
         if not _closes(tent_step(x, params), c.points[(i + 1) % n], b):
             raise DomainError(f"points {i} -> {(i + 1) % n} are not one step apart")
         with b.context():  # -(m*h) is m*(-h) rounded, as in itinerary
-            m = m * params.h if branch is Branch.LEFT else -(m * params.h)
+            m = m * params.h if branch == "L" else -(m * params.h)
     return m
 
 

@@ -30,7 +30,6 @@ from tentlab.experiments import (
     OutcomeKind,
     UNRESOLVED_CODE,
     build_net,
-    chaotic_series,
     chunk_map,
     classify_finals,
     classify_outcome,
@@ -41,8 +40,8 @@ from tentlab.experiments import (
     _SharedDenominator,
     _sweep_chunk_rational,
 )
-from tentlab.stabilize import Coefficients, StabRun, build_coefficients, stabilized_orbit
-from tentlab.tentmap import MapParams, tent_power_step
+from tentlab.stabilize import Coefficients, build_coefficients, stabilized_orbit
+from tentlab.tentmap import MapParams, orbit, tent_power_step
 
 from test_stabilize import reference_run
 
@@ -235,36 +234,33 @@ class TestClassifyOutcome:
     def test_01_reaches_upper_cycle_point(self):
         params, coeffs = b64_setup()
         run = stabilized_orbit(0.1, params, 2, coeffs, 50)
-        kind, _ = classify_outcome(run, params, 1e-3)
+        kind, _ = classify_outcome(run[-1], params, 1e-3)
         assert kind is OutcomeKind.CYCLE_HIGH
-        assert abs(run.starred[-1] - 9 / 13) < 1e-3
+        assert abs(run[-1] - 9 / 13) < 1e-3
 
     def test_04_still_reads_as_fixed_point_at_step_50(self):
         params, coeffs = b64_setup()
         run = stabilized_orbit(0.4, params, 2, coeffs, 50)
-        kind, _ = classify_outcome(run, params, 1e-3)
+        kind, _ = classify_outcome(run[-1], params, 1e-3)
         assert kind is OutcomeKind.FIXED_POINT
 
     def test_far_value_unresolved(self):
         params, _ = b64_setup()
-        fake = StabRun(params=params, starred=(0.25,) * 7)
-        kind, distance = classify_outcome(fake, params, 1e-3)
+        kind, distance = classify_outcome(0.25, params, 1e-3)
         assert kind is OutcomeKind.UNRESOLVED
         assert distance == pytest.approx(abs(0.25 - 6 / 13), abs=1e-12)
 
     def test_exact_tie_prefers_cycle(self):
         params, _ = b64_setup()
         midpoint = (6 / 13 + 0.6) / 2
-        fake = StabRun(params=params, starred=(midpoint,) * 7)
-        kind, _ = classify_outcome(fake, params, 1.0)
+        kind, _ = classify_outcome(midpoint, params, 1.0)
         assert kind is OutcomeKind.CYCLE_LOW
 
     def test_distance_strictly_inside_tolerance(self):
         params, _ = b64_setup()
-        fake = StabRun(params=params, starred=(0.7,) * 7)
         d = abs(0.7 - 9 / 13)
-        assert classify_outcome(fake, params, d)[0] is OutcomeKind.UNRESOLVED
-        assert classify_outcome(fake, params, d * 1.001)[0] is OutcomeKind.CYCLE_HIGH
+        assert classify_outcome(0.7, params, d)[0] is OutcomeKind.UNRESOLVED
+        assert classify_outcome(0.7, params, d * 1.001)[0] is OutcomeKind.CYCLE_HIGH
 
 
 def check_against_oracle(finals, targets, tolerance):
@@ -431,7 +427,7 @@ class TestSweep:
         for x0, final in zip(result.points, result.finals):
             run = stabilized_orbit(x0, params, 2, coeffs, 20)
             assert type(final) is Fraction
-            assert final == run.starred[-1]
+            assert final == run[-1]
             assert final == reference_run(x0, params, 2, coeffs.a, 20)[-1]
         assert sum(result.counts.values()) == 16
 
@@ -441,7 +437,7 @@ class TestSweep:
             result = sweep(NetSpec.triadic(1), params, 2, coeffs, 20, 1e-3)
             for i, x0 in enumerate(result.points.tolist()):
                 run = stabilized_orbit(x0, params, 2, coeffs, 20)
-                kind, distance = classify_outcome(run, params, 1e-3)
+                kind, distance = classify_outcome(run[-1], params, 1e-3)
                 assert kind is KINDS[result.codes[i]]
                 assert distance == result.distances[i]
 
@@ -530,7 +526,7 @@ class TestSweep:
         params, coeffs = MapParams(h, b), build_coefficients(sigma, b)
         finals = _sweep_chunk_rational(np.array(x0s, dtype=object), params, k, coeffs.a, steps)
         for x0, final in zip(x0s, finals.tolist()):
-            expected = stabilized_orbit(x0, params, k, coeffs, steps).starred[-1]
+            expected = stabilized_orbit(x0, params, k, coeffs, steps)[-1]
             assert type(final) is Fraction and final == expected
 
     def test_shared_denominator_arithmetic_is_exact(self):
@@ -591,7 +587,7 @@ class TestSweep:
             return
         result = sweep(spec, params, 1, coeffs, steps, 1e-3)
         for x0, final in zip(result.points.tolist(), result.finals.tolist()):
-            expected = stabilized_orbit(x0, params, 1, coeffs, steps).starred[-1]
+            expected = stabilized_orbit(x0, params, 1, coeffs, steps)[-1]
             assert type(final) is type(expected) and final == expected
         if steps == 6:
             assert result.finals[1] == w  # returned unsnapped
@@ -695,13 +691,13 @@ class TestDetectEscape:
         # the eventually-fixed starts, run on into the converged tail
         params, coeffs = b64_setup()
         run = stabilized_orbit(params.backend.parse(x0), params, 2, coeffs, 1500)
-        series = run.to_floats()
+        series = run
         event = detect_escape(series)
         assert event is not None
         assert event == detect_escape_oracle(series)
 
     def test_binary64_04_escapes_at_frozen_index(self, run_04_b64):
-        ev = detect_escape(run_04_b64.starred)
+        ev = detect_escape(run_04_b64)
         assert ev is not None
         assert ev.flat_start == 1
         assert ev.flat_value == FLAT_VALUE_04
@@ -712,7 +708,7 @@ class TestDetectEscape:
     def test_rational_04_never_escapes(self):
         params, coeffs = rat_setup()
         run = stabilized_orbit(Fraction(2, 5), params, 2, coeffs, 300)
-        assert detect_escape(run.starred) is None
+        assert detect_escape(run) is None
 
     def test_escape_dichotomy_over_eventually_fixed_starts(self):
         b64p, b64c = b64_setup()
@@ -720,12 +716,12 @@ class TestDetectEscape:
         for text in ("2/5", "3/5", "4/15", "11/15"):
             frac = Fraction(text)
             rrun = stabilized_orbit(frac, ratp, 2, ratc, 120)
-            assert detect_escape(rrun.starred) is None
-            assert rrun.starred[-1] == Fraction(3, 5)
+            assert detect_escape(rrun) is None
+            assert rrun[-1] == Fraction(3, 5)
             brun = stabilized_orbit(
                 float(frac.numerator) / float(frac.denominator), b64p, 2, b64c, 500
             )
-            bev = detect_escape(brun.starred)
+            bev = detect_escape(brun)
             assert bev is not None
             assert bev.escape_index <= 500
 
@@ -735,28 +731,30 @@ class TestDetectEscape:
         # fixed point: x*_6 = 3/5 - a_6/5, and the run drifts to the cycle
         params, coeffs = rat_setup()
         run = stabilized_orbit(Fraction(23, 45), params, 2, coeffs, 12)
-        assert run.starred[2] == Fraction(3, 5)
-        assert run.starred[5] == Fraction(3, 5)
+        assert run[2] == Fraction(3, 5)
+        assert run[5] == Fraction(3, 5)
         kicked = Fraction(3, 5) - coeffs.a[5] / 5
-        assert run.starred[6] == kicked
-        assert run.starred[7] != Fraction(3, 5)
+        assert run[6] == kicked
+        assert run[7] != Fraction(3, 5)
 
 
 class TestChaoticSeries:
+    """The plain orbit of 1/2, which the series command writes."""
+
     def test_first_points(self):
         params, _ = b64_setup()
-        o = chaotic_series(params, 5)
-        assert o.points == (0.5, 0.75, 0.375, 0.5625, 0.65625, 0.515625)
+        o = orbit(params.backend.parse("0.5"), params, steps=5)
+        assert o == (0.5, 0.75, 0.375, 0.5625, 0.65625, 0.515625)
 
     def test_tail_confined_to_core_interval(self):
         params, _ = b64_setup()
-        o = chaotic_series(params, 300)
-        assert all(0.375 <= x <= 0.75 for x in o.points[1:])
+        o = orbit(params.backend.parse("0.5"), params, steps=300)
+        assert all(0.375 <= x <= 0.75 for x in o[1:])
 
     def test_rational_backend(self):
         params, _ = rat_setup()
-        o = chaotic_series(params, 3)
-        assert o.points == (
+        o = orbit(params.backend.parse("0.5"), params, steps=3)
+        assert o == (
             Fraction(1, 2),
             Fraction(3, 4),
             Fraction(3, 8),
@@ -798,7 +796,7 @@ class TestSqrt2Experiment:
     def test_third_point_lands_near_reference(self, full_run):
         run, _ = full_run
         ref = sqrt2_reference(70)
-        dev = abs(Fraction(*run.points[3].as_integer_ratio())
+        dev = abs(Fraction(*run[3].as_integer_ratio())
                   - Fraction(*ref.as_integer_ratio()))
         assert dev < Fraction(1, 10**55)
         assert Fraction(1, 10**59) < dev < Fraction(1, 10**57)
@@ -807,7 +805,7 @@ class TestSqrt2Experiment:
         run, _ = full_run
         ref = Fraction(*sqrt2_reference(70).as_integer_ratio())
         devs = [
-            abs(Fraction(*x.as_integer_ratio()) - ref) for x in run.points
+            abs(Fraction(*x.as_integer_ratio()) - ref) for x in run
         ]
         assert max(devs[3:121]) < Fraction(1, 10**40)
         assert devs[300] > Fraction(1, 10**40)
@@ -834,4 +832,4 @@ class TestSqrt2Experiment:
 
     def test_custom_slope_string(self):
         run, _ = sqrt2_experiment(h_digits="1.5", precision=20, steps=10)
-        assert run.points[1] == Decimal("0.75")
+        assert run[1] == Decimal("0.75")

@@ -72,16 +72,16 @@ class TestConstants:
 class TestRecurrence:
     def test_fibonacci_numbers(self):
         run = recurrence(1.0, 1.0, 10)
-        assert run.seq[10] == 89.0
-        assert run.seq == (1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89)
+        assert run[10] == 89.0
+        assert run == (1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89)
 
     def test_rational_exact(self):
         run = recurrence(Fraction(1), Fraction(1), 30, Rational())
-        assert run.seq[30] == 1346269
+        assert run[30] == 1346269
 
     def test_zero_start_stays_zero(self):
         run = recurrence(0.0, 0.0, 15)
-        assert set(run.seq) == {0.0}
+        assert set(run) == {0.0}
 
     def test_needs_at_least_one_step(self):
         with pytest.raises(DomainError):
@@ -94,7 +94,7 @@ class TestRecurrence:
             x0 = Fraction(rng.randint(-1000, 1000), rng.randint(1, 99))
             x1 = Fraction(rng.randint(-1000, 1000), rng.randint(1, 99))
             run = recurrence(x0, x1, 25, b)
-            assert list(run.seq) == matrix_orbit(x0, x1, 25)
+            assert list(run) == matrix_orbit(x0, x1, 25)
 
 
 class TestEigenBasis:
@@ -128,7 +128,7 @@ class TestDecompose:
         assert data.a_u == pytest.approx(1 / math.sqrt(5), abs=1e-15)
         run = recurrence(0.0, 1.0, 20)
         for n in range(10, 21):
-            assert modal_value(data, n) == pytest.approx(run.seq[n], rel=1e-9)
+            assert modal_value(data, n) == pytest.approx(run[n], rel=1e-9)
 
     def test_reconstruction_residuals_on_random_inputs(self):
         rng = random.Random(13)
@@ -145,7 +145,7 @@ class TestDecompose:
         x0, x1 = 0.3, -0.7
         d = decompose(x0, x1)
         run = recurrence(x0, x1, 40)
-        for n, x in enumerate(run.seq):
+        for n, x in enumerate(run):
             if abs(x) > 1e-12:
                 assert modal_value(d, n) == pytest.approx(x, rel=1e-9)
 
@@ -172,17 +172,17 @@ class TestCollapseAndEscape:
         )
 
     def test_collapse_bottoms_out_inside_window(self, exact_run):
-        mags = [abs(x) for x in exact_run.seq]
+        mags = [abs(x) for x in exact_run]
         argmin = min(range(len(mags)), key=lambda i: mags[i])
         assert 25 <= argmin <= 40
         assert argmin == 29
 
     def test_magnitude_at_forty(self, exact_run):
-        assert float(abs(exact_run.seq[40])) == pytest.approx(9.1578e-05, rel=1e-4)
+        assert float(abs(exact_run[40])) == pytest.approx(9.1578e-05, rel=1e-4)
 
     def test_signs_alternate_through_the_collapse(self, exact_run):
         for n in range(28):
-            assert exact_run.seq[n] * exact_run.seq[n + 1] < 0
+            assert exact_run[n] * exact_run[n + 1] < 0
 
     def test_escape_observed_at_sixty_exact(self, exact_run):
         assert first_crossing(exact_run, 1.0) == 60

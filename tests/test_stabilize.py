@@ -132,7 +132,7 @@ class TestStabilizedOrbit:
             b = params.backend
             for x0 in map(b.parse, ("0.3", "0.2", "0.4", "0.7231", "0.05")):
                 run = stabilized_orbit(x0, params, 2, coeffs, 80)
-                assert list(run.starred) == reference_run(x0, params, 2, coeffs.a, 80)
+                assert list(run) == reference_run(x0, params, 2, coeffs.a, 80)
 
     def test_fvalue_cache_holds_only_the_window(self, monkeypatch):
         params, coeffs = b64_setup()
@@ -145,10 +145,10 @@ class TestStabilizedOrbit:
 
         monkeypatch.setattr(stabilize, "tent_power_step", counted_step)
         run = stabilized_orbit(0.4, params, 2, coeffs, 2000)
-        assert list(run.starred) == reference_run(0.4, params, 2, coeffs.a, 2000)
+        assert list(run) == reference_run(0.4, params, 2, coeffs.a, 2000)
         # f of each value but the last, once and in order: the seed iterates
         # are the first f-values, and no tap is recomputed
-        assert calls == list(run.starred[:-1])
+        assert calls == list(run[:-1])
         assert len(calls) == 2000
 
     def test_array_run_keeps_what_it_yielded(self):
@@ -174,31 +174,31 @@ class TestStabilizedOrbit:
     def test_converges_to_upper_cycle_point_from_03(self):
         params, coeffs = b64_setup()
         run = stabilized_orbit(0.3, params, 2, coeffs, 50)
-        assert abs(run.starred[50] - 9 / 13) < 1e-3
+        assert abs(run[50] - 9 / 13) < 1e-3
 
     def test_converges_to_lower_cycle_point_from_02(self):
         params, coeffs = b64_setup()
         run = stabilized_orbit(0.2, params, 2, coeffs, 50)
-        assert abs(run.starred[50] - 6 / 13) < 1e-3
+        assert abs(run[50] - 6 / 13) < 1e-3
 
     def test_exact_arithmetic_pins_04_forever(self):
         params, coeffs = rat_setup()
         run = stabilized_orbit(Fraction(2, 5), params, 2, coeffs, 40)
-        assert all(x == Fraction(3, 5) for x in run.starred[1:])
+        assert all(x == Fraction(3, 5) for x in run[1:])
 
     def test_seed_points_are_plain_iterates(self):
         params, coeffs = b64_setup()
         run = stabilized_orbit(0.3, params, 2, coeffs, 10)
         x, h = 0.3, 1.5
         for j in range(6):
-            assert run.starred[j] == x
+            assert run[j] == x
             for _ in range(2):
                 x = h * x if x <= 0.5 else -h * x + h
 
     def test_run_length(self):
         params, coeffs = b64_setup()
-        assert len(stabilized_orbit(0.3, params, 2, coeffs, 6).starred) == 7
-        assert len(stabilized_orbit(0.3, params, 2, coeffs, 50).starred) == 51
+        assert len(stabilized_orbit(0.3, params, 2, coeffs, 6)) == 7
+        assert len(stabilized_orbit(0.3, params, 2, coeffs, 50)) == 51
 
     def test_too_few_steps_rejected(self):
         params, coeffs = b64_setup()
@@ -210,7 +210,7 @@ class TestStabilizedOrbit:
     def test_convexity_keeps_values_inside_unit_interval(self, x0):
         params, coeffs = b64_setup()
         run = stabilized_orbit(x0, params, 2, coeffs, 40)
-        assert all(0.0 <= x <= 1.0 for x in run.starred)
+        assert all(0.0 <= x <= 1.0 for x in run)
 
 
 class TestSpectrum:

@@ -144,19 +144,19 @@ class TestPowerStep:
 class TestOrbit:
     def test_hand_iterated_prefix(self):
         o = orbit(0.5, b64_params(1.5), k=1, steps=5)
-        assert o.points == (0.5, 0.75, 0.375, 0.5625, 0.65625, 0.515625)
+        assert o == (0.5, 0.75, 0.375, 0.5625, 0.65625, 0.515625)
 
     def test_rational_fixed_point_is_constant(self):
         o = orbit(Fraction(3, 5), rat_params(), k=1, steps=3)
-        assert set(o.points) == {Fraction(3, 5)}
+        assert set(o) == {Fraction(3, 5)}
 
     def test_zero_is_fixed(self):
         o = orbit(0.0, b64_params(1.7), k=1, steps=4)
-        assert set(o.points) == {0.0}
+        assert set(o) == {0.0}
 
     def test_point_count(self):
-        assert len(orbit(0.3, b64_params(), steps=7).points) == 8
-        assert len(orbit(0.3, b64_params(), steps=0).points) == 1
+        assert len(orbit(0.3, b64_params(), steps=7)) == 8
+        assert len(orbit(0.3, b64_params(), steps=0)) == 1
 
     def test_negative_steps_rejected(self):
         with pytest.raises(DomainError):
@@ -175,21 +175,21 @@ class TestOrbit:
         params = MapParams(Fraction(3, 2), backend)
         o = orbit(Fraction(num, den), params, k=1, steps=12)
         expect = oracle_orbit(num, den, 3, 2, 12)
-        got = [(pt.numerator, pt.denominator) for pt in o.points]
+        got = [(pt.numerator, pt.denominator) for pt in o]
         assert got == expect
 
     def test_power_orbit_subsamples_unit_orbit(self):
         p = b64_params(1.9)
         full = orbit(0.3, p, k=1, steps=12)
         doubled = orbit(0.3, p, k=3, steps=4)
-        assert doubled.points == full.points[::3]
+        assert doubled == full[::3]
 
     def test_decimal_orbit_reproducible(self):
         d = FixedDecimal(30)
         p = MapParams(d.parse("1.5"), d)
         o1 = orbit(d.parse("1/3"), p, k=1, steps=50)
         o2 = orbit(d.parse("1/3"), p, k=1, steps=50)
-        assert o1.points == o2.points
+        assert o1 == o2
 
 
 class TestItinerary:
@@ -300,7 +300,7 @@ class TestInvariants:
         p = MapParams(h, Rational())
         lo, hi = h - h * h / 2, h / 2
         for x0 in (Fraction(1, 7), Fraction(3, 11), Fraction(13, 17)):
-            pts = orbit(x0, p, k=1, steps=60).points
+            pts = orbit(x0, p, k=1, steps=60)
             inside = False
             for pt in pts:
                 if lo <= pt <= hi:
