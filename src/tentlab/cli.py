@@ -320,10 +320,10 @@ def _cmd_stabilize(ns, b, params, coeffs):
          flag("--net", default="uniform:1000",
               help="start-point net, uniform:N or triadic:M"),
          H, K, SIGMA, steps_flag(DEFAULT_STEPS), TOL,
-         flag("--threads", type=int, default=1,
+         flag("--threads", type=int, default=0,
               help="worker processes that compute and classify the sweep's "
                    "chunks and format sweep.csv, at most one per chunk and "
-                   "per CPU; 0 = one per CPU (default: 1)"),
+                   "per CPU; 0 = one per CPU (default: 0)"),
          *BACKEND, PLOT)
 def _cmd_sweep(ns, b, params, coeffs):
     spec = NetSpec.parse(ns.net)

@@ -148,12 +148,12 @@ class Census:
         n, b, h = self.period, self.params.backend, self.params.h
         shifts = self.shifts[start:stop]
         if self.denominators is None:
-            x, half = self.starts[start:stop], b.parse("0.5")
+            x = self.starts[start:stop]
             orbits = np.empty((len(x), n), dtype=x.dtype)
             with b.context():
                 for t in range(n):
                     orbits[:, t] = x
-                    x = tent_step_array(x, h, half)
+                    x = tent_step_array(x, h)
             return np.take_along_axis(orbits, (shifts[:, None] + np.arange(n)) % n, axis=1)
         p, q = h.numerator, h.denominator
         rows = {}  # M_t = M_0*q^t, and M_0 takes one value for each parity of #R
@@ -253,7 +253,7 @@ def _closing_rounded(n: int, params: MapParams) -> Columns:
     place (the per-word composition of (A, B), clamp_unit, tent_step,
     _closes), so every value is bit-identical to the per-word walk.  No
     walk point needs clamping: a tent step maps [0, 1] into itself under
-    either rounding (see _sweep_chunk_rounded).  The walk keeps each
+    either rounding (see tent_step_array).  The walk keeps each
     word's least point so far and its step, replaced only by a strictly
     smaller one, so the first minimum wins, as argmin's does.
     """
@@ -286,7 +286,7 @@ def _closing_rounded(n: int, params: MapParams) -> Columns:
             lower = x < low
             low = np.where(lower, x, low)
             shifts[lower] = t
-            x = tent_step_array(x, h, half)
+            x = tent_step_array(x, h)
     closed = np.flatnonzero(realized & _closes(x, x_star, b))
     shifts = shifts[closed]
     return (_rotated(words[closed], shifts, n), shifts, x_star[closed], None, A[closed],

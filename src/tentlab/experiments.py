@@ -8,24 +8,18 @@ roundoff expelled it, and the fixed-precision experiment reproduces that
 signature with a slope that agrees with sqrt(2) to 57 decimal digits.
 
 A sweep is classified by classify_finals, the rule classify_outcome
-applies to one run.  The net is cut into chunks of 8192 points, the
-fastest size measured for the binary64 kernel on a 2-vCPU host with a
-4 MiB L2 (larger chunks spill out of the cache, smaller ones pay numpy's
-per-call overhead).  Both chunk kernels run stabilize._starred, the
-recursion stabilized_orbit runs on one value, so the six-tap average is
-written once for every arithmetic.  The rounded kernel serves binary64
-and decimal on numpy arrays of float64 or of Decimal objects under the
-backend's context, so every elementwise operation rounds as the scalar
-one does and in its order.  The exact kernel runs it on a
-_SharedDenominator, the chunk's values as Python int numerators over one
-int denominator, and returns the same reduced Fractions as the scalar
-recursion without a gcd per value and step.  sweep_chunks runs each
-chunk in one pass on a chunk_map worker process, which builds the points
-i/denominator, computes and classifies the finals, and hands them to the
-caller's function there, whose result crosses a plain pipe back: sweep
-returns the arrays, the CLI formats sweep.csv.  Chunk boundaries depend
-only on the chunk size, never on the worker count, so sweep output is
-bit-identical across worker counts and chunk sizes.
+applies to one run, on chunks of 8192 points.  16384 ran the binary64
+kernel 4% faster in one process on a 2-vCPU host with a 2 MiB L2, but
+doubles a chunk's memory and leaves nets of up to 16384 points one
+chunk, for one worker.  Both chunk kernels run stabilize._starred, the
+recursion stabilized_orbit runs on one value.  sweep_chunks proves once
+per sweep, by stabilize._bounded, that no average can leave [0, 1]: each
+weight is >= 0 and their sum, each times the tent step's largest value
+h/2, is at most 1.  Then the kernels check only each chunk's starts; for
+weights that fail the bound they check every average too, as
+stabilized_orbit's tent steps do.  Chunk boundaries depend only on the
+chunk size, so sweep output is bit-identical across worker counts and
+chunk sizes.
 
 detect_escape runs in O(n log^2 n) numpy work and O(n) extra memory, by
 binary lifting over window extrema, and returns exactly what the quadratic
@@ -50,7 +44,7 @@ import numpy as np
 
 from .backends import Backend, DomainError, FixedDecimal, ParseError, Scalar
 from .cycles import fixed_point, two_cycle
-from .stabilize import TAPS, Coefficients, _starred
+from .stabilize import TAPS, Coefficients, _bounded, _starred
 from .tentmap import MapParams, orbit, tent_step_array
 
 MAX_NET_SIZE = 10**7
@@ -319,36 +313,24 @@ def chunk_map(work, count: int, threads: int = 1):
 
 
 def _sweep_chunk_rounded(
-    x0s: np.ndarray, params: MapParams, k: int, a: tuple[Scalar, ...], steps: int
+    x0s: np.ndarray, params: MapParams, k: int, a: tuple[Scalar, ...], steps: int,
+    bounded: bool = False,
 ) -> np.ndarray:
     """Final starred values for one chunk: the last value _starred yields
-    on the whole array.
-
-    x0s is float64 under binary64 and holds Decimals (dtype=object) under
-    decimal, whose context makes each array operation round as the scalar
-    one.  f checks its input once per step, by one min and one max, and
-    snaps it only when it leaves [0, 1], which only an average can do.  A
-    tent step maps [0, 1] into [0, h/2] under any monotone rounding that
-    represents 0, h/2 and h, as both backends do for every h that
-    MapParams accepts (in decimal h/2 has p digits, as h has).  On the
-    left branch h*x lies in [0, h/2], so it rounds into [0, h/2].  On the
-    right it lies in [h/2, h], so it rounds into [h/2, h], and h minus it
-    is exact, by Sterbenz's lemma in binary64 and in decimal because both
-    are multiples of 10^-p and the difference is at most 1, so it lies in
-    [0, h/2].  tent_step relies on this too and has no clamp of its
-    output.  An input that leaves [0, 1] runs through clamp_unit, which
-    snaps a value within the backend's slack and raises beyond it, as
-    tent_step does; decimal has no slack, so there it always raises.  The
-    final average, which f never reads, is returned unsnapped.
-    """
+    on the whole array, float64 under binary64 and Decimals (dtype=object)
+    under decimal, whose context makes each array operation round as the
+    scalar one.  f snaps its input into [0, 1] through clamp_unit, which
+    raises beyond the backend's slack, when one min and one max find it
+    outside.  It checks the starts, its first input, and each average only
+    when bounded is false, for weights that fail _bounded's proof that no
+    average leaves [0, 1].  The final average, never read, is not snapped."""
     b, h = params.backend, params.h
-    half = b.parse("0.5")
 
     def f(x: np.ndarray) -> np.ndarray:
-        if not (x.min() >= 0 and x.max() <= 1):  # NaN included
+        if (x is x0s or not bounded) and not (x.min() >= 0 and x.max() <= 1):  # NaN too
             x = np.array(list(map(b.clamp_unit, x.tolist())))
         for _ in range(k):
-            x = tent_step_array(x, h, half)
+            x = tent_step_array(x, h)
         return x
 
     with b.context():
@@ -390,7 +372,8 @@ class _SharedDenominator:
 
 
 def _sweep_chunk_rational(
-    x0s: np.ndarray, params: MapParams, k: int, a: tuple[Fraction, ...], steps: int
+    x0s: np.ndarray, params: MapParams, k: int, a: tuple[Fraction, ...], steps: int,
+    bounded: bool = False,
 ) -> np.ndarray:
     """Final starred values for one chunk: the last value _starred yields
     on the whole chunk as one _SharedDenominator, equal to the scalar
@@ -401,17 +384,16 @@ def _sweep_chunk_rational(
     denominator M to q*M, so no step builds a Fraction or takes a gcd.
     Reducing would not keep the numbers smaller, since the reduced
     denominators grow as fast.  Each final becomes one Fraction, reduced
-    by one gcd to the value the scalar recursion returns.  Exact
-    arithmetic has no slack, so f raises, as clamp_unit does, on an
-    average outside [0, 1]; the final average, which f never reads, is
-    not checked.
+    by one gcd to the value the scalar recursion returns.  f raises, as
+    clamp_unit does with no slack, on a start outside [0, 1], and on such an
+    average when bounded is false; the final average is not checked.
     """
     b = params.backend
     p, q = params.h.numerator, params.h.denominator
 
     def f(x: _SharedDenominator) -> _SharedDenominator:
         nums, m = x.nums, x.den
-        if min(nums) < 0 or max(nums) > m:  # no slack: clamp_unit raises
+        if (x is start or not bounded) and (min(nums) < 0 or max(nums) > m):  # no slack
             b.clamp_unit(Fraction(next(n for n in nums if not 0 <= n <= m), m))
         for _ in range(k):
             nums = [p * n if 2 * n <= m else p * (m - n) for n in nums]
@@ -434,8 +416,9 @@ def sweep_chunks(
 
     A chunk runs in one pass on a chunk_map worker, which builds its points,
     runs the chunk kernel, classifies the finals and calls each on the four
-    arrays, so only each's result crosses back.  The arguments are checked
-    here, before any chunk runs; threads is the worker count (0: one per CPU).
+    arrays, so only each's result crosses back.  The arguments are checked,
+    and the weights' bound proved, here, before any chunk runs; threads is
+    the worker count (0: one per CPU).
     """
     if k < 1:
         raise DomainError(f"power must be a positive integer, got {k}")
@@ -451,6 +434,7 @@ def sweep_chunks(
     kernel = functools.partial(
         _sweep_chunk_rational if b.kind == "rational" else _sweep_chunk_rounded,
         params=params, k=k, a=tuple(map(b.check, coeffs.a)), steps=steps,
+        bounded=_bounded(params, coeffs.a),
     )
     targets = _targets(params)
 

@@ -110,6 +110,17 @@ def _starred(x, f, a: tuple[Scalar, ...], steps: int):
         yield x
 
 
+def _bounded(params: MapParams, a: tuple[Scalar, ...]) -> bool:
+    """Whether every weight is >= 0 and B <= 1, for B the sum _starred forms
+    when every f-value is m = h*(1/2), exact on every backend: the largest
+    value a tent step takes on [0, 1].  Rounding is monotone, so then every
+    average of values in [0, m] lies in [0, B], within [0, 1]."""
+    with params.backend.context():
+        m = params.h * params.backend._half
+        *_, bound = _starred(m, lambda x: m, a, TAPS)
+        return all(w >= 0 for w in a) and bound <= 1
+
+
 def stabilized_orbit(
     x0: Scalar,
     params: MapParams,

@@ -3,10 +3,9 @@
 T_h(x) = h*x on the closed left branch x in [0, 1/2] and h*(1 - x) on the
 open right branch x in (1/2, 1], with h in (1, 2].  The tie at x = 1/2
 always counts as the left branch.  The right branch is evaluated as
-h - h*x: one multiply then one subtraction, each the value type's own
-operator under the backend's context, so precision-limited backends round
-exactly twice per step and runs are reproducible operation for operation.
-An orbit is the tuple of its values, each of the backend's own type.
+h - h*x, by the value type's own operators under the backend's context,
+so runs are reproducible operation for operation.  An orbit is the tuple
+of its values, each of the backend's own type.
 """
 
 from __future__ import annotations
@@ -41,9 +40,9 @@ class MapParams:
 
 
 def tent_step(x: Scalar, params: MapParams) -> Scalar:
-    """One application of T_h, by tent_step_array's operations, to x clamped
-    within rounding slack of [0, 1].  The step lies in [0, h/2] with no
-    clamp of its own, on every backend (see _sweep_chunk_rounded)."""
+    """One application of T_h to x clamped within rounding slack of [0, 1],
+    bit for bit tent_step_array's min(t, h - t), which for x in [0, 1] is
+    t when x <= 1/2 and h - t, or t equal to it, otherwise."""
     b, h = params.backend, params.h
     x = b.clamp_unit(x)
     with b.context():
@@ -51,16 +50,17 @@ def tent_step(x: Scalar, params: MapParams) -> Scalar:
         return t if x <= b._half else h - t
 
 
-def tent_step_array(x: np.ndarray, h: Scalar, half: Scalar) -> np.ndarray:
+def tent_step_array(x: np.ndarray, h: Scalar, half: Scalar | None = None) -> np.ndarray:
     """tent_step's arithmetic on a float64 or object array, under the
-    caller's context and without its input clamp: t = h*x, then h - t
-    where x > half.  One multiply and at most one subtraction per
-    element, as tent_step takes them.  A NaN x keeps t, the NaN that h - t
-    would give too.  h - t is the textbook (-h)*x + h bit for bit:
-    rounding is symmetric, so (-h)*x rounds to -t, and -t + h is h - t."""
+    caller's context and without its input clamp: t = h*x, then min(t, h - t),
+    bit for bit the masked step, h - t where x > half (min needs no half).
+    Rounding is monotone and represents h/2.  For x <= 1/2, t <= h/2 <=
+    fl(h - t).  For x > 1/2, t >= h/2 and h - t <= h/2 is exact (Sterbenz;
+    in decimal both are multiples of 10^-p within 1 of each other).  A tie
+    or a NaN keeps t, np.minimum's first operand; a decimal NaN raises at
+    the compare.  So [0, 1] maps into [0, h/2] with no clamp of the output."""
     t = h * x
-    np.subtract(h, t, out=t, where=x > half)
-    return t
+    return np.minimum(t, h - t, out=t)
 
 
 def tent_power_step(x: Scalar, params: MapParams, k: int = 1) -> Scalar:

@@ -818,11 +818,26 @@ class TestSweep:
             return fallbacks[-1]
 
         monkeypatch.setattr(Binary64, "cells", counted)
-        argv = ["sweep", "--net", "uniform:100000", "--out", str(tmp_path)]
+        argv = ["sweep", "--net", "uniform:100000", "--threads", "1", "--out", str(tmp_path)]
         assert run_command(argv) == 0
         assert sum(written) == 3 * 100_001
         # measured: 4, the x0 cells 0.0 and 1.0 and the finals from them
         assert sum(fallbacks) <= 0.01 * sum(written)
+
+    def test_default_threads_are_one_worker_per_cpu(self, tmp_path, forks):
+        # uniform:10000 is two chunks; the forks fixture reports two CPUs
+        runs = {}
+        for threads in ([], ["--threads", "1"]):
+            out = tmp_path / str(len(threads))
+            assert run_command(["sweep", "--net", "uniform:10000", *threads, "--plot", "line",
+                                "--out", str(out)]) == 0
+            runs[len(threads)] = [(out / name).read_bytes()
+                                  for name in ("sweep.csv", "sweep.json", "sweep.svg")]
+            assert read_json(out / "manifest.json")["parameters"]["threads"] == (
+                "1" if threads else "0")
+        assert len(forks) == 2  # min(two chunks, two CPUs), and only for the default run
+        assert not forks.alive()
+        assert runs[0] == runs[2]
 
     def test_thread_count_is_capped_without_starting_a_pool(self, tmp_path, forks):
         # one chunk caps the workers at one; never ask for many processes

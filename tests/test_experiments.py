@@ -39,8 +39,9 @@ from tentlab.experiments import (
     sweep,
     _SharedDenominator,
     _sweep_chunk_rational,
+    _sweep_chunk_rounded,
 )
-from tentlab.stabilize import Coefficients, build_coefficients, stabilized_orbit
+from tentlab.stabilize import Coefficients, _bounded, build_coefficients, stabilized_orbit
 from tentlab.tentmap import MapParams, orbit, tent_power_step
 
 from test_stabilize import reference_run
@@ -528,6 +529,11 @@ class TestSweep:
         for x0, final in zip(x0s, finals.tolist()):
             expected = stabilized_orbit(x0, params, k, coeffs, steps)[-1]
             assert type(final) is Fraction and final == expected
+        # the weights pass the bound, and skipping the per-step check changes nothing
+        assert _bounded(params, coeffs.a)
+        bounded = _sweep_chunk_rational(np.array(x0s, dtype=object), params, k, coeffs.a,
+                                        steps, bounded=True)
+        assert bounded.tolist() == finals.tolist()
 
     def test_shared_denominator_arithmetic_is_exact(self):
         # products of products and sums of two products, whose scales are
@@ -554,6 +560,55 @@ class TestSweep:
                 stabilized_orbit(b.parse("2/5"), params, 2, coeffs, 30)
             with pytest.raises(DomainError, match="outside"):
                 sweep(NetSpec.uniform(20), params, 2, coeffs, 30, 1e-3)
+
+    @pytest.mark.parametrize("kind", ["binary64", "rational", "decimal"])
+    @pytest.mark.parametrize("sigma", ["101/100", "6/5", "3", "100"])
+    @pytest.mark.parametrize("h", [f"{2**52 + 1}/{2**52}", "3/2", "19/10", "2"])
+    def test_cli_weights_keep_every_average_in_the_unit_interval(self, kind, sigma, h):
+        # the weights build_coefficients makes, as the CLI does, pass the bound
+        b = make_backend(kind, 30 if kind == "decimal" else None)
+        params = MapParams(b.parse(h), b)
+        assert _bounded(params, build_coefficients(b.parse(sigma), b).a)
+
+    @pytest.mark.parametrize("kind", ["binary64", "rational", "decimal"])
+    def test_weights_past_the_bound_fail_it(self, kind):
+        b = make_backend(kind, 30 if kind == "decimal" else None)
+        params = MapParams(b.from_int(2), b)  # m = h/2 = 1, so B is the weights' sum
+        zero, one, w = b.from_int(0), b.from_int(1), b.parse("3/10")
+        with b.context():
+            over = one + b.parse(f"1/{2**52}")
+        assert _bounded(params, (zero,) * 5 + (one,))  # B = 1
+        assert not _bounded(params, (zero,) * 5 + (over,))
+        assert not _bounded(params, (w,) * 6)  # B = 9/5
+        assert not _bounded(params, (-w, w, zero, zero, zero, one))  # B = 1, a weight < 0
+
+    @pytest.mark.parametrize("kind", ["binary64", "rational", "decimal"])
+    def test_bounded_kernels_still_check_their_starts(self, kind):
+        # the weights pass the bound, so f checks no average, but a start
+        # outside [0, 1] still snaps or raises as clamp_unit does
+        b = make_backend(kind, 30 if kind == "decimal" else None)
+        params, coeffs = MapParams(b.parse("19/10"), b), build_coefficients(b.parse("6/5"), b)
+        kernel = _sweep_chunk_rational if kind == "rational" else _sweep_chunk_rounded
+        assert _bounded(params, coeffs.a)
+        with b.context():
+            starts = [1 + b.parse(f"1/{2**52}"), -b.parse(f"1/{2**52}"),
+                      1 + b.parse(f"2/{2**52}")]
+        outcomes = []
+        for x0 in starts:
+            x0s = np.array([b.parse("1/4"), x0], dtype=np.float64 if kind == "binary64" else object)
+            try:
+                expected = stabilized_orbit(x0, params, 2, coeffs, 20)[-1]
+            except DomainError:
+                with pytest.raises(DomainError, match="outside"):
+                    kernel(x0s, params, 2, coeffs.a, 20, bounded=True)
+                outcomes.append("raises")
+                continue
+            final = kernel(x0s, params, 2, coeffs.a, 20, bounded=True).tolist()[1]
+            assert type(final) is type(expected) and final == expected
+            outcomes.append("snaps")
+        # one ulp outside snaps in binary64, two raise; no slack elsewhere
+        assert outcomes == (["snaps", "snaps", "raises"] if kind == "binary64"
+                            else ["raises"] * 3)
 
     @pytest.mark.parametrize(
         "kind, overshoot, steps, raises",

@@ -252,6 +252,39 @@ def _bits(y):
     return y.as_tuple() if isinstance(y, Decimal) else y
 
 
+def _masked_step(x, h, half):
+    """The tent step tent_step_array once took: t = h*x, then h - t where
+    x > half."""
+    t = h * x
+    np.subtract(h, t, out=t, where=x > half)
+    return t
+
+
+def _nan(sign, payload):
+    return struct.unpack("<d", struct.pack("<Q", sign << 63 | 0x7FF << 52 | payload))[0]
+
+
+_EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, 0.5, 1.0, math.nextafter(0.5, 0.0),
+                math.nextafter(0.5, 1.0), math.nextafter(1.0, 2.0), 5e-324]
+_floats = (
+    st.floats()
+    | st.floats(min_value=-0.5, max_value=1.5)
+    | st.sampled_from(_EDGE_FLOATS)
+    | st.builds(_nan, st.integers(0, 1), st.integers(1, 2**52 - 1))  # quiet and signalling
+)
+_slopes = (st.sampled_from([2.0, 1.5, math.nextafter(1.0, 2.0)])
+           | st.floats(min_value=1.0, max_value=2.0, exclude_min=True))
+_DEC30 = FixedDecimal(30)
+_EDGE_DECIMALS = [Decimal("0"), Decimal("-0"), Decimal("Infinity"), Decimal("-Infinity"),
+                  Decimal("0.5"), Decimal("1"), Decimal("0.5") - Decimal("1E-30"),
+                  Decimal("0.5") + Decimal("1E-30")]
+
+
+def _decimal30(n):  # n/10^31 rounded to 30 digits
+    with _DEC30.context():
+        return +Decimal(f"{n}E-31")
+
+
 class TestInvariants:
     @given(slope_and_point())
     @settings(max_examples=300, deadline=None)
@@ -281,6 +314,28 @@ class TestInvariants:
             np.subtract(h, old, out=old, where=~(x <= half))
             new = tent_step_array(x, h, half)
         assert new.view(np.uint64).tolist() == old.view(np.uint64).tolist()
+
+    @given(st.lists(_floats, min_size=1, max_size=40), _slopes)
+    @settings(max_examples=300, deadline=None)
+    def test_array_step_is_the_masked_step_bit_for_bit(self, values, h):
+        x = np.array(values, dtype=np.float64)
+        with np.errstate(all="ignore"):  # overflow, and signalling NaNs
+            want = _masked_step(x, h, 0.5)
+            got = tent_step_array(x, h)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    @given(st.lists(st.sampled_from(_EDGE_DECIMALS)
+                    | st.integers(-10**31, 3 * 10**31).map(_decimal30), min_size=1, max_size=20),
+           st.sampled_from([2 * 10**29, 10**29 + 1]) | st.integers(10**29 + 1, 2 * 10**29))
+    @settings(max_examples=200, deadline=None)
+    def test_decimal_array_step_is_the_masked_step_digit_for_digit(self, values, m):
+        b = _DEC30
+        h, half = Decimal(f"{m}E-29"), b.parse("0.5")
+        x = np.array(values, dtype=object)
+        with b.context():
+            want = _masked_step(x, h, half)
+            got = tent_step_array(x, h)
+        assert list(map(_bits, got)) == list(map(_bits, want))
 
     def test_array_step_raises_on_a_decimal_nan(self):
         b = FixedDecimal(30)
