@@ -150,10 +150,10 @@ class Census:
         if self.denominators is None:
             x = self.starts[start:stop]
             orbits = np.empty((len(x), n), dtype=x.dtype)
-            with b.context():
-                for t in range(n):
-                    orbits[:, t] = x
-                    x = tent_step_array(x, h)
+            orbits[:, 0] = x
+            with b.context():  # from the last column: only t and h - t live in a step
+                for t in range(1, n):
+                    orbits[:, t] = tent_step_array(orbits[:, t - 1], h)
             return np.take_along_axis(orbits, (shifts[:, None] + np.arange(n)) % n, axis=1)
         p, q = h.numerator, h.denominator
         rows = {}  # M_t = M_0*q^t, and M_0 takes one value for each parity of #R

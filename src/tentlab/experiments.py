@@ -12,14 +12,13 @@ applies to one run, on chunks of 8192 points.  16384 ran the binary64
 kernel 4% faster in one process on a 2-vCPU host with a 2 MiB L2, but
 doubles a chunk's memory and leaves nets of up to 16384 points one
 chunk, for one worker.  Both chunk kernels run stabilize._starred, the
-recursion stabilized_orbit runs on one value.  sweep_chunks proves once
-per sweep, by stabilize._bounded, that no average can leave [0, 1]: each
-weight is >= 0 and their sum, each times the tent step's largest value
-h/2, is at most 1.  Then the kernels check only each chunk's starts; for
-weights that fail the bound they check every average too, as
-stabilized_orbit's tent steps do.  Chunk boundaries depend only on the
-chunk size, so sweep output is bit-identical across worker counts and
-chunk sizes.
+recursion stabilized_orbit runs on one value.  Each first proves, by
+stabilize._bounded, that no average can leave [0, 1]: each weight is
+>= 0 and their sum, each times the tent step's largest value h/2, is at
+most 1.  Then it checks only the chunk's starts; for weights that fail
+the bound it checks every average too, as stabilized_orbit's tent steps
+do.  Chunk boundaries depend only on the chunk size, so sweep output is
+bit-identical across worker counts and chunk sizes.
 
 detect_escape runs in O(n log^2 n) numpy work and O(n) extra memory, by
 binary lifting over window extrema, and returns exactly what the quadratic
@@ -211,12 +210,15 @@ def classify_outcome(
     return KINDS[codes[0]], float(distances[0])
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on, by its affinity mask where there is one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _resolve_threads(threads: int) -> int:
-    if threads == 0:
-        threads = os.cpu_count() or 1
     if threads < 0:
         raise DomainError(f"thread count must be nonnegative, got {threads}")
-    return threads
+    return threads or _cpus()
 
 
 def _serve(work, tasks: int, results):
@@ -265,7 +267,7 @@ def chunk_map(work, count: int, threads: int = 1):
     calling thread and whatever locks the others held.  threads = 0
     means one per CPU.
     """
-    workers = min(_resolve_threads(threads), count, os.cpu_count() or 1)
+    workers = min(_resolve_threads(threads), count, _cpus())
     if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
         yield from map(work, range(count))
         return
@@ -314,27 +316,29 @@ def chunk_map(work, count: int, threads: int = 1):
 
 def _sweep_chunk_rounded(
     x0s: np.ndarray, params: MapParams, k: int, a: tuple[Scalar, ...], steps: int,
-    bounded: bool = False,
 ) -> np.ndarray:
     """Final starred values for one chunk: the last value _starred yields
     on the whole array, float64 under binary64 and Decimals (dtype=object)
     under decimal, whose context makes each array operation round as the
-    scalar one.  f snaps its input into [0, 1] through clamp_unit, which
-    raises beyond the backend's slack, when one min and one max find it
-    outside.  It checks the starts, its first input, and each average only
-    when bounded is false, for weights that fail _bounded's proof that no
-    average leaves [0, 1].  The final average, never read, is not snapped."""
+    scalar one.  The starts, and for weights that fail _bounded each average
+    too, snap into [0, 1] by clamp_unit, which raises beyond the backend's
+    slack, when a min and a max find them outside; the final average is not."""
     b, h = params.backend, params.h
+    bounded = _bounded(params, a)
+
+    def clamped(x: np.ndarray) -> np.ndarray:
+        if not (x.min() >= 0 and x.max() <= 1):  # NaN too
+            x = np.array(list(map(b.clamp_unit, x.tolist())))
+        return x
 
     def f(x: np.ndarray) -> np.ndarray:
-        if (x is x0s or not bounded) and not (x.min() >= 0 and x.max() <= 1):  # NaN too
-            x = np.array(list(map(b.clamp_unit, x.tolist())))
+        x = x if bounded else clamped(x)
         for _ in range(k):
             x = tent_step_array(x, h)
         return x
 
     with b.context():
-        for final in _starred(x0s, f, a, steps):
+        for final in _starred(clamped(x0s), f, a, steps):
             pass
     return final
 
@@ -373,7 +377,6 @@ class _SharedDenominator:
 
 def _sweep_chunk_rational(
     x0s: np.ndarray, params: MapParams, k: int, a: tuple[Fraction, ...], steps: int,
-    bounded: bool = False,
 ) -> np.ndarray:
     """Final starred values for one chunk: the last value _starred yields
     on the whole chunk as one _SharedDenominator, equal to the scalar
@@ -384,17 +387,22 @@ def _sweep_chunk_rational(
     denominator M to q*M, so no step builds a Fraction or takes a gcd.
     Reducing would not keep the numbers smaller, since the reduced
     denominators grow as fast.  Each final becomes one Fraction, reduced
-    by one gcd to the value the scalar recursion returns.  f raises, as
-    clamp_unit does with no slack, on a start outside [0, 1], and on such an
-    average when bounded is false; the final average is not checked.
+    by one gcd to the value the scalar recursion returns.  A start outside
+    [0, 1] raises, as clamp_unit does with no slack, and so does such an
+    average for weights that fail _bounded; the final average is not checked.
     """
     b = params.backend
     p, q = params.h.numerator, params.h.denominator
+    bounded = _bounded(params, a)
+
+    def checked(x: _SharedDenominator) -> _SharedDenominator:
+        nums, m = x.nums, x.den
+        if min(nums) < 0 or max(nums) > m:  # no slack
+            b.clamp_unit(Fraction(next(n for n in nums if not 0 <= n <= m), m))
+        return x
 
     def f(x: _SharedDenominator) -> _SharedDenominator:
-        nums, m = x.nums, x.den
-        if (x is start or not bounded) and (min(nums) < 0 or max(nums) > m):  # no slack
-            b.clamp_unit(Fraction(next(n for n in nums if not 0 <= n <= m), m))
+        nums, m = (x if bounded else checked(x)).nums, x.den
         for _ in range(k):
             nums = [p * n if 2 * n <= m else p * (m - n) for n in nums]
             m *= q
@@ -402,7 +410,7 @@ def _sweep_chunk_rational(
 
     m = math.lcm(*(x.denominator for x in x0s))
     start = _SharedDenominator([x.numerator * (m // x.denominator) for x in x0s], m)
-    for final in _starred(start, f, a, steps):
+    for final in _starred(checked(start), f, a, steps):
         pass
     return np.array([Fraction(n, final.den) for n in final.nums], dtype=object)
 
@@ -416,9 +424,8 @@ def sweep_chunks(
 
     A chunk runs in one pass on a chunk_map worker, which builds its points,
     runs the chunk kernel, classifies the finals and calls each on the four
-    arrays, so only each's result crosses back.  The arguments are checked,
-    and the weights' bound proved, here, before any chunk runs; threads is
-    the worker count (0: one per CPU).
+    arrays, so only each's result crosses back.  The arguments are checked
+    here, before any chunk runs; threads is the worker count (0: one per CPU).
     """
     if k < 1:
         raise DomainError(f"power must be a positive integer, got {k}")
@@ -434,7 +441,6 @@ def sweep_chunks(
     kernel = functools.partial(
         _sweep_chunk_rational if b.kind == "rational" else _sweep_chunk_rounded,
         params=params, k=k, a=tuple(map(b.check, coeffs.a)), steps=steps,
-        bounded=_bounded(params, coeffs.a),
     )
     targets = _targets(params)
 

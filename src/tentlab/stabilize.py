@@ -111,10 +111,9 @@ def _starred(x, f, a: tuple[Scalar, ...], steps: int):
 
 
 def _bounded(params: MapParams, a: tuple[Scalar, ...]) -> bool:
-    """Whether every weight is >= 0 and B <= 1, for B the sum _starred forms
-    when every f-value is m = h*(1/2), exact on every backend: the largest
-    value a tent step takes on [0, 1].  Rounding is monotone, so then every
-    average of values in [0, m] lies in [0, B], within [0, 1]."""
+    """Whether every weight is >= 0 and B <= 1, B the sum _starred forms with
+    every f-value m = h*(1/2), exact: the tent step's largest value on [0, 1].
+    By monotone rounding every average of values in [0, m] then lies in [0, B]."""
     with params.backend.context():
         m = params.h * params.backend._half
         *_, bound = _starred(m, lambda x: m, a, TAPS)

@@ -50,15 +50,15 @@ def tent_step(x: Scalar, params: MapParams) -> Scalar:
         return t if x <= b._half else h - t
 
 
-def tent_step_array(x: np.ndarray, h: Scalar, half: Scalar | None = None) -> np.ndarray:
+def tent_step_array(x: np.ndarray, h: Scalar) -> np.ndarray:
     """tent_step's arithmetic on a float64 or object array, under the
-    caller's context and without its input clamp: t = h*x, then min(t, h - t),
-    bit for bit the masked step, h - t where x > half (min needs no half).
-    Rounding is monotone and represents h/2.  For x <= 1/2, t <= h/2 <=
-    fl(h - t).  For x > 1/2, t >= h/2 and h - t <= h/2 is exact (Sterbenz;
-    in decimal both are multiples of 10^-p within 1 of each other).  A tie
-    or a NaN keeps t, np.minimum's first operand; a decimal NaN raises at
-    the compare.  So [0, 1] maps into [0, h/2] with no clamp of the output."""
+    caller's context and without its input clamp: t = h*x, then
+    min(t, h - t), which is h - t where x > 1/2 and t elsewhere, so [0, 1] maps
+    into [0, h/2] with no clamp of the output.  Rounding is monotone and
+    represents h/2: for x <= 1/2, t <= h/2 <= fl(h - t); for x > 1/2,
+    t >= h/2 and h - t <= h/2 is exact (Sterbenz; in decimal both are
+    multiples of 10^-p within 1 of each other).  A NaN keeps t,
+    np.minimum's first operand; a decimal NaN raises at the compare."""
     t = h * x
     return np.minimum(t, h - t, out=t)
 

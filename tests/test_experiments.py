@@ -38,6 +38,7 @@ from tentlab.experiments import (
     sqrt2_reference,
     sweep,
     _SharedDenominator,
+    _cpus,
     _sweep_chunk_rational,
     _sweep_chunk_rounded,
 )
@@ -408,6 +409,15 @@ class TestChunkMap:
         assert pids == [os.getpid()] * 4
         assert forks == []
 
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
+    def test_cpus_are_those_the_affinity_mask_allows(self, monkeypatch):
+        # a process pinned to one CPU of many runs serially, whatever threads asks
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert _cpus() == 1
+        for threads in (0, 4):
+            assert list(chunk_map(lambda i: os.getpid(), 4, threads)) == [os.getpid()] * 4
+
 
 class TestSweep:
     def test_small_uniform_bookkeeping(self):
@@ -529,11 +539,8 @@ class TestSweep:
         for x0, final in zip(x0s, finals.tolist()):
             expected = stabilized_orbit(x0, params, k, coeffs, steps)[-1]
             assert type(final) is Fraction and final == expected
-        # the weights pass the bound, and skipping the per-step check changes nothing
+        # the weights pass the bound, so the kernel checked only the starts
         assert _bounded(params, coeffs.a)
-        bounded = _sweep_chunk_rational(np.array(x0s, dtype=object), params, k, coeffs.a,
-                                        steps, bounded=True)
-        assert bounded.tolist() == finals.tolist()
 
     def test_shared_denominator_arithmetic_is_exact(self):
         # products of products and sums of two products, whose scales are
@@ -600,10 +607,10 @@ class TestSweep:
                 expected = stabilized_orbit(x0, params, 2, coeffs, 20)[-1]
             except DomainError:
                 with pytest.raises(DomainError, match="outside"):
-                    kernel(x0s, params, 2, coeffs.a, 20, bounded=True)
+                    kernel(x0s, params, 2, coeffs.a, 20)
                 outcomes.append("raises")
                 continue
-            final = kernel(x0s, params, 2, coeffs.a, 20, bounded=True).tolist()[1]
+            final = kernel(x0s, params, 2, coeffs.a, 20).tolist()[1]
             assert type(final) is type(expected) and final == expected
             outcomes.append("snaps")
         # one ulp outside snaps in binary64, two raise; no slack elsewhere

@@ -158,10 +158,9 @@ class TestStabilizedOrbit:
             b, h = params.backend, params.h
             starts = [b.parse(t) for t in ("0.05", "0.2", "0.3", "0.4", "0.7231")]
             x0s = np.array(starts, dtype=np.float64 if b == Binary64() else object)
-            half = b.parse("1/2")
 
             def f(x):
-                return tent_step_array(tent_step_array(x, h, half), h, half)
+                return tent_step_array(tent_step_array(x, h), h)
 
             with b.context():
                 run = [(x, x.tolist()) for x in stabilize._starred(x0s, f, coeffs.a, 40)]
