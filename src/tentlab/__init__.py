@@ -10,6 +10,19 @@ everything else is imported from its module (tentlab.backends, ...).
 
 __version__ = "0.1.0"
 
+import os
+
+# numpy's OpenBLAS reads its thread count once, as numpy loads, and starts a
+# pool that spins between calls; tentlab's largest LAPACK call is np.roots
+# of degree 6.  So ask for one thread, unless the caller chose a count, and
+# leave os.environ as the caller left it.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .backends import Binary64, FixedDecimal, Rational
 from .cycles import enumerate_cycles, onset_threshold
 from .experiments import NetSpec, detect_escape, sqrt2_experiment, sqrt2_reference, sweep

@@ -129,7 +129,8 @@ def x0_flag(default: str) -> tuple[str, dict]:
 
 
 H = flag("--h", default=DEFAULT_H, help="map slope, e.g. 1.5 or 3/2")
-K = flag("--k", type=int, default=DEFAULT_K, help="iterate power")
+K = flag("--k", type=bounded(int, "power", "a positive integer", lambda v: v >= 1),
+         default=DEFAULT_K, help="iterate power")
 SIGMA = flag("--sigma", default=DEFAULT_SIGMA, help="averaging parameter, above 1")
 TOL = flag("--tol", type=positive_finite("tolerance"), default=DEFAULT_TOL,
            help="classification distance")

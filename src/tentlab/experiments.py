@@ -16,8 +16,8 @@ recursion stabilized_orbit runs on one value.  Each first proves, by
 stabilize._bounded, that no average can leave [0, 1]: each weight is
 >= 0 and their sum, each times the tent step's largest value h/2, is at
 most 1.  Then it checks only the chunk's starts; for weights that fail
-the bound it checks every average too, as stabilized_orbit's tent steps
-do.  Chunk boundaries depend only on the chunk size, so sweep output is
+the bound it checks every average too, as stabilized_orbit does.  Chunk
+boundaries depend only on the chunk size, so sweep output is
 bit-identical across worker counts and chunk sizes.
 
 detect_escape runs in O(n log^2 n) numpy work and O(n) extra memory, by
@@ -264,8 +264,11 @@ def chunk_map(work, count: int, threads: int = 1):
     raised here when its index comes up, as the serial map raises it.
     One worker or one index runs the plain serial map, and so does a
     process with other threads alive, since a fork copies only the
-    calling thread and whatever locks the others held.  threads = 0
-    means one per CPU.
+    calling thread and whatever locks the others held.
+    threading.active_count() sees only Python threads, so a native
+    thread pool relies on its own fork handlers; tentlab's import starts
+    none, since it asks OpenBLAS for one thread.  threads = 0 means one
+    per CPU.
     """
     workers = min(_resolve_threads(threads), count, _cpus())
     if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):

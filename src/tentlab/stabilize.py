@@ -6,6 +6,9 @@ and its five plain iterates x*_1..x*_5, each new value is the convex
 combination x*_n = a_1 f(x*_{n-1}) + ... + a_6 f(x*_{n-6}).  _starred
 writes that recursion once, for stabilized_orbit on one value of any
 backend and for the rounded sweep kernel on a float64 or Decimal array.
+Like the sweep kernels, stabilized_orbit proves by _bounded that no
+average leaves [0, 1], and then runs its tent steps without a clamp; for
+weights that fail the bound, f clamps each value it is given.
 The same recursion viewed as a map on 6-dimensional state space (shift
 left, append the average) has companion-form Jacobians whose spectra
 decide stability cell by cell, so the whole analysis reduces to the root
@@ -21,7 +24,7 @@ import numpy as np
 
 from .backends import Backend, DomainError, Scalar, infer_backend
 from .cycles import enumerate_cycles
-from .tentmap import MapParams, tent_power_step
+from .tentmap import MapParams, _tent_power
 
 TAPS = 6
 
@@ -132,12 +135,18 @@ def stabilized_orbit(
     value is the weighted average of f over the six before it."""
     if steps < TAPS:
         raise DomainError(f"need at least {TAPS} steps to start averaging, got {steps}")
-    b = params.backend
+    if k < 1:
+        raise DomainError(f"power must be a positive integer, got {k}")
+    b, h, half = params.backend, params.h, params.backend._half
     a = tuple(map(b.check, coeffs.a))
+    if _bounded(params, a):
+        def f(x):
+            return _tent_power(x, h, half, k)
+    else:  # an average may round past [0, 1]: clamp_unit snaps it back or raises
+        def f(x):
+            return _tent_power(b.clamp_unit(x), h, half, k)
     with b.context():
-        return tuple(_starred(
-            b.clamp_unit(x0), lambda x: tent_power_step(x, params, k), a, steps
-        ))
+        return tuple(_starred(b.clamp_unit(x0), f, a, steps))
 
 
 def companion_spectrum(

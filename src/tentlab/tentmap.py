@@ -63,6 +63,16 @@ def tent_step_array(x: np.ndarray, h: Scalar) -> np.ndarray:
     return np.minimum(t, h - t, out=t)
 
 
+def _tent_power(x: Scalar, h: Scalar, half: Scalar, k: int) -> Scalar:
+    """tent_step's branch arithmetic k times on x in [0, 1], under the
+    caller's context and without its clamp: a step takes [0, 1] into
+    [0, h/2] (see tent_step_array), so no value after x needs one."""
+    for _ in range(k):
+        t = h * x
+        x = t if x <= half else h - t
+    return x
+
+
 def tent_power_step(x: Scalar, params: MapParams, k: int = 1) -> Scalar:
     """k-fold composition of tent_step, k >= 1."""
     if k < 1:
@@ -77,12 +87,15 @@ def orbit(x0: Scalar, params: MapParams, k: int = 1, steps: int = 0) -> tuple[Sc
     points[t+1] = T_h^k(points[t])."""
     if steps < 0:
         raise DomainError(f"steps must be nonnegative, got {steps}")
-    b = params.backend
+    if k < 1:
+        raise DomainError(f"power must be a positive integer, got {k}")
+    b, h, half = params.backend, params.h, params.backend._half
     x = b.clamp_unit(x0)
     pts = [x]
-    for _ in range(steps):
-        x = tent_power_step(x, params, k)
-        pts.append(x)
+    with b.context():
+        for _ in range(steps):
+            x = _tent_power(x, h, half, k)
+            pts.append(x)
     return tuple(pts)
 
 

@@ -95,6 +95,54 @@ PINNED_SWEEPS = [
     ),
 ]
 
+# sha256 of every artifact but manifest.json, recorded before the scalar
+# recursion ran its tent steps unclamped inside one backend context and
+# before the import asked OpenBLAS for one thread: the artifacts of the
+# LAPACK calls and of the scalar recursion must not change
+PINNED_RUNS = [
+    pytest.param(["spectrum"], {
+        "spectrum.csv": "23066517332548bf01a414c6f95f37c3b409e170c70a5feb4b4a0a28db5e589b",
+        "spectrum.json": "e207c658907bcb3f939d9612a090928a152ab08120f2e9154c9baf8fb786a6c9",
+    }, id="spectrum"),
+    pytest.param(["spectrum", "--mu", "-2.25", "2.25", "1.0", "0.0"], {
+        "spectrum.csv": "7df859cd3d3a857a0c7db3eacc310e16b851b828d2fcbda9bd10e4eb075f4cee",
+        "spectrum.json": "0b00806a451c73afc3005c6acc373ac59417587a0f5456ae04087bcb44602bf2",
+    }, id="spectrum-mu"),
+    pytest.param(["cycles", "--h", "1.9", "--period", "7", "--onset"], {
+        "cycles.csv": "e3d26f664bbda5033046ce26b5a818c452822c92bcff5036533fd04cffd6b911",
+        "cycles.json": "ff735c8f7267d4714452514857580c47d45176ed8fee3ae250e91a4d77baaf8e",
+    }, id="cycles-h1.9-n7-onset"),
+    pytest.param(["escape", "--steps", "6000", "--x0", "2/5"], {
+        "escape.csv": "99fa789a5b5d328923917b0a06d8becb89c335b79a2fb3f3c3a2d0c0243a3bc4",
+        "escape.json": "4b21f881b79ad287a2c52422de4db14573b87504661250a163ee7836f9baaa4e",
+    }, id="escape-b64-6000"),
+    pytest.param(["escape", "--h", "3/2", "--sigma", "6/5", "--x0", "2/5",
+                  "--backend", "rational", "--steps", "300"], {
+        "escape.csv": "c3b4d655a9b17d5147fd244a014335110bcacceb205d91b4a0bc76bb19ca28dc",
+        "escape.json": "c1b16c51ca3ed3bda93d627fd4f00cf30995d8256144dde47c65f00c62f26dd3",
+    }, id="escape-rational-300"),
+    # binary64 weights at sigma 1.1 fail stabilize._bounded: f clamps its input
+    pytest.param(["stabilize", "--h", "2", "--sigma", "1.1", "--steps", "2000"], {
+        "stabilize.csv": "d33c9337ce54bc73e73836cc0d98736123d8822059c6cd1cdbdffea70ec80205",
+        "stabilize.json": "89391aaf0dbe4f316f0a7f0aa13713b3755dc072335b15ca848a195a31ef0d0b",
+    }, id="stabilize-b64-clamped"),
+    pytest.param(["stabilize", "--h", "2", "--sigma", "1.1", "--steps", "300",
+                  "--backend", "decimal", "--precision", "12"], {
+        "stabilize.csv": "eee428cafafbde556a5b38e8cf083d42447dd383d3745ba8f1a702307c33d59b",
+        "stabilize.json": "95672a697be7290dcefa96c5460316054ba0866cdc057ed945dd4b0679a7c2f6",
+    }, id="stabilize-decimal12"),
+    pytest.param(["simulate", "--k", "3", "--steps", "500"], {
+        "orbit.csv": "846c572a7bb5291f5473198f0dfe5a6c38c46b561ab2550f3926808e08f2f516",
+    }, id="simulate-k3"),
+    pytest.param(["series", "--steps", "2000"], {
+        "series.csv": "58527dd7cb78a791806c4bead640b24f08354693c378fd27949e80860a2c9304",
+    }, id="series-2000"),
+    pytest.param(["sqrt2"], {
+        "sqrt2.csv": "711b0bcc20f1762301ee6ebb3d0145618cc659eab78266eb30978d6362eebb31",
+        "sqrt2.json": "77e7275882784bf4dbacd8ddb5ff6e24dc90c9b2fef60b5baa45249b339b61ec",
+    }, id="sqrt2"),
+]
+
 
 def sweep_digests(out: Path) -> tuple[str, str]:
     return tuple(
@@ -189,6 +237,11 @@ class TestExitCodes:
             (["spectrum", "--mu", "nan"], "mu must be finite"),
             (["spectrum", "--mu", "1.5", "inf"], "mu must be finite"),
             (["fib", "--threshold", "inf"], "threshold must be positive and finite"),
+            # runs that take no tent step, so only the parser refuses the power
+            (["simulate", "--k", "0", "--steps", "0"], "power must be a positive integer"),
+            (["simulate", "--k", "-1", "--steps", "0"], "power must be a positive integer"),
+            (["spectrum", "--k", "0", "--mu", "1.0"], "power must be a positive integer"),
+            (["spectrum", "--k", "-3", "--mu", "2"], "power must be a positive integer"),
         ],
     )
     def test_flag_out_of_bounds_rejected_before_out(self, tmp_path, capsys, argv, message):
@@ -1070,6 +1123,14 @@ class TestWriteJson:
 
 
 class TestRunner:
+    @pytest.mark.parametrize("argv, digests", PINNED_RUNS)
+    def test_artifact_bytes_pinned(self, tmp_path, argv, digests):
+        assert run_command([*argv, "--out", str(tmp_path)]) == 0
+        names = sorted(os.listdir(tmp_path))
+        names.remove("manifest.json")
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in names} == digests
+
     def test_a_name_yielded_again_appends_to_its_file(self, tmp_path, monkeypatch):
         def stub(ns, b, params, coeffs):
             yield "a.csv", ["x\n", "1\n"]

@@ -9,6 +9,8 @@ integer arithmetic, never against math.sqrt.
 
 import math
 import os
+import subprocess
+import sys
 import threading
 from decimal import Decimal
 from fractions import Fraction
@@ -408,6 +410,25 @@ class TestChunkMap:
         assert not other.is_alive()
         assert pids == [os.getpid()] * 4
         assert forks == []
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="threads are counted in /proc/self/task")
+    @pytest.mark.skipif(_cpus() < 2, reason="OpenBLAS starts no thread on one CPU")
+    @pytest.mark.skipif(
+        "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"],
+        reason="numpy's BLAS is not OpenBLAS",
+    )
+    @pytest.mark.parametrize("asked, threads", [(None, 1), ("2", 2)])
+    def test_import_starts_no_blas_thread_unless_asked(self, asked, threads):
+        # an idle OpenBLAS pool spins on a CPU; the caller's own count wins
+        env = {name: value for name, value in os.environ.items()
+               if name not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        if asked is not None:
+            env["OPENBLAS_NUM_THREADS"] = asked
+        code = ("import os, tentlab;"
+                "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == [str(threads), str(asked)]
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
     def test_cpus_are_those_the_affinity_mask_allows(self, monkeypatch):

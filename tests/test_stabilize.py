@@ -137,13 +137,13 @@ class TestStabilizedOrbit:
     def test_fvalue_cache_holds_only_the_window(self, monkeypatch):
         params, coeffs = b64_setup()
         calls = []
-        power_step = stabilize.tent_power_step
+        power_step = stabilize._tent_power
 
-        def counted_step(x, params, k):
+        def counted_step(x, h, half, k):
             calls.append(x)
-            return power_step(x, params, k)
+            return power_step(x, h, half, k)
 
-        monkeypatch.setattr(stabilize, "tent_power_step", counted_step)
+        monkeypatch.setattr(stabilize, "_tent_power", counted_step)
         run = stabilized_orbit(0.4, params, 2, coeffs, 2000)
         assert list(run) == reference_run(0.4, params, 2, coeffs.a, 2000)
         # f of each value but the last, once and in order: the seed iterates
