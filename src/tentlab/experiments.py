@@ -41,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .backends import Backend, DomainError, FixedDecimal, ParseError, Scalar
+from .backends import Backend, DomainError, FixedDecimal, ParseError, Scalar, _digits
 from .cycles import fixed_point, two_cycle
 from .stabilize import TAPS, Coefficients, _bounded, _starred
 from .tentmap import MapParams, orbit, tent_step_array
@@ -100,11 +100,11 @@ class NetSpec:
     @classmethod
     def parse(cls, text: str) -> "NetSpec":
         kind, sep, num = text.partition(":")
-        if not sep or kind not in ("uniform", "triadic") or not num.isdigit():
+        if not sep or kind not in ("uniform", "triadic") or not num.isdecimal():
             raise ParseError(
                 f"expected 'uniform:N' or 'triadic:M', got {text!r}"
             )
-        return cls(kind=kind, parameter=int(num))
+        return cls(kind=kind, parameter=_digits(int, num))
 
     @property
     def denominator(self) -> int:
@@ -221,13 +221,13 @@ def _resolve_threads(threads: int) -> int:
     return threads or _cpus()
 
 
-def _serve(work, tasks: int, results):
-    """A worker: answer each 8-byte index with (True, work(index)) or (False,
-    the exception it raised), as length-prefixed frames, until the pipe closes."""
+def _serve(work, indices: range, results):
+    """A worker: answer each index with (True, work(index)) or (False, the
+    exception it raised), as length-prefixed frames, then exit."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops the workers
-    while len(index := os.read(tasks, 8)) == 8:
+    for index in indices:
         try:
-            reply = (True, work(int.from_bytes(index, "little")))
+            reply = (True, work(index))
         except Exception as exc:  # raised in the parent when index comes up
             reply = (False, exc)
         buffers = []  # of 64 KiB or more: append returns None, which puts them out of band
@@ -254,14 +254,15 @@ def chunk_map(work, count: int, threads: int = 1):
 
     The indices run on min(threads, count, CPUs) worker processes forked
     from this one, so work reads its inputs from the memory it inherits
-    and only the index and the result cross a pipe: its pickle, then each
-    buffer of 64 KiB or more, such as a chunk's rows, read into a buffer
-    of its own (a smaller one stays in the pickle, so that no tally keeps
-    a large buffer alive).  Worker w gets the indices w, w + workers, ...,
-    at most two at a time: results wait in the workers, not here, and the
-    next index goes out before a result is yielded, so the workers
-    compute while the caller consumes.  An exception raised by work is
-    raised here when its index comes up, as the serial map raises it.
+    and only the result crosses a pipe: its pickle, then each buffer of
+    64 KiB or more, such as a chunk's rows, read into a buffer of its own
+    (a smaller one stays in the pickle, so that no tally keeps a large
+    buffer alive).  Worker w computes the indices w, w + workers, ... in
+    turn and writes each result to its one pipe, whose write blocks while
+    the pipe is full: results wait in the workers, not here, and the
+    workers compute while the caller consumes.  Reading the pipes in turn
+    yields the indices in order.  An exception raised by work is raised
+    here when its index comes up, as the serial map raises it.
     One worker or one index runs the plain serial map, and so does a
     process with other threads alive, since a fork copies only the
     calling thread and whatever locks the others held.
@@ -274,35 +275,27 @@ def chunk_map(work, count: int, threads: int = 1):
     if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
         yield from map(work, range(count))
         return
-    pids, tasks, results = [], [], []  # each worker's pid, index pipe and answers
+    pids, results = [], []  # each worker's pid and answers
     try:
-        for _ in range(workers):
-            task_end, task_fd = os.pipe()
+        for w in range(workers):
             results_fd, results_end = os.pipe()
             pid = os.fork()
-            if pid == 0:  # the worker keeps only its own two ends
+            if pid == 0:  # the worker keeps only its own write end
                 try:
-                    for fd in (task_fd, results_fd, *(f.fileno() for f in tasks + results)):
+                    for fd in (results_fd, *(f.fileno() for f in results)):
                         os.close(fd)
-                    _serve(work, task_end, open(results_end, "wb"))
-                finally:  # on an error; _serve exits with 0 once the parent is done
+                    _serve(work, range(w, count, workers), open(results_end, "wb"))
+                finally:  # on an error; _serve exits with 0 once its indices are done
                     os._exit(1)
             pids.append(pid)
-            os.close(task_end)
             os.close(results_end)
-            tasks.append(open(task_fd, "wb", buffering=0))
             results.append(open(results_fd, "rb"))
-        window = 2 * workers
-        for index in range(min(count, window)):
-            tasks[index % workers].write(index.to_bytes(8, "little"))
         for index in range(count):
             w = index % workers
             try:
                 frames = _frames(results[w])
                 ok, value = pickle.loads(next(frames), buffers=frames)  # a frame per buffer
-                if index + window < count:
-                    tasks[w].write((index + window).to_bytes(8, "little"))
-            except (EOFError, BrokenPipeError):  # the worker is gone: reap it here
+            except EOFError:  # the worker is gone: reap it here
                 code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(w), 0)[1])
                 raise RuntimeError(f"worker process exited with code {code}")
             if not ok:
@@ -310,7 +303,7 @@ def chunk_map(work, count: int, threads: int = 1):
             yield value
             del value  # so that the next result arrives without this one alive
     finally:
-        for f in tasks + results:
+        for f in results:
             f.close()
         for pid in pids:
             os.kill(pid, signal.SIGTERM)

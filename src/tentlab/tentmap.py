@@ -5,7 +5,9 @@ open right branch x in (1/2, 1], with h in (1, 2].  The tie at x = 1/2
 always counts as the left branch.  The right branch is evaluated as
 h - h*x, by the value type's own operators under the backend's context,
 so runs are reproducible operation for operation.  An orbit is the tuple
-of its values, each of the backend's own type.
+of its values, each of the backend's own type.  _tent_power is the one
+scalar step loop: orbit, and through it tent_step and tent_power_step,
+and itinerary run on it, clamping only their start.
 """
 
 from __future__ import annotations
@@ -43,11 +45,7 @@ def tent_step(x: Scalar, params: MapParams) -> Scalar:
     """One application of T_h to x clamped within rounding slack of [0, 1],
     bit for bit tent_step_array's min(t, h - t), which for x in [0, 1] is
     t when x <= 1/2 and h - t, or t equal to it, otherwise."""
-    b, h = params.backend, params.h
-    x = b.clamp_unit(x)
-    with b.context():
-        t = h * x
-        return t if x <= b._half else h - t
+    return orbit(x, params, 1, 1)[1]
 
 
 def tent_step_array(x: np.ndarray, h: Scalar) -> np.ndarray:
@@ -64,7 +62,7 @@ def tent_step_array(x: np.ndarray, h: Scalar) -> np.ndarray:
 
 
 def _tent_power(x: Scalar, h: Scalar, half: Scalar, k: int) -> Scalar:
-    """tent_step's branch arithmetic k times on x in [0, 1], under the
+    """T_h's branch arithmetic k times on x in [0, 1], under the
     caller's context and without its clamp: a step takes [0, 1] into
     [0, h/2] (see tent_step_array), so no value after x needs one."""
     for _ in range(k):
@@ -75,11 +73,7 @@ def _tent_power(x: Scalar, h: Scalar, half: Scalar, k: int) -> Scalar:
 
 def tent_power_step(x: Scalar, params: MapParams, k: int = 1) -> Scalar:
     """k-fold composition of tent_step, k >= 1."""
-    if k < 1:
-        raise DomainError(f"power must be a positive integer, got {k}")
-    for _ in range(k):
-        x = tent_step(x, params)
-    return x
+    return orbit(x, params, k, 1)[1]
 
 
 def orbit(x0: Scalar, params: MapParams, k: int = 1, steps: int = 0) -> tuple[Scalar, ...]:
@@ -108,14 +102,14 @@ def itinerary(x0: Scalar, params: MapParams, n: int) -> tuple[str, Scalar]:
     """
     if n < 1:
         raise DomainError(f"itinerary length must be positive, got {n}")
-    b = params.backend
+    b, h, half = params.backend, params.h, params.backend._half
     x = b.clamp_unit(x0)
     symbols = []
     slope = b.from_int(1)
-    for _ in range(n):
-        left = x <= b._half  # x lies in [0, 1]: clamped, then tent_step's values
-        symbols.append("L" if left else "R")
-        with b.context():  # -(slope*h) is slope*(-h) rounded; its minus rounds nothing
-            slope = slope * params.h if left else -(slope * params.h)
-        x = tent_step(x, params)
+    with b.context():  # -(slope*h) is slope*(-h) rounded; its minus rounds nothing
+        for _ in range(n):
+            left = x <= half  # x lies in [0, 1]: clamped, then _tent_power's values
+            symbols.append("L" if left else "R")
+            slope = slope * h if left else -(slope * h)
+            x = _tent_power(x, h, half, 1)
     return "".join(symbols), slope

@@ -633,6 +633,20 @@ class TestSweep:
         assert "points" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "num, message",
+        [("\u00b2", "expected 'uniform:N'"), ("1" * 5000, "-digit limit on integer text")],
+        ids=["superscript-two", "past-the-int-text-limit"],
+    )
+    def test_net_numeral_that_int_refuses_rejected_before_out(self, tmp_path, capsys, num, message):
+        # a superscript digit passes str.isdigit, and 5000 digits pass the
+        # int-text limit: int() refuses both, which must read as bad input
+        out = tmp_path / "out"
+        assert run_command(["sweep", "--net", f"uniform:{num}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "internal error" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, digests", PINNED_SWEEPS)
     def test_artifact_bytes_pinned(self, tmp_path, argv, digests):
         assert run_command(["sweep", *argv, "--out", str(tmp_path)]) == 0

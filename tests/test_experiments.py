@@ -371,6 +371,29 @@ class TestChunkMap:
         assert len(forks) == 2
         assert not forks.alive()
 
+    def test_workers_blocked_in_a_write_stop_when_the_caller_stops_early(self, forks):
+        # a 1 MiB result overfills its pipe: once the caller has read results
+        # 0 and 1, worker 0 waits in the write of 2 and worker 1 in that of 3
+        results = chunk_map(lambda i: np.full(1 << 20, i, np.uint8), 10, threads=2)
+        assert next(results)[0] == 0 and next(results)[0] == 1
+        results.close()
+        assert len(forks) == 2
+        assert not forks.alive()
+
+    def test_each_worker_has_one_pipe_which_only_it_writes(self, forks, monkeypatch):
+        # the worker computes its stride of indices unasked, so the parent
+        # keeps only the read end of the one pipe a worker has
+        pipes, closed = [], []
+        real_pipe, real_close = os.pipe, os.close
+        monkeypatch.setattr(os, "pipe", lambda: pipes.append(real_pipe()) or pipes[-1])
+        monkeypatch.setattr(os, "close", lambda fd: closed.append(fd) or real_close(fd))
+        results = chunk_map(lambda i: i, 6, threads=2)
+        assert next(results) == 0
+        assert len(pipes) == len(forks) == 2
+        assert closed == [write_end for _, write_end in pipes]
+        assert list(results) == [1, 2, 3, 4, 5]
+        assert not forks.alive()
+
     def test_small_arrays_keep_no_large_receive_buffer_alive(self, forks):
         # a 64 KiB array crosses out of band into a buffer of its own; a
         # tally-sized one stays in the pickle and owns only its own bytes

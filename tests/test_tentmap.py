@@ -362,3 +362,84 @@ class TestInvariants:
                     inside = True
                 if inside:
                     assert lo <= pt <= hi
+
+
+@st.composite
+def backend_slope_start(draw):
+    """binary64, rational or FixedDecimal(12), a slope h in (1, 2] it holds,
+    and a start in [0, 1] or one ulp outside it: within binary64's clamp
+    slack, past the exact backends' zero slack."""
+    kind = draw(st.sampled_from(["binary64", "rational", "decimal"]))
+    if kind == "binary64":
+        h = draw(st.sampled_from([2.0, 1.5]) | st.floats(1.0, 2.0, exclude_min=True))
+        ulp = 2.0 ** -52
+        x0 = draw(st.sampled_from([-ulp, 1 + ulp, 0.5, 0.0, 1.0]) | st.floats(0.0, 1.0))
+        return Binary64(), h, x0
+    if kind == "rational":
+        h = draw(st.sampled_from([Fraction(2), Fraction(3, 2)])
+                 | st.fractions(1, 2, max_denominator=100).filter(lambda h: h > 1))
+        ulp = Fraction(1, 10**9)
+        x0 = draw(st.sampled_from([-ulp, 1 + ulp, Fraction(1, 2)])
+                  | st.fractions(0, 1, max_denominator=10**9))
+        return Rational(), h, x0
+    b = FixedDecimal(12)
+    h = Decimal(f"{draw(st.integers(10**11 + 1, 2 * 10**11))}E-11")
+    ulp = Decimal("1E-11")
+    x0 = draw(st.sampled_from([-ulp, 1 + ulp, Decimal("0.5")])
+              | st.integers(0, 10**12).map(lambda n: Decimal(f"{n}E-12")))
+    return b, h, x0
+
+
+def _outcome(f, *args):
+    """f(*args), or the type of the DomainError it raised."""
+    try:
+        return f(*args)
+    except DomainError as exc:
+        return type(exc)
+
+
+def _walked_itinerary(x0, p: MapParams, n: int):
+    """itinerary by n calls of tent_step: the symbol of each value, and the
+    slope product (+h) per L and (-h) per R, left to right."""
+    b = p.backend
+    x, symbols, slope = b.clamp_unit(x0), [], b.from_int(1)
+    for _ in range(n):
+        left = x <= Fraction(1, 2)
+        symbols.append("L" if left else "R")
+        with b.context():
+            slope = slope * p.h if left else -(slope * p.h)
+        x = tent_step(x, p)
+    return "".join(symbols), slope
+
+
+class TestScalarStepsAgree:
+    """itinerary and tent_power_step give, bit for bit, what a walk by
+    tent_step gives, raising where it raises."""
+
+    @given(backend_slope_start(), st.integers(1, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_itinerary_is_a_walk_by_tent_step(self, drawn, n):
+        b, h, x0 = drawn
+        p = MapParams(h, b)
+        got, want = _outcome(itinerary, x0, p, n), _outcome(_walked_itinerary, x0, p, n)
+        if isinstance(want, tuple):
+            assert got[0] == want[0] and _bits(got[1]) == _bits(want[1])
+        else:
+            assert got is want
+
+    @given(backend_slope_start(), st.integers(1, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_power_step_is_k_calls_of_tent_step(self, drawn, k):
+        b, h, x0 = drawn
+        p = MapParams(h, b)
+
+        def walked(x):
+            for _ in range(k):
+                x = tent_step(x, p)
+            return x
+
+        got, want = _outcome(tent_power_step, x0, p, k), _outcome(walked, x0)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert _bits(got) == _bits(want)
