@@ -5,36 +5,50 @@ onset thresholds; six-tap predictive-averaging stabilization; basin sweeps;
 delayed-escape detection; and hyperbolic two-term recurrence experiments.
 
 The names below are the ones the README, the demos and bench/micro.py use;
-everything else is imported from its module (tentlab.backends, ...).
+everything else is imported from its module (tentlab.backends, ...).  Each
+resolves on first use, importing only its own module, so that importing
+tentlab, or tentlab.cli for one subcommand, compiles no module it does not run.
 """
 
 __version__ = "0.1.0"
 
+import importlib
 import os
 
 # numpy's OpenBLAS reads its thread count once, as numpy loads, and starts a
 # pool that spins between calls; tentlab's largest LAPACK call is np.roots
 # of degree 6.  So ask for one thread, unless the caller chose a count, and
 # leave os.environ as the caller left it.
-if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+_unasked = not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys()
+if _unasked:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import numpy  # noqa: F401
-    finally:
+try:
+    import numpy  # noqa: F401
+finally:
+    if _unasked:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from .backends import Binary64, FixedDecimal, Rational
-from .cycles import enumerate_cycles, onset_threshold
-from .experiments import NetSpec, detect_escape, sqrt2_experiment, sqrt2_reference, sweep
-from .fibonacci import decompose, first_crossing, predict_escape_index, recurrence
-from .stabilize import build_coefficients, classify_equilibria, companion_spectrum, stabilized_orbit
-from .tentmap import MapParams, itinerary, orbit, tent_step
+_MODULES = {
+    "backends": ("Binary64", "FixedDecimal", "Rational"),
+    "cycles": ("enumerate_cycles", "onset_threshold"),
+    "experiments": ("NetSpec", "detect_escape", "sqrt2_experiment", "sqrt2_reference", "sweep"),
+    "fibonacci": ("decompose", "first_crossing", "predict_escape_index", "recurrence"),
+    "stabilize": ("build_coefficients", "classify_equilibria", "companion_spectrum",
+                  "stabilized_orbit"),
+    "tentmap": ("MapParams", "itinerary", "orbit", "tent_step"),
+}
+_HOME = {name: module for module, names in _MODULES.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "Binary64", "FixedDecimal", "MapParams", "NetSpec", "Rational",
-    "build_coefficients", "classify_equilibria", "companion_spectrum", "decompose",
-    "detect_escape", "enumerate_cycles", "first_crossing", "itinerary",
-    "onset_threshold", "orbit", "predict_escape_index", "recurrence",
-    "sqrt2_experiment", "sqrt2_reference", "stabilized_orbit", "sweep", "tent_step",
-]
+__all__ = ["__version__", *sorted(_HOME)]
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

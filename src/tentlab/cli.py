@@ -11,6 +11,15 @@ which is what lets "--h 3/2 --backend rational" stay exact. Every
 backend, decimal included, works with every subcommand that takes
 --backend, and --plot renders rational columns such as "2/5" too.
 
+Each subcommand lists in COMMANDS the library modules it runs.  For an
+argv that names a subcommand, build_parser imports those modules and
+then adds that subcommand's parser alone (--help, --version and an
+unknown name get every subcommand's, with the same text), so a run
+compiles no module it does not run: a census loads backends, tentmap
+and cycles, and a sweep all its modules before any worker forks.  Flag
+defaults that a library module holds are read from it as the parser is
+built; svgplot is imported only under --plot, by the code that plots.
+
 A subcommand is a generator of (artifact name, pieces) pairs, str or
 bytes-like pieces; _run builds the backend, MapParams and Coefficients
 its flags ask for, and writes each artifact's pieces as soon as it is
@@ -45,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import itertools
 import json
 import math
@@ -52,35 +62,12 @@ import operator
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .backends import Binary64, BackendError, FixedDecimal, make_backend
-from .cycles import enumerate_cycles, onset_threshold
-from .experiments import (
-    DEFAULT_FLAT_TOL,
-    DEFAULT_MIN_FLAT,
-    KINDS,
-    SQRT2_SLOPE_DIGITS,
-    NetSpec,
-    classify_outcome,
-    detect_escape,
-    sqrt2_experiment,
-    sqrt2_reference,
-    sweep_chunks,
-)
-from .fibonacci import (
-    NEAR_STABLE_X1,
-    PHI,
-    decompose,
-    first_crossing,
-    predict_escape_index,
-    recurrence,
-)
-from .stabilize import build_coefficients, classify_equilibria, companion_spectrum, stabilized_orbit
-from .svgplot import as_floats, svg_pieces
-from .sweeprows import sweep_rows
 from .tentmap import MapParams, orbit
 
 DEFAULT_H = "1.5"
@@ -99,6 +86,17 @@ MANIFEST_NAME = "manifest.json"
 
 def flag(name: str, **kwargs) -> tuple[str, dict]:
     return name, kwargs
+
+
+class Held(NamedTuple):
+    """A flag default that a library module holds: read from the module as
+    the parser is built, once the subcommand's modules are imported."""
+
+    module: str
+    name: str
+
+    def read(self):
+        return getattr(importlib.import_module(f".{self.module}", __package__), self.name)
 
 
 def bounded(kind: type, name: str, bound: str, ok):
@@ -148,11 +146,11 @@ OUT = flag("--out", default=".", help="directory receiving artifacts and manifes
 def escape_flags(jump_tol: float) -> tuple[tuple[str, dict], ...]:
     """The flat-then-jump detector's three thresholds."""
     return (
-        flag("--flat-tol", default=DEFAULT_FLAT_TOL,
+        flag("--flat-tol", default=Held("experiments", "DEFAULT_FLAT_TOL"),
              type=bounded(float, "flat tolerance", "finite and nonnegative",
                           lambda v: 0 <= v < math.inf)),
         flag("--jump-tol", type=positive_finite("jump tolerance"), default=jump_tol),
-        flag("--min-flat", default=DEFAULT_MIN_FLAT,
+        flag("--min-flat", default=Held("experiments", "DEFAULT_MIN_FLAT"),
              type=bounded(int, "min-flat", "nonnegative", lambda v: v >= 0)),
     )
 
@@ -187,7 +185,11 @@ def _run(ns: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     b = make_backend(ns.backend, ns.precision) if "backend" in ns else None
     params = MapParams.parse(ns.h, b) if "h" in ns else None
-    coeffs = build_coefficients(b.parse(ns.sigma), b) if "sigma" in ns else None
+    coeffs = None
+    if "sigma" in ns:
+        from .stabilize import build_coefficients
+
+        coeffs = build_coefficients(b.parse(ns.sigma), b)
     out = Path(ns.out)
     created = not out.exists()
     listed = set()  # what a tentlab manifest already in out lists, before this run's replaces it
@@ -236,14 +238,15 @@ def _run(ns: argparse.Namespace) -> int:
 # generator where they can be, so that a large artifact is formatted as it
 # is written: a CSV's from _csv, a JSON document's from _json, an SVG's
 # from svg_pieces.  --out is added to every subcommand and is the one flag
-# the manifest leaves out.
+# the manifest leaves out.  The library modules a subcommand runs are
+# imported by build_parser, svgplot only under --plot by the code that plots.
 
-COMMANDS: dict[str, tuple] = {}
+COMMANDS: dict[str, tuple] = {}  # name -> (help, modules, compute, flags)
 
 
-def command(name: str, help_text: str, *flags: tuple[str, dict]):
+def command(name: str, help_text: str, modules: tuple[str, ...], *flags: tuple[str, dict]):
     def register(compute):
-        COMMANDS[name] = (help_text, compute, flags)
+        COMMANDS[name] = (help_text, modules, compute, flags)
         return compute
 
     return register
@@ -254,11 +257,13 @@ def _indexed(ns, stem: str, label: str, cells: list[str]):
     the cells against their indices."""
     yield f"{stem}.csv", _csv(("n", label), (f"{i},{x}\n" for i, x in enumerate(cells)))
     if ns.plot is not None:
+        from .svgplot import as_floats, svg_pieces
+
         yield f"{stem}.svg", svg_pieces(("n", label), np.arange(len(cells), dtype=float),
                                         as_floats(cells), ns.plot)
 
 
-@command("simulate", "iterate T^k from a start point",
+@command("simulate", "iterate T^k from a start point", (),
          H, K, x0_flag("0.5"), steps_flag(DEFAULT_STEPS), *BACKEND, PLOT)
 def _cmd_simulate(ns, b, params, coeffs):
     run = orbit(b.parse(ns.x0), params, k=ns.k, steps=ns.steps)
@@ -272,12 +277,14 @@ _CYCLE_JSON = ('    {\n      "itinerary": "%s",\n      "multiplier": "%s",\n'
                '      "points": [\n        "%s"\n      ]\n    }')
 
 
-@command("cycles", "enumerate the period-n cycles at h",
+@command("cycles", "enumerate the period-n cycles at h", ("cycles",),
          H, flag("--period", type=int, default=2),
          flag("--onset", action="store_true",
               help="also report the onset threshold for the period"),
          *BACKEND)
 def _cmd_cycles(ns, b, params, coeffs):
+    from .cycles import enumerate_cycles, onset_threshold
+
     record = onset_threshold(ns.period) if ns.onset else None
     found = enumerate_cycles(params, ns.period)
     n = ns.period
@@ -302,8 +309,12 @@ def _cmd_cycles(ns, b, params, coeffs):
 
 
 @command("stabilize", "run the six-tap averaged recursion from x0",
+         ("stabilize", "experiments"),
          H, K, SIGMA, x0_flag("0.5"), steps_flag(DEFAULT_STEPS), TOL, *BACKEND, PLOT)
 def _cmd_stabilize(ns, b, params, coeffs):
+    from .experiments import classify_outcome
+    from .stabilize import stabilized_orbit
+
     run = stabilized_orbit(b.parse(ns.x0), params, ns.k, coeffs, ns.steps)
     kind, distance = classify_outcome(run[-1], params, ns.tol)
     yield from _indexed(ns, "stabilize", "x_star", b.texts(run))
@@ -318,6 +329,7 @@ def _cmd_stabilize(ns, b, params, coeffs):
 
 
 @command("sweep", "classify stabilized runs from every net point",
+         ("stabilize", "experiments", "sweeprows", "svgplot"),
          flag("--net", default="uniform:1000",
               help="start-point net, uniform:N or triadic:M"),
          H, K, SIGMA, steps_flag(DEFAULT_STEPS), TOL,
@@ -327,6 +339,10 @@ def _cmd_stabilize(ns, b, params, coeffs):
                    "per CPU; 0 = one per CPU (default: 0)"),
          *BACKEND, PLOT)
 def _cmd_sweep(ns, b, params, coeffs):
+    from .experiments import KINDS, NetSpec, sweep_chunks
+    from .svgplot import svg_pieces
+    from .sweeprows import sweep_rows
+
     spec = NetSpec.parse(ns.net)
     plot = ns.plot is not None
     chunks = sweep_chunks(sweep_rows(b, plot), spec, params, ns.k, coeffs, ns.steps,
@@ -368,9 +384,13 @@ def _event_doc(event, serialize):
 
 
 @command("escape", "find the flat-then-jump event in a stabilized run",
+         ("stabilize", "experiments"),
          H, K, SIGMA, x0_flag("0.4"), steps_flag(300), *escape_flags(DEFAULT_TOL),
          *BACKEND, PLOT)
 def _cmd_escape(ns, b, params, coeffs):
+    from .experiments import detect_escape
+    from .stabilize import stabilized_orbit
+
     run = stabilized_orbit(b.parse(ns.x0), params, ns.k, coeffs, ns.steps)
     event = detect_escape(run, flat_tol=ns.flat_tol, jump_tol=ns.jump_tol, min_flat=ns.min_flat)
     yield from _indexed(ns, "escape", "x_star", b.texts(run))
@@ -381,19 +401,21 @@ def _cmd_escape(ns, b, params, coeffs):
     })]
 
 
-@command("series", "plain chaotic orbit of 1/2 under T",
+@command("series", "plain chaotic orbit of 1/2 under T", (),
          H, steps_flag(DEFAULT_STEPS), *BACKEND, PLOT)
 def _cmd_series(ns, b, params, coeffs):
     run = orbit(b.parse("0.5"), params, steps=ns.steps)
     yield from _indexed(ns, "series", "x", b.texts(run))
 
 
-@command("sqrt2", "high-precision orbit pinned near 2 - sqrt(2)",
-         flag("--h-digits", default=SQRT2_SLOPE_DIGITS,
+@command("sqrt2", "high-precision orbit pinned near 2 - sqrt(2)", ("experiments",),
+         flag("--h-digits", default=Held("experiments", "SQRT2_SLOPE_DIGITS"),
               help="decimal digit string for the slope"),
          flag("--precision", type=int, default=70),
          steps_flag(600), *escape_flags(1e-2), PLOT)
 def _cmd_sqrt2(ns, b, params, coeffs):
+    from .experiments import sqrt2_experiment, sqrt2_reference
+
     run, event = sqrt2_experiment(
         h_digits=ns.h_digits, precision=ns.precision, steps=ns.steps,
         flat_tol=ns.flat_tol, jump_tol=ns.jump_tol, min_flat=ns.min_flat,
@@ -411,13 +433,15 @@ def _cmd_sqrt2(ns, b, params, coeffs):
     })]
 
 
-@command("fib", "additive recurrence with eigen-decomposition",
-         x0_flag("1"), flag("--x1", default=NEAR_STABLE_X1), steps_flag(100),
+@command("fib", "additive recurrence with eigen-decomposition", ("fibonacci",),
+         x0_flag("1"), flag("--x1", default=Held("fibonacci", "NEAR_STABLE_X1")), steps_flag(100),
          flag("--threshold", type=positive_finite("threshold"), default=1.0),
          flag("--phase", action="store_true",
               help="also emit consecutive-pair coordinates and manifold slopes"),
          *BACKEND, PLOT)
 def _cmd_fib(ns, b, params, coeffs):
+    from .fibonacci import PHI, decompose, first_crossing, predict_escape_index, recurrence
+
     x0, x1 = b.parse(ns.x0), b.parse(ns.x1)
     run = recurrence(x0, x1, ns.steps, b)
     f0, f1 = b.to_float(x0), b.to_float(x1)
@@ -438,12 +462,14 @@ def _cmd_fib(ns, b, params, coeffs):
     yield "fib.json", [_json(doc)]
 
 
-@command("spectrum", "companion-map spectral radii for cell slopes mu",
+@command("spectrum", "companion-map spectral radii for cell slopes mu", ("stabilize", "cycles"),
          H, K, SIGMA,
          flag("--mu", type=bounded(float, "mu", "finite", math.isfinite), nargs="+",
               default=None, help="explicit slopes; default derives them from the equilibria"),
          *BACKEND, PLOT)
 def _cmd_spectrum(ns, b, params, coeffs):
+    from .stabilize import classify_equilibria, companion_spectrum
+
     if ns.mu is None:
         entries = [
             {"mu": b.to_float(r.slope), "radius": r.spectral_radius,
@@ -457,29 +483,44 @@ def _cmd_spectrum(ns, b, params, coeffs):
     columns = [Binary64().texts([e[key] for e in entries]) for key in ("mu", "radius")]
     yield "spectrum.csv", _csv(("mu", "radius"), (f"{m},{r}\n" for m, r in zip(*columns)))
     if ns.plot is not None:
+        from .svgplot import as_floats, svg_pieces
+
         yield "spectrum.svg", svg_pieces(("mu", "radius"), *map(as_floats, columns), ns.plot)
     yield "spectrum.json", [_json({"sigma": ns.sigma, "entries": entries})]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of argv's alone when argv names one.
+
+    A subcommand's modules are imported first, all of them before the
+    parser exists; the usage line lists every subcommand either way."""
+    names = argv[:1] if argv and argv[0] in COMMANDS else list(COMMANDS)
+    for cmd in names:
+        for module in COMMANDS[cmd][1]:
+            importlib.import_module(f".{module}", __package__)
     parser = argparse.ArgumentParser(
         prog="tentlab",
         description="Tent-map orbits, cycle algebra, six-tap stabilization, "
         "and escape experiments.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for cmd, (help_text, compute, flags) in COMMANDS.items():
+    # one subparser's usage line lists every subcommand; the full parser's
+    # metavar stays None, so that its errors name the argument "command"
+    every = "{" + ",".join(COMMANDS) + "}" if len(names) < len(COMMANDS) else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for cmd in names:
+        help_text, _, compute, flags = COMMANDS[cmd]
         p = sub.add_parser(cmd, help=help_text)
         for name, kwargs in flags + (OUT,):
-            p.add_argument(name, **kwargs)
+            p.add_argument(name, **{key: value.read() if isinstance(value, Held) else value
+                                    for key, value in kwargs.items()})
         p.set_defaults(compute=compute, flags=flags)
     return parser
 
 
 def run_command(argv: list[str]) -> int:
     """Parse argv, run the subcommand, write artifacts; return exit status."""
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:

@@ -179,22 +179,6 @@ def _reduced_texts(nums: list[int], dens: list[int]) -> list[str]:
         return [_ratio_text(x // g, m // g) for x, m, g in zip(nums, dens, gcds)]
 
 
-def fixed_point(params: MapParams) -> Scalar:
-    """The interior fixed point h/(h+1); the origin is also fixed."""
-    h = params.h
-    with params.backend.context():
-        return h / (h + 1)
-
-
-def two_cycle(params: MapParams) -> tuple[Scalar, Scalar]:
-    """The 2-cycle (h/(1+h^2), h^2/(1+h^2)); tent_step swaps the pair."""
-    h = params.h
-    with params.backend.context():
-        h2 = h * h
-        d = 1 + h2
-        return h / d, h2 / d
-
-
 def _closes(x, y, b: Backend):
     """|x - y| within the closing tolerance, elementwise on arrays: x == y
     on rational, 1e-12 on binary64, 10^(5-p) on decimal.

@@ -42,7 +42,6 @@ from fractions import Fraction
 import numpy as np
 
 from .backends import Backend, DomainError, FixedDecimal, ParseError, Scalar, _digits
-from .cycles import fixed_point, two_cycle
 from .stabilize import TAPS, Coefficients, _bounded, _starred
 from .tentmap import MapParams, orbit, tent_step_array
 
@@ -167,6 +166,22 @@ def build_net(spec: NetSpec, backend: Backend, start: int = 0,
     den = backend.from_int(denom)
     with backend.context():
         return [backend.from_int(i) / den for i in range(start, stop)]
+
+
+def fixed_point(params: MapParams) -> Scalar:
+    """The interior fixed point h/(h+1); the origin is also fixed."""
+    h = params.h
+    with params.backend.context():
+        return h / (h + 1)
+
+
+def two_cycle(params: MapParams) -> tuple[Scalar, Scalar]:
+    """The 2-cycle (h/(1+h^2), h^2/(1+h^2)); tent_step swaps the pair."""
+    h = params.h
+    with params.backend.context():
+        h2 = h * h
+        d = 1 + h2
+        return h / d, h2 / d
 
 
 def _targets(params: MapParams) -> tuple[float, float, float]:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backends import Backend, DomainError, Scalar, infer_backend
-from .cycles import enumerate_cycles
 from .tentmap import MapParams, _tent_power
 
 TAPS = 6
@@ -166,6 +165,8 @@ def companion_spectrum(
 
 def _fixed_points_of_power(params: MapParams, k: int):
     """(point, slope) for every fixed point of T_h^k, origin included."""
+    from .cycles import enumerate_cycles  # only here: a sweep runs no census
+
     out = []
     b = params.backend
     for d in range(1, k + 1):

@@ -24,7 +24,7 @@ import pytest
 
 from tentlab.backends import Binary64, FixedDecimal, Rational
 from tentlab.cli import replay_manifest, run_command
-from tentlab.cycles import enumerate_cycles, fixed_point, onset_threshold, two_cycle
+from tentlab.cycles import enumerate_cycles, onset_threshold
 from tentlab.experiments import (
     DEFAULT_FLAT_TOL,
     KINDS,
@@ -34,9 +34,11 @@ from tentlab.experiments import (
     build_net,
     classify_outcome,
     detect_escape,
+    fixed_point,
     sqrt2_experiment,
     sqrt2_reference,
     sweep,
+    two_cycle,
 )
 from tentlab.fibonacci import (
     decompose,

@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tentlab import MapParams, NetSpec, build_coefficients, cli, experiments, svgplot, sweeprows
+from tentlab import (
+    MapParams, NetSpec, build_coefficients, cli, cycles, experiments, svgplot, sweeprows,
+)
 from tentlab.backends import TEXT_BLOCK, Binary64, DomainError, make_backend
 from tentlab.cli import build_parser, replay_manifest, run_command
 from tentlab.cycles import Census
@@ -176,20 +178,26 @@ class TestExitCodes:
 
     def test_unknown_subcommand(self, capsys):
         assert run_command(["frobnicate"]) == 2
-        assert "invalid choice" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "argument command: invalid choice: 'frobnicate'" in err
+        assert all(f"'{command}'" in err for command in SUBCOMMANDS)
 
     def test_unknown_flag(self, capsys):
         assert run_command(["simulate", "--bogus", "1"]) == 2
+        # simulate's parser alone was built; the usage line still lists every subcommand
+        assert "{" + ",".join(SUBCOMMANDS) + "}" in capsys.readouterr().err
 
     def test_no_subcommand(self, capsys):
         assert run_command([]) == 2
 
     def test_help_is_success(self, capsys):
         assert run_command(["--help"]) == 0
-        assert "simulate" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert all(f"    {command} " in out for command in SUBCOMMANDS)
 
     def test_version_is_success(self, capsys):
         assert run_command(["--version"]) == 0
+        assert capsys.readouterr().out == f"{cli.__version__}\n"
 
     def test_slope_out_of_range(self, tmp_path, capsys):
         code = run_command(["cycles", "--h", "2.5", "--out", str(tmp_path)])
@@ -393,7 +401,7 @@ class TestCycles:
         def refuse(*args):
             raise AssertionError("enumerate_cycles ran before the onset check")
 
-        monkeypatch.setattr(cli, "enumerate_cycles", refuse)
+        monkeypatch.setattr(cycles, "enumerate_cycles", refuse)
         out = tmp_path / "out"
         assert run_command(["cycles", "--period", "4", "--onset", "--out", str(out)]) == 2
         assert "no onset polynomial stored for period 4" in capsys.readouterr().err
@@ -1151,7 +1159,7 @@ class TestRunner:
             yield "b.csv", ["y\n2\n"]
             yield "a.csv", iter(["3\n"])
 
-        monkeypatch.setitem(cli.COMMANDS, "stub", ("yields a.csv twice", stub, ()))
+        monkeypatch.setitem(cli.COMMANDS, "stub", ("yields a.csv twice", (), stub, ()))
         assert run_command(["stub", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "a.csv").read_text() == "x\n1\n3\n"
         assert (tmp_path / "b.csv").read_text() == "y\n2\n"

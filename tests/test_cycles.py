@@ -23,10 +23,9 @@ from tentlab.cycles import (
     _lyndon_word_array,
     _word_texts,
     enumerate_cycles,
-    fixed_point,
     onset_threshold,
-    two_cycle,
 )
+from tentlab.experiments import fixed_point, two_cycle
 from tentlab.tentmap import MapParams, tent_power_step, tent_step
 
 
