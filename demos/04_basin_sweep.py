@@ -10,7 +10,7 @@ tolerance.  The triadic net i / (5 * 3^5) adds starts such as 4/15 and
 """
 
 from tentlab import Binary64, MapParams, NetSpec, build_coefficients, sweep
-from tentlab.experiments import KINDS, OutcomeKind
+from tentlab.basins import KINDS, OutcomeKind
 
 
 def starts(result, kind):

@@ -8,30 +8,18 @@ The names below are the ones the README, the demos and bench/micro.py use;
 everything else is imported from its module (tentlab.backends, ...).  Each
 resolves on first use, importing only its own module, so that importing
 tentlab, or tentlab.cli for one subcommand, compiles no module it does not run.
+Neither loads numpy, which tentlab._arrays alone imports, for array code.
 """
 
 __version__ = "0.1.0"
 
 import importlib
-import os
-
-# numpy's OpenBLAS reads its thread count once, as numpy loads, and starts a
-# pool that spins between calls; tentlab's largest LAPACK call is np.roots
-# of degree 6.  So ask for one thread, unless the caller chose a count, and
-# leave os.environ as the caller left it.
-_unasked = not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys()
-if _unasked:
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-try:
-    import numpy  # noqa: F401
-finally:
-    if _unasked:
-        del os.environ["OPENBLAS_NUM_THREADS"]
 
 _MODULES = {
     "backends": ("Binary64", "FixedDecimal", "Rational"),
+    "basins": ("NetSpec", "sweep"),
     "cycles": ("enumerate_cycles", "onset_threshold"),
-    "experiments": ("NetSpec", "detect_escape", "sqrt2_experiment", "sqrt2_reference", "sweep"),
+    "experiments": ("detect_escape", "sqrt2_experiment", "sqrt2_reference"),
     "fibonacci": ("decompose", "first_crossing", "predict_escape_index", "recurrence"),
     "stabilize": ("build_coefficients", "classify_equilibria", "companion_spectrum",
                   "stabilized_orbit"),

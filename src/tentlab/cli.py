@@ -15,10 +15,12 @@ Each subcommand lists in COMMANDS the library modules it runs.  For an
 argv that names a subcommand, build_parser imports those modules and
 then adds that subcommand's parser alone (--help, --version and an
 unknown name get every subcommand's, with the same text), so a run
-compiles no module it does not run: a census loads backends, tentmap
-and cycles, and a sweep all its modules before any worker forks.  Flag
-defaults that a library module holds are read from it as the parser is
-built; svgplot is imported only under --plot, by the code that plots.
+compiles no module it does not run: a census loads backends, tentmap,
+_arrays and cycles, and a sweep all its modules before any worker forks.
+import tentlab.cli loads no numpy: _arrays loads it, listed first by the
+four subcommands that run arrays and imported by svgplot, which the code
+that plots imports only under --plot.  Flag defaults that a library
+module holds are read from it as the parser is built.
 
 A subcommand is a generator of (artifact name, pieces) pairs, str or
 bytes-like pieces; _run builds the backend, MapParams and Coefficients
@@ -38,13 +40,14 @@ yields the SVG pieces of its first CSV's two columns (x0 and final under
 sweep), parsed once from the cells just formatted; sweep's workers
 return sweep.csv's rows a chunk at a time, as bytes in binary64, and
 the plotted cells as floats, so the parent holds neither net nor rows.
-Cells are formatted a column at a time by Backend.texts, in binary64 by
-Binary64.cells: repr's digits for a float64 array in integer arithmetic,
-which also fill a binary64 sweep.csv chunk's byte matrix in place.  The
-cycle census is formatted a block of cycles at a time, their points
-walked again from each cycle's start, and each block's cells feed both
-of its artifacts, so that neither holds more than a block of points or
-cells; cycles.json is json.dumps' text of its document, a cycle at a time.
+Cells are formatted a column at a time by Backend.texts, serialize a
+value at a time, and a float64 array's by _arrays.cells, repr's digits
+in integer arithmetic, which write a binary64 census block's cells, and
+a sweep.csv chunk's into its byte matrix in place.  The cycle census is
+formatted a block of cycles at a time, their points walked again from
+each cycle's start, and each block's cells feed both of its artifacts,
+so that neither holds more than a block of points or cells; cycles.json
+is json.dumps' text of its document, a cycle at a time.
 
 Exit codes: 0 success, 2 validation problem (bad flags or bad values),
 1 internal failure.
@@ -63,8 +66,6 @@ import sys
 import time
 from pathlib import Path
 from typing import NamedTuple
-
-import numpy as np
 
 from . import __version__
 from .backends import Binary64, BackendError, FixedDecimal, make_backend
@@ -257,6 +258,7 @@ def _indexed(ns, stem: str, label: str, cells: list[str]):
     the cells against their indices."""
     yield f"{stem}.csv", _csv(("n", label), (f"{i},{x}\n" for i, x in enumerate(cells)))
     if ns.plot is not None:
+        from ._arrays import np
         from .svgplot import as_floats, svg_pieces
 
         yield f"{stem}.svg", svg_pieces(("n", label), np.arange(len(cells), dtype=float),
@@ -277,7 +279,7 @@ _CYCLE_JSON = ('    {\n      "itinerary": "%s",\n      "multiplier": "%s",\n'
                '      "points": [\n        "%s"\n      ]\n    }')
 
 
-@command("cycles", "enumerate the period-n cycles at h", ("cycles",),
+@command("cycles", "enumerate the period-n cycles at h", ("_arrays", "cycles"),
          H, flag("--period", type=int, default=2),
          flag("--onset", action="store_true",
               help="also report the onset threshold for the period"),
@@ -309,10 +311,10 @@ def _cmd_cycles(ns, b, params, coeffs):
 
 
 @command("stabilize", "run the six-tap averaged recursion from x0",
-         ("stabilize", "experiments"),
+         ("_arrays", "stabilize", "basins"),
          H, K, SIGMA, x0_flag("0.5"), steps_flag(DEFAULT_STEPS), TOL, *BACKEND, PLOT)
 def _cmd_stabilize(ns, b, params, coeffs):
-    from .experiments import classify_outcome
+    from .basins import classify_outcome
     from .stabilize import stabilized_orbit
 
     run = stabilized_orbit(b.parse(ns.x0), params, ns.k, coeffs, ns.steps)
@@ -329,7 +331,7 @@ def _cmd_stabilize(ns, b, params, coeffs):
 
 
 @command("sweep", "classify stabilized runs from every net point",
-         ("stabilize", "experiments", "sweeprows", "svgplot"),
+         ("_arrays", "stabilize", "basins", "sweeprows", "svgplot"),
          flag("--net", default="uniform:1000",
               help="start-point net, uniform:N or triadic:M"),
          H, K, SIGMA, steps_flag(DEFAULT_STEPS), TOL,
@@ -339,7 +341,8 @@ def _cmd_stabilize(ns, b, params, coeffs):
                    "per CPU; 0 = one per CPU (default: 0)"),
          *BACKEND, PLOT)
 def _cmd_sweep(ns, b, params, coeffs):
-    from .experiments import KINDS, NetSpec, sweep_chunks
+    from ._arrays import np
+    from .basins import KINDS, NetSpec, sweep_chunks
     from .svgplot import svg_pieces
     from .sweeprows import sweep_rows
 
@@ -462,7 +465,8 @@ def _cmd_fib(ns, b, params, coeffs):
     yield "fib.json", [_json(doc)]
 
 
-@command("spectrum", "companion-map spectral radii for cell slopes mu", ("stabilize", "cycles"),
+@command("spectrum", "companion-map spectral radii for cell slopes mu",
+         ("_arrays", "stabilize", "cycles"),
          H, K, SIGMA,
          flag("--mu", type=bounded(float, "mu", "finite", math.isfinite), nargs="+",
               default=None, help="explicit slopes; default derives them from the equilibria"),

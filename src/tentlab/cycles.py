@@ -44,10 +44,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator
 
-import numpy as np
-
-from .backends import TEXT_BLOCK, Backend, DomainError, Scalar, _ratio_text
-from .tentmap import MapParams, tent_step_array
+from ._arrays import TEXT_BLOCK, float64_texts, np, tent_step_array
+from .backends import Backend, DomainError, Scalar, _ratio_text
+from .tentmap import MapParams
 
 MAX_ENUM_PERIOD = 20
 
@@ -124,7 +123,7 @@ class Census:
     @property
     def block(self) -> int:
         """Cycles a block, whose points and multipliers fill a block of
-        Backend.texts."""
+        float64_texts."""
         return max(1, TEXT_BLOCK // (self.period + 1))
 
     def texts(self, start: int, stop: int) -> tuple[list[str], list[str], list[str]]:
@@ -136,7 +135,8 @@ class Census:
         itineraries = _word_texts(self.words[start:stop], self.period)
         if self.denominators is not None:
             return _reduced_texts(*self._points(start, stop)), itineraries, b.texts(multipliers)
-        cells = b.texts(np.concatenate([self._points(start, stop).ravel(), multipliers]))
+        column_texts = float64_texts if b.kind == "binary64" else b.texts
+        cells = column_texts(np.concatenate([self._points(start, stop).ravel(), multipliers]))
         split = len(cells) - len(multipliers)
         return cells[:split], itineraries, cells[split:]
 

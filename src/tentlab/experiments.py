@@ -1,145 +1,36 @@
-"""Initial-condition sweeps, outcome classification, and escape detection.
+"""Escape detection and the fixed-precision sqrt(2) experiment.
 
-The experiments here contrast exact and rounded arithmetic on the same
-dynamics: sweeps classify where stabilized runs land on uniform or triadic
-grids of starting points, detect_escape finds the flat-then-jump signature
-of a run that sat near an exactly-invariant value until accumulated
-roundoff expelled it, and the fixed-precision experiment reproduces that
-signature with a slope that agrees with sqrt(2) to 57 decimal digits.
-
-A sweep is classified by classify_finals, the rule classify_outcome
-applies to one run, on chunks of 8192 points.  16384 ran the binary64
-kernel 4% faster in one process on a 2-vCPU host with a 2 MiB L2, but
-doubles a chunk's memory and leaves nets of up to 16384 points one
-chunk, for one worker.  Both chunk kernels run stabilize._starred, the
-recursion stabilized_orbit runs on one value.  Each first proves, by
-stabilize._bounded, that no average can leave [0, 1]: each weight is
->= 0 and their sum, each times the tent step's largest value h/2, is at
-most 1.  Then it checks only the chunk's starts; for weights that fail
-the bound it checks every average too, as stabilized_orbit does.  Chunk
-boundaries depend only on the chunk size, so sweep output is
-bit-identical across worker counts and chunk sizes.
-
-detect_escape runs in O(n log^2 n) numpy work and O(n) extra memory, by
-binary lifting over window extrema, and returns exactly what the quadratic
-scan from every anchor would (the tests keep that scan as the oracle).
+detect_escape finds the flat-then-jump signature of a run that sat near
+an exactly-invariant value until accumulated roundoff expelled it, and
+the fixed-precision experiment reproduces that signature with a slope
+that agrees with sqrt(2) to 57 decimal digits.  detect_escape is one
+O(n) two-pointer pass in plain Python, with O(n) extra memory in typed
+arrays, and returns exactly what the quadratic scan from every anchor
+would (the tests keep that scan as the oracle).  Nothing here imports
+numpy, so escape and sqrt2 runs never load it; sweeps are in basins.
 """
 
 from __future__ import annotations
 
 import decimal
-import enum
-import functools
 import math
-import os
-import pickle
-import signal
-import threading
+from array import array
+from collections import deque
 from dataclasses import dataclass
 from decimal import Decimal
-from fractions import Fraction
+from itertools import accumulate, compress
 
-import numpy as np
-
-from .backends import Backend, DomainError, FixedDecimal, ParseError, Scalar, _digits
-from .stabilize import TAPS, Coefficients, _bounded, _starred
-from .tentmap import MapParams, orbit, tent_step_array
-
-MAX_NET_SIZE = 10**7
+from .backends import DomainError, FixedDecimal, ParseError, Scalar
+from .tentmap import MapParams, orbit
 
 DEFAULT_FLAT_TOL = 1e-9
 DEFAULT_JUMP_TOL = 1e-3
 DEFAULT_MIN_FLAT = 30
 
-DEFAULT_CHUNK_SIZE = 8192
-
 # slope agreeing with sqrt(2) through 57 fractional digits
 SQRT2_SLOPE_DIGITS = (
     "1.414213562373095048801688724209698078569671875376948073176"
 )
-
-
-class OutcomeKind(enum.Enum):
-    CYCLE_LOW = "cycle_low"
-    CYCLE_HIGH = "cycle_high"
-    FIXED_POINT = "fixed_point"
-    UNRESOLVED = "unresolved"
-
-
-# an outcome code indexes KINDS; the first three follow the targets' order
-KINDS = tuple(OutcomeKind)
-UNRESOLVED_CODE = KINDS.index(OutcomeKind.UNRESOLVED)
-
-
-@dataclass(frozen=True)
-class NetSpec:
-    """A grid of starting points: uniform(N) is i/N, triadic(m) is i/(5*3^m)."""
-
-    kind: str
-    parameter: int
-
-    def __post_init__(self):
-        if self.kind not in ("uniform", "triadic"):
-            raise DomainError(f"unknown net kind {self.kind!r}")
-        if self.parameter < 1:
-            raise DomainError(f"net parameter must be positive, got {self.parameter}")
-        # the size cap; 3^m > 2^m, so a triadic m past the cap's bit length is over
-        huge = self.kind == "triadic" and self.parameter > MAX_NET_SIZE.bit_length()
-        if huge or self.size > MAX_NET_SIZE:
-            raise DomainError(f"net {self} has more than {MAX_NET_SIZE} points")
-
-    @classmethod
-    def uniform(cls, n: int) -> "NetSpec":
-        return cls(kind="uniform", parameter=n)
-
-    @classmethod
-    def triadic(cls, m: int) -> "NetSpec":
-        return cls(kind="triadic", parameter=m)
-
-    @classmethod
-    def parse(cls, text: str) -> "NetSpec":
-        kind, sep, num = text.partition(":")
-        if not sep or kind not in ("uniform", "triadic") or not num.isdecimal():
-            raise ParseError(
-                f"expected 'uniform:N' or 'triadic:M', got {text!r}"
-            )
-        return cls(kind=kind, parameter=_digits(int, num))
-
-    @property
-    def denominator(self) -> int:
-        if self.kind == "uniform":
-            return self.parameter
-        return 5 * 3**self.parameter
-
-    @property
-    def size(self) -> int:
-        return self.denominator + 1
-
-    def __str__(self) -> str:
-        return f"{self.kind}:{self.parameter}"
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """A sweep as four arrays indexed like the net.
-
-    points and finals are float64 under binary64 and backend scalars
-    (dtype=object) otherwise; codes index KINDS (int8); distances float64.
-    """
-
-    net: NetSpec
-    steps: int
-    tolerance: float
-    points: np.ndarray
-    finals: np.ndarray
-    codes: np.ndarray
-    distances: np.ndarray
-
-    @property
-    def counts(self) -> dict[OutcomeKind, int]:
-        """Starts per outcome kind, omitting kinds that never occur."""
-        tally = np.bincount(self.codes, minlength=len(KINDS))
-        return {kind: int(n) for kind, n in zip(KINDS, tally) if n}
 
 
 @dataclass(frozen=True)
@@ -153,368 +44,8 @@ class EscapeEvent:
     terminal_value: Scalar
 
 
-def build_net(spec: NetSpec, backend: Backend, start: int = 0,
-              stop: int | None = None) -> np.ndarray | list[Scalar]:
-    """Grid points start through stop - 1 (all of them by default) in index
-    order: a float64 array under binary64, else a list of backend scalars."""
-    stop = spec.size if stop is None else stop
-    denom = spec.denominator
-    if backend.kind == "binary64":
-        return np.arange(start, stop, dtype=np.float64) / denom
-    if backend.kind == "rational":  # one reduction, where a division takes two
-        return [Fraction(i, denom) for i in range(start, stop)]
-    den = backend.from_int(denom)
-    with backend.context():
-        return [backend.from_int(i) / den for i in range(start, stop)]
-
-
-def fixed_point(params: MapParams) -> Scalar:
-    """The interior fixed point h/(h+1); the origin is also fixed."""
-    h = params.h
-    with params.backend.context():
-        return h / (h + 1)
-
-
-def two_cycle(params: MapParams) -> tuple[Scalar, Scalar]:
-    """The 2-cycle (h/(1+h^2), h^2/(1+h^2)); tent_step swaps the pair."""
-    h = params.h
-    with params.backend.context():
-        h2 = h * h
-        d = 1 + h2
-        return h / d, h2 / d
-
-
-def _targets(params: MapParams) -> tuple[float, float, float]:
-    lo, hi = two_cycle(params)
-    fp = fixed_point(params)
-    b = params.backend
-    return b.to_float(lo), b.to_float(hi), b.to_float(fp)
-
-
-def classify_finals(
-    finals: np.ndarray, targets: tuple[float, float, float], tolerance: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome codes into KINDS and nearest-target distances for float finals.
-
-    The nearest target wins when strictly inside the tolerance; exact
-    distance ties go to the earlier target, so the cycle points beat the
-    fixed point and the low point beats the high one.  A column per
-    target, combined by np.minimum and strict compares: a NaN distance, as
-    from a NaN final, stays NaN and is unresolved.
-    """
-    finals = np.asarray(finals, dtype=np.float64)
-    low, high, fixed = (np.abs(finals - t) for t in targets)
-    codes = (high < low).view(np.int8)
-    nearer = np.minimum(low, high, out=low)
-    codes[fixed < nearer] = 2
-    distances = np.minimum(nearer, fixed, out=fixed)
-    codes[~(distances < tolerance)] = UNRESOLVED_CODE
-    return codes, distances
-
-
-def classify_outcome(
-    final: Scalar, params: MapParams, tolerance: float
-) -> tuple[OutcomeKind, float]:
-    """The kind of target a run's final value matches, against the 2-cycle
-    and the fixed point, and its distance to the nearest one."""
-    if not tolerance > 0:
-        raise DomainError(f"tolerance must be positive, got {tolerance}")
-    codes, distances = classify_finals(
-        [params.backend.to_float(final)], _targets(params), tolerance
-    )
-    return KINDS[codes[0]], float(distances[0])
-
-
-def _cpus() -> int:
-    """The CPUs this process may run on, by its affinity mask where there is one."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _resolve_threads(threads: int) -> int:
-    if threads < 0:
-        raise DomainError(f"thread count must be nonnegative, got {threads}")
-    return threads or _cpus()
-
-
-def _serve(work, indices: range, results):
-    """A worker: answer each index with (True, work(index)) or (False, the
-    exception it raised), as length-prefixed frames, then exit."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops the workers
-    for index in indices:
-        try:
-            reply = (True, work(index))
-        except Exception as exc:  # raised in the parent when index comes up
-            reply = (False, exc)
-        buffers = []  # of 64 KiB or more: append returns None, which puts them out of band
-        data = pickle.dumps(reply, 5, buffer_callback=lambda buffer: buffer.raw().nbytes
-                            < 1 << 16 or buffers.append(buffer.raw()))
-        for frame in (data, *buffers):
-            results.writelines([len(frame).to_bytes(8, "little"), frame])
-        results.flush()
-    os._exit(0)
-
-
-def _frames(results):
-    """A worker's frames, each read into a new bytearray for its arrays to keep."""
-    while True:
-        head = results.read(8)
-        frame = bytearray(int.from_bytes(head, "little"))
-        if len(head) < 8 or results.readinto(frame) < len(frame):
-            raise EOFError("the worker's pipe ended")
-        yield frame
-
-
-def chunk_map(work, count: int, threads: int = 1):
-    """work(0), ..., work(count - 1), yielded in that order.
-
-    The indices run on min(threads, count, CPUs) worker processes forked
-    from this one, so work reads its inputs from the memory it inherits
-    and only the result crosses a pipe: its pickle, then each buffer of
-    64 KiB or more, such as a chunk's rows, read into a buffer of its own
-    (a smaller one stays in the pickle, so that no tally keeps a large
-    buffer alive).  Worker w computes the indices w, w + workers, ... in
-    turn and writes each result to its one pipe, whose write blocks while
-    the pipe is full: results wait in the workers, not here, and the
-    workers compute while the caller consumes.  Reading the pipes in turn
-    yields the indices in order.  An exception raised by work is raised
-    here when its index comes up, as the serial map raises it.
-    One worker or one index runs the plain serial map, and so does a
-    process with other threads alive, since a fork copies only the
-    calling thread and whatever locks the others held.
-    threading.active_count() sees only Python threads, so a native
-    thread pool relies on its own fork handlers; tentlab's import starts
-    none, since it asks OpenBLAS for one thread.  threads = 0 means one
-    per CPU.
-    """
-    workers = min(_resolve_threads(threads), count, _cpus())
-    if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
-        yield from map(work, range(count))
-        return
-    pids, results = [], []  # each worker's pid and answers
-    try:
-        for w in range(workers):
-            results_fd, results_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # the worker keeps only its own write end
-                try:
-                    for fd in (results_fd, *(f.fileno() for f in results)):
-                        os.close(fd)
-                    _serve(work, range(w, count, workers), open(results_end, "wb"))
-                finally:  # on an error; _serve exits with 0 once its indices are done
-                    os._exit(1)
-            pids.append(pid)
-            os.close(results_end)
-            results.append(open(results_fd, "rb"))
-        for index in range(count):
-            w = index % workers
-            try:
-                frames = _frames(results[w])
-                ok, value = pickle.loads(next(frames), buffers=frames)  # a frame per buffer
-            except EOFError:  # the worker is gone: reap it here
-                code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(w), 0)[1])
-                raise RuntimeError(f"worker process exited with code {code}")
-            if not ok:
-                raise value
-            yield value
-            del value  # so that the next result arrives without this one alive
-    finally:
-        for f in results:
-            f.close()
-        for pid in pids:
-            os.kill(pid, signal.SIGTERM)
-            os.waitpid(pid, 0)
-
-
-def _sweep_chunk_rounded(
-    x0s: np.ndarray, params: MapParams, k: int, a: tuple[Scalar, ...], steps: int,
-) -> np.ndarray:
-    """Final starred values for one chunk: the last value _starred yields
-    on the whole array, float64 under binary64 and Decimals (dtype=object)
-    under decimal, whose context makes each array operation round as the
-    scalar one.  The starts, and for weights that fail _bounded each average
-    too, snap into [0, 1] by clamp_unit, which raises beyond the backend's
-    slack, when a min and a max find them outside; the final average is not."""
-    b, h = params.backend, params.h
-    bounded = _bounded(params, a)
-
-    def clamped(x: np.ndarray) -> np.ndarray:
-        if not (x.min() >= 0 and x.max() <= 1):  # NaN too
-            x = np.array(list(map(b.clamp_unit, x.tolist())))
-        return x
-
-    def f(x: np.ndarray) -> np.ndarray:
-        x = x if bounded else clamped(x)
-        for _ in range(k):
-            x = tent_step_array(x, h)
-        return x
-
-    with b.context():
-        for final in _starred(clamped(x0s), f, a, steps):
-            pass
-    return final
-
-
-class _SharedDenominator:
-    """Exact values as int numerators over one shared int denominator, with
-    the two operations _starred combines values by.
-
-    weight * x for a Fraction weight takes no gcd and multiplies no
-    numerator: it keeps x's numerators, multiplies the denominator by the
-    weight's, and defers the weight's numerator, as scale, into the next
-    +.  Multiplying the numerators at * would be a second pass over them
-    for each tap, which measured 19-29% slower on 8191-start chunks.  x + y
-    puts both over the lcm of their denominators, one gcd for the whole
-    array, and has scale 1.  _starred hands f, and yields, only its start,
-    f's values and sums, so those all have scale 1 and nums/den is the value.
-    """
-
-    __slots__ = ("nums", "den", "scale")
-
-    def __init__(self, nums: list[int], den: int, scale: int = 1):
-        self.nums, self.den, self.scale = nums, den, scale
-
-    def __rmul__(self, weight: Fraction) -> "_SharedDenominator":
-        return _SharedDenominator(self.nums, self.den * weight.denominator,
-                                  self.scale * weight.numerator)
-
-    def __add__(self, other: "_SharedDenominator") -> "_SharedDenominator":
-        den = math.lcm(self.den, other.den)
-        s, t = self.scale * (den // self.den), other.scale * (den // other.den)
-        if s == 1:  # the running sum, over the newest tap's denominator
-            return _SharedDenominator([a + t * b for a, b in zip(self.nums, other.nums)], den)
-        return _SharedDenominator(
-            [s * a + t * b for a, b in zip(self.nums, other.nums)], den)
-
-
-def _sweep_chunk_rational(
-    x0s: np.ndarray, params: MapParams, k: int, a: tuple[Fraction, ...], steps: int,
-) -> np.ndarray:
-    """Final starred values for one chunk: the last value _starred yields
-    on the whole chunk as one _SharedDenominator, equal to the scalar
-    recursion's.
-
-    With h = p/q a tent step sends each numerator N to p*N when 2N <= M
-    (the tie at 1/2 goes LEFT) and to p*(M - N) otherwise, and the
-    denominator M to q*M, so no step builds a Fraction or takes a gcd.
-    Reducing would not keep the numbers smaller, since the reduced
-    denominators grow as fast.  Each final becomes one Fraction, reduced
-    by one gcd to the value the scalar recursion returns.  A start outside
-    [0, 1] raises, as clamp_unit does with no slack, and so does such an
-    average for weights that fail _bounded; the final average is not checked.
-    """
-    b = params.backend
-    p, q = params.h.numerator, params.h.denominator
-    bounded = _bounded(params, a)
-
-    def checked(x: _SharedDenominator) -> _SharedDenominator:
-        nums, m = x.nums, x.den
-        if min(nums) < 0 or max(nums) > m:  # no slack
-            b.clamp_unit(Fraction(next(n for n in nums if not 0 <= n <= m), m))
-        return x
-
-    def f(x: _SharedDenominator) -> _SharedDenominator:
-        nums, m = (x if bounded else checked(x)).nums, x.den
-        for _ in range(k):
-            nums = [p * n if 2 * n <= m else p * (m - n) for n in nums]
-            m *= q
-        return _SharedDenominator(nums, m)
-
-    m = math.lcm(*(x.denominator for x in x0s))
-    start = _SharedDenominator([x.numerator * (m // x.denominator) for x in x0s], m)
-    for final in _starred(checked(start), f, a, steps):
-        pass
-    return np.array([Fraction(n, final.den) for n in final.nums], dtype=object)
-
-
-def sweep_chunks(
-    each, spec: NetSpec, params: MapParams, k: int, coeffs: Coefficients,
-    steps: int, tolerance: float, threads: int = 1, chunk_size: int | None = None,
-):
-    """each(points, finals, codes, distances) for every chunk of chunk_size
-    points (None: DEFAULT_CHUNK_SIZE), yielded in net order.
-
-    A chunk runs in one pass on a chunk_map worker, which builds its points,
-    runs the chunk kernel, classifies the finals and calls each on the four
-    arrays, so only each's result crosses back.  The arguments are checked
-    here, before any chunk runs; threads is the worker count (0: one per CPU).
-    """
-    if k < 1:
-        raise DomainError(f"power must be a positive integer, got {k}")
-    if steps < TAPS:
-        raise DomainError(f"sweep needs at least {TAPS} steps, got {steps}")
-    if not tolerance > 0:
-        raise DomainError(f"tolerance must be positive, got {tolerance}")
-    chunk_size = DEFAULT_CHUNK_SIZE if chunk_size is None else chunk_size
-    if chunk_size < 1:
-        raise DomainError(f"chunk size must be positive, got {chunk_size}")
-    b = params.backend
-    nworkers = _resolve_threads(threads)
-    kernel = functools.partial(
-        _sweep_chunk_rational if b.kind == "rational" else _sweep_chunk_rounded,
-        params=params, k=k, a=tuple(map(b.check, coeffs.a)), steps=steps,
-    )
-    targets = _targets(params)
-
-    def run_chunk(index: int):
-        start = index * chunk_size
-        points = build_net(spec, b, start, min(start + chunk_size, spec.size))
-        if b.kind != "binary64":
-            points = np.array(points, dtype=object)
-        finals = kernel(points)
-        return each(points, finals, *classify_finals(finals, targets, tolerance))
-
-    return chunk_map(run_chunk, -(-spec.size // chunk_size), nworkers)
-
-
-def sweep(
-    spec: NetSpec, params: MapParams, k: int, coeffs: Coefficients,
-    steps: int, tolerance: float, threads: int = 1, chunk_size: int | None = None,
-) -> SweepResult:
-    """Classify a stabilized run from every net point: sweep_chunks' arrays,
-    concatenated, bit-identical for any worker count and chunk size."""
-    chunks = sweep_chunks(lambda *arrays: arrays, spec, params, k, coeffs, steps,
-                          tolerance, threads, chunk_size)
-    return SweepResult(spec, steps, tolerance, *map(np.concatenate, zip(*chunks)))
-
-
-def _window_extrema(values: np.ndarray, level: int, upper, lower):
-    """upper and lower reductions of every window of 2**level values.
-
-    Doubling from the values themselves keeps one level alive at a time.
-    """
-    hi = lo = values
-    for j in range(level):
-        width = 1 << j
-        hi = upper(hi[:-width], hi[width:])
-        lo = lower(lo[:-width], lo[width:])
-    return hi, lo
-
-
-def _lift(values, anchors, starts, stays, upper, lower) -> np.ndarray:
-    """For each anchor, the first index at or after its start whose value
-    fails stays(hi, lo, anchor), or len(values) when none does.
-
-    Binary lifting: from the widest window down, a position jumps over the
-    window that begins at it whenever the window's extrema pass.
-    """
-    n = len(values)
-    pos = starts.copy()
-    for level in reversed(range(n.bit_length())):
-        width = 1 << level
-        hi, lo = _window_extrema(values, level, upper, lower)
-        inside = np.flatnonzero(pos + width <= n)
-        at = pos[inside]
-        passed = stays(hi[at], lo[at], anchors[inside])
-        pos[inside[passed]] += width
-    return pos
-
-
-def detect_escape(
-    series,
-    flat_tol: float = DEFAULT_FLAT_TOL,
-    jump_tol: float = DEFAULT_JUMP_TOL,
-    min_flat: int = DEFAULT_MIN_FLAT,
-) -> EscapeEvent | None:
+def detect_escape(series, flat_tol: float = DEFAULT_FLAT_TOL, jump_tol: float = DEFAULT_JUMP_TOL,
+                  min_flat: int = DEFAULT_MIN_FLAT) -> EscapeEvent | None:
     """Longest flat stretch that the series later leaves by >= jump_tol.
 
     A stretch is flat when every value stays within flat_tol of its first
@@ -527,41 +58,70 @@ def detect_escape(
     qualifies, because nothing after it jumps.  A NaN ends a flat stretch
     and never counts as a jump.
 
-    Takes O(n log^2 n) numpy work and O(n) extra memory: each anchor finds
-    the end of its stretch, then its escape, by binary lifting over window
-    maxima and minima.  The result is exact, bit for bit the scalar
-    abs(v - anchor) tests: fl(v - a) is monotone in v and
-    fl(a - v) = -fl(v - a), so a window's extrema pass a bound exactly
-    when all of its values do.  NaN-propagating extrema end a stretch at a
-    NaN; NaN-ignoring ones let no NaN escape.
+    One O(n) pass over the anchors s in order.  need is one more than the
+    longest qualifying run so far (min_flat at first), so s can win only
+    if its window, values[s + 1:s + need], lies within flat_tol of its
+    value a; the window's ends only move right, and monotone deques hold
+    its extrema.  Each suffix's extrema, NaN ignored, pass over an anchor
+    that nothing later leaves by jump_tol, and decide the rest in O(1): if
+    a value past the window deviates from a by more than flat_tol and by
+    jump_tol or more, the stretch ends and escapes, where a scan finds
+    and the window's end then passes; else it runs on to the next NaN (for
+    an infinite a, which v = a ends too, to where a scan finds, once per
+    run of values other than a), and qualifies if a jump follows.  Tests
+    are exact: fl(v - a) is monotone in v and fl(a - v) = -fl(v - a), so
+    extrema pass a bound exactly when all of their values do.
     """
-    values = np.fromiter(map(float, series), dtype=np.float64)
-    index = np.arange(len(values))
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in the scalar test
-        flat_end = _lift(
-            values, values, index + 1,
-            lambda hi, lo, a: (hi - a <= flat_tol) & (a - lo <= flat_tol),
-            np.maximum, np.minimum,
-        )
-        runs = flat_end - index
-        long_enough = np.flatnonzero(runs >= min_flat)
-        escapes = _lift(
-            values, values[long_enough], flat_end[long_enough],
-            lambda hi, lo, a: ~((hi - a >= jump_tol) | (a - lo >= jump_tol)),
-            np.fmax, np.fmin,
-        )
-    escaped = escapes < len(values)
-    if not escaped.any():
+    values = list(map(float, series))
+    n = len(values)
+    # top[n - i] and bottom[n - i]: the largest and least of values[i:], NaN ignored
+    top = array("d", accumulate(reversed(values), max, initial=-math.inf))
+    bottom = array("d", accumulate(reversed(values), min, initial=math.inf))
+    nans = array("q", [*compress(range(n), map(math.isnan, values)), n])
+    # deques hi and lo hold the window's indices, values falling and rising;
+    # a NaN in them stops only the pops of values before it, which leave first
+    pushed = k = 0  # the indices below pushed went into hi and lo
+    need, best = max(min_flat, 1), None
+    for s, a in enumerate(values):
+        end = s + need
+        if end > n:
+            break
+        while nans[k] <= s:
+            k += 1  # nans[k]: the first NaN after s
+        if nans[k] < end or not (top[n - s - 1] - a >= jump_tol
+                                  or a - bottom[n - s - 1] >= jump_tol):
+            continue
+        if pushed <= s:  # hi and lo hold nothing in the window, as at the first anchor here
+            hi, lo, pushed = deque(), deque(), s + 1
+        for i in range(pushed, end):
+            v = values[i]
+            while hi and values[hi[-1]] <= v:
+                hi.pop()
+            while lo and values[lo[-1]] >= v:
+                lo.pop()
+            hi.append(i)
+            lo.append(i)
+        pushed = end
+        while hi and hi[0] <= s:
+            hi.popleft()
+        while lo and lo[0] <= s:
+            lo.popleft()
+        if hi and not (values[hi[0]] - a <= flat_tol and a - values[lo[0]] <= flat_tol):
+            continue
+        up, down = top[n - end] - a, a - bottom[n - end]
+        if math.isinf(a) or flat_tol < up >= jump_tol or flat_tol < down >= jump_tol:
+            stop = end
+            while stop < n and abs(values[stop] - a) <= flat_tol:
+                stop += 1
+        else:
+            stop = nans[k]
+        if top[n - stop] - a >= jump_tol or a - bottom[n - stop] >= jump_tol:
+            best, need = (s, stop), stop - s + 1
+    if best is None:
         return None
-    qualifying = long_enough[escaped]
-    best = int(np.argmax(runs[qualifying]))  # the first maximum: the earliest start
-    start = int(qualifying[best])
-    return EscapeEvent(
-        flat_value=series[start],
-        flat_start=start,
-        escape_index=int(escapes[escaped][best]),
-        terminal_value=series[-1],
-    )
+    start, stop = best
+    escape = next(m for m in range(stop, n) if abs(values[m] - values[start]) >= jump_tol)
+    return EscapeEvent(series[start], start, escape, series[-1])
 
 
 def sqrt2_reference(precision: int) -> Decimal:

@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .backends import Backend, DomainError, Scalar, infer_backend
 from .tentmap import MapParams, _tent_power
 
@@ -157,6 +155,8 @@ def companion_spectrum(
     lambda^6 - mu (a_1 lambda^5 + a_2 lambda^4 + ... + a_6), together with
     their maximum.
     """
+    from ._arrays import np  # only here: a scalar run never loads numpy
+
     mu = float(mu)
     poly = [1.0] + [-mu * float(v) for v in coeffs.a]  # descending degree 6
     mags = sorted((float(m) for m in np.abs(np.roots(poly))), reverse=True)

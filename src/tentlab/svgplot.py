@@ -26,8 +26,7 @@ import math
 from decimal import Decimal
 from itertools import chain
 
-import numpy as np
-
+from ._arrays import np
 from .backends import DomainError
 
 VIEW_WIDTH = 800

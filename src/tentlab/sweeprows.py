@@ -1,9 +1,7 @@
 """sweep.csv rows, formatted a chunk at a time in the sweep's workers."""
 
-import numpy as np
-
-from .backends import CELL_BYTES
-from .experiments import KINDS
+from ._arrays import CELL_BYTES, cells, np
+from .basins import KINDS
 from .svgplot import as_floats
 
 
@@ -21,7 +19,7 @@ def sweep_rows(b, plot: bool):
     the cells parsed back, since decimal serialize quantizes.
 
     Under binary64 the rows are a uint8 matrix of _ROW_BYTES columns, NUL
-    where a field is shorter, in a table each worker reuses; Binary64.cells
+    where a field is shorter, in a table each worker reuses; _arrays.cells
     writes the three numbers in place, each equal to its repr, and refuses
     a column that is not float64.  The rows returned are a new uint8 array
     of its bytes, NULs deleted; the other backends join their serialize
@@ -39,7 +37,7 @@ def sweep_rows(b, plot: bool):
                 table = np.empty((len(codes), _ROW_BYTES), dtype=np.uint8)
             matrix = table[:len(codes)]
             for start, values in zip(_CELL_COLUMNS, (points, finals, distances)):
-                b.cells(values, matrix[:, start:start + CELL_BYTES])
+                cells(values, matrix[:, start:start + CELL_BYTES])
             words = matrix.view(np.uint64)
             words[:, 4:6] = labels.view(np.uint64).reshape(len(names), 2)[codes]
             words[:, [10, 15]] = separators  # every byte of the matrix is now written

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .backends import Backend, DomainError, Scalar
 
 
@@ -43,28 +41,15 @@ class MapParams:
 
 def tent_step(x: Scalar, params: MapParams) -> Scalar:
     """One application of T_h to x clamped within rounding slack of [0, 1],
-    bit for bit tent_step_array's min(t, h - t), which for x in [0, 1] is
-    t when x <= 1/2 and h - t, or t equal to it, otherwise."""
+    bit for bit _arrays.tent_step_array's min(t, h - t), which for x in
+    [0, 1] is t when x <= 1/2 and h - t, or t equal to it, otherwise."""
     return orbit(x, params, 1, 1)[1]
-
-
-def tent_step_array(x: np.ndarray, h: Scalar) -> np.ndarray:
-    """tent_step's arithmetic on a float64 or object array, under the
-    caller's context and without its input clamp: t = h*x, then
-    min(t, h - t), which is h - t where x > 1/2 and t elsewhere, so [0, 1] maps
-    into [0, h/2] with no clamp of the output.  Rounding is monotone and
-    represents h/2: for x <= 1/2, t <= h/2 <= fl(h - t); for x > 1/2,
-    t >= h/2 and h - t <= h/2 is exact (Sterbenz; in decimal both are
-    multiples of 10^-p within 1 of each other).  A NaN keeps t,
-    np.minimum's first operand; a decimal NaN raises at the compare."""
-    t = h * x
-    return np.minimum(t, h - t, out=t)
 
 
 def _tent_power(x: Scalar, h: Scalar, half: Scalar, k: int) -> Scalar:
     """T_h's branch arithmetic k times on x in [0, 1], under the
     caller's context and without its clamp: a step takes [0, 1] into
-    [0, h/2] (see tent_step_array), so no value after x needs one."""
+    [0, h/2] (see _arrays.tent_step_array), so no value after x needs one."""
     for _ in range(k):
         t = h * x
         x = t if x <= half else h - t

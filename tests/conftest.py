@@ -33,5 +33,5 @@ def forks(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr("tentlab.experiments._cpus", lambda: 2)
+    monkeypatch.setattr("tentlab.basins._cpus", lambda: 2)
     return started

@@ -25,20 +25,22 @@ import pytest
 from tentlab.backends import Binary64, FixedDecimal, Rational
 from tentlab.cli import replay_manifest, run_command
 from tentlab.cycles import enumerate_cycles, onset_threshold
-from tentlab.experiments import (
-    DEFAULT_FLAT_TOL,
+from tentlab.basins import (
     KINDS,
-    SQRT2_SLOPE_DIGITS,
     NetSpec,
     OutcomeKind,
     build_net,
     classify_outcome,
-    detect_escape,
     fixed_point,
-    sqrt2_experiment,
-    sqrt2_reference,
     sweep,
     two_cycle,
+)
+from tentlab.experiments import (
+    DEFAULT_FLAT_TOL,
+    SQRT2_SLOPE_DIGITS,
+    detect_escape,
+    sqrt2_experiment,
+    sqrt2_reference,
 )
 from tentlab.fibonacci import (
     decompose,

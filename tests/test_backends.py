@@ -20,15 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tentlab import (
-    MapParams, backends, build_coefficients, itinerary, recurrence, stabilized_orbit, tent_step,
+    MapParams, _arrays, build_coefficients, itinerary, recurrence, stabilized_orbit, tent_step,
 )
+from tentlab._arrays import CELL_BYTES, TEXT_BLOCK, cells, float64_texts
 from tentlab.backends import (
-    CELL_BYTES,
     Binary64,
     DomainError,
     FixedDecimal,
     MismatchError,
-    TEXT_BLOCK,
     ParseError,
     Rational,
     infer_backend,
@@ -305,10 +304,10 @@ class TestSerialization:
 
 
 def cell_texts(values) -> tuple[list[str], int]:
-    """Binary64.cells of a float64 array as strings, and its repr count."""
+    """cells of a float64 array as strings, and its repr count."""
     values = np.asarray(values, dtype=np.float64)
     out = np.full((len(values), CELL_BYTES), 0xFF, dtype=np.uint8)  # no stale NULs
-    count = Binary64().cells(values, out)
+    count = cells(values, out)
     return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in out], count
 
 
@@ -317,14 +316,14 @@ def reprs(values) -> list[str]:
 
 
 def uncovered(values) -> int:
-    """How many values Binary64.cells leaves to repr by their range: all
+    """How many values cells leaves to repr by their range: all
     but those in (0, 1) whose repr has an exponent of -99 or more."""
     return sum(not (0 < v < 1 and len(r.partition("e-")[2]) < 3)
                for v, r in zip(np.asarray(values).tolist(), reprs(values)))
 
 
 class TestBinary64Cells:
-    """Binary64.cells against repr, the scalar serialize it vectorizes."""
+    """_arrays.cells against repr, the scalar serialize it vectorizes."""
 
     @given(st.lists(st.floats(), min_size=1, max_size=40))
     @settings(max_examples=300, deadline=None)
@@ -379,7 +378,7 @@ class TestBinary64Cells:
 
     def test_refuses_an_object_array(self):
         with pytest.raises(MismatchError):
-            Binary64().cells(np.array([0.5], dtype=object), np.empty((1, CELL_BYTES), np.uint8))
+            cells(np.array([0.5], dtype=object), np.empty((1, CELL_BYTES), np.uint8))
 
     def test_writes_in_place_into_column_slices(self):
         # the sweep's row table: cells at columns 0, 48 and 88 of 128 bytes a
@@ -390,25 +389,25 @@ class TestBinary64Cells:
         before = table.copy()
         starts = (0, 48, 88)
         for start, values in zip(starts, columns):
-            Binary64().cells(values, table[:, start:start + CELL_BYTES])
+            cells(values, table[:, start:start + CELL_BYTES])
         written = np.zeros(128, dtype=bool)
         for start, values in zip(starts, columns):
             written[start:start + CELL_BYTES] = True
-            cells = [row.tobytes().replace(b"\0", b"").decode("ascii")
+            texts = [row.tobytes().replace(b"\0", b"").decode("ascii")
                      for row in table[:, start:start + CELL_BYTES]]
-            assert cells == list(map(Binary64().serialize, values.tolist()))
+            assert texts == list(map(Binary64().serialize, values.tolist()))
         assert np.array_equal(table[:, ~written], before[:, ~written])
 
     def test_refuses_rows_that_are_not_contiguous(self):
         table = np.zeros((4, 2 * CELL_BYTES), dtype=np.uint8)
         with pytest.raises(MismatchError, match="contiguous"):
-            Binary64().cells(np.full(4, 0.25), table[:, ::2])
+            cells(np.full(4, 0.25), table[:, ::2])
         assert not table.any()
 
     def test_tables_hold_exact_integers(self):
         # F's limbs rebuild 5**s * 2**t, exactly from E_exact up, and every
         # value of exponent E scales below 2**64
-        t = backends._tables()
+        t = _arrays._tables()
         assert t.multipliers.dtype == np.uint64 and t.multipliers.max() < 2**32
         assert t.scales.dtype == np.int64
         for i, s in enumerate(t.scales.tolist()):
@@ -423,19 +422,19 @@ class TestBinary64Cells:
     def test_integers_stay_integers(self):
         # a uint64 array that meets an int64 one is promoted to float64,
         # which drops the low bits of the 20-digit answers without a word
-        y, decpt, fallback = backends._shortest(np.array([0.1, 2.0**-60, 1 / 3, 0.0]))
+        y, decpt, fallback = _arrays._shortest(np.array([0.1, 2.0**-60, 1 / 3, 0.0]))
         assert (y.dtype, decpt.dtype, fallback.dtype) == (np.uint64, np.int64, bool)
         assert y[:3].tolist() == [10**19, 8673617379884035000, 3333333333333333000]
         assert decpt[:3].tolist() == [0, -18, 0]
         assert fallback.tolist() == [False, False, False, True]
 
     def test_tables_are_built_on_first_use(self):
-        code = ("import tentlab.cli, tentlab.backends as b;"
-                "assert b._tables.cache_info().currsize == 0")
+        code = ("import tentlab.cli, tentlab._arrays as a;"
+                "assert a._tables.cache_info().currsize == 0")
         subprocess.run([sys.executable, "-c", code], check=True)
 
 
-# the values Binary64.cells leaves to repr, and some it covers
+# the values cells leaves to repr, and some it covers
 EDGE_FLOATS = [0.0, -0.0, -0.5, -1e-300, 1.0, 2.0, 65536.0, -65536.0, 1e300, 5e-324,
                2.2250738585072014e-308, 1e-100, 1e-99, 1e-05, 0.0001, 0.1, 2 / 3,
                math.nan, math.inf, -math.inf]
@@ -452,12 +451,13 @@ def unlimited_str(n: int) -> str:
 
 
 class TestTexts:
-    """Backend.texts, a column at a time, against serialize, a value at a time."""
+    """Backend.texts, and float64_texts on a float64 array, a column at a
+    time, against serialize, a value at a time."""
 
     def test_binary64_edge_values(self):
         b = Binary64()
         assert b.texts(EDGE_FLOATS) == list(map(b.serialize, EDGE_FLOATS))
-        assert b.texts(np.array(EDGE_FLOATS)) == list(map(b.serialize, EDGE_FLOATS))
+        assert float64_texts(np.array(EDGE_FLOATS)) == list(map(b.serialize, EDGE_FLOATS))
 
     @pytest.mark.parametrize("n", [0, 1, TEXT_BLOCK - 1, TEXT_BLOCK, TEXT_BLOCK + 1,
                                    3 * TEXT_BLOCK + 7])
@@ -465,8 +465,7 @@ class TestTexts:
         rng = np.random.default_rng(n)
         values = rng.random(n) * 10.0 ** rng.integers(-120, 5, n)
         values[::97] = np.resize(EDGE_FLOATS, len(values[::97]))
-        b = Binary64()
-        assert b.texts(values) == list(map(b.serialize, values.tolist()))
+        assert float64_texts(values) == list(map(Binary64().serialize, values.tolist()))
 
     @given(st.lists(st.floats(), max_size=40))
     @settings(max_examples=200, deadline=None)
@@ -508,6 +507,7 @@ class TestTexts:
     @pytest.mark.parametrize("b, values", [
         (Binary64(), [0.5, Fraction(1, 2)]),
         (Binary64(), [1, 2]),
+        (Binary64(), np.array([0.5, 0.25])),  # np.float64 items: float64_texts takes arrays
         (Rational(), [Fraction(1, 2), 0.5]),
         (FixedDecimal(30), [Decimal("0.5"), 0.5]),
     ])

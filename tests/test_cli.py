@@ -17,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tentlab import (
-    MapParams, NetSpec, build_coefficients, cli, cycles, experiments, svgplot, sweeprows,
+    MapParams, NetSpec, basins, build_coefficients, cli, cycles, svgplot, sweeprows,
 )
-from tentlab.backends import TEXT_BLOCK, Binary64, DomainError, make_backend
+from tentlab._arrays import TEXT_BLOCK
+from tentlab.backends import Binary64, DomainError, make_backend
 from tentlab.cli import build_parser, replay_manifest, run_command
 from tentlab.cycles import Census
 from tentlab.svgplot import as_float, svg_pieces
@@ -665,7 +666,7 @@ class TestSweep:
         self, tmp_path, monkeypatch, forks, argv, digests
     ):
         # small chunks, so that every net has several
-        monkeypatch.setattr(experiments, "DEFAULT_CHUNK_SIZE", 7)
+        monkeypatch.setattr(basins, "DEFAULT_CHUNK_SIZE", 7)
         for threads in ("1", "2", "0"):
             out = tmp_path / threads
             assert run_command(["sweep", *argv, "--threads", threads, "--out", str(out)]) == 0
@@ -677,15 +678,15 @@ class TestSweep:
     def test_worker_error_exits_as_the_serial_run_does(
         self, tmp_path, monkeypatch, capsys, forks
     ):
-        kernel = experiments._sweep_chunk_rounded
+        kernel = basins._sweep_chunk_rounded
 
         def refuse_upper_half(x0s, **kwargs):
             if x0s[0] >= 0.5:
                 raise DomainError(f"chunk from {float(x0s[0])!r} refused")
             return kernel(x0s, **kwargs)
 
-        monkeypatch.setattr(experiments, "_sweep_chunk_rounded", refuse_upper_half)
-        monkeypatch.setattr(experiments, "DEFAULT_CHUNK_SIZE", 64)
+        monkeypatch.setattr(basins, "_sweep_chunk_rounded", refuse_upper_half)
+        monkeypatch.setattr(basins, "DEFAULT_CHUNK_SIZE", 64)
         seen = []
         for threads in ("1", "2"):
             out = tmp_path / threads
@@ -700,15 +701,15 @@ class TestSweep:
     def test_worker_error_keeps_what_out_already_held(
         self, tmp_path, monkeypatch, capsys, forks, threads
     ):
-        kernel = experiments._sweep_chunk_rounded
+        kernel = basins._sweep_chunk_rounded
 
         def refuse_third_chunk(x0s, **kwargs):
             if x0s[0] >= 0.128:
                 raise DomainError("refused")
             return kernel(x0s, **kwargs)
 
-        monkeypatch.setattr(experiments, "_sweep_chunk_rounded", refuse_third_chunk)
-        monkeypatch.setattr(experiments, "DEFAULT_CHUNK_SIZE", 64)
+        monkeypatch.setattr(basins, "_sweep_chunk_rounded", refuse_third_chunk)
+        monkeypatch.setattr(basins, "DEFAULT_CHUNK_SIZE", 64)
         (tmp_path / "notes.txt").write_text("unrelated")
         argv = ["sweep", "--net", "uniform:1000", "--threads", threads, "--plot", "line"]
         assert run_command([*argv, "--out", str(tmp_path)]) == 2
@@ -731,7 +732,7 @@ class TestSweep:
         # the floats the workers send must be the cells sweep.csv holds
         svgs = set()
         for chunk_size in (5, 16, 65536):
-            monkeypatch.setattr(experiments, "DEFAULT_CHUNK_SIZE", chunk_size)
+            monkeypatch.setattr(basins, "DEFAULT_CHUNK_SIZE", chunk_size)
             for threads in ("1", "2"):
                 out = tmp_path / f"{chunk_size}-{threads}"
                 argv = ["sweep", *backend, "--steps", "20", "--threads", threads,
@@ -753,10 +754,10 @@ class TestSweep:
         self, tmp_path, monkeypatch, forks, backend
     ):
         # 8194 points: two chunks at each size, the second of 3, 2 and 1 points
-        assert experiments.DEFAULT_CHUNK_SIZE == 8192
+        assert basins.DEFAULT_CHUNK_SIZE == 8192
         seen = set()
         for chunk_size in (8191, 8192, 8193):
-            monkeypatch.setattr(experiments, "DEFAULT_CHUNK_SIZE", chunk_size)
+            monkeypatch.setattr(basins, "DEFAULT_CHUNK_SIZE", chunk_size)
             for threads in ("1", "2"):
                 out = tmp_path / f"{chunk_size}-{threads}"
                 argv = ["sweep", "--net", "uniform:8193", *backend, "--steps", "8",
@@ -773,10 +774,10 @@ class TestSweep:
         self, tmp_path, monkeypatch, capsys, forks, threads
     ):
         # the dtype is checked once a chunk, in place of a check per value
-        kernel = experiments._sweep_chunk_rounded
-        monkeypatch.setattr(experiments, "_sweep_chunk_rounded",
+        kernel = basins._sweep_chunk_rounded
+        monkeypatch.setattr(basins, "_sweep_chunk_rounded",
                             lambda x0s, **kwargs: kernel(x0s, **kwargs).astype(object))
-        monkeypatch.setattr(experiments, "DEFAULT_CHUNK_SIZE", 64)
+        monkeypatch.setattr(basins, "DEFAULT_CHUNK_SIZE", 64)
         out = tmp_path / "out"
         argv = ["sweep", "--net", "uniform:200", "--threads", threads, "--out", str(out)]
         assert run_command(argv) == 2
@@ -796,7 +797,7 @@ class TestSweep:
             texts.append(rows(points, points / 3, codes, points / 7)[0])
         for text, points in zip(texts, chunks):
             assert text.dtype == np.uint8
-            want = "".join(f"{x!r},{experiments.KINDS[i % 4].value},{x / 3!r},{x / 7!r}\n"
+            want = "".join(f"{x!r},{basins.KINDS[i % 4].value},{x / 3!r},{x / 7!r}\n"
                            for i, x in enumerate(points.tolist()))
             assert bytes(text).decode("ascii") == want
 
@@ -807,7 +808,7 @@ class TestSweep:
         b = make_backend(backend, 10 if backend == "decimal" else None)
         params = MapParams.parse("3/2", b)
         coeffs = build_coefficients(b.parse("6/5"), b)
-        chunks = experiments.sweep_chunks(
+        chunks = basins.sweep_chunks(
             sweeprows.sweep_rows(b, True), NetSpec.uniform(70), params, 2, coeffs, 20, 1e-3,
             chunk_size=16,
         )
@@ -821,7 +822,7 @@ class TestSweep:
     def test_parent_memory_does_not_grow_with_the_net(self, tmp_path, monkeypatch):
         # parent memory is O(workers x chunk): at --threads 1 one chunk at a
         # time, whatever the size of the net
-        monkeypatch.setattr(experiments, "DEFAULT_CHUNK_SIZE", 512)
+        monkeypatch.setattr(basins, "DEFAULT_CHUNK_SIZE", 512)
         peaks = []
         for size in (1024, 4096, 16384):  # the first run warms up caches
             argv = ["sweep", "--net", f"uniform:{size}", "--threads", "1",
@@ -863,7 +864,7 @@ class TestSweep:
     ):
         # under --plot the parent keeps two float64 columns, 16 bytes a point,
         # and renders them a slice at a time, never as whole-column lists
-        monkeypatch.setattr(experiments, "DEFAULT_CHUNK_SIZE", 512)
+        monkeypatch.setattr(basins, "DEFAULT_CHUNK_SIZE", 512)
         peaks = []
         for size in (1024, 4096, 16384):  # the first run warms up caches
             argv = ["sweep", "--net", f"uniform:{size}", "--threads", "1",
@@ -881,18 +882,18 @@ class TestSweep:
         assert peaks[2] < peaks[1] + 24 * (16384 - 4096)
 
     def test_binary64_cells_skip_repr(self, tmp_path, monkeypatch):
-        # Binary64.cells writes the sweep's numbers, and its integer path,
+        # _arrays.cells writes the sweep's numbers, and its integer path,
         # not the repr fallback, writes at least 99% of them, so that a
         # slide into the fallback fails here and not only in the benchmark
         written, fallbacks = [], []
-        cells = Binary64.cells
+        cells = sweeprows.cells
 
-        def counted(self, values, out):
+        def counted(values, out):
             written.append(len(values))
-            fallbacks.append(cells(self, values, out))
+            fallbacks.append(cells(values, out))
             return fallbacks[-1]
 
-        monkeypatch.setattr(Binary64, "cells", counted)
+        monkeypatch.setattr(sweeprows, "cells", counted)
         argv = ["sweep", "--net", "uniform:100000", "--threads", "1", "--out", str(tmp_path)]
         assert run_command(argv) == 0
         assert sum(written) == 3 * 100_001

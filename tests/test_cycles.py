@@ -25,7 +25,7 @@ from tentlab.cycles import (
     enumerate_cycles,
     onset_threshold,
 )
-from tentlab.experiments import fixed_point, two_cycle
+from tentlab.basins import fixed_point, two_cycle
 from tentlab.tentmap import MapParams, tent_power_step, tent_step
 
 

@@ -20,14 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tentlab import experiments
+from tentlab import basins
 from tentlab.backends import (
     Binary64, DomainError, FixedDecimal, ParseError, Rational, make_backend,
 )
-from tentlab.experiments import (
-    SQRT2_SLOPE_DIGITS,
+from tentlab.basins import (
     KINDS,
-    EscapeEvent,
     NetSpec,
     OutcomeKind,
     UNRESOLVED_CODE,
@@ -35,14 +33,18 @@ from tentlab.experiments import (
     chunk_map,
     classify_finals,
     classify_outcome,
-    detect_escape,
-    sqrt2_experiment,
-    sqrt2_reference,
     sweep,
     _SharedDenominator,
     _cpus,
     _sweep_chunk_rational,
     _sweep_chunk_rounded,
+)
+from tentlab.experiments import (
+    SQRT2_SLOPE_DIGITS,
+    EscapeEvent,
+    detect_escape,
+    sqrt2_experiment,
+    sqrt2_reference,
 )
 from tentlab.stabilize import Coefficients, _bounded, build_coefficients, stabilized_orbit
 from tentlab.tentmap import MapParams, orbit, tent_power_step
@@ -120,7 +122,10 @@ def detect_escape_oracle(series, flat_tol=1e-9, jump_tol=1e-3, min_flat=30):
 def escape_cases(draw):
     """Runs of near-equal values around a base, gaps 0, +-tol and +-tol/2
     (twice that too, so a jump can clear the tolerance), with NaN, +-inf
-    and +-0.0 mixed in; the tolerances are 0 or the gaps themselves."""
+    and +-0.0 mixed in; the tolerances are 0, the gaps themselves or
+    infinite, where an infinite value's stretch runs on.  A run is up to 8
+    values long, or up to 150, so that a series reaches past 500 values
+    and a deque holds a long window."""
     tol = draw(st.sampled_from([0.5, 1e-3, 1e-9, 2.0**-40]))
     base = draw(st.sampled_from([0.0, 0.6, 1.0]))
     near = st.sampled_from([0.0, tol, -tol, tol / 2, -tol / 2, 2 * tol, -2 * tol])
@@ -128,9 +133,9 @@ def escape_cases(draw):
         near.map(lambda gap: base + gap),
         st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
     )
-    runs = draw(st.lists(st.tuples(value, st.integers(1, 8)), max_size=12))
+    runs = draw(st.lists(st.tuples(value, st.integers(1, 8) | st.integers(1, 150)), max_size=12))
     series = [v for v, count in runs for _ in range(count)]
-    tols = st.sampled_from([0.0, tol / 2, tol, 2 * tol])
+    tols = st.sampled_from([0.0, tol / 2, tol, 2 * tol, math.inf])
     return series, draw(tols), draw(tols), draw(st.integers(0, 6))
 
 
@@ -442,12 +447,13 @@ class TestChunkMap:
     )
     @pytest.mark.parametrize("asked, threads", [(None, 1), ("2", 2)])
     def test_import_starts_no_blas_thread_unless_asked(self, asked, threads):
-        # an idle OpenBLAS pool spins on a CPU; the caller's own count wins
+        # an idle OpenBLAS pool spins on a CPU; the caller's own count wins.
+        # tentlab.cycles imports numpy, through tentlab._arrays, as a census does
         env = {name: value for name, value in os.environ.items()
                if name not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
         if asked is not None:
             env["OPENBLAS_NUM_THREADS"] = asked
-        code = ("import os, tentlab;"
+        code = ("import os, tentlab.cycles;"
                 "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))")
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
@@ -531,8 +537,8 @@ class TestSweep:
         # must own its buffer, not share one that a later chunk overwrites
         params, coeffs = b64_setup()
         spec = NetSpec.uniform(4 * 8192)
-        runs = [list(experiments.sweep_chunks(lambda *arrays: arrays, spec, params, 2, coeffs,
-                                              20, 1e-3, threads=threads, chunk_size=8192))
+        runs = [list(basins.sweep_chunks(lambda *arrays: arrays, spec, params, 2, coeffs,
+                                         20, 1e-3, threads=threads, chunk_size=8192))
                 for threads in (1, 2)]
         assert len(forks) == 2
         serial, forked = runs
@@ -801,6 +807,24 @@ class TestDetectEscape:
         event = detect_escape(series)
         assert event is not None
         assert event == detect_escape_oracle(series)
+
+    # each of the next three is quadratic for a walk from every anchor
+    def test_stretches_that_run_to_the_end_never_escape(self):
+        # every value lies within flat_tol of every other, so each stretch
+        # runs to the end, although each later 0.6 is a jump from 0.0
+        assert detect_escape([0.0, 0.6] * 100_000, flat_tol=1, jump_tol=0.5) is None
+
+    def test_one_long_stretch_then_a_jump(self):
+        event = detect_escape([0.6] * 100_000 + [0.1])
+        assert event == EscapeEvent(0.6, 0, 100_000, 0.1)
+
+    def test_nan_separated_stretches(self):
+        # 1000 stretches of 200 values, each ended by a NaN, then the
+        # longest, of 300, and a jump after its NaN: every stretch
+        # qualifies, and the last wins
+        series = ([0.6] * 200 + [math.nan]) * 1000 + [0.6] * 300 + [math.nan, 0.1]
+        event = detect_escape(series)
+        assert event == EscapeEvent(0.6, 201_000, 201_301, 0.1)
 
     def test_binary64_04_escapes_at_frozen_index(self, run_04_b64):
         ev = detect_escape(run_04_b64)

@@ -1,10 +1,13 @@
 """What importing tentlab and running one subcommand load: the package's
-names on first use, and only the library modules the subcommand runs."""
+names on first use, only the library modules the subcommand runs, and
+numpy only for a subcommand that runs arrays."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,13 +29,19 @@ def loaded_after(script: str, *args: str):
     return json.loads(out)
 
 
-# run argv into --out, then print the tentlab modules this process holds
+# run argv into --out, then print the tentlab modules this process holds,
+# and numpy if it is loaded
 RUN = """if True:
     import json, sys
     from tentlab.cli import run_command
     assert run_command(sys.argv[1:]) == 0
-    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "tentlab")))
+    print(json.dumps(sorted(m for m in sys.modules
+                            if m == "numpy" or m.split(".")[0] == "tentlab")))
 """
+
+# what every run loads: tentlab.cli's own imports
+CLI = {"tentlab", "tentlab.cli", "tentlab.backends", "tentlab.tentmap"}
+ARRAYS = {"tentlab._arrays", "numpy"}
 
 
 def run_loads(tmp_path, *argv: str) -> set[str]:
@@ -60,6 +69,20 @@ class TestPackage:
         assert listed
         assert bound == sorted(tentlab.__all__)
 
+    def test_import_tentlab_cli_loads_no_numpy(self):
+        script = "import json, sys, tentlab.cli; print(json.dumps('numpy' in sys.modules))"
+        assert loaded_after(script) is False
+
+    def test_one_module_imports_numpy(self):
+        importers = []
+        for path in sorted(Path(tentlab.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                names = ([node.module or ""] if isinstance(node, ast.ImportFrom)
+                         else [a.name for a in node.names] if isinstance(node, ast.Import) else [])
+                if any(name.split(".")[0] == "numpy" for name in names):
+                    importers.append(path.name)
+        assert importers == ["_arrays.py"]
+
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             tentlab.no_such_name  # noqa: B018
@@ -67,19 +90,29 @@ class TestPackage:
 
 
 class TestModulesARunLoads:
-    def test_census_loads_only_its_modules(self, tmp_path):
-        assert run_loads(tmp_path, "cycles", "--period", "5") == {
-            "tentlab", "tentlab.cli", "tentlab.backends", "tentlab.tentmap", "tentlab.cycles",
-        }
+    @pytest.mark.parametrize("argv, own", [
+        (("cycles", "--period", "5"), {"tentlab.cycles"}),
+        (("stabilize",), {"tentlab.stabilize", "tentlab.basins"}),
+        (("spectrum",), {"tentlab.stabilize", "tentlab.cycles"}),
+    ], ids=["cycles", "stabilize", "spectrum"])
+    def test_array_runs_load_numpy_and_only_their_modules(self, tmp_path, argv, own):
+        assert run_loads(tmp_path, *argv) == CLI | ARRAYS | own
 
-    @pytest.mark.parametrize("argv", [("escape",), ("sqrt2", "--steps", "100")],
-                             ids=["escape", "sqrt2"])
-    def test_escape_runs_skip_census_and_sweep_modules(self, tmp_path, argv):
+    @pytest.mark.parametrize("argv, own", [
+        (("escape",), {"tentlab.stabilize", "tentlab.experiments"}),
+        (("escape", "--backend", "rational", "--steps", "100"),
+         {"tentlab.stabilize", "tentlab.experiments"}),
+        (("escape", "--backend", "decimal", "--precision", "30"),
+         {"tentlab.stabilize", "tentlab.experiments"}),
+        (("sqrt2", "--steps", "100"), {"tentlab.experiments"}),
+        (("simulate",), set()),
+        (("series",), set()),
+        (("fib",), {"tentlab.fibonacci"}),
+    ], ids=["escape", "escape-rational", "escape-decimal", "sqrt2", "simulate", "series", "fib"])
+    def test_scalar_runs_load_no_numpy_unless_plotted(self, tmp_path, argv, own):
         plain = run_loads(tmp_path, *argv)
-        skipped = {"tentlab.cycles", "tentlab.sweeprows", "tentlab.fibonacci", "tentlab.svgplot"}
-        assert not plain & skipped
-        assert {"tentlab.experiments", "tentlab.stabilize"} <= plain
-        assert run_loads(tmp_path, *argv, "--plot", "line") - plain == {"tentlab.svgplot"}
+        assert plain == CLI | own
+        assert run_loads(tmp_path, *argv, "--plot", "line") - plain == {"tentlab.svgplot", *ARRAYS}
 
     def test_no_module_is_first_imported_after_a_sweep_forks(self, tmp_path):
         # os.fork records the tentlab modules present at each fork; on two
@@ -90,7 +123,8 @@ class TestModulesARunLoads:
             os.sched_getaffinity = lambda pid: {0, 1}
             os.cpu_count = lambda: 2
             def tentlab_modules():
-                return sorted(m for m in sys.modules if m.split(".")[0] == "tentlab")
+                return sorted(m for m in sys.modules
+                              if m == "numpy" or m.split(".")[0] == "tentlab")
             at_forks, real_fork = [], os.fork
             def fork():
                 at_forks.append(tentlab_modules())
@@ -104,6 +138,7 @@ class TestModulesARunLoads:
         assert len(at_forks) == 2
         assert all(modules == after for modules in at_forks)
         assert "tentlab.cycles" not in after
+        assert {"tentlab.basins", *ARRAYS} <= set(after)
 
 
 class TestOneSubparser:

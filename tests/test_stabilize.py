@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tentlab import stabilize
+from tentlab._arrays import tent_step_array
 from tentlab.backends import Binary64, DomainError, FixedDecimal, Rational
 from tentlab.stabilize import (
     TAPS,
@@ -25,7 +26,7 @@ from tentlab.stabilize import (
     companion_spectrum,
     stabilized_orbit,
 )
-from tentlab.tentmap import MapParams, tent_step_array
+from tentlab.tentmap import MapParams
 
 SIGMA = 1.2
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tentlab._arrays import tent_step_array
 from tentlab.backends import Binary64, DomainError, FixedDecimal, Rational
 from tentlab.tentmap import (
     MapParams,
@@ -23,7 +24,6 @@ from tentlab.tentmap import (
     orbit,
     tent_power_step,
     tent_step,
-    tent_step_array,
 )
 
 
