@@ -391,12 +391,10 @@ def _sweep_chunk_rational(
     return np.array([Fraction(n, final.den) for n in final.nums], dtype=object)
 
 
-def sweep_chunks(
-    each, spec: NetSpec, params: MapParams, k: int, coeffs: Coefficients,
-    steps: int, tolerance: float, threads: int = 1, chunk_size: int | None = None,
-):
-    """each(points, finals, codes, distances) for every chunk of chunk_size
-    points (None: DEFAULT_CHUNK_SIZE), yielded in net order.
+def sweep_chunks(each, spec: NetSpec, params: MapParams, k: int, coeffs: Coefficients,
+                 steps: int, tolerance: float, threads: int = 1):
+    """each(points, finals, codes, distances) for every chunk of
+    DEFAULT_CHUNK_SIZE points, read at the call, yielded in net order.
 
     A chunk runs in one pass on a chunk_map worker, which builds its points,
     runs the chunk kernel, classifies the finals and calls each on the four
@@ -409,9 +407,7 @@ def sweep_chunks(
         raise DomainError(f"sweep needs at least {TAPS} steps, got {steps}")
     if not tolerance > 0:
         raise DomainError(f"tolerance must be positive, got {tolerance}")
-    chunk_size = DEFAULT_CHUNK_SIZE if chunk_size is None else chunk_size
-    if chunk_size < 1:
-        raise DomainError(f"chunk size must be positive, got {chunk_size}")
+    chunk_size = DEFAULT_CHUNK_SIZE
     b = params.backend
     nworkers = _resolve_threads(threads)
     kernel = functools.partial(
@@ -431,12 +427,10 @@ def sweep_chunks(
     return chunk_map(run_chunk, -(-spec.size // chunk_size), nworkers)
 
 
-def sweep(
-    spec: NetSpec, params: MapParams, k: int, coeffs: Coefficients,
-    steps: int, tolerance: float, threads: int = 1, chunk_size: int | None = None,
-) -> SweepResult:
+def sweep(spec: NetSpec, params: MapParams, k: int, coeffs: Coefficients,
+          steps: int, tolerance: float, threads: int = 1) -> SweepResult:
     """Classify a stabilized run from every net point: sweep_chunks' arrays,
     concatenated, bit-identical for any worker count and chunk size."""
     chunks = sweep_chunks(lambda *arrays: arrays, spec, params, k, coeffs, steps,
-                          tolerance, threads, chunk_size)
+                          tolerance, threads)
     return SweepResult(spec, steps, tolerance, *map(np.concatenate, zip(*chunks)))

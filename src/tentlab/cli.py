@@ -11,16 +11,13 @@ which is what lets "--h 3/2 --backend rational" stay exact. Every
 backend, decimal included, works with every subcommand that takes
 --backend, and --plot renders rational columns such as "2/5" too.
 
-Each subcommand lists in COMMANDS the library modules it runs.  For an
-argv that names a subcommand, build_parser imports those modules and
-then adds that subcommand's parser alone (--help, --version and an
-unknown name get every subcommand's, with the same text), so a run
-compiles no module it does not run: a census loads backends, tentmap,
-_arrays and cycles, and a sweep all its modules before any worker forks.
-import tentlab.cli loads no numpy: _arrays loads it, listed first by the
-four subcommands that run arrays and imported by svgplot, which the code
-that plots imports only under --plot.  Flag defaults that a library
-module holds are read from it as the parser is built.
+A subcommand imports the library modules it runs where it runs them,
+svgplot only under --plot, so a run compiles no module it does not run
+and import tentlab.cli loads no numpy.  For an argv that names a
+subcommand, build_parser adds that subcommand's parser alone (--help,
+--version and an unknown name get every subcommand's, with the same
+text); a flag default that a library module holds is read from it as
+the parser is built.
 
 A subcommand is a generator of (artifact name, pieces) pairs, str or
 bytes-like pieces; _run builds the backend, MapParams and Coefficients
@@ -37,20 +34,10 @@ only once the computation has validated its inputs; a run that fails
 later deletes the artifacts it opened, and --out if it created it.  A
 JSON document is json.dumps' text.  Under --plot a subcommand also
 yields the SVG pieces of its first CSV's two columns (x0 and final under
-sweep), parsed once from the cells just formatted; sweep's workers
-return sweep.csv's rows a chunk at a time, as bytes in binary64, and
-the plotted cells as floats, so the parent holds neither net nor rows.
-Cells are formatted a column at a time by Backend.texts, serialize a
-value at a time, and a float64 array's by _arrays.cells, repr's digits
-in integer arithmetic, which write a binary64 census block's cells, and
-a sweep.csv chunk's into its byte matrix in place.  The cycle census is
-formatted a block of cycles at a time, their points walked again from
-each cycle's start, and each block's cells feed both of its artifacts,
-so that neither holds more than a block of points or cells; cycles.json
-is json.dumps' text of its document, a cycle at a time.
+sweep), parsed once from the cells just formatted.
 
-Exit codes: 0 success, 2 validation problem (bad flags or bad values),
-1 internal failure.
+Exit codes: 0 success, 2 validation problem (bad flags or bad values,
+an --out that is not a directory), 1 internal failure.
 """
 
 from __future__ import annotations
@@ -90,8 +77,8 @@ def flag(name: str, **kwargs) -> tuple[str, dict]:
 
 
 class Held(NamedTuple):
-    """A flag default that a library module holds: read from the module as
-    the parser is built, once the subcommand's modules are imported."""
+    """A flag default that a library module holds: read from the module,
+    which it imports, as the parser is built."""
 
     module: str
     name: str
@@ -184,6 +171,11 @@ def _encoded(piece):
 def _run(ns: argparse.Namespace) -> int:
     """Run a parsed subcommand: write its artifacts, then manifest.json."""
     t0 = time.perf_counter()
+    out = Path(ns.out)
+    there = next(path for path in (out, *out.parents) if path.exists())
+    if not there.is_dir():  # a bad value, refused before the run creates anything
+        print(f"tentlab: error: --out {out}: {there} is not a directory", file=sys.stderr)
+        return 2
     b = make_backend(ns.backend, ns.precision) if "backend" in ns else None
     params = MapParams.parse(ns.h, b) if "h" in ns else None
     coeffs = None
@@ -191,7 +183,6 @@ def _run(ns: argparse.Namespace) -> int:
         from .stabilize import build_coefficients
 
         coeffs = build_coefficients(b.parse(ns.sigma), b)
-    out = Path(ns.out)
     created = not out.exists()
     listed = set()  # what a tentlab manifest already in out lists, before this run's replaces it
     with contextlib.suppress(OSError, ValueError, LookupError, TypeError):
@@ -239,15 +230,14 @@ def _run(ns: argparse.Namespace) -> int:
 # generator where they can be, so that a large artifact is formatted as it
 # is written: a CSV's from _csv, a JSON document's from _json, an SVG's
 # from svg_pieces.  --out is added to every subcommand and is the one flag
-# the manifest leaves out.  The library modules a subcommand runs are
-# imported by build_parser, svgplot only under --plot by the code that plots.
+# the manifest leaves out.
 
-COMMANDS: dict[str, tuple] = {}  # name -> (help, modules, compute, flags)
+COMMANDS: dict[str, tuple] = {}  # name -> (help, compute, flags)
 
 
-def command(name: str, help_text: str, modules: tuple[str, ...], *flags: tuple[str, dict]):
+def command(name: str, help_text: str, *flags: tuple[str, dict]):
     def register(compute):
-        COMMANDS[name] = (help_text, modules, compute, flags)
+        COMMANDS[name] = (help_text, compute, flags)
         return compute
 
     return register
@@ -258,14 +248,13 @@ def _indexed(ns, stem: str, label: str, cells: list[str]):
     the cells against their indices."""
     yield f"{stem}.csv", _csv(("n", label), (f"{i},{x}\n" for i, x in enumerate(cells)))
     if ns.plot is not None:
-        from ._arrays import np
         from .svgplot import as_floats, svg_pieces
 
-        yield f"{stem}.svg", svg_pieces(("n", label), np.arange(len(cells), dtype=float),
-                                        as_floats(cells), ns.plot)
+        yield f"{stem}.svg", svg_pieces(("n", label), range(len(cells)), as_floats(cells),
+                                        ns.plot)
 
 
-@command("simulate", "iterate T^k from a start point", (),
+@command("simulate", "iterate T^k from a start point",
          H, K, x0_flag("0.5"), steps_flag(DEFAULT_STEPS), *BACKEND, PLOT)
 def _cmd_simulate(ns, b, params, coeffs):
     run = orbit(b.parse(ns.x0), params, k=ns.k, steps=ns.steps)
@@ -279,7 +268,7 @@ _CYCLE_JSON = ('    {\n      "itinerary": "%s",\n      "multiplier": "%s",\n'
                '      "points": [\n        "%s"\n      ]\n    }')
 
 
-@command("cycles", "enumerate the period-n cycles at h", ("_arrays", "cycles"),
+@command("cycles", "enumerate the period-n cycles at h",
          H, flag("--period", type=int, default=2),
          flag("--onset", action="store_true",
               help="also report the onset threshold for the period"),
@@ -311,7 +300,6 @@ def _cmd_cycles(ns, b, params, coeffs):
 
 
 @command("stabilize", "run the six-tap averaged recursion from x0",
-         ("_arrays", "stabilize", "basins"),
          H, K, SIGMA, x0_flag("0.5"), steps_flag(DEFAULT_STEPS), TOL, *BACKEND, PLOT)
 def _cmd_stabilize(ns, b, params, coeffs):
     from .basins import classify_outcome
@@ -331,7 +319,6 @@ def _cmd_stabilize(ns, b, params, coeffs):
 
 
 @command("sweep", "classify stabilized runs from every net point",
-         ("_arrays", "stabilize", "basins", "sweeprows", "svgplot"),
          flag("--net", default="uniform:1000",
               help="start-point net, uniform:N or triadic:M"),
          H, K, SIGMA, steps_flag(DEFAULT_STEPS), TOL,
@@ -343,7 +330,6 @@ def _cmd_stabilize(ns, b, params, coeffs):
 def _cmd_sweep(ns, b, params, coeffs):
     from ._arrays import np
     from .basins import KINDS, NetSpec, sweep_chunks
-    from .svgplot import svg_pieces
     from .sweeprows import sweep_rows
 
     spec = NetSpec.parse(ns.net)
@@ -374,6 +360,8 @@ def _cmd_sweep(ns, b, params, coeffs):
         "counts": {kind.value: int(n) for kind, n in zip(KINDS, sum(tallies)) if n},
     })]
     if plot:
+        from .svgplot import svg_pieces
+
         yield "sweep.svg", svg_pieces(("x0", "final"), *columns, ns.plot)
 
 
@@ -387,7 +375,6 @@ def _event_doc(event, serialize):
 
 
 @command("escape", "find the flat-then-jump event in a stabilized run",
-         ("stabilize", "experiments"),
          H, K, SIGMA, x0_flag("0.4"), steps_flag(300), *escape_flags(DEFAULT_TOL),
          *BACKEND, PLOT)
 def _cmd_escape(ns, b, params, coeffs):
@@ -404,14 +391,14 @@ def _cmd_escape(ns, b, params, coeffs):
     })]
 
 
-@command("series", "plain chaotic orbit of 1/2 under T", (),
+@command("series", "plain chaotic orbit of 1/2 under T",
          H, steps_flag(DEFAULT_STEPS), *BACKEND, PLOT)
 def _cmd_series(ns, b, params, coeffs):
     run = orbit(b.parse("0.5"), params, steps=ns.steps)
     yield from _indexed(ns, "series", "x", b.texts(run))
 
 
-@command("sqrt2", "high-precision orbit pinned near 2 - sqrt(2)", ("experiments",),
+@command("sqrt2", "high-precision orbit pinned near 2 - sqrt(2)",
          flag("--h-digits", default=Held("experiments", "SQRT2_SLOPE_DIGITS"),
               help="decimal digit string for the slope"),
          flag("--precision", type=int, default=70),
@@ -436,7 +423,7 @@ def _cmd_sqrt2(ns, b, params, coeffs):
     })]
 
 
-@command("fib", "additive recurrence with eigen-decomposition", ("fibonacci",),
+@command("fib", "additive recurrence with eigen-decomposition",
          x0_flag("1"), flag("--x1", default=Held("fibonacci", "NEAR_STABLE_X1")), steps_flag(100),
          flag("--threshold", type=positive_finite("threshold"), default=1.0),
          flag("--phase", action="store_true",
@@ -466,7 +453,6 @@ def _cmd_fib(ns, b, params, coeffs):
 
 
 @command("spectrum", "companion-map spectral radii for cell slopes mu",
-         ("_arrays", "stabilize", "cycles"),
          H, K, SIGMA,
          flag("--mu", type=bounded(float, "mu", "finite", math.isfinite), nargs="+",
               default=None, help="explicit slopes; default derives them from the equilibria"),
@@ -494,14 +480,9 @@ def _cmd_spectrum(ns, b, params, coeffs):
 
 
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of argv's alone when argv names one.
-
-    A subcommand's modules are imported first, all of them before the
-    parser exists; the usage line lists every subcommand either way."""
+    """The parser of every subcommand, or of argv's alone when argv names one;
+    the usage line lists every subcommand either way."""
     names = argv[:1] if argv and argv[0] in COMMANDS else list(COMMANDS)
-    for cmd in names:
-        for module in COMMANDS[cmd][1]:
-            importlib.import_module(f".{module}", __package__)
     parser = argparse.ArgumentParser(
         prog="tentlab",
         description="Tent-map orbits, cycle algebra, six-tap stabilization, "
@@ -513,7 +494,7 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     every = "{" + ",".join(COMMANDS) + "}" if len(names) < len(COMMANDS) else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=every)
     for cmd in names:
-        help_text, _, compute, flags = COMMANDS[cmd]
+        help_text, compute, flags = COMMANDS[cmd]
         p = sub.add_parser(cmd, help=help_text)
         for name, kwargs in flags + (OUT,):
             p.add_argument(name, **{key: value.read() if isinstance(value, Held) else value

@@ -2,7 +2,6 @@
 
 from ._arrays import CELL_BYTES, cells, np
 from .basins import KINDS
-from .svgplot import as_floats
 
 
 # a binary64 sweep.csv row in fixed byte columns, each field a whole number
@@ -24,6 +23,8 @@ def sweep_rows(b, plot: bool):
     a column that is not float64.  The rows returned are a new uint8 array
     of its bytes, NULs deleted; the other backends join their serialize
     cells into a string, with repr for the float64 distances."""
+    if plot:  # imported here, in the parent, before any worker forks
+        from .svgplot import as_floats
     names = [kind.value for kind in KINDS]
     binary64 = b.kind == "binary64"
     labels = np.array([f",{name},".encode() for name in names], dtype="S16")

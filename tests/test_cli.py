@@ -200,6 +200,16 @@ class TestExitCodes:
         assert run_command(["--version"]) == 0
         assert capsys.readouterr().out == f"{cli.__version__}\n"
 
+    @pytest.mark.parametrize("below", ["", "out"], ids=["a-file", "under-a-file"])
+    def test_out_that_is_not_a_directory(self, tmp_path, capsys, monkeypatch, below):
+        path = tmp_path / "file"
+        path.write_bytes(b"kept")
+        monkeypatch.setattr(cli, "orbit", None)  # refused before the orbit is computed
+        assert run_command(["simulate", "--out", str(path / below)]) == 2
+        assert capsys.readouterr().err.startswith("tentlab: error: --out ")
+        assert path.read_bytes() == b"kept"
+        assert os.listdir(tmp_path) == ["file"]
+
     def test_slope_out_of_range(self, tmp_path, capsys):
         code = run_command(["cycles", "--h", "2.5", "--out", str(tmp_path)])
         assert code == 2
@@ -805,13 +815,12 @@ class TestSweep:
     def test_plotted_floats_are_the_cells_written(self, monkeypatch, backend):
         # decimal writes its values quantized, so only parsing the cells
         # is exact on every backend; at 10 digits 1/70 writes as 0.0142857143
+        monkeypatch.setattr(basins, "DEFAULT_CHUNK_SIZE", 16)
         b = make_backend(backend, 10 if backend == "decimal" else None)
         params = MapParams.parse("3/2", b)
         coeffs = build_coefficients(b.parse("6/5"), b)
         chunks = basins.sweep_chunks(
-            sweeprows.sweep_rows(b, True), NetSpec.uniform(70), params, 2, coeffs, 20, 1e-3,
-            chunk_size=16,
-        )
+            sweeprows.sweep_rows(b, True), NetSpec.uniform(70), params, 2, coeffs, 20, 1e-3)
         for rows, _, (xs, ys) in chunks:
             # binary64 rows are the bytes of a uint8 array, the others a string
             text = rows if isinstance(rows, str) else bytes(rows).decode("ascii")
@@ -1160,7 +1169,7 @@ class TestRunner:
             yield "b.csv", ["y\n2\n"]
             yield "a.csv", iter(["3\n"])
 
-        monkeypatch.setitem(cli.COMMANDS, "stub", ("yields a.csv twice", (), stub, ()))
+        monkeypatch.setitem(cli.COMMANDS, "stub", ("yields a.csv twice", stub, ()))
         assert run_command(["stub", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "a.csv").read_text() == "x\n1\n3\n"
         assert (tmp_path / "b.csv").read_text() == "y\n2\n"

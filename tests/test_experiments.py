@@ -502,43 +502,43 @@ class TestSweep:
                 assert kind is KINDS[result.codes[i]]
                 assert distance == result.distances[i]
 
-    def test_vector_path_matches_scalar_recursion(self):
+    def test_vector_path_matches_scalar_recursion(self, monkeypatch):
+        monkeypatch.setattr(basins, "DEFAULT_CHUNK_SIZE", 16)
         params, coeffs = b64_setup()
-        result = sweep(
-            NetSpec.uniform(97), params, 2, coeffs, 40, 1e-3, chunk_size=16
-        )
+        result = sweep(NetSpec.uniform(97), params, 2, coeffs, 40, 1e-3)
         for x0, final in zip(result.points.tolist(), result.finals.tolist()):
             assert final == reference_run(x0, params, 2, coeffs.a, 40)[-1]
 
-    def test_thread_count_does_not_change_bits(self):
+    def test_thread_count_does_not_change_bits(self, monkeypatch):
+        monkeypatch.setattr(basins, "DEFAULT_CHUNK_SIZE", 128)
         for params, coeffs in (b64_setup(), rat_setup(), dec_setup()):
-            kw = dict(chunk_size=128)
-            base = sweep(NetSpec.uniform(1500), params, 2, coeffs, 30, 1e-3,
-                         threads=1, **kw)
+            base = sweep(NetSpec.uniform(1500), params, 2, coeffs, 30, 1e-3, threads=1)
             for threads in (2, 4):
                 other = sweep(NetSpec.uniform(1500), params, 2, coeffs, 30, 1e-3,
-                              threads=threads, **kw)
+                              threads=threads)
                 assert_same_bits(other, base)
 
-    def test_every_backend_runs_its_chunks_on_worker_processes(self, forks):
+    def test_every_backend_runs_its_chunks_on_worker_processes(self, forks, monkeypatch):
+        monkeypatch.setattr(basins, "DEFAULT_CHUNK_SIZE", 32)
         setups = (b64_setup(), rat_setup(), dec_setup())
         for params, coeffs in setups:
             spec = NetSpec.uniform(150)
-            base = sweep(spec, params, 2, coeffs, 30, 1e-3, threads=1, chunk_size=32)
+            base = sweep(spec, params, 2, coeffs, 30, 1e-3, threads=1)
             assert forks == []
-            other = sweep(spec, params, 2, coeffs, 30, 1e-3, threads=2, chunk_size=32)
+            other = sweep(spec, params, 2, coeffs, 30, 1e-3, threads=2)
             assert_same_bits(other, base)
             assert len(forks) == 2
             assert not forks.alive()
             forks.clear()
 
-    def test_kept_chunks_stay_intact_until_the_last_arrives(self, forks):
+    def test_kept_chunks_stay_intact_until_the_last_arrives(self, forks, monkeypatch):
         # every chunk's four arrays cross out of band at 8192 points; each
         # must own its buffer, not share one that a later chunk overwrites
+        monkeypatch.setattr(basins, "DEFAULT_CHUNK_SIZE", 8192)
         params, coeffs = b64_setup()
         spec = NetSpec.uniform(4 * 8192)
         runs = [list(basins.sweep_chunks(lambda *arrays: arrays, spec, params, 2, coeffs,
-                                         20, 1e-3, threads=threads, chunk_size=8192))
+                                         20, 1e-3, threads=threads))
                 for threads in (1, 2)]
         assert len(forks) == 2
         serial, forked = runs
@@ -547,10 +547,11 @@ class TestSweep:
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
-    def test_decimal_sweep_matches_scalar_recursion(self):
+    def test_decimal_sweep_matches_scalar_recursion(self, monkeypatch):
+        monkeypatch.setattr(basins, "DEFAULT_CHUNK_SIZE", 6)
         for precision in (12, 30):
             params, coeffs = dec_setup(precision)
-            result = sweep(NetSpec.uniform(20), params, 2, coeffs, 25, 1e-3, chunk_size=6)
+            result = sweep(NetSpec.uniform(20), params, 2, coeffs, 25, 1e-3)
             for x0, final in zip(result.points.tolist(), result.finals.tolist()):
                 assert final == reference_run(x0, params, 2, coeffs.a, 25)[-1]
 
@@ -561,14 +562,14 @@ class TestSweep:
                 sweep(NetSpec.uniform(10), params, k, coeffs, 30, 1e-3)
 
     @pytest.mark.parametrize("chunk_size", [1, 7, 128, 65536])
-    def test_chunk_size_does_not_change_bits(self, chunk_size):
+    def test_chunk_size_does_not_change_bits(self, monkeypatch, chunk_size):
         spec = NetSpec.uniform(300)
         for params, coeffs in (b64_setup(), rat_setup(), dec_setup()):
-            base = sweep(spec, params, 2, coeffs, 30, 1e-3, threads=1,
-                         chunk_size=spec.size)
+            monkeypatch.setattr(basins, "DEFAULT_CHUNK_SIZE", spec.size)
+            base = sweep(spec, params, 2, coeffs, 30, 1e-3, threads=1)
+            monkeypatch.setattr(basins, "DEFAULT_CHUNK_SIZE", chunk_size)
             for threads in (1, 2):
-                other = sweep(spec, params, 2, coeffs, 30, 1e-3, threads=threads,
-                              chunk_size=chunk_size)
+                other = sweep(spec, params, 2, coeffs, 30, 1e-3, threads=threads)
                 assert_same_bits(other, base)
 
     @settings(max_examples=60, deadline=None)
@@ -710,8 +711,6 @@ class TestSweep:
             sweep(NetSpec.uniform(10), params, 2, coeffs, 5, 1e-3)
         with pytest.raises(DomainError):
             sweep(NetSpec.uniform(10), params, 2, coeffs, 50, 0.0)
-        with pytest.raises(DomainError):
-            sweep(NetSpec.uniform(10), params, 2, coeffs, 50, 1e-3, chunk_size=0)
 
     def test_uniform_1e5_fixed_points_are_exactly_04_06(self, uniform_1e5_sweep):
         result = uniform_1e5_sweep

@@ -1,6 +1,7 @@
 """What importing tentlab and running one subcommand load: the package's
 names on first use, only the library modules the subcommand runs, and
-numpy only for a subcommand that runs arrays."""
+numpy only for a subcommand that runs arrays; a parser alone loads only
+the modules that hold its flags' defaults."""
 
 import ast
 import json
@@ -29,23 +30,33 @@ def loaded_after(script: str, *args: str):
     return json.loads(out)
 
 
-# run argv into --out, then print the tentlab modules this process holds,
-# and numpy if it is loaded
+# run argv, then print its exit status and the tentlab modules this process
+# holds, and numpy if it is loaded
 RUN = """if True:
-    import json, sys
+    import contextlib, io, json, sys
     from tentlab.cli import run_command
-    assert run_command(sys.argv[1:]) == 0
-    print(json.dumps(sorted(m for m in sys.modules
-                            if m == "numpy" or m.split(".")[0] == "tentlab")))
+    with contextlib.redirect_stdout(io.StringIO()):  # --help's and --version's text
+        code = run_command(sys.argv[1:])
+    print(json.dumps([code, sorted(m for m in sys.modules
+                                   if m == "numpy" or m.split(".")[0] == "tentlab")]))
 """
 
 # what every run loads: tentlab.cli's own imports
 CLI = {"tentlab", "tentlab.cli", "tentlab.backends", "tentlab.tentmap"}
 ARRAYS = {"tentlab._arrays", "numpy"}
+HELD = {"tentlab.experiments", "tentlab.fibonacci"}
+SWEEP = {"tentlab.stabilize", "tentlab.basins", "tentlab.sweeprows"}
+
+
+def loads(*argv: str) -> tuple[int, set[str]]:
+    code, modules = loaded_after(RUN, *argv)
+    return code, set(modules)
 
 
 def run_loads(tmp_path, *argv: str) -> set[str]:
-    return set(loaded_after(RUN, *argv, "--out", str(tmp_path / "out")))
+    code, modules = loads(*argv, "--out", str(tmp_path / "out"))
+    assert code == 0
+    return modules
 
 
 class TestPackage:
@@ -94,7 +105,9 @@ class TestModulesARunLoads:
         (("cycles", "--period", "5"), {"tentlab.cycles"}),
         (("stabilize",), {"tentlab.stabilize", "tentlab.basins"}),
         (("spectrum",), {"tentlab.stabilize", "tentlab.cycles"}),
-    ], ids=["cycles", "stabilize", "spectrum"])
+        (("sweep", "--net", "uniform:300"), SWEEP),
+        (("sweep", "--net", "uniform:300", "--backend", "rational"), SWEEP),
+    ], ids=["cycles", "stabilize", "spectrum", "sweep", "sweep-rational"])
     def test_array_runs_load_numpy_and_only_their_modules(self, tmp_path, argv, own):
         assert run_loads(tmp_path, *argv) == CLI | ARRAYS | own
 
@@ -113,6 +126,14 @@ class TestModulesARunLoads:
         plain = run_loads(tmp_path, *argv)
         assert plain == CLI | own
         assert run_loads(tmp_path, *argv, "--plot", "line") - plain == {"tentlab.svgplot", *ARRAYS}
+
+    @pytest.mark.parametrize("argv, code, own", [
+        (("--version",), 0, HELD), (("--help",), 0, HELD), ((), 2, HELD),
+        (("frobnicate",), 2, HELD), (("cycles", "--bogus"), 2, set()),
+    ], ids=["version", "help", "no-arguments", "unknown-subcommand", "usage-error"])
+    def test_a_parser_alone_loads_only_the_defaults_it_reads(self, argv, code, own):
+        # the full parser reads defaults that experiments and fibonacci hold
+        assert loads(*argv) == (code, CLI | own)
 
     def test_no_module_is_first_imported_after_a_sweep_forks(self, tmp_path):
         # os.fork records the tentlab modules present at each fork; on two
@@ -138,7 +159,7 @@ class TestModulesARunLoads:
         assert len(at_forks) == 2
         assert all(modules == after for modules in at_forks)
         assert "tentlab.cycles" not in after
-        assert {"tentlab.basins", *ARRAYS} <= set(after)
+        assert {"tentlab.basins", "tentlab.svgplot", *ARRAYS} <= set(after)
 
 
 class TestOneSubparser:
