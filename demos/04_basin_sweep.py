@@ -1,12 +1,14 @@
 """Sweep the unit interval and classify where stabilized runs settle.
 
 On a uniform net of 100001 starts, fifty averaged steps send almost every
-point to one of the two cycle values; only 0.4 and 0.6 sit on the
-repelling fixed point (they map onto it exactly and the average then
-pins them).  A handful of starts near basin boundaries are still in
-transit after fifty steps and resolve only with more steps or a looser
-tolerance.  The triadic net i / (5 * 3^5) adds starts such as 4/15 and
-11/15 that also land exactly on the fixed point.
+point to one of the two cycle values; only 0.4 and 0.6 still read as the
+repelling fixed point.  They map onto it, in binary64 to within an ulp,
+which the repelling slope takes until step 90 to grow into a jump (demo
+05 times it); only exact arithmetic pins them.  A handful of starts near
+basin boundaries are still in transit after fifty steps and resolve only
+with more steps or a looser tolerance.  The triadic net i / (5 * 3^5)
+adds starts such as 4/15 and 11/15 that also land exactly on the fixed
+point.
 """
 
 from tentlab import Binary64, MapParams, NetSpec, build_coefficients, sweep

@@ -236,23 +236,6 @@ def _ten_to(digits: int) -> int:
 _QUANTIZE_CTX = decimal.Context(prec=decimal.MAX_PREC, rounding=decimal.ROUND_HALF_EVEN)
 
 
-class _Current:
-    """Makes a decimal.Context the thread's current one until exit restores
-    the one before; unlike decimal.localcontext, it copies nothing."""
-
-    __slots__ = ("ctx", "saved")
-
-    def __init__(self, ctx: decimal.Context):
-        self.ctx = ctx
-
-    def __enter__(self):
-        self.saved = decimal.getcontext()
-        decimal.setcontext(self.ctx)
-
-    def __exit__(self, *exc_info):
-        decimal.setcontext(self.saved)
-
-
 class FixedDecimal(Backend):
     """Decimal arithmetic at a fixed number of significant digits.
 
@@ -292,13 +275,9 @@ class FixedDecimal(Backend):
         return self._ctx.create_decimal(n)
 
     def context(self):
-        """The private context made current, itself and not a copy, or a
-        null context where it already is, as inside stabilized_orbit: the
-        operators leave its precision and rounding as they are, and set
-        only its flags, which nothing reads."""
-        if decimal.getcontext() is self._ctx:
-            return _NO_CONTEXT
-        return _Current(self._ctx)
+        """A copy of the private context, made current until exit: every run,
+        sweep chunk and census block enters it once."""
+        return decimal.localcontext(self._ctx)
 
     def serialize(self, x: Decimal) -> str:
         """x to p places in fixed point, a zero without its sign.  str of

@@ -26,7 +26,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._arrays import np, tent_step_array
+from ._arrays import exact_tent_step, np, tent_step_array
 from .backends import Backend, DomainError, ParseError, Scalar, _digits
 from .stabilize import TAPS, Coefficients, _bounded, _starred
 from .tentmap import MapParams
@@ -320,8 +320,8 @@ def _sweep_chunk_rounded(
 
 
 class _SharedDenominator:
-    """Exact values as int numerators over one shared int denominator, with
-    the two operations _starred combines values by.
+    """Exact values as an object array of int numerators over one shared
+    int denominator, with the two operations _starred combines values by.
 
     weight * x for a Fraction weight takes no gcd and multiplies no
     numerator: it keeps x's numerators, multiplies the denominator by the
@@ -329,13 +329,16 @@ class _SharedDenominator:
     +.  Multiplying the numerators at * would be a second pass over them
     for each tap, which measured 19-29% slower on 8191-start chunks.  x + y
     puts both over the lcm of their denominators, one gcd for the whole
-    array, and has scale 1.  _starred hands f, and yields, only its start,
-    f's values and sums, so those all have scale 1 and nums/den is the value.
+    array, and has scale 1; it adds into the fresh array t * y in place,
+    so no second array of sums is alive, and leaves a running sum's
+    numerators, whose factor is 1, as they are.  _starred hands f, and
+    yields, only its start, f's values and sums, so those all have scale 1
+    and nums/den is the value.
     """
 
     __slots__ = ("nums", "den", "scale")
 
-    def __init__(self, nums: list[int], den: int, scale: int = 1):
+    def __init__(self, nums: np.ndarray, den: int, scale: int = 1):
         self.nums, self.den, self.scale = nums, den, scale
 
     def __rmul__(self, weight: Fraction) -> "_SharedDenominator":
@@ -345,10 +348,9 @@ class _SharedDenominator:
     def __add__(self, other: "_SharedDenominator") -> "_SharedDenominator":
         den = math.lcm(self.den, other.den)
         s, t = self.scale * (den // self.den), other.scale * (den // other.den)
-        if s == 1:  # the running sum, over the newest tap's denominator
-            return _SharedDenominator([a + t * b for a, b in zip(self.nums, other.nums)], den)
-        return _SharedDenominator(
-            [s * a + t * b for a, b in zip(self.nums, other.nums)], den)
+        nums = t * other.nums
+        nums += self.nums if s == 1 else s * self.nums
+        return _SharedDenominator(nums, den)
 
 
 def _sweep_chunk_rational(
@@ -358,34 +360,32 @@ def _sweep_chunk_rational(
     on the whole chunk as one _SharedDenominator, equal to the scalar
     recursion's.
 
-    With h = p/q a tent step sends each numerator N to p*N when 2N <= M
-    (the tie at 1/2 goes LEFT) and to p*(M - N) otherwise, and the
-    denominator M to q*M, so no step builds a Fraction or takes a gcd.
-    Reducing would not keep the numbers smaller, since the reduced
-    denominators grow as fast.  Each final becomes one Fraction, reduced
-    by one gcd to the value the scalar recursion returns.  A start outside
-    [0, 1] raises, as clamp_unit does with no slack, and so does such an
-    average for weights that fail _bounded; the final average is not checked.
+    Each tent step is exact_tent_step on the numerators and the shared
+    denominator, so no step builds a Fraction or takes a gcd.  Reducing
+    would not keep the numbers smaller, since the reduced denominators
+    grow as fast.  Each final becomes one Fraction, reduced by one gcd to
+    the value the scalar recursion returns.  A start outside [0, 1]
+    raises, as clamp_unit does with no slack, and so does such an average
+    for weights that fail _bounded; the final average is not checked.
     """
-    b = params.backend
-    p, q = params.h.numerator, params.h.denominator
+    b, h = params.backend, params.h
     bounded = _bounded(params, a)
 
     def checked(x: _SharedDenominator) -> _SharedDenominator:
         nums, m = x.nums, x.den
-        if min(nums) < 0 or max(nums) > m:  # no slack
+        if nums.min() < 0 or nums.max() > m:  # no slack
             b.clamp_unit(Fraction(next(n for n in nums if not 0 <= n <= m), m))
         return x
 
     def f(x: _SharedDenominator) -> _SharedDenominator:
         nums, m = (x if bounded else checked(x)).nums, x.den
         for _ in range(k):
-            nums = [p * n if 2 * n <= m else p * (m - n) for n in nums]
-            m *= q
+            nums, m = exact_tent_step(nums, m, h)
         return _SharedDenominator(nums, m)
 
     m = math.lcm(*(x.denominator for x in x0s))
-    start = _SharedDenominator([x.numerator * (m // x.denominator) for x in x0s], m)
+    start = _SharedDenominator(
+        np.array([x.numerator * (m // x.denominator) for x in x0s], dtype=object), m)
     for final in _starred(checked(start), f, a, steps):
         pass
     return np.array([Fraction(n, final.den) for n in final.nums], dtype=object)

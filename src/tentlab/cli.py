@@ -31,10 +31,10 @@ when it is closed, making a re-run into the same --out an order of
 magnitude slower; a hard link to the old file keeps its bytes, and what
 the old manifest lists but the run did not write goes.  --out appears
 only once the computation has validated its inputs; a run that fails
-later deletes the artifacts it opened, and --out if it created it.  A
-JSON document is json.dumps' text.  Under --plot a subcommand also
-yields the SVG pieces of its first CSV's two columns (x0 and final under
-sweep), parsed once from the cells just formatted.
+later deletes the artifacts it opened, and each directory it made for
+--out, parents too.  A JSON document is json.dumps' text.  Under --plot
+a subcommand also yields the SVG pieces of its first CSV's two columns
+(x0 and final under sweep), parsed once from the cells just formatted.
 
 Exit codes: 0 success, 2 validation problem (bad flags or bad values,
 an --out that is not a directory), 1 internal failure.
@@ -131,7 +131,7 @@ PLOT = flag("--plot", choices=("line", "scatter"), default=None,
 OUT = flag("--out", default=".", help="directory receiving artifacts and manifest.json")
 
 
-def escape_flags(jump_tol: float) -> tuple[tuple[str, dict], ...]:
+def escape_flags(jump_tol: float | Held) -> tuple[tuple[str, dict], ...]:
     """The flat-then-jump detector's three thresholds."""
     return (
         flag("--flat-tol", default=Held("experiments", "DEFAULT_FLAT_TOL"),
@@ -183,7 +183,7 @@ def _run(ns: argparse.Namespace) -> int:
         from .stabilize import build_coefficients
 
         coeffs = build_coefficients(b.parse(ns.sigma), b)
-    created = not out.exists()
+    made = []  # the directories this run creates for out, parents first
     listed = set()  # what a tentlab manifest already in out lists, before this run's replaces it
     with contextlib.suppress(OSError, ValueError, LookupError, TypeError):
         doc = json.loads((out / MANIFEST_NAME).read_bytes())
@@ -207,16 +207,20 @@ def _run(ns: argparse.Namespace) -> int:
         with contextlib.ExitStack() as files:
             artifacts = ns.compute(ns, b, params, coeffs)
             for name, pieces in itertools.chain(artifacts, [(MANIFEST_NAME, manifest())]):
+                if not opened:  # out and its missing parents, each made as it is reached
+                    for path in reversed((out, *out.parents)):
+                        if not path.exists():
+                            path.mkdir()
+                            made.append(path)
                 if name not in opened:  # else append to the file its first yield opened
-                    out.mkdir(parents=True, exist_ok=True)
                     (out / name).unlink(missing_ok=True)  # see the module docstring
                     opened[name] = files.enter_context(open(out / name, "wb"))
                 opened[name].writelines(map(_encoded, pieces))
     except BaseException:  # leave no partial artifact set behind
         for name in opened:
             (out / name).unlink(missing_ok=True)
-        if created and out.is_dir():
-            out.rmdir()
+        for path in reversed(made):
+            path.rmdir()
         raise
     for name in listed.difference(opened):  # stale; only plain file names, not ".."
         if isinstance(name, str) and name == Path(name).name not in ("", ".."):
@@ -375,8 +379,8 @@ def _event_doc(event, serialize):
 
 
 @command("escape", "find the flat-then-jump event in a stabilized run",
-         H, K, SIGMA, x0_flag("0.4"), steps_flag(300), *escape_flags(DEFAULT_TOL),
-         *BACKEND, PLOT)
+         H, K, SIGMA, x0_flag("0.4"), steps_flag(300),
+         *escape_flags(Held("experiments", "DEFAULT_JUMP_TOL")), *BACKEND, PLOT)
 def _cmd_escape(ns, b, params, coeffs):
     from .experiments import detect_escape
     from .stabilize import stabilized_orbit

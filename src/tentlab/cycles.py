@@ -14,41 +14,42 @@ enumeration needs no deduplication pass.
 The census reads the Lyndon words from one integer array, most
 significant bit first with L = 0, so ascending order is the
 Fredricksen-Kessler-Maiorana (lexicographic) order and the stable sort
-breaks ties by it.  It has two kernels.  The rounded one serves binary64
-and decimal: it composes (A, B) and walks every orbit from x* as arrays
-over the words, float64 or Decimal objects, under the backend's context,
-so each elementwise operation rounds as the backend's scalar operation
-does, in the order the per-word composition and tent_step take them.  The
-exact one works on Python integers, with h = p/q: the intercept after t
-symbols is beta/q^t, where beta goes to p*beta on L and to
-p*(q^(t-1) - beta) on R, and x* = beta/(q^n - s*p^n) with s = (-1)^#R;
-the orbit walks N/M, with N going to p*N when 2N <= M and to p*(M - N)
-otherwise, and M to q*M, and closes when N_n = N_0*q^n.  Every factor of
-A is +-h, so A is also the cycle's multiplier: the slope product along
-the orbit, the same in any order and from any rotation.
+breaks ties by it.  It has two kernels, both array walks over the words.
+The rounded one serves binary64 and decimal: it composes (A, B) and walks
+every orbit from x* as float64 or Decimal arrays, under the backend's
+context, so each elementwise operation rounds as the backend's scalar
+operation does, in the order the per-word composition and tent_step take
+them.  The exact one works on object arrays of Python integers, with
+h = p/q: the intercept after t symbols is beta/q^t, where beta goes to
+p*beta on L and to p*(q^(t-1) - beta) on R, and x* = beta/(q^n - s*p^n)
+with s = (-1)^#R; the orbit walks N/M by _arrays.exact_tent_step and
+closes when N_n = N_0*q^n.  Every factor of A is +-h, so A is also the
+cycle's multiplier: the slope product along the orbit, the same in any
+order and from any rotation.
 
 Neither kernel keeps a point.  A Census holds a few values a cycle: its
 itinerary from its smallest point, the start x* (N_0 and M_0 on
 rational), the step of its smallest point on the walk from x*, and its
 multiplier.  A cycle's points are walked again from its start, by the
-same operations, and rotated, a block of cycles at a time: Cycles for
+same step, and rotated, a block of cycles at a time: Cycles for
 iteration, and their text, reduced by one gcd a point on rational, with
 no Fraction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd
 from typing import Iterator
 
-from ._arrays import TEXT_BLOCK, float64_texts, np, tent_step_array
+from ._arrays import TEXT_BLOCK, exact_tent_step, float64_texts, np, tent_step_array
 from .backends import Backend, DomainError, Scalar, _ratio_text
 from .tentmap import MapParams
 
 MAX_ENUM_PERIOD = 20
+_EXACT_BLOCK = 4096  # Lyndon words a block of the exact census's walk
 
 _B64_CLOSING_TOL = 1e-12
 
@@ -111,12 +112,10 @@ class Census:
         n = self.period
         for start in range(0, len(self), self.block):
             stop = start + self.block
-            if self.denominators is None:
-                points = self._points(start, stop).tolist()
-            else:
-                flat = list(map(Fraction, *self._points(start, stop)))
-                points = [flat[i:i + n] for i in range(0, len(flat), n)]
-            for pts, w, A in zip(points, _word_texts(self.words[start:stop], n),
+            points, dens = self._points(start, stop)
+            if dens is not None:
+                points = np.frompyfunc(Fraction, 2, 1)(points, dens)
+            for pts, w, A in zip(points.tolist(), _word_texts(self.words[start:stop], n),
                                  self.multipliers[start:stop].tolist()):
                 yield Cycle(period=n, points=tuple(pts), itinerary=w, multiplier=A)
 
@@ -133,50 +132,39 @@ class Census:
         no Fraction."""
         b, multipliers = self.params.backend, self.multipliers[start:stop]
         itineraries = _word_texts(self.words[start:stop], self.period)
-        if self.denominators is not None:
-            return _reduced_texts(*self._points(start, stop)), itineraries, b.texts(multipliers)
+        points, dens = self._points(start, stop)
+        if dens is not None:
+            nums, dens = points.ravel().tolist(), dens.ravel().tolist()
+            gcds = list(map(math.gcd, nums, dens))
+            try:
+                cells = [f"{x // g}/{m // g}" for x, m, g in zip(nums, dens, gcds)]
+            except ValueError:  # a term past the int-to-text limit
+                cells = [_ratio_text(x // g, m // g) for x, m, g in zip(nums, dens, gcds)]
+            return cells, itineraries, b.texts(multipliers)
         column_texts = float64_texts if b.kind == "binary64" else b.texts
-        cells = column_texts(np.concatenate([self._points(start, stop).ravel(), multipliers]))
+        cells = column_texts(np.concatenate([points.ravel(), multipliers]))
         split = len(cells) - len(multipliers)
         return cells[:split], itineraries, cells[split:]
 
-    def _points(self, start: int, stop: int):
-        """The points of cycles start..stop, each from its smallest, walked
-        from the start by the kernel's operations: a (cycles x n) array on
-        the rounded backends, and on rational the numerators and
-        denominators, n a cycle."""
+    def _points(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """The points of cycles start..stop, each from its smallest, a (cycles x n)
+        array walked from the start by the kernel's step, and on rational the
+        array of their denominators, M_0*q^t, stepped with them."""
         n, b, h = self.period, self.params.backend, self.params.h
-        shifts = self.shifts[start:stop]
-        if self.denominators is None:
-            x = self.starts[start:stop]
-            orbits = np.empty((len(x), n), dtype=x.dtype)
-            orbits[:, 0] = x
-            with b.context():  # from the last column: only t and h - t live in a step
-                for t in range(1, n):
+        x = self.starts[start:stop]
+        m = None if self.denominators is None else self.denominators[start:stop]
+        orbits = np.empty((len(x), n), dtype=x.dtype)
+        orbits[:, 0], dens = x, [m]
+        with b.context():  # from the last column: only t and h - t live in a step
+            for t in range(1, n):
+                if m is None:
                     orbits[:, t] = tent_step_array(orbits[:, t - 1], h)
-            return np.take_along_axis(orbits, (shifts[:, None] + np.arange(n)) % n, axis=1)
-        p, q = h.numerator, h.denominator
-        rows = {}  # M_t = M_0*q^t, and M_0 takes one value for each parity of #R
-        nums, dens = [], []
-        for x, m0, s in zip(self.starts[start:stop], self.denominators[start:stop],
-                            shifts.tolist()):
-            ms = rows.get(m0) or rows.setdefault(m0, [m0 * q**t for t in range(n)])
-            xs = []
-            for m in ms:
-                xs.append(x)
-                x = p * (m - x) if 2 * x > m else p * x
-            nums += xs[s:] + xs[:s]
-            dens += ms[s:] + ms[:s]
-        return nums, dens
-
-
-def _reduced_texts(nums: list[int], dens: list[int]) -> list[str]:
-    """Rational.serialize of each Fraction(N, M), by one gcd and no Fraction."""
-    gcds = list(map(gcd, nums, dens))
-    try:
-        return [f"{x // g}/{m // g}" for x, m, g in zip(nums, dens, gcds)]
-    except ValueError:  # a term past the int-to-text limit
-        return [_ratio_text(x // g, m // g) for x, m, g in zip(nums, dens, gcds)]
+                else:
+                    orbits[:, t], m = exact_tent_step(orbits[:, t - 1], m, h)
+                    dens.append(m)
+        turn = (self.shifts[start:stop, None] + np.arange(n)) % n
+        return (np.take_along_axis(orbits, turn, axis=1),
+                None if m is None else np.take_along_axis(np.stack(dens, axis=1), turn, axis=1))
 
 
 def _closes(x, y, b: Backend):
@@ -278,49 +266,47 @@ def _closing_rounded(n: int, params: MapParams) -> Columns:
 
 
 def _closing_rational(n: int, params: MapParams) -> Columns:
-    """The exact census on Python integers, by the recurrences of the
-    module docstring; equal to the per-word walk's.
+    """The exact census on Python integers, by the recurrences of the module
+    docstring, as object arrays over _EXACT_BLOCK Lyndon words at a time, in
+    _closing_rounded's shape: one itinerary test a symbol, and a word leaves the
+    walk at the first symbol its point does not follow.  That is also clamp_unit's
+    test on x*: a walk from below 0 stays there, on L, one from above 1 reads R
+    first, and a Lyndon word of length >= 2 is L...R.
 
-    h > 1 makes p^n > q^n, which fixes the sign of x*'s denominator.  The
-    tie 2N = M at 1/2 goes LEFT.  Point t is N_t/(M_0*q^t), N_t*q^(n-t)
-    over M_0*q^n, so the walk compares those numerators for the least
-    point; its float, the sort key, is their quotient, which Python's int
-    division rounds correctly, as float() of the Fraction does.
+    h > 1 makes p^n > q^n, which fixes the sign of x*'s denominator.  Point t is
+    N_t/(M_0*q^t), N_t*q^(n-t) over M_0*q^n, so the walk compares those numerators
+    for the least point; its float, the sort key, is their quotient, which
+    Python's int division rounds correctly, as float() of the Fraction does.
     """
-    p, q = params.h.numerator, params.h.denominator
-    words = _lyndon_word_array(n)
-    betas = [0] * len(words)
-    q_t = 1  # q^(t-1)
-    for t in range(n):
-        betas = [p * (q_t - beta) if s else p * beta
-                 for beta, s in zip(betas, _symbol(words, n, t).tolist())]
-        q_t *= q
+    h = params.h
+    p, q = h.numerator, h.denominator
     pn, qn = p**n, q**n
-    scales = [q ** (n - t) for t in range(n)]  # point t over the common M_0*q^n
-    multipliers = Fraction(pn, qn), Fraction(-pn, qn)
-    columns = []
-    for word, beta in zip(words.tolist(), betas):
-        bits = format(word, f"0{n}b")
-        odd = bits.count("1") & 1
-        n0, m0 = (beta, pn + qn) if odd else (-beta, pn - qn)
-        if not 0 <= n0 <= m0:  # clamp_unit has no slack on rational
-            continue
-        x, m, low, shift = n0, m0, n0 * qn, 0
-        for t, (symbol, scale) in enumerate(zip(bits, scales)):
-            right = 2 * x > m
-            if right != (symbol == "1"):
-                break
-            if x * scale < low:
-                low, shift = x * scale, t
-            x = p * (m - x) if right else p * x
-            m *= q
-        else:
-            if x == n0 * qn:
-                columns.append((word, shift, n0, m0, multipliers[odd], low / (m0 * qn)))
-    words, shifts, n0s, m0s, mults, keys = list(zip(*columns)) or [()] * 6
-    shifts = np.array(shifts, dtype=np.int64)
-    return (_rotated(np.array(words, dtype=np.int64), shifts, n), shifts,
-            *(np.array(c, dtype=object) for c in (n0s, m0s, mults)), np.array(keys))
+    dens = np.array([pn - qn, pn + qn], dtype=object)  # M_0 by the parity of #R
+    multipliers = np.array([Fraction(pn, qn), Fraction(-pn, qn)], dtype=object)
+    every, blocks = _lyndon_word_array(n), []
+    for first in range(0, len(every), _EXACT_BLOCK):
+        words = every[first:first + _EXACT_BLOCK]
+        betas, odd, q_t = np.zeros(len(words), dtype=object), np.zeros(len(words), np.intp), 1
+        for t in range(n):  # q_t is q^(t-1)
+            s = _symbol(words, n, t)
+            betas, odd, q_t = p * np.where(s, q_t - betas, betas), odd ^ s, q_t * q
+        n0 = np.where(odd, betas, -betas)
+        x, m, low, shifts = n0, dens[odd], n0 * qn, np.zeros(len(words), dtype=np.int64)
+        for t in range(n):
+            follows = (2 * x > m) == _symbol(words, n, t)
+            if not follows.all():
+                words, odd, n0, x, m, low, shifts = (
+                    c[follows] for c in (words, odd, n0, x, m, low, shifts))
+            scaled = x * q ** (n - t)
+            lower = scaled < low
+            low = np.where(lower, scaled, low)
+            shifts[lower] = t
+            x, m = exact_tent_step(x, m, h)
+        closed = x == n0 * qn
+        blocks.append([c[closed] for c in (words, odd, shifts, n0, low)])
+    words, odd, shifts, n0s, lows = map(np.concatenate, zip(*blocks))
+    return (_rotated(words, shifts, n), shifts, n0s, dens[odd], multipliers[odd],
+            (lows / (dens * qn)[odd]).astype(float))
 
 
 def enumerate_cycles(params: MapParams, n: int) -> Census:

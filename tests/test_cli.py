@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tentlab import (
-    MapParams, NetSpec, basins, build_coefficients, cli, cycles, svgplot, sweeprows,
+    MapParams, NetSpec, basins, build_coefficients, cli, cycles, experiments, svgplot, sweeprows,
 )
 from tentlab._arrays import TEXT_BLOCK
 from tentlab.backends import Binary64, DomainError, make_backend
@@ -1192,6 +1192,27 @@ class TestRunner:
         assert len(calls) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("out, made", [("nest/a/b", ["nest", "nest/a", "nest/a/b"]),
+                                           ("x/../y", ["x", "y"])])
+    def test_a_failed_run_removes_the_parents_it_made(self, tmp_path, monkeypatch, out, made):
+        # out.mkdir(parents=True) makes x for x/../y, which the lexical parents
+        # of x/../y would not tell; only what the run made goes
+        texts = Census.texts
+        seen = []
+
+        def fail_second(census, start, stop):
+            if start:
+                seen.extend(path for path in made if Path(path).is_dir())
+                raise RuntimeError("second block")
+            return texts(census, start, stop)
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "kept").mkdir()
+        monkeypatch.setattr(Census, "texts", fail_second)
+        assert run_command(["cycles", "--h", "2", "--period", "12", "--out", out]) == 1
+        assert seen == made
+        assert os.listdir(tmp_path) == ["kept"]
+
 
 class TestManifest:
     def test_fields(self, tmp_path):
@@ -1523,3 +1544,13 @@ class TestParserDefaults:
         assert ns.steps == 50
         assert ns.tol == 1e-3
         assert ns.backend == "binary64"
+
+    def test_escape_detector_defaults_are_the_detectors_own(self, tmp_path, monkeypatch):
+        # --jump-tol follows experiments.DEFAULT_JUMP_TOL, not the classification --tol
+        assert run_command(["escape", "--steps", "40", "--out", str(tmp_path)]) == 0
+        assert read_json(tmp_path / "manifest.json")["parameters"]["jump-tol"] == "0.001"
+        monkeypatch.setattr(experiments, "DEFAULT_JUMP_TOL", 0.25)
+        monkeypatch.setattr(experiments, "DEFAULT_FLAT_TOL", 1e-6)
+        ns = build_parser(["escape"]).parse_args(["escape"])
+        assert (ns.jump_tol, ns.flat_tol, ns.min_flat) == (0.25, 1e-6, experiments.DEFAULT_MIN_FLAT)
+        assert cli.DEFAULT_TOL == 1e-3

@@ -16,7 +16,9 @@ from typing import Iterator
 import numpy as np
 import pytest
 
+from tentlab import cycles
 from tentlab.backends import Binary64, DomainError, Rational, make_backend
+from tentlab.cli import run_command
 from tentlab.cycles import (
     Cycle,
     _closes,
@@ -395,6 +397,29 @@ class TestKernels:
                 texts = [format(w, f"0{n}b").translate(str.maketrans("01", "LR"))
                          for w in words.tolist()]
                 assert texts == list(_lyndon_words(n))
+
+    @pytest.mark.parametrize("h", ["2", "19/10"])
+    @pytest.mark.parametrize("block, n", [(1, 13), (7, 17), (cycles._EXACT_BLOCK, 17)])
+    def test_exact_census_is_block_invariant(self, tmp_path, monkeypatch, h, block, n):
+        """The exact kernel's columns and the cycles artifacts equal those of
+        one block over every Lyndon word; n = 17's 7710 words fill two
+        default blocks, and n = 13's 630 fill 630 blocks of one word."""
+        params = rat_params(h)
+        argv = ["cycles", "--backend", "rational", "--h", h, "--period", str(n)]
+
+        def run(size):
+            monkeypatch.setattr(cycles, "_EXACT_BLOCK", size)
+            out = tmp_path / str(size)
+            assert run_command([*argv, "--out", str(out)]) == 0
+            files = {name: (out / name).read_bytes() for name in ("cycles.csv", "cycles.json")}
+            return cycles._closing_rational(n, params), files
+
+        (*columns, keys), files = run(block)
+        (*whole, whole_keys), whole_files = run(10**9)
+        assert len(_lyndon_word_array(n)) > block
+        for got, want in zip(columns, whole):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert keys.tolist() == whole_keys.tolist() and files == whole_files
 
     @pytest.mark.parametrize(
         "h, n, count",

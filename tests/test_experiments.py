@@ -599,8 +599,8 @@ class TestSweep:
         def values(x):
             return [Fraction(n, x.den) * x.scale for n in x.nums]
 
-        x = _SharedDenominator([1, 4, 9], 12)
-        y = _SharedDenominator([5, 0, 7], 35)
+        x = _SharedDenominator(np.array([1, 4, 9], dtype=object), 12)
+        y = _SharedDenominator(np.array([5, 0, 7], dtype=object), 35)
         u, v, w = Fraction(3, 7), Fraction(5, 4), Fraction(-2, 9)
         xs, ys = values(x), values(y)
         assert values(u * (v * x)) == [u * v * a for a in xs]

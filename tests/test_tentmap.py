@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tentlab._arrays import tent_step_array
+from tentlab._arrays import exact_tent_step, tent_step_array
 from tentlab.backends import Binary64, DomainError, FixedDecimal, Rational
 from tentlab.tentmap import (
     MapParams,
@@ -233,8 +233,9 @@ def slope_and_point(draw):
         h = draw(st.sampled_from([Fraction(2), Fraction(10**9 + 1, 10**9)])
                  | st.fractions(min_value=1, max_value=2, max_denominator=10**9)
                  .filter(lambda h: h > 1))
-        return Rational(), h, draw(st.fractions(min_value=0, max_value=1,
-                                                max_denominator=10**9))
+        return Rational(), h, draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)])
+                                   | st.fractions(min_value=0, max_value=1,
+                                                  max_denominator=10**9))
     digits = draw(st.integers(min_value=10, max_value=30))
     b, one = FixedDecimal(digits), 10 ** (digits - 1)
     m = draw(st.sampled_from([2 * one, one + 1]) | st.integers(one + 1, 2 * one))
@@ -290,7 +291,8 @@ class TestInvariants:
     @settings(max_examples=300, deadline=None)
     def test_range_contraction(self, drawn):
         """tent_step lands in [0, h/2] with no clamp of its output, and
-        equals tent_step_array's element bit for bit."""
+        equals tent_step_array's element bit for bit, and on rational
+        exact_tent_step's."""
         b, h, x = drawn
         p = MapParams(h, b)
         y = tent_step(x, p)
@@ -299,6 +301,15 @@ class TestInvariants:
         with b.context():
             (z,) = tent_step_array(np.array([x]), h).tolist()
         assert _bits(y) == _bits(z)
+        if isinstance(x, Fraction):
+            # the exact step on x's terms times 2**64 + 1, so past int64, over
+            # one int and over an array; 0, 1/2 (the tie, 2N = M) and 1 are drawn too
+            k = 2**64 + 1
+            nums, den = np.array([k * x.numerator], dtype=object), k * x.denominator
+            for m in (den, np.array([den], dtype=object)):
+                (n,), qm = exact_tent_step(nums, m, h)
+                assert type(n) is int and np.all(qm == h.denominator * den)
+                assert Fraction(n, h.denominator * den) == y
 
     @pytest.mark.parametrize("h", [1.5, 2.0, 1.9, 1.0000000000000002])
     def test_array_step_keeps_the_bits_of_the_negated_mask(self, h):
