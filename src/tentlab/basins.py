@@ -23,8 +23,8 @@ import os
 import pickle
 import signal
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from ._arrays import exact_tent_step, np, tent_step_array
 from .backends import Backend, DomainError, ParseError, Scalar, _digits
@@ -47,22 +47,29 @@ KINDS = tuple(OutcomeKind)
 UNRESOLVED_CODE = KINDS.index(OutcomeKind.UNRESOLVED)
 
 
-@dataclass(frozen=True)
-class NetSpec:
-    """A grid of starting points: uniform(N) is i/N, triadic(m) is i/(5*3^m)."""
-
+class _NetSpec(NamedTuple):
     kind: str
     parameter: int
 
-    def __post_init__(self):
-        if self.kind not in ("uniform", "triadic"):
-            raise DomainError(f"unknown net kind {self.kind!r}")
-        if self.parameter < 1:
-            raise DomainError(f"net parameter must be positive, got {self.parameter}")
+
+class NetSpec(_NetSpec):
+    """A grid of starting points: uniform(N) is i/N, triadic(m) is i/(5*3^m)."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, parameter: int):
+        if kind not in ("uniform", "triadic"):
+            raise DomainError(f"unknown net kind {kind!r}")
+        if parameter < 1:
+            raise DomainError(f"net parameter must be positive, got {parameter}")
+        self = super().__new__(cls, kind, parameter)
         # the size cap; 3^m > 2^m, so a triadic m past the cap's bit length is over
-        huge = self.kind == "triadic" and self.parameter > MAX_NET_SIZE.bit_length()
+        huge = kind == "triadic" and parameter > MAX_NET_SIZE.bit_length()
         if huge or self.size > MAX_NET_SIZE:
             raise DomainError(f"net {self} has more than {MAX_NET_SIZE} points")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     @classmethod
     def uniform(cls, n: int) -> "NetSpec":
@@ -95,8 +102,7 @@ class NetSpec:
         return f"{self.kind}:{self.parameter}"
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """A sweep as four arrays indexed like the net.
 
     points and finals are float64 under binary64 and backend scalars

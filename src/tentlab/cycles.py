@@ -39,10 +39,9 @@ no Fraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from ._arrays import TEXT_BLOCK, exact_tent_step, float64_texts, np, tent_step_array
 from .backends import Backend, DomainError, Scalar, _ratio_text
@@ -50,6 +49,7 @@ from .tentmap import MapParams
 
 MAX_ENUM_PERIOD = 20
 _EXACT_BLOCK = 4096  # Lyndon words a block of the exact census's walk
+_EXACT_TEXT_BLOCK = 4096  # values a block of the exact census's points and their text
 
 _B64_CLOSING_TOL = 1e-12
 
@@ -62,8 +62,7 @@ _ONSET_POLYNOMIALS = {
 }
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(NamedTuple):
     """A periodic orbit, stored starting from its smallest point."""
 
     period: int
@@ -72,8 +71,7 @@ class Cycle:
     multiplier: Scalar
 
 
-@dataclass(frozen=True)
-class OnsetRecord:
+class OnsetRecord(NamedTuple):
     """A period-onset threshold and the polynomial whose root it is."""
 
     period: int
@@ -87,23 +85,36 @@ class OnsetRecord:
 Columns = tuple[np.ndarray, np.ndarray, np.ndarray, "np.ndarray | None", np.ndarray, np.ndarray]
 
 
-@dataclass(frozen=True, eq=False)
 class Census:
     """Every cycle of minimal period n, sorted, as columns of a value a cycle.
 
     len gives the cycle count, and iteration the Cycles in order, their
     points walked again from the start a block of cycles at a time; take
     list(census) for a list.  texts gives the artifact text of a block of
-    cycles.
+    cycles.  A Census is immutable and equals only itself.
     """
 
-    params: MapParams
-    period: int
-    words: np.ndarray  # int64, each itinerary from its smallest point
-    shifts: np.ndarray  # int64, the smallest point's step on the walk
-    starts: np.ndarray  # x*, float64 or Decimal; on rational its numerator N_0
-    denominators: np.ndarray | None  # on rational, x*'s denominator M_0
-    multipliers: np.ndarray  # float64, or Decimal or Fraction objects
+    __slots__ = (
+        "params", "period",  # MapParams and n
+        "words",  # int64, each itinerary from its smallest point
+        "shifts",  # int64, the smallest point's step on the walk
+        "starts",  # x*, float64 or Decimal; on rational its numerator N_0
+        "denominators",  # on rational, x*'s denominator M_0, else None
+        "multipliers",  # float64, or Decimal or Fraction objects
+    )
+
+    def __init__(self, params: MapParams, period: int, *columns: np.ndarray | None):
+        for name, value in zip(self.__slots__, (params, period, *columns), strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a Census is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a Census is immutable")
+
+    def __reduce__(self):
+        return Census, tuple(map(self.__getattribute__, self.__slots__))
 
     def __len__(self) -> int:
         return len(self.words)
@@ -122,8 +133,9 @@ class Census:
     @property
     def block(self) -> int:
         """Cycles a block, whose points and multipliers fill a block of
-        float64_texts."""
-        return max(1, TEXT_BLOCK // (self.period + 1))
+        float64_texts, or on rational one of _EXACT_TEXT_BLOCK values."""
+        values = TEXT_BLOCK if self.denominators is None else _EXACT_TEXT_BLOCK
+        return max(1, values // (self.period + 1))
 
     def texts(self, start: int, stop: int) -> tuple[list[str], list[str], list[str]]:
         """The artifact text of cycles start..stop: serialize of their
@@ -168,16 +180,13 @@ class Census:
 
 
 def _closes(x, y, b: Backend):
-    """|x - y| within the closing tolerance, elementwise on arrays: x == y
-    on rational, 1e-12 on binary64, 10^(5-p) on decimal.
+    """|x - y| within the rounded census's closing tolerance, elementwise on
+    arrays: 1e-12 on binary64, 10^(5-p) on decimal.
 
     The decimal tolerance stays in Decimal: as a float, 10^(5-p) underflows
     to 0.0 from p = 329 on.
     """
-    if b.kind == "decimal":
-        tol = Decimal(1).scaleb(5 - b.precision_digits)
-    else:
-        tol = _B64_CLOSING_TOL if b.kind == "binary64" else 0
+    tol = Decimal(1).scaleb(5 - b.precision_digits) if b.kind == "decimal" else _B64_CLOSING_TOL
     with b.context():
         return abs(x - y) <= tol
 

@@ -16,9 +16,9 @@ import decimal
 import math
 from array import array
 from collections import deque
-from dataclasses import dataclass
 from decimal import Decimal
 from itertools import accumulate, compress
+from typing import NamedTuple
 
 from .backends import DomainError, FixedDecimal, ParseError, Scalar
 from .tentmap import MapParams, orbit
@@ -33,8 +33,7 @@ SQRT2_SLOPE_DIGITS = (
 )
 
 
-@dataclass(frozen=True)
-class EscapeEvent:
+class EscapeEvent(NamedTuple):
     """A flat stretch and the index where the series finally left it.  The
     values are items of the series: the backend's scalars, given a run."""
 

@@ -16,8 +16,8 @@ a platform math library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .backends import Backend, DomainError, Scalar, infer_backend
 
@@ -32,8 +32,7 @@ PHI = float((1 + _SQRT5_FRACTION) / 2)
 NEAR_STABLE_X1 = "-0.618033988749"
 
 
-@dataclass(frozen=True)
-class EigenData:
+class EigenData(NamedTuple):
     """Coordinates of a start point in the eigenbasis of A = [[0,1],[1,1]]:
     a_u along v_u = (1, phi), a_s along v_s = (1, -1/phi)."""
 

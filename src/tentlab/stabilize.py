@@ -18,7 +18,7 @@ magnitudes of one degree-6 polynomial per slope value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .backends import Backend, DomainError, Scalar, infer_backend
 from .tentmap import MapParams, _tent_power
@@ -26,20 +26,25 @@ from .tentmap import MapParams, _tent_power
 TAPS = 6
 
 
-@dataclass(frozen=True)
-class Coefficients:
-    """Averaging weights a_1..a_6 for one sigma, normalized so they sum to 1."""
-
+class _Coefficients(NamedTuple):
     sigma: Scalar
     a: tuple[Scalar, ...]
 
-    def __post_init__(self):
-        if len(self.a) != TAPS:
-            raise DomainError(f"expected {TAPS} weights, got {len(self.a)}")
+
+class Coefficients(_Coefficients):
+    """Averaging weights a_1..a_6 for one sigma, normalized so they sum to 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, sigma: Scalar, a: tuple[Scalar, ...]):
+        if len(a) != TAPS:
+            raise DomainError(f"expected {TAPS} weights, got {len(a)}")
+        return super().__new__(cls, sigma, a)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
+class EquilibriumReport(NamedTuple):
     """Stability verdict for one fixed point of f = T_h^k."""
 
     point: Scalar

@@ -12,27 +12,31 @@ and itinerary run on it, clamping only their start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .backends import Backend, DomainError, Scalar
 
 
-@dataclass(frozen=True)
-class MapParams:
-    """Slope h in (1, 2] together with the backend that owns it."""
-
+class _MapParams(NamedTuple):
     h: Scalar
     backend: Backend
 
-    def __post_init__(self):
-        self.backend.check(self.h)
-        one = self.backend.from_int(1)
-        two = self.backend.from_int(2)
-        if not (one < self.h <= two):
-            raise DomainError(f"slope must lie in (1, 2], got {self.h!r}")
-        with self.backend.context():
-            if +self.h != self.h:  # a decimal with more digits than the precision
-                raise DomainError(f"slope {self.h!r} rounds under {self.backend!r}")
+
+class MapParams(_MapParams):
+    """Slope h in (1, 2] together with the backend that owns it."""
+
+    __slots__ = ()
+
+    def __new__(cls, h: Scalar, backend: Backend):
+        backend.check(h)
+        if not (backend.from_int(1) < h <= backend.from_int(2)):
+            raise DomainError(f"slope must lie in (1, 2], got {h!r}")
+        with backend.context():
+            if +h != h:  # a decimal with more digits than the precision
+                raise DomainError(f"slope {h!r} rounds under {backend!r}")
+        return super().__new__(cls, h, backend)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     @classmethod
     def parse(cls, text: str, backend: Backend) -> "MapParams":

@@ -22,7 +22,7 @@ from tentlab import (
 from tentlab._arrays import TEXT_BLOCK
 from tentlab.backends import Binary64, DomainError, make_backend
 from tentlab.cli import build_parser, replay_manifest, run_command
-from tentlab.cycles import Census
+from tentlab.cycles import _EXACT_TEXT_BLOCK, Census
 from tentlab.svgplot import as_float, svg_pieces
 
 
@@ -527,11 +527,12 @@ class TestCycles:
         )
         assert got == digests
 
-    @pytest.mark.parametrize("backend", [
-        ["--backend", "binary64"], ["--backend", "decimal", "--precision", "30"],
-        ["--backend", "rational"],
+    @pytest.mark.parametrize("backend, values", [
+        (["--backend", "binary64"], TEXT_BLOCK),
+        (["--backend", "decimal", "--precision", "30"], TEXT_BLOCK),
+        (["--backend", "rational"], _EXACT_TEXT_BLOCK),
     ], ids=["binary64", "decimal30", "rational"])
-    def test_census_formats_each_point_once(self, tmp_path, monkeypatch, backend):
+    def test_census_formats_each_point_once(self, tmp_path, monkeypatch, backend, values):
         calls = []
         texts = Census.texts
 
@@ -544,7 +545,8 @@ class TestCycles:
                             "--out", str(tmp_path)]) == 0
         found = read_json(tmp_path / "cycles.json")["count"]
         assert found == 335
-        assert calls == list(range(0, found, TEXT_BLOCK // 13))  # three blocks, each once
+        # each block once: three on binary64 and decimal, two on rational
+        assert calls == list(range(0, found, values // 13))
 
     def test_rerun_replaces_each_artifact(self, tmp_path):
         """A re-run writes each artifact as a new file: a hard link to the

@@ -1,7 +1,8 @@
 """What importing tentlab and running one subcommand load: the package's
 names on first use, only the library modules the subcommand runs, and
 numpy only for a subcommand that runs arrays; a parser alone loads only
-the modules that hold its flags' defaults."""
+the modules that hold its flags' defaults.  No run loads dataclasses, and
+only numpy's own import loads inspect."""
 
 import ast
 import json
@@ -31,21 +32,33 @@ def loaded_after(script: str, *args: str):
 
 
 # run argv, then print its exit status and the tentlab modules this process
-# holds, and numpy if it is loaded
+# holds, and numpy, dataclasses and inspect if they are loaded
 RUN = """if True:
     import contextlib, io, json, sys
     from tentlab.cli import run_command
     with contextlib.redirect_stdout(io.StringIO()):  # --help's and --version's text
         code = run_command(sys.argv[1:])
-    print(json.dumps([code, sorted(m for m in sys.modules
-                                   if m == "numpy" or m.split(".")[0] == "tentlab")]))
+    print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "tentlab"
+                                   or m in ("numpy", "dataclasses", "inspect"))]))
 """
 
 # what every run loads: tentlab.cli's own imports
 CLI = {"tentlab", "tentlab.cli", "tentlab.backends", "tentlab.tentmap"}
-ARRAYS = {"tentlab._arrays", "numpy"}
+ARRAYS = {"tentlab._arrays", "numpy", "inspect"}  # numpy's own import loads inspect
 HELD = {"tentlab.experiments", "tentlab.fibonacci"}
 SWEEP = {"tentlab.stabilize", "tentlab.basins", "tentlab.sweeprows"}
+
+
+def importers(top: str) -> list[str]:
+    """The package's source files that import top or one of its submodules."""
+    found = []
+    for path in sorted(Path(tentlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([node.module or ""] if isinstance(node, ast.ImportFrom)
+                     else [a.name for a in node.names] if isinstance(node, ast.Import) else [])
+            if any(name.split(".")[0] == top for name in names):
+                found.append(path.name)
+    return found
 
 
 def loads(*argv: str) -> tuple[int, set[str]]:
@@ -84,15 +97,18 @@ class TestPackage:
         script = "import json, sys, tentlab.cli; print(json.dumps('numpy' in sys.modules))"
         assert loaded_after(script) is False
 
+    def test_import_tentlab_cli_loads_neither_dataclasses_nor_inspect(self):
+        script = """if True:
+            import json, sys, tentlab.cli
+            print(json.dumps(sorted({"dataclasses", "inspect"} & set(sys.modules))))
+        """
+        assert loaded_after(script) == []
+
     def test_one_module_imports_numpy(self):
-        importers = []
-        for path in sorted(Path(tentlab.__file__).parent.glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                names = ([node.module or ""] if isinstance(node, ast.ImportFrom)
-                         else [a.name for a in node.names] if isinstance(node, ast.Import) else [])
-                if any(name.split(".")[0] == "numpy" for name in names):
-                    importers.append(path.name)
-        assert importers == ["_arrays.py"]
+        assert importers("numpy") == ["_arrays.py"]
+
+    def test_no_module_imports_dataclasses(self):
+        assert importers("dataclasses") == []
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
@@ -144,8 +160,8 @@ class TestModulesARunLoads:
             os.sched_getaffinity = lambda pid: {0, 1}
             os.cpu_count = lambda: 2
             def tentlab_modules():
-                return sorted(m for m in sys.modules
-                              if m == "numpy" or m.split(".")[0] == "tentlab")
+                return sorted(m for m in sys.modules if m.split(".")[0] == "tentlab"
+                              or m in ("numpy", "dataclasses", "inspect"))
             at_forks, real_fork = [], os.fork
             def fork():
                 at_forks.append(tentlab_modules())
