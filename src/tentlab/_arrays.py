@@ -50,12 +50,13 @@ def tent_step_array(x: np.ndarray, h: Scalar) -> np.ndarray:
 
 def exact_tent_step(nums: np.ndarray, m, h):
     """The exact tent step of N/m for each N of an object array of ints, at h = p/q:
-    (p*min(N, m - N), q*m), unreduced, tent_step_array's min form, p*N where 2N <= m
-    (the tie goes LEFT); m is one int or an array.  In place: one new array, not three."""
+    the numerators p*min(N, m - N) over q*m, unreduced, tent_step_array's min form,
+    p*N where 2N <= m (the tie goes LEFT); m is one int or an array.  The caller
+    scales its own denominator.  In place: one new array, not three."""
     t = m - nums
     np.minimum(nums, t, out=t)
     t *= h.numerator
-    return t, h.denominator * m
+    return t
 
 
 def float64_texts(values) -> list[str]:

@@ -366,8 +366,8 @@ def _sweep_chunk_rational(
     on the whole chunk as one _SharedDenominator, equal to the scalar
     recursion's.
 
-    Each tent step is exact_tent_step on the numerators and the shared
-    denominator, so no step builds a Fraction or takes a gcd.  Reducing
+    Each tent step is exact_tent_step on the numerators, over q times the
+    shared denominator, so no step builds a Fraction or takes a gcd.  Reducing
     would not keep the numbers smaller, since the reduced denominators
     grow as fast.  Each final becomes one Fraction, reduced by one gcd to
     the value the scalar recursion returns.  A start outside [0, 1]
@@ -386,7 +386,7 @@ def _sweep_chunk_rational(
     def f(x: _SharedDenominator) -> _SharedDenominator:
         nums, m = (x if bounded else checked(x)).nums, x.den
         for _ in range(k):
-            nums, m = exact_tent_step(nums, m, h)
+            nums, m = exact_tent_step(nums, m, h), h.denominator * m
         return _SharedDenominator(nums, m)
 
     m = math.lcm(*(x.denominator for x in x0s))

@@ -22,23 +22,25 @@ operation does, in the order the per-word composition and tent_step take
 them.  The exact one works on object arrays of Python integers, with
 h = p/q: the intercept after t symbols is beta/q^t, where beta goes to
 p*beta on L and to p*(q^(t-1) - beta) on R, and x* = beta/(q^n - s*p^n)
-with s = (-1)^#R; the orbit walks N/M by _arrays.exact_tent_step and
-closes when N_n = N_0*q^n.  Every factor of A is +-h, so A is also the
-cycle's multiplier: the slope product along the orbit, the same in any
-order and from any rotation.
+= N_0/M_0, with s = (-1)^#R and M_0 = p^n - s*q^n coprime to p and q.
+Each point of a cycle is the fixed point of a rotation of its word, so it
+is N_t/M_0 too: the walk steps numerators, N_(t+1) = p*min(N_t, M_0 - N_t)/q
+by _arrays.exact_tent_step, which q divides on a cycle and keeps
+gcd(N_t, M_0), so one g puts the whole cycle in lowest terms over M_0/g.
+Every factor of A is +-h, so A is also the cycle's multiplier: the slope
+product along the orbit, the same in any order and from any rotation.
 
 Neither kernel keeps a point.  A Census holds a few values a cycle: its
-itinerary from its smallest point, the start x* (N_0 and M_0 on
-rational), the step of its smallest point on the walk from x*, and its
-multiplier.  A cycle's points are walked again from its start, by the
-same step, and rotated, a block of cycles at a time: Cycles for
-iteration, and their text, reduced by one gcd a point on rational, with
-no Fraction.
+itinerary from its smallest point, the start x* (on rational its
+numerator over the cycle's one denominator, both in lowest terms), the
+step of its smallest point on the walk from x*, and its multiplier.  A
+cycle's points are walked again from its start, by the same step, and
+rotated, a block of cycles at a time: Cycles for iteration, and their
+text, N/D on rational with no gcd and no Fraction.
 """
 
 from __future__ import annotations
 
-import math
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterator, NamedTuple
@@ -80,8 +82,8 @@ class OnsetRecord(NamedTuple):
 
 
 # a census's columns, a value a cycle: (itinerary from the smallest point,
-# the smallest point's step from the start, the start, its denominator or
-# None, the multiplier, the sort key)
+# the smallest point's step from the start, the start, the cycle's
+# denominator or None, the multiplier, the sort key)
 Columns = tuple[np.ndarray, np.ndarray, np.ndarray, "np.ndarray | None", np.ndarray, np.ndarray]
 
 
@@ -98,8 +100,8 @@ class Census:
         "params", "period",  # MapParams and n
         "words",  # int64, each itinerary from its smallest point
         "shifts",  # int64, the smallest point's step on the walk
-        "starts",  # x*, float64 or Decimal; on rational its numerator N_0
-        "denominators",  # on rational, x*'s denominator M_0, else None
+        "starts",  # x*, float64 or Decimal; on rational its numerator N_0/g
+        "denominators",  # on rational, every point's denominator M_0/g, else None
         "multipliers",  # float64, or Decimal or Fraction objects
     )
 
@@ -123,9 +125,9 @@ class Census:
         n = self.period
         for start in range(0, len(self), self.block):
             stop = start + self.block
-            points, dens = self._points(start, stop)
-            if dens is not None:
-                points = np.frompyfunc(Fraction, 2, 1)(points, dens)
+            points = self._points(start, stop)
+            if self.denominators is not None:
+                points = np.frompyfunc(Fraction, 2, 1)(points, self.denominators[start:stop, None])
             for pts, w, A in zip(points.tolist(), _word_texts(self.words[start:stop], n),
                                  self.multipliers[start:stop].tolist()):
                 yield Cycle(period=n, points=tuple(pts), itinerary=w, multiplier=A)
@@ -140,43 +142,40 @@ class Census:
     def texts(self, start: int, stop: int) -> tuple[list[str], list[str], list[str]]:
         """The artifact text of cycles start..stop: serialize of their
         points, n a cycle, their itineraries and serialize of their
-        multipliers.  On rational a point is N/M reduced by one gcd, with
-        no Fraction."""
+        multipliers.  On rational a point is N/D over its cycle's
+        denominator, already in lowest terms, with no Fraction."""
         b, multipliers = self.params.backend, self.multipliers[start:stop]
         itineraries = _word_texts(self.words[start:stop], self.period)
-        points, dens = self._points(start, stop)
-        if dens is not None:
-            nums, dens = points.ravel().tolist(), dens.ravel().tolist()
-            gcds = list(map(math.gcd, nums, dens))
+        points = self._points(start, stop)
+        if self.denominators is not None:
+            rows = list(zip(points.tolist(), self.denominators[start:stop].tolist()))
             try:
-                cells = [f"{x // g}/{m // g}" for x, m, g in zip(nums, dens, gcds)]
+                cells = [f"{x}/{d}" for row, d in rows for x in row]
             except ValueError:  # a term past the int-to-text limit
-                cells = [_ratio_text(x // g, m // g) for x, m, g in zip(nums, dens, gcds)]
+                cells = [_ratio_text(x, d) for row, d in rows for x in row]
             return cells, itineraries, b.texts(multipliers)
         column_texts = float64_texts if b.kind == "binary64" else b.texts
         cells = column_texts(np.concatenate([points.ravel(), multipliers]))
         split = len(cells) - len(multipliers)
         return cells[:split], itineraries, cells[split:]
 
-    def _points(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray | None]:
+    def _points(self, start: int, stop: int) -> np.ndarray:
         """The points of cycles start..stop, each from its smallest, a (cycles x n)
-        array walked from the start by the kernel's step, and on rational the
-        array of their denominators, M_0*q^t, stepped with them."""
+        array walked from the start by the kernel's step; on rational their
+        numerators over the cycle's denominator, which q divides exactly."""
         n, b, h = self.period, self.params.backend, self.params.h
         x = self.starts[start:stop]
         m = None if self.denominators is None else self.denominators[start:stop]
         orbits = np.empty((len(x), n), dtype=x.dtype)
-        orbits[:, 0], dens = x, [m]
+        orbits[:, 0] = x
         with b.context():  # from the last column: only t and h - t live in a step
             for t in range(1, n):
                 if m is None:
                     orbits[:, t] = tent_step_array(orbits[:, t - 1], h)
                 else:
-                    orbits[:, t], m = exact_tent_step(orbits[:, t - 1], m, h)
-                    dens.append(m)
+                    orbits[:, t] = exact_tent_step(orbits[:, t - 1], m, h) // h.denominator
         turn = (self.shifts[start:stop, None] + np.arange(n)) % n
-        return (np.take_along_axis(orbits, turn, axis=1),
-                None if m is None else np.take_along_axis(np.stack(dens, axis=1), turn, axis=1))
+        return np.take_along_axis(orbits, turn, axis=1)
 
 
 def _closes(x, y, b: Backend):
@@ -234,7 +233,10 @@ def _closing_rounded(n: int, params: MapParams) -> Columns:
     place (the per-word composition of (A, B), clamp_unit, tent_step,
     _closes), so every value is bit-identical to the per-word walk.  No
     walk point needs clamping: a tent step maps [0, 1] into itself under
-    either rounding (see tent_step_array).  The walk keeps each
+    either rounding (see tent_step_array).  Nor does x*: the itinerary test
+    is also clamp_unit's, since a walk from below 0 stays there, on L, one
+    from above 1 reads R first, and a Lyndon word of length >= 2 is L...R;
+    at n = 1, x* is -0 or h/(h+1), both in [0, 1].  The walk keeps each
     word's least point so far and its step, replaced only by a strictly
     smaller one, so the first minimum wins, as argmin's does.
     """
@@ -251,14 +253,6 @@ def _closing_rounded(n: int, params: MapParams) -> Columns:
             B = h * B
             np.subtract(h, B, out=B, where=s)
         x_star = B / (one - A)
-        # clamp_unit rejects x* outside [0, 1] on decimal, which has no
-        # slack; on binary64 it would snap a value one ulp outside to 0 or
-        # 1, but neither orbit (all L; R then all L) realizes a word of
-        # length n >= 2, which starts with L and ends with R, so those
-        # words go with the rest; at n = 1, x* is -0 or h/(h+1)
-        keep = np.flatnonzero((x_star >= 0) & (x_star <= 1))
-        words, A, x_star = words[keep], A[keep], x_star[keep]
-
         realized = np.ones(len(words), dtype=bool)
         low, shifts = x_star, np.zeros(len(words), dtype=np.int64)
         x = x_star
@@ -278,44 +272,47 @@ def _closing_rational(n: int, params: MapParams) -> Columns:
     """The exact census on Python integers, by the recurrences of the module
     docstring, as object arrays over _EXACT_BLOCK Lyndon words at a time, in
     _closing_rounded's shape: one itinerary test a symbol, and a word leaves the
-    walk at the first symbol its point does not follow.  That is also clamp_unit's
-    test on x*: a walk from below 0 stays there, on L, one from above 1 reads R
-    first, and a Lyndon word of length >= 2 is L...R.
+    walk at the first symbol its point does not follow, or at the first step that
+    q does not divide; one that follows all n symbols has closed.  As there, the
+    itinerary test is also clamp_unit's test on x*.
 
-    h > 1 makes p^n > q^n, which fixes the sign of x*'s denominator.  Point t is
-    N_t/(M_0*q^t), N_t*q^(n-t) over M_0*q^n, so the walk compares those numerators
-    for the least point; its float, the sort key, is their quotient, which
-    Python's int division rounds correctly, as float() of the Fraction does.
+    h > 1 makes M_0 positive.  Every point of a word's walk lies over its M_0,
+    so the walk compares numerators for the least point; its float, the sort key,
+    is N/M_0, which Python's int division rounds correctly, as float() of the
+    Fraction does.  Each cycle's start and M_0 come out divided by their gcd, g;
+    the few values of M_0/g are held as one int each.
     """
     h = params.h
     p, q = h.numerator, h.denominator
     pn, qn = p**n, q**n
     dens = np.array([pn - qn, pn + qn], dtype=object)  # M_0 by the parity of #R
     multipliers = np.array([Fraction(pn, qn), Fraction(-pn, qn)], dtype=object)
-    every, blocks = _lyndon_word_array(n), []
+    every, blocks, shared = _lyndon_word_array(n), [], {}
     for first in range(0, len(every), _EXACT_BLOCK):
         words = every[first:first + _EXACT_BLOCK]
         betas, odd, q_t = np.zeros(len(words), dtype=object), np.zeros(len(words), np.intp), 1
         for t in range(n):  # q_t is q^(t-1)
             s = _symbol(words, n, t)
             betas, odd, q_t = p * np.where(s, q_t - betas, betas), odd ^ s, q_t * q
-        n0 = np.where(odd, betas, -betas)
-        x, m, low, shifts = n0, dens[odd], n0 * qn, np.zeros(len(words), dtype=np.int64)
-        for t in range(n):
-            follows = (2 * x > m) == _symbol(words, n, t)
+        x = n0 = low = np.where(odd, betas, -betas)
+        m, shifts, r = dens[odd], np.zeros(len(words), dtype=np.int64), 0
+        for t in range(n):  # r: the remainder of the step to x, 0 at x*
+            follows = ((2 * x > m) == _symbol(words, n, t)) & (r == 0)
             if not follows.all():
                 words, odd, n0, x, m, low, shifts = (
                     c[follows] for c in (words, odd, n0, x, m, low, shifts))
-            scaled = x * q ** (n - t)
-            lower = scaled < low
-            low = np.where(lower, scaled, low)
+            lower = x < low
+            low = np.where(lower, x, low)
             shifts[lower] = t
-            x, m = exact_tent_step(x, m, h)
-        closed = x == n0 * qn
-        blocks.append([c[closed] for c in (words, odd, shifts, n0, low)])
-    words, odd, shifts, n0s, lows = map(np.concatenate, zip(*blocks))
-    return (_rotated(words, shifts, n), shifts, n0s, dens[odd], multipliers[odd],
-            (lows / (dens * qn)[odd]).astype(float))
+            if t < n - 1:
+                y = exact_tent_step(x, m, h)
+                x, r = y // q, y % q
+        g = np.gcd(n0, m)
+        blocks.append([words, odd, shifts, n0 // g,
+                       np.array([shared.setdefault(d, d) for d in (m // g).tolist()], dtype=object),
+                       (low / m).astype(float)])
+    words, odd, shifts, starts, denominators, keys = map(np.concatenate, zip(*blocks))
+    return _rotated(words, shifts, n), shifts, starts, denominators, multipliers[odd], keys
 
 
 def enumerate_cycles(params: MapParams, n: int) -> Census:

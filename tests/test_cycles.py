@@ -15,6 +15,8 @@ from typing import Iterator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tentlab import cycles
 from tentlab.backends import Binary64, DomainError, Rational, make_backend
@@ -346,6 +348,16 @@ class TestEnumeration:
                     assert abs(tent_power_step(x, p, n) - x) < 1e-12
 
 
+def _point_terms(census) -> Iterator[list[tuple[int, int]]]:
+    """Each cycle's point cells as census.texts writes them, read back as
+    (N, D) pairs, a list a cycle."""
+    n = census.period
+    for start in range(0, len(census), census.block):
+        cells = census.texts(start, start + census.block)[0]
+        for i in range(0, len(cells), n):
+            yield [tuple(map(int, cell.split("/"))) for cell in cells[i:i + n]]
+
+
 class TestKernels:
     @pytest.mark.parametrize(
         "kind, h, max_n",
@@ -436,6 +448,29 @@ class TestKernels:
         # 14532 is the necklace count; the others are the rational census's
         # own counts, which the rounded backends' censuses fall short of
         assert len(enumerate_cycles(rat_params(h), n)) == count
+
+    @given(st.integers(1, 50).flatmap(lambda q: st.tuples(st.integers(q + 1, 2 * q), st.just(q))),
+           st.integers(1, 10))
+    @settings(max_examples=100, deadline=None)
+    def test_a_cycle_lies_over_one_reduced_denominator(self, pq, n):
+        """Every point of an exact cycle is written over one denominator, in
+        lowest terms, and that denominator divides M_0 = p^n - s*q^n, with
+        s = (-1)^#R."""
+        h = Fraction(*pq)
+        p, q = h.numerator, h.denominator
+        census = enumerate_cycles(rat_params(h), n)
+        for c, terms in zip(census, _point_terms(census), strict=True):
+            (d,) = {d for _, d in terms}
+            assert all(math.gcd(x, d) == 1 for x, _ in terms)
+            assert (p**n - (-1) ** c.itinerary.count("R") * q**n) % d == 0
+            assert [Fraction(x, d) for x, _ in terms] == list(c.points)
+
+    def test_cycles_below_m0_at_h2_n6(self):
+        # M_0 is 63 for an even #R and 65 for an odd one; one cycle of each
+        # lies over a proper divisor, g = 3 and g = 5
+        census = enumerate_cycles(rat_params(2), 6)
+        denominators = [{d for _, d in terms} for terms in _point_terms(census)]
+        assert denominators == [{65}, {63}, {65}, {21}, {13}, {63}, {65}, {65}, {63}]
 
 
 class TestLyndonCells:
