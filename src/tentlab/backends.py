@@ -74,7 +74,7 @@ class Backend:
         raise NotImplementedError
 
     def from_int(self, n: int) -> Scalar:
-        raise NotImplementedError
+        return self.value_type(n)
 
     def context(self):
         """A context manager under which the value type's own operators, on
@@ -110,18 +110,18 @@ class Backend:
         except OverflowError:
             raise DomainError("value lies past the binary64 range") from None
 
-    # populated by subclasses
     _half: Scalar = 0.5
-    _unit_slack: Scalar = 0
+    _unit_slack: Scalar = 0  # clamp_unit only compares it
+    _key: tuple = ()  # what makes two backends of one class differ
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
+        return f"{type(self).__name__}({', '.join(map(repr, self._key))})"
 
     def __eq__(self, other: object) -> bool:
-        return type(other) is type(self)
+        return type(other) is type(self) and other._key == self._key
 
     def __hash__(self) -> int:
-        return hash(type(self))
+        return hash((type(self), *self._key))
 
 
 def _digits(convert, text: str):
@@ -146,7 +146,6 @@ class Binary64(Backend):
 
     kind = "binary64"
     value_type = float
-    _half = 0.5
     _unit_slack = 2.0 ** -52  # one ulp at 1.0
 
     def parse(self, text: str) -> float:
@@ -164,9 +163,6 @@ class Binary64(Backend):
             raise ParseError(f"{text!r} rounds past the binary64 range")
         return value
 
-    def from_int(self, n: int) -> float:
-        return float(n)
-
     def serialize(self, x: float) -> str:
         """repr(x), the shortest string that round-trips.  _arrays.cells
         writes the same text for a whole float64 array at once, and is
@@ -181,7 +177,6 @@ class Rational(Backend):
     kind = "rational"
     value_type = Fraction
     _half = Fraction(1, 2)
-    _unit_slack = Fraction(0)
 
     def parse(self, text: str) -> Fraction:
         text = text.strip()
@@ -191,9 +186,6 @@ class Rational(Backend):
         if _DECIMAL_RE.match(text):
             return _digits(Fraction, text)
         raise ParseError(f"not a decimal or p/q fraction: {text!r}")
-
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
 
     def serialize(self, x: Fraction) -> str:
         self.check(x)
@@ -247,7 +239,7 @@ class FixedDecimal(Backend):
 
     kind = "decimal"
     value_type = Decimal
-    _unit_slack = Decimal(0)
+    _half = Decimal("0.5")
 
     def __init__(self, precision_digits: int):
         if precision_digits < MIN_DECIMAL_DIGITS:
@@ -256,10 +248,10 @@ class FixedDecimal(Backend):
                 f"got {precision_digits}"
             )
         self.precision_digits = int(precision_digits)
+        self._key = (self.precision_digits,)
         self._ctx = decimal.Context(
             prec=self.precision_digits, rounding=decimal.ROUND_HALF_EVEN
         )
-        self._half = Decimal("0.5")
         self._quantum = Decimal(1).scaleb(-self.precision_digits)
 
     def parse(self, text: str) -> Decimal:
@@ -288,18 +280,6 @@ class FixedDecimal(Backend):
             q = q.copy_abs()
         text = str(q)
         return text if "E" not in text else format(q, "f")
-
-    def __repr__(self) -> str:
-        return f"FixedDecimal({self.precision_digits})"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            type(other) is FixedDecimal
-            and other.precision_digits == self.precision_digits
-        )
-
-    def __hash__(self) -> int:
-        return hash((FixedDecimal, self.precision_digits))
 
 
 def make_backend(kind: str, precision_digits: int | None = None) -> Backend:

@@ -294,12 +294,12 @@ def _cmd_cycles(ns, b, params, coeffs):
         cells, itineraries, multipliers = found.texts(start, start + found.block)
         block = list(zip(itertools.count(start), (cells[i:i + n] for i in range(0, len(cells), n)),
                          itineraries, multipliers))
-        yield "cycles.json", ["".join(
+        yield "cycles.json", (  # a cycle's text at a time: one block's is megabytes
             (",\n" if i else "\n") + _CYCLE_JSON % (w, m, '",\n        "'.join(points))
-            for i, points, w, m in block)]
-        yield "cycles.csv", ["".join(  # a cycle's rows: "i," "j,x" ",w,m\ni," "j,x" ... ",w,m\n"
+            for i, points, w, m in block)
+        yield "cycles.csv", (  # a cycle's rows: "i," "j,x" ",w,m\ni," "j,x" ... ",w,m\n"
             f"{i}," + f",{w},{m}\n{i},".join(map(operator.add, indices, points)) + f",{w},{m}\n"
-            for i, points, w, m in block)]
+            for i, points, w, m in block)
     yield "cycles.json", [("\n  ]" if len(found) else "]") + tail]
 
 

@@ -5,13 +5,15 @@ open right branch x in (1/2, 1], with h in (1, 2].  The tie at x = 1/2
 always counts as the left branch.  The right branch is evaluated as
 h - h*x, by the value type's own operators under the backend's context,
 so runs are reproducible operation for operation.  An orbit is the tuple
-of its values, each of the backend's own type.  _tent_power is the one
-scalar step loop: orbit, and through it tent_step and tent_power_step,
-and itinerary run on it, clamping only their start.
+of its values, each of the backend's own type.  tent_step(x, params, k)
+is the one scalar step function, T_h^k, and _tent_power its one step
+loop: orbit, and through it tent_step and itinerary, run on it, clamping
+only their start.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .backends import Backend, DomainError, Scalar
@@ -43,11 +45,12 @@ class MapParams(_MapParams):
         return cls(backend.parse(text), backend)
 
 
-def tent_step(x: Scalar, params: MapParams) -> Scalar:
-    """One application of T_h to x clamped within rounding slack of [0, 1],
-    bit for bit _arrays.tent_step_array's min(t, h - t), which for x in
-    [0, 1] is t when x <= 1/2 and h - t, or t equal to it, otherwise."""
-    return orbit(x, params, 1, 1)[1]
+def tent_step(x: Scalar, params: MapParams, k: int = 1) -> Scalar:
+    """T_h^k(x), k >= 1, for x clamped within rounding slack of [0, 1]:
+    each step bit for bit _arrays.tent_step_array's min(t, h - t), which
+    for x in [0, 1] is t when x <= 1/2 and h - t, or t equal to it,
+    otherwise."""
+    return orbit(x, params, k, 1)[1]
 
 
 def _tent_power(x: Scalar, h: Scalar, half: Scalar, k: int) -> Scalar:
@@ -58,11 +61,6 @@ def _tent_power(x: Scalar, h: Scalar, half: Scalar, k: int) -> Scalar:
         t = h * x
         x = t if x <= half else h - t
     return x
-
-
-def tent_power_step(x: Scalar, params: MapParams, k: int = 1) -> Scalar:
-    """k-fold composition of tent_step, k >= 1."""
-    return orbit(x, params, k, 1)[1]
 
 
 def orbit(x0: Scalar, params: MapParams, k: int = 1, steps: int = 0) -> tuple[Scalar, ...]:
@@ -87,18 +85,13 @@ def itinerary(x0: Scalar, params: MapParams, n: int) -> tuple[str, Scalar]:
 
     symbols[t] is the branch (L or R) the orbit occupies at time t; the
     slope product is (+h) per L and (-h) per R, multiplied left to right,
-    i.e. (-1)^{#R} * h^n.
+    i.e. (-1)^{#R} * h^n: h^n rounded as it is multiplied, then signed,
+    since a sign never changes how a product rounds.
     """
     if n < 1:
         raise DomainError(f"itinerary length must be positive, got {n}")
-    b, h, half = params.backend, params.h, params.backend._half
-    x = b.clamp_unit(x0)
-    symbols = []
-    slope = b.from_int(1)
-    with b.context():  # -(slope*h) is slope*(-h) rounded; its minus rounds nothing
-        for _ in range(n):
-            left = x <= half  # x lies in [0, 1]: clamped, then _tent_power's values
-            symbols.append("L" if left else "R")
-            slope = slope * h if left else -(slope * h)
-            x = _tent_power(x, h, half, 1)
-    return "".join(symbols), slope
+    half = params.backend._half
+    symbols = "".join("L" if x <= half else "R" for x in orbit(x0, params, 1, n - 1))
+    with params.backend.context():  # outside it a Decimal's minus rounds too
+        slope = math.prod([params.h] * n)
+        return symbols, -slope if symbols.count("R") % 2 else slope

@@ -54,7 +54,7 @@ from tentlab.stabilize import (
     companion_spectrum,
     stabilized_orbit,
 )
-from tentlab.tentmap import MapParams, tent_power_step
+from tentlab.tentmap import MapParams, tent_step
 from test_fibonacci import eigen_basis
 
 REFERENCE_WEIGHTS = (
@@ -149,7 +149,7 @@ def test_criterion_02_cycle_algebra():
         failures.append("no three-cycle found at slope 1.7")
     for cycle in found17:
         for x in cycle.points:
-            residual = abs(tent_power_step(x, b64, 3) - x)
+            residual = abs(tent_step(x, b64, 3) - x)
             if residual >= 1e-12:
                 failures.append(f"residual {residual!r} at point {x!r}")
     _report("2", "cycle algebra", failures)
@@ -282,7 +282,7 @@ def test_criterion_05d_triadic_sweep_includes_23_45(triadic_sweep):
     preimages = {
         x
         for x in build_net(result.net, rat.backend)
-        if tent_power_step(x, rat, 2) == Fraction(3, 5)
+        if tent_step(x, rat, 2) == Fraction(3, 5)
     }
     fixed = set(_starts(result, OutcomeKind.FIXED_POINT))
     if fixed != {float(x) for x in preimages}:
@@ -420,7 +420,7 @@ def test_criterion_10a_recursion_equivalence():
         """Shift the six-value state left and append the weighted average of
         f over it, through the value type's operators under the backend's
         context."""
-        fs = [tent_power_step(u[-i], params, 2) for i in range(1, TAPS + 1)]
+        fs = [tent_step(u[-i], params, 2) for i in range(1, TAPS + 1)]
         with params.backend.context():
             tail = coeffs.a[0] * fs[0]
             for i in range(2, TAPS + 1):

@@ -933,6 +933,13 @@ class TestSweep:
         assert sweep_digests(tmp_path) == UNIFORM_1000_DIGESTS
         assert forks == []
 
+    def test_negative_thread_count_rejected_before_out(self, tmp_path, capsys, forks):
+        out = tmp_path / "nest" / "out"
+        assert run_command(["sweep", "--threads", "-1", "--out", str(out)]) == 2
+        assert "thread count must be nonnegative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "nest").exists()
+        assert forks == []
+
     @pytest.mark.parametrize("k", ["0", "-2"])
     @pytest.mark.parametrize(
         "backend",

@@ -30,7 +30,7 @@ from tentlab.cycles import (
     onset_threshold,
 )
 from tentlab.basins import fixed_point, two_cycle
-from tentlab.tentmap import MapParams, tent_power_step, tent_step
+from tentlab.tentmap import MapParams, tent_step
 
 
 def rat_params(h) -> MapParams:
@@ -213,7 +213,7 @@ class TestClosedForms:
             a, b = two_cycle(p)
             assert tent_step(a, p) == b
             assert tent_step(b, p) == a
-            assert tent_power_step(a, p, 2) == a
+            assert tent_step(a, p, 2) == a
 
 
 class TestEnumeration:
@@ -240,7 +240,7 @@ class TestEnumeration:
         assert len(cycles) >= 1
         for c in cycles:
             for x in c.points:
-                assert abs(tent_power_step(x, p, 3) - x) < 1e-12
+                assert abs(tent_step(x, p, 3) - x) < 1e-12
             assert len(set(c.points)) == 3
 
     def test_three_cycle_count_matches_grid_oracle(self):
@@ -345,7 +345,7 @@ class TestEnumeration:
         for n in (1, 2, 3, 5, 7):
             for c in enumerate_cycles(p, n):
                 for x in c.points:
-                    assert abs(tent_power_step(x, p, n) - x) < 1e-12
+                    assert abs(tent_step(x, p, n) - x) < 1e-12
 
 
 def _point_terms(census) -> Iterator[list[tuple[int, int]]]:

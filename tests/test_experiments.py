@@ -47,7 +47,7 @@ from tentlab.experiments import (
     sqrt2_reference,
 )
 from tentlab.stabilize import Coefficients, _bounded, build_coefficients, stabilized_orbit
-from tentlab.tentmap import MapParams, orbit, tent_power_step
+from tentlab.tentmap import MapParams, orbit, tent_step
 
 from test_stabilize import reference_run
 
@@ -270,6 +270,12 @@ class TestClassifyOutcome:
         d = abs(0.7 - 9 / 13)
         assert classify_outcome(0.7, params, d)[0] is OutcomeKind.UNRESOLVED
         assert classify_outcome(0.7, params, d * 1.001)[0] is OutcomeKind.CYCLE_HIGH
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-3, math.nan])
+    def test_nonpositive_tolerance_rejected(self, tolerance):
+        params, _ = b64_setup()
+        with pytest.raises(DomainError, match="tolerance must be positive"):
+            classify_outcome(0.7, params, tolerance)
 
 
 def check_against_oracle(finals, targets, tolerance):
@@ -752,7 +758,7 @@ class TestSweep:
             for _ in range(60):
                 if x == Fraction(3, 5):
                     break
-                x = tent_power_step(x, rparams, 2)
+                x = tent_step(x, rparams, 2)
             assert x == Fraction(3, 5)
 
 

@@ -26,7 +26,7 @@ from tentlab.stabilize import (
     companion_spectrum,
     stabilized_orbit,
 )
-from tentlab.tentmap import MapParams
+from tentlab.tentmap import MapParams, tent_step
 
 SIGMA = 1.2
 
@@ -205,6 +205,11 @@ class TestStabilizedOrbit:
         with pytest.raises(DomainError):
             stabilized_orbit(0.3, params, 2, coeffs, 5)
 
+    def test_nonpositive_power_rejected(self):
+        params, coeffs = b64_setup()
+        with pytest.raises(DomainError, match="power must be a positive integer"):
+            stabilized_orbit(0.3, params, 0, coeffs, 50)
+
     @given(st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=150, deadline=None)
     def test_convexity_keeps_values_inside_unit_interval(self, x0):
@@ -287,6 +292,25 @@ class TestClassification:
         poly = np.array([1.0] + [1.5 * v for v in coeffs.a])
         expect = max(np.abs(np.roots(poly)))
         assert abs(reports[0].spectral_radius - expect) < 1e-9
+
+    def test_nonpositive_power_rejected(self):
+        params, coeffs = b64_setup()
+        with pytest.raises(DomainError, match="power must be a positive integer"):
+            classify_equilibria(params, 0, coeffs)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    @pytest.mark.parametrize("b", [Binary64(), Rational()], ids=["binary64", "rational"])
+    def test_every_fixed_point_of_a_higher_power_at_h2(self, b, k):
+        # T_2^k has 2^k fixed points, each with slope +-2^k; the origin is
+        # left out.  k = 4 and 6 take cycles of the periods that divide k
+        params, coeffs = MapParams(b.parse("2"), b), build_coefficients(b.parse("6/5"), b)
+        reports = classify_equilibria(params, k, coeffs)
+        assert len(reports) == 2**k - 1
+        assert {abs(r.slope) for r in reports} == {2**k}
+        # at mu > 1 the companion polynomial is 1 - mu < 0 at 1, so a root lies past 1
+        assert not any(r.stable for r in reports if r.slope > 0)
+        if b == Rational():
+            assert all(tent_step(r.point, params, k) == r.point for r in reports)
 
     def test_rational_backend_classification(self):
         params, coeffs = rat_setup()

@@ -22,7 +22,6 @@ from tentlab.tentmap import (
     MapParams,
     itinerary,
     orbit,
-    tent_power_step,
     tent_step,
 )
 
@@ -118,27 +117,27 @@ class TestTentStep:
 
 class TestPowerStep:
     def test_second_iterate_of_two_fifths_is_three_fifths(self):
-        assert tent_power_step(Fraction(2, 5), rat_params(), 2) == Fraction(3, 5)
+        assert tent_step(Fraction(2, 5), rat_params(), 2) == Fraction(3, 5)
 
     def test_second_iterate_of_04_lands_one_ulp_under_06(self):
         # the double 0.4 is not 2/5, so T^2 lands on the neighbor of 0.6;
         # this one-ulp gap is what seeds the delayed escape experiments
-        y = tent_power_step(0.4, b64_params(1.5), 2)
+        y = tent_step(0.4, b64_params(1.5), 2)
         assert y == 0.5999999999999999
         assert y == math.nextafter(0.6, 0.0)
 
     def test_rational_preimage_reaches_fixed_point(self):
-        assert tent_power_step(Fraction(4, 15), rat_params(), 2) == Fraction(3, 5)
+        assert tent_step(Fraction(4, 15), rat_params(), 2) == Fraction(3, 5)
 
     def test_fixed_point_is_fixed_for_any_power(self):
         p = rat_params()
         s = Fraction(3, 5)
         for k in (1, 2, 5):
-            assert tent_power_step(s, p, k) == s
+            assert tent_step(s, p, k) == s
 
     def test_power_must_be_positive(self):
         with pytest.raises(DomainError):
-            tent_power_step(0.4, b64_params(), 0)
+            tent_step(0.4, b64_params(), 0)
 
 
 class TestOrbit:
@@ -425,8 +424,8 @@ def _walked_itinerary(x0, p: MapParams, n: int):
 
 
 class TestScalarStepsAgree:
-    """itinerary and tent_power_step give, bit for bit, what a walk by
-    tent_step gives, raising where it raises."""
+    """itinerary, and tent_step at k, give bit for bit what a walk by
+    one-step tent_step calls gives, raising where it raises."""
 
     @given(backend_slope_start(), st.integers(1, 40))
     @settings(max_examples=300, deadline=None)
@@ -450,7 +449,7 @@ class TestScalarStepsAgree:
                 x = tent_step(x, p)
             return x
 
-        got, want = _outcome(tent_power_step, x0, p, k), _outcome(walked, x0)
+        got, want = _outcome(tent_step, x0, p, k), _outcome(walked, x0)
         if isinstance(want, type):
             assert got is want
         else:
