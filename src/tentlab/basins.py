@@ -147,12 +147,12 @@ def fixed_point(params: MapParams) -> Scalar:
 
 
 def two_cycle(params: MapParams) -> tuple[Scalar, Scalar]:
-    """The 2-cycle (h/(1+h^2), h^2/(1+h^2)); tent_step swaps the pair."""
+    """The 2-cycle (h/(1+h^2), h^2/(1+h^2)), rounded as enumerate_cycles'
+    census rounds it: the low point, then one left-branch step, h*lo."""
     h = params.h
     with params.backend.context():
-        h2 = h * h
-        d = 1 + h2
-        return h / d, h2 / d
+        lo = h / (1 + h * h)
+        return lo, h * lo
 
 
 def _targets(params: MapParams) -> tuple[float, float, float]:

@@ -1,7 +1,6 @@
 """Command-line behavior: exit codes, artifact bytes, manifests, SVG."""
 
 import csv
-import hashlib
 import json
 import math
 import os
@@ -25,6 +24,8 @@ from tentlab.cli import build_parser, replay_manifest, run_command
 from tentlab.cycles import _EXACT_TEXT_BLOCK, Census
 from tentlab.svgplot import as_float, svg_pieces
 
+import golden
+
 
 SUBCOMMANDS = (
     "simulate", "cycles", "stabilize", "sweep", "escape",
@@ -47,111 +48,9 @@ REPLAY_SET = [
 ]
 
 
-# sha256 of (sweep.csv, sweep.json) for --net uniform:1000, recorded before
-# the sweep held its results as arrays; the rows and counts must not change
-UNIFORM_1000_DIGESTS = (
-    "944afcadc8816818a6046b02a94e4a5afce3dc977ec1a09a728a98c083415548",
-    "e824598285e387eaa43000c74f858e8e62a6f6ca0a3931e87059658cc92fdf80",
-)
-PINNED_SWEEPS = [
-    pytest.param(["--net", "uniform:1000", "--threads", "1"], UNIFORM_1000_DIGESTS,
-                 id="uniform-threads1"),
-    pytest.param(["--net", "uniform:1000", "--threads", "2"], UNIFORM_1000_DIGESTS,
-                 id="uniform-threads2"),
-    pytest.param(
-        ["--net", "triadic:2", "--backend", "rational"],
-        ("9b385f15329cbbc416a4b7b0760d0bab6848edf04cf1ae7df2b0df53aa1979c0",
-         "1f5dcad86accc516749aa364d1ab90e7aa3aaf2ca10effca492d9c37f532ebb1"),
-        id="triadic-rational",
-    ),
-    # recorded from the per-point Fraction recursion, before the rational
-    # sweep ran on shared-denominator integers
-    pytest.param(
-        ["--h", "19/10", "--k", "1", "--net", "uniform:60", "--backend", "rational"],
-        ("1e17fbc6acb1996cf22d8f8018c0cc9e726020f0045d504a67e76287eeef4b32",
-         "06666bf7de9ec30d1a48acff702a969ffd842d20e4e9cc8e3c5e0c197fba875a"),
-        id="uniform-rational-h19_10-k1",
-    ),
-    pytest.param(
-        ["--k", "3", "--net", "triadic:1", "--steps", "30", "--backend", "rational"],
-        ("20718b36ee81ba6fc349075c5ccffbcab4b95c60efab9181a37b2fd9674c26dc",
-         "6c9e474748592b7d577c82a1ac37b64e2fd588f98338e5663c5af9dab9abfec5"),
-        id="triadic-rational-k3",
-    ),
-    # recorded before the rational sweep ran through _starred; weights with
-    # more than one denominator (sigma = 7/5)
-    pytest.param(
-        ["--h", "19/10", "--sigma", "7/5", "--k", "3", "--net", "uniform:60",
-         "--backend", "rational"],
-        ("a3256a93e47660a4a9353df4bccd64c6d6510d54529462939fa3033065b0ef3e",
-         "b6c2b6bd01d8e482af29aaf6fb590786c57ae4afc043ea595755a7c0981a3d78"),
-        id="uniform-rational-h19_10-sigma7_5-k3",
-    ),
-    # recorded from the serial per-point decimal sweep, before decimal ran
-    # as a chunk kernel on the worker pool
-    pytest.param(
-        ["--net", "uniform:200", "--steps", "20", "--backend", "decimal",
-         "--precision", "30"],
-        ("92fcc24e1679926ed804d0cfc747f9eb408ac954da3655bc8f7aa0925e57e83e",
-         "90f412086ea4a1ec3dd22df76f15b6ca2c08614b56443d6a65b644d9b66d9d7d"),
-        id="uniform-decimal",
-    ),
-]
-
-# sha256 of every artifact but manifest.json, recorded before the scalar
-# recursion ran its tent steps unclamped inside one backend context and
-# before the import asked OpenBLAS for one thread: the artifacts of the
-# LAPACK calls and of the scalar recursion must not change
-PINNED_RUNS = [
-    pytest.param(["spectrum"], {
-        "spectrum.csv": "23066517332548bf01a414c6f95f37c3b409e170c70a5feb4b4a0a28db5e589b",
-        "spectrum.json": "e207c658907bcb3f939d9612a090928a152ab08120f2e9154c9baf8fb786a6c9",
-    }, id="spectrum"),
-    pytest.param(["spectrum", "--mu", "-2.25", "2.25", "1.0", "0.0"], {
-        "spectrum.csv": "7df859cd3d3a857a0c7db3eacc310e16b851b828d2fcbda9bd10e4eb075f4cee",
-        "spectrum.json": "0b00806a451c73afc3005c6acc373ac59417587a0f5456ae04087bcb44602bf2",
-    }, id="spectrum-mu"),
-    pytest.param(["cycles", "--h", "1.9", "--period", "7", "--onset"], {
-        "cycles.csv": "e3d26f664bbda5033046ce26b5a818c452822c92bcff5036533fd04cffd6b911",
-        "cycles.json": "ff735c8f7267d4714452514857580c47d45176ed8fee3ae250e91a4d77baaf8e",
-    }, id="cycles-h1.9-n7-onset"),
-    pytest.param(["escape", "--steps", "6000", "--x0", "2/5"], {
-        "escape.csv": "99fa789a5b5d328923917b0a06d8becb89c335b79a2fb3f3c3a2d0c0243a3bc4",
-        "escape.json": "4b21f881b79ad287a2c52422de4db14573b87504661250a163ee7836f9baaa4e",
-    }, id="escape-b64-6000"),
-    pytest.param(["escape", "--h", "3/2", "--sigma", "6/5", "--x0", "2/5",
-                  "--backend", "rational", "--steps", "300"], {
-        "escape.csv": "c3b4d655a9b17d5147fd244a014335110bcacceb205d91b4a0bc76bb19ca28dc",
-        "escape.json": "c1b16c51ca3ed3bda93d627fd4f00cf30995d8256144dde47c65f00c62f26dd3",
-    }, id="escape-rational-300"),
-    # binary64 weights at sigma 1.1 fail stabilize._bounded: f clamps its input
-    pytest.param(["stabilize", "--h", "2", "--sigma", "1.1", "--steps", "2000"], {
-        "stabilize.csv": "d33c9337ce54bc73e73836cc0d98736123d8822059c6cd1cdbdffea70ec80205",
-        "stabilize.json": "89391aaf0dbe4f316f0a7f0aa13713b3755dc072335b15ca848a195a31ef0d0b",
-    }, id="stabilize-b64-clamped"),
-    pytest.param(["stabilize", "--h", "2", "--sigma", "1.1", "--steps", "300",
-                  "--backend", "decimal", "--precision", "12"], {
-        "stabilize.csv": "eee428cafafbde556a5b38e8cf083d42447dd383d3745ba8f1a702307c33d59b",
-        "stabilize.json": "95672a697be7290dcefa96c5460316054ba0866cdc057ed945dd4b0679a7c2f6",
-    }, id="stabilize-decimal12"),
-    pytest.param(["simulate", "--k", "3", "--steps", "500"], {
-        "orbit.csv": "846c572a7bb5291f5473198f0dfe5a6c38c46b561ab2550f3926808e08f2f516",
-    }, id="simulate-k3"),
-    pytest.param(["series", "--steps", "2000"], {
-        "series.csv": "58527dd7cb78a791806c4bead640b24f08354693c378fd27949e80860a2c9304",
-    }, id="series-2000"),
-    pytest.param(["sqrt2"], {
-        "sqrt2.csv": "711b0bcc20f1762301ee6ebb3d0145618cc659eab78266eb30978d6362eebb31",
-        "sqrt2.json": "77e7275882784bf4dbacd8ddb5ff6e24dc90c9b2fef60b5baa45249b339b61ec",
-    }, id="sqrt2"),
-]
-
-
-def sweep_digests(out: Path) -> tuple[str, str]:
-    return tuple(
-        hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in ("sweep.csv", "sweep.json")
-    )
+# every pinned argv and its artifacts' sha256, the sweeps among them
+CORPUS = golden.load()
+PINNED_SWEEPS = [argv for argv in sorted(CORPUS) if argv.startswith("sweep ")]
 
 
 def read_json(path: Path):
@@ -426,107 +325,6 @@ class TestCycles:
         lines = (tmp_path / "cycles.csv").read_text().splitlines()
         assert len(lines) == 1 + 3 * doc["count"]
 
-    # sha256 of (cycles.csv, cycles.json), recorded before the census became
-    # one walk over the Lyndon prefix tree; the census must not change
-    @pytest.mark.parametrize(
-        "argv, digests",
-        [
-            (
-                ["--h", "2", "--period", "12"],
-                ("9384a3c655d48654da6ae09a9c927ea31946112f0baebe4ad1c675c2615b0eb0",
-                 "2236693789319bb04a79d033b65df741a72efe1a37654b4269fee523ba47ea7e"),
-            ),
-            (
-                ["--h", "3/2", "--period", "10", "--backend", "rational"],
-                ("6bb339fabde82dd646c9393fc32f81d1258501a8562a2bf85c4dd35bfc0aab60",
-                 "0f4c8bab21a1b71990f272d1cc406426a00b1e446d1365ada2aaaf49f56434df"),
-            ),
-            (
-                ["--h", "1.7", "--period", "9", "--backend", "decimal", "--precision", "30"],
-                ("c779485632f1272aec0cfc38ea6c59e8ed3a2f1cd8f4f0ffdff28f9926f009d8",
-                 "0701190333c70ebb25b182b7e1ec3cfa769447507b53b3c01bb778912a82b6cf"),
-            ),
-            # recorded before the census formatted its cells a column at a
-            # time and wrote cycles.json without json's pure-Python encoder
-            (
-                ["--h", "2", "--period", "1"],
-                ("f8b2146a8ccf24c189a43865e91ba8f2ffaacf80df72a3a17a26501ff09551a7",
-                 "cdad1030b934a8584037bb6750725ce57e1fbb563f3c56233de8a6d5f33aa8ef"),
-            ),
-            (
-                ["--h", "2", "--period", "2"],
-                ("c75406fe02519f479d0d2511d95e1815a1eeeee25424b011ecd25fd16ae02364",
-                 "9d5e464443b0a537e71a7b23dfb60d9d197993c354f200ad3d3c199da5be6cd3"),
-            ),
-            (
-                ["--h", "2", "--period", "16"],
-                ("111c35f902f206a832a57affd60b2bdab81e80aa60c90a79239462b2a4379dc6",
-                 "75080739cef662ef59e5b2958242066ea985369a90b0b6c3da1851e5b7367837"),
-            ),
-            (
-                ["--h", "1.9", "--period", "7", "--onset"],
-                ("e3d26f664bbda5033046ce26b5a818c452822c92bcff5036533fd04cffd6b911",
-                 "ff735c8f7267d4714452514857580c47d45176ed8fee3ae250e91a4d77baaf8e"),
-            ),
-            (
-                ["--h", "3/2", "--period", "1", "--backend", "rational"],
-                ("02946044e9ea0f7469b1bfa720c394045d28581482dd90a62e21e26bfea54427",
-                 "4ff1b921584517ef86cd461743fd9918ed82e6bea6371f16c67624daa61acaeb"),
-            ),
-            (
-                ["--h", "2", "--period", "14", "--backend", "rational"],
-                ("e683e9b55bad744fc8a74f81a81c23376327412a8981135d9942e62f4e7f69dc",
-                 "76a48928732a20ca92512240e5188e55fc6c2e4d8347ccddfe8262e0206b4b04"),
-            ),
-            (
-                ["--h", "2", "--period", "12", "--backend", "decimal", "--precision", "30"],
-                ("ef1e6c1e37a5555c70faa74f8c9826a35a5d26d786b20c96940c4b0a45dcbd1e",
-                 "77fb5538d80a652e634cebd96b6444c79e2eba053cf09c75ce993a1270fcefa7"),
-            ),
-            (
-                ["--h", "1.9", "--period", "12", "--backend", "decimal", "--precision", "400"],
-                ("0db42f6d166ef77c6224d302c76f1afc8ed0a986cb7423fb0ada53def79f866a",
-                 "2f38389d54ca21c02f09ece822671e339667cfb64a49b3db7b585c04d9eb1d44"),
-            ),
-            # recorded before the census kept its cycles as per-cycle columns;
-            # h = 1 + 10**-2200 gives 2-cycle points of some 4400 digits, past
-            # the int-to-text limit, and binary64 n=20 finds 7964 of the 52377
-            # cycles, the fixed closing tolerance's defect included
-            (
-                ["--h", f"{10**2200 + 1}/{10**2200}", "--period", "2", "--backend", "rational"],
-                ("799714b8774a2b7ca11f20cd0d947ec4ded86fe56ce6582847ed41bf3a05d1cd",
-                 "42ad3c8f818dc160464b44cb7b482b12749bb705960213fddc7c7143a073270e"),
-            ),
-            (
-                ["--h", "19/10", "--period", "14", "--backend", "rational"],
-                ("cf905a02dc03b724739b5f1d27bc84a63374b0122437d75c68c826c34232e5cb",
-                 "94956984cdd32141acc6e788eae2eb3f7c117df0fb372e1e2d150563f19b6ea3"),
-            ),
-            (
-                ["--h", "2", "--period", "20"],
-                ("096513f83399b8e9626e3992b38ff4cc05ed0a7091e820abace94e9fead74c88",
-                 "2fe73627e53f6058867ef9832f0105cd32bfea7185ee081f0727e8addcf7d5a0"),
-            ),
-            (
-                ["--h", "2", "--period", "14", "--backend", "decimal", "--precision", "30"],
-                ("8d6fed69f2d8518f3329bd1fc006abc42ea2c668830040fad89bb983def7d573",
-                 "2be04988375a7b494ea41b4662abd808ee3f72c8837a08134fbf367ab2b59c2f"),
-            ),
-        ],
-        ids=["binary64-h2-n12", "rational-h3_2-n10", "decimal30-h1.7-n9",
-             "binary64-h2-n1", "binary64-h2-n2", "binary64-h2-n16", "binary64-h1.9-n7-onset",
-             "rational-h3_2-n1", "rational-h2-n14", "decimal30-h2-n12", "decimal400-h1.9-n12",
-             "rational-h1+1e-2200-n2", "rational-h19_10-n14", "binary64-h2-n20",
-             "decimal30-h2-n14"],
-    )
-    def test_artifact_bytes_pinned(self, tmp_path, argv, digests):
-        assert run_command(["cycles", *argv, "--out", str(tmp_path)]) == 0
-        got = tuple(
-            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in ("cycles.csv", "cycles.json")
-        )
-        assert got == digests
-
     @pytest.mark.parametrize("backend, values", [
         (["--backend", "binary64"], TEXT_BLOCK),
         (["--backend", "decimal", "--precision", "30"], TEXT_BLOCK),
@@ -668,21 +466,13 @@ class TestSweep:
         assert message in err and "internal error" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv, digests", PINNED_SWEEPS)
-    def test_artifact_bytes_pinned(self, tmp_path, argv, digests):
-        assert run_command(["sweep", *argv, "--out", str(tmp_path)]) == 0
-        assert sweep_digests(tmp_path) == digests
-
-    @pytest.mark.parametrize("argv, digests", PINNED_SWEEPS)
-    def test_artifact_bytes_do_not_depend_on_workers(
-        self, tmp_path, monkeypatch, forks, argv, digests
-    ):
+    @pytest.mark.parametrize("argv", PINNED_SWEEPS)
+    def test_artifact_bytes_do_not_depend_on_workers(self, tmp_path, monkeypatch, forks, argv):
         # small chunks, so that every net has several
         monkeypatch.setattr(basins, "DEFAULT_CHUNK_SIZE", 7)
         for threads in ("1", "2", "0"):
             out = tmp_path / threads
-            assert run_command(["sweep", *argv, "--threads", threads, "--out", str(out)]) == 0
-            assert sweep_digests(out) == digests
+            assert golden.run(f"{argv} --threads {threads}", out) == golden.artifacts(CORPUS[argv])
         # two workers for the one pass per chunk, at 2 and at 0 (one per CPU)
         assert len(forks) == 4
         assert not forks.alive()
@@ -930,7 +720,8 @@ class TestSweep:
         # one chunk caps the workers at one; never ask for many processes
         argv = ["sweep", "--net", "uniform:1000", "--threads", "100000", "--out", str(tmp_path)]
         assert run_command(argv) == 0
-        assert sweep_digests(tmp_path) == UNIFORM_1000_DIGESTS
+        assert golden.digests(tmp_path) == golden.artifacts(
+            CORPUS["sweep --net uniform:1000 --threads 1"])
         assert forks == []
 
     def test_negative_thread_count_rejected_before_out(self, tmp_path, capsys, forks):
@@ -978,17 +769,26 @@ class TestEscape:
         )
         assert read_json(tmp_path / "escape.json")["event"] is None
 
-    def test_decimal_artifact_bytes_pinned(self, tmp_path):
-        # recorded when the event's values reached escape.json as floats;
-        # they now come as the run's Decimals and float() writes them alike
+    def test_decimal_run_reports_event(self, tmp_path):
         argv = ["escape", "--backend", "decimal", "--precision", "30", "--steps", "300"]
+        assert " ".join(argv) in CORPUS  # its bytes are pinned there
         assert run_command([*argv, "--out", str(tmp_path)]) == 0
-        assert [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                for name in ("escape.csv", "escape.json")] == [
-            "1f4f48815851c4eb22979b23ab2fbb70b8894f786611009db9e295a01046cd93",
-            "55b50c930e8307d1a43a3076284eb84fe2132eabc22c7d008b0ca57cbde95470",
-        ]
         assert read_json(tmp_path / "escape.json")["event"]["escape_index"] == 203
+
+    def test_null_event_is_not_never_left(self, tmp_path):
+        # at 10 digits the rabbit leaves 0.6 at step 6 and ends on the 2-cycle's
+        # high point, but it drifts past --flat-tol after step 13: its flat
+        # stretch is 14 values, shorter than --min-flat's 30, so no event
+        argv = ["escape", "--backend", "decimal", "--precision", "10", "--x0", "3/5"]
+        assert " ".join(argv) in CORPUS  # its bytes are pinned there
+        assert run_command([*argv, "--out", str(tmp_path / "30")]) == 0
+        assert read_json(tmp_path / "30" / "escape.json")["event"] is None
+        lines = (tmp_path / "30" / "escape.csv").read_text().splitlines()
+        assert lines[6:8] == ["5,0.6000000000", "6,0.6000000001"]
+        assert lines[-1] == "300,0.6923076924"
+        assert run_command([*argv, "--min-flat", "10", "--out", str(tmp_path / "10")]) == 0
+        event = read_json(tmp_path / "10" / "escape.json")["event"]
+        assert (event["flat_start"], event["escape_index"]) == (0, 58)
 
 
 class TestSeries:
@@ -1164,14 +964,6 @@ class TestWriteJson:
 
 
 class TestRunner:
-    @pytest.mark.parametrize("argv, digests", PINNED_RUNS)
-    def test_artifact_bytes_pinned(self, tmp_path, argv, digests):
-        assert run_command([*argv, "--out", str(tmp_path)]) == 0
-        names = sorted(os.listdir(tmp_path))
-        names.remove("manifest.json")
-        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                for name in names} == digests
-
     def test_a_name_yielded_again_appends_to_its_file(self, tmp_path, monkeypatch):
         def stub(ns, b, params, coeffs):
             yield "a.csv", ["x\n", "1\n"]
