@@ -416,7 +416,8 @@ def _cmd_sqrt2(ns, b, params, coeffs):
     )
     reference = sqrt2_reference(ns.precision)
     b = FixedDecimal(ns.precision)
-    deviations = [abs(float(x - reference)) for x in run]
+    with b.context():  # the run's own precision, not the caller's
+        deviations = [abs(float(x - reference)) for x in run]
     yield from _indexed(ns, "sqrt2", "deviation", Binary64().texts(deviations))
     yield "sqrt2.json", [_json({
         "precision": ns.precision,
@@ -462,7 +463,7 @@ def _cmd_fib(ns, b, params, coeffs):
               default=None, help="explicit slopes; default derives them from the equilibria"),
          *BACKEND, PLOT)
 def _cmd_spectrum(ns, b, params, coeffs):
-    from .stabilize import classify_equilibria, companion_spectrum
+    from .stabilize import classify_equilibria, stability
 
     if ns.mu is None:
         entries = [
@@ -471,9 +472,9 @@ def _cmd_spectrum(ns, b, params, coeffs):
             for r in classify_equilibria(params, ns.k, coeffs)
         ]
     else:
-        radii = [companion_spectrum(mu, coeffs)[1] for mu in ns.mu]
-        entries = [{"mu": mu, "radius": radius, "point": None, "stable": radius < 1.0}
-                   for mu, radius in zip(ns.mu, radii)]
+        verdicts = [(mu, *stability(mu, coeffs)) for mu in ns.mu]
+        entries = [{"mu": mu, "radius": radius, "point": None, "stable": stable}
+                   for mu, radius, stable in verdicts]
     columns = [Binary64().texts([e[key] for e in entries]) for key in ("mu", "radius")]
     yield "spectrum.csv", _csv(("mu", "radius"), (f"{m},{r}\n" for m, r in zip(*columns)))
     if ns.plot is not None:

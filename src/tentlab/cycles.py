@@ -14,12 +14,13 @@ enumeration needs no deduplication pass.
 The census reads the Lyndon words from one integer array, most
 significant bit first with L = 0, so ascending order is the
 Fredricksen-Kessler-Maiorana (lexicographic) order and the stable sort
-breaks ties by it.  It has two kernels, both array walks over the words.
-The rounded one serves binary64 and decimal: it composes (A, B) and walks
-every orbit from x* as float64 or Decimal arrays, under the backend's
-context, so each elementwise operation rounds as the backend's scalar
-operation does, in the order the per-word composition and tent_step take
-them.  The exact one works on object arrays of Python integers, with
+breaks ties by it.  enumerate_cycles maps one of two kernels, both array
+walks, over blocks of _BLOCK words, then sorts and rotates their cycles
+at once.  The rounded one serves binary64 and decimal: it composes (A, B)
+and walks each orbit from x* as float64 or Decimal arrays, under the
+backend's context, so each elementwise operation rounds as the backend's
+scalar operation does, in the order the per-word composition and tent_step
+take them.  The exact one works on object arrays of Python integers, with
 h = p/q: the intercept after t symbols is beta/q^t, where beta goes to
 p*beta on L and to p*(q^(t-1) - beta) on R, and x* = beta/(q^n - s*p^n)
 = N_0/M_0, with s = (-1)^#R and M_0 = p^n - s*q^n coprime to p and q.
@@ -50,8 +51,7 @@ from .backends import Backend, DomainError, Scalar, _ratio_text
 from .tentmap import MapParams
 
 MAX_ENUM_PERIOD = 20
-_EXACT_BLOCK = 4096  # Lyndon words a block of the exact census's walk
-_EXACT_TEXT_BLOCK = 4096  # values a block of the exact census's points and their text
+_BLOCK = 4096  # Lyndon words a block of the walk, and values a block of exact points' text
 
 _B64_CLOSING_TOL = 1e-12
 
@@ -79,12 +79,6 @@ class OnsetRecord(NamedTuple):
     period: int
     polynomial: tuple[int, ...]
     threshold: float
-
-
-# a census's columns, a value a cycle: (itinerary from the smallest point,
-# the smallest point's step from the start, the start, the cycle's
-# denominator or None, the multiplier, the sort key)
-Columns = tuple[np.ndarray, np.ndarray, np.ndarray, "np.ndarray | None", np.ndarray, np.ndarray]
 
 
 class Census:
@@ -135,8 +129,8 @@ class Census:
     @property
     def block(self) -> int:
         """Cycles a block, whose points and multipliers fill a block of
-        float64_texts, or on rational one of _EXACT_TEXT_BLOCK values."""
-        values = TEXT_BLOCK if self.denominators is None else _EXACT_TEXT_BLOCK
+        float64_texts, or on rational one of _BLOCK values."""
+        values = TEXT_BLOCK if self.denominators is None else _BLOCK
         return max(1, values // (self.period + 1))
 
     def texts(self, start: int, stop: int) -> tuple[list[str], list[str], list[str]]:
@@ -225,9 +219,9 @@ def _word_texts(words: np.ndarray, n: int) -> list[str]:
     return letters.view(f"S{n}").ravel().astype(str).tolist()
 
 
-def _closing_rounded(n: int, params: MapParams) -> Columns:
-    """The binary64 and decimal census as arrays over every Lyndon word at
-    once, float64 or Decimal objects, under the backend's context.
+def _closing_rounded(words: np.ndarray, n: int, params: MapParams) -> tuple:
+    """The binary64 and decimal census of a block of Lyndon words, as arrays
+    of float64 or Decimal objects, under the backend's context.
 
     Each elementwise operation rounds as the scalar operation at the same
     place (the per-word composition of (A, B), clamp_unit, tent_step,
@@ -242,7 +236,6 @@ def _closing_rounded(n: int, params: MapParams) -> Columns:
     """
     b, h = params.backend, params.h
     one, half = b.from_int(1), b.parse("0.5")
-    words = _lyndon_word_array(n)
     with b.context():
         A = np.full(len(words), one)
         B = np.full(len(words), b.from_int(0))
@@ -263,69 +256,68 @@ def _closing_rounded(n: int, params: MapParams) -> Columns:
             shifts[lower] = t
             x = tent_step_array(x, h)
     closed = np.flatnonzero(realized & _closes(x, x_star, b))
-    shifts = shifts[closed]
-    return (_rotated(words[closed], shifts, n), shifts, x_star[closed], None, A[closed],
-            low[closed].astype(float))
+    return words[closed], shifts[closed], x_star[closed], None, A[closed], low[closed].astype(float)
 
 
-def _closing_rational(n: int, params: MapParams) -> Columns:
-    """The exact census on Python integers, by the recurrences of the module
-    docstring, as object arrays over _EXACT_BLOCK Lyndon words at a time, in
-    _closing_rounded's shape: one itinerary test a symbol, and a word leaves the
-    walk at the first symbol its point does not follow, or at the first step that
-    q does not divide; one that follows all n symbols has closed.  As there, the
-    itinerary test is also clamp_unit's test on x*.
+def _closing_rational(words: np.ndarray, n: int, params: MapParams) -> tuple:
+    """The exact census of a block of Lyndon words on Python integers, by the
+    recurrences of the module docstring, as object arrays in _closing_rounded's
+    shape: one itinerary test a symbol, and a word leaves the walk at the first
+    symbol its point does not follow, or at the first step that q does not
+    divide; one that follows all n symbols has closed.  As there, the itinerary
+    test is also clamp_unit's test on x*.
 
     h > 1 makes M_0 positive.  Every point of a word's walk lies over its M_0,
     so the walk compares numerators for the least point; its float, the sort key,
     is N/M_0, which Python's int division rounds correctly, as float() of the
     Fraction does.  Each cycle's start and M_0 come out divided by their gcd, g;
-    the few values of M_0/g are held as one int each.
+    the few values of M_0/g in the block are held as one int each.
     """
     h = params.h
     p, q = h.numerator, h.denominator
     pn, qn = p**n, q**n
     dens = np.array([pn - qn, pn + qn], dtype=object)  # M_0 by the parity of #R
     multipliers = np.array([Fraction(pn, qn), Fraction(-pn, qn)], dtype=object)
-    every, blocks, shared = _lyndon_word_array(n), [], {}
-    for first in range(0, len(every), _EXACT_BLOCK):
-        words = every[first:first + _EXACT_BLOCK]
-        betas, odd, q_t = np.zeros(len(words), dtype=object), np.zeros(len(words), np.intp), 1
-        for t in range(n):  # q_t is q^(t-1)
-            s = _symbol(words, n, t)
-            betas, odd, q_t = p * np.where(s, q_t - betas, betas), odd ^ s, q_t * q
-        x = n0 = low = np.where(odd, betas, -betas)
-        m, shifts, r = dens[odd], np.zeros(len(words), dtype=np.int64), 0
-        for t in range(n):  # r: the remainder of the step to x, 0 at x*
-            follows = ((2 * x > m) == _symbol(words, n, t)) & (r == 0)
-            if not follows.all():
-                words, odd, n0, x, m, low, shifts = (
-                    c[follows] for c in (words, odd, n0, x, m, low, shifts))
-            lower = x < low
-            low = np.where(lower, x, low)
-            shifts[lower] = t
-            if t < n - 1:
-                y = exact_tent_step(x, m, h)
-                x, r = y // q, y % q
-        g = np.gcd(n0, m)
-        blocks.append([words, odd, shifts, n0 // g,
-                       np.array([shared.setdefault(d, d) for d in (m // g).tolist()], dtype=object),
-                       (low / m).astype(float)])
-    words, odd, shifts, starts, denominators, keys = map(np.concatenate, zip(*blocks))
-    return _rotated(words, shifts, n), shifts, starts, denominators, multipliers[odd], keys
+    betas, odd, q_t = np.zeros(len(words), dtype=object), np.zeros(len(words), np.intp), 1
+    for t in range(n):  # q_t is q^(t-1)
+        s = _symbol(words, n, t)
+        betas, odd, q_t = p * np.where(s, q_t - betas, betas), odd ^ s, q_t * q
+    x = n0 = low = np.where(odd, betas, -betas)
+    m, shifts, r = dens[odd], np.zeros(len(words), dtype=np.int64), 0
+    for t in range(n):  # r: the remainder of the step to x, 0 at x*
+        follows = ((2 * x > m) == _symbol(words, n, t)) & (r == 0)
+        if not follows.all():
+            words, odd, n0, x, m, low, shifts = (
+                c[follows] for c in (words, odd, n0, x, m, low, shifts))
+        lower = x < low
+        low = np.where(lower, x, low)
+        shifts[lower] = t
+        if t < n - 1:
+            y = exact_tent_step(x, m, h)
+            x, r = y // q, y % q
+    g, shared = np.gcd(n0, m), {}
+    return (words, shifts, n0 // g,
+            np.array([shared.setdefault(d, d) for d in (m // g).tolist()], dtype=object),
+            multipliers[odd], (low / m).astype(float))
 
 
 def enumerate_cycles(params: MapParams, n: int) -> Census:
     """Every cycle of minimal period n, canonically rotated and sorted.
 
-    n = 1 reports both fixed points, the origin and h/(h+1).
+    A kernel maps each block of Lyndon words to its closed words, unrotated,
+    and Census's other columns, then the sort keys.  n = 1 reports both
+    fixed points, the origin and h/(h+1).
     """
     if not 1 <= n <= MAX_ENUM_PERIOD:
         raise DomainError(f"period must lie in [1, {MAX_ENUM_PERIOD}], got {n}")
     closing = _closing_rational if params.backend.kind == "rational" else _closing_rounded
-    *columns, keys = closing(n, params)
+    every = _lyndon_word_array(n)
+    blocks = (closing(every[i:i + _BLOCK], n, params) for i in range(0, len(every), _BLOCK))
+    words, shifts, *columns, keys = (None if c[0] is None else np.concatenate(c)
+                                     for c in zip(*blocks))
     order = np.argsort(keys, kind="stable")  # ties keep FKM order
-    return Census(params, n, *(c if c is None else c[order] for c in columns))
+    return Census(params, n, *(c if c is None else c[order]
+                               for c in (_rotated(words, shifts, n), shifts, *columns)))
 
 
 def onset_threshold(period: int) -> OnsetRecord:

@@ -168,6 +168,13 @@ def companion_spectrum(
     return tuple(mags), mags[0]
 
 
+def stability(mu: float, coeffs: Coefficients) -> tuple[float, bool]:
+    """The spectral radius for cell slope mu, and the one stability verdict
+    on it: stable when the radius is below 1."""
+    radius = companion_spectrum(mu, coeffs)[1]
+    return radius, radius < 1.0
+
+
 def _fixed_points_of_power(params: MapParams, k: int):
     """(point, slope) for every fixed point of T_h^k, origin included."""
     from .cycles import enumerate_cycles  # only here: a sweep runs no census
@@ -194,17 +201,5 @@ def classify_equilibria(
     if k < 1:
         raise DomainError(f"power must be a positive integer, got {k}")
     b = params.backend
-    reports = []
-    for point, slope in _fixed_points_of_power(params, k):
-        if point == 0:
-            continue
-        _, radius = companion_spectrum(b.to_float(slope), coeffs)
-        reports.append(
-            EquilibriumReport(
-                point=point,
-                slope=slope,
-                spectral_radius=radius,
-                stable=radius < 1.0,
-            )
-        )
-    return reports
+    return [EquilibriumReport(point, slope, *stability(b.to_float(slope), coeffs))
+            for point, slope in _fixed_points_of_power(params, k) if point != 0]

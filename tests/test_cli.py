@@ -16,12 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tentlab import (
-    MapParams, NetSpec, basins, build_coefficients, cli, cycles, experiments, svgplot, sweeprows,
+    MapParams, NetSpec, basins, build_coefficients, cli, cycles, experiments, stabilize, svgplot,
+    sweeprows,
 )
 from tentlab._arrays import TEXT_BLOCK
 from tentlab.backends import Binary64, DomainError, make_backend
 from tentlab.cli import build_parser, replay_manifest, run_command
-from tentlab.cycles import _EXACT_TEXT_BLOCK, Census
+from tentlab.cycles import _BLOCK, Census
 from tentlab.svgplot import as_float, svg_pieces
 
 import golden
@@ -328,7 +329,7 @@ class TestCycles:
     @pytest.mark.parametrize("backend, values", [
         (["--backend", "binary64"], TEXT_BLOCK),
         (["--backend", "decimal", "--precision", "30"], TEXT_BLOCK),
-        (["--backend", "rational"], _EXACT_TEXT_BLOCK),
+        (["--backend", "rational"], _BLOCK),
     ], ids=["binary64", "decimal30", "rational"])
     def test_census_formats_each_point_once(self, tmp_path, monkeypatch, backend, values):
         calls = []
@@ -876,6 +877,16 @@ class TestSpectrum:
         doc = read_json(tmp_path / "spectrum.json")
         assert doc["entries"][0]["radius"] == pytest.approx(1.0, abs=1e-10)
         assert doc["entries"][1]["radius"] == 0.0
+
+    def test_both_paths_take_the_one_stability_verdict(self, tmp_path, monkeypatch):
+        """The equilibria and the --mu slopes read radius and stable from
+        stabilize.stability, so a verdict changed there shows in both."""
+        monkeypatch.setattr(stabilize, "stability", lambda mu, coeffs: (0.5, "verdict"))
+        for argv in (["spectrum"], ["spectrum", "--mu", "-2.25", "2.25"]):
+            out = tmp_path / str(len(argv))
+            assert run_command([*argv, "--out", str(out)]) == 0
+            entries = read_json(out / "spectrum.json")["entries"]
+            assert {(e["radius"], e["stable"]) for e in entries} == {(0.5, "verdict")}
 
 
 class TestBackends:

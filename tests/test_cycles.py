@@ -413,30 +413,33 @@ class TestKernels:
                          for w in words.tolist()]
                 assert texts == list(_lyndon_words(n))
 
-    @pytest.mark.parametrize("h", ["2", "19/10"])
-    @pytest.mark.parametrize("block, n", [(1, 13), (7, 17), (cycles._EXACT_BLOCK, 17)])
-    def test_exact_census_is_block_invariant(self, tmp_path, monkeypatch, h, block, n):
-        """The exact kernel's columns and the cycles artifacts equal those of
+    @pytest.mark.parametrize("kind, h", [
+        *[(kind, h) for kind in ("binary64", "decimal:30") for h in ("2", "1.9")],
+        ("rational", "2"), ("rational", "19/10"),
+    ])
+    @pytest.mark.parametrize("block, n", [(1, 13), (7, 17), (cycles._BLOCK, 17)])
+    def test_census_is_block_invariant(self, tmp_path, monkeypatch, kind, h, block, n):
+        """Every backend's census columns and cycles artifacts equal those of
         one block over every Lyndon word; n = 17's 7710 words fill two
-        default blocks, and n = 13's 630 fill 630 blocks of one word.  The
-        artifacts' text blocks hold as many cycles as the walk's hold words."""
-        params = rat_params(h)
-        argv = ["cycles", "--backend", "rational", "--h", h, "--period", str(n)]
+        default blocks, and n = 13's 630 fill 630 blocks of one word.  On
+        rational the artifacts' text blocks shrink with the walk's, to one
+        cycle at block sizes 1 and 7."""
+        kind, _, digits = kind.partition(":")
+        params = MapParams.parse(h, make_backend(kind, int(digits) if digits else None))
+        argv = ["cycles", "--backend", kind, "--h", h, "--period", str(n),
+                *(["--precision", digits] if digits else [])]
 
         def run(size):
-            monkeypatch.setattr(cycles, "_EXACT_BLOCK", size)
-            monkeypatch.setattr(cycles, "_EXACT_TEXT_BLOCK", size * (n + 1))
+            monkeypatch.setattr(cycles, "_BLOCK", size)
             out = tmp_path / str(size)
             assert run_command([*argv, "--out", str(out)]) == 0
             files = {name: (out / name).read_bytes() for name in ("cycles.csv", "cycles.json")}
-            return cycles._closing_rational(n, params), files
+            census = enumerate_cycles(params, n)
+            columns = [getattr(census, name) for name in cycles.Census.__slots__[2:]]
+            return [c if c is None else (c.dtype, list(map(repr, c.tolist()))) for c in columns], files
 
-        (*columns, keys), files = run(block)
-        (*whole, whole_keys), whole_files = run(10**9)
         assert len(_lyndon_word_array(n)) > block
-        for got, want in zip(columns, whole):
-            assert got.dtype == want.dtype and got.tolist() == want.tolist()
-        assert keys.tolist() == whole_keys.tolist() and files == whole_files
+        assert run(block) == run(10**9)
 
     @pytest.mark.parametrize(
         "h, n, count",

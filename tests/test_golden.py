@@ -4,6 +4,7 @@ tests/golden.json holds every pinned digest and tests/golden.py records
 it; see that module for the format and the recorder's command.
 """
 
+import decimal
 import json
 import re
 from pathlib import Path
@@ -24,6 +25,13 @@ def argv_id(argv: str) -> str:
 @pytest.mark.parametrize("argv", sorted(CORPUS), ids=argv_id)
 def test_artifact_bytes_pinned(tmp_path, argv):
     assert golden.run(argv, tmp_path) == golden.artifacts(CORPUS[argv])
+
+
+def test_sqrt2_ignores_the_callers_decimal_context(tmp_path):
+    """The deviations are taken under the run's own precision, so a
+    six-digit ambient context moves no byte."""
+    with decimal.localcontext(decimal.Context(prec=6)):
+        assert golden.run("sqrt2", tmp_path) == golden.artifacts(CORPUS["sqrt2"])
 
 
 def test_corpus_is_in_the_recorders_form():
