@@ -209,30 +209,16 @@ def _resolve_threads(threads: int) -> int:
 
 def _serve(work, indices: range, results):
     """A worker: answer each index with (True, work(index)) or (False, the
-    exception it raised), as length-prefixed frames, then exit."""
+    exception it raised), each one pickle on its pipe, then exit."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops the workers
     for index in indices:
         try:
             reply = (True, work(index))
         except Exception as exc:  # raised in the parent when index comes up
             reply = (False, exc)
-        buffers = []  # of 64 KiB or more: append returns None, which puts them out of band
-        data = pickle.dumps(reply, 5, buffer_callback=lambda buffer: buffer.raw().nbytes
-                            < 1 << 16 or buffers.append(buffer.raw()))
-        for frame in (data, *buffers):
-            results.writelines([len(frame).to_bytes(8, "little"), frame])
+        pickle.dump(reply, results, 5)
         results.flush()
     os._exit(0)
-
-
-def _frames(results):
-    """A worker's frames, each read into a new bytearray for its arrays to keep."""
-    while True:
-        head = results.read(8)
-        frame = bytearray(int.from_bytes(head, "little"))
-        if len(head) < 8 or results.readinto(frame) < len(frame):
-            raise EOFError("the worker's pipe ended")
-        yield frame
 
 
 def chunk_map(work, count: int, threads: int = 1):
@@ -240,15 +226,16 @@ def chunk_map(work, count: int, threads: int = 1):
 
     The indices run on min(threads, count, CPUs) worker processes forked
     from this one, so work reads its inputs from the memory it inherits
-    and only the result crosses a pipe: its pickle, then each buffer of
-    64 KiB or more, such as a chunk's rows, read into a buffer of its own
-    (a smaller one stays in the pickle, so that no tally keeps a large
-    buffer alive).  Worker w computes the indices w, w + workers, ... in
-    turn and writes each result to its one pipe, whose write blocks while
-    the pipe is full: results wait in the workers, not here, and the
-    workers compute while the caller consumes.  Reading the pipes in turn
-    yields the indices in order.  An exception raised by work is raised
-    here when its index comes up, as the serial map raises it.
+    and only the result crosses a pipe, as one protocol-5 pickle, which
+    writes a large array, such as a chunk's rows, straight from its memory
+    and reads it straight into a new buffer of its own, so that no result
+    kept shares one.  Worker w computes the indices w, w + workers, ... in
+    turn and writes each result's pickle to its one pipe, whose write
+    blocks while the pipe is full: results wait in the workers, not here,
+    and the workers compute while the caller consumes.  Reading the pipes
+    in turn yields the indices in order.  An exception raised by work is
+    raised here when its index comes up, as the serial map raises it; a
+    worker's death, before or inside a reply, raises RuntimeError.
     One worker or one index runs the plain serial map, and so does a
     process with other threads alive, since a fork copies only the
     calling thread and whatever locks the others held.
@@ -279,9 +266,8 @@ def chunk_map(work, count: int, threads: int = 1):
         for index in range(count):
             w = index % workers
             try:
-                frames = _frames(results[w])
-                ok, value = pickle.loads(next(frames), buffers=frames)  # a frame per buffer
-            except EOFError:  # the worker is gone: reap it here
+                ok, value = pickle.load(results[w])
+            except (EOFError, pickle.UnpicklingError):  # the pipe ended: reap the worker
                 code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(w), 0)[1])
                 raise RuntimeError(f"worker process exited with code {code}")
             if not ok:

@@ -195,11 +195,13 @@ def _lyndon_word_array(n: int) -> np.ndarray:
     """
     if n == 1:
         return np.arange(2, dtype=np.int64)
-    words = np.arange(1, 1 << (n - 1), 2, dtype=np.int64)
-    mask = (1 << n) - 1
-    for r in range(1, n):
-        words = words[words < (((words << r) | (words >> (n - r))) & mask)]
-    return words
+    mask, top, step, blocks = (1 << n) - 1, 1 << (n - 1), 16 * _BLOCK, []
+    for start in range(1, top, step):  # 8 * _BLOCK odd candidates at a time
+        words = np.arange(start, min(start + step, top), 2, dtype=np.int64)
+        for r in range(1, n):
+            words = words[words < (((words << r) | (words >> (n - r))) & mask)]
+        blocks.append(words)
+    return np.concatenate(blocks)
 
 
 def _symbol(words: np.ndarray, n: int, t: int) -> np.ndarray:

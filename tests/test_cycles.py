@@ -10,6 +10,7 @@ evaluation of every onset polynomial.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 from typing import Iterator
 
@@ -408,10 +409,28 @@ class TestKernels:
         for n in range(1, 21):
             words = _lyndon_word_array(n)
             assert len(words) == aperiodic_necklaces(n)
+            assert (np.diff(words) > 0).all()
             if n <= 16:
                 texts = [format(w, f"0{n}b").translate(str.maketrans("01", "LR"))
                          for w in words.tolist()]
                 assert texts == list(_lyndon_words(n))
+
+    def test_word_array_is_the_same_across_candidate_blocks(self, monkeypatch):
+        # 56 odd candidates a block: n = 16's 16384 candidates run in 293 blocks
+        monkeypatch.setattr(cycles, "_BLOCK", 7)
+        for n in range(1, 17):
+            assert _word_texts(_lyndon_word_array(n), n) == list(_lyndon_words(n))
+
+    def test_word_array_holds_one_block_of_candidates_at_a_time(self):
+        # n = 20 has 2^18 odd candidates, 2 MiB of int64, and 52377 words, 409 KiB
+        tracemalloc.start()
+        try:
+            words = _lyndon_word_array(20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(words) == aperiodic_necklaces(20)
+        assert peak < 2 << 20
 
     @pytest.mark.parametrize("kind, h", [
         *[(kind, h) for kind in ("binary64", "decimal:30") for h in ("2", "1.9")],

@@ -9,9 +9,11 @@ integer arithmetic, never against math.sqrt.
 
 import math
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -375,6 +377,17 @@ class TestChunkMap:
             list(chunk_map(work, 4, threads=2))
         assert not forks.alive()
 
+    def test_a_worker_killed_while_writing_a_result_fails_the_map(self, forks):
+        # once result 0 is read, worker 1 waits in the write of its 16 MiB
+        # result 1 to a full pipe; killed there, it leaves a truncated pickle
+        results = chunk_map(lambda i: np.full(1 << 24, i, np.uint8), 4, threads=2)
+        assert next(results)[0] == 0
+        time.sleep(0.2)
+        os.kill(forks[1], signal.SIGKILL)
+        with pytest.raises(RuntimeError, match="exited with code -9"):
+            next(results)
+        assert not forks.alive()
+
     def test_workers_stop_when_the_caller_stops_early(self, forks):
         results = chunk_map(lambda i: i, 10, threads=2)
         assert next(results) == 0
@@ -406,8 +419,8 @@ class TestChunkMap:
         assert not forks.alive()
 
     def test_small_arrays_keep_no_large_receive_buffer_alive(self, forks):
-        # a 64 KiB array crosses out of band into a buffer of its own; a
-        # tally-sized one stays in the pickle and owns only its own bytes
+        # pickle.load reads each array, 64 KiB or tally-sized, into a new
+        # buffer of its own bytes, so no tally keeps a large buffer alive
         def owner(buffer):  # what holds an array's memory, through views and memoryviews
             while True:
                 is_view = isinstance(buffer, memoryview)
@@ -538,7 +551,7 @@ class TestSweep:
             forks.clear()
 
     def test_kept_chunks_stay_intact_until_the_last_arrives(self, forks, monkeypatch):
-        # every chunk's four arrays cross out of band at 8192 points; each
+        # every chunk's four arrays of 8192 points cross in its pickle; each
         # must own its buffer, not share one that a later chunk overwrites
         monkeypatch.setattr(basins, "DEFAULT_CHUNK_SIZE", 8192)
         params, coeffs = b64_setup()
