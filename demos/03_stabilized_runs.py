@@ -18,7 +18,7 @@ from tentlab import (
 
 
 def main() -> None:
-    coeffs = build_coefficients(1.2)
+    coeffs = build_coefficients(1.2, Binary64())
     print("design weights at sigma = 1.2:")
     for i, a in enumerate(coeffs.a, start=1):
         print(f"  a{i} = {a!r}")

@@ -22,7 +22,7 @@ def starts(result, kind):
 
 def main() -> None:
     params = MapParams.parse("1.5", Binary64())
-    coeffs = build_coefficients(1.2)
+    coeffs = build_coefficients(1.2, Binary64())
 
     result = sweep(NetSpec.uniform(10**5), params, 2, coeffs, 50, 1e-3)
     print("uniform net, 100001 starts, 50 steps, tolerance 1e-3:")

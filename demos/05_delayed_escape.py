@@ -23,7 +23,7 @@ from tentlab import (
 
 def main() -> None:
     b64 = MapParams.parse("1.5", Binary64())
-    series = stabilized_orbit(0.4, b64, 2, build_coefficients(1.2), 300)
+    series = stabilized_orbit(0.4, b64, 2, build_coefficients(1.2, Binary64()), 300)
     event = detect_escape(series)
     print("binary64 run from 0.4:")
     print(f"  x*_1 = {series[1]!r}")
@@ -36,7 +36,7 @@ def main() -> None:
 
     rat = MapParams.parse("3/2", Rational())
     exact = stabilized_orbit(
-        Fraction(2, 5), rat, 2, build_coefficients(Fraction(6, 5)), 300
+        Fraction(2, 5), rat, 2, build_coefficients(Fraction(6, 5), Rational()), 300
     )
     constant = all(x == Fraction(3, 5) for x in exact[1:])
     print()

@@ -12,6 +12,7 @@ which is why it is exactly predictable.
 from fractions import Fraction
 
 from tentlab import (
+    Binary64,
     Rational,
     decompose,
     first_crossing,
@@ -38,7 +39,7 @@ def main() -> None:
     print(f"  first |x_n| > 1 observed at n = {observed}, predicted {predicted}")
 
     print()
-    fib = recurrence(1.0, 1.0, 12)
+    fib = recurrence(1.0, 1.0, 12, Binary64())
     print("start (1, 1):", [int(x) for x in fib])
     print(
         "  first value above 100 at n =",

@@ -71,7 +71,18 @@ class Backend:
         return x
 
     def parse(self, text: str) -> Scalar:
-        raise NotImplementedError
+        """The value of a decimal numeral or a p/q fraction, the text's
+        surrounding whitespace stripped, through the backend's _ratio(p, q)
+        or _decimal(text)."""
+        text = text.strip()
+        if _FRACTION_RE.match(text):
+            p, q = (_digits(int, term) for term in text.split("/"))
+            if q == 0:
+                raise ParseError(f"zero denominator in {text!r}")
+            return self._ratio(p, q)
+        if _DECIMAL_RE.match(text):
+            return self._decimal(text)
+        raise ParseError(f"not a decimal or p/q fraction: {text!r}")
 
     def from_int(self, n: int) -> Scalar:
         return self.value_type(n)
@@ -134,13 +145,6 @@ def _digits(convert, text: str):
                          f"limit on integer text") from None
 
 
-def _split_fraction(text: str) -> tuple[int, int]:
-    p, q = (_digits(int, term) for term in text.split("/"))
-    if q == 0:
-        raise ParseError(f"zero denominator in {text!r}")
-    return p, q
-
-
 class Binary64(Backend):
     """IEEE-754 double precision with round-to-nearest-even."""
 
@@ -149,19 +153,18 @@ class Binary64(Backend):
     _unit_slack = 2.0 ** -52  # one ulp at 1.0
 
     def parse(self, text: str) -> float:
-        text = text.strip()
         try:
-            if _FRACTION_RE.match(text):
-                value = float(Fraction(*_split_fraction(text)))  # correctly rounded quotient
-            elif _DECIMAL_RE.match(text):
-                value = float(text)
-            else:
-                raise ParseError(f"not a decimal or p/q fraction: {text!r}")
+            value = super().parse(text)
         except OverflowError:  # a quotient past the float range
             value = math.inf
         if abs(value) == math.inf:
-            raise ParseError(f"{text!r} rounds past the binary64 range")
+            raise ParseError(f"{text.strip()!r} rounds past the binary64 range")
         return value
+
+    def _ratio(self, p: int, q: int) -> float:
+        return p / q  # int true division rounds correctly
+
+    _decimal = staticmethod(float)
 
     def serialize(self, x: float) -> str:
         """repr(x), the shortest string that round-trips.  _arrays.cells
@@ -178,14 +181,10 @@ class Rational(Backend):
     value_type = Fraction
     _half = Fraction(1, 2)
 
-    def parse(self, text: str) -> Fraction:
-        text = text.strip()
-        if _FRACTION_RE.match(text):
-            p, q = _split_fraction(text)
-            return Fraction(p, q)
-        if _DECIMAL_RE.match(text):
-            return _digits(Fraction, text)
-        raise ParseError(f"not a decimal or p/q fraction: {text!r}")
+    _ratio = staticmethod(Fraction)
+
+    def _decimal(self, text: str) -> Fraction:
+        return _digits(Fraction, text)
 
     def serialize(self, x: Fraction) -> str:
         self.check(x)
@@ -254,14 +253,11 @@ class FixedDecimal(Backend):
         )
         self._quantum = Decimal(1).scaleb(-self.precision_digits)
 
-    def parse(self, text: str) -> Decimal:
-        text = text.strip()
-        if _FRACTION_RE.match(text):
-            p, q = _split_fraction(text)
-            return self._ctx.divide(Decimal(p), Decimal(q))
-        if _DECIMAL_RE.match(text):
-            return self._ctx.create_decimal(text)
-        raise ParseError(f"not a decimal or p/q fraction: {text!r}")
+    def _ratio(self, p: int, q: int) -> Decimal:
+        return self._ctx.divide(Decimal(p), Decimal(q))
+
+    def _decimal(self, text: str) -> Decimal:
+        return self._ctx.create_decimal(text)
 
     def from_int(self, n: int) -> Decimal:
         return self._ctx.create_decimal(n)
@@ -296,13 +292,3 @@ def make_backend(kind: str, precision_digits: int | None = None) -> Backend:
         return FixedDecimal(precision_digits)
     raise DomainError(f"unknown backend kind: {kind!r}")
 
-
-def infer_backend(value: Scalar) -> Backend:
-    """Pick the backend matching a value's type; Decimal needs an explicit one."""
-    if type(value) is float:
-        return Binary64()
-    if type(value) is Fraction:
-        return Rational()
-    raise MismatchError(
-        f"cannot infer a backend for {type(value).__name__}; pass one explicitly"
-    )

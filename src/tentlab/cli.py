@@ -529,22 +529,24 @@ def replay_manifest(manifest_path: str | Path, out_dir: str | Path) -> int:
     """Re-run a recorded invocation, directing artifacts to out_dir.
 
     Reconstructs argv from the manifest's parameter strings; CSV artifacts
-    of the replay are byte-identical to the originals.
+    of the replay are byte-identical to the originals.  A manifest that
+    cannot be read, or is not one of this schema, is bad input: exit 2.
     """
-    doc = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    if doc.get("schema") != MANIFEST_SCHEMA:
-        print(
-            f"tentlab: error: unsupported manifest schema {doc.get('schema')!r}",
-            file=sys.stderr,
-        )
+    try:
+        doc = json.loads(Path(manifest_path).read_bytes())
+        if doc.get("schema") != MANIFEST_SCHEMA:
+            raise ValueError(f"unsupported manifest schema {doc.get('schema')!r}")
+        argv: list[str] = [str(doc["command"])]
+        for key, value in doc["parameters"].items():
+            if value is None or value is False:
+                continue
+            argv.append(f"--{key}")
+            if value is not True:
+                argv.extend(map(str, value) if isinstance(value, list) else [str(value)])
+    except (OSError, ValueError, LookupError, AttributeError) as exc:  # ValueError: not JSON
+        print(f"tentlab: error: manifest {manifest_path}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 2
-    argv: list[str] = [doc["command"]]
-    for key, value in doc["parameters"].items():
-        if value is None or value is False:
-            continue
-        argv.append(f"--{key}")
-        if value is not True:
-            argv.extend(map(str, value) if isinstance(value, list) else [str(value)])
     argv.extend(["--out", str(out_dir)])
     return run_command(argv)
 

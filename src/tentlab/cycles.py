@@ -237,7 +237,7 @@ def _closing_rounded(words: np.ndarray, n: int, params: MapParams) -> tuple:
     smaller one, so the first minimum wins, as argmin's does.
     """
     b, h = params.backend, params.h
-    one, half = b.from_int(1), b.parse("0.5")
+    one, half = b.from_int(1), b._half
     with b.context():
         A = np.full(len(words), one)
         B = np.full(len(words), b.from_int(0))

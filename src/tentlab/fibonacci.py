@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .backends import Backend, DomainError, Scalar, infer_backend
+from .backends import Backend, DomainError, Scalar
 
 _ROOT_DIGITS = 50
 _SQRT5_SCALED = math.isqrt(5 * 10 ** (2 * _ROOT_DIGITS))
@@ -40,18 +40,15 @@ class EigenData(NamedTuple):
     a_s: float
 
 
-def recurrence(
-    x0: Scalar, x1: Scalar, n: int, backend: Backend | None = None
-) -> tuple[Scalar, ...]:
+def recurrence(x0: Scalar, x1: Scalar, n: int, backend: Backend) -> tuple[Scalar, ...]:
     """The sequence x_0 .. x_n, each sum the backend's own; equivalently
     n-1 applications of A."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    b = backend if backend is not None else infer_backend(x0)
-    b.check(x0)
-    b.check(x1)
+    backend.check(x0)
+    backend.check(x1)
     seq = [x0, x1]
-    with b.context():
+    with backend.context():
         for _ in range(n - 1):
             seq.append(seq[-1] + seq[-2])
     return tuple(seq)

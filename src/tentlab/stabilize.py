@@ -17,10 +17,11 @@ magnitudes of one degree-6 polynomial per slope value.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
-from .backends import Backend, DomainError, Scalar, infer_backend
+from .backends import Backend, DomainError, Scalar
 from .tentmap import MapParams, _tent_power
 
 TAPS = 6
@@ -53,7 +54,7 @@ class EquilibriumReport(NamedTuple):
     stable: bool
 
 
-def build_coefficients(sigma: Scalar, backend: Backend | None = None) -> Coefficients:
+def build_coefficients(sigma: Scalar, backend: Backend) -> Coefficients:
     """Weights from the one-parameter family; sigma must exceed 1.
 
     Raw weights:
@@ -67,11 +68,10 @@ def build_coefficients(sigma: Scalar, backend: Backend | None = None) -> Coeffic
     Each operation rounds once, left to right; a sigma whose powers
     overflow binary64 gives non-finite weights and is rejected.
     """
-    b = backend if backend is not None else infer_backend(sigma)
-    s = b.check(sigma)
-    if not s > b.from_int(1):
+    s = backend.check(sigma)
+    if not s > backend.from_int(1):
         raise DomainError(f"sigma must exceed 1, got {s!r}")
-    with b.context():
+    with backend.context():
         s2 = s * s
         s3 = s2 * s
         s5 = s3 * s2
@@ -197,9 +197,12 @@ def classify_equilibria(
     params: MapParams, k: int, coeffs: Coefficients
 ) -> list[EquilibriumReport]:
     """Stability report for each interior fixed point of f = T_h^k; the
-    origin, a boundary fixed point, is not reported."""
+    origin, a boundary fixed point, is not reported.  The verdict depends
+    on the slope alone, which is +-h^k at every point, so it is decided
+    once per distinct slope."""
     if k < 1:
         raise DomainError(f"power must be a positive integer, got {k}")
     b = params.backend
-    return [EquilibriumReport(point, slope, *stability(b.to_float(slope), coeffs))
+    verdict = functools.cache(lambda slope: stability(b.to_float(slope), coeffs))  # by slope
+    return [EquilibriumReport(point, slope, *verdict(slope))
             for point, slope in _fixed_points_of_power(params, k) if point != 0]

@@ -92,7 +92,7 @@ def _starts(result, kind: OutcomeKind) -> dict[float, int]:
 @pytest.fixture(scope="module")
 def uniform_sweep():
     params = _b64_params()
-    coeffs = build_coefficients(1.2)
+    coeffs = build_coefficients(1.2, Binary64())
     t0 = time.perf_counter()
     result = sweep(NetSpec.uniform(10**5), params, 2, coeffs, 50, 1e-3)
     return result, time.perf_counter() - t0
@@ -101,7 +101,7 @@ def uniform_sweep():
 @pytest.fixture(scope="module")
 def triadic_sweep():
     params = _b64_params()
-    coeffs = build_coefficients(1.2)
+    coeffs = build_coefficients(1.2, Binary64())
     result = sweep(NetSpec.triadic(5), params, 2, coeffs, 50, 1e-3)
     return result
 
@@ -118,13 +118,13 @@ def sqrt2_run():
 
 def test_criterion_01_six_tap_weights():
     failures = []
-    coeffs = build_coefficients(1.2)
+    coeffs = build_coefficients(1.2, Binary64())
     for i, (got, want) in enumerate(zip(coeffs.a, REFERENCE_WEIGHTS)):
         if abs(got - want) >= 1e-12:
             failures.append(f"a[{i}] = {got!r}, expected {want!r}")
     if abs(sum(coeffs.a) - 1.0) >= 1e-15:
         failures.append(f"binary64 weight sum {sum(coeffs.a)!r}")
-    exact = build_coefficients(Fraction(6, 5))
+    exact = build_coefficients(Fraction(6, 5), Rational())
     if sum(exact.a, Fraction(0)) != 1:
         failures.append(f"rational weight sum {sum(exact.a, Fraction(0))}")
     _report("1", "six-tap weights", failures)
@@ -174,7 +174,7 @@ def test_criterion_03_onset_thresholds():
 def test_criterion_04_stabilization_basins():
     failures = []
     params = _b64_params()
-    coeffs = build_coefficients(1.2)
+    coeffs = build_coefficients(1.2, Binary64())
     lo, hi = 6 / 13, 9 / 13
     targets = {0.1: hi, 0.2: lo, 0.3: hi}
     for x0, target in targets.items():
@@ -204,7 +204,7 @@ def test_criterion_05b_uniform_sweep_classifies_all_others(uniform_sweep):
     failures = []
     result, _ = uniform_sweep
     params = _b64_params()
-    coeffs = build_coefficients(1.2)
+    coeffs = build_coefficients(1.2, Binary64())
     stray = _starts(result, OutcomeKind.UNRESOLVED)
     # T(0) = T(1) = 0: these starts sit on the origin, a boundary fixed
     # point that is none of the three targets
@@ -260,7 +260,7 @@ def test_criterion_05d_triadic_sweep_includes_23_45(triadic_sweep):
     index = result.points.tolist().index(float(Fraction(23, 45)))
     variant = KINDS[result.codes[index]]
     rat = _rat_params()
-    coeffs = build_coefficients(Fraction(6, 5))
+    coeffs = build_coefficients(Fraction(6, 5), Rational())
     exact = stabilized_orbit(Fraction(23, 45), rat, 2, coeffs, result.steps)
     exact_kind, _ = classify_outcome(exact[-1], rat, result.tolerance)
     # the seed window is (23/45, 2/5, 3/5, 3/5, 3/5, 3/5) and f(23/45) = 2/5,
@@ -299,7 +299,7 @@ def test_criterion_05d_triadic_sweep_includes_23_45(triadic_sweep):
 
 def test_criterion_06_spectral_design():
     failures = []
-    coeffs = build_coefficients(1.2)
+    coeffs = build_coefficients(1.2, Binary64())
     _, r_stable = companion_spectrum(-2.25, coeffs)
     _, r_unstable = companion_spectrum(2.25, coeffs)
     _, r_unit = companion_spectrum(1.0, coeffs)
@@ -315,7 +315,7 @@ def test_criterion_06_spectral_design():
 def test_criterion_07_escape_dichotomy():
     failures = []
     params = _b64_params()
-    coeffs = build_coefficients(1.2)
+    coeffs = build_coefficients(1.2, Binary64())
     run = stabilized_orbit(0.4, params, 2, coeffs, 300)
     event = detect_escape(run)
     if event is None:
@@ -330,7 +330,7 @@ def test_criterion_07_escape_dichotomy():
         if dist >= 1e-3:
             failures.append(f"terminal {event.terminal_value!r} off-cycle")
     exact = stabilized_orbit(
-        Fraction(2, 5), _rat_params(), 2, build_coefficients(Fraction(6, 5)), 300
+        Fraction(2, 5), _rat_params(), 2, build_coefficients(Fraction(6, 5), Rational()), 300
     )
     if detect_escape(exact) is not None:
         failures.append("exact-arithmetic run escaped")
@@ -392,10 +392,10 @@ def test_criterion_08c_sqrt2_escape_window(sqrt2_run):
 
 def test_criterion_09_recurrence_and_prediction():
     failures = []
-    if recurrence(1.0, 1.0, 10)[10] != 89.0:
-        failures.append(f"x_10 = {recurrence(1.0, 1.0, 10)[10]!r}")
+    if recurrence(1.0, 1.0, 10, Binary64())[10] != 89.0:
+        failures.append(f"x_10 = {recurrence(1.0, 1.0, 10, Binary64())[10]!r}")
     x1 = -0.618033988749
-    run = recurrence(1.0, x1, 100)
+    run = recurrence(1.0, x1, 100, Binary64())
     observed = first_crossing(run, 1.0)
     if observed is None or abs(observed - 60) > 2:
         failures.append(f"first |x_n| > 1 at {observed}")
@@ -459,7 +459,7 @@ def test_criterion_10b_convexity_containment():
     failures = []
     t0 = time.perf_counter()
     params = _b64_params()
-    coeffs = build_coefficients(1.2)
+    coeffs = build_coefficients(1.2, Binary64())
     starts = [i / 500 for i in range(501)]
     for x0 in starts:
         run = stabilized_orbit(x0, params, 2, coeffs, 50)
@@ -475,7 +475,7 @@ def test_criterion_10c_sweep_thread_determinism():
     failures = []
     t0 = time.perf_counter()
     params = _b64_params()
-    coeffs = build_coefficients(1.2)
+    coeffs = build_coefficients(1.2, Binary64())
     spec = NetSpec.uniform(4000)
     baseline = sweep(spec, params, 2, coeffs, 50, 1e-3, threads=1)
     for threads in (2, 5):

@@ -9,6 +9,7 @@ cannot hide behind the same library that produced the expected value.
 import decimal
 import math
 import random
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -30,7 +31,6 @@ from tentlab.backends import (
     MismatchError,
     ParseError,
     Rational,
-    infer_backend,
     make_backend,
 )
 
@@ -102,11 +102,29 @@ class TestParsing:
         # 13th digit is a 5 hanging on an even digit: drop it
         assert d.parse("0.1234567890125") == Decimal("0.123456789012")
 
-    @pytest.mark.parametrize("bad", ["abc", "1e5", "1/0", "", "1/2/3", "0x1f"])
-    def test_rejects_garbage(self, bad):
+    @pytest.mark.parametrize("bad, message", [
+        *(pytest.param(bad, "not a decimal or p/q fraction: " + repr(bad.strip()), id=bad)
+          for bad in ("abc", "1e5", "", "1/2/3", "0x1f", " 1 / 2 ")),
+        pytest.param("1/0", "zero denominator in '1/0'", id="1/0"),
+        pytest.param(" -7/00 ", "zero denominator in '-7/00'", id="zero-denominator-stripped"),
+        *(pytest.param(text, f"the {sys.get_int_max_str_digits()}-digit limit on integer text",
+                       id=f"past-the-int-text-limit-{i}")
+          for i, text in enumerate(["1/" + "1" * 5000, "-" + "1" * 5000 + "/3"])),
+    ])
+    def test_rejects_garbage(self, bad, message):
+        """One grammar and one ParseError for every backend: Backend.parse's."""
         for backend in (Binary64(), Rational(), FixedDecimal(12)):
-            with pytest.raises(ParseError):
+            with pytest.raises(ParseError, match=re.escape(message)):
                 backend.parse(bad)
+
+    @pytest.mark.parametrize("huge", ["1" + "0" * 400 + "/3", "-1" + "0" * 400 + "/7",
+                                      " 1" + "0" * 400 + " ", "-" + "9" * 309 + ".5"])
+    def test_binary64_rejects_what_rounds_past_its_range(self, huge):
+        """A p/q quotient or a decimal numeral past the float range, named stripped."""
+        message = f"{huge.strip()!r} rounds past the binary64 range"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            Binary64().parse(huge)
+        assert Rational().parse(huge) == Fraction(huge.strip())
 
     def test_whitespace_tolerated(self):
         assert Rational().parse(" 1/2 ") == Fraction(1, 2)
@@ -534,12 +552,6 @@ class TestFactory:
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             make_backend("float128")
-
-    def test_infer_from_value(self):
-        assert infer_backend(0.5) == Binary64()
-        assert infer_backend(Fraction(1, 2)) == Rational()
-        with pytest.raises(MismatchError):
-            infer_backend(Decimal("0.5"))
 
     def test_equality_and_hash(self):
         assert FixedDecimal(12) == FixedDecimal(12)

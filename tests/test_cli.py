@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, artifact bytes, manifests, SVG."""
 
 import csv
+import inspect
 import json
 import math
 import os
@@ -16,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tentlab import (
-    MapParams, NetSpec, basins, build_coefficients, cli, cycles, experiments, stabilize, svgplot,
-    sweeprows,
+    MapParams, NetSpec, basins, build_coefficients, cli, cycles, experiments, fibonacci, stabilize,
+    svgplot, sweeprows,
 )
 from tentlab._arrays import TEXT_BLOCK
 from tentlab.backends import Binary64, DomainError, make_backend
@@ -888,6 +889,21 @@ class TestSpectrum:
             entries = read_json(out / "spectrum.json")["entries"]
             assert {(e["radius"], e["stable"]) for e in entries} == {(0.5, "verdict")}
 
+    def test_stability_is_decided_once_per_multiplier(self, tmp_path, monkeypatch):
+        """Every fixed point of T_2^12 has mu = +-2^12: 4095 equilibria, and
+        stability runs once for each distinct mu, not once for each point."""
+        calls, decide = [], stabilize.stability
+
+        def counted(mu, coeffs):
+            calls.append(mu)
+            return decide(mu, coeffs)
+
+        monkeypatch.setattr(stabilize, "stability", counted)
+        assert run_command(["spectrum", "--h", "2", "--k", "12", "--out", str(tmp_path)]) == 0
+        entries = read_json(tmp_path / "spectrum.json")["entries"]
+        assert len(entries) == 4095
+        assert sorted(calls) == sorted({e["mu"] for e in entries}) == [-4096.0, 4096.0]
+
 
 class TestBackends:
     @pytest.mark.parametrize(
@@ -1092,6 +1108,20 @@ class TestManifest:
         assert names
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    @pytest.mark.parametrize("text, error", [
+        ("{not json", "JSONDecodeError"),
+        ('[{"schema": 1, "command": "simulate", "parameters": {}}]', "AttributeError"),
+        ('{"schema": 1, "parameters": {}}', "KeyError: 'command'"),
+        (None, "FileNotFoundError"),
+    ], ids=["not-json", "a-json-list", "no-command", "missing-file"])
+    def test_unreadable_manifest_is_bad_input(self, tmp_path, capsys, text, error):
+        manifest = tmp_path / "manifest.json"
+        if text is not None:
+            manifest.write_text(text)
+        assert replay_manifest(manifest, tmp_path / "replay") == 2
+        assert f"tentlab: error: manifest {manifest}: {error}" in capsys.readouterr().err
+        assert not (tmp_path / "replay").exists()
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_parameter_keys_are_the_long_flags(self, tmp_path, capsys, command):
@@ -1366,3 +1396,16 @@ class TestParserDefaults:
         ns = build_parser(["escape"]).parse_args(["escape"])
         assert (ns.jump_tol, ns.flat_tol, ns.min_flat) == (0.25, 1e-6, experiments.DEFAULT_MIN_FLAT)
         assert cli.DEFAULT_TOL == 1e-3
+
+    @pytest.mark.parametrize("command, flag, function", [
+        ("sqrt2", "precision", experiments.sqrt2_experiment),
+        ("sqrt2", "steps", experiments.sqrt2_experiment),
+        ("sqrt2", "jump_tol", experiments.sqrt2_experiment),
+        ("fib", "threshold", fibonacci.predict_escape_index),
+        ("fib", "threshold", fibonacci.first_crossing),
+    ])
+    def test_defaults_written_twice_agree(self, command, flag, function):
+        """A flag whose default repeats, as a literal, the default of the
+        parameter it feeds holds the same value."""
+        ns = build_parser([command]).parse_args([command])
+        assert getattr(ns, flag) == inspect.signature(function).parameters[flag].default

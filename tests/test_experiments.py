@@ -147,7 +147,7 @@ def assert_same_bits(result, base):
 
 
 def b64_setup(h=1.5):
-    return MapParams(h, Binary64()), build_coefficients(1.2)
+    return MapParams(h, Binary64()), build_coefficients(1.2, Binary64())
 
 
 def rat_setup():

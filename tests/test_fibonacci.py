@@ -71,7 +71,7 @@ class TestConstants:
 
 class TestRecurrence:
     def test_fibonacci_numbers(self):
-        run = recurrence(1.0, 1.0, 10)
+        run = recurrence(1.0, 1.0, 10, Binary64())
         assert run[10] == 89.0
         assert run == (1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89)
 
@@ -80,12 +80,12 @@ class TestRecurrence:
         assert run[30] == 1346269
 
     def test_zero_start_stays_zero(self):
-        run = recurrence(0.0, 0.0, 15)
+        run = recurrence(0.0, 0.0, 15, Binary64())
         assert set(run) == {0.0}
 
     def test_needs_at_least_one_step(self):
         with pytest.raises(DomainError):
-            recurrence(1.0, 1.0, 0)
+            recurrence(1.0, 1.0, 0, Binary64())
 
     def test_matches_matrix_oracle_exactly(self):
         rng = random.Random(20260814)
@@ -126,7 +126,7 @@ class TestDecompose:
     def test_upward_start(self):
         data = decompose(0.0, 1.0)
         assert data.a_u == pytest.approx(1 / math.sqrt(5), abs=1e-15)
-        run = recurrence(0.0, 1.0, 20)
+        run = recurrence(0.0, 1.0, 20, Binary64())
         for n in range(10, 21):
             assert modal_value(data, n) == pytest.approx(run[n], rel=1e-9)
 
@@ -144,7 +144,7 @@ class TestDecompose:
     def test_modal_form_tracks_recurrence(self):
         x0, x1 = 0.3, -0.7
         d = decompose(x0, x1)
-        run = recurrence(x0, x1, 40)
+        run = recurrence(x0, x1, 40, Binary64())
         for n, x in enumerate(run):
             if abs(x) > 1e-12:
                 assert modal_value(d, n) == pytest.approx(x, rel=1e-9)
@@ -188,7 +188,7 @@ class TestCollapseAndEscape:
         assert first_crossing(exact_run, 1.0) == 60
 
     def test_escape_observed_at_sixty_binary64(self):
-        run = recurrence(1.0, float(NEAR_STABLE_X1), 100)
+        run = recurrence(1.0, float(NEAR_STABLE_X1), 100, Binary64())
         assert first_crossing(run, 1.0) == 60
 
     def test_prediction_matches_observation(self, exact_run):
@@ -199,7 +199,7 @@ class TestCollapseAndEscape:
 
 class TestPrediction:
     def test_plain_fibonacci_crossing(self):
-        run = recurrence(1.0, 1.0, 15)
+        run = recurrence(1.0, 1.0, 15, Binary64())
         observed = first_crossing(run, 100.0)
         predicted = predict_escape_index(1.0, 1.0, 100.0)
         assert observed == 11
@@ -213,7 +213,7 @@ class TestPrediction:
             a_s = rng.uniform(-1.0, 1.0)
             x0 = a_u + a_s
             x1 = a_u * PHI + a_s * LAMBDA_S
-            run = recurrence(x0, x1, 120)
+            run = recurrence(x0, x1, 120, Binary64())
             observed = first_crossing(run, 1.0)
             predicted = predict_escape_index(x0, x1, 1.0)
             assert observed is not None and predicted is not None
@@ -234,5 +234,5 @@ class TestPrediction:
             predict_escape_index(1.0, 1.0, 0.0)
 
     def test_first_crossing_none_when_bounded(self):
-        run = recurrence(0.0, 0.0, 10)
+        run = recurrence(0.0, 0.0, 10, Binary64())
         assert first_crossing(run, 1.0) is None

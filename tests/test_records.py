@@ -24,7 +24,7 @@ RECORDS = [("MapParams", "h"), ("Coefficients", "a"), ("EquilibriumReport", "sta
 
 def records():
     """One record of each of the ten kinds, from the functions that return them."""
-    params, coeffs = MapParams(1.9, Binary64()), build_coefficients(1.2)
+    params, coeffs = MapParams(1.9, Binary64()), build_coefficients(1.2, Binary64())
     census = enumerate_cycles(params, 3)
     return {
         "MapParams": params,
@@ -72,7 +72,7 @@ def test_a_census_equals_only_itself_and_pickles():
 
 def test_constructor_and_replace_check_fields():
     b = Binary64()
-    params, coeffs, net = MapParams(1.5, b), build_coefficients(1.2), NetSpec.uniform(10)
+    params, coeffs, net = MapParams(1.5, b), build_coefficients(1.2, b), NetSpec.uniform(10)
     with pytest.raises(DomainError, match="unknown net kind"):
         NetSpec("cubic", 5)
     for bad in (lambda: params._replace(h=2.5), lambda: coeffs._replace(a=coeffs.a[:2]),

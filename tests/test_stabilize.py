@@ -42,7 +42,7 @@ REFERENCE_WEIGHTS = (
 
 def b64_setup(h=1.5, sigma=SIGMA):
     params = MapParams(h, Binary64())
-    return params, build_coefficients(sigma)
+    return params, build_coefficients(sigma, Binary64())
 
 
 def rat_setup(h="3/2", sigma="6/5"):
@@ -84,12 +84,12 @@ def reference_run(x0, params: MapParams, k: int, a: tuple, steps: int) -> list:
 
 class TestCoefficients:
     def test_printed_values_reproduced(self):
-        coeffs = build_coefficients(SIGMA)
+        coeffs = build_coefficients(SIGMA, Binary64())
         for got, want in zip(coeffs.a, REFERENCE_WEIGHTS):
             assert abs(got - want) < 1e-12
 
     def test_sum_to_one_binary64(self):
-        coeffs = build_coefficients(SIGMA)
+        coeffs = build_coefficients(SIGMA, Binary64())
         assert abs(sum(coeffs.a) - 1.0) <= 1e-15
 
     def test_sum_to_one_exactly_rational(self):
@@ -97,7 +97,7 @@ class TestCoefficients:
         assert sum(coeffs.a) == Fraction(1)
 
     def test_all_positive_at_default_sigma(self):
-        coeffs = build_coefficients(SIGMA)
+        coeffs = build_coefficients(SIGMA, Binary64())
         assert all(v > 0 for v in coeffs.a)
 
     def test_exact_weight_ratios(self):
@@ -114,13 +114,13 @@ class TestCoefficients:
             coeffs = build_coefficients(sigma, b)
             assert sum(coeffs.a) == 1
         for sigma in (1.05, 1.17, 1.3, 1.5):
-            assert abs(sum(build_coefficients(sigma).a) - 1.0) <= 1e-15
+            assert abs(sum(build_coefficients(sigma, Binary64()).a) - 1.0) <= 1e-15
 
     def test_sigma_at_most_one_rejected(self):
         with pytest.raises(DomainError):
-            build_coefficients(1.0)
+            build_coefficients(1.0, Binary64())
         with pytest.raises(DomainError):
-            build_coefficients(0.9)
+            build_coefficients(0.9, Binary64())
 
     def test_wrong_weight_count_rejected(self):
         with pytest.raises(DomainError):
@@ -220,18 +220,18 @@ class TestStabilizedOrbit:
 
 class TestSpectrum:
     def test_zero_slope_collapses_spectrum(self):
-        coeffs = build_coefficients(SIGMA)
+        coeffs = build_coefficients(SIGMA, Binary64())
         mags, radius = companion_spectrum(0.0, coeffs)
         assert mags == (0.0,) * 6
         assert radius == 0.0
 
     def test_unit_slope_has_unit_radius(self):
-        coeffs = build_coefficients(SIGMA)
+        coeffs = build_coefficients(SIGMA, Binary64())
         _, radius = companion_spectrum(1.0, coeffs)
         assert abs(radius - 1.0) < 1e-9
 
     def test_design_slopes_at_reference_parameters(self):
-        coeffs = build_coefficients(SIGMA)
+        coeffs = build_coefficients(SIGMA, Binary64())
         _, r_cycle = companion_spectrum(-2.25, coeffs)
         _, r_fixed = companion_spectrum(2.25, coeffs)
         assert r_cycle < 1.0 < r_fixed
@@ -239,7 +239,7 @@ class TestSpectrum:
         assert abs(r_fixed - 1.3680423129) < 1e-9
 
     def test_magnitudes_sorted_descending(self):
-        coeffs = build_coefficients(SIGMA)
+        coeffs = build_coefficients(SIGMA, Binary64())
         mags, radius = companion_spectrum(-2.25, coeffs)
         assert list(mags) == sorted(mags, reverse=True)
         assert radius == mags[0]
@@ -247,7 +247,7 @@ class TestSpectrum:
     @pytest.mark.parametrize("mu", [-2.25, -1.5, -0.7, 0.3, 1.0, 1.7, 2.25, 4.0])
     def test_matches_eigenvalue_oracle(self, mu):
         """Each magnitude is that of a root; the product obeys Vieta."""
-        coeffs = build_coefficients(SIGMA)
+        coeffs = build_coefficients(SIGMA, Binary64())
         mags, _ = companion_spectrum(mu, coeffs)
         poly = np.array([1.0] + [-mu * v for v in coeffs.a])
         dpoly = np.polyder(poly)
