@@ -127,16 +127,14 @@ class SweepResult(NamedTuple):
 def build_net(spec: NetSpec, backend: Backend, start: int = 0,
               stop: int | None = None) -> np.ndarray | list[Scalar]:
     """Grid points start through stop - 1 (all of them by default) in index
-    order: a float64 array under binary64, else a list of backend scalars."""
+    order, each i/D as the backend parses it: a float64 array under
+    binary64, whose division rounds i/D correctly as _ratio does, else a
+    list of backend scalars."""
     stop = spec.size if stop is None else stop
     denom = spec.denominator
     if backend.kind == "binary64":
         return np.arange(start, stop, dtype=np.float64) / denom
-    if backend.kind == "rational":  # one reduction, where a division takes two
-        return [Fraction(i, denom) for i in range(start, stop)]
-    den = backend.from_int(denom)
-    with backend.context():
-        return [backend.from_int(i) / den for i in range(start, stop)]
+    return [backend._ratio(i, denom) for i in range(start, stop)]
 
 
 def fixed_point(params: MapParams) -> Scalar:

@@ -28,13 +28,14 @@ Each point of a cycle is the fixed point of a rotation of its word, so it
 is N_t/M_0 too: the walk steps numerators, N_(t+1) = p*min(N_t, M_0 - N_t)/q
 by _arrays.exact_tent_step, which q divides on a cycle and keeps
 gcd(N_t, M_0), so one g puts the whole cycle in lowest terms over M_0/g.
-Every factor of A is +-h, so A is also the cycle's multiplier: the slope
-product along the orbit, the same in any order and from any rotation.
+Every factor of A is +-h, so A is the cycle's multiplier, from any
+rotation h^n or -h^n by the parity of #R (tentmap._slopes); the rounded
+kernel keeps that parity, not A.
 
-Neither kernel keeps a point.  A Census holds a few values a cycle: its
-itinerary from its smallest point, the start x* (on rational its
-numerator over the cycle's one denominator, both in lowest terms), the
-step of its smallest point on the walk from x*, and its multiplier.  A
+Neither kernel keeps a point or a multiplier.  A Census holds a cycle's
+word, start and shift: its itinerary from its smallest point, x* (on
+rational its numerator over the cycle's one denominator, both in lowest
+terms), and the step of its smallest point on the walk from x*.  A
 cycle's points are walked again from its start, by the same step, and
 rotated, a block of cycles at a time: Cycles for iteration, and their
 text, N/D on rational with no gcd and no Fraction.
@@ -48,10 +49,10 @@ from typing import Iterator, NamedTuple
 
 from ._arrays import TEXT_BLOCK, exact_tent_step, float64_texts, np, tent_step_array
 from .backends import Backend, DomainError, Scalar, _ratio_text
-from .tentmap import MapParams
+from .tentmap import MapParams, _slopes
 
 MAX_ENUM_PERIOD = 20
-_BLOCK = 4096  # Lyndon words a block of the walk, and values a block of exact points' text
+_BLOCK = 4096  # Lyndon words a block of the walk
 
 _B64_CLOSING_TOL = 1e-12
 
@@ -96,7 +97,6 @@ class Census:
         "shifts",  # int64, the smallest point's step on the walk
         "starts",  # x*, float64 or Decimal; on rational its numerator N_0/g
         "denominators",  # on rational, every point's denominator M_0/g, else None
-        "multipliers",  # float64, or Decimal or Fraction objects
     )
 
     def __init__(self, params: MapParams, period: int, *columns: np.ndarray | None):
@@ -116,42 +116,35 @@ class Census:
         return len(self.words)
 
     def __iter__(self) -> Iterator[Cycle]:
-        n = self.period
+        n, slopes = self.period, _slopes(self.params, self.period)
         for start in range(0, len(self), self.block):
             stop = start + self.block
             points = self._points(start, stop)
             if self.denominators is not None:
                 points = np.frompyfunc(Fraction, 2, 1)(points, self.denominators[start:stop, None])
-            for pts, w, A in zip(points.tolist(), _word_texts(self.words[start:stop], n),
-                                 self.multipliers[start:stop].tolist()):
-                yield Cycle(period=n, points=tuple(pts), itinerary=w, multiplier=A)
+            for pts, w in zip(points.tolist(), _word_texts(self.words[start:stop], n)):
+                yield Cycle(n, tuple(pts), w, slopes[w.count("R") % 2])
 
     @property
     def block(self) -> int:
-        """Cycles a block, whose points and multipliers fill a block of
-        float64_texts, or on rational one of _BLOCK values."""
-        values = TEXT_BLOCK if self.denominators is None else _BLOCK
-        return max(1, values // (self.period + 1))
+        """Cycles a block, whose points fill a block of TEXT_BLOCK values."""
+        return TEXT_BLOCK // self.period
 
     def texts(self, start: int, stop: int) -> tuple[list[str], list[str], list[str]]:
         """The artifact text of cycles start..stop: serialize of their
         points, n a cycle, their itineraries and serialize of their
         multipliers.  On rational a point is N/D over its cycle's
         denominator, already in lowest terms, with no Fraction."""
-        b, multipliers = self.params.backend, self.multipliers[start:stop]
+        b = self.params.backend
         itineraries = _word_texts(self.words[start:stop], self.period)
         points = self._points(start, stop)
-        if self.denominators is not None:
-            rows = list(zip(points.tolist(), self.denominators[start:stop].tolist()))
-            try:
-                cells = [f"{x}/{d}" for row, d in rows for x in row]
-            except ValueError:  # a term past the int-to-text limit
-                cells = [_ratio_text(x, d) for row, d in rows for x in row]
-            return cells, itineraries, b.texts(multipliers)
-        column_texts = float64_texts if b.kind == "binary64" else b.texts
-        cells = column_texts(np.concatenate([points.ravel(), multipliers]))
-        split = len(cells) - len(multipliers)
-        return cells[:split], itineraries, cells[split:]
+        if self.denominators is None:
+            cells = (float64_texts if b.kind == "binary64" else b.texts)(points.ravel())
+        else:
+            cells = [_ratio_text(x, d) for row, d in
+                     zip(points.tolist(), self.denominators[start:stop].tolist()) for x in row]
+        slopes = b.texts(_slopes(self.params, self.period))
+        return cells, itineraries, [slopes[w.count("R") % 2] for w in itineraries]
 
     def _points(self, start: int, stop: int) -> np.ndarray:
         """The points of cycles start..stop, each from its smallest, a (cycles x n)
@@ -226,39 +219,37 @@ def _closing_rounded(words: np.ndarray, n: int, params: MapParams) -> tuple:
     of float64 or Decimal objects, under the backend's context.
 
     Each elementwise operation rounds as the scalar operation at the same
-    place (the per-word composition of (A, B), clamp_unit, tent_step,
-    _closes), so every value is bit-identical to the per-word walk.  No
-    walk point needs clamping: a tent step maps [0, 1] into itself under
-    either rounding (see tent_step_array).  Nor does x*: the itinerary test
-    is also clamp_unit's, since a walk from below 0 stays there, on L, one
-    from above 1 reads R first, and a Lyndon word of length >= 2 is L...R;
-    at n = 1, x* is -0 or h/(h+1), both in [0, 1].  The walk keeps each
-    word's least point so far and its step, replaced only by a strictly
-    smaller one, so the first minimum wins, as argmin's does.
+    place (the per-word composition of B, 1 - A with A from _slopes,
+    clamp_unit, tent_step, _closes), so every value is bit-identical to
+    the per-word walk.  No walk point needs clamping: a tent step maps
+    [0, 1] into itself under either rounding (see tent_step_array).  Nor
+    does x*: the itinerary test is also clamp_unit's, since a walk from
+    below 0 stays there, on L, one from above 1 reads R first, and a Lyndon
+    word of length >= 2 is L...R; at n = 1, x* is -0 or h/(h+1), both in
+    [0, 1].  The walk keeps each word's least point so far and its step,
+    replaced only by a strictly smaller one, so the first minimum wins, as
+    argmin's does.
     """
     b, h = params.backend, params.h
-    one, half = b.from_int(1), b._half
     with b.context():
-        A = np.full(len(words), one)
-        B = np.full(len(words), b.from_int(0))
-        for t in range(n):  # (-h)*A is -(h*A) and -h*B + h is h - h*B
+        B, odd = np.full(len(words), b.from_int(0)), np.zeros(len(words), np.intp)
+        for t in range(n):  # -h*B + h is h - h*B
             s = _symbol(words, n, t)
-            A = h * A
-            np.negative(A, out=A, where=s)
             B = h * B
             np.subtract(h, B, out=B, where=s)
-        x_star = B / (one - A)
+            odd ^= s
+        x_star = B / (b.from_int(1) - np.array(_slopes(params, n)))[odd]
         realized = np.ones(len(words), dtype=bool)
         low, shifts = x_star, np.zeros(len(words), dtype=np.int64)
         x = x_star
         for t in range(n):
-            realized &= (x <= half) != _symbol(words, n, t)
+            realized &= (x <= b._half) != _symbol(words, n, t)
             lower = x < low
             low = np.where(lower, x, low)
             shifts[lower] = t
             x = tent_step_array(x, h)
     closed = np.flatnonzero(realized & _closes(x, x_star, b))
-    return words[closed], shifts[closed], x_star[closed], None, A[closed], low[closed].astype(float)
+    return words[closed], shifts[closed], x_star[closed], None, low[closed].astype(float)
 
 
 def _closing_rational(words: np.ndarray, n: int, params: MapParams) -> tuple:
@@ -277,9 +268,7 @@ def _closing_rational(words: np.ndarray, n: int, params: MapParams) -> tuple:
     """
     h = params.h
     p, q = h.numerator, h.denominator
-    pn, qn = p**n, q**n
-    dens = np.array([pn - qn, pn + qn], dtype=object)  # M_0 by the parity of #R
-    multipliers = np.array([Fraction(pn, qn), Fraction(-pn, qn)], dtype=object)
+    dens = np.array([p**n - q**n, p**n + q**n], dtype=object)  # M_0 by the parity of #R
     betas, odd, q_t = np.zeros(len(words), dtype=object), np.zeros(len(words), np.intp), 1
     for t in range(n):  # q_t is q^(t-1)
         s = _symbol(words, n, t)
@@ -289,8 +278,7 @@ def _closing_rational(words: np.ndarray, n: int, params: MapParams) -> tuple:
     for t in range(n):  # r: the remainder of the step to x, 0 at x*
         follows = ((2 * x > m) == _symbol(words, n, t)) & (r == 0)
         if not follows.all():
-            words, odd, n0, x, m, low, shifts = (
-                c[follows] for c in (words, odd, n0, x, m, low, shifts))
+            words, n0, x, m, low, shifts = (c[follows] for c in (words, n0, x, m, low, shifts))
         lower = x < low
         low = np.where(lower, x, low)
         shifts[lower] = t
@@ -300,7 +288,7 @@ def _closing_rational(words: np.ndarray, n: int, params: MapParams) -> tuple:
     g, shared = np.gcd(n0, m), {}
     return (words, shifts, n0 // g,
             np.array([shared.setdefault(d, d) for d in (m // g).tolist()], dtype=object),
-            multipliers[odd], (low / m).astype(float))
+            (low / m).astype(float))
 
 
 def enumerate_cycles(params: MapParams, n: int) -> Census:

@@ -22,7 +22,7 @@ import math
 from typing import NamedTuple
 
 from .backends import Backend, DomainError, Scalar
-from .tentmap import MapParams, _tent_power
+from .tentmap import MapParams, _slopes, _tent_power
 
 TAPS = 6
 
@@ -176,17 +176,18 @@ def stability(mu: float, coeffs: Coefficients) -> tuple[float, bool]:
 
 
 def _fixed_points_of_power(params: MapParams, k: int):
-    """(point, slope) for every fixed point of T_h^k, origin included."""
+    """(point, slope) for every fixed point of T_h^k, origin included: the
+    slope is _slopes' +-h^k by the parity of R along k steps, k/d turns of
+    a period-d cycle's itinerary."""
     from .cycles import enumerate_cycles  # only here: a sweep runs no census
 
-    out = []
+    out, slopes = [], _slopes(params, k)
     b = params.backend
     for d in range(1, k + 1):
         if k % d:
             continue
         for cyc in enumerate_cycles(params, d):
-            with b.context():
-                mu = math.prod([cyc.multiplier] * (k // d))
+            mu = slopes[cyc.itinerary.count("R") * (k // d) % 2]
             for pt in cyc.points:
                 out.append((pt, mu))
     out.sort(key=lambda pm: b.to_float(pm[0]))
@@ -200,8 +201,12 @@ def classify_equilibria(
     origin, a boundary fixed point, is not reported.  The verdict depends
     on the slope alone, which is +-h^k at every point, so it is decided
     once per distinct slope."""
+    from .cycles import MAX_ENUM_PERIOD  # only here: a scalar run never loads numpy
+
     if k < 1:
         raise DomainError(f"power must be a positive integer, got {k}")
+    if k > MAX_ENUM_PERIOD:
+        raise DomainError(f"power must be at most {MAX_ENUM_PERIOD}, got {k}")
     b = params.backend
     verdict = functools.cache(lambda slope: stability(b.to_float(slope), coeffs))  # by slope
     return [EquilibriumReport(point, slope, *verdict(slope))

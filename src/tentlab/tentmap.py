@@ -8,7 +8,7 @@ so runs are reproducible operation for operation.  An orbit is the tuple
 of its values, each of the backend's own type.  tent_step(x, params, k)
 is the one scalar step function, T_h^k, and _tent_power its one step
 loop: orbit, and through it tent_step and itinerary, run on it, clamping
-only their start.
+only their start.  _slopes is the one slope product, +-h^n.
 """
 
 from __future__ import annotations
@@ -80,18 +80,20 @@ def orbit(x0: Scalar, params: MapParams, k: int = 1, steps: int = 0) -> tuple[Sc
     return tuple(pts)
 
 
-def itinerary(x0: Scalar, params: MapParams, n: int) -> tuple[str, Scalar]:
-    """Branch symbols of the first n steps and the resulting slope product.
+def _slopes(params: MapParams, n: int) -> tuple[Scalar, Scalar]:
+    """(h^n, -h^n), the slope product of n steps by the parity of R in their
+    itinerary: h^n rounded as it is multiplied under the backend's context,
+    then signed, since a sign never changes how a product rounds."""
+    with params.backend.context():  # outside it a Decimal's minus rounds too
+        power = math.prod([params.h] * n)
+        return power, -power
 
-    symbols[t] is the branch (L or R) the orbit occupies at time t; the
-    slope product is (+h) per L and (-h) per R, multiplied left to right,
-    i.e. (-1)^{#R} * h^n: h^n rounded as it is multiplied, then signed,
-    since a sign never changes how a product rounds.
-    """
+
+def itinerary(x0: Scalar, params: MapParams, n: int) -> tuple[str, Scalar]:
+    """Branch symbols of the first n steps, symbols[t] the branch (L or R)
+    at time t, and their slope product, (+h) per L and (-h) per R."""
     if n < 1:
         raise DomainError(f"itinerary length must be positive, got {n}")
     half = params.backend._half
     symbols = "".join("L" if x <= half else "R" for x in orbit(x0, params, 1, n - 1))
-    with params.backend.context():  # outside it a Decimal's minus rounds too
-        slope = math.prod([params.h] * n)
-        return symbols, -slope if symbols.count("R") % 2 else slope
+    return symbols, _slopes(params, n)[symbols.count("R") % 2]

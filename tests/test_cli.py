@@ -23,7 +23,7 @@ from tentlab import (
 from tentlab._arrays import TEXT_BLOCK
 from tentlab.backends import Binary64, DomainError, make_backend
 from tentlab.cli import build_parser, replay_manifest, run_command
-from tentlab.cycles import _BLOCK, Census
+from tentlab.cycles import Census
 from tentlab.svgplot import as_float, svg_pieces
 
 import golden
@@ -327,12 +327,12 @@ class TestCycles:
         lines = (tmp_path / "cycles.csv").read_text().splitlines()
         assert len(lines) == 1 + 3 * doc["count"]
 
-    @pytest.mark.parametrize("backend, values", [
-        (["--backend", "binary64"], TEXT_BLOCK),
-        (["--backend", "decimal", "--precision", "30"], TEXT_BLOCK),
-        (["--backend", "rational"], _BLOCK),
+    @pytest.mark.parametrize("backend", [
+        ["--backend", "binary64"],
+        ["--backend", "decimal", "--precision", "30"],
+        ["--backend", "rational"],
     ], ids=["binary64", "decimal30", "rational"])
-    def test_census_formats_each_point_once(self, tmp_path, monkeypatch, backend, values):
+    def test_census_formats_each_point_once(self, tmp_path, monkeypatch, backend):
         calls = []
         texts = Census.texts
 
@@ -345,8 +345,8 @@ class TestCycles:
                             "--out", str(tmp_path)]) == 0
         found = read_json(tmp_path / "cycles.json")["count"]
         assert found == 335
-        # each block once: three on binary64 and decimal, two on rational
-        assert calls == list(range(0, found, values // 13))
+        # each block of TEXT_BLOCK points once, on every backend: 170 cycles a block
+        assert calls == list(range(0, found, TEXT_BLOCK // 12)) == [0, 170]
 
     def test_rerun_replaces_each_artifact(self, tmp_path):
         """A re-run writes each artifact as a new file: a hard link to the
@@ -889,9 +889,12 @@ class TestSpectrum:
             entries = read_json(out / "spectrum.json")["entries"]
             assert {(e["radius"], e["stable"]) for e in entries} == {(0.5, "verdict")}
 
-    def test_stability_is_decided_once_per_multiplier(self, tmp_path, monkeypatch):
-        """Every fixed point of T_2^12 has mu = +-2^12: 4095 equilibria, and
-        stability runs once for each distinct mu, not once for each point."""
+    @pytest.mark.parametrize("h, count", [("2", 4095), ("1.9", 2223)])
+    def test_stability_is_decided_once_per_multiplier(self, tmp_path, monkeypatch, h, count):
+        """Every fixed point of T_h^12 has mu = +-h^12, one rounding of it
+        whatever its cycle's period, h^12 multiplied out left to right: 4095
+        equilibria at h = 2, and stability runs once for each distinct mu,
+        not once for each point."""
         calls, decide = [], stabilize.stability
 
         def counted(mu, coeffs):
@@ -899,10 +902,22 @@ class TestSpectrum:
             return decide(mu, coeffs)
 
         monkeypatch.setattr(stabilize, "stability", counted)
-        assert run_command(["spectrum", "--h", "2", "--k", "12", "--out", str(tmp_path)]) == 0
+        assert run_command(["spectrum", "--h", h, "--k", "12", "--out", str(tmp_path)]) == 0
         entries = read_json(tmp_path / "spectrum.json")["entries"]
-        assert len(entries) == 4095
-        assert sorted(calls) == sorted({e["mu"] for e in entries}) == [-4096.0, 4096.0]
+        power = math.prod([float(h)] * 12)
+        assert len(entries) == count
+        assert sorted(calls) == sorted({e["mu"] for e in entries}) == [-power, power]
+
+    def test_power_past_the_census_is_rejected_before_any_census(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        """k = 21 passes the longest census period, 20: exit 2 naming the
+        power, before a census of any divisor d of k runs."""
+        calls = []
+        monkeypatch.setattr(cycles, "enumerate_cycles", lambda *args: calls.append(args))
+        out = tmp_path / "out"
+        assert run_command(["spectrum", "--h", "2", "--k", "21", "--out", str(out)]) == 2
+        assert "power must be at most 20, got 21" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
 
 
 class TestBackends:

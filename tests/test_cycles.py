@@ -391,7 +391,7 @@ class TestKernels:
     def test_census_reads_as_the_oracle(self, kind, h, n):
         """len and iteration give the oracle's Cycles, and texts gives its
         artifact text, a block at a time; 335 cycles at h = 2, n = 12 fill
-        three blocks, and two on rational."""
+        two blocks on every backend."""
         kind, _, digits = kind.partition(":")
         b = make_backend(kind, int(digits) if digits else None)
         params = MapParams.parse(h, b)
@@ -440,9 +440,8 @@ class TestKernels:
     def test_census_is_block_invariant(self, tmp_path, monkeypatch, kind, h, block, n):
         """Every backend's census columns and cycles artifacts equal those of
         one block over every Lyndon word; n = 17's 7710 words fill two
-        default blocks, and n = 13's 630 fill 630 blocks of one word.  On
-        rational the artifacts' text blocks shrink with the walk's, to one
-        cycle at block sizes 1 and 7."""
+        default blocks, and n = 13's 630 fill 630 blocks of one word.  The
+        artifacts' text blocks keep their size, TEXT_BLOCK points."""
         kind, _, digits = kind.partition(":")
         params = MapParams.parse(h, make_backend(kind, int(digits) if digits else None))
         argv = ["cycles", "--backend", kind, "--h", h, "--period", str(n),
@@ -598,6 +597,28 @@ class TestMultiplier:
         )
         with pytest.raises(DomainError):
             cycle_multiplier(fake, p)
+
+    @pytest.mark.parametrize("kind", ["binary64", "decimal:30", "rational"])
+    @pytest.mark.parametrize("h", ["3/2", "19/10", "2"])
+    def test_multiplier_is_the_slope_product_of_the_itinerary(self, kind, h):
+        """Every census multiplier is, bit for bit and in the backend's type,
+        the left-to-right product of +h per L and -h per R along its
+        itinerary: the sign applied after each rounded h * m."""
+        kind, _, digits = kind.partition(":")
+        b = make_backend(kind, int(digits) if digits else None)
+        params = MapParams.parse(h, b)
+        seen = 0
+        for n in range(1, 13):
+            for c in enumerate_cycles(params, n):
+                m = b.from_int(1)
+                with b.context():
+                    for symbol in c.itinerary:
+                        m = params.h * m
+                        m = -m if symbol == "R" else m
+                assert type(c.multiplier) is b.value_type
+                assert repr(c.multiplier) == repr(m), (n, c.itinerary)
+                seen += 1
+        assert seen > 12
 
     def test_recomputation_matches_stored(self):
         p = b64_params(1.85)

@@ -218,6 +218,18 @@ class TestBuildNet:
         assert Fraction(2, 5) in pts
         assert Fraction(3, 5) in pts
 
+    @pytest.mark.parametrize("precision", [10, 30])
+    @pytest.mark.parametrize("spec", [NetSpec.uniform(1000), NetSpec.triadic(3)], ids=str)
+    def test_decimal_points_are_i_over_d_as_parsed(self, spec, precision):
+        """Each decimal point is i/D as the backend parses the fraction, and as
+        from_int(i) / from_int(D) rounds it: D is exact at ten digits."""
+        b, d = FixedDecimal(precision), spec.denominator
+        pts = build_net(spec, b)
+        assert all(type(x) is Decimal for x in pts)
+        assert pts == [b.parse(f"{i}/{d}") for i in range(d + 1)]
+        with b.context():
+            assert pts == [b.from_int(i) / b.from_int(d) for i in range(d + 1)]
+
     def test_binary64_points_are_correctly_rounded(self):
         pts = build_net(NetSpec.uniform(7), Binary64())
         assert pts.dtype == np.float64
